@@ -221,7 +221,7 @@ def procs_slot_stats(workers: int):
             start = time.perf_counter()
             sim.run(slots, history="none")
             samples.append((time.perf_counter() - start) / slots)
-            shards = sim._procs.shard_stats()
+            shards = sim.shard_stats()
     return median(samples), shards
 
 
@@ -302,11 +302,12 @@ def test_churn_eviction_bounds_ledger_growth(benchmark):
             slots = CHURN_KW["phases"] * CHURN_KW["phase_slots"]
             start = time.perf_counter()
             sim.run(slots, history="none")
+            (ledger,) = sim.shard_stats()
             out[label] = {
                 "seconds_per_slot": (time.perf_counter() - start) / slots,
                 "bytes_per_peer": sim.memory_bytes() / CHURN_KW["n"],
-                "entries": sim._ledgers.entries,
-                "evicted": sim._ledgers.evicted,
+                "entries": ledger["entries"],
+                "evicted": ledger["evicted"],
             }
         return out
 

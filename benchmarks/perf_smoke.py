@@ -89,8 +89,11 @@ def measure_sim_procs() -> tuple[str, float]:
     import bench_sim_scaling
 
     key = f"sim_step_n{SPARSE_N}_procs_w{PROCS_SMOKE_WORKERS}"
+    # Median of three fresh simulations: the first one in a process
+    # also pays the forked workers' cold first prefetch (tens of ms
+    # spread over 48 slots), which is not what the probe is for.
     seconds, _ = bench_sim_scaling.sparse_slot_stats(
-        SPARSE_N, slots=48, reps=1, engine="procs",
+        SPARSE_N, slots=48, reps=3, engine="procs",
         workers=PROCS_SMOKE_WORKERS,
     )
     return key, seconds

@@ -17,10 +17,12 @@ Nothing enforced it — a second writer would produce silently corrupt
   ``*Coordinator`` classes are coordinator-side, methods of ``*Worker``
   classes and ``_worker*`` entry functions are worker-side, and module
   helpers inherit the roles of their (transitive) callers;
-* each write is attributed to a **phase**: worker functions get the
-  dispatch-branch command literals that reach them (``cmd ==
-  "sample"`` …), coordinator writes get the last command broadcast
-  before them in the method body;
+* each write is attributed to a **phase**: worker methods get the
+  command literals of the dispatch branches that call them (``cmd ==
+  "sample"`` …; the worker is a thin adapter over its
+  :class:`~repro.sim.shard.ShardKernel`, which never sees the vectors,
+  so there are no deeper helpers to chase), coordinator writes get the
+  last command broadcast before them in the method body;
 * a field written by more than one role (or from a function reachable
   as both roles) is flagged at the minority write sites, with every
   write site listed in the finding's trace;
@@ -141,7 +143,6 @@ def _worker_phases(graph, modules, roles) -> dict[str, set[str]]:
     """Map worker function qualname -> dispatch command literals."""
     phases: dict[str, set[str]] = {}
     by_name: dict[str, list[str]] = {}
-    module_names = {m.name for m in modules}
     for q, r in roles.items():
         if "worker" in r:
             by_name.setdefault(graph.functions[q].name, []).append(q)
@@ -166,22 +167,6 @@ def _worker_phases(graph, modules, roles) -> dict[str, set[str]]:
                             name = inner.func.id
                         for target in by_name.get(name, ()):
                             phases.setdefault(target, set()).add(literal)
-    # Transitive closure along intra-module worker edges: a helper
-    # called from a phase runs in that phase.
-    changed = True
-    while changed:
-        changed = False
-        for caller, ph in list(phases.items()):
-            for callee, _ in graph.edges.get(caller, ()):
-                info = graph.functions.get(callee)
-                if info is None or info.module not in module_names:
-                    continue
-                if "worker" not in roles.get(callee, set()):
-                    continue
-                have = phases.setdefault(callee, set())
-                if not ph <= have:
-                    have |= ph
-                    changed = True
     return phases
 
 

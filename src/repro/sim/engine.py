@@ -8,11 +8,12 @@ slot is one reallocation round; ``slot_seconds`` only scales ledger
 accumulation so coarser slots can be used for day-long scenarios without
 changing the fixed-point of Equation (2).
 
-Three engines produce those slots:
+Three slot implementations produce those slots:
 
 * ``reference`` — the original per-peer loop: one ``allocate()`` and one
   ``enforce_feasibility()`` call per peer per slot.  Simple, obviously
-  correct, O(n) Python round-trips per slot.
+  correct, O(n) Python round-trips per slot; the oracle every other
+  path is tested against.
 * ``batched`` — peers are partitioned at construction into a *fast set*
   (allocator classes implementing the
   :class:`~repro.core.allocation.BatchedAllocator` protocol, grouped by
@@ -23,31 +24,20 @@ Three engines produce those slots:
   pure-numpy matrix expressions — demand and capacity are pre-sampled in
   time blocks for processes that declare themselves ``blockable``, and
   ledger credit is a single (tiled) ``L += alloc.T * dt`` per flush.
-  Still O(n^2) memory (the dense credit matrix) and O(n^2) compute per
-  slot.
-* ``sparse`` — the large-``n`` engine.  Credit lives in
-  :class:`~repro.sim.sparse.SparseLedgers` (per-peer entry rows over a
-  decaying background scalar, lazy per-row epoch catch-up), and each
-  slot touches only the *active set*: the requesters ``R`` and the
-  givers with positive capacity.  Equation (2)/(3) rows, feasibility and
-  the feedback-credit scatter all operate on the compact
-  ``(active givers, |R|)`` matrix — through multi-threaded native
-  kernels (one worker per contiguous row shard) when available, else a
-  pure-numpy/:func:`~repro.sim.sparse.sparse_pairwise` fallback.  Cost
-  per slot is O(n) bookkeeping plus O(active^2) allocation instead of
-  O(n^2).
-* ``procs`` — the sparse engine partitioned over worker *processes*.
-  Peers are split into contiguous shards; each shard owns its slice of
-  the sparse ledger store (plus any dense-island slow rows) and runs
-  sampling, Equation (2)/(3) rows and feasibility for its givers in its
-  own process.  The per-slot O(n) vectors (request indicators,
-  capacities, declared capacities, compact rates) travel through one
-  shared-memory segment, while cross-shard ledger credit moves as
-  explicit ``(givers, takers, amounts)`` delta batches applied by each
-  receiver's owning shard in the same deterministic order as the
-  single-process loop (see :mod:`repro.sim.procs` /
-  :mod:`repro.sim.shardmsg`).  Bit-identical to ``sparse``; worth it
-  when real cores are available to hide the message round-trips.
+  O(n^2) memory (the dense credit matrix) and O(n^2) compute per slot.
+* the **shard kernel** (:class:`~repro.sim.shard.ShardKernel`) — the
+  large-``n`` path.  Credit lives in
+  :class:`~repro.sim.sparse.SparseLedgers` and each slot touches only
+  the *active set* (the requesters ``R`` and the givers with positive
+  capacity), so a slot costs O(n) bookkeeping plus O(active^2)
+  allocation.  A kernel owns a contiguous peer range and runs a slot as
+  three phases — sample, allocate, credit — which
+  :meth:`Simulation._step_compact` drives in one of two ways:
+  ``sparse`` is one kernel over ``[0, n)`` called **in-process**
+  (:class:`~repro.sim.shard.LocalShard`); ``procs`` is W kernels in
+  forked worker **processes** behind the :mod:`repro.sim.shardmsg`
+  transport (:mod:`repro.sim.procs`), worth it when real cores are
+  available to hide the message round-trips.
 
 ``engine="auto"`` picks ``batched`` for small populations, ``sparse``
 once ``n`` or the dense engines' memory footprint gets out of hand, and
@@ -62,10 +52,11 @@ reference loop (same pairwise reductions over the same element
 positions, multiply-by-1.0 no-ops for untouched rows, block RNG draws
 that consume the per-peer streams exactly like scalar draws; zeros
 outside the active set are exact no-ops in every reduction the engines
-perform).  ``tests/sim/test_engine_batched.py`` and
-``tests/sim/test_engine_sparse.py`` enforce this equivalence
+perform).  ``tests/sim/test_engine_batched.py``,
+``tests/sim/test_engine_sparse.py``, ``tests/sim/test_engine_procs.py``
+and ``tests/sim/test_shard_kernel.py`` enforce this equivalence
 property-style across honest and adversarial mixes, delayed feedback,
-forgetting, and time-varying capacity.
+forgetting, time-varying capacity and any contiguous shard split.
 """
 
 from __future__ import annotations
@@ -90,18 +81,10 @@ from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
 from ..obs.events import SIM_ENGINE_SELECTED, SIM_FEEDBACK, SIM_SLOT
 from . import fastpath
-from .capacity import ConstantCapacity, StepCapacity
-from .demand import (
-    AlwaysOn,
-    DutyCycleDemand,
-    NeverRequests,
-    RandomHoursDemand,
-    ScheduleDemand,
-)
 from .metrics import SimulationResult, StreamingMetrics
 from .peer import PeerConfig, PeerState
-from .sparse import SparseLedgers, SparseLedgerView, sparse_pairwise
-from .traces import TraceDemand
+from .shard import TIME_BLOCK, LocalShard, column_sums
+from .sparse import sparse_pairwise
 
 __all__ = ["Simulation"]
 
@@ -130,9 +113,6 @@ _SIM_FEEDBACK_FLUSHES = _OBS.counter(
     "repro.sim.feedback.flushes", "batched ledger-credit (feedback) flushes"
 )
 
-#: Slots of demand/capacity pre-sampled per blockable peer at a time.
-_TIME_BLOCK = 256
-
 #: Population size at which ``engine="auto"`` switches to ``sparse``.
 _SPARSE_N_THRESHOLD = 16384
 
@@ -143,10 +123,6 @@ _PROCS_N_THRESHOLD = 65536
 
 #: Cap on the auto-selected worker-process count.
 _PROCS_MAX_WORKERS = 4
-
-#: Cap on the sparse engine's demand/capacity prefetch buffers, so the
-#: time block shrinks instead of the buffers growing with n.
-_BLOCK_BYTES_BUDGET = 64 << 20
 
 
 def _usable_workers() -> int:
@@ -182,62 +158,6 @@ def _available_memory_bytes() -> int | None:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError, AttributeError):
         return None
-
-
-class _LazyRngs:
-    """Per-peer demand RNG streams, created on first use.
-
-    The dense engines pre-build one ``default_rng((seed, i))`` per peer;
-    at 10^6 peers that is a gigabyte of generator state for streams the
-    sparse engine's deterministic-demand grouping mostly never touches.
-    Identical seeding, identical streams — just lazy.
-    """
-
-    __slots__ = ("_seed", "_cache")
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._cache: dict[int, np.random.Generator] = {}
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        rng = self._cache.get(i)
-        if rng is None:
-            rng = np.random.default_rng((self._seed, i))
-            self._cache[i] = rng
-        return rng
-
-
-def _demand_group_key(d) -> tuple:
-    """Equivalence key for deterministic blockable demand processes.
-
-    Two demands with the same key produce identical ``sample_block``
-    output for every window, so one representative call serves the whole
-    group.  Exact builtin types are grouped by value; anything else
-    (user subclasses) only by instance identity, which is still the
-    common case at scale (cohorts sharing one process object).
-    """
-    cls = type(d)
-    if cls is AlwaysOn:
-        return ("always",)
-    if cls is NeverRequests:
-        return ("never",)
-    if cls is ScheduleDemand:
-        return ("sched", d.intervals)
-    if cls is DutyCycleDemand or cls is RandomHoursDemand:
-        return ("duty", tuple(sorted(d.active_hours)), d.slot_seconds)
-    if cls is TraceDemand:
-        return ("inst", id(d))
-    return ("inst", id(d))
-
-
-def _capacity_group_key(c) -> tuple:
-    """Equivalence key for blockable capacity profiles (all rng-free)."""
-    cls = type(c)
-    if cls is ConstantCapacity:
-        return ("const", c.kbps)
-    if cls is StepCapacity:
-        return ("step", tuple(c._starts), tuple(c._values))
-    return ("inst", id(c))
 
 
 class Simulation:
@@ -319,7 +239,6 @@ class Simulation:
         else:
             mode, reason = engine, "requested"
         self._mode = mode
-        self._evict_age = evict_age
         if mode == "procs":
             self._workers = min(
                 self.n,
@@ -338,36 +257,36 @@ class Simulation:
         )
         self._t = 0
         self._kernels = None
-        self._sparse_native = False
-        self._batched = mode != "reference"
-        if mode == "procs":
-            from .procs import ProcsCoordinator
-
-            self._credit_matrix = None
-            self._pending_feedback = None
-            self.peers = None
+        #: The shard kernel(s) behind ``sparse``/``procs`` — a
+        #: :class:`LocalShard` or a ``ProcsCoordinator``; ``None`` for
+        #: the dense engines.
+        self._shards = None
+        if mode in ("sparse", "procs"):
+            self._credit_matrix = self._pending_feedback = None
+            fast = (PeerwiseProportionalAllocator, GlobalProportionalAllocator)
             self._slow_rows = [
-                i
-                for i, cfg in enumerate(self.configs)
-                if type(cfg.allocator)
-                not in (PeerwiseProportionalAllocator, GlobalProportionalAllocator)
+                i for i, cfg in enumerate(self.configs) if type(cfg.allocator) not in fast
             ]
-            self._procs = ProcsCoordinator(
-                self.configs,
+            kernel_args = dict(
                 seed=seed,
                 initial_credit=initial_credit,
-                slot_seconds=self.slot_seconds,
                 feedback_interval=self.feedback_interval,
-                workers=self._workers,
                 evict_age=evict_age,
             )
-            self._sparse_native = self._procs.native
-            return
-        if mode == "sparse":
-            self._credit_matrix = None
-            self._pending_feedback = None
-            self._demand_rngs = _LazyRngs(seed)
-            self._init_sparse(initial_credit)
+            if mode == "procs":
+                # Imported here so the in-process engines never pay for
+                # multiprocessing / shared-memory imports.
+                from .procs import ProcsCoordinator
+
+                self._shards = ProcsCoordinator(
+                    self.configs, workers=self._workers, **kernel_args
+                )
+                self.peers = None  # the ledgers live in the workers
+                self._slot_counter = _SIM_PROCS_SLOTS
+            else:
+                self._shards = LocalShard(self.configs, **kernel_args)
+                self.peers = self._shards.kernel.peer_states()
+                self._slot_counter = _SIM_SPARSE_SLOTS
             return
         # All ledgers live as rows of one shared matrix so Equation (2)
         # for the whole network is a masked matrix product; each peer's
@@ -469,118 +388,9 @@ class Simulation:
         self._slot_capacity = [
             i for i, p in enumerate(self.peers) if not p.config.capacity.blockable
         ]
-        self._block_start = -_TIME_BLOCK  # force a build on first step
-        self._req_block = np.empty((_TIME_BLOCK, self.n), dtype=bool)
-        self._cap_block = np.empty((_TIME_BLOCK, self.n))
-
-    def _init_sparse(self, initial_credit: float) -> None:
-        """Bind the sparse ledger store, peer partition and slot plans."""
-        self._kernels = fastpath.load()
-        self._sparse_native = self._kernels is not None and hasattr(
-            self._kernels, "sparse_rows_eq2"
-        )
-        n = self.n
-        self._forgetting = np.array([c.forgetting for c in self.configs])
-        self._any_forgetting = bool((self._forgetting < 1.0).any())
-        initial = initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT
-        store = SparseLedgers(
-            n, initial, self._forgetting, evict_age=self._evict_age
-        )
-        self._ledgers = store
-        # Fast rows: exactly the two closed-form rules the engine can
-        # evaluate straight from the store.  Everything else — custom,
-        # stateful, adversarial, and even other BatchedAllocator
-        # implementers — stays on the per-peer reference path with a
-        # real dense ledger row (a "dense island" inside the store).
-        eq2: list[int] = []
-        eq3: list[int] = []
-        slow: list[int] = []
-        for i, cfg in enumerate(self.configs):
-            cls = type(cfg.allocator)
-            if cls is PeerwiseProportionalAllocator:
-                eq2.append(i)
-            elif cls is GlobalProportionalAllocator:
-                eq3.append(i)
-            else:
-                slow.append(i)
-        self._eq2_rows = np.asarray(eq2, dtype=np.int64)
-        self._eq3_rows = np.asarray(eq3, dtype=np.int64)
-        self._slow_rows = slow
-        slow_set = set(slow)
-        peers: list[PeerState] = []
-        for i, cfg in enumerate(self.configs):
-            if i in slow_set:
-                peers.append(
-                    PeerState(
-                        i, cfg, n, initial_credit, credit_buffer=store.dense_row(i)
-                    )
-                )
-            else:
-                peers.append(
-                    PeerState(
-                        i, cfg, n, initial_credit, ledger=SparseLedgerView(store, i)
-                    )
-                )
-        self.peers = peers
-        self._slot_end_hooks = [
-            p.config.allocator.on_slot_end
-            for p in self.peers
-            if type(p.config.allocator).on_slot_end is not Allocator.on_slot_end
-        ]
-        overrides = [
-            (i, float(cfg.declared_capacity))
-            for i, cfg in enumerate(self.configs)
-            if cfg.declared_capacity is not None
-        ]
-        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
-        self._declared_vals = np.array([v for _, v in overrides])
-        self._needs_declared = bool(eq3 or slow)
-        # Demand plan: deterministic blockable processes are grouped by
-        # equivalence key (one sample_block serves the cohort, rng-free);
-        # stochastic blockable ones keep their per-peer streams; the
-        # rest sample slot by slot, exactly like the batched engine.
-        det_groups: dict[tuple, list[int]] = {}
-        rng_demand: list[int] = []
-        slot_demand: list[int] = []
-        for i, cfg in enumerate(self.configs):
-            d = cfg.demand
-            if not d.blockable:
-                slot_demand.append(i)
-            elif d.deterministic:
-                det_groups.setdefault(_demand_group_key(d), []).append(i)
-            else:
-                rng_demand.append(i)
-        self._det_demand_groups = [
-            (self.configs[rows[0]].demand, np.asarray(rows, dtype=np.intp))
-            for rows in det_groups.values()
-        ]
-        self._rng_demand = rng_demand
-        self._slot_demand = slot_demand
-        cap_groups: dict[tuple, list[int]] = {}
-        slot_capacity: list[int] = []
-        for i, cfg in enumerate(self.configs):
-            if cfg.capacity.blockable:
-                cap_groups.setdefault(_capacity_group_key(cfg.capacity), []).append(i)
-            else:
-                slot_capacity.append(i)
-        self._cap_groups = [
-            (self.configs[rows[0]].capacity, np.asarray(rows, dtype=np.intp))
-            for rows in cap_groups.values()
-        ]
-        self._slot_capacity = slot_capacity
-        # Prefetch block: one bool + two float64 rows per slot is 9n
-        # bytes; shrink the window instead of letting buffers scale.
-        per_slot = 9 * n
-        if per_slot * _TIME_BLOCK <= _BLOCK_BYTES_BUDGET:
-            self._block = _TIME_BLOCK
-        else:
-            self._block = max(4, _BLOCK_BYTES_BUDGET // per_slot)
-        self._block_start = -self._block  # force a build on first step
-        self._req_block = np.empty((self._block, n), dtype=bool)
-        self._cap_block = np.empty((self._block, n))
-        #: Deferred feedback (feedback_interval > 1): receiver index ->
-        #: [sorted giver indices, accumulated credit values].
-        self._sparse_pending: dict[int, list[np.ndarray]] = {}
+        self._block_start = -TIME_BLOCK  # force a build on first step
+        self._req_block = np.empty((TIME_BLOCK, self.n), dtype=bool)
+        self._cap_block = np.empty((TIME_BLOCK, self.n))
 
     @property
     def backend(self) -> str:
@@ -589,10 +399,8 @@ class Simulation:
         ``procs+native`` (compiled, multi-threaded for sparse)."""
         if self._mode == "reference":
             return "reference"
-        if self._mode == "sparse":
-            return "sparse+native" if self._sparse_native else "sparse"
-        if self._mode == "procs":
-            return "procs+native" if self._sparse_native else "procs"
+        if self._shards is not None:
+            return f"{self._mode}+native" if self._shards.native else self._mode
         return "batched+native" if self._kernels is not None else "batched"
 
     @property
@@ -603,31 +411,34 @@ class Simulation:
     def credit_matrix(self) -> np.ndarray:
         """Dense ``(n, n)`` credit snapshot, whichever engine runs.
 
-        The dense engines return their live matrix; the sparse engine
-        materialises one (O(n^2) — inspection and tests, not hot loops).
+        The dense engines return their live matrix; the shard kernels
+        materialise one (O(n^2) — inspection and tests, not hot loops).
         """
-        if self._mode == "sparse":
-            return self._ledgers.materialize()
-        if self._mode == "procs":
-            return self._procs.credit_matrix()
+        if self._shards is not None:
+            return self._shards.credit_matrix()
         return self._credit_matrix
+
+    def shard_stats(self) -> list[dict]:
+        """Per-shard accounting straight from the kernels: ``lo``,
+        ``hi``, ``memory_bytes``, ``entries`` and ``evicted`` — one
+        entry under ``sparse``, one per worker under ``procs``, none
+        for the dense engines."""
+        if self._shards is None:
+            return []
+        return self._shards.shard_stats()
 
     def memory_bytes(self) -> int:
         """Resident bytes of engine-owned slot-loop state.
 
-        Sparse: ledger store + prefetch buffers (the bytes-per-peer
-        benchmark metric).  Procs: the same, summed over the worker
-        shards, plus the shared slot vectors.  Dense: credit matrix +
-        pending feedback + prefetch buffers.
+        Shard kernels: ledger store + prefetch buffers summed over
+        :meth:`shard_stats` (the bytes-per-peer benchmark metric), plus
+        the transport's shared slot vectors under ``procs``.  Dense:
+        credit matrix + pending feedback + prefetch buffers.
         """
-        if self._mode == "procs":
-            return self._procs.memory_bytes()
-        if self._mode == "sparse":
-            return int(
-                self._ledgers.nbytes
-                + self._req_block.nbytes
-                + self._cap_block.nbytes
-            )
+        shards = self._shards
+        if shards is not None:
+            stats = shards.shard_stats()
+            return sum(s["memory_bytes"] for s in stats) + shards.transport_bytes
         total = self._credit_matrix.nbytes + self._pending_feedback.nbytes
         if self._mode == "batched":
             total += self._req_block.nbytes + self._cap_block.nbytes
@@ -637,24 +448,24 @@ class Simulation:
         """Advance one slot; returns ``(allocation_matrix, requesting, capacities)``.
 
         ``allocation_matrix[i, j]`` is ``mu_ij(t)`` after feasibility
-        enforcement.  Under the sparse engine the dense matrix is
+        enforcement.  Under the sparse engines the dense matrix is
         materialised from the compact active-set rows — use
         :meth:`run` with ``history="rates"`` / ``"none"`` to keep large
         populations allocation-free.
         """
+        return self._in_step_span(self._step_dense)
+
+    def _in_step_span(self, step):
         if _TRACER.enabled:
             # Per-slot causal span (children: this slot's trace events);
-            # tracing-off stays the bare dispatch below.
+            # tracing-off stays the bare call below.
             with _spans.span_scope("sim.step", t=self._t):
-                return self._step_dense()
-        return self._step_dense()
+                return step()
+        return step()
 
     def _step_dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._mode in ("sparse", "procs"):
-            if self._mode == "sparse":
-                act, R, M, requesting, capacities = self._step_sparse()
-            else:
-                act, R, M, requesting, capacities = self._step_procs()
+        if self._shards is not None:
+            act, R, M, _, requesting, capacities = self._step_compact()
             alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
             if act.size and R.size:
                 alloc[np.ix_(act, R)] = M
@@ -715,15 +526,15 @@ class Simulation:
         peers, rngs = self.peers, self._demand_rngs
         for i in self._block_demand:
             self._req_block[:, i] = peers[i].config.demand.sample_block(
-                t, _TIME_BLOCK, rngs[i]
+                t, TIME_BLOCK, rngs[i]
             )
         for i in self._block_capacity:
-            self._cap_block[:, i] = peers[i].config.capacity.values(t, _TIME_BLOCK)
+            self._cap_block[:, i] = peers[i].config.capacity.values(t, TIME_BLOCK)
 
     def _step_batched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = self._t
         n = self.n
-        if not self._block_start <= t < self._block_start + _TIME_BLOCK:
+        if not self._block_start <= t < self._block_start + TIME_BLOCK:
             self._refresh_blocks(t)
         off = t - self._block_start
         req_row = self._req_block[off]
@@ -809,306 +620,63 @@ class Simulation:
         self._t += 1
         return alloc, requesting, capacities
 
-    # -- sparse engine -------------------------------------------------
+    # -- shard-kernel engines (sparse, procs) --------------------------
 
-    def _refresh_blocks_sparse(self, t: int) -> None:
-        """Pre-sample the next time block, one call per cohort."""
-        self._block_start = t
-        block = self._block
-        req, cap = self._req_block, self._cap_block
-        for d, rows in self._det_demand_groups:
-            vals = np.asarray(d.sample_block(t, block, None), dtype=bool)
-            if rows.size == 1:
-                req[:, rows[0]] = vals
-            else:
-                req[:, rows] = vals[:, None]
-        for i in self._rng_demand:
-            req[:, i] = self.configs[i].demand.sample_block(
-                t, block, self._demand_rngs[i]
-            )
-        for c, rows in self._cap_groups:
-            vals = c.values(t, block)
-            if rows.size == 1:
-                cap[:, rows[0]] = vals
-            else:
-                cap[:, rows] = vals[:, None]
+    def _step_compact(self) -> tuple[np.ndarray, ...]:
+        """One slot over the active set, through the shard kernel(s).
 
-    def _step_sparse(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One slot over the active set.
-
-        Returns ``(act, R, M, requesting, capacities)`` where ``act``
-        (sorted) are the givers with nonzero rows this slot, ``R``
-        (sorted) the requesters, and ``M[r, a]`` the allocation from
+        The shards sample, allocate and credit; this side owns what
+        spans them: the request set, the compact rates
+        (:func:`~repro.sim.shard.column_sums`, once over the whole
+        ``M`` so every consumer sees identical bits) and the trace
+        totals.  Returns ``(act, R, M, rates, requesting, capacities)``:
+        ``act`` (sorted) the givers with nonzero rows this slot, ``R``
+        (sorted) the requesters, ``M[r, a]`` the allocation from
         ``act[r]`` to ``R[a]`` — the nonzero block of the dense
-        allocation matrix.
+        allocation matrix — and ``rates`` its column sums.
         """
         t = self._t
-        if not self._block_start <= t < self._block_start + self._block:
-            self._refresh_blocks_sparse(t)
-        off = t - self._block_start
-        req_row = self._req_block[off]
-        cap_row = self._cap_block[off]
-        for i in self._slot_demand:
-            req_row[i] = self.configs[i].demand.sample(t, self._demand_rngs[i])
-        for i in self._slot_capacity:
-            cap_row[i] = self.peers[i].capacity_at(t)
-        requesting = req_row.copy()
-        capacities = cap_row.copy()
-        declared = None
-        if self._needs_declared:
-            declared = capacities.copy()
-            if self._declared_idx.size:
-                declared[self._declared_idx] = self._declared_vals
-        R = np.flatnonzero(requesting).astype(np.int64)
-        A = R.size
-
+        shards = self._shards
+        requesting, capacities = shards.sample(t)
+        R = np.flatnonzero(requesting).astype(np.int64, copy=False)
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
-        if A and self._eq2_rows.size:
-            act2 = self._eq2_rows[capacities[self._eq2_rows] > 0.0]
-        else:
-            act2 = np.empty(0, dtype=np.int64)
-        if A and self._eq3_rows.size:
-            act3 = self._eq3_rows[capacities[self._eq3_rows] > 0.0]
-        else:
-            act3 = np.empty(0, dtype=np.int64)
-        # Slow rows run the untouched per-peer path every slot (their
-        # allocators may be stateful), compacted onto the active set.
-        slow_pairs: list[tuple[int, np.ndarray]] = []
-        for i in self._slow_rows:
-            peer = self.peers[i]
-            proposal = peer.config.allocator.allocate(
-                i, capacities[i], requesting, peer.ledger, declared, t
-            )
-            if A:
-                row = enforce_feasibility(proposal, capacities[i], requesting)
-                if row.any():
-                    slow_pairs.append((i, row[R]))
-        slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
-        nact = act2.size + act3.size + slow_act.size
-        if A and nact:
-            cat = np.concatenate([act2, act3, slow_act])
-            order = np.argsort(cat, kind="stable")
-            act = np.ascontiguousarray(cat[order])
-            # Output row position of each source row: rates sum columns
-            # over rows in ascending global order, so M is kept sorted.
-            rowpos = np.empty(nact, dtype=np.int64)
-            rowpos[order] = np.arange(nact, dtype=np.int64)
-            M = np.empty((nact, A))
-            self._sparse_eq2_rows(act2, rowpos[: act2.size], R, capacities, M)
-            if act3.size:
-                self._sparse_eq3_rows(
-                    act3,
-                    rowpos[act2.size : act2.size + act3.size],
-                    R,
-                    declared,
-                    capacities,
-                    M,
-                )
-            for (_, row), p in zip(slow_pairs, rowpos[act2.size + act3.size :]):
-                M[p] = row
-        else:
-            act = np.empty(0, dtype=np.int64)
-            M = np.empty((0, A))
+        act, M = shards.alloc(t)
         if alloc_start is not None:
             _SIM_ALLOC_NS.observe(time.perf_counter_ns() - alloc_start)
-
+        rates = column_sums(M)
         weight = self.slot_seconds
-        store = self._ledgers
-        if self.feedback_interval == 1:
+        instant = self.feedback_interval == 1
+        flush = (t + 1) % self.feedback_interval == 0
+        credited = None
+        if _TRACER.enabled and instant:
+            credited = self._sparse_flat_total(R, act, M, weight, transpose=True)
+        pending = shards.credit(
+            t, act, R, M, rates, weight, flush, _TRACER.enabled and not instant
+        )
+        if flush:
             if _TRACER.enabled:
-                credited = self._sparse_flat_total(R, act, M, weight, transpose=True)
-                store.advance_epoch()
-                self._sparse_scatter(act, R, M, weight)
+                if credited is None:
+                    credited = self._pending_total(pending)
                 _TRACER.emit(SIM_FEEDBACK, t=t, credited=credited)
-            else:
-                store.advance_epoch()
-                self._sparse_scatter(act, R, M, weight)
             if _OBS.enabled:
                 _SIM_FEEDBACK_FLUSHES.inc()
-        else:
-            if act.size:
-                self._sparse_accumulate_pending(act, R, M, weight)
-            if (t + 1) % self.feedback_interval == 0:
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        SIM_FEEDBACK, t=t, credited=self._sparse_pending_total()
-                    )
-                store.advance_epoch()
-                for j in sorted(self._sparse_pending):
-                    idx, val = self._sparse_pending[j]
-                    store.add_compact(j, idx, val)
-                self._sparse_pending.clear()
-                if _OBS.enabled:
-                    _SIM_FEEDBACK_FLUSHES.inc()
-        for hook in self._slot_end_hooks:
-            hook(t)
         if _OBS.enabled:
-            _SIM_SPARSE_SLOTS.inc()
+            self._slot_counter.inc()
             _SIM_FAST_PEERS.set(self.n - len(self._slow_rows))
-        self._emit_slot_sparse(act, R, M, A)
+        self._emit_slot_sparse(act, R, M, rates)
         self._t += 1
-        return act, R, M, requesting, capacities
+        return act, R, M, rates, requesting, capacities
 
-    def _sparse_eq2_rows(
-        self,
-        act: np.ndarray,
-        rowpos: np.ndarray,
-        R: np.ndarray,
-        capacities: np.ndarray,
-        M: np.ndarray,
-    ) -> None:
-        """Equation (2) + feasibility for the active eq2 givers.
-
-        Writes ``M[rowpos[r]]`` for each ``act[r]``; bit-identical to
-        ``enforce_feasibility(allocate(...))`` on the dense vectors
-        (zeros off the request set are exact no-ops in every reduction,
-        and :func:`sparse_pairwise` replays numpy's dense sum over the
-        surviving positions).
-        """
-        if not act.size:
-            return
-        store = self._ledgers
-        if self._sparse_native:
-            self._kernels.sparse_rows_eq2(
-                store, act, rowpos, R, np.ascontiguousarray(capacities[act]), M
-            )
-            return
-        n = self.n
-        for i, p in zip(act.tolist(), rowpos.tolist()):
-            cap = float(capacities[i])
-            w = store.row_at(i, R)
-            total = sparse_pairwise(R, w, n)
-            if total <= 0.0:
-                M[p] = 0.0
-                continue
-            row = cap * w
-            row /= total
-            M[p] = self._sparse_feasibility(row, cap, R, n)
-
-    def _sparse_eq3_rows(
-        self,
-        act: np.ndarray,
-        rowpos: np.ndarray,
-        R: np.ndarray,
-        declared: np.ndarray,
-        capacities: np.ndarray,
-        M: np.ndarray,
-    ) -> None:
-        """Equation (3) + feasibility for the active eq3 givers (one
-        shared weight vector and total for the whole group)."""
-        if not act.size:
-            return
-        n = self.n
-        wR = np.ascontiguousarray(declared[R], dtype=np.float64)
-        total = sparse_pairwise(R, wR, n)
-        if total <= 0.0:
-            for p in rowpos.tolist():
-                M[p] = 0.0
-            return
-        if self._sparse_native:
-            self._kernels.sparse_rows_shared(
-                act, rowpos, R, wR, total, np.ascontiguousarray(capacities[act]), M, n
-            )
-            return
-        for i, p in zip(act.tolist(), rowpos.tolist()):
-            cap = float(capacities[i])
-            row = cap * wR
-            row /= total
-            # Declared capacities may be negative (lies go both ways);
-            # enforce_feasibility clips before summing.
-            row[row < 0] = 0.0
-            M[p] = self._sparse_feasibility(row, cap, R, n)
-
-    @staticmethod
-    def _sparse_feasibility(
-        row: np.ndarray, cap: float, R: np.ndarray, n: int
-    ) -> np.ndarray:
-        """:func:`enforce_feasibility` over the compact request set."""
-        total = sparse_pairwise(R, row, n)
-        if total > cap:  # cap > 0 guaranteed by the active-giver filter
-            row *= cap / total
-            if sparse_pairwise(R, row, n) > cap:
-                # Rare rounding overshoot: clamp the running sum (the
-                # dense cumsum never crosses cap at a zero cell, so the
-                # compact clamp produces the identical entries).
-                row = np.diff(np.minimum(np.cumsum(row), cap), prepend=0.0)
-        return row
-
-    def _sparse_scatter(
-        self, act: np.ndarray, R: np.ndarray, M: np.ndarray, weight: float
-    ) -> None:
-        """Fused feedback credit: ledger row ``R[a]`` += ``M[:, a] * weight``.
-
-        The native kernel handles receivers whose entry rows already
-        contain every active giver (the steady state); cold receivers
-        with *no* entries yet (fresh cohorts meeting the givers — the
-        dominant case in rotating-cohort scale scenarios) go through the
-        store's vectorised ``bulk_insert``; the remaining first-contact
-        merges and dense-island rows fall back to the per-row python
-        path.  Eviction-enabled stores skip the kernel entirely so every
-        write refreshes the per-entry age stamps.
-        """
-        if not act.size or not R.size:
-            return
-        store = self._ledgers
-        if self._sparse_native and store.evict_age is None:
-            ok = np.zeros(R.size, dtype=np.uint8)
-            self._kernels.sparse_scatter(store, act, R, M, weight, ok)
-            miss = np.flatnonzero(ok == 0)
-        else:
-            miss = np.arange(R.size)
-        if not miss.size:
-            return
-        P = M[:, miss].T * weight
-        rows = R[miss]
-        cold = store.nnz[rows] == 0
-        if int(cold.sum()) > 1:
-            store.bulk_insert(rows[cold], act, P[cold])
-            warm = np.flatnonzero(~cold)
-        else:
-            warm = np.arange(miss.size)
-        for m in warm.tolist():
-            store.add_compact(int(rows[m]), act, P[m])
-
-    def _sparse_accumulate_pending(
-        self, act: np.ndarray, R: np.ndarray, M: np.ndarray, weight: float
-    ) -> None:
-        """Defer ``alloc.T * weight`` into per-receiver sparse rows."""
-        P = M.T * weight
-        pending = self._sparse_pending
-        for a in range(R.size):
-            j = int(R[a])
-            ent = pending.get(j)
-            if ent is None:
-                pending[j] = [act.copy(), P[a].copy()]
-                continue
-            idx, val = ent
-            pos = np.searchsorted(idx, act)
-            inb = pos < idx.size
-            hit = np.zeros(act.size, dtype=bool)
-            hit[inb] = idx[pos[inb]] == act[inb]
-            if hit.all():
-                val[pos] += P[a]
-                continue
-            miss = ~hit
-            val[pos[hit]] += P[a][hit]
-            new_idx = np.concatenate([idx, act[miss]])
-            new_val = np.concatenate([val, P[a][miss]])
-            order = np.argsort(new_idx, kind="stable")
-            ent[0] = np.ascontiguousarray(new_idx[order])
-            ent[1] = np.ascontiguousarray(new_val[order])
-
-    def _sparse_pending_total(self) -> float:
-        """``float(pending.sum())`` of the equivalent dense buffer."""
-        pending = self._sparse_pending
-        if not pending:
+    def _pending_total(self, dumps) -> float:
+        """``float(pending.sum())`` of the dense deferred-feedback
+        buffer, replayed from the shards' pending dumps (``(receiver,
+        giver_idx, values)`` triples in global row order — contiguous
+        shards make the shard-order concatenation globally sorted)."""
+        if not dumps:
             return 0.0
         n = self.n
-        rows = sorted(pending)
-        pos = np.concatenate([pending[j][0] + j * n for j in rows])
-        val = np.concatenate([pending[j][1] for j in rows])
+        pos = np.concatenate([idx + j * n for j, idx, _ in dumps])
+        val = np.concatenate([v for _, _, v in dumps])
         return float(sparse_pairwise(pos, val, n * n))
 
     def _sparse_flat_total(
@@ -1130,10 +698,9 @@ class Simulation:
         return float(sparse_pairwise(pos, val, n * n))
 
     def _emit_slot_sparse(
-        self, act: np.ndarray, R: np.ndarray, M: np.ndarray, n_requesting: int
+        self, act: np.ndarray, R: np.ndarray, M: np.ndarray, rates: np.ndarray
     ) -> None:
         if _OBS.enabled or _TRACER.enabled:
-            rates = M.sum(axis=0) if M.size else np.zeros(R.size)
             jain = jain_index(rates) if R.size else 1.0
             if _OBS.enabled:
                 _SIM_SLOTS.inc()
@@ -1142,7 +709,7 @@ class Simulation:
                 _TRACER.emit(
                     SIM_SLOT,
                     t=self._t,
-                    requesting=int(n_requesting),
+                    requesting=int(R.size),
                     allocated_kbps=self._sparse_flat_total(
                         R, act, M, 1.0, transpose=False
                     ),
@@ -1183,63 +750,13 @@ class Simulation:
                 jain=jain,
             )
 
-    # -- process-sharded engine ----------------------------------------
-
-    def _step_procs(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One slot through the worker shards (same contract as
-        :meth:`_step_sparse`; the coordinator runs the three message
-        phases and the workers hold all ledger state)."""
-        t = self._t
-        want_pending = _TRACER.enabled and self.feedback_interval > 1
-        act, R, M, requesting, capacities, flushed, pending = self._procs.step(
-            t, want_pending
-        )
-        if self.feedback_interval == 1:
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    SIM_FEEDBACK,
-                    t=t,
-                    credited=self._sparse_flat_total(
-                        R, act, M, self.slot_seconds, transpose=True
-                    ),
-                )
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
-        elif flushed:
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    SIM_FEEDBACK, t=t, credited=self._procs_pending_total(pending)
-                )
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
-        if _OBS.enabled:
-            _SIM_PROCS_SLOTS.inc()
-            _SIM_FAST_PEERS.set(self.n - len(self._slow_rows))
-        self._emit_slot_sparse(act, R, M, R.size)
-        self._t += 1
-        return act, R, M, requesting, capacities
-
-    def _procs_pending_total(self, dumps) -> float:
-        """:meth:`_sparse_pending_total` over the workers' pending dumps
-        (``(receiver, giver_idx, values)`` triples in global row order —
-        contiguous shards make the shard-order concatenation globally
-        sorted)."""
-        if not dumps:
-            return 0.0
-        n = self.n
-        pos = np.concatenate([idx + j * n for j, idx, _ in dumps])
-        val = np.concatenate([v for _, _, v in dumps])
-        return float(sparse_pairwise(pos, val, n * n))
-
     def close(self) -> None:
         """Shut down the worker processes (``procs`` engine; no-op for
         the in-process engines).  Safe to call more than once; the
-        coordinator also cleans up on garbage collection."""
-        procs = getattr(self, "_procs", None)
-        if procs is not None:
-            procs.close()
+        coordinator also cleans up on garbage collection.  A closed
+        ``procs`` simulation raises ``RuntimeError`` on further use."""
+        if self._shards is not None:
+            self._shards.close()
 
     def __enter__(self) -> "Simulation":
         return self
@@ -1249,26 +766,14 @@ class Simulation:
         return False
 
     def _labels(self) -> tuple[str, ...]:
-        """Per-peer display labels without requiring ``PeerState``
-        objects (the procs engine keeps peers in the workers)."""
-        if self.peers is not None:
-            return tuple(p.label for p in self.peers)
-        return tuple(
-            c.label or f"peer {i}" for i, c in enumerate(self.configs)
-        )
-
-    def _step_sparse_traced(self):
-        step = self._step_procs if self._mode == "procs" else self._step_sparse
-        if _TRACER.enabled:
-            with _spans.span_scope("sim.step", t=self._t):
-                return step()
-        return step()
+        """Per-peer display labels (from the configs: the procs engine
+        keeps its peer states in the workers)."""
+        return tuple(c.label or f"peer {i}" for i, c in enumerate(self.configs))
 
     def run(
         self,
         slots: int,
         record_allocations: bool = False,
-        history_dtype=np.float64,
         history: str | None = "full",
     ) -> SimulationResult:
         """Simulate ``slots`` further slots and return the recorded result.
@@ -1279,8 +784,8 @@ class Simulation:
           capacities as ``(slots, n)`` arrays plus the ``(n, n)`` mean
           allocation matrix: the complete :class:`SimulationResult`.
         * ``"rates"`` — the ``(slots, n)`` arrays but no allocation
-          matrices (``mean_alloc`` is ``None``); the sparse engine then
-          never materialises a dense slot.
+          matrices (``mean_alloc`` is ``None``); the sparse engines then
+          never materialise a dense slot.
         * ``"none"`` (or ``None``) — O(n) running aggregates only
           (per-peer rate/capacity/isolation sums and request counts);
           the result's summary accessors (mean capacity, isolation
@@ -1289,12 +794,9 @@ class Simulation:
 
         With ``record_allocations`` (requires ``history="full"``) the
         full allocation history is preallocated up front as one
-        ``(slots, n, n)`` array of ``history_dtype`` — by default
-        float64, i.e. ``slots * n**2 * 8`` bytes (a 10 000-slot run of
-        100 peers holds ~800 MB, and 1 000 peers would need ~80 GB).
-        Pass ``history_dtype=np.float32`` to halve that when ulp-exact
-        history is not required; rates, the running mean and the ledgers
-        always stay float64.
+        ``(slots, n, n)`` float64 array, i.e. ``slots * n**2 * 8`` bytes
+        (a 10 000-slot run of 100 peers holds ~800 MB, and 1 000 peers
+        would need ~80 GB).
         """
         if slots < 1:
             raise ValueError(f"slots must be positive, got {slots}")
@@ -1306,57 +808,69 @@ class Simulation:
             )
         if record_allocations and history != "full":
             raise ValueError("record_allocations requires history='full'")
-        if history == "full":
-            return self._run_full(slots, record_allocations, history_dtype)
-        compact = self._mode in ("sparse", "procs")
-        if history == "rates":
-            rates = np.zeros((slots, self.n))
-            requesting = np.zeros((slots, self.n), dtype=bool)
-            capacities = np.zeros((slots, self.n))
-            with _spans.span_scope("sim.run", slots=slots, n=self.n):
-                for s in range(slots):
-                    if compact:
-                        _, R, M, req, caps = self._step_sparse_traced()
-                        if R.size and M.size:
-                            rates[s, R] = M.sum(axis=0)
-                    else:
-                        alloc, req, caps = self.step()
-                        rates[s] = alloc.sum(axis=0)
-                    requesting[s] = req
-                    capacities[s] = caps
-            return SimulationResult(
-                rates=rates,
-                requesting=requesting,
-                capacities=capacities,
-                mean_alloc=None,
-                slot_seconds=self.slot_seconds,
-                labels=self._labels(),
-            )
-        # history == "none": O(n) streaming aggregates only.  The procs
-        # engine's workers run the per-shard accumulators (merged by the
-        # coordinator into disjoint slices — exact, not approximate);
-        # only the per-slot Jain record, which needs the global compact
-        # rate vector, stays on this side of the message boundary.
+        if history == "none":
+            return self._run_streaming(slots)
+        compact = self._shards is not None
+        full = history == "full"
+        rates = np.zeros((slots, self.n))
+        requesting = np.zeros((slots, self.n), dtype=bool)
+        capacities = np.zeros((slots, self.n))
+        mean_alloc = alloc_history = None
+        if full:
+            mean_alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        if record_allocations:
+            alloc_history = np.zeros((slots, self.n, self.n))  # repro: allow[sim-dense-alloc]
+        with _spans.span_scope("sim.run", slots=slots, n=self.n):
+            for s in range(slots):
+                if compact and not full:
+                    _, R, _, rates_c, req, caps = self._in_step_span(
+                        self._step_compact
+                    )
+                    rates[s, R] = rates_c
+                else:
+                    alloc, req, caps = self.step()
+                    rates[s] = alloc.sum(axis=0)
+                    if full:
+                        mean_alloc += alloc
+                    if alloc_history is not None:
+                        alloc_history[s] = alloc
+                requesting[s] = req
+                capacities[s] = caps
+        if full:
+            mean_alloc /= slots
+        return SimulationResult(
+            rates=rates,
+            requesting=requesting,
+            capacities=capacities,
+            mean_alloc=mean_alloc,
+            slot_seconds=self.slot_seconds,
+            alloc_history=alloc_history,
+            labels=self._labels(),
+        )
+
+    def _run_streaming(self, slots: int) -> SimulationResult:
+        """``history="none"``: O(n) streaming aggregates only.  Each shard
+        kernel folds its own rows' sums as it credits the slot (placed
+        into disjoint slices afterwards — exact, not approximate); only
+        the per-slot Jain record, which needs the global compact rate
+        vector, is appended on this side."""
         metrics = StreamingMetrics(self.n, slots)
-        sharded = self._mode == "procs"
-        if sharded:
-            self._procs.begin_metrics(slots)
+        compact = self._shards is not None
+        if compact:
+            self._shards.begin_metrics(slots)
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
                 if compact:
-                    _, R, M, req, caps = self._step_sparse_traced()
-                    if sharded:
-                        rates_c = M.sum(axis=0)
-                        metrics.jain.append(
-                            jain_index(rates_c) if R.size else 1.0
-                        )
-                    else:
-                        metrics.update_compact(s, R, M.sum(axis=0), req, caps)
+                    _, R, _, rates_c, _, _ = self._in_step_span(self._step_compact)
+                    metrics.jain.append(jain_index(rates_c) if R.size else 1.0)
                 else:
                     alloc, req, caps = self.step()
                     metrics.update_dense(s, alloc.sum(axis=0), req, caps)
-        if sharded:
-            self._procs.end_metrics(metrics)
+        if compact:
+            lo = 0
+            for part in self._shards.end_metrics():
+                metrics.place(lo, part)
+                lo += part.n
         return SimulationResult(
             rates=None,
             requesting=None,
@@ -1365,36 +879,4 @@ class Simulation:
             slot_seconds=self.slot_seconds,
             labels=self._labels(),
             summary=metrics.summary(),
-        )
-
-    def _run_full(
-        self, slots: int, record_allocations: bool, history_dtype
-    ) -> SimulationResult:
-        rates = np.zeros((slots, self.n))
-        requesting = np.zeros((slots, self.n), dtype=bool)
-        capacities = np.zeros((slots, self.n))
-        mean_alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
-        history = (
-            np.zeros((slots, self.n, self.n), dtype=history_dtype)  # repro: allow[sim-dense-alloc]
-            if record_allocations
-            else None
-        )
-        with _spans.span_scope("sim.run", slots=slots, n=self.n):
-            for s in range(slots):
-                alloc, req, caps = self.step()
-                rates[s] = alloc.sum(axis=0)
-                requesting[s] = req
-                capacities[s] = caps
-                mean_alloc += alloc
-                if history is not None:
-                    history[s] = alloc
-        mean_alloc /= slots
-        return SimulationResult(
-            rates=rates,
-            requesting=requesting,
-            capacities=capacities,
-            mean_alloc=mean_alloc,
-            slot_seconds=self.slot_seconds,
-            alloc_history=history,
-            labels=self._labels(),
         )

@@ -25,6 +25,17 @@ from ..core.fairness import cooperation_gain, jain_index, running_average
 __all__ = ["SimulationResult", "StreamingMetrics"]
 
 
+#: The per-peer accumulator arrays of :class:`StreamingMetrics`.
+_PEER_SUMS = (
+    "rate_sum",
+    "request_count",
+    "capacity_sum",
+    "isolation_sum",
+    "gain_sum",
+    "window_rate_sum",
+)
+
+
 class StreamingMetrics:
     """O(n) per-slot accumulators for ``history="none"`` runs.
 
@@ -35,9 +46,10 @@ class StreamingMetrics:
     trajectory is recorded as the engine computes it, the masked gain
     sum mirrors :func:`~repro.core.fairness.cooperation_gain`, and the
     report's final rate window (``max(1, slots // 10)`` trailing slots)
-    is pre-registered at run start.  The procs engine keeps the same
-    accumulators shard-locally inside each worker and the coordinator
-    merges the disjoint slices.
+    is pre-registered at run start.  The sparse engines keep one
+    accumulator per shard kernel (:meth:`fold_compact`) which the run
+    merges by :meth:`place`; only the Jain record needs the global rate
+    vector and is appended on the simulation side.
     """
 
     def __init__(self, n: int, slots: int):
@@ -68,7 +80,7 @@ class StreamingMetrics:
             jain_index(rates_t[req]) if bool(req.any()) else 1.0
         )
 
-    def update_compact(
+    def fold_compact(
         self,
         s: int,
         R: np.ndarray,
@@ -76,9 +88,10 @@ class StreamingMetrics:
         req: np.ndarray,
         caps: np.ndarray,
     ) -> None:
-        """Fold one slot from the compact request set (``rates_c`` are
-        the requesters' rates at sorted positions ``R``); zero cells
-        outside ``R`` are exact no-ops in every sum."""
+        """Fold one slot's sums from the compact request set (``rates_c``
+        are the requesters' rates at sorted positions ``R``); zero cells
+        outside ``R`` are exact no-ops in every sum.  Every sum is
+        per-peer, so a shard folds its own rows and nothing else."""
         if R.size:
             self.rate_sum[R] += rates_c
             self.gain_sum[R] += rates_c - caps[R]
@@ -87,19 +100,34 @@ class StreamingMetrics:
         self.request_count += req
         self.capacity_sum += caps
         self.isolation_sum += np.where(req, caps, 0.0)
+
+    def update_compact(
+        self,
+        s: int,
+        R: np.ndarray,
+        rates_c: np.ndarray,
+        req: np.ndarray,
+        caps: np.ndarray,
+    ) -> None:
+        """:meth:`fold_compact` plus the slot's Jain entry — the compact
+        twin of :meth:`update_dense` for an unsharded population."""
+        self.fold_compact(s, R, rates_c, req, caps)
         self.jain.append(jain_index(rates_c) if R.size else 1.0)
+
+    def place(self, lo: int, shard: "StreamingMetrics") -> None:
+        """Adopt a shard's sums as rows ``[lo, lo + shard.n)`` — shards
+        are disjoint contiguous ranges, so merging is exact placement,
+        not summation."""
+        hi = lo + shard.n
+        for name in _PEER_SUMS:
+            getattr(self, name)[lo:hi] = getattr(shard, name)
 
     def summary(self) -> dict:
         """The :attr:`SimulationResult.summary` dict for this run."""
         return {
             "slots": self.slots,
             "n": self.n,
-            "rate_sum": self.rate_sum,
-            "request_count": self.request_count,
-            "capacity_sum": self.capacity_sum,
-            "isolation_sum": self.isolation_sum,
-            "gain_sum": self.gain_sum,
-            "window_rate_sum": self.window_rate_sum,
+            **{name: getattr(self, name) for name in _PEER_SUMS},
             "window_slots": self.window_slots,
             "jain": self.jain,
         }

@@ -1,55 +1,33 @@
-"""The process-sharded slot engine (``engine="procs"``).
+"""The process-sharded slot engine (``engine="procs"``): W shard
+kernels behind a transport.
 
 Peers are partitioned into contiguous shards ``[lo, hi)``; each shard
-runs in its own forked worker process and owns
+is one :class:`~repro.sim.shard.ShardKernel` — the same kernel
+``engine="sparse"`` calls in-process — living in its own forked worker.
+This module is only the transport around those kernels: the
+:class:`ProcsCoordinator` that drives the kernel's three phases over
+per-worker pipes (the round-trips are the barriers), the worker command
+loop, and a thin :class:`_ShardWorker` that moves its kernel's arrays
+into and out of the shared slot vectors and the credit messages (see
+:mod:`repro.sim.shardmsg` for what crosses the boundary).  No
+allocation, ledger or metrics arithmetic lives here, so determinism is
+the kernel's: contiguous shards stacked in shard order give the
+single-kernel row order, and the engine is **bit-identical** to
+``engine="sparse"`` and ``engine="reference"``
+(``tests/sim/test_engine_procs.py``).
 
-* its slice of the sparse ledger rows (a shard-local
-  :class:`~repro.sim.sparse.SparseLedgers` with local row indices and
-  global column indices),
-* its peers' demand/capacity sampling plans (the same deterministic
-  grouping, RNG streams and prefetch blocks as the single-process
-  sparse engine — per-peer streams are seeded by *global* index, so
-  sharding never changes a draw), and
-* its Equation (2)/(3) and slow-path allocator rows.
+As an IPC optimisation a worker samples slot ``t+1`` right after
+crediting slot ``t``, so steady-state slots cost two round-trips, not
+three — and the credit gather is the barrier that orders all of it
+before the next ``alloc`` broadcast reads the vectors.  Pre-sampling is
+safe because blockable sampling is a pure function of the slot index
+and per-peer RNG streams are block-keyed; the engine only ever steps
+forward.
 
-Each slot runs three message phases, with the pipe round-trips as
-barriers (see :mod:`repro.sim.shardmsg` for what crosses the boundary):
-
-1. ``sample`` — every worker samples its shard's request indicators,
-   capacities and declared capacities into its slice of the shared slot
-   vectors.
-2. ``alloc`` — every worker reads the *global* vectors, computes the
-   request set ``R`` and its own active givers, and returns its rows of
-   the compact allocation matrix ``M`` (sorted within the shard;
-   contiguous shards make the coordinator's concatenation globally
-   sorted — exactly the single-process row order).
-3. ``credit`` — the coordinator routes each receiving shard its column
-   block of ``M`` as a :class:`~repro.sim.shardmsg.CreditBatch`; the
-   owning worker replays the same scatter/pending-merge/epoch sequence
-   the single-process loop performs for those rows, and folds its slice
-   of the streaming metrics.
-
-As an IPC optimisation the credit message carries the *next* slot's
-sample instruction, so steady-state slots cost two round-trips, not
-three: each worker applies its credit, folds its metrics (reading only
-its own slices plus the coordinator-owned rates), then samples slot
-``t+1`` into its own slices — and the credit gather is the barrier that
-orders all of it before the next ``alloc`` broadcast reads the vectors.
-Pre-sampling is safe because blockable sampling is a pure function of
-the slot index and per-peer RNG streams are block-keyed; the engine
-only ever steps forward.
-
-Determinism: every floating-point reduction is either row-local (the
-ledger rows, Equation (2)/(3) rows, feasibility) or replayed from
-global positions (:func:`~repro.sim.sparse.sparse_pairwise` totals,
-compact rates summed once by the coordinator), so the engine is
-**bit-identical** to ``engine="sparse"`` and ``engine="reference"`` —
-``tests/sim/test_engine_procs.py`` enforces it property-style.
-
-Workers are forked (POSIX only — the engine guards construction), so
-they inherit the already-loaded native kernels and the shared-memory
-mapping; they are daemons and the coordinator kills them on
-:meth:`ProcsCoordinator.close` or garbage collection.
+Workers are forked (POSIX only), so they inherit the already-loaded
+native kernels, the shared-memory mapping and a private copy-on-write
+image of the peer configs; they are daemons and the coordinator kills
+them on :meth:`ProcsCoordinator.close` or garbage collection.
 """
 
 from __future__ import annotations
@@ -60,29 +38,11 @@ import weakref
 
 import numpy as np
 
-from ..core.allocation import (
-    Allocator,
-    PeerwiseProportionalAllocator,
-    enforce_feasibility,
-)
-from ..core.baselines import GlobalProportionalAllocator
-from ..core.ledger import DEFAULT_INITIAL_CREDIT
 from . import fastpath
-from .engine import (
-    _BLOCK_BYTES_BUDGET,
-    _TIME_BLOCK,
-    Simulation,
-    _capacity_group_key,
-    _demand_group_key,
-    _LazyRngs,
-)
-from .peer import PeerState
-from .shardmsg import CreditBatch, ShardSpec, SlotVectors, dump_configs, load_configs
-from .sparse import SparseLedgers, sparse_pairwise
+from .shard import ShardKernel, needs_declared
+from .shardmsg import CreditBatch, SlotVectors
 
 __all__ = ["ProcsCoordinator"]
-
-_feasibility = Simulation._sparse_feasibility
 
 
 def _cleanup(procs, conns, vec) -> None:
@@ -112,29 +72,33 @@ def _cleanup(procs, conns, vec) -> None:
 
 
 class ProcsCoordinator:
-    """Owns the worker processes and drives the per-slot phases."""
+    """Owns the worker processes and drives the per-slot phases.
+
+    Presents the W kernels as one shard over ``[0, n)`` — the phase
+    surface :class:`~repro.sim.shard.LocalShard` gives a single
+    in-process kernel.
+    """
 
     def __init__(
         self,
         configs,
         seed: int,
         initial_credit: float,
-        slot_seconds: float,
         feedback_interval: int,
         workers: int,
         evict_age: int | None,
     ):
         n = len(configs)
-        self.n = n
         self.workers = int(workers)
-        self.slot_seconds = float(slot_seconds)
-        self.feedback_interval = int(feedback_interval)
         # Load (and self-check) the kernels before forking: children
         # inherit the mapped shared object and the memoised handle.
-        kernels = fastpath.load()
-        self.native = kernels is not None and hasattr(kernels, "sparse_rows_eq2")
-        needs_declared = any(
-            type(c.allocator) is not PeerwiseProportionalAllocator for c in configs
+        self.native = fastpath.load() is not None
+        kernel_args = dict(
+            seed=seed,
+            initial_credit=initial_credit,
+            feedback_interval=feedback_interval,
+            evict_age=evict_age,
+            needs_declared=needs_declared(configs),
         )
         ctx = multiprocessing.get_context("fork")
         self.vec = SlotVectors(n)
@@ -143,23 +107,12 @@ class ProcsCoordinator:
         self._procs = []
         try:
             for w in range(self.workers):
-                lo, hi = self._bounds[w], self._bounds[w + 1]
-                spec = ShardSpec(
-                    lo=lo,
-                    hi=hi,
-                    n=n,
-                    seed=seed,
-                    initial_credit=initial_credit,
-                    slot_seconds=self.slot_seconds,
-                    feedback_interval=self.feedback_interval,
-                    evict_age=evict_age,
-                    needs_declared=needs_declared,
-                    configs_blob=dump_configs(configs[lo:hi]),
-                )
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(spec, self.vec, child),
+                    # Forked, so nothing here is pickled: the child builds
+                    # its kernel from its own copy-on-write configs.
+                    args=(configs, *self._bounds[w : w + 2], kernel_args, self.vec, child),
                     name=f"repro-sim-shard-{w}",
                     daemon=True,
                 )
@@ -171,39 +124,49 @@ class ProcsCoordinator:
             _cleanup(self._procs, self._conns, self.vec)
             raise
         self._closed = False
-        self._next_sampled: int | None = None
+        self._sampled: int | None = None
         self._finalizer = weakref.finalize(
             self, _cleanup, list(self._procs), list(self._conns), self.vec
         )
-        # Readiness barrier: every worker acknowledges once its shard is
-        # built, so construction cost (config unpickling, plan grouping)
-        # lands here — mirroring ``_init_sparse`` in the constructor —
-        # and build failures surface immediately as exceptions.
+        # Readiness barrier: every worker acknowledges once its kernel
+        # is built, so construction cost lands in the constructor — as
+        # it does in-process — and build failures surface immediately
+        # as exceptions.
         self._gather()
 
     # -- plumbing ------------------------------------------------------
 
     def _broadcast(self, msg) -> None:
+        if self._closed:
+            raise RuntimeError("simulation is closed")
         for conn in self._conns:
             conn.send(msg)
 
     def _gather(self) -> list:
-        replies = []
+        """Every worker's reply payload to the last command, in shard
+        order (workers answer ``("ok", payload)`` or ``("error",
+        traceback)``)."""
+        payloads = []
         for w, conn in enumerate(self._conns):
             try:
-                reply = conn.recv()
+                status, payload = conn.recv()
             except EOFError:
                 self.close()
                 raise RuntimeError(
                     f"simulation shard worker {w} died unexpectedly"
                 ) from None
-            if reply[0] == "error":
+            if status == "error":
                 self.close()
                 raise RuntimeError(
-                    f"simulation shard worker {w} failed:\n{reply[1]}"
+                    f"simulation shard worker {w} failed:\n{payload}"
                 )
-            replies.append(reply)
-        return replies
+            payloads.append(payload)
+        return payloads
+
+    @property
+    def transport_bytes(self) -> int:
+        """Bytes the transport itself holds: the shared slot vectors."""
+        return self.vec.nbytes
 
     def close(self) -> None:
         if self._closed:
@@ -212,62 +175,51 @@ class ProcsCoordinator:
         self._finalizer.detach()
         _cleanup(self._procs, self._conns, self.vec)
 
-    # -- the slot loop -------------------------------------------------
+    # -- the slot phases -----------------------------------------------
 
-    def step(self, t: int, want_pending: bool):
-        """Run one slot's phases.
-
-        Returns ``(act, R, M, requesting, capacities, flushed,
-        pending)`` — the :meth:`Simulation._step_sparse` contract plus
-        whether this slot flushed deferred feedback and (when
-        ``want_pending`` and flushing) the workers' pending dumps in
-        global row order for the trace's credited total.
-        """
-        if self._next_sampled != t:
-            # Only the first slot pays a dedicated sample round-trip;
-            # afterwards each credit message piggybacks the next sample.
+    def sample(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The global ``(requesting, capacities)`` of slot ``t``."""
+        if self._sampled != t or self._closed:
+            # Only the first slot pays a dedicated sample round-trip (the
+            # workers sample ahead after each credit) — and a closed
+            # coordinator, whose broadcast raises.
             self._broadcast(("sample", t))
             self._gather()
+        return np.array(self.vec.requesting), np.array(self.vec.capacities)
+
+    def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(act, M)`` over the whole population, shard blocks stacked
+        in shard order (globally sorted givers)."""
         self._broadcast(("alloc", t))
-        replies = self._gather()
-        requesting = np.array(self.vec.requesting)
-        capacities = np.array(self.vec.capacities)
-        R = np.flatnonzero(requesting).astype(np.int64)
-        A = R.size
-        acts = [reply[1] for reply in replies]
-        nact = sum(a.size for a in acts)
-        if A and nact:
-            act = np.concatenate(acts)
-            M = np.vstack([reply[2] for reply in replies])
-        else:
-            act = np.empty(0, dtype=np.int64)
-            M = np.empty((0, A))
-        if A:
-            # Compact per-requester rates — the one cross-shard float
-            # reduction, performed once here so every consumer (worker
-            # metrics, reports, traces) sees identical bits.
-            self.vec.rates[:A] = M.sum(axis=0)
-        flushed = (
-            self.feedback_interval == 1
-            or (t + 1) % self.feedback_interval == 0
+        blocks = self._gather()
+        return (
+            np.concatenate([act for act, _ in blocks]),
+            np.vstack([M for _, M in blocks]),
         )
+
+    def credit(self, t, act, R, M, rates, weight, flush, want_pending):
+        """Route each shard its column block of ``M``; returns the
+        shards' pending dumps in global row order when a flush is
+        traced (``want_pending``), else ``None``."""
+        # Compact per-requester rates — the one cross-shard float
+        # reduction, summed once by the caller and published here so
+        # every shard's metrics fold sees identical bits.
+        self.vec.rates[: R.size] = rates
         for w, conn in enumerate(self._conns):
-            lo, hi = self._bounds[w], self._bounds[w + 1]
-            c0 = int(np.searchsorted(R, lo))
-            c1 = int(np.searchsorted(R, hi))
+            c0, c1 = np.searchsorted(R, self._bounds[w : w + 2]).tolist()
             batch = CreditBatch(
                 givers=act,
                 takers=R[c0:c1],
                 amounts=np.ascontiguousarray(M[:, c0:c1]),
-                weight=self.slot_seconds,
+                first=c0,
+                weight=weight,
             )
-            conn.send(("credit", t, flushed, want_pending, batch, t + 1))
-        self._next_sampled = t + 1
+            conn.send(("credit", t, flush, want_pending, batch))
+        self._sampled = t + 1
         dumps = self._gather()
-        pending = None
-        if want_pending and flushed:
-            pending = [item for reply in dumps for item in (reply[1] or [])]
-        return act, R, M, requesting, capacities, flushed, pending
+        if want_pending and flush:
+            return [item for dump in dumps for item in dump]
+        return None
 
     # -- streaming metrics ---------------------------------------------
 
@@ -276,83 +228,56 @@ class ProcsCoordinator:
         self._broadcast(("begin_metrics", int(slots)))
         self._gather()
 
-    def end_metrics(self, metrics) -> None:
-        """Merge the shards' accumulators into a
-        :class:`~repro.sim.metrics.StreamingMetrics` — disjoint
-        contiguous slices, so the merge is exact placement, not
-        summation."""
+    def end_metrics(self) -> list:
+        """The shards' accumulators, in shard order."""
         self._broadcast(("end_metrics",))
-        for w, reply in enumerate(self._gather()):
-            lo, hi = self._bounds[w], self._bounds[w + 1]
-            data = reply[1]
-            metrics.rate_sum[lo:hi] = data["rate_sum"]
-            metrics.request_count[lo:hi] = data["request_count"]
-            metrics.capacity_sum[lo:hi] = data["capacity_sum"]
-            metrics.isolation_sum[lo:hi] = data["isolation_sum"]
-            metrics.gain_sum[lo:hi] = data["gain_sum"]
-            metrics.window_rate_sum[lo:hi] = data["window_rate_sum"]
+        return self._gather()
 
     # -- inspection ----------------------------------------------------
 
     def credit_matrix(self) -> np.ndarray:
         """Dense ``(n, n)`` snapshot stacked from the shard blocks."""
         self._broadcast(("materialize",))
-        return np.vstack([reply[1] for reply in self._gather()])
+        return np.vstack(self._gather())
 
     def shard_stats(self) -> list[dict]:
         """Per-shard accounting (bounds, resident bytes, entry counts)."""
         self._broadcast(("stats",))
-        return [reply[1] for reply in self._gather()]
-
-    def memory_bytes(self) -> int:
-        return int(
-            sum(s["memory_bytes"] for s in self.shard_stats()) + self.vec.nbytes
-        )
+        return self._gather()
 
 
 # -- worker side -------------------------------------------------------
 
 
-def _worker_main(spec: ShardSpec, vec: SlotVectors, conn) -> None:
+def _worker_main(configs, lo, hi, kernel_args, vec: SlotVectors, conn) -> None:
     """Worker process entry point: build the shard, serve commands."""
     try:
-        shard = _ShardWorker(spec, vec, fastpath.load())
-        conn.send(("ok",))
-    except Exception:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    try:
+        kernel = ShardKernel(configs, lo, hi, **kernel_args)
+        shard = _ShardWorker(kernel, vec)
+        conn.send(("ok", None))
         while True:
             msg = conn.recv()
             cmd = msg[0]
+            out = None
             if cmd == "sample":
                 shard.sample(msg[1])
-                conn.send(("ok",))
             elif cmd == "alloc":
-                act, M = shard.alloc(msg[1])
-                conn.send(("m", act, M))
+                out = shard.alloc(msg[1])
             elif cmd == "credit":
-                dump = shard.credit(msg[1], msg[2], msg[3], msg[4])
-                if msg[5] is not None:
-                    shard.sample(msg[5])
-                conn.send(("done", dump))
+                out = shard.credit(*msg[1:])
+                shard.sample(msg[1] + 1)
             elif cmd == "begin_metrics":
-                shard.begin_metrics(msg[1])
-                conn.send(("ok",))
+                kernel.begin_metrics(msg[1])
             elif cmd == "end_metrics":
-                conn.send(("metrics", shard.dump_metrics()))
+                out = kernel.end_metrics()
             elif cmd == "materialize":
-                conn.send(("block", shard.store.materialize()))
+                out = kernel.materialize()
             elif cmd == "stats":
-                conn.send(("stats", shard.stats()))
-            elif cmd == "stop":
-                conn.send(("ok",))
-                return
-            else:
-                conn.send(("error", f"unknown shard command {cmd!r}"))
+                out = kernel.stats()
+            elif cmd != "stop":
+                raise ValueError(f"unknown shard command {cmd!r}")
+            conn.send(("ok", out))
+            if cmd == "stop":
                 return
     except EOFError:
         pass
@@ -366,421 +291,34 @@ def _worker_main(spec: ShardSpec, vec: SlotVectors, conn) -> None:
 
 
 class _ShardWorker:
-    """One shard's state and per-phase logic (runs inside the worker).
+    """One kernel's adapter to the transport (runs inside the worker):
+    its arrays go into this shard's slice of the shared slot vectors
+    and come out of them and the :class:`CreditBatch` messages."""
 
-    Mirrors :meth:`Simulation._init_sparse` / ``_step_sparse`` with row
-    indices shifted shard-local and all partner/column indices global;
-    every mirrored expression performs the same IEEE-754 operations in
-    the same order as the single-process loop.
-    """
-
-    def __init__(self, spec: ShardSpec, vec: SlotVectors, kernels):
-        self.lo = spec.lo
-        self.hi = spec.hi
-        self.n = spec.n
-        self.rows = spec.hi - spec.lo
+    def __init__(self, kernel: ShardKernel, vec: SlotVectors):
+        self.kernel = kernel
         self.vec = vec
-        self.feedback_interval = spec.feedback_interval
-        self.needs_declared = spec.needs_declared
-        self._kernels = kernels
-        self._native = kernels is not None and hasattr(kernels, "sparse_rows_eq2")
-        configs = load_configs(spec.configs_blob)
-        self.configs = configs
-        forgetting = np.array([c.forgetting for c in configs])
-        initial = (
-            spec.initial_credit
-            if spec.initial_credit > 0
-            else DEFAULT_INITIAL_CREDIT
-        )
-        self.store = SparseLedgers(
-            self.n, initial, forgetting, rows=self.rows, evict_age=spec.evict_age
-        )
-        eq2: list[int] = []
-        eq3: list[int] = []
-        slow: list[int] = []
-        for i, cfg in enumerate(configs):
-            cls = type(cfg.allocator)
-            if cls is PeerwiseProportionalAllocator:
-                eq2.append(self.lo + i)
-            elif cls is GlobalProportionalAllocator:
-                eq3.append(self.lo + i)
-            else:
-                slow.append(i)
-        self._eq2_rows = np.asarray(eq2, dtype=np.int64)
-        self._eq3_rows = np.asarray(eq3, dtype=np.int64)
-        self._slow_peers = [
-            PeerState(
-                self.lo + i,
-                configs[i],
-                self.n,
-                spec.initial_credit,
-                credit_buffer=self.store.dense_row(i),
-            )
-            for i in slow
-        ]
-        self._slot_end_hooks = [
-            c.allocator.on_slot_end
-            for c in configs
-            if type(c.allocator).on_slot_end is not Allocator.on_slot_end
-        ]
-        overrides = [
-            (i, float(cfg.declared_capacity))
-            for i, cfg in enumerate(configs)
-            if cfg.declared_capacity is not None
-        ]
-        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
-        self._declared_vals = np.array([v for _, v in overrides])
-        # Sampling plans: same classification as the sparse engine, row
-        # indices shard-local.  Groups may split differently across
-        # shards than in the global engine, but grouped sampling is
-        # value-identical per row by the blockable/deterministic
-        # contracts, and RNG streams are seeded by global index.
-        self._rngs = _LazyRngs(spec.seed)
-        det_groups: dict[tuple, list[int]] = {}
-        rng_demand: list[int] = []
-        slot_demand: list[int] = []
-        for i, cfg in enumerate(configs):
-            d = cfg.demand
-            if not d.blockable:
-                slot_demand.append(i)
-            elif d.deterministic:
-                det_groups.setdefault(_demand_group_key(d), []).append(i)
-            else:
-                rng_demand.append(i)
-        self._det_demand_groups = [
-            (configs[rows[0]].demand, np.asarray(rows, dtype=np.intp))
-            for rows in det_groups.values()
-        ]
-        self._rng_demand = rng_demand
-        self._slot_demand = slot_demand
-        cap_groups: dict[tuple, list[int]] = {}
-        slot_capacity: list[int] = []
-        for i, cfg in enumerate(configs):
-            if cfg.capacity.blockable:
-                cap_groups.setdefault(_capacity_group_key(cfg.capacity), []).append(i)
-            else:
-                slot_capacity.append(i)
-        self._cap_groups = [
-            (configs[rows[0]].capacity, np.asarray(rows, dtype=np.intp))
-            for rows in cap_groups.values()
-        ]
-        self._slot_capacity = slot_capacity
-        # Prefetch window: the sparse engine's global-n formula (the
-        # buffers themselves are shard-wide; blockable sampling is
-        # window-invariant, this just keeps refresh cadence uniform).
-        per_slot = 9 * self.n
-        if per_slot * _TIME_BLOCK <= _BLOCK_BYTES_BUDGET:
-            self._block = _TIME_BLOCK
-        else:
-            self._block = max(4, _BLOCK_BYTES_BUDGET // per_slot)
-        self._block_start = -self._block
-        self._req_block = np.empty((self._block, self.rows), dtype=bool)
-        self._cap_block = np.empty((self._block, self.rows))
-        #: Deferred feedback: global receiver id -> [giver ids, values].
-        self._pending: dict[int, list[np.ndarray]] = {}
-        self._R = np.empty(0, dtype=np.int64)
-        self._m_active = False
-
-    # -- phase 1: sampling ---------------------------------------------
-
-    def _refresh_blocks(self, t: int) -> None:
-        self._block_start = t
-        block = self._block
-        req, cap = self._req_block, self._cap_block
-        for d, rows in self._det_demand_groups:
-            vals = np.asarray(d.sample_block(t, block, None), dtype=bool)
-            if rows.size == 1:
-                req[:, rows[0]] = vals
-            else:
-                req[:, rows] = vals[:, None]
-        for i in self._rng_demand:
-            req[:, i] = self.configs[i].demand.sample_block(
-                t, block, self._rngs[self.lo + i]
-            )
-        for c, rows in self._cap_groups:
-            vals = c.values(t, block)
-            if rows.size == 1:
-                cap[:, rows[0]] = vals
-            else:
-                cap[:, rows] = vals[:, None]
 
     def sample(self, t: int) -> None:
-        """Write this shard's slice of the slot vectors."""
-        if not self._block_start <= t < self._block_start + self._block:
-            self._refresh_blocks(t)
-        off = t - self._block_start
-        req_row = self._req_block[off]
-        cap_row = self._cap_block[off]
-        for i in self._slot_demand:
-            req_row[i] = self.configs[i].demand.sample(t, self._rngs[self.lo + i])
-        for i in self._slot_capacity:
-            cap_row[i] = self.configs[i].capacity.value(t)
-        lo, hi = self.lo, self.hi
-        self.vec.requesting[lo:hi] = req_row
-        self.vec.capacities[lo:hi] = cap_row
-        if self.needs_declared:
-            dec = np.array(cap_row)
-            if self._declared_idx.size:
-                dec[self._declared_idx] = self._declared_vals
-            self.vec.declared[lo:hi] = dec
-
-    # -- phase 2: allocation -------------------------------------------
+        requesting, capacities, declared = self.kernel.sample(t)
+        lo, hi = self.kernel.lo, self.kernel.hi
+        self.vec.requesting[lo:hi] = requesting
+        self.vec.capacities[lo:hi] = capacities
+        if declared is not None:
+            self.vec.declared[lo:hi] = declared
 
     def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """This shard's rows of the compact allocation matrix.
-
-        Returns ``(act, M_block)`` with ``act`` the shard's active
-        givers (global ids, sorted) and ``M_block`` their ``(|act|,
-        |R|)`` allocation rows over the *global* request set.
-        """
-        requesting = np.array(self.vec.requesting)
-        capacities = np.array(self.vec.capacities)
-        declared = np.array(self.vec.declared) if self.needs_declared else None
-        R = np.flatnonzero(requesting).astype(np.int64)
-        self._R = R
-        A = R.size
-        if A and self._eq2_rows.size:
-            act2 = self._eq2_rows[capacities[self._eq2_rows] > 0.0]
-        else:
-            act2 = np.empty(0, dtype=np.int64)
-        if A and self._eq3_rows.size:
-            act3 = self._eq3_rows[capacities[self._eq3_rows] > 0.0]
-        else:
-            act3 = np.empty(0, dtype=np.int64)
-        slow_pairs: list[tuple[int, np.ndarray]] = []
-        for peer in self._slow_peers:
-            i = peer.index
-            proposal = peer.config.allocator.allocate(
-                i, capacities[i], requesting, peer.ledger, declared, t
-            )
-            if A:
-                row = enforce_feasibility(proposal, capacities[i], requesting)
-                if row.any():
-                    slow_pairs.append((i, row[R]))
-        slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
-        nact = act2.size + act3.size + slow_act.size
-        if A and nact:
-            cat = np.concatenate([act2, act3, slow_act])
-            order = np.argsort(cat, kind="stable")
-            act = np.ascontiguousarray(cat[order])
-            rowpos = np.empty(nact, dtype=np.int64)
-            rowpos[order] = np.arange(nact, dtype=np.int64)
-            M = np.empty((nact, A))
-            self._eq2_block(act2, rowpos[: act2.size], R, capacities, M)
-            if act3.size:
-                self._eq3_block(
-                    act3,
-                    rowpos[act2.size : act2.size + act3.size],
-                    R,
-                    declared,
-                    capacities,
-                    M,
-                )
-            for (_, row), p in zip(slow_pairs, rowpos[act2.size + act3.size :]):
-                M[p] = row
-        else:
-            act = np.empty(0, dtype=np.int64)
-            M = np.empty((0, A))
-        return act, M
-
-    def _eq2_block(self, act, rowpos, R, capacities, M) -> None:
-        if not act.size:
-            return
-        store = self.store
-        if self._native:
-            # The kernel indexes the store's row tables by the act ids
-            # it is given — shard-local here — while R and store.n keep
-            # the column space global.
-            self._kernels.sparse_rows_eq2(
-                store,
-                np.ascontiguousarray(act - self.lo),
-                rowpos,
-                R,
-                np.ascontiguousarray(capacities[act]),
-                M,
-            )
-            return
-        n = self.n
-        lo = self.lo
-        for i, p in zip(act.tolist(), rowpos.tolist()):
-            cap = float(capacities[i])
-            w = store.row_at(i - lo, R)
-            total = sparse_pairwise(R, w, n)
-            if total <= 0.0:
-                M[p] = 0.0
-                continue
-            row = cap * w
-            row /= total
-            M[p] = _feasibility(row, cap, R, n)
-
-    def _eq3_block(self, act, rowpos, R, declared, capacities, M) -> None:
-        if not act.size:
-            return
-        n = self.n
-        wR = np.ascontiguousarray(declared[R], dtype=np.float64)
-        total = sparse_pairwise(R, wR, n)
-        if total <= 0.0:
-            for p in rowpos.tolist():
-                M[p] = 0.0
-            return
-        if self._native:
-            self._kernels.sparse_rows_shared(
-                act, rowpos, R, wR, total,
-                np.ascontiguousarray(capacities[act]), M, n,
-            )
-            return
-        for i, p in zip(act.tolist(), rowpos.tolist()):
-            cap = float(capacities[i])
-            row = cap * wR
-            row /= total
-            row[row < 0] = 0.0
-            M[p] = _feasibility(row, cap, R, n)
-
-    # -- phase 3: credit -----------------------------------------------
+        vec = self.vec
+        return self.kernel.alloc(
+            t,
+            np.array(vec.requesting),
+            np.array(vec.capacities),
+            np.array(vec.declared) if self.kernel.needs_declared else None,
+        )
 
     def credit(self, t: int, flush: bool, want_pending: bool, batch: CreditBatch):
-        """Apply this shard's credit deltas; returns the pending dump
-        (``(receiver, giver_idx, values)`` sorted by receiver) when a
-        flush is traced, else ``None``."""
-        dump = None
-        if self.feedback_interval == 1:
-            self.store.advance_epoch()
-            self._apply_batch(batch)
-        else:
-            if batch.givers.size:
-                self._accumulate_pending(batch)
-            if flush:
-                if want_pending:
-                    dump = [
-                        (j, idx.copy(), val.copy())
-                        for j, (idx, val) in sorted(self._pending.items())
-                    ]
-                self.store.advance_epoch()
-                for j in sorted(self._pending):
-                    idx, val = self._pending[j]
-                    self.store.add_compact(j - self.lo, idx, val)
-                self._pending.clear()
-        for hook in self._slot_end_hooks:
-            hook(t)
-        self._update_metrics()
-        return dump
-
-    def _apply_batch(self, batch: CreditBatch) -> None:
-        """:meth:`Simulation._sparse_scatter` over this shard's rows."""
-        act = batch.givers
-        if not act.size or not batch.takers.size:
-            return
-        store = self.store
-        R_loc = batch.takers - self.lo
-        M = batch.amounts
-        weight = batch.weight
-        if self._native and store.evict_age is None:
-            ok = np.zeros(R_loc.size, dtype=np.uint8)
-            self._kernels.sparse_scatter(store, act, R_loc, M, weight, ok)
-            miss = np.flatnonzero(ok == 0)
-        else:
-            miss = np.arange(R_loc.size)
-        if not miss.size:
-            return
-        P = M[:, miss].T * weight
-        rows = R_loc[miss]
-        cold = store.nnz[rows] == 0
-        if int(cold.sum()) > 1:
-            store.bulk_insert(rows[cold], act, P[cold])
-            warm = np.flatnonzero(~cold)
-        else:
-            warm = np.arange(miss.size)
-        for m in warm.tolist():
-            store.add_compact(int(rows[m]), act, P[m])
-
-    def _accumulate_pending(self, batch: CreditBatch) -> None:
-        """:meth:`Simulation._sparse_accumulate_pending` for this
-        shard's receivers (keys stay global for the dump ordering)."""
-        act = batch.givers
-        P = batch.amounts.T * batch.weight
-        pending = self._pending
-        for a in range(batch.takers.size):
-            j = int(batch.takers[a])
-            ent = pending.get(j)
-            if ent is None:
-                pending[j] = [act.copy(), P[a].copy()]
-                continue
-            idx, val = ent
-            pos = np.searchsorted(idx, act)
-            inb = pos < idx.size
-            hit = np.zeros(act.size, dtype=bool)
-            hit[inb] = idx[pos[inb]] == act[inb]
-            if hit.all():
-                val[pos] += P[a]
-                continue
-            miss = ~hit
-            val[pos[hit]] += P[a][hit]
-            new_idx = np.concatenate([idx, act[miss]])
-            new_val = np.concatenate([val, P[a][miss]])
-            order = np.argsort(new_idx, kind="stable")
-            ent[0] = np.ascontiguousarray(new_idx[order])
-            ent[1] = np.ascontiguousarray(new_val[order])
-
-    # -- streaming metrics ---------------------------------------------
-
-    def begin_metrics(self, slots: int) -> None:
-        self._m_active = True
-        self._m_s = 0
-        self._m_window_start = slots - max(1, slots // 10)
-        rows = self.rows
-        self._m_rate_sum = np.zeros(rows)
-        self._m_request_count = np.zeros(rows, dtype=np.int64)
-        self._m_capacity_sum = np.zeros(rows)
-        self._m_isolation_sum = np.zeros(rows)
-        self._m_gain_sum = np.zeros(rows)
-        self._m_window_rate_sum = np.zeros(rows)
-
-    def _update_metrics(self) -> None:
-        """Fold the slot just credited into the shard accumulators —
-        the shard-local slice of
-        :meth:`~repro.sim.metrics.StreamingMetrics.update_compact`."""
-        if not self._m_active:
-            return
-        lo, hi = self.lo, self.hi
-        R = self._R
-        c0 = int(np.searchsorted(R, lo))
-        c1 = int(np.searchsorted(R, hi))
-        req = self.vec.requesting[lo:hi]
-        caps = self.vec.capacities[lo:hi]
-        if c1 > c0:
-            R_loc = R[c0:c1] - lo
-            rates_c = np.array(self.vec.rates[c0:c1])
-            self._m_rate_sum[R_loc] += rates_c
-            self._m_gain_sum[R_loc] += rates_c - self.vec.capacities[R[c0:c1]]
-            if self._m_s >= self._m_window_start:
-                self._m_window_rate_sum[R_loc] += rates_c
-        self._m_request_count += req
-        self._m_capacity_sum += caps
-        self._m_isolation_sum += np.where(req, caps, 0.0)
-        self._m_s += 1
-
-    def dump_metrics(self) -> dict:
-        self._m_active = False
-        return {
-            "rate_sum": self._m_rate_sum,
-            "request_count": self._m_request_count,
-            "capacity_sum": self._m_capacity_sum,
-            "isolation_sum": self._m_isolation_sum,
-            "gain_sum": self._m_gain_sum,
-            "window_rate_sum": self._m_window_rate_sum,
-        }
-
-    # -- accounting ----------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "memory_bytes": int(
-                self.store.nbytes
-                + self._req_block.nbytes
-                + self._cap_block.nbytes
-            ),
-            "entries": int(self.store.entries),
-            "evicted": int(self.store.evicted),
-        }
+        b = batch
+        rates = np.array(self.vec.rates[b.first : b.first + b.takers.size])
+        return self.kernel.credit(
+            t, b.givers, b.takers, b.amounts, rates, b.weight, flush, want_pending
+        )

@@ -33,37 +33,12 @@ writers within a phase and the pipe round-trips are the barriers.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["ShardSpec", "CreditBatch", "SlotVectors", "dump_configs", "load_configs"]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Everything a worker needs to build its shard.
-
-    ``lo``/``hi`` bound the contiguous global peer ids this shard owns;
-    ``configs_blob`` is the pickled ``PeerConfig`` slice (pickling gives
-    each worker private copies of stateful allocator/demand objects).
-    ``needs_declared`` is a *global* property — if any shard anywhere
-    has Equation (3) or slow rows, every shard must publish its declared
-    slice each slot.
-    """
-
-    lo: int
-    hi: int
-    n: int
-    seed: int
-    initial_credit: float
-    slot_seconds: float
-    feedback_interval: int
-    evict_age: int | None
-    needs_declared: bool
-    configs_blob: bytes
+__all__ = ["CreditBatch", "SlotVectors"]
 
 
 @dataclass
@@ -73,25 +48,17 @@ class CreditBatch:
     Ledger row ``takers[a]`` (global receiver ids owned by the shard,
     sorted) gains ``amounts[r, a] * weight`` at column ``givers[r]``
     (global, sorted) — ``amounts`` is the receiving shard's contiguous
-    column block of the slot's compact allocation matrix ``M``, so the
-    owning worker replays exactly the scatter the single-process loop
-    would have performed for those rows.
+    column block of the slot's compact allocation matrix ``M``: the
+    arguments of the owning kernel's credit phase.
     """
 
     givers: np.ndarray
     takers: np.ndarray
     amounts: np.ndarray
+    #: Position of ``takers[0]`` in the slot's request set: the takers'
+    #: rates are ``SlotVectors.rates[first : first + len(takers)]``.
+    first: int
     weight: float
-
-
-def dump_configs(configs) -> bytes:
-    """Pickle a ``PeerConfig`` slice for a :class:`ShardSpec`."""
-    return pickle.dumps(list(configs), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_configs(blob: bytes) -> list:
-    """Inverse of :func:`dump_configs` (runs inside the worker)."""
-    return pickle.loads(blob)
 
 
 class SlotVectors:
@@ -100,15 +67,11 @@ class SlotVectors:
     #: Segment bytes per peer (three float64 vectors + one bool).
     BYTES_PER_PEER = 25
 
-    def __init__(self, n: int, name: str | None = None):
+    def __init__(self, n: int):
         self.n = int(n)
-        size = self.BYTES_PER_PEER * self.n
-        if name is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=self.BYTES_PER_PEER * self.n
+        )
         buf = self._shm.buf
         n = self.n
         self.capacities = np.ndarray((n,), dtype=np.float64, buffer=buf)
@@ -117,23 +80,18 @@ class SlotVectors:
         self.requesting = np.ndarray((n,), dtype=bool, buffer=buf, offset=24 * n)
 
     @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
     def nbytes(self) -> int:
         return self.BYTES_PER_PEER * self.n
 
     def close(self) -> None:
-        """Drop the array views and the mapping; the creating process
-        also unlinks the segment.  Idempotent."""
+        """Drop the array views, the mapping and the segment (called by
+        the creating process; forked workers just exit).  Idempotent."""
         if self._shm is None:
             return
         self.capacities = self.declared = self.rates = self.requesting = None
         self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:
+            pass
         self._shm = None

@@ -203,9 +203,6 @@ class SparseLedgers:
             out[hit] = self._val[i][pos[hit]]
         return out
 
-    def has_entries(self, i: int) -> bool:
-        return self.nnz[i] != 0
-
     def materialize(self) -> np.ndarray:
         """Dense ``(rows, n)`` snapshot (tests / small-n interop only)."""
         out = np.empty((self.rows, self.n))  # repro: allow[sim-dense-alloc]

@@ -207,9 +207,10 @@ class TestMutationGates:
         path.write_text(text.replace(old, new, 1), encoding="utf-8")
 
     def test_wallclock_seed_in_engine_is_caught(self, repo_copy):
-        engine = repo_copy / "src" / "repro" / "sim" / "engine.py"
-        self._mutate(engine, "_LazyRngs(seed)", "_LazyRngs(time.time_ns())")
-        report = run_lint([engine], flow=True)
+        shard = repo_copy / "src" / "repro" / "sim" / "shard.py"
+        self._mutate(shard, "\nimport numpy as np\n", "\nimport time\n\nimport numpy as np\n")
+        self._mutate(shard, "_LazyRngs(seed)", "_LazyRngs(time.time_ns())")
+        report = run_lint([shard], flow=True)
         hits = [f for f in report.findings if f.rule == "det-taint-seed"]
         assert hits, [f.message for f in report.findings]
         assert any("'seed' parameter" in f.message for f in hits)
@@ -218,9 +219,9 @@ class TestMutationGates:
         procs = repo_copy / "src" / "repro" / "sim" / "procs.py"
         self._mutate(
             procs,
-            "self.vec.rates[:A] = M.sum(axis=0)",
-            "self.vec.rates[:A] = M.sum(axis=0)\n"
-            "            self.vec.capacities[0] = 0.0",
+            "self.vec.rates[: R.size] = rates",
+            "self.vec.rates[: R.size] = rates\n"
+            "        self.vec.capacities[0] = 0.0",
         )
         report = run_lint([procs], flow=True)
         hits = [
@@ -231,7 +232,9 @@ class TestMutationGates:
 
     def test_unmutated_copy_is_clean(self, repo_copy):
         sim = repo_copy / "src" / "repro" / "sim"
-        report = run_lint([sim / "engine.py", sim / "procs.py"], flow=True)
+        report = run_lint(
+            [sim / "engine.py", sim / "shard.py", sim / "procs.py"], flow=True
+        )
         assert not report.findings, [f.message for f in report.findings]
 
 

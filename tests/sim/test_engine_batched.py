@@ -9,7 +9,6 @@ tests enforce that contract for both the native-kernel and pure-numpy
 batched paths.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,26 +218,3 @@ def test_equivalence_property(data):
 
     assert_equivalent(make_configs, slots=25, seed=seed,
                       feedback_interval=feedback)
-
-
-def test_history_dtype_option():
-    """``history_dtype`` shrinks the recorded tensor without touching
-    anything else; the default stays float64."""
-    configs = [
-        PeerConfig(capacity=300.0, demand=AlwaysOn()),
-        PeerConfig(capacity=700.0, demand=BernoulliDemand(0.5)),
-    ]
-    default = Simulation(configs, seed=1).run(12, record_allocations=True)
-    assert default.alloc_history.dtype == np.float64
-
-    f32 = Simulation(configs, seed=1).run(
-        12, record_allocations=True, history_dtype=np.float32
-    )
-    assert f32.alloc_history.dtype == np.float32
-    assert f32.rates.dtype == np.float64  # rates stay full precision
-    np.testing.assert_allclose(
-        f32.alloc_history, default.alloc_history, rtol=1e-6
-    )
-
-    plain = Simulation(configs, seed=1).run(12, history_dtype=np.float32)
-    assert plain.alloc_history is None

@@ -311,6 +311,44 @@ def test_close_is_idempotent_and_context_manager():
         assert s.credit_matrix().shape == (4, 4)
 
 
+def test_use_after_close_raises_runtime_error():
+    """A closed procs simulation says so, instead of leaking ``OSError:
+    handle is closed`` from multiprocessing; in-process engines have
+    nothing to close and keep working."""
+    sim = Simulation(_history_configs(), seed=1, engine="procs", workers=2)
+    sim.run(3, history="none")
+    sim.close()
+    for use in (
+        lambda: sim.run(2),
+        lambda: sim.run(2, history="none"),
+        sim.step,
+        sim.credit_matrix,
+        sim.memory_bytes,
+        sim.shard_stats,
+    ):
+        with pytest.raises(RuntimeError, match="simulation is closed"):
+            use()
+    sim.close()
+    local = Simulation(_history_configs(), seed=1, engine="sparse")
+    local.close()
+    assert local.run(2).rates.shape == (2, 4)
+
+
+def test_shard_stats_cover_the_population():
+    with Simulation(_history_configs(), seed=1, engine="procs", workers=3) as sim:
+        sim.run(6, history="none")
+        shards = sim.shard_stats()
+        state = sim.memory_bytes()
+    assert [(s["lo"], s["hi"]) for s in shards] == [(0, 1), (1, 2), (2, 4)]
+    assert all(s["evicted"] == 0 for s in shards)
+    assert sum(s["entries"] for s in shards) > 0
+    # memory_bytes is the shards' state plus the shared slot vectors.
+    assert state == sum(s["memory_bytes"] for s in shards) + 25 * 4
+    (one,) = Simulation(_history_configs(), engine="sparse").shard_stats()
+    assert (one["lo"], one["hi"]) == (0, 4)
+    assert Simulation(_history_configs(), engine="batched").shard_stats() == []
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="workers"):
         Simulation(_history_configs(), engine="sparse", workers=2)

@@ -371,13 +371,15 @@ def test_evict_age_drops_stale_entries_and_counts_them():
     plain.run(24, history="none")
     evicting = sparse_population_churn(evict_age=4, **kwargs)
     evicting.run(24, history="none")
-    assert plain._ledgers.evicted == 0
-    assert evicting._ledgers.evicted > 0
-    assert evicting._ledgers.entries < plain._ledgers.entries
+    (plain_stats,) = plain.shard_stats()
+    (evicting_stats,) = evicting.shard_stats()
+    assert plain_stats["evicted"] == 0
+    assert evicting_stats["evicted"] > 0
+    assert evicting_stats["entries"] < plain_stats["entries"]
     # Eviction keeps explicit entries bounded by the *live* givers:
     # fewer than two generations' worth per consumer row on average.
     consumers = 200 - 3 * 4
-    assert evicting._ledgers.entries < consumers * 2 * 4
+    assert evicting_stats["entries"] < consumers * 2 * 4
 
 
 def test_churn_eviction_is_result_neutral():
