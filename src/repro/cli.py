@@ -498,36 +498,6 @@ def _decode(args: argparse.Namespace) -> int:
     return 0
 
 
-class _ChunkTarget:
-    """One chunk of a streaming decoder, as a ParallelDownloader target."""
-
-    def __init__(self, streaming: StreamingDecoder, index: int):
-        self._streaming = streaming
-        self._index = index
-
-    @property
-    def is_complete(self) -> bool:
-        return self._streaming.needed_for_chunk(self._index) == 0
-
-    @property
-    def needed(self) -> int:
-        """Useful messages still missing — read by the repair trigger."""
-        return self._streaming.needed_for_chunk(self._index)
-
-    def offer(self, message):
-        return self._streaming.offer(message)
-
-    def offer_many(self, messages):
-        # Same contract as ProgressiveDecoder.offer_many: consume until
-        # this chunk completes, one outcome per consumed message.
-        outcomes = []
-        for message in messages:
-            if self.is_complete:
-                break
-            outcomes.append(self._streaming.offer(message))
-        return outcomes
-
-
 def cmd_download(args: argparse.Namespace) -> int:
     return _with_obs(args, lambda: _download(args))
 
@@ -640,7 +610,7 @@ def _download(args: argparse.Namespace) -> int:
             )
         report = ParallelDownloader(
             sessions,
-            _ChunkTarget(decoder, index),
+            decoder.chunk(index),
             lambda i, t: args.rate,
             policy=policy,
             repair=repair,

@@ -241,3 +241,42 @@ class StreamingDecoder:
 
     def needed_for_chunk(self, index: int) -> int:
         return self._decoders[self.manifest.chunk_ids[index]].needed
+
+    def chunk(self, index: int) -> "_ChunkDecoder":
+        """Chunk ``index`` as a decoder of its own (a download target)."""
+        return _ChunkDecoder(self, self._decoders[self.manifest.chunk_ids[index]])
+
+
+class _ChunkDecoder:
+    """One chunk of a :class:`StreamingDecoder`, shaped like a decoder.
+
+    Completion and ``needed`` are the chunk's; offers go through the
+    streaming decoder, which routes by file id and records the chunk's
+    bytes the moment it completes.
+    """
+
+    def __init__(self, streaming: StreamingDecoder, decoder: ProgressiveDecoder):
+        self._streaming = streaming
+        self._decoder = decoder
+
+    @property
+    def is_complete(self) -> bool:
+        return self._decoder.is_complete
+
+    @property
+    def needed(self) -> int:
+        """Useful messages still missing — read by the repair trigger."""
+        return self._decoder.needed
+
+    def offer(self, message: EncodedMessage) -> Offer:
+        return self._streaming.offer(message)
+
+    def offer_many(self, messages) -> list[Offer]:
+        """Same contract as ``ProgressiveDecoder.offer_many``: consume until
+        this chunk completes, one outcome per consumed message."""
+        outcomes = []
+        for message in messages:
+            if self.is_complete:
+                break
+            outcomes.append(self._streaming.offer(message))
+        return outcomes

@@ -77,8 +77,8 @@ class EncodedMessage:
         return cls(file_id=file_id, message_id=message_id, payload=payload, p=p)
 
     def wire_size(self) -> int:
-        """Total transmitted bytes for this message."""
-        return HEADER_BYTES + len(self.payload_bytes())
+        """Total transmitted bytes for this message (``len(to_bytes())``)."""
+        return HEADER_BYTES + (self.m * self.p + 7) // 8
 
     def with_payload(self, payload: np.ndarray) -> "EncodedMessage":
         """Copy with a different payload (used by tamper-injection tests)."""

@@ -490,26 +490,17 @@ class FileSharingNetwork:
         and the download continues.  ``None`` leaves downloads
         bit-identical to the repair-free path.
         """
-        self._check_peer(user)
-        handle = self.registry.get(name)
-        if handle is None:
-            raise KeyError(f"no published file named {name!r}")
+        handle = self._handle_for(user, name)
         serving_peers = peers if peers is not None else list(range(self.n))
         # Snapshot the current version's manifest for the whole download.
         manifest = handle.manifest
-        # The downloader carries the digest slice for authentication.
-        user_digests = DigestStore()
-        for chunk_id in manifest.chunk_ids:
-            user_digests.merge(
-                chunk_id, self.digest_stores[handle.owner].slice_for_file(chunk_id)
-            )
-        streaming = StreamingDecoder(manifest, handle.bound_encoder(), user_digests)
+        streaming, user_digests = self._streaming_decoder(handle, manifest)
 
         self._manual[user].requesting = True
         reports: list[DownloadReport] = []
         total_slots = 0
         try:
-            for chunk_id in manifest.chunk_ids:
+            for index, chunk_id in enumerate(manifest.chunk_ids):
                 chunk_peers = serving_peers
                 if peers is None and self.directory is not None:
                     # Resolve holders through the DHT instead of assuming
@@ -518,15 +509,7 @@ class FileSharingNetwork:
                     self.lookup_hops += lookup.hops
                     if holders is not None:
                         chunk_peers = [h for h in holders if 0 <= h < self.n]
-                sessions = []
-                for j in chunk_peers:
-                    serving = ServingSession(
-                        self.stores[j], self.keypairs[user].public
-                    )
-                    DownloadSession(self.keypairs[user]).handshake(serving, chunk_id)
-                    sessions.append(serving)
-                chunk_decoder = _ChunkView(streaming, chunk_id)
-                rate_fn = self._make_rate_fn(user, chunk_peers)
+                sessions = self._open_sessions(user, chunk_id, chunk_peers)
                 repair = None
                 if repair_threshold is not None:
                     repair = DownloadRepairTrigger(
@@ -537,8 +520,8 @@ class FileSharingNetwork:
                     )
                 downloader = ParallelDownloader(
                     sessions,
-                    chunk_decoder,
-                    rate_fn,
+                    streaming.chunk(index),
+                    self._make_rate_fn(user, chunk_peers),
                     download_cap_kbps=download_cap_kbps,
                     repair=repair,
                 )
@@ -551,6 +534,32 @@ class FileSharingNetwork:
             self._manual[user].requesting = False
         data = streaming.result() if streaming.is_complete else b""
         return NetworkDownload(data=data, reports=tuple(reports), slots=total_slots)
+
+    def _handle_for(self, user: int, name: str) -> FileHandle:
+        self._check_peer(user)
+        handle = self.registry.get(name)
+        if handle is None:
+            raise KeyError(f"no published file named {name!r}")
+        return handle
+
+    def _streaming_decoder(self, handle: FileHandle, manifest: FileManifest):
+        """A fresh decoder plus the digest slice the downloader carries
+        for authentication (Section III-C)."""
+        digests = DigestStore()
+        for chunk_id in manifest.chunk_ids:
+            digests.merge(
+                chunk_id, self.digest_stores[handle.owner].slice_for_file(chunk_id)
+            )
+        return StreamingDecoder(manifest, handle.bound_encoder(), digests), digests
+
+    def _open_sessions(self, user: int, chunk_id: int, peers) -> list[ServingSession]:
+        """Steps 1-3 of Fig. 4(b) against every peer in ``peers``."""
+        sessions = []
+        for j in peers:
+            serving = ServingSession(self.stores[j], self.keypairs[user].public)
+            DownloadSession(self.keypairs[user]).handshake(serving, chunk_id)
+            sessions.append(serving)
+        return sessions
 
     def _repair_hook(
         self, name: str, chunk_id: int, chunk_peers, sessions, user_digests
@@ -628,128 +637,64 @@ class FileSharingNetwork:
         if len(set(users)) != len(users):
             raise ValueError("each user may run one concurrent download")
 
-        class _State:
-            pass
-
-        states: list[_State] = []
-        for user, name in requests:
-            self._check_peer(user)
-            handle = self.registry.get(name)
-            if handle is None:
-                raise KeyError(f"no published file named {name!r}")
-            manifest = handle.manifest
-            digests = DigestStore()
-            for chunk_id in manifest.chunk_ids:
-                digests.merge(
-                    chunk_id,
-                    self.digest_stores[handle.owner].slice_for_file(chunk_id),
-                )
-            st = _State()
-            st.user = user
-            st.manifest = manifest
-            st.streaming = StreamingDecoder(
-                manifest, handle.bound_encoder(), digests
+        def next_chunk(tr: _Transfer) -> None:
+            """Open the downloader for ``tr``'s next chunk, if any."""
+            if tr.index >= len(tr.chunk_ids):
+                tr.active = None
+                self._manual[tr.user].requesting = False
+                return
+            chunk_id = tr.chunk_ids[tr.index]
+            tr.active = ParallelDownloader(
+                self._open_sessions(tr.user, chunk_id, range(self.n)),
+                tr.streaming.chunk(tr.index),
+                None,  # rates come from the shared allocation, per step
+                download_cap_kbps=download_cap_kbps,
             )
-            st.chunk_index = 0
-            st.sessions = None
-            st.reports = []
-            st.chunk_slots = 0
-            st.chunk_bytes = [0.0] * self.n
-            st.delivered = st.rejected = st.dependent = 0
-            st.slots = 0
-            st.done = manifest.n_chunks == 0
-            states.append(st)
-            self._manual[user].requesting = True
+            tr.active.begin(chunk_id)
+            tr.t = 0
 
+        transfers: list[_Transfer] = []
+        for user, name in requests:
+            handle = self._handle_for(user, name)
+            manifest = handle.manifest
+            streaming, _ = self._streaming_decoder(handle, manifest)
+            transfers.append(_Transfer(user, manifest.chunk_ids, streaming))
         try:
+            for tr in transfers:
+                self._manual[tr.user].requesting = True
+                next_chunk(tr)
             for _ in range(max_slots):
-                if all(st.done for st in states):
+                live = [tr for tr in transfers if tr.active is not None]
+                if not live:
                     break
                 alloc, _, _ = self._sim.step()
-                for st in states:
-                    if st.done:
-                        continue
-                    st.slots += 1
-                    st.chunk_slots += 1
-                    chunk_id = st.manifest.chunk_ids[st.chunk_index]
-                    if st.sessions is None:
-                        st.sessions = []
-                        for j in range(self.n):
-                            serving = ServingSession(
-                                self.stores[j], self.keypairs[st.user].public
-                            )
-                            DownloadSession(self.keypairs[st.user]).handshake(
-                                serving, chunk_id
-                            )
-                            st.sessions.append(serving)
-                    rates = alloc[:, st.user].copy()
-                    total = rates.sum()
-                    if total > download_cap_kbps > 0:
-                        rates *= download_cap_kbps / total
-                    chunk_view = _ChunkView(st.streaming, chunk_id)
-                    for j, session in enumerate(st.sessions):
-                        if not session.active or rates[j] <= 0:
-                            continue
-                        budget = rates[j] * 1000.0 / 8.0
-                        st.chunk_bytes[j] += budget
-                        for data in session.serve(budget):
-                            if chunk_view.is_complete:
-                                break
-                            outcome = st.streaming.offer(data.message)
-                            if outcome.name in ("ACCEPTED", "COMPLETE"):
-                                st.delivered += 1
-                            elif outcome.name == "DEPENDENT":
-                                st.dependent += 1
-                            else:
-                                st.rejected += 1
-                    if chunk_view.is_complete:
-                        from ..transfer.protocol import StopTransmission
-
-                        for session in st.sessions:
-                            session.stop(StopTransmission(file_id=chunk_id))
-                        st.reports.append(
-                            DownloadReport(
-                                complete=True,
-                                slots=st.chunk_slots,
-                                bytes_received=sum(st.chunk_bytes),  # repro: allow[float-bare-sum] (n-length report total, not a hot path)
-                                messages_delivered=st.delivered,
-                                messages_rejected=st.rejected,
-                                messages_dependent=st.dependent,
-                                per_peer_bytes=tuple(st.chunk_bytes),
-                            )
-                        )
-                        st.chunk_slots = 0
-                        st.chunk_bytes = [0.0] * self.n
-                        st.delivered = st.rejected = st.dependent = 0
-                        st.sessions = None
-                        st.chunk_index += 1
-                        if st.chunk_index >= st.manifest.n_chunks:
-                            st.done = True
-                            self._manual[st.user].requesting = False
+                for tr in live:
+                    tr.slots += 1
+                    more = tr.active.step(tr.t, rates=alloc[:, tr.user])
+                    tr.t += 1
+                    if not more:
+                        tr.reports.append(tr.active.finish())
+                        tr.index += 1
+                        next_chunk(tr)
+        except BaseException:
+            for tr in transfers:
+                if tr.active is not None:
+                    tr.active.finish(status="error")
+            raise
         finally:
-            for st in states:
-                self._manual[st.user].requesting = False
+            for tr in transfers:
+                self._manual[tr.user].requesting = False
 
         results = []
-        for st in states:
-            if not st.done:
-                # Sentinel for the unfinished chunk so the aggregate
-                # NetworkDownload reads incomplete even when earlier
-                # chunks finished.
-                st.reports.append(
-                    DownloadReport(
-                        complete=False,
-                        slots=st.chunk_slots,
-                        bytes_received=sum(st.chunk_bytes),  # repro: allow[float-bare-sum] (n-length report total, not a hot path)
-                        messages_delivered=st.delivered,
-                        messages_rejected=st.rejected,
-                        messages_dependent=st.dependent,
-                        per_peer_bytes=tuple(st.chunk_bytes),
-                    )
-                )
-            data = st.streaming.result() if st.streaming.is_complete else b""
+        for tr in transfers:
+            if tr.active is not None:
+                # The unfinished chunk's report keeps the aggregate
+                # NetworkDownload incomplete even when earlier chunks
+                # finished.
+                tr.reports.append(tr.active.finish())
+            data = tr.streaming.result() if tr.streaming.is_complete else b""
             results.append(
-                NetworkDownload(data=data, reports=tuple(st.reports), slots=st.slots)
+                NetworkDownload(data=data, reports=tuple(tr.reports), slots=tr.slots)
             )
         return results
 
@@ -763,36 +708,18 @@ class FileSharingNetwork:
             raise IndexError(f"peer index {index} out of range 0..{self.n - 1}")
 
 
-class _ChunkView:
-    """Adapter exposing one chunk of a streaming decoder as a decoder."""
+@dataclass
+class _Transfer:
+    """One user's chunk-by-chunk download on the shared timeline."""
 
-    def __init__(self, streaming: StreamingDecoder, chunk_id: int):
-        self._streaming = streaming
-        self._chunk_id = chunk_id
-
-    @property
-    def is_complete(self) -> bool:
-        index = self._streaming.manifest.chunk_ids.index(self._chunk_id)
-        return self._streaming.needed_for_chunk(index) == 0
-
-    @property
-    def needed(self) -> int:
-        index = self._streaming.manifest.chunk_ids.index(self._chunk_id)
-        return self._streaming.needed_for_chunk(index)
-
-    def offer(self, message):
-        return self._streaming.offer(message)
-
-    def offer_many(self, messages):
-        # Per-message routing: the streaming decoder updates per-chunk
-        # results as each message lands, so the batch contract here is
-        # simply "consume until this chunk completes".
-        outcomes = []
-        for message in messages:
-            if self.is_complete:
-                break
-            outcomes.append(self._streaming.offer(message))
-        return outcomes
+    user: int
+    chunk_ids: tuple[int, ...]
+    streaming: StreamingDecoder
+    reports: list[DownloadReport] = field(default_factory=list)
+    slots: int = 0
+    index: int = 0  # chunk being fetched
+    active: ParallelDownloader | None = None  # its downloader
+    t: int = 0  # slot within that chunk
 
 
 class _EitherDemand(DemandProcess):

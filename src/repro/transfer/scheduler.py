@@ -2,29 +2,40 @@
 
 The user "would typically contact multiple peers and request encoded
 messages comprising the desired (encoded) file" and stop everyone once
-``k`` useful messages arrived.  :class:`ParallelDownloader` drives a set
-of authenticated serving sessions slot by slot: each slot a rate
-function says how many kbps every peer granted this user (in the full
-stack this is the Equation (2) allocation), bytes flow, completed
-messages feed the progressive decoder, and a stop transmission is
-issued the moment decoding completes.
+``k`` useful messages arrived.  :class:`ParallelDownloader` drives the
+serving sessions through **one** slot loop, ``step`` (``run`` is ``begin``,
+``step`` per slot, ``finish``).  A slot, in order:
 
-With a :class:`RobustPolicy` the downloader additionally assumes peers
-are *untrusted and unreliable* (the paper's actual threat model): every
-received message is digest-verified before it may reach the decoder,
-peers whose messages fail verification are quarantined and their slot
-budget re-scaled across the healthy peers, silent peers trip a stall
-timeout, crashed connections are survived, and the outcome report names
-every faulty peer with a failure taxonomy (crashed / stalled / polluted
-/ refused) plus the bytes their misbehaviour cost.  Without a policy
-the behaviour — and the report — is bit-identical to the trusting path.
+1. in-flight messages due by now reach the decoder;
+2. if that completed the decode, every peer gets a stop deadline
+   (``t`` + its stop lag) and peers with no lag are stopped at once;
+3. the repair trigger, if any, compares surviving supply with need;
+4. the slot's rates are fixed: ``rate_fn`` (in the full stack the
+   Equation (2) allocation), the robust re-scale, the download cap;
+5. per peer: wait out the handshake, or — after completion — keep
+   transmitting *wasted* bytes until the stop arrives, or serve; served
+   messages go in flight for the peer's delivery delay;
+6. zero-delay messages are delivered in the slot they were served, and
+   if that completed the decode step 2 runs now.
+
+Policy and latency are state this loop consults, not separate paths.  A
+:class:`RobustPolicy` adds the paper's threat model — every message is
+digest-verified before it may reach the decoder, polluting peers are
+quarantined and their budget re-scaled across the healthy ones, silent
+peers trip a stall timeout, crashes are survived, and the report names
+every faulty peer (crashed / stalled / polluted / refused) with the
+bytes it cost; without one, behaviour and report are bit-identical to
+trusting every peer.  A :class:`~repro.transfer.latency.LatencyModel`
+supplies handshake, delivery and stop delays; no model is the all-zero
+model and a peer with RTT 0 costs 0 slots (only ``first_data_slot``
+tells the two apart: it stays ``None`` without a model).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
@@ -106,14 +117,7 @@ class PeerFailure:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "peer": self.peer,
-            "kind": self.kind,
-            "slot": self.slot,
-            "bytes_discarded": self.bytes_discarded,
-            "messages_discarded": self.messages_discarded,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,9 @@ class RobustPolicy:
     redistribute: bool = True
 
     def __post_init__(self):
-        if self.stall_timeout_slots < 1:
-            raise ValueError(
-                f"stall_timeout_slots must be >= 1, got {self.stall_timeout_slots}"
-            )
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.max_handshake_attempts < 1:
-            raise ValueError(
-                f"max_handshake_attempts must be >= 1, got {self.max_handshake_attempts}"
-            )
+        for knob in ("stall_timeout_slots", "quarantine_after", "max_handshake_attempts"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
         if self.backoff_slots < 0:
             raise ValueError(
                 f"backoff_slots cannot be negative: {self.backoff_slots}"
@@ -223,9 +218,7 @@ class DownloadReport:
         """
         if self.slots == 0:
             return 0.0
-        seconds = self.slots * (
-            self.slot_seconds if slot_seconds is None else slot_seconds
-        )
+        seconds = self.slots * (self.slot_seconds if slot_seconds is None else slot_seconds)
         return self.bytes_received * 8.0 / 1000.0 / seconds
 
     def to_dict(self) -> dict:
@@ -251,8 +244,7 @@ class _RobustState:
     """Per-peer health book-keeping for the failure-aware paths.
 
     Owns the failure taxonomy: who is dead (no further budget), why,
-    and what their misbehaviour cost.  The same instance serves both
-    the plain and the latency run loops.
+    and what their misbehaviour cost.
     """
 
     def __init__(
@@ -287,9 +279,8 @@ class _RobustState:
             _FAULT_COUNTERS[kind].inc()
         _TRACER.emit(TRANSFER_FAULT, peer=peer, kind=kind, slot=slot)
         if self._peer_spans is not None:
-            # An instantaneous child span marking where the peer's
-            # session turned bad — shows up on the causal tree even when
-            # the flat event ring has wrapped.
+            # An instantaneous child span where the peer's session turned bad:
+            # on the causal tree even when the flat event ring has wrapped.
             quarantine = _spans.start_span(
                 "transfer.quarantine",
                 parent=self._peer_spans[peer],
@@ -333,10 +324,7 @@ class _RobustState:
             _XFER_POLLUTED.inc()
             _XFER_DISCARDED.inc(wire)
         _TRACER.emit(
-            TRANSFER_DISCARD,
-            slot=slot,
-            peer=peer,
-            message_id=int(message.message_id),
+            TRANSFER_DISCARD, slot=slot, peer=peer, message_id=int(message.message_id)
         )
         if self._discard_msgs[peer] >= self.policy.quarantine_after:
             self._fail(
@@ -365,21 +353,17 @@ class _RobustState:
         self._fail(peer, "crashed", slot, str(exc))
 
     def failures(self) -> tuple[PeerFailure, ...]:
-        out = []
-        for peer in sorted(self._failed):
-            kind, slot, detail = self._failed[peer]
-            out.append(
-                PeerFailure(
-                    peer=peer,
-                    kind=kind,
-                    slot=slot,
-                    bytes_discarded=self._discard_bytes[peer]
-                    + self._stall_bytes[peer],
-                    messages_discarded=self._discard_msgs[peer],
-                    detail=detail,
-                )
+        return tuple(
+            PeerFailure(
+                peer=peer,
+                kind=kind,
+                slot=slot,
+                bytes_discarded=self._discard_bytes[peer] + self._stall_bytes[peer],
+                messages_discarded=self._discard_msgs[peer],
+                detail=detail,
             )
-        return tuple(out)
+            for peer, (kind, slot, detail) in sorted(self._failed.items())
+        )
 
 
 class ParallelDownloader:
@@ -393,37 +377,42 @@ class ParallelDownloader:
         also be passed — they are classified as ``refused`` and granted
         no budget.
     decoder:
-        The user's :class:`~repro.rlnc.decoder.ProgressiveDecoder` (or a
-        :class:`~repro.rlnc.chunking.StreamingDecoder`-compatible object
-        exposing ``offer`` and ``is_complete``).
+        The user's :class:`~repro.rlnc.decoder.ProgressiveDecoder` (or
+        one chunk of a :class:`~repro.rlnc.chunking.StreamingDecoder`,
+        see its ``chunk()``): ``offer``, ``offer_many``, ``is_complete``.
     rate_fn:
         ``rate_fn(peer_index, t) -> kbps`` granted to this user at slot
-        ``t`` — the hook where the allocation engine plugs in.
+        ``t`` — the hook where the allocation engine plugs in.  Called
+        once per peer per slot, in index order.  May be ``None`` when
+        the caller drives :meth:`step` and passes ``rates`` every slot.
     download_cap_kbps:
         The user's download-link capacity ``lambda_d``; the paper assumes
         it is not the bottleneck but the cap is enforced anyway (shares
         are scaled down proportionally when the sum exceeds it).
     slot_seconds:
         Wall-clock length of one slot.
+    latency:
+        Optional :class:`~repro.transfer.latency.LatencyModel`: per-peer
+        handshake, delivery and stop-transmission delays in slots.
+        ``None`` is the all-zero case of the same loop.
     policy:
-        Optional :class:`RobustPolicy` enabling the failure-aware path.
-        ``None`` (the default) preserves the trusting behaviour exactly.
+        Optional :class:`RobustPolicy` enabling verification, quarantine,
+        stall timeouts and crash survival.  ``None`` (the default)
+        preserves the trusting behaviour exactly.
     repair:
         Optional :class:`~repro.repair.monitor.DownloadRepairTrigger`.
-        Each slot the downloader compares the undelivered supply across
-        live sessions with what the decoder still needs; when supply
-        falls below the trigger's threshold it fires the repair hook,
-        which restores redundancy out-of-band (survivor recombination —
-        fresh messages appear in a live peer's store and flow through
-        its open serving cursor).  ``None`` (the default) changes
-        nothing: downloads are bit-identical with repair disabled.
+        Each slot, when the undelivered supply across live sessions
+        falls below the trigger's threshold times what the decoder still
+        needs, the repair hook fires and restores redundancy out-of-band
+        (fresh messages appear in a live peer's store and flow through
+        its open serving cursor).  ``None`` changes nothing.
     """
 
     def __init__(
         self,
         sessions: Sequence[ServingSession],
         decoder: ProgressiveDecoder,
-        rate_fn: Callable[[int, int], float],
+        rate_fn: Callable[[int, int], float] | None,
         download_cap_kbps: float = math.inf,
         slot_seconds: float = 1.0,
         latency=None,
@@ -448,13 +437,220 @@ class ParallelDownloader:
         self.policy = policy
         self.repair = repair
 
-    def _check_repair(self, slot: int, dead=None) -> None:
+    def run(self, max_slots: int, file_id: int | None = None) -> DownloadReport:
+        """Step until nothing is left to do or ``max_slots`` elapse."""
+        file_id = -1 if file_id is None else file_id
+        with _spans.span_scope(
+            "transfer.download", peers=len(self.sessions), file_id=file_id
+        ):
+            self.begin(file_id)
+            try:
+                for t in range(max_slots):
+                    if not self.step(t):
+                        break
+            except BaseException:
+                self.finish(status="error")
+                raise
+            return self.finish()
+
+    def begin(self, file_id: int | None = None) -> None:
+        """Reset the slot machine for one download of ``file_id``."""
+        n = len(self.sessions)
+        lat = self.latency
+        self._stop_msg = StopTransmission(file_id=-1 if file_id is None else file_id)
+        _TRACER.emit(TRANSFER_START, peers=n, file_id=self._stop_msg.file_id)
+        # One causal span per serving session, parented under the caller's
+        # scope (run(): the download root); quarantine children attach here.
+        self._peer_spans = (
+            [_spans.start_span("transfer.peer", peer=i) for i in range(n)]
+            if _TRACER.enabled
+            else None
+        )
+        self._robust = (
+            _RobustState(n, self.policy, self.sessions, peer_spans=self._peer_spans)
+            if self.policy is not None
+            else None
+        )
+        # Peers granted no further budget; nobody is, without a policy.
+        self._dead = self._robust.dead if self._robust is not None else [False] * n
+        # Per-peer delays in slots; no model is the all-zero model.
+        self._handshake = [lat.handshake_slots(i) if lat is not None else 0 for i in range(n)]
+        self._delivery = [lat.delivery_slots(i) if lat is not None else 0 for i in range(n)]
+        self._stop_lag = [lat.stop_slots(i) if lat is not None else 0 for i in range(n)]
+        self._stop_deadline: list[int | None] = [None] * n
+        self._inflight: list[tuple[int, int, object]] = []  # (arrival, peer, message)
+        self._per_peer = [0.0] * n
+        self._bytes = self._wasted = 0.0
+        self._delivered = self._dependent = self._rejected = 0
+        self._slots = 0
+        self._first_data_slot: int | None = None
+        self._complete_slot: int | None = None
+        # Without a model an already-complete decode takes no slot; with
+        # one, the stop transmissions still have to travel.
+        self._done = lat is None and self.decoder.is_complete
+
+    def step(self, t: int, rates: Sequence[float] | None = None) -> bool:
+        """Run slot ``t`` (order: module docstring); ``False`` once nothing
+        is left to do.  ``rates`` (kbps per peer) replaces the ``rate_fn``
+        lookup for a caller that already holds the slot's allocation."""
+        if self._done:
+            return False
+        robust = self._robust
+        self._slots += 1
+        due = [entry for entry in self._inflight if entry[0] <= t]
+        if due:
+            # Arrivals not consumed (the decode completed first) stay in
+            # flight, in their original queue order.
+            gone = set(map(id, due[: self._offer(due, t)]))
+            self._inflight = [e for e in self._inflight if id(e) not in gone]
+        self._on_complete(t)
+        self._check_repair(t)
+
+        if rates is None:
+            rates = [self.rate_fn(i, t) for i in range(len(self.sessions))]
+        else:
+            rates = [float(r) for r in rates]
+        if robust is not None:
+            rates = robust.adjust_rates(rates, self.sessions)
+        total = sum(rates)
+        if total > self.download_cap_kbps > 0:
+            scale = self.download_cap_kbps / total
+            rates = [r * scale for r in rates]
+
+        stopping = self._complete_slot is not None
+        quiet = stopping  # no peer in handshake, none still transmitting
+        # Peers transmit concurrently within the slot: every active
+        # session's budget flows even if an earlier one's messages just
+        # completed the decode; the surplus is simply not offered.
+        for i, (session, rate) in enumerate(zip(self.sessions, rates)):
+            if self._dead[i]:
+                continue
+            if t < self._handshake[i]:
+                quiet = False
+                continue
+            if stopping and t >= self._stop_deadline[i]:
+                if session.active:
+                    session.stop(self._stop_msg)
+                continue
+            if not session.active or rate <= 0:
+                continue
+            budget = kbps_to_bytes(rate, self.slot_seconds)
+            if stopping:
+                # The peer keeps sending until the stop arrives.
+                quiet = False
+                self._wasted += budget
+                if _OBS.enabled:
+                    _XFER_WASTED.inc(budget)
+                self._serve(i, session, budget, t)
+                continue
+            self._per_peer[i] += budget
+            self._bytes += budget
+            if _OBS.enabled:
+                _XFER_BYTES.inc(budget)
+            if self._first_data_slot is None and self.latency is not None:
+                self._first_data_slot = t
+            served = self._serve(i, session, budget, t)
+            if robust is not None:
+                robust.note_served(i, len(served), budget, t)
+            arrivals = [(t + self._delivery[i], i, d.message) for d in served]
+            if self._delivery[i]:
+                self._inflight += arrivals
+            else:
+                self._offer(arrivals, t)
+        self._on_complete(t)
+        self._done = self._complete_slot is not None and (
+            (quiet and not self._inflight)
+            or all(t >= deadline for deadline in self._stop_deadline)
+        )
+        return not self._done
+
+    def finish(self, status: str = "ok") -> DownloadReport:
+        """Close the per-peer spans (failure kind, else ``status``); report."""
+        failures = self._robust.failures() if self._robust is not None else ()
+        if self._peer_spans is not None:
+            kind_of = {f.peer: f.kind for f in failures}
+            for i, handle in enumerate(self._peer_spans):
+                _spans.finish_span(handle, status=kind_of.get(i, status))
+            self._peer_spans = None
+        return DownloadReport(
+            complete=self.decoder.is_complete,
+            slots=self._slots,
+            bytes_received=self._bytes,
+            messages_delivered=self._delivered,
+            messages_rejected=self._rejected,
+            messages_dependent=self._dependent,
+            per_peer_bytes=tuple(self._per_peer),
+            wasted_bytes=self._wasted,
+            first_data_slot=self._first_data_slot,
+            slot_seconds=self.slot_seconds,
+            failures=failures,
+        )
+
+    def _serve(self, i: int, session, budget: float, t: int) -> list:
+        """One peer's slot of bytes; a crash is survived only with a policy."""
+        try:
+            return session.serve(budget)
+        except SessionCrashed as exc:
+            if self._robust is None:
+                raise
+            self._robust.note_crash(i, t, exc)
+            return list(exc.delivered)  # completed before the cut: still count
+
+    def _offer(self, arrivals: list, t: int) -> int:
+        """Deliver ``(arrival, peer, message)`` entries in order until the
+        decode completes; returns how many were consumed."""
+        if self._robust is None:
+            # One batched elimination pass; offer_many stops at completion.
+            outcomes = self.decoder.offer_many([entry[2] for entry in arrivals])
+            for (_, peer, _), outcome in zip(arrivals, outcomes):
+                self._tally(peer, outcome, t)
+            return len(outcomes)
+        # Per message: each verification outcome feeds a quarantine
+        # decision and its events interleave with the offers in order.
+        consumed = 0
+        for _, peer, message in arrivals:
+            if self.decoder.is_complete:
+                break
+            consumed += 1
+            if self._robust.verify(peer, message, t):  # else discarded unseen
+                self._tally(peer, self.decoder.offer(message), t)
+        return consumed
+
+    def _tally(self, peer: int, outcome, t: int) -> None:
+        name = getattr(outcome, "name", str(outcome))
+        if _OBS.enabled:
+            _XFER_MESSAGES.inc()
+        _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
+        if name in ("ACCEPTED", "COMPLETE"):
+            self._delivered += 1
+        elif name == "DEPENDENT":
+            self._dependent += 1
+        else:
+            self._rejected += 1
+
+    def _on_complete(self, t: int) -> None:
+        """Step 5, once: tell every peer to stop; it hears it a lag later."""
+        if self._complete_slot is not None or not self.decoder.is_complete:
+            return
+        self._complete_slot = t
+        _TRACER.emit(
+            TRANSFER_COMPLETE, slot=t, delivered=self._delivered,
+            dependent=self._dependent, rejected=self._rejected,
+        )
+        for i, (session, lag) in enumerate(zip(self.sessions, self._stop_lag)):
+            self._stop_deadline[i] = t + lag
+            if lag == 0:
+                session.stop(self._stop_msg)
+            if _OBS.enabled:
+                _XFER_STOP_LAG.observe(lag)
+            _TRACER.emit(TRANSFER_STOP, peer=i, slot=t + lag, lag_slots=lag)
+
+    def _check_repair(self, t: int) -> None:
         """Fire the repair trigger when surviving supply can't finish.
 
-        ``supply`` counts undelivered messages across sessions that are
-        still alive; duplicates and dependent rows make it an optimistic
-        estimate, which is the right bias — repair is a fallback, not a
-        first resort.
+        ``supply`` counts messages in flight plus those undelivered at
+        live sessions; duplicates and dependent rows make it optimistic,
+        the right bias — repair is a fallback, not a first resort.
         """
         if self.repair is None or self.decoder.is_complete:
             return
@@ -462,395 +658,10 @@ class ParallelDownloader:
         if needed is None:
             return
         needed = int(needed)
-        supply = sum(
+        supply = len(self._inflight) + sum(
             int(getattr(session, "remaining", 0))
-            for i, session in enumerate(self.sessions)
-            if (dead is None or not dead[i]) and session.active
+            for session, dead in zip(self.sessions, self._dead)
+            if not dead and session.active
         )
-        if self.repair.should_fire(needed, supply, slot):
-            self.repair.fire(needed, slot)
-
-    def run(self, max_slots: int, file_id: int | None = None) -> DownloadReport:
-        """Step until decode completes or ``max_slots`` elapse.
-
-        With a latency model, the run additionally models handshake
-        delay, in-flight message delay, and the stop-transmission lag
-        (bytes sent meanwhile are reported as ``wasted_bytes``).
-        """
-        _TRACER.emit(
-            TRANSFER_START,
-            peers=len(self.sessions),
-            file_id=file_id if file_id is not None else -1,
-        )
-        with _spans.span_scope(
-            "transfer.download",
-            peers=len(self.sessions),
-            file_id=file_id if file_id is not None else -1,
-        ):
-            # One causal span per serving session, parented under the
-            # download root; quarantine/retry children attach to these.
-            peer_spans = self._start_peer_spans()
-            if self.latency is not None:
-                report = self._run_with_latency(max_slots, file_id, peer_spans)
-            elif self.policy is not None:
-                report = self._run_robust(max_slots, file_id, peer_spans)
-            else:
-                report = self._run_plain(max_slots, file_id)
-            self._finish_peer_spans(peer_spans, report)
-            return report
-
-    def _start_peer_spans(self) -> list | None:
-        if not _TRACER.enabled:
-            return None
-        return [
-            _spans.start_span("transfer.peer", peer=i)
-            for i in range(len(self.sessions))
-        ]
-
-    def _finish_peer_spans(self, peer_spans: list | None, report) -> None:
-        if peer_spans is None:
-            return
-        kind_of = {f.peer: f.kind for f in report.failures}
-        for i, handle in enumerate(peer_spans):
-            _spans.finish_span(handle, status=kind_of.get(i, "ok"))
-
-    def _run_plain(self, max_slots: int, file_id: int | None) -> DownloadReport:
-        per_peer = [0.0] * len(self.sessions)
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        slots = 0
-        for t in range(max_slots):
-            if self.decoder.is_complete:
-                break
-            self._check_repair(t)
-            rates = [self.rate_fn(i, t) for i in range(len(self.sessions))]
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-            slots += 1
-            # All peers transmit concurrently within the slot, so every
-            # active session's budget flows even if an earlier session's
-            # messages already completed the decode; surplus messages
-            # are simply not offered (they were in flight regardless).
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                # offer_many consumes arrivals in order until the decode
-                # completes (surplus is ignored, as before) and runs the
-                # elimination of the whole batch in one kernel pass.
-                served = session.serve(budget)
-                outcomes = self.decoder.offer_many(d.message for d in served)
-                for outcome in outcomes:
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=i, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            if self.decoder.is_complete:
-                # Step 5: tell every peer to stop transmitting.
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                stop = StopTransmission(file_id=file_id if file_id is not None else -1)
-                for i, session in enumerate(self.sessions):
-                    session.stop(stop)
-                    # Without a latency model the stop is heard instantly.
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(0)
-                    _TRACER.emit(TRANSFER_STOP, peer=i, slot=t, lag_slots=0)
-                break
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            slot_seconds=self.slot_seconds,
-        )
-
-    def _run_robust(
-        self, max_slots: int, file_id: int | None, peer_spans: list | None = None
-    ) -> DownloadReport:
-        """Failure-aware variant of the plain path (``policy`` set).
-
-        Differences from the trusting loop: every message is digest
-        verified before it may reach the decoder, peers are quarantined
-        on pollution / stall / crash, and dead peers' slot budget is
-        re-scaled across the healthy ones.
-        """
-        n = len(self.sessions)
-        state = _RobustState(n, self.policy, self.sessions, peer_spans=peer_spans)
-        per_peer = [0.0] * n
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        slots = 0
-        for t in range(max_slots):
-            if self.decoder.is_complete:
-                break
-            self._check_repair(t, dead=state.dead)
-            rates = state.adjust_rates(
-                [self.rate_fn(i, t) for i in range(n)], self.sessions
-            )
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-            slots += 1
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if state.dead[i] or not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                try:
-                    served = session.serve(budget)
-                except SessionCrashed as exc:
-                    # Messages completed before the cut still count.
-                    served = list(exc.delivered)
-                    state.note_crash(i, t, exc)
-                state.note_served(i, len(served), budget, t)
-                # Stays per-message (no offer_many): verification outcomes
-                # feed quarantine decisions that can change mid-batch, so
-                # batching here would reorder verify/offer interleaving.
-                for data in served:
-                    if self.decoder.is_complete:
-                        break  # already decodable; surplus is ignored
-                    if not state.verify(i, data.message, t):
-                        continue  # discarded; never reaches the decoder
-                    outcome = self.decoder.offer(data.message)
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=i, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            if self.decoder.is_complete:
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                stop = StopTransmission(file_id=file_id if file_id is not None else -1)
-                for i, session in enumerate(self.sessions):
-                    session.stop(stop)
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(0)
-                    _TRACER.emit(TRANSFER_STOP, peer=i, slot=t, lag_slots=0)
-                break
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            slot_seconds=self.slot_seconds,
-            failures=state.failures(),
-        )
-
-    def _run_with_latency(
-        self, max_slots: int, file_id: int | None, peer_spans: list | None = None
-    ) -> DownloadReport:
-        """Latency-aware variant of :meth:`run`.
-
-        Sessions start serving only after their handshake round trips;
-        completed messages spend half an RTT in flight before reaching
-        the decoder; and after decoding completes, each peer keeps
-        transmitting until the stop message arrives — those bytes are
-        accounted separately as waste.  With a ``policy`` the robust
-        book-keeping (verification, quarantine, stall timeouts, crash
-        survival, budget re-scaling) applies on top.
-        """
-        n = len(self.sessions)
-        state = (
-            _RobustState(n, self.policy, self.sessions, peer_spans=peer_spans)
-            if self.policy is not None
-            else None
-        )
-        per_peer = [0.0] * n
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        wasted = 0.0
-        first_data_slot = None
-        inflight: list[tuple[int, int, object]] = []  # (arrival, peer, message)
-        complete_slot: int | None = None
-        stop_deadline = [None] * n  # slot at which peer i hears the stop
-        slots = 0
-
-        for t in range(max_slots):
-            slots += 1
-            # Deliver in-flight messages that have arrived.
-            if state is None:
-                # Trusting path: drain every due arrival in one batched
-                # elimination pass.  offer_many consumes the due prefix
-                # until the decode completes; unconsumed due messages
-                # stay in flight (they were in flight regardless), in
-                # their original queue order.
-                due = [j for j, (arrival, _, _) in enumerate(inflight) if arrival <= t]
-                outcomes = self.decoder.offer_many(inflight[j][2] for j in due)
-                consumed = set(due[: len(outcomes)])
-                still_flying = [
-                    entry for j, entry in enumerate(inflight) if j not in consumed
-                ]
-                for pos, outcome in enumerate(outcomes):
-                    peer = inflight[due[pos]][1]
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            else:
-                # Robust path stays per-message: verification outcomes
-                # feed quarantine decisions that can change mid-batch.
-                still_flying = []
-                for arrival, peer, message in inflight:
-                    if arrival > t or self.decoder.is_complete:
-                        still_flying.append((arrival, peer, message))
-                        continue
-                    if not state.verify(peer, message, t):
-                        continue  # discarded; never reaches the decoder
-                    outcome = self.decoder.offer(message)
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            inflight = still_flying
-
-            if self.decoder.is_complete and complete_slot is None:
-                complete_slot = t
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                for i, _session in enumerate(self.sessions):
-                    stop_deadline[i] = t + self.latency.stop_slots(i)
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(self.latency.stop_slots(i))
-                    _TRACER.emit(
-                        TRANSFER_STOP,
-                        peer=i,
-                        slot=stop_deadline[i],
-                        lag_slots=self.latency.stop_slots(i),
-                    )
-
-            rates = [self.rate_fn(i, t) for i in range(n)]
-            if state is not None:
-                rates = state.adjust_rates(rates, self.sessions)
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-
-            everyone_stopped = complete_slot is not None
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if state is not None and state.dead[i]:
-                    continue
-                if t < self.latency.handshake_slots(i):
-                    everyone_stopped = False
-                    continue
-                if complete_slot is not None:
-                    # Peer keeps sending until the stop arrives.
-                    if stop_deadline[i] is not None and t >= stop_deadline[i]:
-                        if session.active:
-                            session.stop(
-                                StopTransmission(
-                                    file_id=file_id if file_id is not None else -1
-                                )
-                            )
-                        continue
-                    if session.active and rate > 0:
-                        budget = kbps_to_bytes(rate, self.slot_seconds)
-                        wasted += budget
-                        if _OBS.enabled:
-                            _XFER_WASTED.inc(budget)
-                        try:
-                            session.serve(budget)
-                        except SessionCrashed as exc:
-                            if state is None:
-                                raise
-                            state.note_crash(i, t, exc)
-                        everyone_stopped = False
-                    continue
-                if not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                if first_data_slot is None:
-                    first_data_slot = t
-                try:
-                    served = session.serve(budget)
-                except SessionCrashed as exc:
-                    if state is None:
-                        raise
-                    served = list(exc.delivered)
-                    state.note_crash(i, t, exc)
-                if state is not None:
-                    state.note_served(i, len(served), budget, t)
-                for data in served:
-                    inflight.append(
-                        (t + self.latency.delivery_slots(i), i, data.message)
-                    )
-            if complete_slot is not None and everyone_stopped and not inflight:
-                break
-            if (
-                complete_slot is not None
-                and all(d is not None and t >= d for d in stop_deadline)
-            ):
-                break
-
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            wasted_bytes=wasted,
-            first_data_slot=first_data_slot,
-            slot_seconds=self.slot_seconds,
-            failures=state.failures() if state is not None else (),
-        )
+        if self.repair.should_fire(needed, supply, t):
+            self.repair.fire(needed, t)

@@ -171,3 +171,63 @@ class TestStreamingDecoder:
             if dec.is_complete:
                 break
         assert dec.result() == data
+
+
+class TestChunkView:
+    """``StreamingDecoder.chunk(i)``: one chunk as a download target."""
+
+    @pytest.fixture
+    def stack(self, rng):
+        data = rng.bytes(1500)
+        store = DigestStore()
+        enc = ChunkedEncoder(PARAMS, b"s", base_file_id=44)
+        manifest, chunks = enc.encode_file(data, n_peers=3, digest_store=store)
+        return data, enc, manifest, chunks, store
+
+    @staticmethod
+    def counters(dec, manifest):
+        return [
+            (d.accepted, d.dependent, d.rejected, d.rank)
+            for d in (dec._decoders[cid] for cid in manifest.chunk_ids)
+        ]
+
+    def test_offer_many_equals_one_by_one(self, stack):
+        data, enc, manifest, chunks, store = stack
+        own = chunks[1].bundles[0]
+        batch = [
+            own[0],
+            own[0],  # duplicate
+            chunks[2].bundles[0][0],  # another chunk's message: routed there
+            own[1].with_payload(np.asarray(own[1].payload) ^ 1),  # forged
+            *own[1:],  # completes chunk 1 on its last message...
+            *chunks[1].bundles[1],  # ...so none of these is consumed
+        ]
+        one_by_one = StreamingDecoder(manifest, enc, digest_store=store)
+        expected = []
+        for msg in batch:
+            if one_by_one.needed_for_chunk(1) == 0:
+                break
+            expected.append(one_by_one.offer(msg))
+
+        batched = StreamingDecoder(manifest, enc, digest_store=store)
+        view = batched.chunk(1)
+        assert view.needed == PARAMS.k and not view.is_complete
+        outcomes = view.offer_many(iter(batch))
+        assert outcomes == expected
+        assert len(outcomes) == 3 + len(own)  # stopped at completion, midway
+        assert Offer.REJECTED in outcomes and Offer.COMPLETE in outcomes
+        assert view.is_complete and view.needed == 0
+        assert view.offer_many(batch) == []
+        assert self.counters(batched, manifest) == self.counters(one_by_one, manifest)
+        assert batched.needed_for_chunk(2) == PARAMS.k - 1
+        assert batched._results == one_by_one._results
+
+    def test_views_share_the_streaming_result(self, stack):
+        data, enc, manifest, chunks, store = stack
+        dec = StreamingDecoder(manifest, enc, digest_store=store)
+        for index, encoded_file in enumerate(chunks):
+            view = dec.chunk(index)
+            assert view.offer(encoded_file.bundles[0][0]) == Offer.ACCEPTED
+            view.offer_many(encoded_file.bundles[0][1:])
+            assert view.is_complete
+        assert dec.result() == data

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rlnc import HEADER_BYTES, EncodedMessage, MessageFormatError
 
@@ -59,6 +61,14 @@ class TestWireFormat:
         msg = make_message(p=16, m=8)
         assert msg.wire_size() == HEADER_BYTES + 16
         assert len(msg.to_bytes()) == msg.wire_size()
+
+    @given(p=st.sampled_from([4, 8, 16, 32]), m=st.integers(0, 257))
+    def test_wire_size_is_computed_not_packed(self, p, m):
+        # Odd m matters at p=4, where two symbols share a byte.
+        msg = EncodedMessage(
+            file_id=1, message_id=2, payload=np.zeros(m, dtype=np.uint32), p=p
+        )
+        assert msg.wire_size() == len(msg.to_bytes())
 
     def test_truncated_wire_raises(self):
         with pytest.raises(MessageFormatError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import TRACER, observability
 from repro.rlnc import CodingParams
 from repro.sim import FileSharingNetwork
 
@@ -92,3 +93,42 @@ class TestConcurrent:
         # A plain download afterwards still works.
         result = net.download(user=2, name="a")
         assert result.complete and result.data == blobs[0]
+
+
+class TestOneDownloadLoop:
+    """A concurrent download of one request *is* a plain download: both
+    drive the same ``ParallelDownloader`` slot machine."""
+
+    @staticmethod
+    def fresh(blobs):
+        net = FileSharingNetwork([400.0, 300.0, 200.0, 100.0], params=PARAMS, seed=8)
+        net.publish(owner=0, name="a", data=blobs[0])
+        return net
+
+    @pytest.mark.parametrize("cap", [{}, {"download_cap_kbps": 5.0}], ids=["nocap", "cap"])
+    def test_single_request_equals_plain_download(self, blobs, cap):
+        plain = self.fresh(blobs).download(2, "a", **cap)
+        (together,) = self.fresh(blobs).download_concurrently([(2, "a")], **cap)
+        assert plain.complete and together.data == plain.data == blobs[0]
+        assert together.slots == plain.slots
+        assert together.bytes_received == plain.bytes_received
+        assert [r.to_dict() for r in together.reports] == [
+            r.to_dict() for r in plain.reports
+        ]
+
+    def test_unfinished_chunk_is_reported_incomplete(self, blobs):
+        # Chunks take one slot each here: after two slots two are done and
+        # the third has been opened but never stepped.
+        (result,) = self.fresh(blobs).download_concurrently([(2, "a")], max_slots=2)
+        assert [r.complete for r in result.reports] == [True, True, False]
+        assert result.reports[-1].slots == 0
+        assert not result.complete and result.slots == 2
+
+    def test_emits_transfer_events_like_any_download(self, blobs):
+        net = self.fresh(blobs)
+        with observability(tracing=True, reset=True):
+            net.download_concurrently([(2, "a")])
+            names = [e.name for e in TRACER.events()]
+        assert names.count("transfer.start") == 6  # one per chunk
+        assert names.count("transfer.complete") == 6
+        assert names.count("transfer.stop") == 6 * net.n

@@ -1,7 +1,10 @@
 """Unit tests for the parallel download scheduler."""
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, PeerFault
+from repro.obs import TRACER, observability
 from repro.rlnc import CodingParams, FileEncoder, ProgressiveDecoder
 from repro.security import DigestStore, generate_keypair
 from repro.storage import MessageStore
@@ -9,6 +12,7 @@ from repro.transfer import (
     DownloadSession,
     ParallelDownloader,
     ServingSession,
+    SessionCrashed,
     kbps_to_bytes,
 )
 
@@ -147,3 +151,70 @@ class TestReport:
         assert report.seconds == report.slots * 0.5
         # effective_rate_kbps defaults to the report's own slot length.
         assert report.effective_rate_kbps() == report.effective_rate_kbps(0.5)
+
+
+class TestStep:
+    """``run`` is ``begin`` / ``step`` per slot / ``finish``; callers that
+    hold the slot's rates already may drive the three themselves."""
+
+    @pytest.mark.parametrize("cap", [float("inf"), 1.0])
+    def test_hand_driven_steps_equal_run(self, keys, cap):
+        def rate_fn(i, t):
+            return 0.5 * (i + 1) + 0.25 * (t % 3)
+
+        _, sessions, decoder = build(np.random.default_rng(3), 3, keys)
+        ran = ParallelDownloader(
+            sessions, decoder, rate_fn, download_cap_kbps=cap
+        ).run(10_000, file_id=FILE_ID)
+
+        _, sessions, decoder = build(np.random.default_rng(3), 3, keys)
+        stepped = ParallelDownloader(sessions, decoder, None, download_cap_kbps=cap)
+        stepped.begin(FILE_ID)
+        t = 0
+        # numpy rates, as the allocation engine hands them out
+        while stepped.step(t, rates=np.array([rate_fn(i, t) for i in range(3)])):
+            t += 1
+        report = stepped.finish()
+        assert report.complete
+        assert report.to_dict() == ran.to_dict()
+        assert all(type(b) is float for b in report.per_peer_bytes)
+        # Nothing is left to do: further steps are refused, not run.
+        assert stepped.step(t + 1, rates=[1.0] * 3) is False
+        assert stepped.finish().slots == report.slots
+
+    def test_complete_decoder_takes_no_slot(self, rng, keys):
+        data, sessions, decoder = build(rng, 1, keys)
+        ParallelDownloader(sessions, decoder, lambda i, t: 256.0).run(100, FILE_ID)
+        data2, sessions2, _ = build(rng, 1, keys)
+        calls = []
+        again = ParallelDownloader(
+            sessions2, decoder, lambda i, t: calls.append(t) or 256.0
+        ).run(100, FILE_ID)
+        assert again.complete and again.slots == 0 and not calls
+
+
+class TestPeerSpans:
+    def test_crash_without_policy_closes_every_span(self, rng, keys):
+        data, sessions, decoder = build(rng, 3, keys)
+        sessions = FaultPlan(seed=1, faults={1: PeerFault("crash", at_byte=0)}).wrap(
+            sessions
+        )
+        with observability(tracing=True, reset=True):
+            with pytest.raises(SessionCrashed):
+                ParallelDownloader(sessions, decoder, lambda i, t: 20.0).run(
+                    100, file_id=FILE_ID
+                )
+            events = TRACER.events()
+        started = {
+            e.fields["span_id"]: e.fields["op"] for e in events if e.name == "span.start"
+        }
+        ended = {
+            e.fields["span_id"]: e.fields["status"] for e in events if e.name == "span.end"
+        }
+        assert sorted(started.values()).count("transfer.peer") == 3
+        assert set(started) == set(ended)
+        assert all(
+            ended[span_id] == "error"
+            for span_id, op in started.items()
+            if op in ("transfer.peer", "transfer.download")
+        )
