@@ -23,6 +23,7 @@ from repro.rlnc import (
     BlockDecoder,
     CodingParams,
     FileEncoder,
+    ProgressiveDecoder,
 )
 
 from _util import (
@@ -52,10 +53,20 @@ REPS = 3
 _MEASURED: dict[tuple[int, int], float] = {}
 _DECODE_SAMPLES: dict[tuple[int, int], list[float]] = {}
 _ENCODE_SAMPLES: dict[tuple[int, int], list[float]] = {}
+_PROGRESSIVE_SAMPLES: dict[tuple[int, int], list[float]] = {}
+
+#: The streaming decoder is fed the same messages in this many
+#: ``offer_many`` batches (one per message when ``k`` is smaller).
+PROGRESSIVE_BATCHES = 8
 
 
 def decode_cell(p: int, m: int) -> float:
-    """Encode 1 MB at ``(p, m)`` once, then time one full decode."""
+    """Encode 1 MB at ``(p, m)`` once, then time one full decode.
+
+    Returns the block decode's seconds; the same messages then go
+    through ``ProgressiveDecoder`` (arrivals plus ``result()``), so the
+    ledger carries the streaming/block ratio at every grid point.
+    """
     params = CodingParams(p=p, m=m)
     encoder = FileEncoder(params, secret=b"bench", file_id=p * 1000 + m)
     source = encoder.source_matrix(_DATA)
@@ -69,6 +80,14 @@ def decode_cell(p: int, m: int) -> float:
     elapsed = time.perf_counter() - start
     assert out == _DATA
     _DECODE_SAMPLES.setdefault((p, m), []).append(elapsed)
+    streaming = ProgressiveDecoder(params, encoder.coefficients)
+    step = -(-len(messages) // PROGRESSIVE_BATCHES)
+    start = time.perf_counter()
+    for i in range(0, len(messages), step):
+        streaming.offer_many(messages[i : i + step])
+    out = streaming.result()
+    _PROGRESSIVE_SAMPLES.setdefault((p, m), []).append(time.perf_counter() - start)
+    assert out == _DATA
     return elapsed
 
 
@@ -151,7 +170,13 @@ def test_table2_cross_field_shape_and_realtime(benchmark):
 
     # Machine-readable perf trajectory: median ns/op per (k, p) point,
     # committed at the repo root so future PRs can diff the numbers.
-    decode_path = write_bench_json("BENCH_decode.json", _bench_points(_DECODE_SAMPLES, "decode"))
+    decode_path = write_bench_json(
+        "BENCH_decode.json",
+        {
+            **_bench_points(_DECODE_SAMPLES, "decode"),
+            **_bench_points(_PROGRESSIVE_SAMPLES, "progressive"),
+        },
+    )
     encode_path = write_bench_json("BENCH_encode.json", _bench_points(_ENCODE_SAMPLES, "encode"))
     print(f"\nwrote {decode_path.name} and {encode_path.name}")
 

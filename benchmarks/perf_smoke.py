@@ -5,9 +5,10 @@ single cheap operating point and the batched simulation engine's
 per-slot time at n=128, compares ns/op against the committed
 ``BENCH_decode.json`` / ``BENCH_sim.json``, and fails when a regression
 exceeds the budget (a generous 3x, so CI noise on shared runners does
-not flap the job).  Fresh ``BENCH_decode.smoke.json`` and
-``BENCH_sim.smoke.json`` files are always written next to the baselines
-for upload as CI artifacts.
+not flap the job).  Two interleaved A/B probes need no baseline: the
+cost of observability, and streaming decode against block decode.
+Fresh ``BENCH_decode.smoke.json`` and ``BENCH_sim.smoke.json`` files
+are always written next to the baselines for upload as CI artifacts.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -174,6 +175,62 @@ def measure_obs_overhead() -> int:
     return 0
 
 
+#: Streaming-vs-block probe: ``ProgressiveDecoder`` works on ``2k``-wide
+#: coefficient rows and ends with the block decode, so streaming 1 MiB in
+#: may cost at most STREAMING_BUDGET times ``BlockDecoder.decode`` of the
+#: same messages.  Eliminating payloads on arrival pays the decode twice
+#: and measures 2.5x and 3.6x at these points.  No committed baseline:
+#: the two decoders are interleaved, so machine drift hits both equally.
+STREAMING_BUDGET = 1.3
+STREAMING_REPS = 9
+STREAMING_POINTS = ((32, 1 << 15), (8, 1 << 14))  # (p, m): k = 8 and k = 64
+
+
+def measure_streaming_ratio() -> int:
+    """Fail (1) when streaming decode costs >1.3x the block decode."""
+    from repro.rlnc import BlockDecoder, CodingParams, FileEncoder, ProgressiveDecoder
+
+    failures = 0
+    data = os.urandom(1 << 20)
+    for p, m in STREAMING_POINTS:
+        params = CodingParams(p=p, m=m)
+        encoder = FileEncoder(params, secret=b"bench", file_id=3)
+        messages = encoder.encode_ids(
+            encoder.source_matrix(data), encoder.independent_ids(1)[0]
+        )
+        step = params.k // 8
+
+        def block() -> bytes:
+            return BlockDecoder(params, encoder.coefficients).decode(messages)
+
+        def streaming() -> bytes:
+            decoder = ProgressiveDecoder(params, encoder.coefficients)
+            for i in range(0, len(messages), step):
+                decoder.offer_many(messages[i : i + step])
+            return decoder.result()
+
+        assert block() == data and streaming() == data  # and warm the kernels
+        block_s, streaming_s = [], []
+        for rep in range(STREAMING_REPS):
+            order = (block, streaming) if rep % 2 == 0 else (streaming, block)
+            for decode in order:
+                start = time.perf_counter()
+                decode()
+                elapsed = time.perf_counter() - start
+                (block_s if decode is block else streaming_s).append(elapsed)
+        base, streamed = _median(block_s), _median(streaming_s)
+        ratio = streamed / base
+        print(f"streaming decode p={p} k={params.k}: block {base * 1e3:.1f} ms, "
+              f"progressive {streamed * 1e3:.1f} ms -> ratio {ratio:.2f}x "
+              f"(budget {STREAMING_BUDGET:.1f}x)")
+        if ratio > STREAMING_BUDGET:
+            print(f"FAIL: progressive decode at p={p} k={params.k} costs "
+                  f"{ratio:.2f}x > {STREAMING_BUDGET:.1f}x the block decode; "
+                  "is payload elimination back in offer()?")
+            failures += 1
+    return failures
+
+
 def _compare(baseline_name: str, key: str, ns_per_op: int) -> int:
     """Return 1 when ``key`` regressed past BUDGET vs the baseline file."""
     baseline_path = REPO_ROOT / baseline_name
@@ -262,6 +319,7 @@ def main() -> int:
     failures += _compare("BENCH_repair.json", repair_key, repair_ns)
 
     failures += measure_obs_overhead()
+    failures += measure_streaming_ratio()
 
     if failures:
         return 1

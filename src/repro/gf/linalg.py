@@ -210,6 +210,9 @@ class IncrementalRank:
         r = field.asarray(row).copy()
         if r.shape != (self.width,):
             raise FieldError(f"expected a row of width {self.width}, got {r.shape}")
+        # Kept rows are in echelon form only (never back-substituted), so
+        # they must be applied in insertion order: row i is zero at the
+        # pivots of rows 0..i-1 and cannot bring back a cleared pivot.
         for kept, pivot in zip(self._rows, self._pivots):
             v = r[pivot]
             if v:
@@ -222,11 +225,6 @@ class IncrementalRank:
         pivot = int(nonzero[0])
         if r[pivot] != 1:
             field.scale_rows(r[pivot:], field.inv(r[pivot]))
-        # Back-substitute into previously kept rows to keep them reduced.
-        for kept in self._rows:
-            v = kept[pivot]
-            if v:
-                field.addmul(kept[pivot:], v, r[pivot:])
         self._rows.append(r)
         self._pivots.append(pivot)
         return True

@@ -5,18 +5,20 @@ Two decoders are provided:
 * :class:`BlockDecoder` — the paper's description taken literally:
   collect ``k`` messages, regenerate the coefficient sub-matrix from the
   plaintext message-ids, invert, multiply.
-* :class:`ProgressiveDecoder` — an online Gauss-Jordan variant that
-  consumes messages as they arrive from multiple peers in parallel,
-  detects useless (linearly dependent) messages immediately, rejects
-  messages failing digest authentication, and reports the instant the
-  file is decodable — which is when the user sends the stop-transmission
-  of Fig. 4(b).
+* :class:`ProgressiveDecoder` — the same decode fed one message at a
+  time as they arrive from multiple peers in parallel: an online
+  elimination on the ``k``-wide coefficient rows detects useless
+  (linearly dependent) messages immediately, messages failing digest
+  authentication are rejected, and the instant the file is decodable is
+  reported — which is when the user sends the stop-transmission of
+  Fig. 4(b).  The payloads are multiplied once, at the end.
+
+Both finish with the same step, :func:`_source_bytes`.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
 from enum import Enum
 
 import numpy as np
@@ -51,14 +53,12 @@ _DEC_INCONSISTENT = _OBS.counter(
 )
 _DEC_ELIM_NS = _OBS.histogram(
     "repro.rlnc.decode.eliminate_ns",
-    "nanoseconds of Gaussian elimination per offered message",
+    "nanoseconds of coefficient-space elimination per offered message",
 )
-_DEC_BATCHES = _OBS.counter(
-    "repro.rlnc.decode.batches", "offer_many() batch elimination passes"
-)
-_DEC_BATCH_NS = _OBS.histogram(
-    "repro.rlnc.decode.batch_ns",
-    "nanoseconds per offer_many() batch pre-reduction pass",
+_DEC_RESIDUAL_CHECKS = _OBS.counter(
+    "repro.rlnc.decode.residual_checks",
+    "offered rows whose coefficients cancelled, so the O(rank * m) payload "
+    "residual had to be computed to tell dependent from forged",
 )
 _DEC_BLOCK_NS = _span(
     "repro.rlnc.decode.block_ns", description="nanoseconds per BlockDecoder.decode()"
@@ -76,6 +76,28 @@ class Offer(Enum):
     DEPENDENT = "dependent"  # authentic but linearly dependent; fetch another
     REJECTED = "rejected"  # failed authentication or wrong file/shape
     COMPLETE = "complete"  # rank was already k; message ignored
+
+
+def _source_bytes(
+    field: BinaryField, params: CodingParams, beta: np.ndarray, payloads: np.ndarray
+) -> bytes:
+    """The decode step of Section III-B: ``beta^-1 @ payloads`` as bytes.
+
+    ``beta`` holds the ``k`` coefficient rows of the messages as
+    received and ``payloads`` their payloads, row for row.  The bytes
+    cover the whole padded symbol grid; :func:`_trim` cuts them.
+    """
+    try:
+        source = solve(field, beta, payloads)
+    except SingularMatrixError as exc:
+        raise DecodeError(
+            "coefficient sub-matrix is singular; supply a different message"
+        ) from exc
+    return symbols_to_bytes(source.reshape(-1), params.p)
+
+
+def _trim(data: bytes, params: CodingParams, length: int | None) -> bytes:
+    return data[: length if length is not None else params.file_bytes]
 
 
 class BlockDecoder:
@@ -117,30 +139,27 @@ class BlockDecoder:
             chosen = list(unique.values())
             beta = self.coefficients.matrix(m.message_id for m in chosen)
             payloads = np.stack([m.payload for m in chosen])
-            try:
-                source = solve(self.field, beta, payloads)
-            except SingularMatrixError as exc:
-                raise DecodeError(
-                    "coefficient sub-matrix is singular; supply a different message"
-                ) from exc
-            data = symbols_to_bytes(source.reshape(-1), self.params.p)
-            return data[: length if length is not None else self.params.file_bytes]
+            data = _source_bytes(self.field, self.params, beta, payloads)
+            return _trim(data, self.params, length)
 
 
 class ProgressiveDecoder:
     """Streaming decoder with authentication and dependence detection.
 
-    Internally maintains augmented rows ``[beta_row | payload]`` of
-    width ``k + m`` in one contiguous ``(k, k+m)`` matrix, kept in
-    *echelon* form only: each stored row leads with a 1 at its pivot
-    column, but back-substitution into earlier rows is deferred to
-    :meth:`result` (one batched triangular solve) instead of being paid
-    on every arrival.  Offer outcomes are unaffected by the deferral —
-    dependence and inconsistency of an incoming row against the stored
-    span are basis-independent.
+    Works in *coefficient space*.  Per accepted message it stores the
+    coefficient row (``_beta``) and the payload (``_payloads``) exactly
+    as received, in arrival order, plus one ``2k``-wide row ``[e | t]``
+    with ``e = t @ _beta``: the ``e`` parts are kept in reduced row
+    echelon form (1 at the row's own pivot, 0 at every other), ``t``
+    records which combination of the raw rows gives it.  An arrival is
+    eliminated as ``[beta | 0]`` against those rows only — ``O(k^2)``
+    field operations whatever the message length — and :meth:`result`
+    is the block decode of the raw rows.
 
-    A row whose coefficient part reduces to zero is *dependent* if its
-    payload part also vanishes, and *corrupt* (it contradicts the span
+    An arrival whose coefficient part reduces to zero has accumulated
+    the ``t`` with ``beta = t @ _beta``, so an authentic payload equals
+    ``t @ _payloads``.  That residual is computed only then: the message
+    is *dependent* if it vanishes and *corrupt* (it contradicts the span
     of authentic rows) otherwise — the latter can only happen when
     authentication is disabled or defeated, and is still caught and
     rejected here.
@@ -157,9 +176,13 @@ class ProgressiveDecoder:
         self.field = field if field is not None else GF(params.p)
         self.coefficients = coefficients
         self.digest_store = digest_store
-        self._matrix: np.ndarray | None = None  # (k, k+m), rows in arrival order
-        self._pivots: list[int] = []  # pivot column of stored row i
-        self._order: list[tuple[int, int]] = []  # (pivot, row idx) sorted by pivot
+        # Allocated by the first row that reaches elimination (the idle
+        # chunks of a streaming download hold nothing); row i of each
+        # belongs to the i-th accepted message.
+        self._beta: np.ndarray | None = None  # (k, k) raw coefficient rows
+        self._payloads: np.ndarray | None = None  # (k, m) raw payloads
+        self._reduced: np.ndarray | None = None  # (k, 2k) rows [e | t]
+        self._pivots: list[int] = []  # pivot column of reduced row i
         self._seen_ids: set[int] = set()
         self._decoded: bytes | None = None
         self.accepted = 0
@@ -184,99 +207,36 @@ class ProgressiveDecoder:
 
     def offer(self, message: EncodedMessage) -> Offer:
         """Feed one received message; returns what happened to it."""
-        return self._offer_one(message, None)
+        return self._offer_one(message)
 
     def offer_many(self, messages) -> list[Offer]:
-        """Drain a batch of arrivals in one elimination pass.
+        """Drain a batch of arrivals.
 
         Consumes messages in order until the decode completes; returns
         one :class:`Offer` per *consumed* message (so the list may be
         shorter than the input, and is empty when the decoder is already
         complete).  Outcomes, counters, traces, and the decoded bytes
-        are bit-identical to calling :meth:`offer` in a loop — the only
-        difference is that the elimination of every batched row against
-        the rows already kept happens as whole-matrix kernel ops instead
-        of per-message Python loops.
+        are those of calling :meth:`offer` in a loop.
         """
         msgs = list(messages)
         batch_span = None
         if _TRACER.enabled:
             batch_span = _spans.start_span("rlnc.offer_many", count=len(msgs))
         try:
-            prepared = self._prepare_rows(msgs)
             outcomes: list[Offer] = []
-            for msg, row in zip(msgs, prepared):
+            for msg in msgs:
                 if self.is_complete:
                     break
-                outcomes.append(self._offer_one(msg, row))
+                outcomes.append(self._offer_one(msg))
             return outcomes
         finally:
             _spans.finish_span(batch_span)
 
-    def _prepare_rows(self, msgs) -> list[np.ndarray | None]:
-        """Build augmented rows for batchable messages and pre-reduce them.
-
-        A message is batchable when it passes the stateless checks
-        (file id, shape) and its id was unseen at batch start; others
-        get ``None`` and take the ordinary path in ``_offer_one``.  The
-        pre-reduction against rows kept *before* the batch is exactly
-        the prefix of the sequential elimination each row would undergo
-        anyway (kept rows are never mutated by later arrivals), so
-        outcomes are unchanged.
-        """
-        field = self.field
-        k, m, p = self.params.k, self.params.m, self.params.p
-        file_id = self.coefficients.file_id
-        prepared: list[np.ndarray | None] = [None] * len(msgs)
-        eligible: list[int] = []
-        for j, msg in enumerate(msgs):
-            if (
-                msg.file_id != file_id
-                or msg.m != m
-                or msg.p != p
-                or msg.message_id in self._seen_ids
-            ):
-                continue
-            eligible.append(j)
-        if len(eligible) < 2 or not self._order:
-            return prepared
-        coeff_rows: list[np.ndarray | None] = []
-        derivable: list[int] = []
-        for j in eligible:
-            # A repair-range id without its registered record has no
-            # derivable row; leave it to the ordinary path, which
-            # rejects it instead of crashing the batch.
-            try:
-                coeff_rows.append(self.coefficients.row(msgs[j].message_id))
-            except UnknownCoefficientError:
-                continue
-            derivable.append(j)
-        eligible = derivable
-        if not eligible:
-            return prepared
-        rows = np.empty((len(eligible), k + m), dtype=field.dtype)
-        for i, j in enumerate(eligible):
-            rows[i, :k] = coeff_rows[i]
-            rows[i, k:] = msgs[j].payload
-        batch_start = time.perf_counter_ns() if _OBS.enabled else None
-        for pivot, ridx in self._order:
-            factors = rows[:, pivot].copy()
-            if factors.any():
-                field.addmul(
-                    rows[:, pivot:], factors[:, None], self._matrix[ridx, pivot:][None, :]
-                )
-        if batch_start is not None:
-            _DEC_BATCHES.inc()
-            _DEC_BATCH_NS.observe(time.perf_counter_ns() - batch_start)
-        for i, j in enumerate(eligible):
-            prepared[j] = rows[i]
-        return prepared
-
-    def _offer_one(self, message: EncodedMessage, prepared_row) -> Offer:
+    def _offer_one(self, message: EncodedMessage) -> Offer:
         if not (_OBS.enabled or _TRACER.enabled):
-            return self._offer(message, prepared_row)
+            return self._offer(message)
         rank_before = self.rank
-        outcome = self._offer(message, prepared_row)
+        outcome = self._offer(message)
         if _OBS.enabled:
             if self.rank > rank_before:
                 _DEC_INNOVATIVE.inc()
@@ -293,7 +253,7 @@ class ProgressiveDecoder:
         )
         return outcome
 
-    def _offer(self, message: EncodedMessage, prepared_row=None) -> Offer:
+    def _offer(self, message: EncodedMessage) -> Offer:
         if self.is_complete:
             return Offer.COMPLETE
         if message.file_id != self.coefficients.file_id:
@@ -313,34 +273,36 @@ class ProgressiveDecoder:
 
         field = self.field
         k = self.params.k
+        rank = self.rank
         elim_start = time.perf_counter_ns() if _OBS.enabled else None
         try:
-            if prepared_row is None:
-                try:
-                    coeff_row = self.coefficients.row(message.message_id)
-                except UnknownCoefficientError:
-                    # Repair-range id with no registered repair record:
-                    # the row cannot be derived, so the message cannot
-                    # be used (or even checked for consistency).
-                    self.rejected += 1
-                    return Offer.REJECTED
-                row = np.empty(k + self.params.m, dtype=field.dtype)
-                row[:k] = coeff_row
-                row[k:] = message.payload
-            else:
-                row = prepared_row
-            # Eliminate against kept rows in pivot order.  Safe to repeat
-            # on pre-reduced batch rows: already-cleared pivots have zero
-            # factors and are skipped.
-            for pivot, ridx in self._order:
-                v = row[pivot]
-                if v:
-                    # Kept rows lead with a 1 at their pivot; only the
-                    # trailing slice of ``row`` can change.
-                    field.addmul(row[pivot:], v, self._matrix[ridx, pivot:])
+            try:
+                coeff_row = self.coefficients.row(message.message_id)
+            except UnknownCoefficientError:
+                # Repair-range id with no registered repair record:
+                # the row cannot be derived, so the message cannot
+                # be used (or even checked for consistency).
+                self.rejected += 1
+                return Offer.REJECTED
+            if self._reduced is None:
+                self._beta = np.empty((k, k), dtype=field.dtype)
+                self._payloads = np.empty((k, self.params.m), dtype=field.dtype)
+                self._reduced = np.zeros((k, 2 * k), dtype=field.dtype)
+            row = np.zeros(2 * k, dtype=field.dtype)
+            row[:k] = coeff_row
+            kept = self._reduced[:rank]
+            # Kept rows are fully reduced — 1 at their own pivot, 0 at
+            # every other kept pivot — so all factors can be read off
+            # the arrival at once and one product clears them.
+            factors = row[self._pivots]
+            if factors.any():
+                row ^= np.bitwise_xor.reduce(field.mul(factors[:, None], kept), axis=0)
             nonzero = np.nonzero(row[:k])[0]
             if nonzero.size == 0:
-                if np.any(row[k:]):
+                if _OBS.enabled:
+                    _DEC_RESIDUAL_CHECKS.inc()
+                expected = field.dot(row[k : k + rank], self._payloads[:rank])
+                if not np.array_equal(expected, message.payload):
                     # Authentic rows can never contradict the span; this
                     # message was forged in a way the digests did not catch.
                     # The decoder survives: the row is dropped, state is
@@ -356,15 +318,18 @@ class ProgressiveDecoder:
                 self.dependent += 1
                 return Offer.DEPENDENT
             pivot = int(nonzero[0])
+            row[k + rank] = 1  # the new raw row enters its own combination
             v = row[pivot]
             if v != 1:
                 field.scale_rows(row[pivot:], field.inv(v))
-            if self._matrix is None:
-                self._matrix = np.zeros((k, k + self.params.m), dtype=field.dtype)
-            ridx = len(self._pivots)
-            self._matrix[ridx] = row
+            # Keep the kept rows reduced: clear the new pivot from them.
+            factors = kept[:, pivot].copy()
+            if factors.any():
+                field.addmul(kept, factors[:, None], row[None, :])
+            self._reduced[rank] = row
+            self._beta[rank] = coeff_row
+            self._payloads[rank] = message.payload
             self._pivots.append(pivot)
-            insort(self._order, (pivot, ridx))
             self._seen_ids.add(message.message_id)
             self.accepted += 1
             self._decoded = None
@@ -380,13 +345,7 @@ class ProgressiveDecoder:
                 f"decode incomplete: rank {self.rank} of {self.params.k}"
             )
         if self._decoded is None:
-            k = self.params.k
-            order = np.argsort(np.asarray(self._pivots, dtype=np.intp))
-            M = self._matrix[order]
-            # Deferred back-substitution: the coefficient block is unit
-            # upper-triangular after the pivot sort, so one engine solve
-            # finishes the Gauss-Jordan reduction in a single pass.
-            source = solve(self.field, M[:, :k], M[:, k:])
-            self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
-        data = self._decoded
-        return data[: length if length is not None else self.params.file_bytes]
+            self._decoded = _source_bytes(
+                self.field, self.params, self._beta, self._payloads
+            )
+        return _trim(self._decoded, self.params, length)

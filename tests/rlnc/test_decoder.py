@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import REGISTRY, observability
 from repro.rlnc import (
     BlockDecoder,
     CodingParams,
@@ -249,27 +250,33 @@ class TestSeenIdsRegression:
         source = encoder.source_matrix(data)
         ids = encoder.independent_ids(1)[0]
         dec = ProgressiveDecoder(params, encoder.coefficients)
-        for mid in ids[:-1]:
-            assert dec.offer(encoder.encode_message(source, mid)) == Offer.ACCEPTED
-
         dep_id = _find_dependent_id(encoder, ids[:-1], params.k)
         honest = encoder.encode_message(source, dep_id)
         forged = honest.with_payload(np.asarray(honest.payload) ^ 0x5)
 
-        assert dec.offer(forged) == Offer.REJECTED
-        assert dec.inconsistent == 1
-        assert dep_id not in dec._seen_ids
+        with observability(reset=True):
+            for mid in ids[:-1]:
+                assert dec.offer(encoder.encode_message(source, mid)) == Offer.ACCEPTED
 
-        # Re-offering the forged row is REJECTED again — the buggy
-        # version returned DEPENDENT (as if it were authentic).
-        assert dec.offer(forged) == Offer.REJECTED
-        assert dec.inconsistent == 2
+            assert dec.offer(forged) == Offer.REJECTED
+            assert dec.inconsistent == 1
+            assert dep_id not in dec._seen_ids
 
-        # The honest message on that id is correctly DEPENDENT (its
-        # row really is in the span) and only now records the id.
-        assert dec.offer(honest) == Offer.DEPENDENT
-        assert dep_id in dec._seen_ids
+            # Re-offering the forged row is REJECTED again — the buggy
+            # version returned DEPENDENT (as if it were authentic).
+            assert dec.offer(forged) == Offer.REJECTED
+            assert dec.inconsistent == 2
 
-        # The decode still completes with the true bytes.
-        assert dec.offer(encoder.encode_message(source, ids[-1])) == Offer.COMPLETE
+            # The honest message on that id is correctly DEPENDENT (its
+            # row really is in the span) and only now records the id.
+            assert dec.offer(honest) == Offer.DEPENDENT
+            assert dep_id in dec._seen_ids
+
+            # The decode still completes with the true bytes.
+            assert dec.offer(encoder.encode_message(source, ids[-1])) == Offer.COMPLETE
+            snap = REGISTRY.snapshot()
         assert dec.result(len(data)) == data
+        # Only the three rows whose coefficients cancelled paid for a
+        # payload residual; the four innovative ones never did.
+        assert snap["repro.rlnc.decode.residual_checks"]["value"] == 3
+        assert snap["repro.rlnc.decode.inconsistent"]["value"] == 2

@@ -101,6 +101,21 @@ class TestIndependentIds:
         # is not actually running (P ~ 1e-6).
         assert max(flat) >= len(flat)
 
+    @pytest.mark.parametrize(
+        "p, file_id, skipped",
+        [(4, 22, [7, 8, 17, 18]), (8, 3, [15]), (16, 1, []), (32, 1, [])],
+    )
+    def test_screening_verdicts_pinned(self, p, file_id, skipped):
+        """The ids 8 bundles take, recorded before ``IncrementalRank``
+        stopped back-substituting: the verdicts must not depend on how
+        the kept rows are stored."""
+        k = 8
+        params = CodingParams(p=p, m=16, file_bytes=k * 16 * p // 8)
+        enc = FileEncoder(params, b"owner", file_id)
+        taken = [i for i in range(8 * k + len(skipped)) if i not in skipped]
+        expected = [taken[b * k : (b + 1) * k] for b in range(8)]
+        assert enc.independent_ids(8) == expected
+
     def test_start_id_respected(self, encoder):
         bundles = encoder.independent_ids(1, start_id=1000)
         assert min(bundles[0]) >= 1000

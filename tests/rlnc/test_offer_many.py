@@ -118,7 +118,6 @@ class TestOfferManyEquivalence:
         # Both decoders count into the same registry, so totals are even.
         innovative = snap["repro.rlnc.decode.innovative"]["value"]
         assert innovative == 2 * PARAMS.k
-        assert snap["repro.rlnc.decode.batches"]["value"] >= 1
 
     def test_empty_batch(self, rng):
         _, encoder, store, _ = make_stream(rng)
