@@ -54,6 +54,12 @@ _MEASURED: dict[tuple[int, int], float] = {}
 _DECODE_SAMPLES: dict[tuple[int, int], list[float]] = {}
 _ENCODE_SAMPLES: dict[tuple[int, int], list[float]] = {}
 _PROGRESSIVE_SAMPLES: dict[tuple[int, int], list[float]] = {}
+_PUBLISH_SAMPLES: dict[tuple[int, int], list[float]] = {}
+
+#: The publish point encodes the same 1 MB for this many peers
+#: (``encode_bundles``: screening, one stacked matmul, ``n * k`` messages),
+#: so ``publish / encode`` says what the peers beyond the first cost.
+PUBLISH_PEERS = 8
 
 #: The streaming decoder is fed the same messages in this many
 #: ``offer_many`` batches (one per message when ``k`` is smaller).
@@ -89,6 +95,14 @@ def decode_cell(p: int, m: int) -> float:
     _PROGRESSIVE_SAMPLES.setdefault((p, m), []).append(time.perf_counter() - start)
     assert out == _DATA
     return elapsed
+
+
+def publish_cell(p: int, m: int) -> None:
+    """Time a fresh encoder publishing the megabyte to ``PUBLISH_PEERS`` peers."""
+    publisher = FileEncoder(CodingParams(p=p, m=m), secret=b"bench", file_id=p * 1000 + m)
+    start = time.perf_counter()
+    publisher.encode_bundles(_DATA, PUBLISH_PEERS)
+    _PUBLISH_SAMPLES.setdefault((p, m), []).append(time.perf_counter() - start)
 
 
 def _bench_points(samples: dict[tuple[int, int], list[float]], op: str) -> dict:
@@ -168,6 +182,14 @@ def test_table2_cross_field_shape_and_realtime(benchmark):
           "(paper: 1.0 MB/s real-time threshold)")
     assert throughput >= 1.0
 
+    # The publish points run after the whole decode grid: their 8x larger
+    # allocations would otherwise sit between the cells above and change
+    # what those measure.
+    for p in TABLE1_FIELD_BITS:
+        for m in TABLE1_MESSAGE_LENGTHS:
+            for _ in range(REPS):
+                publish_cell(p, m)
+
     # Machine-readable perf trajectory: median ns/op per (k, p) point,
     # committed at the repo root so future PRs can diff the numbers.
     decode_path = write_bench_json(
@@ -177,7 +199,13 @@ def test_table2_cross_field_shape_and_realtime(benchmark):
             **_bench_points(_PROGRESSIVE_SAMPLES, "progressive"),
         },
     )
-    encode_path = write_bench_json("BENCH_encode.json", _bench_points(_ENCODE_SAMPLES, "encode"))
+    encode_path = write_bench_json(
+        "BENCH_encode.json",
+        {
+            **_bench_points(_ENCODE_SAMPLES, "encode"),
+            **_bench_points(_PUBLISH_SAMPLES, "publish"),
+        },
+    )
     print(f"\nwrote {decode_path.name} and {encode_path.name}")
 
     # After the timing-sensitive work: re-run one representative cell

@@ -5,8 +5,9 @@ single cheap operating point and the batched simulation engine's
 per-slot time at n=128, compares ns/op against the committed
 ``BENCH_decode.json`` / ``BENCH_sim.json``, and fails when a regression
 exceeds the budget (a generous 3x, so CI noise on shared runners does
-not flap the job).  Two interleaved A/B probes need no baseline: the
-cost of observability, and streaming decode against block decode.
+not flap the job).  Three interleaved A/B probes need no baseline: the
+cost of observability, streaming decode against block decode, and an
+8-peer publish against eight single-peer publishes.
 Fresh ``BENCH_decode.smoke.json`` and ``BENCH_sim.smoke.json`` files
 are always written next to the baselines for upload as CI artifacts.
 
@@ -231,6 +232,66 @@ def measure_streaming_ratio() -> int:
     return failures
 
 
+#: Publish probe: ``encode_bundles`` packs the source, builds the
+#: four-Russians tables and screens ids once per chunk, so encoding a
+#: chunk for 8 peers may cost at most PUBLISH_BUDGET times eight
+#: single-peer encodes of the same chunk (the same 64 ids either way).
+#: Paying the source set-up once per peer measures ~1.0x.  No committed
+#: baseline: both sides are interleaved.
+PUBLISH_BUDGET = 0.8
+PUBLISH_REPS = 9
+PUBLISH_POINT = (32, 1 << 15)  # (p, m): k = 8
+PUBLISH_PEERS = 8
+
+
+def measure_publish_ratio() -> int:
+    """Fail (1) when an 8-peer publish costs >0.8x eight 1-peer publishes."""
+    from repro.rlnc import CodingParams, FileEncoder
+
+    p, m = PUBLISH_POINT
+    params = CodingParams(p=p, m=m)
+    data = os.urandom(1 << 20)
+
+    def stacked():
+        # A fresh encoder per call: coefficient rows are generated inside
+        # the timed region on both sides.
+        encoder = FileEncoder(params, secret=b"bench", file_id=4)
+        return encoder.encode_bundles(data, PUBLISH_PEERS).bundles
+
+    def per_peer():
+        encoder = FileEncoder(params, secret=b"bench", file_id=4)
+        bundles, start_id = [], 0
+        for _ in range(PUBLISH_PEERS):
+            bundles += encoder.encode_bundles(data, 1, start_id=start_id).bundles
+            start_id = bundles[-1][-1].message_id + 1
+        return tuple(bundles)
+
+    def wire(bundles):
+        return [msg.to_bytes() for bundle in bundles for msg in bundle]
+
+    assert wire(stacked()) == wire(per_peer())  # and warm the kernels
+    stacked_s, per_peer_s = [], []
+    for rep in range(PUBLISH_REPS):
+        order = (stacked, per_peer) if rep % 2 == 0 else (per_peer, stacked)
+        for encode in order:
+            start = time.perf_counter()
+            encode()
+            elapsed = time.perf_counter() - start
+            (stacked_s if encode is stacked else per_peer_s).append(elapsed)
+    base, once = _median(per_peer_s), _median(stacked_s)
+    ratio = once / base
+    print(f"publish p={p} k={params.k}: {PUBLISH_PEERS} x 1-peer encodes "
+          f"{base * 1e3:.1f} ms, one {PUBLISH_PEERS}-peer encode "
+          f"{once * 1e3:.1f} ms -> ratio {ratio:.2f}x "
+          f"(budget {PUBLISH_BUDGET:.1f}x)")
+    if ratio > PUBLISH_BUDGET:
+        print(f"FAIL: encode_bundles(n_peers={PUBLISH_PEERS}) costs {ratio:.2f}x > "
+              f"{PUBLISH_BUDGET:.1f}x eight single-peer encodes; is the source "
+              "packed (or the tables built) once per bundle again?")
+        return 1
+    return 0
+
+
 def _compare(baseline_name: str, key: str, ns_per_op: int) -> int:
     """Return 1 when ``key`` regressed past BUDGET vs the baseline file."""
     baseline_path = REPO_ROOT / baseline_name
@@ -320,6 +381,7 @@ def main() -> int:
 
     failures += measure_obs_overhead()
     failures += measure_streaming_ratio()
+    failures += measure_publish_ratio()
 
     if failures:
         return 1

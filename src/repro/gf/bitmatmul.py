@@ -1,4 +1,4 @@
-"""Bit-packed ``GF(2^p)`` matrix multiplication (the decode hot kernel).
+"""Bit-packed ``GF(2^p)`` matrix multiplication (the encode/decode hot kernel).
 
 ``X = C @ P`` over ``GF(2^p)`` is ``GF(2)``-linear in the bits of ``P``:
 ``bit_r(c * x) = XOR_b bit_b(x) * bit_r(c * y^b)``.  Expanding every
@@ -8,7 +8,10 @@ evaluates on 64-bit words with the method of four Russians: inner bit
 columns are grouped in eights, each group's 256 possible row
 combinations are tabulated once (by doubling, so the table costs one
 row-XOR per entry), and every output row then consumes one table gather
-plus one word-XOR per group.
+plus one word-XOR per group.  The ``m`` columns are walked in blocks
+sized so the tables of all groups fit one budget; within a block the
+source is packed and tabulated once however many rows ``C`` has, so a
+tall product (every message of a chunk at once) pays one set-up.
 
 Packing between the symbol and bit domains is done with carry-free SWAR
 arithmetic on ``uint64`` words — a multiply by ``0x0102040810204080``
@@ -51,14 +54,25 @@ for _v in range(256):
     _SPREAD[_v] = sum(1 << (8 * _c) for _c in range(8) if _v >> _c & 1)
 del _v
 
+#: Bytes of four-Russians tables alive at once.  Every other scratch
+#: size in this module (column block, output row block, generator row
+#: block) is derived from it.
+_TABLE_BYTES = 1 << 22
+
 #: Minimum number of field products before the fixed pack/unpack cost of
 #: the engine amortises; below this the fused-gather fallback wins.
 _MIN_WORK = 1 << 18
 
 
 def use_bit_engine(r: int, n: int, m: int, p: int) -> bool:
-    """Whether the packed engine beats the gather kernels for this shape."""
-    if p > 32 or r < 2 or n < 8 or m < 64:
+    """Whether the packed engine beats the gather kernels for this shape.
+
+    With fewer than eight inner rows the gather kernels win on square
+    products, but not on tall ones (a chunk's bundles stacked): their
+    ``(r, m)`` temporaries leave the cache while the engine's set-up
+    stays proportional to ``n``; the measured crossover is ``r`` 8-16.
+    """
+    if p > 32 or r < 2 or m < 64 or (n < 8 and r < 16):
         return False
     return r * n * m >= _MIN_WORK
 
@@ -111,23 +125,23 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
     p = field.p
     r, n = C.shape
     basis = (np.uint64(1) << np.arange(p, dtype=np.uint64)).astype(C.dtype)
-    rows = np.empty((r * p, n * p), dtype=np.uint8)
-    # Build in row blocks to bound the (rows, n, p) product scratch.
-    block = max(1, (1 << 22) // max(1, n * p))
+    packed = np.empty((r * p, -(-n * p // 8)), dtype=np.uint8)
+    # Build and pack in row blocks so the (rows, n, p, p) bit scratch
+    # stays within the table budget.
+    block = max(1, _TABLE_BYTES // (n * p * p))
     nbytes = (p + 7) // 8
     for r0 in range(0, r, block):
         sub = C[r0 : r0 + block]
+        rn = sub.shape[0]
         prods = field._mul(sub[:, :, None], basis[None, None, :])
         by = np.ascontiguousarray(
-            prods.astype(np.uint32).view(np.uint8).reshape(sub.shape[0], n, p, 4)[
-                :, :, :, :nbytes
-            ]
+            prods.astype(np.uint32).view(np.uint8).reshape(rn, n, p, 4)[:, :, :, :nbytes]
         )
         bits = np.unpackbits(by, axis=3, bitorder="little")[:, :, :, :p]
         # (i, j, b, rr) -> rows (i, rr), cols (j, b)
-        blk = np.ascontiguousarray(bits.transpose(0, 3, 1, 2))
-        rows[r0 * p : (r0 + sub.shape[0]) * p] = blk.reshape(sub.shape[0] * p, n * p)
-    return np.packbits(rows, axis=1, bitorder="little")
+        rows = bits.transpose(0, 3, 1, 2).reshape(rn * p, n * p)
+        packed[r0 * p : (r0 + rn) * p] = np.packbits(rows, axis=1, bitorder="little")
+    return packed
 
 
 def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -141,61 +155,60 @@ def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     p = field.p
     r, n = C.shape
     m = P.shape[1]
-    mpad = -(-m // 64) * 64
-    W = mpad // 64
-    nbytes = (p + 7) // 8
-
-    # Symbol matrix -> packed bit rows (n*p, W).
-    P8 = np.zeros((n, mpad, nbytes), dtype=np.uint8)
-    P8[:, :m, :] = np.ascontiguousarray(P).view(np.uint8).reshape(n, m, 4)[:, :, :nbytes]
-    Pw = np.empty((n, p, W), dtype=np.uint64)
-    for first, nbits in _byte_groups(p):
-        Pw[:, first : first + nbits, :] = _pack_bit_rows(
-            np.ascontiguousarray(P8[:, :, first // 8]), nbits
-        )
-    Pw = Pw.reshape(n * p, W)
+    inner = n * p
+    lanes = _byte_groups(p)
 
     Gb = _build_generator(field, C)
     ngroups = Gb.shape[1]
 
-    # Four-Russians accumulation: one doubling-built table per group of
-    # eight inner bit-rows, then a row gather + XOR for every group.
-    # Tables are precomputed in bounded chunks and the output is walked
-    # in row blocks, so the accumulated slice of ``X`` stays
-    # cache-resident across all groups of a chunk instead of streaming
-    # the whole output matrix through memory once per group.
-    X = np.zeros((r * p, W), dtype=np.uint64)
-    rows_out = r * p
-    inner = n * p
-    group_bytes = 256 * W * 8
-    gchunk = max(1, min(ngroups, (1 << 23) // group_bytes))
-    rblock = max(64, min(rows_out, (1 << 19) // (W * 8)))
-    tables = np.empty((gchunk, 256, W), dtype=np.uint64)
-    buf = np.empty((rblock, W), dtype=np.uint64)
-    for g0 in range(0, ngroups, gchunk):
-        gn = min(gchunk, ngroups - g0)
-        for gi in range(gn):
-            table = tables[gi]
-            table[0] = 0
-            size = 1
-            for b in range(min(8, inner - 8 * (g0 + gi))):
-                table[size : 2 * size] = table[:size] ^ Pw[8 * (g0 + gi) + b]
-                size *= 2
-            # Entries >= size are never indexed: a partial trailing group
-            # is zero-padded by packbits, so its indices stay below size.
-        for r0 in range(0, rows_out, rblock):
-            rn = min(rblock, rows_out - r0)
-            xb = X[r0 : r0 + rn]
-            bb = buf[:rn]
-            for gi in range(gn):
-                np.take(tables[gi], Gb[r0 : r0 + rn, g0 + gi], axis=0, out=bb)
-                xb ^= bb
-
-    # Packed bit rows -> symbol matrix.
-    Xp = X.reshape(r, p, W)
+    # The m columns are walked in blocks of ``wblock`` 64-symbol words,
+    # sized so the four-Russians tables of *all* groups (256 entries per
+    # group of eight inner bit-rows) fit the budget at once.  Per block
+    # the source is packed once, the tables are built once (by doubling,
+    # all groups per step) and all ``r*p`` output bit-rows are produced
+    # from them, ``rblock`` symbol rows at a time: one gather + XOR per
+    # group into a cache-resident accumulator that is unpacked straight
+    # into the result.  Nothing but the packed generator and the result
+    # grows with ``r``.
+    W = -(-m // 64)
+    wblock = min(W, max(1, _TABLE_BYTES // (ngroups * 256 * 8)))
+    rblock = min(r, max(1, _TABLE_BYTES // (8 * p * wblock * 8)))
+    Pbytes = np.ascontiguousarray(P).view(np.uint8).reshape(n, m, 4)
     out = np.zeros((r, m, 4), dtype=np.uint8)
-    for first, nbits in _byte_groups(p):
-        out[:, :, first // 8] = _unpack_bit_rows(
-            np.ascontiguousarray(Xp[:, first : first + nbits, :]), nbits
-        )[:, :m]
-    return np.ascontiguousarray(out).view(np.uint32).reshape(r, m)
+    tables = np.empty(ngroups * 256 * wblock, dtype=np.uint64)
+    acc = np.empty(rblock * p * wblock, dtype=np.uint64)
+    buf = np.empty_like(acc)
+    for c0 in range(0, m, 64 * wblock):
+        cols = min(64 * wblock, m - c0)
+        w = -(-cols // 64)  # narrower in a ragged last block
+        lane = np.zeros((n, 64 * w), dtype=np.uint8)
+        # Bit-rows of the block, zero-padded to whole groups of eight.
+        packed = np.zeros((ngroups * 8, w), dtype=np.uint64)
+        tabs = tables[: ngroups * 256 * w].reshape(ngroups, 256, w)
+        planes = packed[:inner].reshape(n, p, w)
+        for first, nbits in lanes:
+            lane[:, :cols] = Pbytes[:, c0 : c0 + cols, first // 8]
+            planes[:, first : first + nbits] = _pack_bit_rows(lane, nbits)
+        grouped = packed.reshape(ngroups, 8, 1, w)
+        tabs[:, 0] = 0
+        for b in range(8):
+            size = 1 << b
+            np.bitwise_xor(tabs[:, :size], grouped[:, b], out=tabs[:, size : 2 * size])
+        for r0 in range(0, r, rblock):
+            rn = min(rblock, r - r0)
+            idx = Gb[r0 * p : (r0 + rn) * p]
+            xb = acc[: rn * p * w].reshape(rn * p, w)
+            bb = buf[: rn * p * w].reshape(rn * p, w)
+            # Indices are bytes and tables have 256 rows, so "clip" never
+            # alters one; it only spares take() the bounce buffer that
+            # the default mode="raise" puts between the table and ``out``.
+            np.take(tabs[0], idx[:, 0], axis=0, out=xb, mode="clip")
+            for g in range(1, ngroups):
+                np.take(tabs[g], idx[:, g], axis=0, out=bb, mode="clip")
+                xb ^= bb
+            xp = xb.reshape(rn, p, w)
+            for first, nbits in lanes:
+                out[r0 : r0 + rn, c0 : c0 + cols, first // 8] = _unpack_bit_rows(
+                    xp[:, first : first + nbits], nbits
+                )[:, :cols]
+    return out.view(np.uint32).reshape(r, m)

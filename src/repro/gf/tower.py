@@ -52,35 +52,44 @@ class TowerField(BinaryField):
         # representation; it is informational only (see module docstring).
         super().__init__(32, (1 << 32) | (1 << 16) | int(self.c))
 
-    def _split(self, a) -> tuple[np.ndarray, np.ndarray]:
-        a = self.asarray(a)
-        return (a >> np.uint32(16)).astype(np.uint32), (a & _LO_MASK)
+    @staticmethod
+    def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hi, lo)`` base-field halves of validated elements."""
+        return a >> np.uint32(16), a & _LO_MASK
 
     @staticmethod
     def _join(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         return (hi.astype(np.uint32) << np.uint32(16)) | lo.astype(np.uint32)
 
-    def _mul(self, a, b) -> np.ndarray:
+    def _base_mul(self, x: np.ndarray, y) -> np.ndarray:
+        """Base-field product of halves: both are ``< 2^16`` by
+        construction, so this is the bare gather of ``TableField._mul``
+        without its two range scans."""
         B = self.base
-        a1, a0 = self._split(a)
-        b1, b0 = self._split(b)
-        t0 = B.mul(a0, b0)
-        t2 = B.mul(a1, b1)
+        return B._expz[B._logz[x] + B._logz[y]]
+
+    def _mul(self, a, b) -> np.ndarray:
+        mul = self._base_mul
+        a1, a0 = self._split(self.asarray(a))
+        b1, b0 = self._split(self.asarray(b))
+        t0 = mul(a0, b0)
+        t2 = mul(a1, b1)
         # Karatsuba middle term: a0*b1 + a1*b0
-        t1 = B.mul(a0 ^ a1, b0 ^ b1) ^ t0 ^ t2
+        t1 = mul(a0 ^ a1, b0 ^ b1) ^ t0 ^ t2
         # Reduce t2*y^2 using y^2 = y + c.
         hi = t1 ^ t2
-        lo = t0 ^ B.mul(t2, self.c)
+        lo = t0 ^ mul(t2, self.c)
         return self._join(hi, lo)
 
     def _inv(self, a) -> np.ndarray:
         B = self.base
+        mul = self._base_mul
         a = self.asarray(a)
         if np.any(a == 0):
             raise FieldError("zero has no multiplicative inverse")
         a1, a0 = self._split(a)
         # Norm of a1*y + a0 down to the base field: a0^2 + a0*a1 + c*a1^2.
-        delta = B.mul(a0, a0) ^ B.mul(a0, a1) ^ B.mul(self.c, B.mul(a1, a1))
+        delta = mul(a0, a0) ^ mul(a0, a1) ^ mul(mul(a1, a1), self.c)
         dinv = B.inv(delta)
         # (a1*y + a0)^-1 = (a1*y + (a0 + a1)) / delta
-        return self._join(B.mul(a1, dinv), B.mul(a0 ^ a1, dinv))
+        return self._join(mul(a1, dinv), mul(a0 ^ a1, dinv))

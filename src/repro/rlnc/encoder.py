@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gf import GF, BinaryField, IncrementalRank
+from ..gf import GF, BinaryField, IncrementalRank, rank
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import span as _span
@@ -115,7 +115,7 @@ class FileEncoder:
         )
 
     def encode_ids(self, source: np.ndarray, message_ids) -> list[EncodedMessage]:
-        """Encode a batch of ids with one ``matmul`` over the whole bundle.
+        """Encode a batch of ids with one ``matmul`` over the whole batch.
 
         ``beta_rows @ X`` produces every payload of the batch in a single
         kernel call; each payload row is bit-identical to the per-message
@@ -147,22 +147,31 @@ class FileEncoder:
     def independent_ids(self, count: int, start_id: int = 0) -> list[list[int]]:
         """Screen sequential ids into ``count`` bundles of ``k`` independent rows.
 
-        Candidate ids are consumed in order; an id whose coefficient row
-        is linearly dependent on the rows already in the current bundle
-        is skipped (it may still be used by a later bundle — rejection
-        is per-bundle, not global).
+        Candidate ids are consumed in order and each is offered to exactly
+        one bundle: an id whose coefficient row is linearly dependent on
+        the rows already in the current bundle is skipped for good (the
+        next bundle starts after the last id this one consumed).
+
+        A bundle's next ``k`` candidates are tested whole — one
+        :func:`~repro.gf.rank` of their batched coefficient matrix — and
+        accepted when independent, which is exactly when the row-by-row
+        walk would have accepted every one of them; only a rank-deficient
+        block falls back to that walk.
         """
         k = self.params.k
         bundles: list[list[int]] = []
         next_id = start_id
         for _ in range(count):
-            tracker = IncrementalRank(self.field, k)
-            ids: list[int] = []
-            while len(ids) < k:
-                row = self.coefficients.row(next_id)
-                if tracker.offer(row):
-                    ids.append(next_id)
-                next_id += 1
+            ids = list(range(next_id, next_id + k))
+            if rank(self.field, self.coefficients.matrix(ids)) == k:
+                next_id += k
+            else:
+                tracker = IncrementalRank(self.field, k)
+                ids = []
+                while len(ids) < k:
+                    if tracker.offer(self.coefficients.row(next_id)):
+                        ids.append(next_id)
+                    next_id += 1
             bundles.append(ids)
         return bundles
 
@@ -177,24 +186,24 @@ class FileEncoder:
 
         This is the full initialization-phase pipeline of Section III-A:
         source split, ``n*k`` coded messages (``k`` per peer, each bundle
-        independently decodable), and digest recording when a store is
-        supplied.
+        independently decodable) from one product of all screened
+        coefficient rows with the source, and digest recording when a
+        store is supplied.
         """
         if n_peers < 1:
             raise ValueError(f"need at least one peer, got {n_peers}")
+        k = self.params.k
         source = self.source_matrix(data)
-        bundles = []
-        for ids in self.independent_ids(n_peers, start_id=start_id):
-            messages = tuple(self.encode_ids(source, ids))
-            if digest_store is not None:
-                for msg in messages:
-                    digest_store.record(
-                        msg.file_id, msg.message_id, msg.payload_bytes()
-                    )
-            bundles.append(messages)
+        plan = self.independent_ids(n_peers, start_id=start_id)
+        messages = self.encode_ids(source, [mid for ids in plan for mid in ids])
+        if digest_store is not None:
+            for msg in messages:
+                digest_store.record(msg.file_id, msg.message_id, msg.payload_bytes())
         return EncodedFile(
             file_id=self.file_id,
             params=self.params,
             length=len(data),
-            bundles=tuple(bundles),
+            bundles=tuple(
+                tuple(messages[i : i + k]) for i in range(0, n_peers * k, k)
+            ),
         )

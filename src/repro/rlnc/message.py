@@ -61,9 +61,13 @@ class EncodedMessage:
         """Packed payload, the unit the digest store hashes."""
         return symbols_to_bytes(self.payload, self.p)
 
+    def header_bytes(self) -> bytes:
+        """The 16-byte plaintext header (file-id, message-id)."""
+        return _HEADER.pack(self.file_id, self.message_id)
+
     def to_bytes(self) -> bytes:
         """Serialise header + payload for storage or transmission."""
-        return _HEADER.pack(self.file_id, self.message_id) + self.payload_bytes()
+        return self.header_bytes() + self.payload_bytes()
 
     @classmethod
     def from_bytes(cls, wire: bytes, p: int) -> "EncodedMessage":

@@ -160,7 +160,10 @@ class MessageStore:
             path = os.path.join(directory, f"{file_id:016x}.dat")
             with open(path, "wb") as fh:
                 for msg in msgs:
-                    fh.write(msg.to_bytes())
+                    # two writes into the file buffer: no joined copy of
+                    # header + payload per record
+                    fh.write(msg.header_bytes())
+                    fh.write(msg.payload_bytes())
             paths.append(path)
         return paths
 

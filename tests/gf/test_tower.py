@@ -73,6 +73,30 @@ class TestQuadraticStructure:
         with pytest.raises(FieldError):
             F.inv(np.zeros(3, dtype=np.uint32))
 
+    def test_out_of_range_operands_rejected(self, F):
+        """``_mul`` validates once at entry; the base-field products
+        behind it run on the bare table gather."""
+        too_big = np.array([1, 1 << 32], dtype=np.uint64)
+        for a, b in ((too_big, 3), (3, too_big), (1 << 32, 1)):
+            with pytest.raises(FieldError):
+                F.mul(a, b)
+        with pytest.raises(FieldError):
+            F.inv(too_big)
+
+    def test_mul_matches_validated_base_products(self, F, rng):
+        """The trusted gather equals Karatsuba over the public
+        ``TableField.mul``, zero halves included."""
+        B, c = F.base, F.c
+        a, b = F.random(3000, rng), F.random(3000, rng)
+        a[:500] &= np.uint32(0xFFFF)  # hi = 0
+        b[250:750] &= np.uint32(0xFFFF0000)  # lo = 0
+        a[-1] = b[-2] = 0
+        a1, a0, b1, b0 = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
+        t0, t2 = B.mul(a0, b0), B.mul(a1, b1)
+        t1 = B.mul(a0 ^ a1, b0 ^ b1) ^ t0 ^ t2
+        expected = ((t1 ^ t2) << np.uint32(16)) | (t0 ^ B.mul(t2, c))
+        assert np.array_equal(F.mul(a, b), expected)
+
 
 class TestAxiomsSampled:
     def test_distributivity(self, F, rng):
