@@ -1,7 +1,7 @@
 """Ablation — incremental re-encoding vs the paper's full re-encode.
 
 Section VI: in the base design "modifications have to be re-encoded and
-re-transmitted to the network".  The versioned encoder re-seeds only the
+re-transmitted to the network".  `ChunkedEncoder.update` re-seeds only the
 dirty chunks; this bench sweeps the edit footprint and reports the
 upload saved, plus verifies updated files decode from the mixed
 old/new message population.
@@ -10,7 +10,7 @@ old/new message population.
 import numpy as np
 import pytest
 
-from repro.rlnc import CodingParams, VersionedEncoder
+from repro.rlnc import ChunkedEncoder, CodingParams, StreamingDecoder
 
 from _util import print_header, print_table
 
@@ -21,8 +21,8 @@ N_PEERS = 4
 
 def run_sweep(rng):
     original = rng.bytes(N_CHUNKS * PARAMS.file_bytes)
-    encoder = VersionedEncoder(PARAMS, b"owner", base_file_id=0xD0C)
-    manifest, encoded = encoder.publish(original, n_peers=N_PEERS)
+    encoder = ChunkedEncoder(PARAMS, b"owner", base_file_id=0xD0C)
+    manifest, encoded = encoder.encode_file(original, n_peers=N_PEERS)
     cases = {}
     for label, touched in (
         ("1 byte", [100]),
@@ -35,11 +35,13 @@ def run_sweep(rng):
             edited[offset] ^= 0xFF
         result = encoder.update(manifest, bytes(edited), n_peers=N_PEERS)
         # verify decodability of the updated version
-        pool = []
+        decoder = StreamingDecoder(result.manifest, encoder)
         for i, ef in enumerate(encoded):
             ef = result.reencoded.get(i, ef)
-            pool.extend(m for b in ef.bundles for m in b)
-        assert encoder.decode_all(result.manifest, pool) == bytes(edited)
+            for bundle in ef.bundles:
+                for message in bundle:
+                    decoder.offer(message)
+        assert decoder.result() == bytes(edited)
         cases[label] = result
     return cases
 

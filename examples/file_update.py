@@ -5,8 +5,8 @@
 Two of the paper's future-work items in one scenario:
 
 1. *Handling modifications* — "in the current incarnation, modifications
-   have to be re-encoded and re-transmitted to the network."  The
-   versioned encoder diffs the new file version against per-chunk
+   have to be re-encoded and re-transmitted to the network."
+   ``ChunkedEncoder.update`` diffs the new file version against per-chunk
    content hashes, re-encodes only the dirty chunks, retires their stale
    messages at the peers, and leaves everything else in place.
 2. *Minimizing carried metadata* — instead of 16 digest bytes per coded

@@ -39,14 +39,7 @@ import sys
 
 from . import obs
 from .analysis import TECHNOLOGIES, transmission_seconds
-from .rlnc import (
-    ChunkedEncoder,
-    CodingParams,
-    FileManifest,
-    StreamingDecoder,
-    VersionedEncoder,
-    VersionedManifest,
-)
+from .rlnc import ChunkedEncoder, CodingParams, FileManifest, StreamingDecoder
 from .security import DigestStore
 from .storage import MessageStore
 
@@ -64,19 +57,50 @@ def _default_file_id(path: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
 
 
-def _write_metadata(out_dir: str, manifest, digests: DigestStore) -> int:
+def _load_manifest(path: str) -> FileManifest:
+    """Read a ``manifest.json`` (either shape ``FileManifest`` accepts)."""
+    try:
+        with open(path) as fh:
+            return FileManifest.from_dict(json.load(fh))
+    except KeyError as exc:
+        raise SystemExit(f"cannot read manifest {path}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"cannot read manifest {path}: {exc}") from exc
+
+
+def _owner_encoder(manifest: FileManifest, secret: str) -> ChunkedEncoder:
+    """The owner-side encoder (and generator source) of a manifest's file."""
+    return ChunkedEncoder(
+        manifest.params_for_chunk(0), _secret_bytes(secret), manifest.base_file_id
+    )
+
+
+def _load_digests(path: str) -> DigestStore:
+    """Read a ``digests.json`` (the ``--digests`` format)."""
+    try:
+        with open(path) as fh:
+            return DigestStore.from_dict(json.load(fh))
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"cannot read digests {path}: {exc}") from exc
+
+
+def _write_digests(path: str, digests: DigestStore, chunk_ids) -> int:
+    """Write the digests of ``chunk_ids`` as digests.json; returns entries."""
+    blob = digests.to_dict(chunk_ids)
+    try:
+        with open(path, "w") as fh:
+            json.dump(blob, fh, indent=2)
+    except OSError as exc:
+        raise SystemExit(f"cannot write digests: {exc}") from exc
+    return sum(len(v) for v in blob.values())
+
+
+def _write_metadata(out_dir: str, manifest: FileManifest, digests: DigestStore) -> int:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest.to_dict(), fh, indent=2)
-    digest_blob = {
-        str(chunk_id): {
-            str(mid): digest.hex()
-            for mid, digest in digests.slice_for_file(chunk_id).items()
-        }
-        for chunk_id in manifest.chunk_ids
-    }
-    with open(os.path.join(out_dir, "digests.json"), "w") as fh:
-        json.dump(digest_blob, fh, indent=2)
-    return sum(len(v) for v in digest_blob.values())
+    return _write_digests(
+        os.path.join(out_dir, "digests.json"), digests, manifest.chunk_ids
+    )
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -84,9 +108,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
     with open(args.file, "rb") as fh:
         data = fh.read()
     file_id = args.file_id if args.file_id is not None else _default_file_id(args.file)
-    encoder = VersionedEncoder(params, _secret_bytes(args.secret), file_id)
+    encoder = ChunkedEncoder(params, _secret_bytes(args.secret), file_id)
     digests = DigestStore()
-    manifest, chunks = encoder.publish(data, n_peers=args.peers, digest_store=digests)
+    manifest, chunks = encoder.encode_file(data, args.peers, digest_store=digests)
 
     os.makedirs(args.out, exist_ok=True)
     total_bytes = 0
@@ -112,20 +136,18 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_update(args: argparse.Namespace) -> int:
     """Re-encode only the chunks that changed in a new file version."""
-    try:
-        with open(args.manifest) as fh:
-            blob = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read manifest: {exc}") from exc
-    if "version" not in blob:
+    old = _load_manifest(args.manifest)
+    if not old.chunk_hashes:
         raise SystemExit("manifest is not versioned; re-encode with `repro encode`")
-    old = VersionedManifest.from_dict(blob)
     with open(args.file, "rb") as fh:
         new_data = fh.read()
-    params = CodingParams(p=old.p, m=old.m, file_bytes=old.chunk_bytes)
-    encoder = VersionedEncoder(params, _secret_bytes(args.secret), old.base_file_id)
-    digests = _load_digest_store(args.out)
-    result = encoder.update(old, new_data, n_peers=args.peers, digest_store=digests)
+    digests_path = os.path.join(args.out, "digests.json")
+    digests = (
+        _load_digests(digests_path) if os.path.exists(digests_path) else DigestStore()
+    )
+    result = _owner_encoder(old, args.secret).update(
+        old, new_data, n_peers=args.peers, digest_store=digests
+    )
 
     peer_dirs = [
         os.path.join(args.out, d)
@@ -159,31 +181,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_digest_store(out_dir: str) -> DigestStore:
-    path = os.path.join(out_dir, "digests.json")
-    store = DigestStore()
-    if os.path.exists(path):
-        with open(path) as fh:
-            blob = json.load(fh)
-        for chunk_id, entries in blob.items():
-            store.merge(
-                int(chunk_id),
-                {int(mid): bytes.fromhex(d) for mid, d in entries.items()},
-            )
-    return store
-
-
-def _load_digests(path: str) -> DigestStore:
-    store = DigestStore()
-    with open(path) as fh:
-        blob = json.load(fh)
-    for chunk_id, entries in blob.items():
-        store.merge(
-            int(chunk_id), {int(mid): bytes.fromhex(d) for mid, d in entries.items()}
-        )
-    return store
-
-
 def _collect_dat_paths(sources: list[str]) -> list[str]:
     paths: list[str] = []
     for source in sources:
@@ -199,6 +196,28 @@ def _collect_dat_paths(sources: list[str]) -> list[str]:
     if not paths:
         raise SystemExit("no .dat stores found among the given sources")
     return paths
+
+
+def _load_stores(groups, manifest: FileManifest) -> list[MessageStore]:
+    """One :class:`MessageStore` per group of source arguments, holding
+    every ``.dat`` under the group; all paths are validated first."""
+    stores = []
+    for paths in [_collect_dat_paths(sources) for sources in groups]:
+        store = MessageStore()
+        for path in paths:
+            store.load_dat(path, p=manifest.p, m=manifest.m)
+        stores.append(store)
+    return stores
+
+
+def _parse_faults(spec: str, seed: int | None = None):
+    """A ``--faults`` spec as a ``FaultPlan`` (seeded when ``seed`` is given)."""
+    from .faults import FaultPlan, FaultSpecError
+
+    try:
+        return FaultPlan.parse(spec if seed is None else f"seed={seed};{spec}")
+    except FaultSpecError as exc:
+        raise SystemExit(f"bad --faults spec: {exc}") from exc
 
 
 def _obs_requested(args: argparse.Namespace) -> bool:
@@ -292,49 +311,6 @@ def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_coding(args: argparse.Namespace):
-    """Read the manifest and rebuild the generator source from the secret.
-
-    Returns ``(manifest, generator_source)``; shared by ``decode`` and
-    ``download``.
-    """
-    try:
-        with open(args.manifest) as fh:
-            blob = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read manifest: {exc}") from exc
-    if "version" in blob:
-        vmanifest = VersionedManifest.from_dict(blob)
-        manifest = vmanifest.manifest()
-        params = CodingParams(
-            p=manifest.p, m=manifest.m, file_bytes=manifest.chunk_bytes
-        )
-        generator_source = VersionedEncoder(
-            params, _secret_bytes(args.secret), manifest.base_file_id
-        ).bound(vmanifest)
-    else:
-        manifest = FileManifest.from_dict(blob)
-        params = CodingParams(
-            p=manifest.p, m=manifest.m, file_bytes=manifest.chunk_bytes
-        )
-        generator_source = ChunkedEncoder(
-            params, _secret_bytes(args.secret), manifest.base_file_id
-        )
-    return manifest, generator_source
-
-
-def _load_manifest(path: str) -> FileManifest:
-    """Read a manifest (versioned or plain) without needing the secret."""
-    try:
-        with open(path) as fh:
-            blob = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read manifest: {exc}") from exc
-    if "version" in blob:
-        return VersionedManifest.from_dict(blob).manifest()
-    return FileManifest.from_dict(blob)
-
-
 def _load_repairs(path: str) -> dict[int, list]:
     """Read a repairs.json into ``{chunk_id: [RepairRecord, ...]}``."""
     from .repair import RepairError, records_from_dict
@@ -361,48 +337,6 @@ def _write_repairs(path: str, records: dict[int, list]) -> int:
     except OSError as exc:
         raise SystemExit(f"cannot write repair records: {exc}") from exc
     return len(flat)
-
-
-def _write_digests(path: str, digests: DigestStore, chunk_ids) -> int:
-    """Write a digests.json (the ``--digests`` format); returns entries."""
-    blob = {
-        str(chunk_id): {
-            str(mid): digest.hex()
-            for mid, digest in digests.slice_for_file(chunk_id).items()
-        }
-        for chunk_id in chunk_ids
-    }
-    try:
-        with open(path, "w") as fh:
-            json.dump(blob, fh, indent=2)
-    except OSError as exc:
-        raise SystemExit(f"cannot write digests: {exc}") from exc
-    return sum(len(v) for v in blob.values())
-
-
-class _RepairAwareSource:
-    """Generator source that also resolves repair-range message ids.
-
-    Wraps the secret-derived source so each per-chunk generator consults
-    the (live) repair-record registry — the CLI twin of the simulator's
-    bound encoder.  Ordinary ids pass straight through, so wrapping
-    never changes a repair-free download.
-    """
-
-    def __init__(self, base, manifest: FileManifest, records: dict[int, list]):
-        self._base = base
-        self._manifest = manifest
-        self._records = records
-
-    def coefficient_generator(self, index: int):
-        from .repair import RepairableCoefficients
-
-        base = self._base.coefficient_generator(index)
-        chunk_id = self._manifest.chunk_ids[index]
-        records = self._records
-        return RepairableCoefficients(
-            base, lambda cid=chunk_id: records.get(cid, ())
-        )
 
 
 def _local_repair_hook(chunk_id, holders, stores, records, field, digest_store):
@@ -450,22 +384,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _decode(args: argparse.Namespace) -> int:
-    # Validate the sources first so a typo'd path gives a clean error
-    # before any decoding state is built.
-    dat_paths = _collect_dat_paths(args.sources)
-    manifest, generator_source = _load_coding(args)
+    from .repair import RepairAwareSource
+
+    manifest = _load_manifest(args.manifest)
+    # Sources before secrets and digests: a typo'd path gives a clean
+    # error before any decoding state is built.
+    [store] = _load_stores([args.sources], manifest)
+    generator_source = _owner_encoder(manifest, args.secret)
     digest_store = _load_digests(args.digests) if args.digests else None
     if getattr(args, "repairs", None):
-        generator_source = _RepairAwareSource(
-            generator_source, manifest, _load_repairs(args.repairs)
+        generator_source = RepairAwareSource(
+            generator_source, _load_repairs(args.repairs)
         )
     decoder = StreamingDecoder(
         manifest, generator_source, digest_store=digest_store
     )
-
-    store = MessageStore()
-    for path in dat_paths:
-        store.load_dat(path, p=manifest.p, m=manifest.m)
 
     offered = rejected = 0
     for chunk_id in manifest.chunk_ids:
@@ -512,7 +445,8 @@ def _download(args: argparse.Namespace) -> int:
     deterministic injectors, so misbehaviour is reproducible end to end.
     Each chunk opens fresh sessions, so fault schedules restart per chunk.
     """
-    from .faults import FaultPlan, FaultSpecError, FaultyServingSession
+    from .faults import FaultyServingSession
+    from .repair import RepairAwareSource
     from .security.keys import generate_keypair
     from .transfer import (
         DownloadSession,
@@ -521,30 +455,21 @@ def _download(args: argparse.Namespace) -> int:
         ServingSession,
     )
 
+    manifest = _load_manifest(args.manifest)
     # One source argument = one peer.
-    peer_paths = [_collect_dat_paths([source]) for source in args.sources]
-    manifest, generator_source = _load_coding(args)
+    stores = _load_stores([[source] for source in args.sources], manifest)
+    generator_source = _owner_encoder(manifest, args.secret)
     # The digests guard the transfer path (RobustPolicy), not the
     # decoder: polluted messages must be discarded before they are seen.
     digest_store = _load_digests(args.digests) if args.digests else None
     plan = None
     if args.faults:
-        try:
-            plan = FaultPlan.parse(args.faults)
-        except FaultSpecError as exc:
-            raise SystemExit(f"bad --faults spec: {exc}") from exc
+        plan = _parse_faults(args.faults)
         if plan.peers and max(plan.peers) >= len(args.sources):
             raise SystemExit(
                 f"--faults names peer {max(plan.peers)} but only "
                 f"{len(args.sources)} source(s) were given"
             )
-
-    stores = []
-    for paths in peer_paths:
-        store = MessageStore()
-        for path in paths:
-            store.load_dat(path, p=manifest.p, m=manifest.m)
-        stores.append(store)
 
     repair_records: dict[int, list] = (
         _load_repairs(args.repairs) if args.repairs else {}
@@ -556,9 +481,7 @@ def _download(args: argparse.Namespace) -> int:
     if repair_enabled or repair_records:
         # Only wrap when repair is in play: the plain path stays
         # bit-identical to older builds.
-        generator_source = _RepairAwareSource(
-            generator_source, manifest, repair_records
-        )
+        generator_source = RepairAwareSource(generator_source, repair_records)
 
     decoder = StreamingDecoder(manifest, generator_source)
     policy = RobustPolicy(
@@ -693,9 +616,8 @@ def _repair(args: argparse.Namespace) -> int:
     from .gf import GF
     from .repair import RedundancyMonitor, RepairCoordinator
 
-    peer_paths = [_collect_dat_paths([source]) for source in args.sources]
     manifest = _load_manifest(args.manifest)
-    params = CodingParams(p=manifest.p, m=manifest.m, file_bytes=manifest.chunk_bytes)
+    stores = _load_stores([[source] for source in args.sources], manifest)
     digest_store = _load_digests(args.digests) if args.digests else None
     repairs_path = (
         args.repairs
@@ -706,15 +628,10 @@ def _repair(args: argparse.Namespace) -> int:
         _load_repairs(repairs_path) if os.path.exists(repairs_path) else {}
     )
 
-    stores = []
-    for paths in peer_paths:
-        store = MessageStore()
-        for path in paths:
-            store.load_dat(path, p=manifest.p, m=manifest.m)
-        stores.append(store)
-
     field = GF(manifest.p)
-    monitor = RedundancyMonitor(params.k, threshold=args.threshold)
+    monitor = RedundancyMonitor(
+        manifest.params_for_chunk(0).k, threshold=args.threshold
+    )
     coordinator = RepairCoordinator(field, monitor=monitor)
     fresh = MessageStore()
     produced = degraded = bad = 0
@@ -843,19 +760,11 @@ def _simulate(args: argparse.Namespace) -> int:
         raise SystemExit("--evict-age only applies to the 'churn-scale' scenario")
     if args.scenario == "repair":
         return _simulate_repair(args)
-    if args.scenario == "scale":
-        return _simulate_scale(args)
-    if args.scenario == "churn-scale":
-        return _simulate_churn_scale(args)
+    if args.scenario in ("scale", "churn-scale"):
+        return _simulate_population(args)
 
     def _run_faults():
-        from .faults import FaultPlan, FaultSpecError
-
-        spec = args.faults if args.faults else _DEFAULT_SIM_FAULTS
-        try:
-            plan = FaultPlan.parse(f"seed={args.seed};{spec}")
-        except FaultSpecError as exc:
-            raise SystemExit(f"bad --faults spec: {exc}") from exc
+        plan = _parse_faults(args.faults or _DEFAULT_SIM_FAULTS, args.seed)
         try:
             return faulty_network(plan=plan, seed=args.seed, engine=args.engine)
         except ValueError as exc:
@@ -892,25 +801,42 @@ def _simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_scale(args: argparse.Namespace) -> int:
-    """Run the cohort-structured scale scenario (sparse-engine showcase).
+def _simulate_population(args: argparse.Namespace) -> int:
+    """Run a cohort-structured population scenario on the sparse engines.
+
+    ``scale`` is the sparse-engine showcase; ``churn-scale`` adds giver
+    churn (contributor generations join and leave) and, with
+    ``--evict-age``, sweeps the departed generations' ledger entries so
+    the printed bytes/peer stays bounded by the live giver set.
 
     Aggregate-only history: per-slot arrays would dominate the memory
     the sparse engine exists to save, so the printout reports the O(n)
     summary plus the engine's own state accounting.
     """
-    from .sim import sparse_population_sim
+    from .sim import sparse_population_churn, sparse_population_sim
 
-    n, cohorts, givers, slots = 20_000, 32, 16, 64
-    sim = sparse_population_sim(
-        n=n,
-        cohorts=cohorts,
-        givers=givers,
-        slots=slots,
-        seed=args.seed,
-        engine=args.engine,
-        workers=args.workers,
+    n, cohorts = 20_000, 32
+    common = dict(
+        n=n, cohorts=cohorts, seed=args.seed, engine=args.engine, workers=args.workers
     )
+    if args.scenario == "scale":
+        givers, slots = 16, 64
+        sim = sparse_population_sim(givers=givers, slots=slots, **common)
+        shape = f"{givers} givers"
+        eviction = ""
+    else:
+        per_phase, phases, phase_slots = 16, 4, 32
+        slots = phases * phase_slots
+        sim = sparse_population_churn(
+            givers_per_phase=per_phase,
+            phases=phases,
+            phase_slots=phase_slots,
+            evict_age=args.evict_age,
+            **common,
+        )
+        shape = f"{phases} giver generations x {per_phase}"
+        evict = "off" if args.evict_age is None else f"age {args.evict_age}"
+        eviction = f" (eviction {evict})"
     with sim:
         result = sim.run(slots, history="none")
         state = sim.memory_bytes()
@@ -918,56 +844,10 @@ def _simulate_scale(args: argparse.Namespace) -> int:
     served = float(summary["rate_sum"].sum())
     requests = int(summary["request_count"].sum())
     print(
-        f"scenario scale: {slots} slots x {n} peers "
-        f"({givers} givers, {cohorts} request cohorts, backend {sim.backend})"
+        f"scenario {args.scenario}: {slots} slots x {n} peers "
+        f"({shape}, {cohorts} request cohorts, backend {sim.backend})"
     )
-    print(f"engine state: {state / n:.1f} bytes/peer")
-    print(
-        f"served {served:.0f} kbps-slots over {requests} request-slots "
-        f"({served / max(1, requests):.1f} kbps mean while requesting)"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_dict(), fh)
-        print(f"result -> {args.json}")
-    return 0
-
-
-def _simulate_churn_scale(args: argparse.Namespace) -> int:
-    """Run the giver-churn scale scenario (ledger-eviction showcase).
-
-    Contributor generations join and leave; with ``--evict-age`` the
-    sparse store sweeps the departed generations' ledger entries and
-    the printed bytes/peer stays bounded by the live giver set.
-    """
-    from .sim import sparse_population_churn
-
-    n, cohorts, per_phase, phases, phase_slots = 20_000, 32, 16, 4, 32
-    sim = sparse_population_churn(
-        n=n,
-        cohorts=cohorts,
-        givers_per_phase=per_phase,
-        phases=phases,
-        phase_slots=phase_slots,
-        seed=args.seed,
-        engine=args.engine,
-        workers=args.workers,
-        evict_age=args.evict_age,
-    )
-    slots = phases * phase_slots
-    with sim:
-        result = sim.run(slots, history="none")
-        state = sim.memory_bytes()
-    summary = result.summary
-    served = float(summary["rate_sum"].sum())
-    requests = int(summary["request_count"].sum())
-    print(
-        f"scenario churn-scale: {slots} slots x {n} peers "
-        f"({phases} giver generations x {per_phase}, {cohorts} request "
-        f"cohorts, backend {sim.backend})"
-    )
-    evict = "off" if args.evict_age is None else f"age {args.evict_age}"
-    print(f"engine state: {state / n:.1f} bytes/peer (eviction {evict})")
+    print(f"engine state: {state / n:.1f} bytes/peer{eviction}")
     print(
         f"served {served:.0f} kbps-slots over {requests} request-slots "
         f"({served / max(1, requests):.1f} kbps mean while requesting)"
@@ -988,14 +868,7 @@ def _simulate_repair(args: argparse.Namespace) -> int:
     """
     from .sim import repair_under_churn
 
-    plan = None
-    if args.faults:
-        from .faults import FaultPlan, FaultSpecError
-
-        try:
-            plan = FaultPlan.parse(f"seed={args.seed};{args.faults}")
-        except FaultSpecError as exc:
-            raise SystemExit(f"bad --faults spec: {exc}") from exc
+    plan = _parse_faults(args.faults, args.seed) if args.faults else None
     try:
         result = repair_under_churn(seed=args.seed, plan=plan)
     except ValueError as exc:

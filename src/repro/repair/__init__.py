@@ -24,6 +24,7 @@ from .monitor import (
 from .recombine import (
     REPAIR_ID_BASE,
     RepairableCoefficients,
+    RepairAwareSource,
     RepairError,
     RepairRecord,
     effective_rows,
@@ -42,6 +43,7 @@ __all__ = [
     "RepairError",
     "RepairRecord",
     "RepairableCoefficients",
+    "RepairAwareSource",
     "repair_message_id",
     "split_repair_id",
     "is_repair_id",

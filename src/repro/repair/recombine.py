@@ -45,6 +45,7 @@ __all__ = [
     "RepairError",
     "RepairRecord",
     "RepairableCoefficients",
+    "RepairAwareSource",
     "is_repair_id",
     "repair_message_id",
     "split_repair_id",
@@ -392,3 +393,29 @@ class RepairableCoefficients:
         for r, mid in enumerate(ids):
             out[r] = self.row(mid)
         return out
+
+
+class RepairAwareSource:
+    """A generator source whose per-chunk generators resolve repair ids.
+
+    Wraps anything with ``coefficient_generator(index, version)`` (the
+    owner's :class:`~repro.rlnc.chunking.ChunkedEncoder`) for a
+    :class:`~repro.rlnc.chunking.StreamingDecoder`.  ``records`` is the
+    ``{chunk_id: [RepairRecord, ...]}`` registry, shared by reference
+    and looked up when a repair id first shows up — so a repair that
+    runs after the decoder was built (e.g. mid-download) is still
+    resolvable.  Ordinary ids pass straight through: wrapping never
+    changes a repair-free download.
+    """
+
+    def __init__(self, source, records: dict[int, list] | None = None):
+        self._source = source
+        # `is not None` (not `or`): an empty dict is the usual *live*
+        # registry that repairs will fill later — it must stay shared.
+        self._records = records if records is not None else {}
+
+    def coefficient_generator(self, index: int, version: int = 0):
+        base = self._source.coefficient_generator(index, version)
+        return RepairableCoefficients(
+            base, lambda: self._records.get(base.file_id, ())
+        )

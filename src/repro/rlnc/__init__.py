@@ -42,7 +42,7 @@ from .params import (
     table1_grid,
 )
 from .symbols import bytes_to_symbols, reshape_file_matrix, symbols_to_bytes
-from .update import UpdateResult, VersionedEncoder, VersionedManifest
+from .update import UpdateResult
 
 __all__ = [
     "CodingParams",
@@ -70,7 +70,5 @@ __all__ = [
     "bytes_to_symbols",
     "symbols_to_bytes",
     "reshape_file_matrix",
-    "VersionedEncoder",
-    "VersionedManifest",
     "UpdateResult",
 ]

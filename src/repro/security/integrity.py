@@ -93,6 +93,35 @@ class DigestStore:
         for mid, d in digests.items():
             self._digests[(file_id, mid)] = d
 
+    def to_dict(self, file_ids=None) -> dict:
+        """The ``digests.json`` layout, ``{file_id: {message_id: hex}}``,
+        for ``file_ids`` in the order given (default: every file, in
+        first-recorded order)."""
+        if file_ids is None:
+            file_ids = dict.fromkeys(fid for fid, _ in self._digests)
+        return {
+            str(fid): {
+                str(mid): d.hex() for mid, d in self.slice_for_file(fid).items()
+            }
+            for fid in file_ids
+        }
+
+    @classmethod
+    def from_dict(cls, blob: dict) -> "DigestStore":
+        """Load :meth:`to_dict` output; malformed input raises
+        ``ValueError`` (or ``TypeError`` for a non-string digest)."""
+        if not isinstance(blob, dict) or not all(
+            isinstance(entries, dict) for entries in blob.values()
+        ):
+            raise ValueError("expected {file_id: {message_id: hex digest}}")
+        store = cls()
+        for file_id, entries in blob.items():
+            store.merge(
+                int(file_id),
+                {int(mid): bytes.fromhex(d) for mid, d in entries.items()},
+            )
+        return store
+
     def overhead_bytes(self, file_id: int) -> int:
         """Total digest bytes a user must carry for ``file_id``."""
         size = hashlib.new(self.algorithm).digest_size

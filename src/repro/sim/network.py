@@ -22,10 +22,16 @@ import numpy as np
 from ..core.allocation import Allocator
 from ..discovery.chord import ChordRing, PeerDirectory
 from ..repair.monitor import DownloadRepairTrigger, RedundancyMonitor, RepairCoordinator
-from ..repair.recombine import RepairableCoefficients, register_repair_digests
-from ..rlnc.chunking import FileManifest, StreamingDecoder, split_chunks
+from ..repair.recombine import RepairAwareSource, register_repair_digests
+from ..rlnc.chunking import (
+    ChunkedEncoder,
+    FileManifest,
+    StreamingDecoder,
+    split_chunks,
+)
 from ..rlnc.params import CodingParams
-from ..rlnc.update import UpdateResult, VersionedEncoder, VersionedManifest
+from ..rlnc.symbols import reshape_file_matrix
+from ..rlnc.update import UpdateResult
 from ..security.integrity import DigestStore
 from ..security.keys import KeyPair, generate_keypair
 from ..security.prng import derive_key
@@ -47,53 +53,20 @@ _DEFAULT_KEY_BITS = 512
 DEFAULT_SIM_PARAMS = CodingParams(p=16, m=512, file_bytes=8192)
 
 
-class _BoundEncoder:
-    """Adapter giving a :class:`StreamingDecoder` per-chunk coefficient
-    generators for a specific manifest version.
-
-    When the network has run survivor repairs, the per-chunk generator
-    is wrapped so repair-range message ids resolve through the
-    registered :class:`~repro.repair.recombine.RepairRecord`s."""
-
-    def __init__(
-        self,
-        encoder: VersionedEncoder,
-        vmanifest: VersionedManifest,
-        repair_records: dict[int, list] | None = None,
-    ):
-        self._encoder = encoder
-        self._vmanifest = vmanifest
-        # `is not None` (not `or`): an empty dict is the usual *live*
-        # registry that repairs will fill later — it must stay shared.
-        self._repair_records = (
-            repair_records if repair_records is not None else {}
-        )
-
-    def coefficient_generator(self, index: int):
-        base = self._encoder.coefficient_generator_for(self._vmanifest, index)
-        chunk_id = self._vmanifest.chunk_ids[index]
-        records = self._repair_records
-        # Live lookup: repairs run after this generator was built (e.g.
-        # mid-download) are still resolvable.
-        return RepairableCoefficients(
-            base, lambda cid=chunk_id: records.get(cid, ())
-        )
-
-
 @dataclass
 class FileHandle:
     """Everything the network remembers about one published file.
 
     Mutable on purpose: :meth:`FileSharingNetwork.publish_update`
-    advances ``vmanifest`` in place as the owner pushes new versions.
+    advances ``manifest`` in place as the owner pushes new versions.
     """
 
     name: str
     owner: int
-    vmanifest: VersionedManifest
+    manifest: FileManifest
     params: CodingParams
     wire_bytes: int
-    encoder: VersionedEncoder  # owner-side; holds the secret material
+    encoder: ChunkedEncoder  # owner-side; holds the secret material
     #: The plaintext stays on the owner's disk; kept here so the owner
     #: can re-seed repaired peers (never exposed to other peers).
     data: bytes = b""
@@ -104,20 +77,17 @@ class FileHandle:
     repair_records: dict[int, list] = field(default_factory=dict)
 
     @property
-    def manifest(self) -> FileManifest:
-        """Plain manifest view of the current version."""
-        return self.vmanifest.manifest()
-
-    @property
     def version(self) -> int:
-        return self.vmanifest.version
+        return self.manifest.version
 
     @property
     def n_chunks(self) -> int:
-        return self.vmanifest.n_chunks
+        return self.manifest.n_chunks
 
-    def bound_encoder(self) -> _BoundEncoder:
-        return _BoundEncoder(self.encoder, self.vmanifest, self.repair_records)
+    def coefficient_source(self) -> RepairAwareSource:
+        """The encoder, with repair-range ids resolved through the live
+        ``repair_records`` registry."""
+        return RepairAwareSource(self.encoder, self.repair_records)
 
 
 @dataclass(frozen=True)
@@ -233,8 +203,8 @@ class FileSharingNetwork:
         base_file_id = int.from_bytes(
             hashlib.sha256(f"{owner}:{name}".encode()).digest()[:8], "big"
         )
-        encoder = VersionedEncoder(self.params, self.secrets[owner], base_file_id)
-        vmanifest, encoded_chunks = encoder.publish(
+        encoder = ChunkedEncoder(self.params, self.secrets[owner], base_file_id)
+        manifest, encoded_chunks = encoder.encode_file(
             data, n_peers=self.n, digest_store=self.digest_stores[owner]
         )
         wire = 0
@@ -245,14 +215,14 @@ class FileSharingNetwork:
         handle = FileHandle(
             name=name,
             owner=owner,
-            vmanifest=vmanifest,
+            manifest=manifest,
             params=self.params,
             wire_bytes=wire,
             encoder=encoder,
             data=data,
         )
         self.registry[name] = handle
-        self._register_holders(vmanifest.chunk_ids)
+        self._register_holders(manifest.chunk_ids)
         return handle
 
     def _register_holders(self, chunk_ids) -> None:
@@ -285,7 +255,7 @@ class FileSharingNetwork:
                 f"peer {owner} does not own {name!r} (owner is {handle.owner})"
             )
         result = handle.encoder.update(
-            handle.vmanifest,
+            handle.manifest,
             new_data,
             n_peers=self.n,
             digest_store=self.digest_stores[owner],
@@ -296,7 +266,7 @@ class FileSharingNetwork:
         for encoded in result.reencoded.values():
             for peer_index, bundle in enumerate(encoded.bundles):
                 self.stores[peer_index].add_messages(bundle, limit=message_limit)
-        handle.vmanifest = result.manifest
+        handle.manifest = result.manifest
         handle.wire_bytes += result.upload_bytes
         handle.data = new_data
         self._register_holders(
@@ -335,7 +305,7 @@ class FileSharingNetwork:
         if handle is None:
             raise KeyError(f"no published file named {name!r}")
         self._check_peer(peer)
-        manifest = handle.vmanifest
+        manifest = handle.manifest
         handle.reseed_rounds += 1
         start_id = 1_000_000 * handle.reseed_rounds
         target = message_limit if message_limit is not None else self.params.k
@@ -385,7 +355,7 @@ class FileSharingNetwork:
         if handle is None:
             raise KeyError(f"no published file named {name!r}")
         self._check_peer(target)
-        manifest = handle.vmanifest
+        manifest = handle.manifest
         monitor = RedundancyMonitor(self.params.k, threshold=threshold)
         coordinator = RepairCoordinator(
             handle.encoder.field,
@@ -397,7 +367,7 @@ class FileSharingNetwork:
         chunks = split_chunks(handle.data, self.params.file_bytes)
         # Repair-aware generator: helpers may themselves hold messages
         # minted by earlier repair epochs (repair of repairs).
-        bound = handle.bound_encoder()
+        source = handle.coefficient_source()
         chunk_reports = []
         produced = degraded = 0
         helper_bandwidth = digest_bytes = 0
@@ -433,8 +403,10 @@ class FileSharingNetwork:
             # Owner side: digests only — never payload bytes.
             digest_bytes += register_repair_digests(
                 outcome.record,
-                bound.coefficient_generator(index),
-                handle.encoder.source_matrix_for(manifest, chunks[index], index),
+                source.coefficient_generator(index, manifest.chunk_versions[index]),
+                reshape_file_matrix(
+                    chunks[index], self.params.p, self.params.k, self.params.m
+                ),
                 self.digest_stores[handle.owner],
             )
             self.stores[target].add_messages(outcome.messages)
@@ -550,7 +522,7 @@ class FileSharingNetwork:
             digests.merge(
                 chunk_id, self.digest_stores[handle.owner].slice_for_file(chunk_id)
             )
-        return StreamingDecoder(manifest, handle.bound_encoder(), digests), digests
+        return StreamingDecoder(manifest, handle.coefficient_source(), digests), digests
 
     def _open_sessions(self, user: int, chunk_id: int, peers) -> list[ServingSession]:
         """Steps 1-3 of Fig. 4(b) against every peer in ``peers``."""

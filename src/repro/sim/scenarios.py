@@ -322,14 +322,17 @@ def _decode_probability(net, handle, live, further: int) -> float:
         return 0.0
     field = handle.encoder.field
     k = handle.params.k
-    bound = handle.bound_encoder()
+    source = handle.coefficient_source()
+    manifest = handle.manifest
     combos = list(combinations(live, further))
     wins = 0
     for dead in combos:
         remaining = [p for p in live if p not in dead]
         ok = True
-        for index, chunk_id in enumerate(handle.vmanifest.chunk_ids):
-            generator = bound.coefficient_generator(index)
+        for index, chunk_id in enumerate(manifest.chunk_ids):
+            generator = source.coefficient_generator(
+                index, manifest.chunk_versions[index]
+            )
             rank = IncrementalRank(field, k)
             for p in remaining:
                 if not net.stores[p].has_file(chunk_id):
@@ -411,7 +414,7 @@ def repair_under_churn(
     rng_data = np.random.default_rng(seed * 7919 + 1)
     data = rng_data.integers(0, 256, size=params.file_bytes, dtype=np.uint8).tobytes()
     handle = net.publish(0, "churned-file", data, message_limit=message_limit)
-    chunk_ids = handle.vmanifest.chunk_ids
+    chunk_ids = handle.manifest.chunk_ids
 
     everyone = list(range(n))
     prob_pre = _decode_probability(net, handle, everyone, further_failures)

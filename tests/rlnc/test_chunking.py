@@ -63,10 +63,49 @@ class TestManifest:
             chunk_bytes=512,
             p=16,
             m=32,
-            chunk_ids=(9, 1234),
+            chunk_ids=(9, derive_chunk_id(9, 1)),
             chunk_lengths=(512, 188),
         )
         assert FileManifest.from_dict(m.to_dict()) == m
+
+    def test_defaults_are_version_zero_without_hashes(self):
+        m = FileManifest(9, 100, 512, 16, 32, (9,), (100,))
+        assert (m.version, m.chunk_versions, m.chunk_hashes) == (0, (0,), ())
+
+    def test_both_dict_shapes_round_trip_to_equal_objects(self, rng):
+        enc = ChunkedEncoder(PARAMS, b"s", base_file_id=3)
+        manifest, _ = enc.encode_file(rng.bytes(1800), n_peers=1)
+        updated = enc.update(manifest, rng.bytes(1300), n_peers=1).manifest
+        assert set(updated.chunk_versions) == {1}
+        for m in (manifest, updated):
+            loaded = FileManifest.from_dict(m.to_dict())
+            assert loaded == m and loaded.chunk_ids == m.chunk_ids
+        plain = {
+            "base_file_id": 3, "total_length": 1800, "chunk_bytes": 512,
+            "p": 16, "m": 32,
+            "chunk_ids": list(manifest.chunk_ids),
+            "chunk_lengths": list(manifest.chunk_lengths),
+        }
+        loaded = FileManifest.from_dict(plain)
+        assert loaded.chunk_ids == manifest.chunk_ids
+        assert (loaded.version, loaded.chunk_hashes) == (0, ())
+        assert FileManifest.from_dict(loaded.to_dict()) == loaded
+
+    def test_dict_ids_must_agree_with_versions(self, rng):
+        enc = ChunkedEncoder(PARAMS, b"s", base_file_id=3)
+        manifest, _ = enc.encode_file(rng.bytes(700), n_peers=1)
+        blob = manifest.to_dict()
+        assert FileManifest.from_dict({**blob, "chunk_ids": manifest.chunk_ids}) == manifest
+        with pytest.raises(ValueError, match="disagree"):
+            FileManifest.from_dict({**blob, "chunk_ids": [3, 4]})
+
+    def test_versions_need_a_version(self, rng):
+        enc = ChunkedEncoder(PARAMS, b"s", base_file_id=3)
+        blob = enc.encode_file(rng.bytes(700), n_peers=1)[0].to_dict()
+        for key in ("version", "chunk_versions"):
+            partial = {k: v for k, v in blob.items() if k != key}
+            with pytest.raises(KeyError):
+                FileManifest.from_dict(partial)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -249,7 +249,7 @@ class _OneChunk:
     def __init__(self, coefficients):
         self._coefficients = coefficients
 
-    def coefficient_generator(self, index):
+    def coefficient_generator(self, index, version):
         return self._coefficients
 
 

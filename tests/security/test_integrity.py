@@ -76,6 +76,45 @@ class TestSlices:
         assert len(store) == 2
 
 
+class TestDictForm:
+    """``to_dict`` / ``from_dict`` own the ``digests.json`` layout."""
+
+    def _store(self):
+        store = DigestStore()
+        store.record(9, 1, b"a")
+        store.record(4, 0, b"b")
+        store.record(9, 0, b"c")
+        return store
+
+    def test_layout(self):
+        store = self._store()
+        assert store.to_dict() == {
+            "9": {"1": store.slice_for_file(9)[1].hex(),
+                  "0": store.slice_for_file(9)[0].hex()},
+            "4": {"0": store.slice_for_file(4)[0].hex()},
+        }
+
+    def test_round_trip(self):
+        store = self._store()
+        assert DigestStore.from_dict(store.to_dict()) == store
+
+    def test_selected_files_in_the_order_given(self):
+        blob = self._store().to_dict([4, 9, 5])
+        assert list(blob) == ["4", "9", "5"] and blob["5"] == {}
+        assert len(DigestStore.from_dict(self._store().to_dict([4]))) == 1
+
+    @pytest.mark.parametrize(
+        "blob", [[], {"1": []}, {"x": {}}, {"1": {"y": "00"}}, {"1": {"2": "zz"}}]
+    )
+    def test_malformed_rejected(self, blob):
+        with pytest.raises(ValueError):
+            DigestStore.from_dict(blob)
+
+    def test_non_string_digest_rejected(self):
+        with pytest.raises(TypeError):
+            DigestStore.from_dict({"1": {"2": 5}})
+
+
 class TestOverhead:
     def test_paper_overhead_figure(self):
         """Section III-C: for k=8 this is '128 hash bytes per megabyte'."""

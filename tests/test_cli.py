@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -247,6 +248,214 @@ class TestUpdate:
             )
 
 
+class TestBadMetadata:
+    """The one manifest loader and the one digest loader turn every bad
+    input into ``SystemExit("cannot read <what> <path>: <reason>")``."""
+
+    def _decode(self, out, manifest, digests=None):
+        argv = [
+            "decode",
+            str(out / "peer0"),
+            "--manifest",
+            str(manifest),
+            "--secret",
+            "s3cret",
+            "--out",
+            str(out / "restored.bin"),
+        ]
+        if digests is not None:
+            argv += ["--digests", str(digests)]
+        return main(argv)
+
+    def _blob(self, out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def _expect(self, what, path):
+        return pytest.raises(
+            SystemExit, match=f"cannot read {what} {re.escape(str(path))}: "
+        )
+
+    def test_missing_manifest_file(self, workspace):
+        tmp, src, out = workspace
+        encode(src, out)
+        with self._expect("manifest", tmp / "nope.json"):
+            self._decode(out, tmp / "nope.json")
+
+    def test_manifest_not_json(self, workspace):
+        tmp, src, out = workspace
+        encode(src, out)
+        bad = tmp / "bad.json"
+        bad.write_text("{not json")
+        with self._expect("manifest", bad):
+            self._decode(out, bad)
+
+    @pytest.mark.parametrize(
+        "text", ['{"version": 0}', "[1, 2, 3]"], ids=["missing-keys", "not-an-object"]
+    )
+    def test_manifest_missing_keys(self, workspace, text):
+        tmp, src, out = workspace
+        encode(src, out)
+        bad = tmp / "bad.json"
+        bad.write_text(text)
+        with self._expect("manifest", bad):
+            self._decode(out, bad)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda b: b["chunk_lengths"].pop(),
+            lambda b: b["chunk_hashes"].pop(),
+            lambda b: b.update(total_length=b["total_length"] + 1),
+            lambda b: b["chunk_hashes"].__setitem__(0, "zz"),
+            lambda b: b["chunk_hashes"].__setitem__(0, 7),
+            lambda b: b.update(chunk_ids=[1, 2, 3]),
+            lambda b: b.pop("chunk_versions"),
+        ],
+        ids=[
+            "misaligned-lengths",
+            "misaligned-hashes",
+            "lengths-do-not-sum",
+            "non-hex-hash",
+            "non-string-hash",
+            "ids-disagree-with-versions",
+            "version-without-chunk-versions",
+        ],
+    )
+    def test_malformed_manifest(self, workspace, mutate):
+        tmp, src, out = workspace
+        encode(src, out)
+        blob = self._blob(out)
+        mutate(blob)
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(blob))
+        with self._expect("manifest", bad):
+            self._decode(out, bad)
+
+    def test_manifest_with_agreeing_chunk_ids_loads(self, workspace):
+        from repro.rlnc import derive_chunk_id
+
+        tmp, src, out = workspace
+        encode(src, out)
+        blob = self._blob(out)
+        blob["chunk_ids"] = [
+            derive_chunk_id(blob["base_file_id"], i, v)
+            for i, v in enumerate(blob["chunk_versions"])
+        ]
+        both = tmp / "both.json"
+        both.write_text(json.dumps(blob))
+        assert self._decode(out, both) == 0
+
+    def test_plain_shape_manifest_decodes_and_refuses_update(self, workspace):
+        """The shape that lists ``chunk_ids`` and knows no versions still
+        decodes; without content hashes there is nothing to diff."""
+        from repro.rlnc import FileManifest
+
+        tmp, src, out = workspace
+        encode(src, out)
+        blob = self._blob(out)
+        plain = {
+            key: blob[key]
+            for key in ("base_file_id", "total_length", "chunk_bytes", "p", "m")
+        }
+        plain["chunk_ids"] = list(FileManifest.from_dict(blob).chunk_ids)
+        plain["chunk_lengths"] = blob["chunk_lengths"]
+        path = tmp / "plain.json"
+        path.write_text(json.dumps(plain))
+        assert self._decode(out, path) == 0
+        assert (out / "restored.bin").read_bytes() == src.read_bytes()
+        with pytest.raises(SystemExit, match="manifest is not versioned"):
+            main(
+                [
+                    "update",
+                    str(src),
+                    "--out",
+                    str(out),
+                    "--manifest",
+                    str(path),
+                    "--secret",
+                    "s3cret",
+                    "--peers",
+                    "3",
+                ]
+            )
+
+    def test_missing_digests_file(self, workspace):
+        tmp, src, out = workspace
+        encode(src, out)
+        with self._expect("digests", tmp / "nope.json"):
+            self._decode(out, out / "manifest.json", tmp / "nope.json")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1]", '{"1": [2]}', '{"x": {}}', '{"1": {"2": "zz"}}',
+         '{"1": {"2": 5}}'],
+        ids=["not-json", "not-an-object", "entries-not-an-object",
+             "non-integer-id", "non-hex-digest", "non-string-digest"],
+    )
+    def test_malformed_digests(self, workspace, text):
+        tmp, src, out = workspace
+        encode(src, out)
+        bad = tmp / "bad-digests.json"
+        bad.write_text(text)
+        with self._expect("digests", bad):
+            self._decode(out, out / "manifest.json", bad)
+
+
+class TestRepair:
+    def test_repaired_store_downloads_through_the_repair_records(
+        self, workspace, capsys
+    ):
+        """``repro repair`` mints from two survivors; ``download`` and
+        ``decode`` resolve the fresh ids through ``--repairs``."""
+        tmp, src, out = workspace
+        encode(src, out)
+        code = main(
+            [
+                "repair",
+                str(out / "peer0"),
+                str(out / "peer1"),
+                "--manifest",
+                str(out / "manifest.json"),
+                "--out",
+                str(out / "peer3"),
+                "--count",
+                "4",
+                "--digests",
+                str(out / "digests.json"),
+            ]
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "repaired 12 message(s)" in stdout
+        # 3 chunks x (3 peers x k + 4 fresh) digests, rewritten in place.
+        manifest = json.loads((out / "manifest.json").read_text())
+        k = -(-manifest["chunk_bytes"] * 8 // (manifest["p"] * manifest["m"]))
+        assert f"digests now hold {3 * (3 * k + 4)} MD5 entries" in stdout
+        common = [
+            "--manifest",
+            str(out / "manifest.json"),
+            "--secret",
+            "s3cret",
+            "--digests",
+            str(out / "digests.json"),
+            "--repairs",
+            str(out / "peer3" / "repairs.json"),
+        ]
+        for command in ("download", "decode"):
+            dest = tmp / f"{command}.bin"
+            # The repaired store first, so its repair-range ids are used.
+            assert main(
+                [command, str(out / "peer3"), str(out / "peer2"), *common,
+                 "--out", str(dest)]
+            ) == 0
+            assert dest.read_bytes() == src.read_bytes()
+        # Without the records the fresh ids are undecodable.
+        assert main(
+            ["decode", str(out / "peer3"), "--manifest", str(out / "manifest.json"),
+             "--secret", "s3cret", "--out", str(tmp / "x.bin")]
+        ) == 1
+
+
 class TestDownload:
     def _download(self, out, dest, *sources, extra=()):
         return main(
@@ -375,6 +584,31 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "faulty: stall" in stdout
         assert "faulty: crash" not in stdout  # default plan replaced
+
+    def test_scale_summary(self, capsys):
+        assert main(["simulate", "scale", "--engine", "sparse"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            "scenario scale: 64 slots x 20000 peers "
+            "(16 givers, 32 request cohorts, backend sparse"
+        )
+        assert re.fullmatch(r"engine state: [\d.]+ bytes/peer", lines[1])
+        assert lines[2].startswith("served 1048576 kbps-slots over ")
+
+    def test_churn_scale_summary(self, capsys):
+        argv = ["simulate", "churn-scale", "--engine", "sparse"]
+        assert main(argv + ["--evict-age", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            "scenario churn-scale: 128 slots x 20000 peers "
+            "(4 giver generations x 16, 32 request cohorts, backend sparse"
+        )
+        assert re.fullmatch(
+            r"engine state: [\d.]+ bytes/peer \(eviction age 4\)", lines[1]
+        )
+        assert lines[2].startswith("served 2097152 kbps-slots over ")
+        assert main(argv) == 0
+        assert "bytes/peer (eviction off)" in capsys.readouterr().out
 
     def test_faults_flag_requires_faults_scenario(self):
         with pytest.raises(SystemExit, match="faults"):
