@@ -5,9 +5,10 @@ single cheap operating point and the batched simulation engine's
 per-slot time at n=128, compares ns/op against the committed
 ``BENCH_decode.json`` / ``BENCH_sim.json``, and fails when a regression
 exceeds the budget (a generous 3x, so CI noise on shared runners does
-not flap the job).  Three interleaved A/B probes need no baseline: the
-cost of observability, streaming decode against block decode, and an
-8-peer publish against eight single-peer publishes.
+not flap the job).  Four interleaved A/B probes need no baseline: the
+cost of observability, streaming decode against block decode, an
+8-peer publish against eight single-peer publishes, and the compiled
+``bit_matmul`` kernel against its numpy body.
 Fresh ``BENCH_decode.smoke.json`` and ``BENCH_sim.smoke.json`` files
 are always written next to the baselines for upload as CI artifacts.
 
@@ -292,6 +293,69 @@ def measure_publish_ratio() -> int:
     return 0
 
 
+#: The compiled GF(2^p) kernel exists to be several times faster than the
+#: numpy body it stands in for; it measures 8-9x at the paper's point on
+#: the development box, so 0.5x leaves room for any runner.  Skipped, with
+#: the loader's reason, where the kernel is not live.  No committed
+#: baseline: both sides are interleaved.
+NATIVE_MATMUL_BUDGET = 0.5
+NATIVE_MATMUL_REPS = 9
+NATIVE_MATMUL_POINT = (32, 8, 1 << 15)  # (p, k, m)
+NATIVE_MATMUL_ROWS = (8, 64)  # a decode (r = k) and an 8-peer publish (r = 8k)
+
+
+def measure_native_matmul_ratio() -> int:
+    """Fail (1) when the compiled ``bit_matmul`` costs >0.5x the numpy one."""
+    from unittest import mock
+
+    import numpy as np
+
+    from repro import native
+    from repro.gf import GF, bitmatmul
+
+    kernel = bitmatmul.load()
+    if kernel is None:
+        print(f"native matmul: kernel not live ({native.status()['gfmul']}); skipped")
+        return 0
+    p, k, m = NATIVE_MATMUL_POINT
+    field = GF(p)
+    rng = np.random.default_rng(0)
+    source = field.random((k, m), rng)
+    numpy_only = mock.patch.dict(native._LOADED, {"gfmul": (None, "perf smoke A/B")})
+    failures = 0
+    for r in NATIVE_MATMUL_ROWS:
+        coeffs = field.random((r, k), rng)
+
+        def compiled():
+            return bitmatmul.bit_matmul(field, coeffs, source)
+
+        def fallback():
+            with numpy_only:
+                return bitmatmul.bit_matmul(field, coeffs, source)
+
+        assert compiled().tobytes() == fallback().tobytes()  # and warm both
+        compiled_s, fallback_s = [], []
+        for rep in range(NATIVE_MATMUL_REPS):
+            order = (compiled, fallback) if rep % 2 == 0 else (fallback, compiled)
+            for product in order:
+                start = time.perf_counter()
+                product()
+                elapsed = time.perf_counter() - start
+                (compiled_s if product is compiled else fallback_s).append(elapsed)
+        base, fast = _median(fallback_s), _median(compiled_s)
+        ratio = fast / base
+        print(f"bit_matmul p={p} ({r},{k})@({k},{m}): numpy {base * 1e3:.1f} ms, "
+              f"native {fast * 1e3:.1f} ms -> ratio {ratio:.2f}x "
+              f"(budget {NATIVE_MATMUL_BUDGET:.1f}x)")
+        if ratio > NATIVE_MATMUL_BUDGET:
+            print(f"FAIL: the compiled kernel costs {ratio:.2f}x > "
+                  f"{NATIVE_MATMUL_BUDGET:.1f}x the numpy body at r={r}; did the "
+                  "-O3 -march=native build fail over to -O2, or a loop stop "
+                  "vectorising?")
+            failures += 1
+    return min(failures, 1)
+
+
 def _compare(baseline_name: str, key: str, ns_per_op: int) -> int:
     """Return 1 when ``key`` regressed past BUDGET vs the baseline file."""
     baseline_path = REPO_ROOT / baseline_name
@@ -382,6 +446,7 @@ def main() -> int:
     failures += measure_obs_overhead()
     failures += measure_streaming_ratio()
     failures += measure_publish_ratio()
+    failures += measure_native_matmul_ratio()
 
     if failures:
         return 1

@@ -16,6 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native kernels are compiled from these at first use.
+    package_data={"repro.sim": ["_fastalloc.c"], "repro.gf": ["_gfmul.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.23"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},

@@ -24,18 +24,32 @@ The engine is exact: results are bit-identical to evaluating
 ``field.mul`` per element, for every supported field (the generator
 matrix ``G`` is built from ``field._mul`` itself, so tower and clmul
 backends work unchanged).
+
+The same plan exists twice: the numpy body of :func:`bit_matmul`, and
+``_gfmul.c``, which walks it over cache-resident blocks several times
+faster.  :func:`load` hands out the compiled kernel when
+:mod:`repro.native` can build it and its GF(2) self-check passes;
+otherwise ``bit_matmul`` runs the numpy body — same bytes, old speed.
 """
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 
+from .. import native
 from ..obs import REGISTRY as _OBS
 
-__all__ = ["bit_matmul", "use_bit_engine"]
+__all__ = ["bit_matmul", "use_bit_engine", "load", "GF2Kernel"]
 
 _BITMM_CALLS = _OBS.counter(
     "repro.gf.matmul.bitpacked", "matmul calls routed through the bit-packed engine"
+)
+_NATIVE_CALLS = _OBS.counter(
+    "repro.gf.matmul.native",
+    "bit-packed matmul calls that ran in the compiled kernel (the rest ran in numpy)",
 )
 
 # Multiplying the masked byte-lanes of a word by this constant sums
@@ -53,6 +67,8 @@ _SPREAD = np.zeros(256, dtype=np.uint64)
 for _v in range(256):
     _SPREAD[_v] = sum(1 << (8 * _c) for _c in range(8) if _v >> _c & 1)
 del _v
+
+_SOURCE = Path(__file__).with_name("_gfmul.c")
 
 #: Bytes of four-Russians tables alive at once.  Every other scratch
 #: size in this module (column block, output row block, generator row
@@ -116,6 +132,16 @@ def _byte_groups(p: int) -> list[tuple[int, int]]:
     return [(c, min(8, p - c)) for c in range(0, p, 8)]
 
 
+def _basis_products(field, C: np.ndarray) -> np.ndarray:
+    """``(r, n, p)``: ``C_ij * y^b``, whose bits are the generator."""
+    basis = (np.uint64(1) << np.arange(field.p, dtype=np.uint64)).astype(C.dtype)
+    if field.q <= C.size:
+        # Fewer field elements than entries: multiply each element once.
+        elements = np.arange(field.q, dtype=C.dtype)
+        return field._mul(elements[:, None], basis[None, :])[C]
+    return field._mul(C[:, :, None], basis[None, None, :])
+
+
 def _build_generator(field, C: np.ndarray) -> np.ndarray:
     """Packed GF(2) generator for left-multiplication by ``C``.
 
@@ -124,7 +150,6 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
     """
     p = field.p
     r, n = C.shape
-    basis = (np.uint64(1) << np.arange(p, dtype=np.uint64)).astype(C.dtype)
     packed = np.empty((r * p, -(-n * p // 8)), dtype=np.uint8)
     # Build and pack in row blocks so the (rows, n, p, p) bit scratch
     # stays within the table budget.
@@ -133,7 +158,7 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
     for r0 in range(0, r, block):
         sub = C[r0 : r0 + block]
         rn = sub.shape[0]
-        prods = field._mul(sub[:, :, None], basis[None, None, :])
+        prods = _basis_products(field, sub)
         by = np.ascontiguousarray(
             prods.astype(np.uint32).view(np.uint8).reshape(rn, n, p, 4)[:, :, :, :nbytes]
         )
@@ -142,6 +167,79 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
         rows = bits.transpose(0, 3, 1, 2).reshape(rn * p, n * p)
         packed[r0 * p : (r0 + rn) * p] = np.packbits(rows, axis=1, bitorder="little")
     return packed
+
+
+class GF2Kernel:
+    """ctypes facade over ``_gfmul.c``."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._matmul = lib.repro_gf2_matmul
+        self._matmul.restype = ctypes.c_int
+        self._matmul.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+
+    def matmul(self, prods: np.ndarray, P: np.ndarray, p: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the ``(r, m)`` symbols whose bit-planes are
+        ``G @ bits(P)`` over GF(2), ``G[(i,rr), (j,b)] = bit rr of prods[i, j, b]``.
+
+        ``prods`` is ``(r, n, p)`` and ``P`` ``(n, m)``, symbols below
+        ``2^p``, ``1 <= p <= 32``; both are only read.  ``out`` must be a
+        C-contiguous uint32 array.
+        """
+        r, n, width = prods.shape
+        m = P.shape[1]
+        if not (1 <= p <= 32 and width == p and n >= 1 and P.shape[0] == n):
+            raise ValueError(f"bad shapes for p={p}: {prods.shape} x {P.shape}")
+        if out.shape != (r, m) or out.dtype != np.uint32 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous uint32 {(r, m)}")
+        prods = np.ascontiguousarray(prods, dtype=np.uint32)
+        P = np.ascontiguousarray(P, dtype=np.uint32)
+        if self._matmul(prods.ctypes.data, P.ctypes.data, out.ctypes.data, r, n, m, p):
+            raise MemoryError("repro_gf2_matmul: no scratch memory")
+
+
+def _bits(a: np.ndarray, p: int) -> np.ndarray:
+    """uint32 array -> its low ``p`` bits on a new trailing axis, LSB first."""
+    return np.unpackbits(a[..., None].view(np.uint8), axis=-1, bitorder="little")[..., :p]
+
+
+def _self_check(kernel: GF2Kernel) -> bool:
+    """Fuzz the kernel's GF(2) contract against ``np.unpackbits`` and an
+    integer matrix product, demanding zero bit differences.
+
+    No field is involved: generator bits and symbols are random.  The
+    shapes cover what the C code branches on — ``m`` ragged against a
+    64-symbol word and the 512-symbol column block, ``n * p`` not a
+    multiple of eight and beyond one 64-group chunk, one row, one bit,
+    more than one 256-bit-row block, and a zero row.
+    """
+    rng = np.random.default_rng(0x6F2B17)
+    for p, r, n, m in [
+        (1, 1, 1, 1),
+        (1, 300, 11, 65),
+        (4, 2, 3, 577),
+        (8, 35, 2, 64),
+        (8, 1, 67, 70),
+        (13, 21, 5, 70),
+        (16, 2, 4, 513),
+        (32, 9, 2, 66),
+    ]:
+        prods = rng.integers(0, 1 << p, size=(r, n, p), dtype=np.uint64).astype(np.uint32)
+        prods[rng.integers(0, r)] = 0
+        P = rng.integers(0, 1 << p, size=(n, m), dtype=np.uint64).astype(np.uint32)
+        G = _bits(prods, p).transpose(0, 3, 1, 2).reshape(r * p, n * p)
+        planes = _bits(P, p).transpose(0, 2, 1).reshape(n * p, m)
+        X = ((G.astype(np.uint32) @ planes) & 1).reshape(r, p, m)
+        want = (X << np.arange(p, dtype=np.uint32)[:, None]).sum(axis=1, dtype=np.uint32)
+        got = np.empty((r, m), dtype=np.uint32)
+        kernel.matmul(prods, P, p, got)
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+def load() -> GF2Kernel | None:
+    """The compiled kernel, or ``None`` when ``bit_matmul`` runs in numpy."""
+    return native.load("gfmul", _SOURCE, GF2Kernel, _self_check)
 
 
 def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -155,6 +253,17 @@ def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     p = field.p
     r, n = C.shape
     m = P.shape[1]
+    kernel = load()
+    if kernel is not None:
+        if _OBS.enabled:
+            _NATIVE_CALLS.inc()
+        P = np.ascontiguousarray(P)
+        out = np.empty((r, m), dtype=np.uint32)
+        # Row blocks keep the (rows, n, p) products within the budget.
+        rows = max(1, _TABLE_BYTES // (4 * n * p))
+        for r0 in range(0, r, rows):
+            kernel.matmul(_basis_products(field, C[r0 : r0 + rows]), P, p, out[r0 : r0 + rows])
+        return out
     inner = n * p
     lanes = _byte_groups(p)
 

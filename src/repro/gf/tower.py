@@ -36,10 +36,17 @@ def _trace(base: TableField, c: int) -> int:
 
 
 def _find_trace_one(base: TableField) -> int:
-    for c in range(1, base.q):
-        if _trace(base, c) == 1:
-            return c
-    raise FieldError("no trace-1 element found (impossible for a real field)")
+    """The smallest element of absolute trace 1 (the trace of the whole
+    field at once: ``p`` vectorised squarings, not ``q`` scalar walks)."""
+    x = np.arange(base.q, dtype=base.dtype)
+    acc = np.zeros_like(x)
+    for _ in range(base.p):
+        acc ^= x
+        x = base._mul(x, x)
+    hits = np.flatnonzero(acc & 1)
+    if not hits.size:
+        raise FieldError("no trace-1 element found (impossible for a real field)")
+    return int(hits[0])
 
 
 class TowerField(BinaryField):

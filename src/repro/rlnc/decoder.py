@@ -11,9 +11,8 @@ Two decoders are provided:
   (linearly dependent) messages immediately, messages failing digest
   authentication are rejected, and the instant the file is decodable is
   reported — which is when the user sends the stop-transmission of
-  Fig. 4(b).  The payloads are multiplied once, at the end.
-
-Both finish with the same step, :func:`_source_bytes`.
+  Fig. 4(b).  The payloads are multiplied once, at the end, by the
+  inverse the elimination has already produced.
 """
 
 from __future__ import annotations
@@ -147,17 +146,20 @@ class ProgressiveDecoder:
     """Streaming decoder with authentication and dependence detection.
 
     Works in *coefficient space*.  Per accepted message it stores the
-    coefficient row (``_beta``) and the payload (``_payloads``) exactly
-    as received, in arrival order, plus one ``2k``-wide row ``[e | t]``
-    with ``e = t @ _beta``: the ``e`` parts are kept in reduced row
-    echelon form (1 at the row's own pivot, 0 at every other), ``t``
-    records which combination of the raw rows gives it.  An arrival is
-    eliminated as ``[beta | 0]`` against those rows only — ``O(k^2)``
-    field operations whatever the message length — and :meth:`result`
-    is the block decode of the raw rows.
+    payload exactly as received (``_payloads``, arrival order) and one
+    ``2k``-wide row ``[e | t]`` with ``e = t @ B``, ``B`` being the
+    coefficient rows of the accepted messages in the same order: the
+    ``e`` parts are kept in reduced row echelon form (1 at the row's
+    own pivot, 0 at every other), ``t`` records which combination of
+    the raw rows gives it.  An arrival is eliminated as ``[beta | 0]``
+    against those rows only — ``O(k^2)`` field operations whatever the
+    message length.  At rank ``k`` every ``e`` is a unit vector, so the
+    ``t`` rows are the rows of ``B^-1`` in pivot order and
+    :meth:`result` is one product with the raw payloads: the block
+    decode without its inversion.
 
     An arrival whose coefficient part reduces to zero has accumulated
-    the ``t`` with ``beta = t @ _beta``, so an authentic payload equals
+    the ``t`` with ``beta = t @ B``, so an authentic payload equals
     ``t @ _payloads``.  That residual is computed only then: the message
     is *dependent* if it vanishes and *corrupt* (it contradicts the span
     of authentic rows) otherwise — the latter can only happen when
@@ -179,7 +181,6 @@ class ProgressiveDecoder:
         # Allocated by the first row that reaches elimination (the idle
         # chunks of a streaming download hold nothing); row i of each
         # belongs to the i-th accepted message.
-        self._beta: np.ndarray | None = None  # (k, k) raw coefficient rows
         self._payloads: np.ndarray | None = None  # (k, m) raw payloads
         self._reduced: np.ndarray | None = None  # (k, 2k) rows [e | t]
         self._pivots: list[int] = []  # pivot column of reduced row i
@@ -285,7 +286,6 @@ class ProgressiveDecoder:
                 self.rejected += 1
                 return Offer.REJECTED
             if self._reduced is None:
-                self._beta = np.empty((k, k), dtype=field.dtype)
                 self._payloads = np.empty((k, self.params.m), dtype=field.dtype)
                 self._reduced = np.zeros((k, 2 * k), dtype=field.dtype)
             row = np.zeros(2 * k, dtype=field.dtype)
@@ -327,7 +327,6 @@ class ProgressiveDecoder:
             if factors.any():
                 field.addmul(kept, factors[:, None], row[None, :])
             self._reduced[rank] = row
-            self._beta[rank] = coeff_row
             self._payloads[rank] = message.payload
             self._pivots.append(pivot)
             self._seen_ids.add(message.message_id)
@@ -345,7 +344,10 @@ class ProgressiveDecoder:
                 f"decode incomplete: rank {self.rank} of {self.params.k}"
             )
         if self._decoded is None:
-            self._decoded = _source_bytes(
-                self.field, self.params, self._beta, self._payloads
-            )
+            k = self.params.k
+            # ``t @ B`` has the unit vector at ``_pivots[i]`` in row i.
+            inverse = np.empty((k, k), dtype=self.field.dtype)
+            inverse[self._pivots] = self._reduced[:, k:]
+            source = self.field.matmul(inverse, self._payloads)
+            self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
         return _trim(self._decoded, self.params, length)

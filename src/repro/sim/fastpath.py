@@ -1,20 +1,18 @@
-"""Runtime-compiled native kernels for the batched allocation engine.
+"""Native kernels for the batched and sparse allocation engines.
 
 The batched engine's hot loop at large ``n`` is memory-bandwidth bound;
 numpy alone pays one full matrix pass per sub-expression.  This module
-compiles ``_fastalloc.c`` on first use with whatever C compiler the
-host has (``$CC``, ``cc`` or ``gcc`` — no build system, no packages)
-and exposes the fused kernels through ctypes.
+is the ctypes facade over ``_fastalloc.c``'s fused kernels and their
+self-check; compiling, caching, loading and the ``REPRO_NO_NATIVE``
+switch belong to :mod:`repro.native`.
 
 Correctness gate: the engine's contract is that every path is
 **bit-identical** to the reference slot loop, so the library is only
 accepted after :func:`_self_check` fuzzes its reductions and full row
 pipelines against the numpy implementations and sees *zero* bit
-differences.  Any compile failure, load failure, or mismatch makes
-:func:`load` return ``None`` and the engine silently falls back to the
-pure-numpy batched path (same results, smaller speedup).
-
-Set ``REPRO_NO_NATIVE=1`` to force the fallback.
+differences.  Otherwise :func:`load` returns ``None`` and the engine
+silently falls back to the pure-numpy path (same results, smaller
+speedup).
 
 The sparse engine's kernels (``sparse_rows_eq2`` / ``sparse_rows_shared``
 / ``sparse_scatter``) are multi-threaded: workers own contiguous shards
@@ -26,14 +24,12 @@ worker count (default: ``min(8, cpu_count)``).
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .. import native
 
 __all__ = ["load", "FastAlloc", "thread_count"]
 
@@ -49,14 +45,6 @@ def thread_count() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
-#: Tried in order; the host-tuned build roughly halves kernel time, the
-#: plain -O2 set is the portable fallback.  -ffp-contract=off is not
-#: negotiable: fused multiply-adds would change results by an ulp (and
-#: be rejected by the self-check).
-_CFLAG_SETS = [
-    ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"],
-    ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"],
-]
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_uint8_p = ctypes.POINTER(ctypes.c_uint8)
@@ -195,58 +183,6 @@ class FastAlloc:
             _ptr(ok, _c_uint8_p),
             thread_count() if nthreads is None else nthreads,
         )
-
-
-def _compiler() -> str | None:
-    env = os.environ.get("CC")
-    if env and shutil.which(env):
-        return env
-    for cand in ("cc", "gcc", "clang"):
-        if shutil.which(cand):
-            return cand
-    return None
-
-
-def _compile() -> Path | None:
-    cc = _compiler()
-    if cc is None:
-        return None
-    source = _SOURCE.read_bytes()
-    cache_dir = Path(
-        os.environ.get("REPRO_NATIVE_CACHE")
-        or Path(tempfile.gettempdir()) / "repro-fastalloc"
-    )
-    # Extra flags (e.g. CI's "-fsanitize=address,undefined") append to
-    # every candidate set; they are part of the cache digest below, so a
-    # sanitized build never aliases a normal one.
-    extra = os.environ.get("REPRO_NATIVE_CFLAGS", "").split()
-    for base_cflags in _CFLAG_SETS:
-        cflags = [*base_cflags, *extra]
-        digest = hashlib.sha256(
-            source + " ".join(cflags).encode()
-        ).hexdigest()[:16]
-        sofile = cache_dir / f"fastalloc-{digest}-{os.uname().machine}.so"
-        if sofile.exists():
-            return sofile
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            with tempfile.NamedTemporaryFile(
-                dir=cache_dir, suffix=".so", delete=False
-            ) as tmp:
-                tmp_path = Path(tmp.name)
-            proc = subprocess.run(
-                [cc, *cflags, "-o", str(tmp_path), str(_SOURCE)],
-                capture_output=True,
-                timeout=120,
-            )
-            if proc.returncode != 0:
-                tmp_path.unlink(missing_ok=True)
-                continue
-            os.replace(tmp_path, sofile)  # atomic vs concurrent builders
-            return sofile
-        except (OSError, subprocess.SubprocessError):
-            return None
-    return None
 
 
 def _self_check(k: FastAlloc) -> bool:
@@ -421,26 +357,6 @@ def _self_check_sparse(k: FastAlloc) -> bool:
     return True
 
 
-_CACHED: FastAlloc | None = None
-_RESOLVED = False
-
-
 def load() -> FastAlloc | None:
     """Compile/load/verify the kernels once; ``None`` means fall back."""
-    global _CACHED, _RESOLVED
-    if _RESOLVED:
-        return _CACHED
-    _RESOLVED = True
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
-    sofile = _compile()
-    if sofile is None:
-        return None
-    try:
-        kernels = FastAlloc(ctypes.CDLL(str(sofile)))
-    except OSError:
-        return None
-    if not _self_check(kernels):
-        return None
-    _CACHED = kernels
-    return _CACHED
+    return native.load("fastalloc", _SOURCE, FastAlloc, _self_check)

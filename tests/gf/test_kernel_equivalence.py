@@ -191,7 +191,7 @@ class TestKernelEquivalence:
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_matmul_matches_oracle(self, p, data):
+    def test_matmul_matches_oracle(self, every_backend, p, data):
         field = FIELDS[p]
         r = data.draw(st.integers(1, 4))
         n = data.draw(st.integers(1, 4))
@@ -199,12 +199,14 @@ class TestKernelEquivalence:
         A = arrays(data, field, (r, n), zero_bias=True)
         B = arrays(data, field, (n, m))
         expected = ref_matmul(field, A, B)
-        assert np.array_equal(field.matmul(A, B), expected)
+        for name, got in every_backend(lambda: field.matmul(A, B)).items():
+            assert np.array_equal(got, expected), name
 
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
-    def test_bit_engine_matches_oracle(self, p, data):
-        """Exercise the packed engine directly, below its size threshold."""
+    def test_bit_engine_matches_oracle(self, every_backend, p, data):
+        """Exercise the packed engine directly, below its size threshold,
+        on the compiled kernel and on the numpy body (``conftest.py``)."""
         field = FIELDS[p]
         r = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(1, 3))
@@ -212,7 +214,8 @@ class TestKernelEquivalence:
         A = arrays(data, field, (r, n), zero_bias=True)
         B = arrays(data, field, (n, m))
         expected = ref_matmul(field, A, B)
-        assert np.array_equal(bit_matmul(field, A, B), expected)
+        for name, got in every_backend(lambda: bit_matmul(field, A, B)).items():
+            assert np.array_equal(got, expected), name
 
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)

@@ -1,0 +1,119 @@
+"""The compiled ``GF(2^p)`` kernel's gating, mirroring
+``tests/sim/test_fastpath.py::TestGating``.
+
+The kernel is optional: with ``load()`` returning ``None`` for whatever
+reason, ``bit_matmul`` must return the same bytes from its numpy body.
+What the kernel computes is covered on both backends by
+``test_bitmatmul_blocks.py`` and ``test_kernel_equivalence.py``; the
+loader's own behaviour by ``tests/test_native.py``.
+"""
+
+import numpy as np
+import pytest
+
+from repro import native
+from repro.gf import GF, bitmatmul
+from repro.obs import observability
+
+kernel = bitmatmul.load()
+needs_native = pytest.mark.skipif(
+    kernel is None, reason="no C compiler / native GF kernel unavailable"
+)
+
+
+@pytest.fixture
+def unresolved(monkeypatch):
+    """Forget this kernel's memo for one test (restored after it)."""
+    monkeypatch.delitem(native._LOADED, "gfmul", raising=False)
+
+
+@pytest.fixture(scope="module")
+def product():
+    """A product big enough for ``GF(32).matmul`` to route to the engine,
+    and its bytes from the numpy body."""
+    field = GF(32)
+    rng = np.random.default_rng(17)
+    C, P = field.random((8, 8), rng), field.random((8, 4100), rng)
+    assert bitmatmul.use_bit_engine(8, 8, 4100, 32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
+        want = field.matmul(C, P)
+    return field, C, P, want.tobytes()
+
+
+def counters(snapshot):
+    return tuple(
+        snapshot[f"repro.gf.matmul.{name}"]["value"] for name in ("bitpacked", "native")
+    )
+
+
+class TestGating:
+    def test_env_kill_switch(self, monkeypatch, unresolved, product):
+        field, C, P, want = product
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        assert bitmatmul.load() is None
+        assert native.status()["gfmul"] == "disabled by REPRO_NO_NATIVE"
+        assert field.matmul(C, P).tobytes() == want
+
+    def test_no_compiler_means_fallback(self, monkeypatch, unresolved, product):
+        field, C, P, want = product
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        assert bitmatmul.load() is None
+        assert native.status()["gfmul"] == "no compiler"
+        assert field.matmul(C, P).tobytes() == want
+
+    def test_load_is_memoized(self):
+        assert bitmatmul.load() is bitmatmul.load()
+
+    @needs_native
+    def test_self_check_accepts_good_kernel(self):
+        assert bitmatmul._self_check(kernel)
+        assert native.status()["gfmul"] == "ok"
+
+    @needs_native
+    def test_one_flipped_bit_is_refused(self, monkeypatch, unresolved, product):
+        """A facade that is wrong in one output bit never goes live, and
+        the product still comes out right (from numpy)."""
+
+        class OneBitOff(bitmatmul.GF2Kernel):
+            def matmul(self, prods, P, p, out):
+                super().matmul(prods, P, p, out)
+                out[-1, -1] ^= 1
+
+        field, C, P, want = product
+        monkeypatch.setattr(bitmatmul, "GF2Kernel", OneBitOff)
+        assert bitmatmul.load() is None
+        assert native.status()["gfmul"] == "self-check failed"
+        assert field.matmul(C, P).tobytes() == want
+
+    @needs_native
+    def test_facade_rejects_what_it_cannot_pass_to_c(self):
+        prods = np.zeros((2, 3, 8), dtype=np.uint32)
+        P = np.zeros((3, 70), dtype=np.uint32)
+        with pytest.raises(ValueError):  # p does not match the products
+            kernel.matmul(prods, P, 16, np.empty((2, 70), dtype=np.uint32))
+        with pytest.raises(ValueError):  # inner dimensions disagree
+            kernel.matmul(prods, P[:2], 8, np.empty((2, 70), dtype=np.uint32))
+        with pytest.raises(ValueError):  # out is a strided view
+            kernel.matmul(prods, P, 8, np.empty((2, 140), dtype=np.uint32)[:, ::2])
+        with pytest.raises(ValueError):  # out has the wrong dtype
+            kernel.matmul(prods, P, 8, np.empty((2, 70), dtype=np.uint64))
+
+
+class TestCounters:
+    """``repro.gf.matmul.native`` says which backend served a product."""
+
+    @needs_native
+    def test_native_calls_are_counted(self, product):
+        field, C, P, want = product
+        with observability(reset=True) as obs:
+            assert field.matmul(C, P).tobytes() == want
+            assert counters(obs.snapshot()) == (1, 1)
+
+    def test_numpy_calls_are_not(self, monkeypatch, product):
+        field, C, P, want = product
+        monkeypatch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
+        with observability(reset=True) as obs:
+            assert field.matmul(C, P).tobytes() == want
+            assert counters(obs.snapshot()) == (1, 0)

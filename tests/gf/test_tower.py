@@ -32,6 +32,12 @@ class TestConstruction:
     def test_find_trace_one_matches(self, F):
         assert _find_trace_one(F.base) == int(F.c)
 
+    def test_c_is_pinned(self, F):
+        # c defines the field: every GF(2^32) coefficient and stored
+        # message depends on it, however the search is implemented.
+        assert int(F.c) == 8192
+        assert F.modulus == (1 << 32) | (1 << 16) | 8192
+
 
 class TestEmbeddedBaseField:
     """The subfield {lo 16 bits} must behave exactly like GF(2^16)."""

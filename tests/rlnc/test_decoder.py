@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.gf import GF
 from repro.obs import REGISTRY, observability
 from repro.rlnc import (
     BlockDecoder,
     CodingParams,
     DecodeError,
+    EncodedMessage,
     FileEncoder,
     Offer,
     ProgressiveDecoder,
+    symbols_to_bytes,
 )
 from repro.security import DigestStore
 
@@ -200,6 +203,41 @@ class TestProgressiveDecoder:
         assert prog.result(len(data)) == block.decode(
             encoded.bundles[2], length=len(data)
         )
+
+    def test_result_with_pivots_out_of_column_order(self, rng):
+        """``result()`` reads the inverse off the reduced rows, each at
+        its pivot's row: coefficient rows whose leading zeros shrink make
+        the pivots arrive as k-1, k-2, ..., 0."""
+
+        class AntiTriangular:
+            file_id = 0xABCD
+
+            def __init__(self, field, k):
+                self.field = field
+                self.rows = field.random_nonzero((k, k), rng)
+                for i in range(k):
+                    self.rows[i, : k - 1 - i] = 0
+
+            def row(self, message_id):
+                return self.rows[message_id]
+
+            def matrix(self, ids):
+                return self.rows[list(ids)]
+
+        field = GF(PARAMS.p)
+        coefficients = AntiTriangular(field, PARAMS.k)
+        source = field.random((PARAMS.k, PARAMS.m), rng)
+        payloads = field.matmul(coefficients.rows, source)
+        messages = [
+            EncodedMessage(coefficients.file_id, i, payloads[i], PARAMS.p)
+            for i in range(PARAMS.k)
+        ]
+        prog = ProgressiveDecoder(PARAMS, coefficients)
+        assert prog.offer_many(messages)[-1] == Offer.COMPLETE
+        assert prog._pivots == list(range(PARAMS.k - 1, -1, -1))
+        decoded = prog.result()
+        assert decoded == BlockDecoder(PARAMS, coefficients).decode(messages)
+        assert decoded == symbols_to_bytes(source.reshape(-1), PARAMS.p)
 
 
 def _find_dependent_id(encoder, absorbed_ids, k):

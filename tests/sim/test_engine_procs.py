@@ -110,10 +110,9 @@ def test_forgetting_mix_bit_identical():
 def test_numpy_fallback_bit_identical(monkeypatch):
     """Without native kernels (inherited by workers) procs still matches."""
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    from repro.sim import fastpath
+    from repro import native
 
-    monkeypatch.setattr(fastpath, "_RESOLVED", False)
-    monkeypatch.setattr(fastpath, "_CACHED", None)
+    monkeypatch.delitem(native._LOADED, "fastalloc", raising=False)
     sim = Simulation(adversarial_configs(), seed=3, engine="procs", workers=2)
     assert sim.backend == "procs"
     with sim:

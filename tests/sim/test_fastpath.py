@@ -10,6 +10,7 @@ a named test instead of silently downgrading the engine.
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.allocation import (
     PeerwiseProportionalAllocator,
     enforce_feasibility_rows,
@@ -106,17 +107,24 @@ class TestKernelsBitIdentical:
 
 
 class TestGating:
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        monkeypatch.setattr(fastpath, "_RESOLVED", False)
-        monkeypatch.setattr(fastpath, "_CACHED", None)
-        assert fastpath.load() is None
+    """The loader itself (env, compiler, cache, memo) is shared with the
+    GF kernel and tested once, in ``tests/test_native.py``."""
 
-    def test_no_compiler_means_fallback(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_compiler", lambda: None)
-        monkeypatch.setattr(fastpath, "_RESOLVED", False)
-        monkeypatch.setattr(fastpath, "_CACHED", None)
+    @pytest.fixture
+    def unresolved(self, monkeypatch):
+        """Forget this kernel's memo for one test (restored after it)."""
+        monkeypatch.delitem(native._LOADED, "fastalloc", raising=False)
+
+    def test_env_kill_switch(self, monkeypatch, unresolved):
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         assert fastpath.load() is None
+        assert native.status()["fastalloc"] == "disabled by REPRO_NO_NATIVE"
+
+    def test_no_compiler_means_fallback(self, monkeypatch, unresolved):
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        assert fastpath.load() is None
+        assert native.status()["fastalloc"] == "no compiler"
 
     def test_load_is_memoized(self):
         assert fastpath.load() is fastpath.load()

@@ -61,3 +61,55 @@ def test_no_accidental_circular_imports():
     )
     result = subprocess.run([sys.executable, "-c", code])
     assert result.returncode == 0, "low-level packages import high-level ones"
+
+
+def test_built_package_ships_kernel_sources_and_runs_without_them(tmp_path):
+    """``setup.py build`` copies the two ``.c`` files the native kernels
+    are compiled from; a package that lost them anyway (an older build,
+    a stripped image) must fall back to numpy silently, not raise."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    lib = tmp_path / "lib"
+    subprocess.run(
+        [sys.executable, "setup.py", "-q",
+         "egg_info", "--egg-base", str(tmp_path),  # not into the checkout
+         "build", "--build-base", str(tmp_path / "base"), "--build-lib", str(lib)],
+        cwd=root, check=True, capture_output=True,
+    )
+    sources = [lib / "repro" / "sim" / "_fastalloc.c", lib / "repro" / "gf" / "_gfmul.c"]
+    for source in sources:
+        assert source.is_file(), f"{source.name} missing from the built package"
+        source.unlink()
+
+    code = """
+import numpy as np
+from repro import native
+from repro.gf import GF, bitmatmul
+from repro.sim import BernoulliDemand, PeerConfig, Simulation, fastpath
+
+assert fastpath.load() is None and bitmatmul.load() is None
+assert native.status() == {"fastalloc": "source missing", "gfmul": "source missing"}
+field = GF(8)
+rng = np.random.default_rng(0)
+A, B = field.random((16, 16), rng), field.random((16, 2048), rng)
+assert bitmatmul.use_bit_engine(16, 16, 2048, 8)
+slow = field.zeros((16, 2048))
+for j in range(16):
+    slow ^= field.mul(A[:, j, None], B[j][None, :])
+assert np.array_equal(field.matmul(A, B), slow)
+sim = Simulation([PeerConfig(100.0, BernoulliDemand(0.5)) for _ in range(4)], engine="batched")
+assert sim.backend == "batched"
+sim.run(5)
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(lib)
+    env["REPRO_NATIVE_CACHE"] = str(tmp_path / "cache")
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

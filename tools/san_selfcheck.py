@@ -1,47 +1,42 @@
 #!/usr/bin/env python
-"""Run the native allocation kernels' bitwise self-check fuzz under the
-current build flags.
+"""Run both native kernels' bitwise self-checks under the current build
+flags, through the shared loader.
 
 CI invokes this with ``REPRO_NATIVE_CFLAGS`` set to the ASan/UBSan flag
 set (and ``LD_PRELOAD`` pointing at libasan so the sanitizer runtime is
-present in the Python process): the kernels in ``sim/_fastalloc.c`` are
-recompiled with sanitizers on, then fuzzed against the numpy reference
-implementations demanding zero bit differences — any out-of-bounds
-access, UB, or float divergence fails the run.
+present in the Python process): ``sim/_fastalloc.c`` and ``gf/_gfmul.c``
+are recompiled with sanitizers on (the flags are part of the cache
+digest, so this never reuses a normal build), then fuzzed against their
+numpy references demanding zero bit differences — any out-of-bounds
+access, UB, or divergence fails the run.
 
 Exit codes: 0 pass, 1 compile/load/self-check failure, 2 no compiler.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 import sys
 
+from repro import native
+from repro.gf import bitmatmul
 from repro.sim import fastpath
 
 
 def main() -> int:
-    cc = fastpath._compiler()
-    if cc is None:
+    print(f"extra cflags : {os.environ.get('REPRO_NATIVE_CFLAGS', '') or '(none)'}")
+    fastpath.load()
+    bitmatmul.load()
+    status = native.status()
+    for name, why in status.items():
+        print(f"{name:<13}: {why}")
+    if "no compiler" in status.values():
         print("SKIP: no C compiler on this host")
         return 2
-    print(f"compiler     : {cc}")
-    print(f"extra cflags : {os.environ.get('REPRO_NATIVE_CFLAGS', '') or '(none)'}")
-    sofile = fastpath._compile()
-    if sofile is None:
-        print("FAIL: _fastalloc.c did not compile under these flags")
+    if any(why != "ok" for why in status.values()):
+        print("FAIL: a kernel did not compile, load or pass its self-check")
         return 1
-    print(f"shared object: {sofile}")
-    try:
-        kernels = fastpath.FastAlloc(ctypes.CDLL(str(sofile)))
-    except OSError as exc:
-        print(f"FAIL: compiled library did not load: {exc}")
-        return 1
-    if not fastpath._self_check(kernels):
-        print("FAIL: bitwise self-check found a difference vs numpy")
-        return 1
-    print("PASS: self-check fuzz ran clean (zero bit differences)")
+    print("PASS: both self-check fuzzes ran clean (zero bit differences)")
     return 0
 
 
