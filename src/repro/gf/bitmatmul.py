@@ -83,14 +83,16 @@ _MIN_WORK = 1 << 18
 def use_bit_engine(r: int, n: int, m: int, p: int) -> bool:
     """Whether the packed engine beats the gather kernels for this shape.
 
-    With fewer than eight inner rows the gather kernels win on square
-    products, but not on tall ones (a chunk's bundles stacked): their
+    The compiled kernel does whenever the product is large enough to
+    amortise a call.  The numpy body additionally loses on one-row
+    products and, with fewer than eight inner rows, on square ones — but
+    not on tall ones (a chunk's bundles stacked): the gather kernels'
     ``(r, m)`` temporaries leave the cache while the engine's set-up
     stays proportional to ``n``; the measured crossover is ``r`` 8-16.
     """
-    if p > 32 or r < 2 or m < 64 or (n < 8 and r < 16):
+    if p > 32 or m < 64 or r * n * m < _MIN_WORK:
         return False
-    return r * n * m >= _MIN_WORK
+    return load() is not None or not (r < 2 or (n < 8 and r < 16))
 
 
 def _pack_bit_rows(mat8: np.ndarray, nbits: int) -> np.ndarray:

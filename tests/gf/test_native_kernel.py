@@ -117,3 +117,33 @@ class TestCounters:
         with observability(reset=True) as obs:
             assert field.matmul(C, P).tobytes() == want
             assert counters(obs.snapshot()) == (1, 0)
+
+
+class TestRouting:
+    """``use_bit_engine`` is one predicate for both backends; only its two
+    numpy-specific exclusions look at which one is live."""
+
+    def test_small_inner_dimension_routes_by_backend(self, backend):
+        # One row, or a square product with fewer than eight inner rows:
+        # the compiled kernel beats the gather kernels 5-10x there, the
+        # numpy body loses to them.
+        native_only = backend == "native"
+        assert bitmatmul.use_bit_engine(1, 1, 1 << 18, 32) is native_only
+        assert bitmatmul.use_bit_engine(4, 4, 1 << 16, 32) is native_only
+        assert bitmatmul.use_bit_engine(15, 7, 1 << 12, 8) is native_only
+
+    def test_everything_else_routes_the_same(self, backend):
+        assert bitmatmul.use_bit_engine(8, 8, 1 << 15, 32)  # the paper's decode
+        assert bitmatmul.use_bit_engine(16, 4, 1 << 16, 32)  # tall
+        assert not bitmatmul.use_bit_engine(8, 8, 63, 32)  # under one word
+        assert not bitmatmul.use_bit_engine(8, 8, 2048, 8)  # too little work
+        assert not bitmatmul.use_bit_engine(8, 8, 1 << 15, 33)
+
+    def test_small_products_agree_across_routes(self, backend):
+        field = GF(32)
+        rng = np.random.default_rng(5)
+        C, P = field.random((4, 4), rng), field.random((4, 1 << 16), rng)
+        slow = field.zeros((4, 1 << 16))
+        for j in range(4):
+            slow ^= field.mul(C[:, j, None], P[j][None, :])
+        assert np.array_equal(field.matmul(C, P), slow)
