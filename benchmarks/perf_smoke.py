@@ -5,10 +5,11 @@ single cheap operating point and the batched simulation engine's
 per-slot time at n=128, compares ns/op against the committed
 ``BENCH_decode.json`` / ``BENCH_sim.json``, and fails when a regression
 exceeds the budget (a generous 3x, so CI noise on shared runners does
-not flap the job).  Four interleaved A/B probes need no baseline: the
-cost of observability, streaming decode against block decode, an
-8-peer publish against eight single-peer publishes, and the compiled
-``bit_matmul`` kernel against its numpy body.
+not flap the job).  Five interleaved A/B probes need no baseline: the
+process-sharded sim engine against the in-process one, the cost of
+observability, streaming decode against block decode, an 8-peer publish
+against eight single-peer publishes, and the compiled ``bit_matmul``
+kernel against its numpy body.
 Fresh ``BENCH_decode.smoke.json`` and ``BENCH_sim.smoke.json`` files
 are always written next to the baselines for upload as CI artifacts.
 
@@ -79,27 +80,51 @@ def measure_sim_sparse() -> tuple[str, float, float]:
     return key, seconds, state_bytes / SPARSE_N
 
 
-#: Procs probe: the process-sharded engine on the same n=8192 cohort
-#: population with 2 shards.  Compared against the committed n=8192
-#: *sparse* point (there is no committed procs entry at this size) at
-#: the same generous 3x budget: the probe exists to catch IPC-path
-#: blowups (a broken barrier, a pickling regression), not to race the
-#: single-process engine slot-for-slot on a shared runner.
+#: Procs probe: the process-sharded engine (2 shards) against the
+#: in-process sparse engine on the same n=8192 cohort population,
+#: interleaved in this run, no committed baseline.  The gate is loose on
+#: purpose — above PROCS_BUDGET x sparse is an IPC blow-up (a broken
+#: barrier, a pickling regression), not a lost race on a shared runner.
+#: The printed ratio is the evidence ROADMAP's "procs earns its place at
+#: <= 0.9 x sparse or goes" verdict needs, collected on every CI run.
 PROCS_SMOKE_WORKERS = 2
+PROCS_BUDGET = 3.0
+PROCS_REPS = 3
 
 
-def measure_sim_procs() -> tuple[str, float]:
+def measure_procs_ratio() -> tuple[str, float, int]:
+    """``(key, procs seconds/slot, failures)``; fails above 3x sparse."""
     import bench_sim_scaling
 
+    def slot_seconds(engine: str) -> float:
+        workers = PROCS_SMOKE_WORKERS if engine == "procs" else None
+        return bench_sim_scaling.sparse_slot_stats(
+            SPARSE_N, slots=48, reps=1, engine=engine, workers=workers
+        )[0]
+
+    # The first forked simulation in a process also pays the workers'
+    # cold first prefetch (tens of ms over 48 slots): not what is probed.
+    slot_seconds("procs")
+    samples = {"sparse": [], "procs": []}
+    for rep in range(PROCS_REPS):
+        for engine in ("sparse", "procs") if rep % 2 == 0 else ("procs", "sparse"):
+            samples[engine].append(slot_seconds(engine))
+    base, sharded = _median(samples["sparse"]), _median(samples["procs"])
+    ratio = sharded / base
     key = f"sim_step_n{SPARSE_N}_procs_w{PROCS_SMOKE_WORKERS}"
-    # Median of three fresh simulations: the first one in a process
-    # also pays the forked workers' cold first prefetch (tens of ms
-    # spread over 48 slots), which is not what the probe is for.
-    seconds, _ = bench_sim_scaling.sparse_slot_stats(
-        SPARSE_N, slots=48, reps=3, engine="procs",
-        workers=PROCS_SMOKE_WORKERS,
-    )
-    return key, seconds
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count()
+    print(f"procs vs sparse n={SPARSE_N}: sparse {base * 1e6:.0f} us/slot, "
+          f"procs {PROCS_SMOKE_WORKERS} workers {sharded * 1e6:.0f} us/slot -> "
+          f"ratio {ratio:.2f}x on {cores} usable cores "
+          f"(budget {PROCS_BUDGET:.1f}x)")
+    if ratio > PROCS_BUDGET:
+        print(f"FAIL: procs costs {ratio:.2f}x > {PROCS_BUDGET:.1f}x the in-process "
+              "sparse engine; is a barrier or a per-slot message broken?")
+        return key, sharded, 1
+    return key, sharded, 0
 
 
 #: Repair probe: recombination throughput at the committed
@@ -400,7 +425,7 @@ def main() -> int:
     sim_ns = int(sim_seconds * 1e9)
     sparse_key, sparse_seconds, sparse_bpp = measure_sim_sparse()
     sparse_ns = int(sparse_seconds * 1e9)
-    procs_key, procs_seconds = measure_sim_procs()
+    procs_key, procs_seconds, procs_failed = measure_procs_ratio()
     procs_ns = int(procs_seconds * 1e9)
     sim_fresh = {
         "schema": 3,
@@ -413,7 +438,7 @@ def main() -> int:
                          "samples": 1},
             procs_key: {"n": SPARSE_N, "engine": "procs", "op": "sim_step",
                         "workers": PROCS_SMOKE_WORKERS,
-                        "ns_per_op": procs_ns, "samples": 1},
+                        "ns_per_op": procs_ns, "samples": PROCS_REPS},
         },
     }
     sim_path = REPO_ROOT / "BENCH_sim.smoke.json"
@@ -425,10 +450,7 @@ def main() -> int:
           f"({sparse_seconds * 1e6:.0f} us/slot, "
           f"{sparse_bpp:.0f} B/peer of engine state)")
     failures += _compare("BENCH_sim.json", sparse_key, sparse_ns)
-    print(f"measured {procs_key}: {procs_ns} ns/op "
-          f"({procs_seconds * 1e6:.0f} us/slot, "
-          f"{PROCS_SMOKE_WORKERS} shard workers)")
-    failures += _compare("BENCH_sim.json", sparse_key, procs_ns)
+    failures += procs_failed
 
     repair_key, repair_ns = measure_repair()
     repair_fresh = {

@@ -752,9 +752,12 @@ def _simulate(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--faults only applies to the 'faults' and 'repair' scenarios"
         )
-    if args.workers is not None and args.scenario not in ("scale", "churn-scale"):
+    if args.workers is not None and (
+        args.engine != "procs" or args.scenario not in ("scale", "churn-scale")
+    ):
         raise SystemExit(
-            "--workers only applies to the 'scale' and 'churn-scale' scenarios"
+            "--workers only applies to --engine procs on the 'scale' and "
+            "'churn-scale' scenarios"
         )
     if args.evict_age is not None and args.scenario != "churn-scale":
         raise SystemExit("--evict-age only applies to the 'churn-scale' scenario")
@@ -1268,13 +1271,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "reference", "batched", "sparse", "procs"),
         default="auto",
         help="slot-loop implementation: 'auto' picks the batched engine, "
-        "the sparse engine for large populations, or the process-sharded "
-        "engine when enough CPUs are usable (all bit-identical to "
-        "'reference')",
+        "or the sparse engine once the population or its dense state is "
+        "too large; 'procs' (the sparse kernel in worker processes) only "
+        "runs when named (all bit-identical to 'reference')",
     )
     simp.add_argument(
         "--workers", type=int, default=None, metavar="W",
-        help="shard worker processes for the procs engine "
+        help="shard worker processes, with --engine procs only "
         "(default: min(4, usable CPUs))",
     )
     simp.add_argument(

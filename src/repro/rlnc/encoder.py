@@ -117,14 +117,12 @@ class FileEncoder:
     def encode_ids(self, source: np.ndarray, message_ids) -> list[EncodedMessage]:
         """Encode a batch of ids with one ``matmul`` over the whole batch.
 
-        ``beta_rows @ X`` produces every payload of the batch in a single
-        kernel call; each payload row is bit-identical to the per-message
-        :meth:`encode_message` result (``dot`` computes the same sum of
-        scaled source rows).
+        ``beta_rows @ X`` produces every payload of the batch — a batch
+        of one included — in a single kernel call; each payload row is
+        bit-identical to the per-message :meth:`encode_message` result
+        (``dot`` computes the same sum of scaled source rows).
         """
         ids = list(message_ids)
-        if len(ids) < 2:
-            return [self.encode_message(source, mid) for mid in ids]
         enc_span = None
         if _TRACER.enabled:
             enc_span = _spans.start_span("rlnc.encode", messages=len(ids))

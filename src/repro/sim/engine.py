@@ -36,15 +36,17 @@ Three slot implementations produce those slots:
   ``sparse`` is one kernel over ``[0, n)`` called **in-process**
   (:class:`~repro.sim.shard.LocalShard`); ``procs`` is W kernels in
   forked worker **processes** behind the :mod:`repro.sim.shardmsg`
-  transport (:mod:`repro.sim.procs`), worth it when real cores are
-  available to hide the message round-trips.
+  transport (:mod:`repro.sim.procs`).  The in-process kernel is already
+  pthread-sharded natively and has measured faster on every input, so
+  ``procs`` runs only when asked for by name.
 
-``engine="auto"`` picks ``batched`` for small populations, ``sparse``
-once ``n`` or the dense engines' memory footprint gets out of hand, and
-``procs`` past a larger population threshold when the machine has spare
-cores (see :meth:`Simulation._auto_engine`), and emits a
-``sim.engine_selected`` trace event recording the choice (including the
-worker-process count, 0 for in-process engines).
+``engine="auto"`` is a two-way rule over what the code can observe (see
+:meth:`Simulation._auto_engine`): ``batched`` while ``n`` is below the
+sparse threshold and the dense engines' three ``(n, n)`` arrays fit four
+times into available memory, ``sparse`` otherwise.  Every construction
+emits a ``sim.engine_selected`` trace event recording the engine, the
+rule that chose it (``"requested"`` for an explicit engine) and the
+worker-process count (0 for the in-process engines).
 
 The engines are **bit-identical**: every batched/sparse expression was
 chosen to perform the same IEEE-754 operations in the same order as the
@@ -64,6 +66,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -116,34 +119,6 @@ _SIM_FEEDBACK_FLUSHES = _OBS.counter(
 #: Population size at which ``engine="auto"`` switches to ``sparse``.
 _SPARSE_N_THRESHOLD = 16384
 
-#: Population size past which ``engine="auto"`` prefers process
-#: sharding (``procs``) over single-process ``sparse`` — provided the
-#: machine actually has spare cores (see :func:`_usable_workers`).
-_PROCS_N_THRESHOLD = 65536
-
-#: Cap on the auto-selected worker-process count.
-_PROCS_MAX_WORKERS = 4
-
-
-def _usable_workers() -> int:
-    """CPUs the auto heuristic may spread worker processes over.
-
-    ``REPRO_SIM_THREADS`` caps it explicitly (the same knob that caps
-    the native kernels' pthread shards — a user forcing single-threaded
-    runs means single-*process* too); otherwise the scheduler affinity
-    mask, falling back to the raw CPU count.
-    """
-    env = os.environ.get("REPRO_SIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
 
 def _available_memory_bytes() -> int | None:
     """Best-effort available physical memory (None when undiscoverable)."""
@@ -174,14 +149,26 @@ class Simulation:
         The small positive ledger initialisation of Equation (2).
     slot_seconds:
         Wall-clock seconds one slot represents (see module docstring).
+    feedback_interval:
+        Slots between a user's reports of received bandwidth to its home
+        peer; 1 (default) is the paper's instant-feedback regime.
     engine:
         ``"auto"`` (default) picks ``"batched"`` or ``"sparse"`` from
-        the population size and available memory; ``"reference"``
-        forces the original per-peer loop for A/B debugging.  Results
-        are bit-identical whichever engine runs.  The batched and
-        sparse engines bind each peer's allocator/demand/capacity
-        strategy at construction; swap strategies mid-run only under
-        ``reference``.
+        the population size and available memory, never anything else;
+        ``"reference"`` forces the original per-peer loop for A/B
+        debugging; ``"procs"`` runs the sparse kernel sharded over
+        forked worker processes and is only ever chosen by name.
+        Results are bit-identical whichever engine runs.  The batched
+        and shard-kernel engines bind each peer's allocator/demand/
+        capacity strategy at construction; swap strategies mid-run only
+        under ``reference``.
+    workers:
+        Worker processes, only with ``engine="procs"`` (default and cap:
+        :func:`repro.sim.procs.worker_count`).
+    evict_age:
+        Drop sparse ledger entries unwritten for this many feedback
+        flushes (``sparse`` / ``procs`` only; changes results — see
+        :func:`~repro.sim.scenarios.sparse_population_churn`).
     """
 
     def __init__(
@@ -211,7 +198,7 @@ class Simulation:
         if workers is not None:
             if workers < 1:
                 raise ValueError(f"workers must be >= 1, got {workers}")
-            if engine not in ("auto", "procs"):
+            if engine != "procs":
                 raise ValueError(
                     f"workers only applies to engine='procs' (got {engine!r})"
                 )
@@ -239,15 +226,13 @@ class Simulation:
         else:
             mode, reason = engine, "requested"
         self._mode = mode
+        self._workers = 0
         if mode == "procs":
-            self._workers = min(
-                self.n,
-                workers
-                if workers is not None
-                else max(1, min(_PROCS_MAX_WORKERS, _usable_workers())),
-            )
-        else:
-            self._workers = 0
+            # Imported here so the in-process engines never pay for
+            # multiprocessing / shared-memory imports.
+            from .procs import ProcsCoordinator, worker_count
+
+            self._workers = worker_count(self.n, workers)
         _TRACER.emit(
             SIM_ENGINE_SELECTED,
             engine=mode,
@@ -274,10 +259,6 @@ class Simulation:
                 evict_age=evict_age,
             )
             if mode == "procs":
-                # Imported here so the in-process engines never pay for
-                # multiprocessing / shared-memory imports.
-                from .procs import ProcsCoordinator
-
                 self._shards = ProcsCoordinator(
                     self.configs, workers=self._workers, **kernel_args
                 )
@@ -285,7 +266,6 @@ class Simulation:
                 self._slot_counter = _SIM_PROCS_SLOTS
             else:
                 self._shards = LocalShard(self.configs, **kernel_args)
-                self.peers = self._shards.kernel.peer_states()
                 self._slot_counter = _SIM_SPARSE_SLOTS
             return
         # All ledgers live as rows of one shared matrix so Equation (2)
@@ -303,37 +283,38 @@ class Simulation:
         if mode == "batched":
             self._init_batched()
 
+    @cached_property
+    def peers(self) -> list[PeerState] | None:
+        """One :class:`PeerState` per peer (``sim.peers[i].ledger``): a
+        list under the in-process engines, ``None`` under ``procs``.
+        Those assign it at construction; only ``sparse`` lands here, on
+        first access — no run reads it, and building 10^5 ledger views
+        was a third of that engine's set-up."""
+        return self._shards.kernel.peer_states()
+
     @staticmethod
     def _auto_engine(n: int) -> tuple[str, str]:
-        """Pick the engine for ``engine="auto"``: size *and* memory.
+        """``engine="auto"``: ``batched`` or ``sparse``, by size and memory.
 
         The dense engines carry three (n, n) float64 arrays (credit
-        matrix, pending feedback, per-slot allocation); require 4x that
-        to be available before choosing them, otherwise go sparse even
-        below the population threshold.  Past the procs threshold,
-        populations big enough to amortise the per-slot message
-        round-trips go process-sharded — but only when the machine has
-        at least two usable CPUs (see :func:`_usable_workers`), since a
-        single worker is the sparse loop plus IPC overhead.
+        matrix, pending feedback, per-slot allocation); ``batched`` runs
+        while ``n`` is below the sparse threshold and 4x those arrays is
+        available, ``sparse`` otherwise.  The second element names the
+        arm taken and is the ``sim.engine_selected`` event's ``reason``.
         """
         if n >= _SPARSE_N_THRESHOLD:
-            if n >= _PROCS_N_THRESHOLD:
-                w = _usable_workers()
-                if w >= 2:
-                    return (
-                        "procs",
-                        f"n={n} >= procs threshold {_PROCS_N_THRESHOLD}, "
-                        f"{w} usable workers",
-                    )
             return "sparse", f"n={n} >= sparse threshold {_SPARSE_N_THRESHOLD}"
         dense_bytes = 3 * 8 * n * n
         avail = _available_memory_bytes()
         if avail is not None and dense_bytes * 4 > avail:
             return (
                 "sparse",
-                f"dense engine needs ~{dense_bytes} bytes, {avail} available",
+                f"dense state needs ~{dense_bytes} bytes x4, {avail} available",
             )
-        return "batched", f"n={n} below sparse threshold, dense state fits"
+        return (
+            "batched",
+            f"n={n} < sparse threshold {_SPARSE_N_THRESHOLD}, dense state fits x4",
+        )
 
     def _init_batched(self) -> None:
         """Partition peers into fast groups / slow set and bind plans."""

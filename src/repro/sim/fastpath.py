@@ -17,8 +17,8 @@ speedup).
 The sparse engine's kernels (``sparse_rows_eq2`` / ``sparse_rows_shared``
 / ``sparse_scatter``) are multi-threaded: workers own contiguous shards
 of independent rows, so the bits are identical for every thread count
-(the self-check verifies that too).  ``REPRO_SIM_THREADS`` overrides the
-worker count (default: ``min(8, cpu_count)``).
+(the self-check verifies that too).  :func:`thread_count` is the one
+reader of ``REPRO_SIM_THREADS``.
 """
 
 from __future__ import annotations
@@ -35,14 +35,21 @@ __all__ = ["load", "FastAlloc", "thread_count"]
 
 
 def thread_count() -> int:
-    """Worker threads for the sparse kernels (``REPRO_SIM_THREADS`` wins)."""
+    """Worker threads for the sparse kernels (and the CPUs behind an
+    explicit ``engine="procs"``'s default worker count):
+    ``REPRO_SIM_THREADS``, else the scheduler affinity mask — a container
+    pinned to 2 of 64 CPUs starts 2 — else the CPU count, capped at 8."""
     env = os.environ.get("REPRO_SIM_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return max(1, min(8, os.cpu_count() or 1))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return max(1, min(8, cpus))
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
 

@@ -13,14 +13,14 @@ dynamics are genuinely exercised during a transfer.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.allocation import Allocator
 from ..discovery.chord import ChordRing, PeerDirectory
+from ..obs import spans as _spans
 from ..repair.monitor import DownloadRepairTrigger, RedundancyMonitor, RepairCoordinator
 from ..repair.recombine import RepairAwareSource, register_repair_digests
 from ..rlnc.chunking import (
@@ -448,71 +448,13 @@ class FileSharingNetwork:
         peers: list[int] | None = None,
         repair_threshold: float | None = None,
     ) -> NetworkDownload:
-        """Fetch a published file from the peer network for ``user``.
-
-        Chunks are downloaded in order (streaming); each chunk runs a
-        parallel download across ``peers`` (default: all peers holding
-        data, including the user's own home peer) at rates produced by
-        the live allocation simulation.
-
-        ``repair_threshold`` arms mid-download repair: when the
-        undelivered supply across live peers falls below the threshold
-        times what the chunk still needs, survivors recombine fresh
-        messages into a live peer's store (see :meth:`churn_repair`)
-        and the download continues.  ``None`` leaves downloads
-        bit-identical to the repair-free path.
-        """
-        handle = self._handle_for(user, name)
-        serving_peers = peers if peers is not None else list(range(self.n))
-        # Snapshot the current version's manifest for the whole download.
-        manifest = handle.manifest
-        streaming, user_digests = self._streaming_decoder(handle, manifest)
-
-        self._manual[user].requesting = True
-        reports: list[DownloadReport] = []
-        total_slots = 0
-        try:
-            for index, chunk_id in enumerate(manifest.chunk_ids):
-                chunk_peers = serving_peers
-                if peers is None and self.directory is not None:
-                    # Resolve holders through the DHT instead of assuming
-                    # global knowledge.
-                    holders, lookup = self.directory.locate(chunk_id)
-                    self.lookup_hops += lookup.hops
-                    if holders is not None:
-                        chunk_peers = [h for h in holders if 0 <= h < self.n]
-                sessions = self._open_sessions(user, chunk_id, chunk_peers)
-                repair = None
-                if repair_threshold is not None:
-                    repair = DownloadRepairTrigger(
-                        hook=self._repair_hook(
-                            name, chunk_id, chunk_peers, sessions, user_digests
-                        ),
-                        threshold=repair_threshold,
-                    )
-                downloader = ParallelDownloader(
-                    sessions,
-                    streaming.chunk(index),
-                    self._make_rate_fn(user, chunk_peers),
-                    download_cap_kbps=download_cap_kbps,
-                    repair=repair,
-                )
-                report = downloader.run(max_slots - total_slots, file_id=chunk_id)
-                reports.append(report)
-                total_slots += report.slots
-                if not report.complete:
-                    break
-        finally:
-            self._manual[user].requesting = False
-        data = streaming.result() if streaming.is_complete else b""
-        return NetworkDownload(data=data, reports=tuple(reports), slots=total_slots)
-
-    def _handle_for(self, user: int, name: str) -> FileHandle:
-        self._check_peer(user)
-        handle = self.registry.get(name)
-        if handle is None:
-            raise KeyError(f"no published file named {name!r}")
-        return handle
+        """Fetch a published file from the peer network for ``user``:
+        the one-request case of :meth:`download_concurrently`, which
+        documents the arguments."""
+        (result,) = self.download_concurrently(
+            [(user, name)], max_slots, download_cap_kbps, peers, repair_threshold
+        )
+        return result
 
     def _streaming_decoder(self, handle: FileHandle, manifest: FileManifest):
         """A fresh decoder plus the digest slice the downloader carries
@@ -569,30 +511,13 @@ class FileSharingNetwork:
 
         return hook
 
-    def _make_rate_fn(self, user: int, serving_peers: list[int]):
-        """Per-slot rates from the live allocation simulation.
-
-        The embedded :class:`~repro.sim.engine.Simulation` is stepped
-        exactly once per downloader slot (the downloader queries every
-        peer at the same ``t``); the allocation row toward ``user`` is
-        cached for the duration of the slot.
-        """
-        cache: dict[int, np.ndarray] = {}
-
-        def rate_fn(session_index: int, t: int) -> float:
-            if t not in cache:
-                cache.clear()
-                alloc, _, _ = self._sim.step()
-                cache[t] = alloc[:, user]
-            return float(cache[t][serving_peers[session_index]])
-
-        return rate_fn
-
     def download_concurrently(
         self,
         requests,
         max_slots: int = 1_000_000,
         download_cap_kbps: float = math.inf,
+        peers: list[int] | None = None,
+        repair_threshold: float | None = None,
     ) -> list[NetworkDownload]:
         """Run several users' downloads simultaneously over one timeline.
 
@@ -603,6 +528,19 @@ class FileSharingNetwork:
         the pairwise-fairness results are visible in *actual transfers*
         rather than only in the abstract simulator.  Returns one
         :class:`NetworkDownload` per request, in order.
+
+        Each transfer fetches its chunks in order (streaming); a chunk
+        is one parallel download — one ``transfer.download`` span —
+        across ``peers`` (default: the holders the DHT directory names,
+        else all peers, the user's own home peer included) at the rates
+        the live allocation simulation grants that user.
+
+        ``repair_threshold`` arms mid-download repair: when the
+        undelivered supply across live peers falls below the threshold
+        times what the chunk still needs, survivors recombine fresh
+        messages into a live peer's store (see :meth:`churn_repair`)
+        and the download continues.  ``None`` leaves downloads
+        bit-identical to the repair-free path.
         """
         requests = list(requests)
         users = [u for u, _ in requests]
@@ -611,26 +549,63 @@ class FileSharingNetwork:
 
         def next_chunk(tr: _Transfer) -> None:
             """Open the downloader for ``tr``'s next chunk, if any."""
+            tr.active = None
             if tr.index >= len(tr.chunk_ids):
-                tr.active = None
                 self._manual[tr.user].requesting = False
                 return
             chunk_id = tr.chunk_ids[tr.index]
+            tr.peers = peers if peers is not None else list(range(self.n))
+            if peers is None and self.directory is not None:
+                # Resolve holders through the DHT instead of assuming
+                # global knowledge.
+                holders, lookup = self.directory.locate(chunk_id)
+                self.lookup_hops += lookup.hops
+                if holders is not None:
+                    tr.peers = [h for h in holders if 0 <= h < self.n]
+            sessions = self._open_sessions(tr.user, chunk_id, tr.peers)
+            repair = None
+            if repair_threshold is not None:
+                repair = DownloadRepairTrigger(
+                    hook=self._repair_hook(
+                        tr.name, chunk_id, tr.peers, sessions, tr.digests
+                    ),
+                    threshold=repair_threshold,
+                )
             tr.active = ParallelDownloader(
-                self._open_sessions(tr.user, chunk_id, range(self.n)),
+                sessions,
                 tr.streaming.chunk(tr.index),
                 None,  # rates come from the shared allocation, per step
                 download_cap_kbps=download_cap_kbps,
+                repair=repair,
             )
-            tr.active.begin(chunk_id)
+            # Transfers interleave slot by slot, so a chunk's span is the
+            # current one (its peer spans' parent) only inside a context
+            # of the transfer's own, dropped with the chunk.
+            scope = _spans.span_scope(
+                "transfer.download", peers=len(sessions), file_id=chunk_id
+            )
+            tr.context = contextvars.copy_context()
+            tr.span = tr.context.run(scope.__enter__)
+            tr.context.run(tr.active.begin, chunk_id)
             tr.t = 0
+
+        def close_chunk(tr: _Transfer, status: str = "ok") -> None:
+            """Finish ``tr``'s open downloader and its span; keep the report."""
+            tr.reports.append(tr.context.run(tr.active.finish, status))
+            _spans.finish_span(tr.span, status=status)
 
         transfers: list[_Transfer] = []
         for user, name in requests:
-            handle = self._handle_for(user, name)
+            self._check_peer(user)
+            handle = self.registry.get(name)
+            if handle is None:
+                raise KeyError(f"no published file named {name!r}")
+            # Snapshot the current version's manifest for the whole download.
             manifest = handle.manifest
-            streaming, _ = self._streaming_decoder(handle, manifest)
-            transfers.append(_Transfer(user, manifest.chunk_ids, streaming))
+            streaming, digests = self._streaming_decoder(handle, manifest)
+            transfers.append(
+                _Transfer(user, name, manifest.chunk_ids, streaming, digests)
+            )
         try:
             for tr in transfers:
                 self._manual[tr.user].requesting = True
@@ -641,17 +616,18 @@ class FileSharingNetwork:
                     break
                 alloc, _, _ = self._sim.step()
                 for tr in live:
-                    tr.slots += 1
-                    more = tr.active.step(tr.t, rates=alloc[:, tr.user])
+                    more = tr.context.run(
+                        tr.active.step, tr.t, alloc[tr.peers, tr.user]
+                    )
                     tr.t += 1
                     if not more:
-                        tr.reports.append(tr.active.finish())
+                        close_chunk(tr)
                         tr.index += 1
                         next_chunk(tr)
         except BaseException:
             for tr in transfers:
                 if tr.active is not None:
-                    tr.active.finish(status="error")
+                    close_chunk(tr, status="error")
             raise
         finally:
             for tr in transfers:
@@ -663,10 +639,11 @@ class FileSharingNetwork:
                 # The unfinished chunk's report keeps the aggregate
                 # NetworkDownload incomplete even when earlier chunks
                 # finished.
-                tr.reports.append(tr.active.finish())
+                close_chunk(tr)
             data = tr.streaming.result() if tr.streaming.is_complete else b""
+            slots = sum(r.slots for r in tr.reports)
             results.append(
-                NetworkDownload(data=data, reports=tuple(tr.reports), slots=tr.slots)
+                NetworkDownload(data=data, reports=tuple(tr.reports), slots=slots)
             )
         return results
 
@@ -685,12 +662,16 @@ class _Transfer:
     """One user's chunk-by-chunk download on the shared timeline."""
 
     user: int
+    name: str
     chunk_ids: tuple[int, ...]
     streaming: StreamingDecoder
+    digests: DigestStore  # the user's slice; repairs merge into it
     reports: list[DownloadReport] = field(default_factory=list)
-    slots: int = 0
     index: int = 0  # chunk being fetched
+    peers: list[int] = field(default_factory=list)  # serving it
     active: ParallelDownloader | None = None  # its downloader
+    span: _spans.SpanHandle | None = None  # its transfer.download span
+    context: contextvars.Context | None = None  # where that span is current
     t: int = 0  # slot within that chunk
 
 

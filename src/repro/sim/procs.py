@@ -42,7 +42,14 @@ from . import fastpath
 from .shard import ShardKernel, needs_declared
 from .shardmsg import CreditBatch, SlotVectors
 
-__all__ = ["ProcsCoordinator"]
+__all__ = ["ProcsCoordinator", "worker_count"]
+
+
+def worker_count(n: int, workers: int | None) -> int:
+    """Worker processes for ``n`` peers: ``workers``, by default one per
+    usable CPU up to 4 (:func:`~repro.sim.fastpath.thread_count`, so
+    ``REPRO_SIM_THREADS=1`` means single-process too); never above ``n``."""
+    return min(n, workers if workers is not None else min(4, fastpath.thread_count()))
 
 
 def _cleanup(procs, conns, vec) -> None:

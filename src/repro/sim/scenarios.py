@@ -502,7 +502,9 @@ def sparse_population_sim(
     Returns the live :class:`~repro.sim.engine.Simulation` so callers
     (benchmarks, the million-peer smoke) can inspect
     :meth:`~repro.sim.engine.Simulation.memory_bytes` and step it
-    themselves.
+    themselves.  ``workers`` goes with ``engine="procs"`` only, here and
+    in the other ``sparse_population*`` builders (``auto`` never shards
+    over processes, so it takes none).
     """
     if n < 2:
         raise ValueError(f"a sparse population needs >= 2 peers, got {n}")
@@ -655,11 +657,10 @@ def million_peer_smoke(
 ) -> dict:
     """Million-peer smoke: build, step and account a 10^6-peer network.
 
-    Uses the sparse engine by default (the auto heuristic would pick a
-    large-``n`` engine anyway at this size) with ``history="none"``;
-    pass ``engine="procs"`` (and optionally ``workers``) to smoke the
-    process-sharded engine instead.  The return dict reports the
-    engine's own state accounting
+    Uses the sparse engine (what ``auto`` picks at this size) with
+    ``history="none"``; pass ``engine="procs"`` (and optionally
+    ``workers``) to smoke the process-sharded engine instead.  The
+    return dict reports the engine's own state accounting
     (:meth:`~repro.sim.engine.Simulation.memory_bytes`, bytes/peer) and
     the peak RSS — parent plus, under procs, the reaped worker
     children — against ``memory_cap_bytes`` — the documented cap in

@@ -119,6 +119,18 @@ def _capacity_group_key(c) -> tuple:
     return ("inst", id(c))
 
 
+def _group_rows(groups: dict, by_id: dict, process, key) -> list[int]:
+    """The row list of ``process``'s equivalence group, found by object
+    identity first: a cohort shares *one* process object, so its value
+    key (a schedule's whole interval tuple) is built and hashed once per
+    object, not once per peer.  Equal-valued distinct objects still meet
+    in the value key's group."""
+    rows = by_id.get(id(process))
+    if rows is None:
+        rows = by_id[id(process)] = groups.setdefault(key(process), [])
+    return rows
+
+
 def needs_declared(configs: Sequence[PeerConfig]) -> bool:
     """Whether any peer anywhere consults declared capacities (an
     Equation (3) or slow-path row) — a *global* property: if one shard
@@ -228,6 +240,8 @@ class ShardKernel:
         overrides: list[tuple[int, float]] = []
         det_groups: dict[tuple, list[int]] = {}
         cap_groups: dict[tuple, list[int]] = {}
+        det_by_id: dict[int, list[int]] = {}
+        cap_by_id: dict[int, list[int]] = {}
         self._rng_demand: list[int] = []
         self._slot_demand: list[int] = []
         self._slot_capacity: list[int] = []
@@ -252,12 +266,12 @@ class ShardKernel:
             if not d.blockable:
                 self._slot_demand.append(i)
             elif d.deterministic:
-                det_groups.setdefault(_demand_group_key(d), []).append(i)
+                _group_rows(det_groups, det_by_id, d, _demand_group_key).append(i)
             else:
                 self._rng_demand.append(i)
             c = cfg.capacity
             if c.blockable:
-                cap_groups.setdefault(_capacity_group_key(c), []).append(i)
+                _group_rows(cap_groups, cap_by_id, c, _capacity_group_key).append(i)
             else:
                 self._slot_capacity.append(i)
         self._eq2_rows = np.asarray(eq2, dtype=np.int64)

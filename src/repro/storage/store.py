@@ -171,7 +171,9 @@ class MessageStore:
         """Load a ``.dat`` written by :meth:`save_dat`.
 
         ``p`` and ``m`` fix the per-message payload size (they come from
-        the file's manifest); returns the number of messages loaded.
+        the file's manifest); returns the number of messages loaded.  At
+        ``p = 4`` an odd ``m`` leaves half a byte of padding per record,
+        which must be zero and is not a symbol.
         """
         from ..rlnc.message import HEADER_BYTES
 
@@ -186,6 +188,13 @@ class MessageStore:
         loaded = 0
         for off in range(0, len(blob), record):
             msg = EncodedMessage.from_bytes(blob[off : off + record], p=p)
+            if msg.m != m:  # p = 4, odd m: the bytes hold m + 1 nibbles
+                if msg.payload[m:].any():
+                    raise StorageError(
+                        f"{path}: record at byte {off} has non-zero padding "
+                        f"after its {m} symbols"
+                    )
+                msg = msg.with_payload(msg.payload[:m])
             self._files.setdefault(msg.file_id, []).append(msg)
             loaded += 1
         return loaded

@@ -99,6 +99,20 @@ def test_fallback_mid_plan_keeps_later_bundles_aligned():
     assert any(ids == list(range(ids[0], ids[0] + K)) for ids in plan)  # and the block test
 
 
+@pytest.mark.parametrize("p", [4, 8, 16, 32])
+def test_one_id_batch_takes_the_batch_route(p, rng, monkeypatch):
+    """``encode_ids`` has no single-id fork: one id is a one-row
+    ``matmul``, equal to the ``encode_message`` oracle."""
+    encoder = make_encoder(p)
+    source = encoder.source_matrix(rng.bytes(encoder.params.file_bytes))
+    oracle = encoder.encode_message(source, 7)
+    monkeypatch.setattr(encoder, "encode_message", None)  # not consulted
+    (msg,) = encoder.encode_ids(source, [7])
+    assert msg.to_bytes() == oracle.to_bytes()
+    assert msg.payload.dtype == oracle.payload.dtype and not msg.payload.flags.writeable
+    assert encoder.encode_ids(source, []) == []
+
+
 def test_one_encode_span_per_chunk(rng):
     """A chunk is one ``rlnc.encode`` span covering all ``n_peers * k``
     messages; the message counter totals the same."""

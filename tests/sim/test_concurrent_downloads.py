@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import TRACER, observability
+from repro.obs import TRACER, analyze, observability
 from repro.rlnc import CodingParams
 from repro.sim import FileSharingNetwork
 
@@ -116,6 +116,44 @@ class TestOneDownloadLoop:
             r.to_dict() for r in plain.reports
         ]
 
+    def test_single_request_equals_plain_download_through_the_dht(self, blobs):
+        """Both resolve holders through the directory and pay its hops."""
+        nets = []
+        for _ in range(2):
+            net = FileSharingNetwork(
+                [400.0, 300.0, 200.0, 100.0], params=PARAMS, seed=8, use_discovery=True
+            )
+            net.publish(owner=0, name="a", data=blobs[0])
+            nets.append(net)
+        published = nets[0].lookup_hops
+        plain = nets[0].download(2, "a")
+        (together,) = nets[1].download_concurrently([(2, "a")])
+        assert together.data == plain.data == blobs[0]
+        assert [r.to_dict() for r in together.reports] == [
+            r.to_dict() for r in plain.reports
+        ]
+        assert nets[1].lookup_hops == nets[0].lookup_hops > published
+
+    def test_peer_subset_and_repair_apply_to_every_transfer(self, blobs):
+        """The shared loop honours ``peers`` (rates ``alloc[peers, user]``)
+        and arms ``repair_threshold`` as a plain download always did:
+        two peers hold 4 of a chunk's 8 messages, so both transfers stall
+        unarmed and complete once survivors may recombine mid-flight."""
+
+        def fresh():
+            net = FileSharingNetwork([400.0] * 4, params=PARAMS, seed=8)
+            net.publish(owner=0, name="a", data=blobs[0], message_limit=2)
+            return net
+
+        requests = [(2, "a"), (0, "a")]
+        stalled = fresh().download_concurrently(requests, max_slots=40, peers=[1, 3])
+        assert not any(r.complete for r in stalled)
+        assert all(len(rep.per_peer_bytes) == 2 for r in stalled for rep in r.reports)
+        repaired = fresh().download_concurrently(
+            requests, max_slots=40, peers=[1, 3], repair_threshold=1.0
+        )
+        assert all(r.complete and r.data == blobs[0] for r in repaired)
+
     def test_unfinished_chunk_is_reported_incomplete(self, blobs):
         # Chunks take one slot each here: after two slots two are done and
         # the third has been opened but never stepped.
@@ -129,6 +167,29 @@ class TestOneDownloadLoop:
         with observability(tracing=True, reset=True):
             net.download_concurrently([(2, "a")])
             names = [e.name for e in TRACER.events()]
+            forest = analyze.build_span_forest(TRACER.events())
         assert names.count("transfer.start") == 6  # one per chunk
         assert names.count("transfer.complete") == 6
         assert names.count("transfer.stop") == 6 * net.n
+        # ... and one closed transfer.download span per chunk, parenting
+        # that chunk's peer spans, as ParallelDownloader.run gives one.
+        downloads = [r for r in forest if r.op == "transfer.download"]
+        assert len(downloads) == 6
+        for root in downloads:
+            assert root.status == "ok" and root.attrs["peers"] == net.n
+            assert [c.op for c in root.children] == ["transfer.peer"] * net.n
+
+    def test_interleaved_transfers_keep_their_own_spans(self, blobs):
+        net = self.fresh(blobs)
+        net.publish(owner=1, name="b", data=blobs[1])
+        with observability(tracing=True, reset=True):
+            net.download_concurrently([(2, "a"), (3, "b")])
+            forest = analyze.build_span_forest(TRACER.events())
+        downloads = [r for r in forest if r.op == "transfer.download"]
+        assert len(downloads) == 12
+        assert sorted(r.attrs["file_id"] for r in downloads) == sorted(
+            net.registry["a"].manifest.chunk_ids + net.registry["b"].manifest.chunk_ids
+        )
+        for root in downloads:
+            assert [c.op for c in root.children] == ["transfer.peer"] * net.n
+            assert all(node.end_ns is not None for node in root.walk())

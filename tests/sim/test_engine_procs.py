@@ -219,62 +219,77 @@ def test_history_modes_consistent():
 # -- auto-selection and its trace event ------------------------------------
 
 
-def test_auto_selects_procs_with_enough_workers(monkeypatch):
+def _auto_event(monkeypatch, n=10):
+    """Build an ``engine="auto"`` simulation of ``n`` peers with the
+    sparse threshold lowered to 4; returns it and its selection event."""
     from repro.sim import engine as engine_mod
 
     monkeypatch.setattr(engine_mod, "_SPARSE_N_THRESHOLD", 4)
-    monkeypatch.setattr(engine_mod, "_PROCS_N_THRESHOLD", 8)
-    monkeypatch.setattr(engine_mod, "_usable_workers", lambda: 4)
     configs = [
         PeerConfig(capacity=100.0, demand=BernoulliDemand(0.5))
-        for _ in range(10)
+        for _ in range(n)
     ]
     with obs.observability(tracing=True, reset=True):
         sim = Simulation(configs, engine="auto")
         events = [
             e for e in obs.TRACER.events() if e.name == "sim.engine_selected"
         ]
-    with sim:
-        assert sim.backend.startswith("procs")
     (event,) = events
-    assert event.fields["engine"] == "procs"
-    assert event.fields["workers"] == 4
-    assert "usable workers" in event.fields["reason"]
+    return sim, event
+
+
+def test_auto_never_selects_procs(monkeypatch):
+    """``auto`` is a two-way rule: past every threshold, on a machine
+    with CPUs to spare, it still lands on the in-process kernel."""
+    import sys
+
+    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delitem(sys.modules, "repro.sim.procs", raising=False)
+    sim, event = _auto_event(monkeypatch, n=100)
+    assert sim.backend.startswith("sparse")
+    assert event.fields["engine"] == "sparse"
+    assert event.fields["workers"] == 0
+    assert "n=100 >= sparse threshold 4" in event.fields["reason"]
+    # Nothing on the way imported the process-sharded engine.
+    assert "repro.sim.procs" not in sys.modules
 
 
 def test_auto_keeps_sparse_on_one_cpu(monkeypatch):
-    from repro.sim import engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "_SPARSE_N_THRESHOLD", 4)
-    monkeypatch.setattr(engine_mod, "_PROCS_N_THRESHOLD", 8)
-    monkeypatch.setattr(engine_mod, "_usable_workers", lambda: 1)
-    configs = [
-        PeerConfig(capacity=100.0, demand=BernoulliDemand(0.5))
-        for _ in range(10)
-    ]
-    with obs.observability(tracing=True, reset=True):
-        sim = Simulation(configs, engine="auto")
-        events = [
-            e for e in obs.TRACER.events() if e.name == "sim.engine_selected"
-        ]
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    sim, event = _auto_event(monkeypatch)
     assert sim.backend.startswith("sparse")
-    (event,) = events
     assert event.fields["engine"] == "sparse"
     assert event.fields["workers"] == 0
 
 
 def test_workers_env_caps_auto_selection(monkeypatch):
-    from repro.sim import engine as engine_mod
-
     monkeypatch.setenv("REPRO_SIM_THREADS", "1")
-    monkeypatch.setattr(engine_mod, "_SPARSE_N_THRESHOLD", 4)
-    monkeypatch.setattr(engine_mod, "_PROCS_N_THRESHOLD", 8)
-    configs = [
-        PeerConfig(capacity=100.0, demand=BernoulliDemand(0.5))
-        for _ in range(10)
-    ]
-    sim = Simulation(configs, engine="auto")
+    sim, _ = _auto_event(monkeypatch)
     assert sim.backend.startswith("sparse")
+
+
+def test_workers_with_auto_is_rejected():
+    """``workers`` is the procs engine's argument; ``auto`` never picks
+    procs, so the combination has no meaning left."""
+    with pytest.raises(ValueError, match="workers only applies to engine='procs'"):
+        Simulation(_history_configs(), engine="auto", workers=2)
+    with pytest.raises(ValueError, match="workers"):
+        sparse_population(n=40, cohorts=8, givers=4, slots=4, workers=2)
+
+
+def test_default_workers_follow_the_one_thread_count(monkeypatch):
+    """An explicit ``procs`` without ``workers`` takes ``min(4, usable
+    CPUs)`` from the same reader the pthread shard count uses."""
+    from repro.sim import procs
+
+    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    assert procs.worker_count(100, None) == 4
+    assert procs.worker_count(3, None) == procs.worker_count(3, 32) == 3
+    monkeypatch.setenv("REPRO_SIM_THREADS", "3")
+    with Simulation(_history_configs(), engine="procs") as sim:
+        assert sim._workers == 3
 
 
 def test_explicit_workers_event_field():

@@ -308,6 +308,88 @@ def test_auto_considers_available_memory(monkeypatch):
     assert sim.backend.startswith("sparse")
 
 
+# -- set-up: lazy ledger views, demand/capacity grouping --------------------
+
+
+def test_peers_are_built_on_first_access(monkeypatch):
+    """A sparse build makes no ``PeerState`` for fast-path peers (a run
+    never reads one); ``.peers`` builds the list once, when asked."""
+    from repro.sim import shard as shard_mod
+
+    built = []
+
+    class CountingPeerState(shard_mod.PeerState):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(shard_mod, "PeerState", CountingPeerState)
+    sim = sparse_population_sim(n=60, cohorts=6, givers=3, slots=12, engine="sparse")
+    sim.run(12, history="none")
+    assert built == []
+    peers = sim.peers
+    assert built == list(range(60))
+    assert sim.peers is peers and len(built) == 60
+
+
+def test_lazy_peer_ledgers_match_the_reference_view():
+    """``sim.peers[i].ledger`` read after the run is the ledger the
+    eager list exposed: the reference engine's credits, bit for bit, for
+    store-backed rows and for a slow-path dense island alike."""
+    sims = {}
+    for engine in ("reference", "sparse"):
+        sims[engine] = sim = Simulation(adversarial_configs(), seed=3, engine=engine)
+        sim.run(20)
+    ref, sparse = sims["reference"], sims["sparse"]
+    islands = {p.index for p in sparse._shards.kernel._slow_peers}
+    assert islands and len(islands) < sparse.n  # both kinds of row present
+    for i in range(sparse.n):
+        got, want = sparse.peers[i].ledger, ref.peers[i].ledger
+        assert got.credits.tobytes() == want.credits.tobytes(), i
+        assert got.credit_of(0) == want.credit_of(0)
+        assert sparse.peers[i].config is sparse.configs[i]
+    # Island states are the live ones the kernel allocates from.
+    for peer in sparse._shards.kernel._slow_peers:
+        assert sparse.peers[peer.index] is peer
+    assert Simulation(adversarial_configs(), engine="batched").peers is not None
+    with Simulation(adversarial_configs(), engine="procs", workers=2) as procs:
+        assert procs.peers is None
+
+
+def test_shared_and_equal_valued_processes_share_groups():
+    """Grouping is by identity first, by value second: cohorts holding
+    one demand/capacity object and cohorts holding equal-valued distinct
+    objects land in the same groups and sample identical rows."""
+    schedules = [[(t, t + 1) for t in range(c, 24, 3)] for c in range(3)]
+    steps = [(0, 300.0), (8, 0.0), (16, 500.0)]
+
+    def configs(shared):
+        demands = [ScheduleDemand(s) for s in schedules]
+        stepped = StepCapacity(steps)
+        return [
+            PeerConfig(
+                capacity=(stepped if shared else StepCapacity(steps))
+                if i % 2
+                else 200.0 + (i % 4),
+                demand=demands[i % 3] if shared else ScheduleDemand(schedules[i % 3]),
+            )
+            for i in range(12)
+        ]
+
+    groups = {}
+    for shared in (True, False):
+        kernel = Simulation(configs(shared), engine="sparse")._shards.kernel
+        groups[shared] = (
+            [rows.tolist() for _, rows in kernel._det_demand_groups],
+            [rows.tolist() for _, rows in kernel._cap_groups],
+        )
+    assert groups[True] == groups[False]
+    assert groups[True][0] == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+    assert groups[True][1] == [[0, 4, 8], [1, 3, 5, 7, 9, 11], [2, 6, 10]]
+    assert_equivalent(lambda: configs(True), slots=24, engines=ENGINES)
+    assert_equivalent(lambda: configs(False), slots=24, engines=ENGINES)
+
+
 # -- scale scenarios --------------------------------------------------------
 
 

@@ -132,3 +132,34 @@ class TestGating:
     @needs_native
     def test_self_check_accepts_good_kernels(self):
         assert fastpath._self_check(kernels)
+
+
+class TestThreadCount:
+    """``thread_count`` is the one reader of ``REPRO_SIM_THREADS``: env,
+    then the scheduler affinity mask, then the raw CPU count."""
+
+    def test_env_wins_uncapped(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("REPRO_SIM_THREADS", "12")
+        assert fastpath.thread_count() == 12
+        monkeypatch.setenv("REPRO_SIM_THREADS", "0")
+        assert fastpath.thread_count() == 1
+        monkeypatch.setenv("REPRO_SIM_THREADS", "many")  # unparsable: ignored
+        assert fastpath.thread_count() == 2
+
+    def test_affinity_mask_beats_cpu_count(self, monkeypatch):
+        """Pinned to 2 of 64 CPUs, the kernels start 2 pthreads, not 8."""
+        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3, 7}, raising=False)
+        assert fastpath.thread_count() == 2
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
+        assert fastpath.thread_count() == 8  # the cap
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert fastpath.thread_count() == 3
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert fastpath.thread_count() == 1

@@ -1,5 +1,7 @@
 """Unit tests for per-peer message storage and File-id.dat persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,41 @@ class TestDatPersistence:
         for a, b in zip(original, restored):
             assert a.message_id == b.message_id
             assert np.array_equal(a.payload, b.payload)
+
+    @pytest.mark.parametrize("m", [32, 33])
+    @pytest.mark.parametrize("p", [4, 8, 16, 32])
+    def test_roundtrip_for_every_width_and_parity(self, p, m, rng, tmp_path):
+        """``load_dat`` returns exactly ``m`` symbols per message, also
+        where a record ends on half a byte (p = 4, odd m), and the loaded
+        messages decode."""
+        from repro.rlnc import BlockDecoder
+
+        params = CodingParams(p=p, m=m, file_bytes=4 * ((m * p + 7) // 8))
+        encoder = FileEncoder(params, b"s", file_id=0x22)
+        data = rng.bytes(params.file_bytes)
+        store = MessageStore()
+        store.add_messages(encoder.encode_bundles(data, n_peers=1).all_messages())
+        (path,) = store.save_dat(str(tmp_path))
+        loaded = MessageStore()
+        assert loaded.load_dat(path, p=p, m=m) == params.k
+        restored = loaded.messages(0x22)
+        for a, b in zip(store.messages(0x22), restored):
+            assert (a.message_id, b.m) == (b.message_id, m)
+            assert a.to_bytes() == b.to_bytes()
+            assert np.array_equal(a.payload, b.payload)
+        assert BlockDecoder(params, encoder.coefficients).decode(restored) == data
+
+    def test_nonzero_pad_nibble_rejected(self, rng, tmp_path):
+        params = CodingParams(p=4, m=33, file_bytes=4 * 17)
+        encoder = FileEncoder(params, b"s", file_id=0x22)
+        store = MessageStore()
+        store.add_messages(encoder.encode_bundles(rng.bytes(60), 1).all_messages())
+        (path,) = store.save_dat(str(tmp_path))
+        blob = bytearray(Path(path).read_bytes())
+        blob[-1] |= 0x01  # low nibble of a record's last byte: the padding
+        Path(path).write_bytes(blob)
+        with pytest.raises(StorageError, match="non-zero padding"):
+            MessageStore().load_dat(path, p=4, m=33)
 
     def test_corrupt_dat_rejected(self, messages, tmp_path):
         store = MessageStore()

@@ -618,6 +618,18 @@ class TestSimulate:
         with pytest.raises(SystemExit, match="bad --faults"):
             main(["simulate", "faults", "--faults", "0:meltdown"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--workers", "2"],  # auto never shards over processes
+            ["scale", "--engine", "sparse", "--workers", "2"],
+            ["fig5b", "--engine", "procs", "--workers", "2"],
+        ],
+    )
+    def test_workers_flag_requires_the_procs_engine(self, argv):
+        with pytest.raises(SystemExit, match="--workers only applies to --engine procs"):
+            main(["simulate", *argv])
+
 
 class TestChannel:
     def test_table(self, capsys):
