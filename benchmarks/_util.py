@@ -22,6 +22,7 @@ __all__ = [
     "metered",
     "median",
     "peak_rss_bytes",
+    "usable_cores",
     "write_bench_json",
     "BENCH_SCHEMA",
     "REPO_ROOT",
@@ -29,12 +30,12 @@ __all__ = [
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Results-file schema: version 2 adds the optional memory columns
-#: ``peak_rss_bytes`` and ``bytes_per_peer`` next to ``ns_per_op``
-#: (written by the scale points of ``bench_sim_scaling.py``); version 3
-#: adds the process-sharded engine's ``workers`` count and per-shard
-#: ``shards`` accounting (``[lo, hi, bytes_per_peer]`` triples).
-#: Readers of older files need no changes — the new fields are additive.
+#: The one results-file schema: ``{"schema": 3, "results": {key: point}}``,
+#: a point holding ``ns_per_op`` and ``samples`` plus whatever describes it
+#: — the scale points of ``bench_sim_scaling.py`` add ``bytes_per_peer``
+#: and ``peak_rss_bytes``, the procs ones ``workers`` and per-shard
+#: ``shards`` (``[lo, hi, bytes_per_peer]`` triples).  The files are
+#: reproduction output for people to read; no gate reads them back.
 BENCH_SCHEMA = 3
 
 
@@ -54,16 +55,24 @@ def peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (the affinity mask where there is one)."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS
+        return os.cpu_count() or 1
+
+
 def write_bench_json(filename: str, results: dict, merge: bool = True) -> Path:
     """Write (or merge into) a machine-readable results file at repo root.
 
     ``results`` maps point keys (e.g. ``"decode_p8_k64"``) to dicts with
-    at least ``ns_per_op``; scale points may add the schema-2 memory
-    columns ``peak_rss_bytes`` and ``bytes_per_peer``.  With ``merge``
-    (the default) existing keys in the file are updated and unrelated
-    keys preserved, so several benchmark modules can contribute to one
-    trajectory file (version-1 files are upgraded in place; their
-    entries are valid version-2 entries as-is).
+    at least ``ns_per_op``.  With ``merge`` (the default) existing keys
+    in the file are updated and unrelated keys preserved, so several
+    benchmark modules can contribute to one file; the file's ``schema``
+    becomes :data:`BENCH_SCHEMA` whatever it was.
     """
     path = REPO_ROOT / filename
     payload: dict = {"schema": BENCH_SCHEMA, "results": {}}

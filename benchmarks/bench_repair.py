@@ -38,7 +38,7 @@ P, M, HELPERS, COUNT = 16, 1 << 12, 16, 8
 REPS = 7
 
 
-def _setup(p: int = P, m: int = M, helpers: int = HELPERS):
+def setup_point(p: int = P, m: int = M, helpers: int = HELPERS):
     params = CodingParams(p=p, m=m, file_bytes=(8 * m * p) // 8)
     encoder = FileEncoder(params, secret=b"bench", file_id=0xB0)
     rng = np.random.default_rng(7)
@@ -55,7 +55,7 @@ def _setup(p: int = P, m: int = M, helpers: int = HELPERS):
 
 def recombine_ns_per_message() -> int:
     """Median ns per fresh message minted by ``recombine``."""
-    _, _, stored, record = _setup()
+    _, _, stored, record = setup_point()
     recombine(record, stored)  # warm the field kernels before timing
     samples = []
     for _ in range(REPS):
@@ -103,7 +103,7 @@ def test_owner_bandwidth_asymmetry(benchmark):
     def run():
         rows = []
         for m in (1 << 8, 1 << 10, 1 << 12):
-            encoder, source, stored, record = _setup(m=m)
+            encoder, source, stored, record = setup_point(m=m)
             digests = DigestStore()
             shipped = register_repair_digests(
                 record, encoder.coefficients, source, digests

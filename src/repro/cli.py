@@ -339,6 +339,16 @@ def _write_repairs(path: str, records: dict[int, list]) -> int:
     return len(flat)
 
 
+def _note_repair(chunk_id, outcome, records, digest_store) -> None:
+    """File a successful repair: its record and the minted digests."""
+    records.setdefault(chunk_id, []).append(outcome.record)
+    if digest_store is not None:
+        for message in outcome.messages:
+            digest_store.record(
+                chunk_id, message.message_id, message.payload_bytes()
+            )
+
+
 def _local_repair_hook(chunk_id, holders, stores, records, field, digest_store):
     """Mid-download repair over the local ``.dat`` stores.
 
@@ -367,12 +377,7 @@ def _local_repair_hook(chunk_id, holders, stores, records, field, digest_store):
         )
         if not outcome.ok:
             return 0
-        records.setdefault(chunk_id, []).append(outcome.record)
-        if digest_store is not None:
-            for message in outcome.messages:
-                digest_store.record(
-                    chunk_id, message.message_id, message.payload_bytes()
-                )
+        _note_repair(chunk_id, outcome, records, digest_store)
         stores[target].add_messages(outcome.messages)
         return outcome.report.produced
 
@@ -670,12 +675,7 @@ def _repair(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        records.setdefault(chunk_id, []).append(outcome.record)
-        if digest_store is not None:
-            for message in outcome.messages:
-                digest_store.record(
-                    chunk_id, message.message_id, message.payload_bytes()
-                )
+        _note_repair(chunk_id, outcome, records, digest_store)
         fresh.add_messages(outcome.messages)
         produced += outcome.report.produced
         state = " (partial)" if outcome.report.degraded else ""
@@ -1093,12 +1093,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                       f"{'/'.join(_LINT_DEFAULT_PATHS)} exist here",
                       file=sys.stderr)
                 return 2
-        report = run_lint(
-            paths,
-            rule_ids=args.rule or None,
-            flow=flow,
-            cache_dir=args.cache_dir,
-        )
+        report = run_lint(paths, rule_ids=args.rule or None, flow=flow)
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -1364,11 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--changed", metavar="REF",
         help="lint only python files changed vs the given git ref "
         "(the call graph still covers the whole project)",
-    )
-    lint.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="directory for the serialized call-graph cache "
-        "(digest-validated; CI caches it between runs)",
     )
     lint.set_defaults(func=cmd_lint)
 

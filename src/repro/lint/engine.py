@@ -455,13 +455,11 @@ def run_lint(
     rule_ids: list[str] | None = None,
     *,
     flow: bool = False,
-    cache_dir: str | os.PathLike | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) with the selected rules.
 
     With ``flow=True`` the whole-project flow rules also run, once per
-    project root covering the inputs; ``cache_dir`` persists the
-    serialized call graph between invocations (CI caches it).
+    project root covering the inputs.
     """
     rules = _select_rules(rule_ids)
     files = collect_files(paths)
@@ -476,9 +474,7 @@ def run_lint(
         findings.extend(lint_file(path, rules, project, invocation_root))
     flow_rules = [r for r in rules if r.is_flow]
     if flow and flow_rules:
-        findings.extend(
-            _run_flow(files, flow_rules, invocation_root, cache_dir)
-        )
+        findings.extend(_run_flow(files, flow_rules, invocation_root))
     findings.sort()
     rules_run = [r.id for r in rules if flow or not r.is_flow]
     return LintReport(
@@ -492,7 +488,6 @@ def _run_flow(
     files: list[Path],
     flow_rules: list[Rule],
     invocation_root: Path | None,
-    cache_dir: str | os.PathLike | None,
 ) -> list[Finding]:
     """Run the flow rules once per project root covering ``files``."""
     from .callgraph import CallGraph
@@ -505,7 +500,7 @@ def _run_flow(
     for root, group in sorted(by_root.items()):
         if not (root / "src").is_dir():
             continue
-        graph = CallGraph.load_or_build(root, cache_dir)
+        graph = CallGraph.load_or_build(root)
         targets = frozenset(str(p) for p in group)
         ctx = FlowContext(root=root, graph=graph, targets=targets)
         for r in flow_rules:

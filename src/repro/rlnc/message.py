@@ -76,6 +76,13 @@ class EncodedMessage:
             raise MessageFormatError(
                 f"message too short: {len(wire)} bytes < {HEADER_BYTES}-byte header"
             )
+        # bytes_to_symbols zero-pads a trailing partial symbol (file data
+        # needs that); in a message it would be a byte the peer never sent.
+        if p in (16, 32) and (len(wire) - HEADER_BYTES) % (p // 8):
+            raise MessageFormatError(
+                f"payload of {len(wire) - HEADER_BYTES} bytes is not a whole "
+                f"number of {p // 8}-byte symbols"
+            )
         file_id, message_id = _HEADER.unpack_from(wire)
         payload = bytes_to_symbols(wire[HEADER_BYTES:], p)
         return cls(file_id=file_id, message_id=message_id, payload=payload, p=p)

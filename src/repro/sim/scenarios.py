@@ -474,6 +474,29 @@ def repair_under_churn(
     }
 
 
+def _cohort_population(n, giver_configs, cohorts, slots, **sim_args) -> Simulation:
+    """``giver_configs``, then pure consumers up to ``n`` peers in all.
+
+    Consumers rotate through ``cohorts`` request cohorts over ``slots``
+    slots; one idle capacity and one demand schedule per cohort are
+    shared instances (the shard kernel groups by object identity).
+    """
+    if cohorts < 1:
+        raise ValueError(f"cohorts must be positive, got {cohorts}")
+    if slots < 1:
+        raise ValueError(f"slots must be positive, got {slots}")
+    idle_cap = ConstantCapacity(0.0)
+    cohort_demand = [
+        ScheduleDemand([(t, t + 1) for t in range(c, slots, cohorts)])
+        for c in range(cohorts)
+    ]
+    consumers = [
+        PeerConfig(capacity=idle_cap, demand=cohort_demand[i % cohorts])
+        for i in range(n - len(giver_configs))
+    ]
+    return Simulation(giver_configs + consumers, **sim_args)
+
+
 def sparse_population_sim(
     n: int = 100_000,
     cohorts: int = 64,
@@ -510,27 +533,15 @@ def sparse_population_sim(
         raise ValueError(f"a sparse population needs >= 2 peers, got {n}")
     if not 1 <= givers < n:
         raise ValueError(f"givers must be within [1, {n - 1}], got {givers}")
-    if cohorts < 1:
-        raise ValueError(f"cohorts must be positive, got {cohorts}")
-    if slots < 1:
-        raise ValueError(f"slots must be positive, got {slots}")
     giver_cap = ConstantCapacity(kbps)
-    idle_cap = ConstantCapacity(0.0)
     never = NeverRequests()
-    cohort_demand = [
-        ScheduleDemand([(t, t + 1) for t in range(c, slots, cohorts)])
-        for c in range(cohorts)
-    ]
     configs = [
         PeerConfig(capacity=giver_cap, demand=never, label=f"Giver {i}")
         for i in range(givers)
     ]
-    configs += [
-        PeerConfig(capacity=idle_cap, demand=cohort_demand[(i - givers) % cohorts])
-        for i in range(givers, n)
-    ]
-    return Simulation(
-        configs, seed=seed, engine=engine, workers=workers, evict_age=evict_age
+    return _cohort_population(
+        n, configs, cohorts, slots,
+        seed=seed, engine=engine, workers=workers, evict_age=evict_age,
     )
 
 
@@ -610,11 +621,7 @@ def sparse_population_churn(
         raise ValueError(
             f"{total_givers} givers leave no consumers in a {n}-peer network"
         )
-    if cohorts < 1:
-        raise ValueError(f"cohorts must be positive, got {cohorts}")
-    slots = phases * phase_slots
     never = NeverRequests()
-    idle_cap = ConstantCapacity(0.0)
     # StepCapacity yields 0.0 before its first step, so generation g
     # simply steps up at its phase start and back down at its phase end.
     phase_caps = [
@@ -629,19 +636,9 @@ def sparse_population_churn(
         )
         for i in range(total_givers)
     ]
-    cohort_demand = [
-        ScheduleDemand([(t, t + 1) for t in range(c, slots, cohorts)])
-        for c in range(cohorts)
-    ]
-    configs += [
-        PeerConfig(
-            capacity=idle_cap,
-            demand=cohort_demand[(i - total_givers) % cohorts],
-        )
-        for i in range(total_givers, n)
-    ]
-    return Simulation(
-        configs, seed=seed, engine=engine, workers=workers, evict_age=evict_age
+    return _cohort_population(
+        n, configs, cohorts, phases * phase_slots,
+        seed=seed, engine=engine, workers=workers, evict_age=evict_age,
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 
 from ..obs.spans import SpanHandle, extract, inject
-from ..rlnc.message import EncodedMessage
+from ..rlnc.message import EncodedMessage, MessageFormatError
 from ..security.auth import Challenge, ChallengeResponse
 from .protocol import (
     AuthChallenge,
@@ -178,7 +178,10 @@ def decode_frame(wire: bytes):
         p = r.u32()
         if p not in (4, 8, 16, 32):
             raise WireFormatError(f"invalid symbol width {p}")
-        out = DataMessage(EncodedMessage.from_bytes(r.bytes_field(), p=p))
+        try:
+            out = DataMessage(EncodedMessage.from_bytes(r.bytes_field(), p=p))
+        except MessageFormatError as exc:
+            raise WireFormatError(f"malformed DATA record: {exc}") from exc
     elif cls is StopTransmission:
         raw = r.u64()
         # undo the unsigned mapping of -1

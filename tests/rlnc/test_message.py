@@ -74,6 +74,14 @@ class TestWireFormat:
         with pytest.raises(MessageFormatError):
             EncodedMessage.from_bytes(b"\x00" * 10, p=8)
 
+    @given(wire=st.binary(max_size=64), p=st.sampled_from([4, 8, 16, 32]))
+    def test_arbitrary_bytes_parse_exactly_or_raise(self, wire, p):
+        try:
+            parsed = EncodedMessage.from_bytes(wire, p=p)
+        except MessageFormatError:
+            return
+        assert parsed.to_bytes() == wire  # nothing padded, nothing dropped
+
     def test_max_ids_roundtrip(self):
         big = (1 << 64) - 1
         msg = EncodedMessage(
