@@ -1,4 +1,4 @@
-"""CI perf-smoke: eight timing gates, each a ratio measured in this run.
+"""CI perf-smoke: nine timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -305,9 +305,42 @@ def gate_recombine() -> int:
     )
 
 
+def gate_sign() -> int:
+    """``PrivateKey.sign`` / the full-width ``digest ** d mod n`` it equals.
+
+    The handshake's one expensive step, at the bench's 512-bit key: two
+    half-width CRT powers plus the public-exponent check measure ~0.4x.
+    """
+    import hashlib
+
+    from repro.security import generate_keypair
+
+    key = generate_keypair(bits=512, seed=31).private
+    message = b"repro-auth|" + bytes(32)
+    rounds = range(200)
+
+    def crt():
+        for _ in rounds:
+            signature = key.sign(message)
+        return signature
+
+    def full_width():
+        for _ in rounds:
+            digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % key.n
+            signature = pow(digest, key.d, key.n)
+        return signature
+
+    assert crt() == full_width()
+    return ratio_gate(
+        "sign / pow(digest, d, n), 512-bit key", crt, full_width, 0.6,
+        "did sign go back to a full-width exponentiation, or are dp/dq/qinv "
+        "derived per call?",
+    )
+
+
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish,
-    gate_native_matmul, gate_batched, gate_sparse, gate_recombine,
+    gate_native_matmul, gate_batched, gate_sparse, gate_recombine, gate_sign,
 )
 
 

@@ -47,6 +47,7 @@ Fault kinds
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -91,8 +92,12 @@ class PeerFault:
             raise FaultSpecError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.kind == "crash" and self.at_byte < 0:
-            raise FaultSpecError(f"crash at_byte cannot be negative: {self.at_byte}")
+        if self.kind == "crash" and not 0 <= self.at_byte < math.inf:
+            # NaN and inf compare false against every byte count: the
+            # planned crash would silently never fire.
+            raise FaultSpecError(
+                f"crash at_byte must be finite and non-negative: {self.at_byte}"
+            )
         if self.kind == "stall":
             if self.at_slot < 0:
                 raise FaultSpecError(f"stall at_slot cannot be negative: {self.at_slot}")
@@ -123,9 +128,9 @@ class PeerFault:
         if self.kind in ("depart", "rejoin"):
             return f"{peer}:{self.kind}@{self.at_slot}"
         if self.kind in ("corrupt", "pollute"):
-            if self.rate == 1.0:
-                return f"{peer}:{self.kind}"
-            return f"{peer}:{self.kind}@{self.rate:g}"
+            rate = f"{self.rate:g}"
+            # A rate that prints as 1 parses back as the default.
+            return f"{peer}:{self.kind}" if rate == "1" else f"{peer}:{self.kind}@{rate}"
         return f"{peer}:{self.kind}"
 
 

@@ -20,7 +20,14 @@ from .auth import (
     mutual_authenticate,
 )
 from .integrity import DIGEST_ALGORITHMS, DigestStore, IntegrityError
-from .keys import KeyPair, PrivateKey, PublicKey, generate_keypair, is_probable_prime
+from .keys import (
+    KeyPair,
+    PrivateKey,
+    PrivateKeyFault,
+    PublicKey,
+    generate_keypair,
+    is_probable_prime,
+)
 from .merkle import MerkleDigestIndex, MerkleProof, MerkleVerifier, merkle_root
 from .prng import SUPPORTED_SYMBOL_BITS, KeyedStream, derive_key
 
@@ -31,6 +38,7 @@ __all__ = [
     "KeyPair",
     "PublicKey",
     "PrivateKey",
+    "PrivateKeyFault",
     "generate_keypair",
     "is_probable_prime",
     "AuthenticationError",

@@ -54,8 +54,9 @@ class ChallengeResponse:
 class Verifier:
     """The serving side: issues challenges, verifies responses.
 
-    A verifier only accepts a response to a challenge *it* issued and
-    that has not been consumed, preventing trivial replay.
+    A verifier only accepts a response to a challenge *it* issued —
+    its nonce, under its own context — and that has not been consumed,
+    preventing trivial replay and cross-context relay.
     """
 
     def __init__(self, trusted_key: PublicKey, context: bytes = b"repro-auth"):
@@ -72,6 +73,10 @@ class Verifier:
         if challenge.nonce not in self._outstanding:
             return False
         self._outstanding.discard(challenge.nonce)  # single use
+        if challenge.context != self.context:
+            # The wire hands back the challenge as the prover echoed it:
+            # our nonce signed under another context is not an answer to us.
+            return False
         return self.trusted_key.verify(challenge.payload(), response.signature)
 
     def require(self, challenge: Challenge, response: ChallengeResponse) -> None:

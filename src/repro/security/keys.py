@@ -7,10 +7,17 @@ challenges — enough to exercise the exact protocol code path.  Key sizes
 are configurable; tests use small keys for speed, and nothing in the
 protocol depends on the size.
 
+The private-key operation — the whole cost of a handshake at these key
+sizes — is the textbook Chinese-remainder exponentiation: two half-width
+powers modulo ``p`` and ``q`` joined by Garner's recombination, then
+checked against the public exponent before the value is released.  Its
+results are exactly those of ``x**d mod n``.
+
 This module is a *substrate for the reproduction*, not a hardened
 cryptographic library: it implements the textbook algorithms faithfully
-(Miller-Rabin generation, hashed-message signatures) but skips padding
-schemes (OAEP/PSS) that a production deployment would add.
+(Miller-Rabin generation, hashed-message signatures, CRT signing) but
+skips padding schemes (OAEP/PSS) and constant-time arithmetic that a
+production deployment would add.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "PublicKey",
     "PrivateKey",
     "KeyPair",
+    "PrivateKeyFault",
     "generate_keypair",
     "is_probable_prime",
 ]
@@ -139,21 +147,61 @@ class PublicKey:
         return hashlib.sha256(material).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+class PrivateKeyFault(ArithmeticError):
+    """The private-key operation produced a value that fails the public
+    check; nothing was released."""
+
+
+@dataclass(frozen=True, repr=False)
 class PrivateKey:
-    """RSA private key ``(n, d)``; signs and decrypts."""
+    """RSA private key ``(n, d)`` with its primes; signs and decrypts.
+
+    The CRT exponents ``d mod (p-1)``, ``d mod (q-1)`` and ``q**-1 mod p``
+    are derived once here and are not dataclass fields: they take no part
+    in ``==``, ``hash`` or ``repr``.
+    """
 
     n: int
     d: int
+    p: int
+    q: int
+    e: int
+
+    def __post_init__(self):
+        if self.p * self.q != self.n:
+            raise ValueError("private key primes do not multiply to the modulus")
+        object.__setattr__(self, "_dp", self.d % (self.p - 1))
+        object.__setattr__(self, "_dq", self.d % (self.q - 1))
+        object.__setattr__(self, "_qinv", pow(self.q, -1, self.p))
+
+    def __repr__(self) -> str:
+        # Key material stays out of logs, assertion diffs and tracebacks.
+        fingerprint = PublicKey(self.n, self.e).fingerprint()
+        return f"PrivateKey({self.n.bit_length()} bits, fingerprint={fingerprint})"
+
+    def _private_op(self, x: int) -> int:
+        """``x**d mod n`` for ``0 <= x < n``, by the CRT.
+
+        The result is checked with the public exponent before it is
+        returned: one faulted half-width power would otherwise hand the
+        verifier ``gcd(s**e - x, n)``, a prime factor of ``n``
+        (Boneh-DeMillo-Lipton).
+        """
+        m1 = pow(x % self.p, self._dp, self.p)
+        m2 = pow(x % self.q, self._dq, self.q)
+        result = m2 + self.q * ((self._qinv * (m1 - m2)) % self.p)
+        if pow(result, self.e, self.n) != x:
+            raise PrivateKeyFault("private-key result failed the public-exponent check")
+        return result
 
     def sign(self, message: bytes) -> int:
         digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % self.n
-        return pow(digest, self.d, self.n)
+        return self._private_op(digest)
 
     def decrypt(self, value: int) -> int:
         if not 0 <= value < self.n:
             raise ValueError("ciphertext out of range for this modulus")
-        return pow(value, self.d, self.n)
+        return self._private_op(value)
 
 
 @dataclass(frozen=True)
@@ -187,4 +235,4 @@ def generate_keypair(bits: int = 1024, seed: int | None = None) -> KeyPair:
             continue
         n = p * q
         d = pow(e, -1, phi)
-        return KeyPair(PublicKey(n, e), PrivateKey(n, d))
+        return KeyPair(PublicKey(n, e), PrivateKey(n, d, p, q, e))

@@ -1,7 +1,11 @@
 """Unit tests for FaultPlan / PeerFault parsing and derivations."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FAULT_KINDS, FaultPlan, FaultSpecError, PeerFault
 
@@ -18,6 +22,9 @@ class TestPeerFault:
     def test_parameter_validation(self):
         with pytest.raises(FaultSpecError):
             PeerFault("crash", at_byte=-1)
+        for never_fires in (float("nan"), float("inf")):
+            with pytest.raises(FaultSpecError):
+                PeerFault("crash", at_byte=never_fires)
         with pytest.raises(FaultSpecError):
             PeerFault("stall", at_slot=-1)
         with pytest.raises(FaultSpecError):
@@ -66,6 +73,10 @@ class TestParse:
             "-1:refuse",
             "0:meltdown",
             "0:crash@abc",
+            "0:crash@nan",
+            "0:crash@inf",
+            "0:crash@1e999",
+            "0:pollute@nan",
             "0:stall@x+y",
             "0:refuse@1",
             "seed=abc;0:refuse",
@@ -74,6 +85,60 @@ class TestParse:
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(bad)
+
+
+# Spec-shaped text: entries built from the characters and tokens a spec is
+# written in, loose enough to be wrong in every position and close enough
+# that a good share parses (plain token soup never gets past the first split).
+_NUMBER = st.one_of(
+    st.integers(-2, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "inf", "1e999", ".9999999", "1e-320", "-0"]),
+)
+_SOUP = st.lists(st.sampled_from([*"0123456789:;@+.=-e", *FAULT_KINDS]), max_size=6).map("".join)
+_ARG = st.one_of(
+    _NUMBER,
+    st.tuples(_NUMBER, _NUMBER).map("+".join),
+    _SOUP,
+)
+_ENTRY = st.one_of(
+    st.tuples(_NUMBER, st.sampled_from(FAULT_KINDS)).map(":".join),
+    st.tuples(_NUMBER, st.sampled_from(FAULT_KINDS), _ARG).map(lambda t: f"{t[0]}:{t[1]}@{t[2]}"),
+    _NUMBER.map("seed=".__add__),
+    _SOUP,
+)
+_SPEC_TEXT = st.lists(_ENTRY, max_size=3).map(";".join)
+
+
+class TestParseFuzz:
+    """``parse`` reads operator- and file-supplied text: it either returns
+    a plan whose spec form is stable, or raises ``FaultSpecError``."""
+
+    @staticmethod
+    def _check(spec):
+        try:
+            plan = FaultPlan.parse(spec)
+        except FaultSpecError:
+            return
+        canonical = plan.to_spec()
+        assert FaultPlan.parse(canonical).to_spec() == canonical
+        for peer in plan.peers:
+            for fault in plan.faults_for(peer):
+                assert math.isfinite(fault.at_byte)  # a planned crash can fire
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=64))
+    def test_arbitrary_text(self, spec):
+        self._check(spec)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_SPEC_TEXT)
+    def test_spec_shaped_text(self, spec):
+        self._check(spec)
+
+    def test_rate_that_prints_as_one_round_trips(self):
+        spec = FaultPlan.parse("0:pollute@.9999999").to_spec()
+        assert FaultPlan.parse(spec).to_spec() == spec == "seed=0;0:pollute"
 
 
 class TestDeterminism:

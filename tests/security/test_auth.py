@@ -69,6 +69,16 @@ class TestAttacks:
         response = Prover(alice.private).respond(cross)
         assert not v1.verify(c1, response)
 
+    def test_echoed_challenge_under_another_context_rejected(self, alice):
+        """The wire hands the verifier the challenge as the prover echoed
+        it: its own nonce signed under a different context must fail, and
+        the nonce is spent all the same."""
+        v1 = Verifier(alice.public, context=b"download file A")
+        c1 = v1.issue_challenge()
+        cross = Challenge(nonce=c1.nonce, context=b"delete file A")
+        assert not v1.verify(cross, Prover(alice.private).respond(cross))
+        assert not v1.verify(c1, Prover(alice.private).respond(c1))
+
     def test_require_raises(self, alice, mallory):
         verifier = Verifier(alice.public)
         challenge = verifier.issue_challenge()

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.rlnc import CodingParams, FileEncoder
-from repro.security import generate_keypair
+from repro.security import Challenge, Prover, generate_keypair
 from repro.storage import MessageStore
 from repro.transfer import (
+    AuthResponse,
     DownloadSession,
     FileRequest,
     ProtocolError,
     ServingSession,
     StopTransmission,
+    decode_frame,
+    encode_frame,
 )
 
 PARAMS = CodingParams(p=16, m=32, file_bytes=512)  # k = 8
@@ -57,6 +60,16 @@ class TestHandshake:
         with pytest.raises(ProtocolError):
             DownloadSession(imposter).handshake(serving, FILE_ID)
         assert not serving.active
+
+    def test_relayed_context_rejected_through_the_wire(self, serving, user_keys):
+        # A man in the middle has the user sign this peer's nonce under a
+        # context of its choosing and replays the frame to the peer.
+        issued = serving.begin_auth().challenge
+        cross = Challenge(nonce=issued.nonce, context=b"delete file A")
+        frame = AuthResponse(cross, Prover(user_keys.private).respond(cross))
+        assert not serving.complete_auth(decode_frame(encode_frame(frame)))
+        with pytest.raises(ProtocolError):
+            serving.accept_request(FileRequest(FILE_ID))
 
     def test_serve_before_request_rejected(self, serving):
         with pytest.raises(ProtocolError):
