@@ -7,8 +7,8 @@ challenges — enough to exercise the exact protocol code path.  Key sizes
 are configurable; tests use small keys for speed, and nothing in the
 protocol depends on the size.
 
-The private-key operation — the whole cost of a handshake at these key
-sizes — is the textbook Chinese-remainder exponentiation: two half-width
+The private-key operation — nearly all the cost of a handshake at these
+key sizes — is the textbook Chinese-remainder exponentiation: two half-width
 powers modulo ``p`` and ``q`` joined by Garner's recombination, then
 checked against the public exponent before the value is released.  Its
 results are exactly those of ``x**d mod n``.
@@ -168,8 +168,8 @@ class PrivateKey:
     e: int
 
     def __post_init__(self):
-        if self.p * self.q != self.n:
-            raise ValueError("private key primes do not multiply to the modulus")
+        if not (1 < self.p < self.n and self.p * self.q == self.n):
+            raise ValueError("p and q are not a non-trivial factorisation of the modulus")
         object.__setattr__(self, "_dp", self.d % (self.p - 1))
         object.__setattr__(self, "_dq", self.d % (self.q - 1))
         object.__setattr__(self, "_qinv", pow(self.q, -1, self.p))
