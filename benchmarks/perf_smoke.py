@@ -1,4 +1,4 @@
-"""CI perf-smoke: nine timing gates, each a ratio measured in this run.
+"""CI perf-smoke: ten timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -191,6 +191,39 @@ def gate_publish() -> int:
     )
 
 
+def gate_screen() -> int:
+    """``is_invertible`` of an eight-block stack / eight ``rank()`` calls.
+
+    The publish screens every peer's ``k`` candidate rows in one forward
+    elimination whose column loop all blocks share; block by block — and
+    Gauss-Jordan, as ``rank`` reduces — the same verdicts measure ~1.0x.
+    """
+    import numpy as np
+
+    from repro.gf import GF, is_invertible, rank
+
+    failures = 0
+    rng = np.random.default_rng(0)
+    for p, k in ((8, 64), (32, 8)):  # publish_rows and publish_bulk
+        field = GF(p)
+        blocks = field.random((8, k, k), rng)
+        blocks[5, k - 1] = blocks[5, 0]  # one deficient block rides along
+
+        def stacked():
+            return is_invertible(field, blocks).tolist()
+
+        def per_block():
+            return [rank(field, block) == k for block in blocks]
+
+        assert stacked() == per_block() and stacked()[4:7] == [True, False, True]
+        failures += ratio_gate(
+            f"stacked is_invertible / 8 x rank, p={p} k={k}", stacked, per_block, 0.5,
+            "is screening back to one elimination per peer, or reducing to "
+            "Gauss-Jordan form again?",
+        )
+    return failures
+
+
 def gate_native_matmul() -> int:
     """The compiled ``bit_matmul`` kernel / the numpy body it stands in for.
 
@@ -341,7 +374,7 @@ def gate_sign() -> int:
 
 
 GATES = (
-    gate_procs, gate_obs, gate_streaming, gate_publish,
+    gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_batched, gate_sparse, gate_recombine, gate_sign,
 )
 

@@ -76,23 +76,32 @@ _SOURCE = Path(__file__).with_name("_gfmul.c")
 _TABLE_BYTES = 1 << 22
 
 #: Minimum number of field products before the fixed pack/unpack cost of
-#: the engine amortises; below this the fused-gather fallback wins.
+#: the numpy body amortises; below this the fused-gather fallback wins.
+#: The compiled kernel has no such floor: with it the engine wins at
+#: every shape of at least one word measured — ``(64,16)@(16,64)`` 82 us
+#: against 318 us by gathers at p = 8, ``(8,64)@(64,128)`` 82 / 917,
+#: ``(64,8)@(8,64)`` 60 / 181, ``(2,2)@(2,64)`` 21 / 32, and over every
+#: p: ``(8,8)@(8,64)`` 27-110 / 106-319 us, ``(64,64)@(64,64)`` at p = 32
+#: 6.4 / 6.9 ms the closest; only ``(1,1)@(1,64)`` ties (20 us both).
 _MIN_WORK = 1 << 18
 
 
 def use_bit_engine(r: int, n: int, m: int, p: int) -> bool:
     """Whether the packed engine beats the gather kernels for this shape.
 
-    The compiled kernel does whenever the product is large enough to
-    amortise a call.  The numpy body additionally loses on one-row
-    products and, with fewer than eight inner rows, on square ones — but
-    not on tall ones (a chunk's bundles stacked): the gather kernels'
-    ``(r, m)`` temporaries leave the cache while the engine's set-up
-    stays proportional to ``n``; the measured crossover is ``r`` 8-16.
+    The compiled kernel does for every product at least one 64-symbol
+    word wide.  The numpy body needs ``_MIN_WORK`` products to amortise
+    a call and additionally loses on one-row products and, with fewer
+    than eight inner rows, on square ones — but not on tall ones (a
+    chunk's bundles stacked): the gather kernels' ``(r, m)`` temporaries
+    leave the cache while the engine's set-up stays proportional to
+    ``n``; the measured crossover is ``r`` 8-16.
     """
-    if p > 32 or m < 64 or r * n * m < _MIN_WORK:
+    if p > 32 or m < 64 or r * n == 0:
         return False
-    return load() is not None or not (r < 2 or (n < 8 and r < 16))
+    if load() is not None:
+        return True
+    return r * n * m >= _MIN_WORK and not (r < 2 or (n < 8 and r < 16))
 
 
 def _pack_bit_rows(mat8: np.ndarray, nbits: int) -> np.ndarray:

@@ -9,6 +9,7 @@ row updates so the inner loops stay in numpy.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -98,12 +99,52 @@ def rank(field: BinaryField, matrix: np.ndarray) -> int:
     return r
 
 
-def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool:
-    """Whether a square matrix has full rank over the field."""
-    A = field.asarray(matrix)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
+    """Whether square matrices have full rank over the field.
+
+    ``matrix`` is one ``(k, k)`` matrix (the answer is a ``bool``) or a
+    stack ``(..., k, k)`` (a bool array of shape ``matrix.shape[:-2]``);
+    anything that is not square in its last two axes is not invertible.
+
+    Only the verdict is wanted, so the stack is reduced by forward
+    elimination alone — no back-substitution, no scaling of pivot rows —
+    and one column loop serves every matrix of the stack: per column a
+    pivot search, a row swap, one ``inv`` of the pivots to turn the
+    column below them into factors, and one fused update of all the
+    trailing blocks.  A matrix with no pivot in some column is singular;
+    it stays in the stack (its zero factors change nothing) while the
+    others finish.
+    """
+    A = field.asarray(matrix)  # a private copy: reduced in place below
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
-    return rank(field, A) == A.shape[0]
+    k = A.shape[-1]
+    S = A.reshape(math.prod(A.shape[:-2]), k, k)
+    full = np.ones(S.shape[0], dtype=bool)
+    for col in range(k):
+        first = (S[:, col:, col] != 0).argmax(axis=1)  # 0 if the column is zero
+        if first.any():
+            swap = np.flatnonzero(first)
+            src = col + first[swap]
+            S[swap, col, col:], S[swap, src, col:] = S[swap, src, col:], S[swap, col, col:]
+        pivots = S[:, col, col]
+        found = pivots != 0
+        if not found.all():
+            full &= found
+            if not full.any():
+                break
+            # inv() raises on zero; below a missing pivot the column is
+            # zero, so whatever stands in for it moves nothing.
+            pivots = np.where(found, pivots, DTYPE(1))
+        if col + 1 < k:
+            factors = S[:, col + 1 :, col]
+            field.scale_rows(factors, field.inv(pivots)[:, None])
+            field.addmul(
+                S[:, col + 1 :, col + 1 :],
+                factors[:, :, None],
+                S[:, col, None, col + 1 :],
+            )
+    return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
 
 
 def inv_matrix(field: BinaryField, matrix: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gf import GF, BinaryField, IncrementalRank, rank
+from ..gf import GF, BinaryField, IncrementalRank, is_invertible
+from ..gf.bitmatmul import _TABLE_BYTES
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import span as _span
@@ -150,27 +151,41 @@ class FileEncoder:
         the rows already in the current bundle is skipped for good (the
         next bundle starts after the last id this one consumed).
 
-        A bundle's next ``k`` candidates are tested whole — one
-        :func:`~repro.gf.rank` of their batched coefficient matrix — and
-        accepted when independent, which is exactly when the row-by-row
-        walk would have accepted every one of them; only a rank-deficient
-        block falls back to that walk.
+        Screening is speculative: the candidates of all the bundles still
+        to fill are generated as if none of them skipped an id and tested
+        as one ``(bundles, k, k)`` stack by
+        :func:`~repro.gf.is_invertible`.  The leading full-rank blocks are
+        accepted whole, which is exactly when the row-by-row walk would
+        have accepted every one of their ids; the first deficient block
+        takes that walk, and speculation resumes after the ids it
+        consumed (the blocks behind it were cut at the wrong ids, so they
+        are screened again).  Looking ahead is therefore bounded twice:
+        by ``q`` blocks — a random block is deficient with probability
+        about ``1/q`` — and by a sixteenth of ``_TABLE_BYTES`` of
+        candidates, ``2^16`` symbols, beyond which a larger stack is no
+        cheaper per block (16 blocks at ``k = 64``, one at ``k = 256``;
+        measured in EXPERIMENTS.md, "Screening is one elimination").
         """
         k = self.params.k
+        ahead = min(self.field.q, max(1, _TABLE_BYTES // (64 * k * k)))
         bundles: list[list[int]] = []
         next_id = start_id
-        for _ in range(count):
-            ids = list(range(next_id, next_id + k))
-            if rank(self.field, self.coefficients.matrix(ids)) == k:
+        while len(bundles) < count:
+            blocks = min(count - len(bundles), ahead)
+            candidates = self.coefficients.matrix(range(next_id, next_id + blocks * k))
+            verdicts = is_invertible(self.field, candidates.reshape(blocks, k, k))
+            accepted = blocks if verdicts.all() else int(verdicts.argmin())
+            for _ in range(accepted):
+                bundles.append(list(range(next_id, next_id + k)))
                 next_id += k
-            else:
+            if accepted < blocks:
                 tracker = IncrementalRank(self.field, k)
                 ids = []
                 while len(ids) < k:
                     if tracker.offer(self.coefficients.row(next_id)):
                         ids.append(next_id)
                     next_id += 1
-            bundles.append(ids)
+                bundles.append(ids)
         return bundles
 
     def encode_bundles(

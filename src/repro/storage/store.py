@@ -173,10 +173,17 @@ class MessageStore:
         ``p`` and ``m`` fix the per-message payload size (they come from
         the file's manifest); returns the number of messages loaded.  At
         ``p = 4`` an odd ``m`` leaves half a byte of padding per record,
-        which must be zero and is not a symbol.
+        which must be zero and is not a symbol.  Raises
+        :class:`StorageError` for a ``(p, m)`` no store writes and for a
+        file that is not a whole number of such records.
         """
         from ..rlnc.message import HEADER_BYTES
+        from ..rlnc.params import TABLE1_FIELD_BITS
 
+        # The manifest is outside input too: a bad width or length would
+        # make the record size zero, negative or meaningless below.
+        if p not in TABLE1_FIELD_BITS or m < 1:
+            raise StorageError(f"{path}: unsupported record shape p={p}, m={m}")
         payload_bytes = (m * p + 7) // 8
         record = HEADER_BYTES + payload_bytes
         with open(path, "rb") as fh:

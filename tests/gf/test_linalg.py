@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.gf import (
+    GF,
+    ClmulField,
     FieldError,
     IncrementalRank,
     SingularMatrixError,
@@ -55,6 +57,9 @@ class TestRowReduce:
     def test_rejects_non_2d(self, field):
         with pytest.raises(FieldError):
             row_reduce(field, field.zeros(4))
+        with pytest.raises(FieldError):  # a stack is is_invertible's alone
+            row_reduce(field, field.zeros((2, 3, 3)))
+        assert is_invertible(field, field.ones(4)) is False
 
 
 class TestRank:
@@ -124,11 +129,79 @@ class TestSolve:
             solve(field, A, field.zeros(4))
 
 
+STACK_FIELDS = {
+    "table4": lambda: GF(4),
+    "table8": lambda: GF(8),
+    "table16": lambda: GF(16),
+    "tower32": lambda: GF(32),
+    "clmul5": lambda: ClmulField(5),
+    "clmul8": lambda: GF(8, "clmul"),
+}
+
+
+def plant(field, block, kind):
+    """Make an invertible ``block`` (k >= 2) singular, or force a swap."""
+    k = block.shape[0]
+    if kind == "duplicate row":
+        block[k - 1] = block[0]
+    elif kind == "zero row":
+        block[k // 2] = 0
+    elif kind == "zero column":
+        block[:, k // 2] = 0
+    else:  # a zero on the diagonal with a pivot below it: still invertible
+        block[:] = identity(field, k)
+        block[[0, k - 1]] = block[[k - 1, 0]]
+
+
 class TestIsInvertible:
     def test_detects(self, field, rng):
-        assert is_invertible(field, random_invertible(field, 5, rng))
-        assert not is_invertible(field, field.zeros((5, 5)))
-        assert not is_invertible(field, field.random((3, 4), rng))
+        assert is_invertible(field, random_invertible(field, 5, rng)) is True
+        assert is_invertible(field, field.zeros((5, 5))) is False
+        assert is_invertible(field, field.random((3, 4), rng)) is False
+        assert is_invertible(field, field.random((2, 3, 4), rng)) is False
+        stack = np.stack([random_invertible(field, 5, rng), field.zeros((5, 5))])
+        assert is_invertible(field, stack).tolist() == [True, False]
+
+    @pytest.mark.parametrize("name", STACK_FIELDS)
+    def test_stack_equals_rank_per_block(self, name, rng):
+        """Every position of the stack holds each kind of planted block in
+        turn; the verdicts are ``rank() == k`` block by block."""
+        F = STACK_FIELDS[name]()
+        for k in range(1, 10):
+            stack = np.stack([random_invertible(F, k, rng) for _ in range(4)])
+            cases = [(None, None)]
+            if k >= 2:
+                cases = [
+                    (pos, kind)
+                    for pos in range(4)
+                    for kind in ("duplicate row", "zero row", "zero column", "swap")
+                ]
+            for pos, kind in cases:
+                S = stack.copy()
+                if kind is not None:
+                    plant(F, S[pos], kind)
+                before = S.copy()
+                verdicts = is_invertible(F, S)
+                want = [rank(F, block) == k for block in S]
+                assert verdicts.dtype == bool and verdicts.tolist() == want, (k, pos, kind)
+                assert kind is None or want[pos] == (kind == "swap")
+                assert np.array_equal(S, before)  # input never modified
+
+    def test_shapes(self, field_fast, rng):
+        F = field_fast
+        S = F.random((2, 3, 4, 4), rng)
+        S[1, 2, 0] = S[1, 2, 1]
+        verdicts = is_invertible(F, S)
+        assert verdicts.shape == (2, 3)
+        assert verdicts.tolist() == [[rank(F, b) == 4 for b in row] for row in S]
+        one = is_invertible(F, S[1, 2:])  # a stack of one is the 2-D call
+        assert one.shape == (1,) and one[0] == is_invertible(F, S[1, 2]) == False  # noqa: E712
+        empty = is_invertible(F, F.zeros((0, 4, 4)))
+        assert empty.shape == (0,) and empty.dtype == bool
+        assert is_invertible(F, F.zeros((0, 0))) is True  # rank 0 of 0, as rank() says
+
+    def test_whole_stack_singular(self, field_fast):
+        assert not is_invertible(field_fast, field_fast.zeros((3, 6, 6))).any()
 
 
 class TestIncrementalRank:

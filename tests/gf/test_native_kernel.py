@@ -120,8 +120,9 @@ class TestCounters:
 
 
 class TestRouting:
-    """``use_bit_engine`` is one predicate for both backends; only its two
-    numpy-specific exclusions look at which one is live."""
+    """``use_bit_engine`` is one predicate for both backends; only the
+    numpy body's work floor and its two shape exclusions look at which
+    one is live."""
 
     def test_small_inner_dimension_routes_by_backend(self, backend):
         # One row, or a square product with fewer than eight inner rows:
@@ -131,13 +132,24 @@ class TestRouting:
         assert bitmatmul.use_bit_engine(1, 1, 1 << 18, 32) is native_only
         assert bitmatmul.use_bit_engine(4, 4, 1 << 16, 32) is native_only
         assert bitmatmul.use_bit_engine(15, 7, 1 << 12, 8) is native_only
+        # Under 2^18 products the numpy body's pack/unpack does not
+        # amortise; the compiled kernel wins from one word up.
+        assert bitmatmul.use_bit_engine(8, 8, 2048, 8) is native_only
+        assert bitmatmul.use_bit_engine(64, 16, 64, 8) is native_only
+        assert bitmatmul.use_bit_engine(2, 2, 64, 4) is native_only
 
     def test_everything_else_routes_the_same(self, backend):
         assert bitmatmul.use_bit_engine(8, 8, 1 << 15, 32)  # the paper's decode
         assert bitmatmul.use_bit_engine(16, 4, 1 << 16, 32)  # tall
         assert not bitmatmul.use_bit_engine(8, 8, 63, 32)  # under one word
-        assert not bitmatmul.use_bit_engine(8, 8, 2048, 8)  # too little work
+        assert not bitmatmul.use_bit_engine(0, 8, 1 << 15, 8)  # empty
+        assert not bitmatmul.use_bit_engine(8, 0, 1 << 15, 8)
         assert not bitmatmul.use_bit_engine(8, 8, 1 << 15, 33)
+
+    def test_empty_products_are_empty(self, backend):
+        field = GF(8)
+        assert field.matmul(field.zeros((0, 8)), field.zeros((8, 64))).shape == (0, 64)
+        assert not field.matmul(field.zeros((8, 0)), field.zeros((0, 64))).any()
 
     def test_small_products_agree_across_routes(self, backend):
         field = GF(32)

@@ -128,3 +128,67 @@ def test_one_encode_span_per_chunk(rng):
         produced = REGISTRY.snapshot()["repro.rlnc.encode.messages"]["value"]
     assert [s["attrs"] for s in starts] == [{"messages": 3 * K}]
     assert produced == 3 * K
+
+
+def walked(plan):
+    """Indices of the bundles that skipped an id (their block was deficient)."""
+    return [i for i, ids in enumerate(plan) if ids[-1] - ids[0] != K - 1]
+
+
+def test_speculation_restarts_after_every_deficient_block():
+    """GF(2^4), k = 8: about one block in fourteen is deficient, so 200
+    bundles take the accept-a-prefix / walk / speculate-again path many
+    times, from a start id that is not a multiple of k."""
+    encoder, reference = make_encoder(4), make_encoder(4)
+    plan = encoder.independent_ids(200, start_id=3)
+    assert plan == reference_ids(reference, 200, start_id=3)
+    assert len(walked(plan)) >= 8
+
+
+def test_deficient_block_first_and_last():
+    encoder, reference = make_encoder(4), make_encoder(4)
+    ref = reference_ids(reference, 200, start_id=3)
+    at = walked(ref)[2]
+    assert at > 0
+    # last: the plan ends on the walked bundle
+    assert encoder.independent_ids(at + 1, start_id=3) == ref[: at + 1]
+    # first: the plan starts where that bundle's candidates start
+    assert encoder.independent_ids(5, start_id=ref[at][0]) == ref[at : at + 5]
+    # alone: first and last at once
+    assert encoder.independent_ids(1, start_id=ref[at][0]) == [ref[at]]
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """Blocks per ``is_invertible`` call, counted at the encoder's call site."""
+    from repro.rlnc import encoder as encoder_module
+
+    seen = []
+    real = encoder_module.is_invertible
+
+    def counting(field, stack):
+        seen.append(stack.shape[0])
+        return real(field, stack)
+
+    monkeypatch.setattr(encoder_module, "is_invertible", counting)
+    return seen
+
+
+def test_screening_work_is_linear_in_bundles(stacks):
+    """A deficient block makes the blocks speculated behind it be screened
+    again, so the look-ahead must stay near the expected run of full-rank
+    blocks (about ``q``): at most 3 eliminations per bundle."""
+    count = 2000
+    plan = make_encoder(4).independent_ids(count)
+    assert len(plan) == count and len(walked(plan)) > 100
+    assert sum(stacks) <= 3 * count
+    # a pass ends on a deficient block or with all q = 16 blocks accepted
+    assert len(stacks) <= len(walked(plan)) + count // 16 + 1
+
+
+def test_look_ahead_is_capped_by_bytes(stacks):
+    """k = 64: 2^16 candidate symbols are 16 blocks, however many peers."""
+    params = CodingParams(p=8, m=64, file_bytes=64 * 64)
+    plan = FileEncoder(params, b"owner", 1).independent_ids(40)
+    assert [len(ids) for ids in plan] == [64] * 40
+    assert stacks[0] == max(stacks) == 16 and sum(stacks) >= 40

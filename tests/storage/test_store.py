@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rlnc import CodingParams, FileEncoder
 from repro.storage import MessageStore, ServingCursor, StorageError
@@ -16,6 +18,12 @@ def messages(rng):
     encoder = FileEncoder(PARAMS, b"s", file_id=0x11)
     encoded = encoder.encode_bundles(rng.bytes(500), n_peers=2)
     return encoded.all_messages()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dat(tmp_path_factory):
+    """One path the fuzz test rewrites per example."""
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.dat"
 
 
 class TestAddAndQuery:
@@ -162,6 +170,50 @@ class TestDatPersistence:
             fh.write(b"\x00")  # break record alignment
         with pytest.raises(StorageError):
             MessageStore().load_dat(path, p=PARAMS.p, m=PARAMS.m)
+
+    @pytest.mark.parametrize(
+        "p, m",
+        [
+            (8, -16),  # record size 0: was a ZeroDivisionError
+            (8, -24),  # record size -8: loaded "0 messages" from any file
+            (0, 4),  # was a bare ValueError out of bytes_to_symbols
+            (12, 4),
+            (8, 0),
+        ],
+    )
+    def test_hostile_manifest_shape_rejected(self, p, m, tmp_path):
+        path = tmp_path / "x.dat"
+        path.write_bytes(bytes(64))
+        store = MessageStore()
+        with pytest.raises(StorageError, match="unsupported record shape"):
+            store.load_dat(str(path), p=p, m=m)
+        assert store.files() == []
+
+    def test_shape_is_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(StorageError, match="unsupported record shape"):
+            MessageStore().load_dat(str(tmp_path / "absent.dat"), p=8, m=-16)
+
+    @given(
+        blob=st.binary(max_size=200),
+        p=st.sampled_from([4, 8, 16, 32, 0, -8, 3, 12, 64]),
+        m=st.one_of(st.integers(-40, 40), st.sampled_from([-(1 << 62), 1 << 62])),
+    )
+    def test_arbitrary_bytes_load_whole_or_raise_storage_error(
+        self, blob, p, m, fuzz_dat
+    ):
+        """Any file under any manifest ``(p, m)`` loads as whole records of
+        exactly ``m`` symbols or raises ``StorageError`` — no other
+        exception, and nothing sized by anything but the file's length."""
+        fuzz_dat.write_bytes(blob)
+        store = MessageStore()
+        try:
+            count = store.load_dat(str(fuzz_dat), p=p, m=m)
+        except StorageError:
+            return
+        loaded = [msg for fid in store.files() for msg in store.messages(fid)]
+        assert len(loaded) == count
+        assert all(msg.m == m and msg.p == p for msg in loaded)
+        assert store.total_bytes() == len(blob)
 
     def test_multiple_files_saved_separately(self, rng, tmp_path):
         store = MessageStore()
