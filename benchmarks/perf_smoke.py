@@ -1,4 +1,4 @@
-"""CI perf-smoke: ten timing gates, each a ratio measured in this run.
+"""CI perf-smoke: eleven timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -373,9 +373,72 @@ def gate_sign() -> int:
     )
 
 
+def gate_peer_path() -> int:
+    """A peer's whole job / one unpack + one pack of the same records.
+
+    ``load_dat`` + ``serve(inf)`` + ``encode_frame`` of one 64-message
+    bundle at p=8 (4 KiB messages) slices and joins packed bytes: ~0.55x
+    of reading the same file and converting every record to symbols and
+    back once, which the store used to do at load and again per frame.
+    One unpack per record back in ``load_dat`` reads 1.0-1.1x.
+    """
+    import tempfile
+
+    from repro.rlnc import CodingParams, FileEncoder
+    from repro.rlnc.symbols import bytes_to_symbols, symbols_to_bytes
+    from repro.security import generate_keypair
+    from repro.storage import MessageStore
+    from repro.transfer import DownloadSession, ServingSession, encode_frame
+
+    params = CodingParams(p=8, m=1 << 12, file_bytes=1 << 18)  # k = 64
+    encoder = FileEncoder(params, secret=b"bench", file_id=5)
+    bundle = encoder.encode_bundles(os.urandom(params.file_bytes), 1).bundles[0]
+    keys = generate_keypair(bits=512, seed=31)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = MessageStore()
+        store.add_messages(bundle)
+        (path,) = store.save_dat(tmp)
+        record = bundle[0].wire_size()
+
+        def peer() -> float:
+            start = time.perf_counter()
+            restarted = MessageStore()
+            restarted.load_dat(path, p=params.p, m=params.m)
+            loaded = time.perf_counter() - start
+            # The handshake is two RSA operations, several times the rest:
+            # it is gate_sign's subject and stays outside this one.
+            serving = ServingSession(restarted, keys.public)
+            DownloadSession(keys).handshake(serving, encoder.file_id)
+            start = time.perf_counter()
+            frames = [encode_frame(data) for data in serving.serve(float("inf"))]
+            assert len(frames) == params.k
+            return loaded + time.perf_counter() - start
+
+        def through_symbols():
+            # As the store used to: the same one read, every record
+            # unpacked at load and held, each packed again to be framed.
+            with open(path, "rb") as fh:
+                view = memoryview(fh.read())
+            held = [
+                bytes_to_symbols(view[off + 16 : off + record], params.p)
+                for off in range(0, len(view), record)
+            ]
+            return [symbols_to_bytes(symbols, params.p) for symbols in held]
+
+        # and warm both
+        assert through_symbols() == [bytes(msg.payload_bytes()) for msg in bundle]
+        peer()
+        return ratio_gate(
+            f"peer load_dat + serve + frame / unpack + pack, {params.k} messages "
+            f"at p={params.p} m={params.m}", peer, through_symbols, 0.7,
+            "a peer is unpacking symbols again", reps=15,
+        )
+
+
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_batched, gate_sparse, gate_recombine, gate_sign,
+    gate_peer_path,
 )
 
 

@@ -250,15 +250,7 @@ def recombine(
         field = GF(p)
     payloads = np.stack([m.payload for m in msgs])
     fresh = field.matmul(recombination_matrix(record, field), payloads)
-    return [
-        EncodedMessage(
-            file_id=record.file_id,
-            message_id=mid,
-            payload=fresh[i].copy(),
-            p=p,
-        )
-        for i, mid in enumerate(record.message_ids)
-    ]
+    return EncodedMessage.from_rows(record.file_id, record.message_ids, fresh, p)
 
 
 def effective_rows(record: RepairRecord, coefficients) -> np.ndarray:

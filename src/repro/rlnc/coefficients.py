@@ -85,9 +85,9 @@ class CoefficientGenerator:
         """Stack rows for a sequence of ids into a ``len(ids) x k`` matrix.
 
         Cache-missing ids are generated through one batched
-        :meth:`~repro.security.prng.KeyedStream.symbols_many` call; the
-        rows produced are identical to :meth:`row`'s and are cached
-        read-only exactly as :meth:`row` would cache them.
+        :meth:`~repro.security.prng.KeyedStream.symbols_many` call,
+        range-checked and frozen as one block; the cache holds row views
+        of it, identical to what :meth:`row` would have cached.
         """
         ids = list(message_ids)
         missing = [mid for mid in dict.fromkeys(ids) if mid not in self._cache]
@@ -98,11 +98,11 @@ class CoefficientGenerator:
                     "its row needs a registered repair record"
                 )
         if missing:
-            block = self._stream.symbols_many(missing, self.k, self.field.p)
-            for mid, symbols in zip(missing, block):
-                row = self.field.asarray(symbols)
-                row.flags.writeable = False
-                self._cache[mid] = row
+            block = self.field.asarray(
+                self._stream.symbols_many(missing, self.k, self.field.p)
+            )
+            block.flags.writeable = False
+            self._cache.update(zip(missing, block))
         out = np.empty((len(ids), self.k), dtype=self.field.dtype)
         for r, mid in enumerate(ids):
             out[r] = self._cache[mid]

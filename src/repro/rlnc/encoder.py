@@ -121,7 +121,11 @@ class FileEncoder:
         ``beta_rows @ X`` produces every payload of the batch — a batch
         of one included — in a single kernel call; each payload row is
         bit-identical to the per-message :meth:`encode_message` result
-        (``dot`` computes the same sum of scaled source rows).
+        (``dot`` computes the same sum of scaled source rows).  The
+        product is packed once, as a whole, and each message is a slice
+        of that one buffer (:meth:`EncodedMessage.from_rows`): nothing
+        downstream of the owner — digest, ``.dat``, DATA frame — packs
+        or copies a row again.
         """
         ids = list(message_ids)
         enc_span = None
@@ -129,19 +133,13 @@ class FileEncoder:
             enc_span = _spans.start_span("rlnc.encode", messages=len(ids))
         with _ENC_NS:
             beta = self.coefficients.matrix(ids)
-            payloads = self.field.matmul(beta, source)
+            messages = EncodedMessage.from_rows(
+                self.file_id, ids, self.field.matmul(beta, source), self.params.p
+            )
         if _OBS.enabled:
             _ENC_MESSAGES.inc(len(ids))
         _spans.finish_span(enc_span)
-        return [
-            EncodedMessage(
-                file_id=self.file_id,
-                message_id=mid,
-                payload=payloads[i].copy(),
-                p=self.params.p,
-            )
-            for i, mid in enumerate(ids)
-        ]
+        return messages
 
     def independent_ids(self, count: int, start_id: int = 0) -> list[list[int]]:
         """Screen sequential ids into ``count`` bundles of ``k`` independent rows.

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bytes_to_symbols", "symbols_to_bytes", "reshape_file_matrix"]
+__all__ = ["bytes_to_symbols", "pack_symbols", "symbols_to_bytes", "reshape_file_matrix"]
 
 _WIDTH_DTYPE = {8: ">u1", 16: ">u2", 32: ">u4"}
 
 
-def bytes_to_symbols(data: bytes, p: int, count: int | None = None) -> np.ndarray:
-    """Interpret ``data`` as ``p``-bit symbols (zero-padded at the end).
+def bytes_to_symbols(data, p: int, count: int | None = None) -> np.ndarray:
+    """Interpret ``data`` (any bytes-like) as ``p``-bit symbols, zero-padded
+    at the end; the result is a fresh, writable ``uint32`` array.
 
     ``count``, when given, fixes the output length (must be at least the
     number of symbols ``data`` fills).
@@ -32,12 +33,12 @@ def bytes_to_symbols(data: bytes, p: int, count: int | None = None) -> np.ndarra
         width = p // 8
         pad = (-len(data)) % width
         if pad:
-            data = data + b"\x00" * pad
+            data = bytes(data) + b"\x00" * pad
         symbols = np.frombuffer(data, dtype=_WIDTH_DTYPE[p]).astype(np.uint32)
     else:
         raise ValueError(f"unsupported symbol width p={p}")
     if count is None:
-        return symbols.copy()
+        return symbols
     if count < symbols.size:
         raise ValueError(
             f"data fills {symbols.size} symbols but only {count} requested"
@@ -47,19 +48,32 @@ def bytes_to_symbols(data: bytes, p: int, count: int | None = None) -> np.ndarra
     return out
 
 
-def symbols_to_bytes(symbols: np.ndarray, p: int, length: int | None = None) -> bytes:
-    """Inverse of :func:`bytes_to_symbols`; ``length`` trims padding."""
-    symbols = np.asarray(symbols, dtype=np.uint32)
+def pack_symbols(symbols: np.ndarray, p: int) -> memoryview:
+    """The packing every writer shares: ``symbols`` (any shape, row-major)
+    as big-endian ``p``-bit fields, in a read-only view of a buffer that
+    is the view's alone.
+
+    The view is over the converted array itself, not a ``tobytes()`` copy
+    of it: a caller that drops ``symbols`` holds one buffer, not three
+    (what an 8 MiB ``p = 32`` publish product cannot afford).  At
+    ``p = 4`` an odd count is padded with a zero nibble.
+    """
+    symbols = np.asarray(symbols, dtype=np.uint32).reshape(-1)
     if p == 4:
         if symbols.size % 2:
             symbols = np.concatenate([symbols, np.zeros(1, dtype=np.uint32)])
         raw = ((symbols[0::2] << 4) | (symbols[1::2] & 0x0F)).astype(np.uint8)
-        data = raw.tobytes()
     elif p in _WIDTH_DTYPE:
-        data = symbols.astype(_WIDTH_DTYPE[p]).tobytes()
+        raw = symbols.astype(_WIDTH_DTYPE[p])
     else:
         raise ValueError(f"unsupported symbol width p={p}")
-    return data[:length] if length is not None else data
+    raw.flags.writeable = False  # before the byte view: it has no writable base
+    return memoryview(raw.view(np.uint8))
+
+
+def symbols_to_bytes(symbols: np.ndarray, p: int, length: int | None = None) -> bytes:
+    """Inverse of :func:`bytes_to_symbols`; ``length`` trims padding."""
+    return bytes(pack_symbols(symbols, p)[:length])
 
 
 def reshape_file_matrix(data: bytes, p: int, k: int, m: int) -> np.ndarray:

@@ -27,13 +27,8 @@ __all__ = ["KeyedStream", "derive_key", "SUPPORTED_SYMBOL_BITS"]
 SUPPORTED_SYMBOL_BITS = (4, 8, 16, 32)
 
 
-def derive_key(secret: bytes, *parts: bytes | int | str) -> bytes:
-    """Derive a sub-key from ``secret`` and a sequence of context parts.
-
-    Uses HMAC-SHA256 with an unambiguous (length-prefixed) encoding of
-    the parts, so ``derive_key(s, b"ab", b"c") != derive_key(s, b"a", b"bc")``.
-    """
-    mac = hmac.new(secret, digestmod=hashlib.sha256)
+def _absorb(mac, parts) -> bytes:
+    """Feed the length-prefixed encoding of ``parts`` to ``mac``; its digest."""
     for part in parts:
         if isinstance(part, int):
             part = part.to_bytes(16, "big", signed=False)
@@ -42,6 +37,15 @@ def derive_key(secret: bytes, *parts: bytes | int | str) -> bytes:
         mac.update(struct.pack(">I", len(part)))
         mac.update(part)
     return mac.digest()
+
+
+def derive_key(secret: bytes, *parts: bytes | int | str) -> bytes:
+    """Derive a sub-key from ``secret`` and a sequence of context parts.
+
+    Uses HMAC-SHA256 with an unambiguous (length-prefixed) encoding of
+    the parts, so ``derive_key(s, b"ab", b"c") != derive_key(s, b"a", b"bc")``.
+    """
+    return _absorb(hmac.new(secret, digestmod=hashlib.sha256), parts)
 
 
 class KeyedStream:
@@ -58,12 +62,15 @@ class KeyedStream:
         if not key:
             raise ValueError("key must be non-empty")
         self.key = bytes(key)
+        # Keying an HMAC hashes two padded blocks; every label's seed
+        # starts from a copy of this one keyed state instead.
+        self._mac = hmac.new(self.key, digestmod=hashlib.sha256)
 
     def bytes_for(self, label: bytes | int | str, count: int) -> bytes:
         """First ``count`` bytes of the stream for ``label``."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        seed = derive_key(self.key, label)
+        seed = _absorb(self._mac.copy(), (label,))  # derive_key(self.key, label)
         chunks = []
         produced = 0
         counter = 0

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Sequence
+from itertools import groupby
+from operator import attrgetter
 
-from ..rlnc.message import EncodedMessage
+from ..rlnc.message import EncodedMessage, MessageFormatError
+from ..rlnc.params import TABLE1_FIELD_BITS
 
 __all__ = ["MessageStore", "ServingCursor", "StorageError"]
 
@@ -78,17 +81,38 @@ class ServingCursor:
 
     def peek(self) -> EncodedMessage | None:
         self._check_stale()
-        if self.exhausted:
+        if self._next >= len(self._messages):
             return None
         return self._messages[self._next]
 
     def advance(self) -> EncodedMessage:
         self._check_stale()
-        if self.exhausted:
+        if self._next >= len(self._messages):
             raise StorageError("cursor exhausted: peer has no more messages")
         msg = self._messages[self._next]
         self._next += 1
         return msg
+
+    def take(self, byte_budget: float) -> tuple[list[EncodedMessage], float]:
+        """Advance past every next message ``byte_budget`` covers whole.
+
+        Returns those messages and what is left of the budget: a slot's
+        worth of serial service in one call, sized by ``wire_size()``
+        alone.  A stale cursor yields nothing, as an exhausted one does
+        (only :meth:`peek` and :meth:`advance` raise on it).
+        """
+        taken: list[EncodedMessage] = []
+        if not self.stale:
+            messages = self._messages
+            while self._next < len(messages):
+                msg = messages[self._next]
+                size = msg.wire_size()
+                if byte_budget < size:
+                    break
+                byte_budget -= size
+                taken.append(msg)
+                self._next += 1
+        return taken, byte_budget
 
 
 class MessageStore:
@@ -177,31 +201,18 @@ class MessageStore:
         :class:`StorageError` for a ``(p, m)`` no store writes and for a
         file that is not a whole number of such records.
         """
-        from ..rlnc.message import HEADER_BYTES
-        from ..rlnc.params import TABLE1_FIELD_BITS
-
         # The manifest is outside input too: a bad width or length would
         # make the record size zero, negative or meaningless below.
         if p not in TABLE1_FIELD_BITS or m < 1:
             raise StorageError(f"{path}: unsupported record shape p={p}, m={m}")
-        payload_bytes = (m * p + 7) // 8
-        record = HEADER_BYTES + payload_bytes
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) % record:
-            raise StorageError(
-                f"{path}: size {len(blob)} is not a multiple of record size {record}"
-            )
-        loaded = 0
-        for off in range(0, len(blob), record):
-            msg = EncodedMessage.from_bytes(blob[off : off + record], p=p)
-            if msg.m != m:  # p = 4, odd m: the bytes hold m + 1 nibbles
-                if msg.payload[m:].any():
-                    raise StorageError(
-                        f"{path}: record at byte {off} has non-zero padding "
-                        f"after its {m} symbols"
-                    )
-                msg = msg.with_payload(msg.payload[:m])
-            self._files.setdefault(msg.file_id, []).append(msg)
-            loaded += 1
-        return loaded
+        # Every message is a slice of the one blob read above: a peer
+        # reloads (and later serves) its records without unpacking one.
+        try:
+            messages = EncodedMessage.from_records(blob, p, m)
+        except MessageFormatError as exc:
+            raise StorageError(f"{path}: {exc}") from exc
+        for file_id, run in groupby(messages, key=attrgetter("file_id")):
+            self._files.setdefault(file_id, []).extend(run)
+        return len(messages)

@@ -112,19 +112,11 @@ class ServingSession:
             raise ProtocolError("no file request accepted yet")
         if byte_budget < 0:
             raise ValueError(f"byte budget cannot be negative: {byte_budget}")
-        delivered: list[DataMessage] = []
         if self._stopped:
-            return delivered
-        budget = self._partial_bytes + byte_budget
-        while not self._cursor.exhausted:
-            nxt = self._cursor.peek()
-            size = nxt.wire_size()
-            if budget < size:
-                break
-            budget -= size
-            self._cursor.advance()
-            delivered.append(DataMessage(nxt))
-            self.messages_sent += 1
+            return []
+        taken, budget = self._cursor.take(self._partial_bytes + byte_budget)
+        delivered = [DataMessage(msg) for msg in taken]
+        self.messages_sent += len(delivered)
         # Leftover budget is progress into the next (unfinished) message;
         # it is only retained while there is something left to send.
         self._partial_bytes = budget if not self._cursor.exhausted else 0.0

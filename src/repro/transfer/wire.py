@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 
 from ..obs.spans import SpanHandle, extract, inject
-from ..rlnc.message import EncodedMessage, MessageFormatError
+from ..rlnc.message import HEADER_BYTES, EncodedMessage, MessageFormatError
 from ..security.auth import Challenge, ChallengeResponse
 from .protocol import (
     AuthChallenge,
@@ -65,6 +65,9 @@ CONTEXT_FRAME_TYPE = 8
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
+#: Everything of a DATA frame that is not payload: type byte, ``p``, the
+#: record's length prefix and the record's own 16-byte header.
+_DATA_HEAD = struct.Struct(">BIIQQ")
 
 
 def _pack_bytes(data: bytes) -> bytes:
@@ -79,13 +82,18 @@ def _pack_bigint(value: int) -> bytes:
 
 
 class _Reader:
-    """Cursor over a frame body with strict bounds checking."""
+    """Cursor over a frame body with strict bounds checking.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    Reads through one ``memoryview`` of the frame: :meth:`take` hands out
+    slices, so a DATA payload is never copied between the frame and its
+    message.
+    """
 
-    def take(self, count: int) -> bytes:
+    def __init__(self, wire, pos: int = 0):
+        self.data = memoryview(wire)
+        self.pos = pos
+
+    def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.data):
             raise WireFormatError("frame truncated")
         out = self.data[self.pos : self.pos + count]
@@ -101,11 +109,15 @@ class _Reader:
     def f64(self) -> float:
         return _F64.unpack(self.take(8))[0]
 
-    def bytes_field(self) -> bytes:
+    def view_field(self) -> memoryview:
+        """A length-prefixed field as a slice of the frame."""
         return self.take(self.u32())
 
+    def bytes_field(self) -> bytes:
+        return bytes(self.view_field())
+
     def bigint(self) -> int:
-        return int.from_bytes(self.bytes_field(), "big")
+        return int.from_bytes(self.view_field(), "big")
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -119,6 +131,18 @@ def encode_frame(message) -> bytes:
     frame_type = FRAME_TYPES.get(type(message))
     if frame_type is None:
         raise WireFormatError(f"not a protocol message: {type(message).__name__}")
+    if isinstance(message, DataMessage):  # first: nearly every frame is one
+        inner = message.message
+        packed = inner.payload_bytes()
+        # p travels in the frame so the receiver can parse the payload;
+        # the payload goes in as the packed slice the message holds.
+        return b"".join((
+            _DATA_HEAD.pack(
+                frame_type, inner.p, HEADER_BYTES + len(packed),
+                inner.file_id, inner.message_id,
+            ),
+            packed,
+        ))
     head = bytes([frame_type])
     if isinstance(message, AuthChallenge):
         c = message.challenge
@@ -137,10 +161,6 @@ def encode_frame(message) -> bytes:
         return head + _U64.pack(message.file_id) + _U32.pack(
             message.available_messages
         )
-    if isinstance(message, DataMessage):
-        inner = message.message
-        # p travels in the frame so the receiver can parse the payload.
-        return head + _U32.pack(inner.p) + _pack_bytes(inner.to_bytes())
     if isinstance(message, StopTransmission):
         # file_id may be -1 ("all"); map through unsigned space.
         return head + _U64.pack(message.file_id & ((1 << 64) - 1))
@@ -159,7 +179,7 @@ def decode_frame(wire: bytes):
     cls = _BY_ID.get(wire[0])
     if cls is None:
         raise WireFormatError(f"unknown frame type {wire[0]}")
-    r = _Reader(wire[1:])
+    r = _Reader(wire, 1)
     if cls is AuthChallenge:
         out = AuthChallenge(
             Challenge(nonce=r.bytes_field(), context=r.bytes_field())
@@ -179,7 +199,7 @@ def decode_frame(wire: bytes):
         if p not in (4, 8, 16, 32):
             raise WireFormatError(f"invalid symbol width {p}")
         try:
-            out = DataMessage(EncodedMessage.from_bytes(r.bytes_field(), p=p))
+            out = DataMessage(EncodedMessage.from_bytes(r.view_field(), p=p))
         except MessageFormatError as exc:
             raise WireFormatError(f"malformed DATA record: {exc}") from exc
     elif cls is StopTransmission:
@@ -224,20 +244,21 @@ def inject_context(frame: bytes, span: SpanHandle | None = None) -> bytes:
     )
 
 
-def extract_context(wire: bytes) -> tuple[SpanHandle | None, bytes]:
+def extract_context(wire: bytes) -> tuple[SpanHandle | None, bytes | memoryview]:
     """Undo :func:`inject_context`: ``(remote parent or None, inner frame)``.
 
     Non-envelope frames pass through unchanged with a ``None`` handle,
     so receivers can call this unconditionally before
-    :func:`decode_frame`.  Malformed envelopes raise
+    :func:`decode_frame`; an enveloped frame comes back as a view into
+    ``wire``, not a copy.  Malformed envelopes raise
     :class:`WireFormatError` (strict, like every other frame type).
     """
     if not wire or wire[0] != CONTEXT_FRAME_TYPE:
         return None, wire
-    r = _Reader(wire[1:])
+    r = _Reader(wire, 1)
     trace_id = r.u64()
     span_id = r.u64()
-    inner = r.bytes_field()
+    inner = r.view_field()
     r.finish()
     if not inner:
         raise WireFormatError("context envelope around an empty frame")

@@ -120,6 +120,27 @@ class TestPollution:
             diff = np.asarray(data.message.payload) != originals[data.message.message_id]
             assert int(diff.sum()) == 1
 
+    @pytest.mark.parametrize("kind", ["pollute", "corrupt"])
+    @pytest.mark.parametrize("p", [4, 8, 16, 32])
+    def test_tampered_payloads_are_in_range_and_still_construct(self, p, kind, rng, keys):
+        # EncodedMessage refuses a symbol >= 2^p; the injector's draws never
+        # are one, at any width, so tampering always yields a message that
+        # packs to what its ``payload`` says.
+        params = CodingParams(p=p, m=32, file_bytes=8 * 32 * p // 8)
+        encoded = FileEncoder(params, b"s", file_id=FILE_ID).encode_bundles(rng.bytes(64), 1)
+        store = MessageStore()
+        store.add_messages(encoded.bundles[0])
+        originals = {m.message_id: m for m in store.messages(FILE_ID)}
+        for seed in range(4):
+            session = wrapped(store, keys, PeerFault(kind), seed=seed)
+            delivered = session.serve(10_000_000)
+            assert len(delivered) == params.k
+            for data in delivered:
+                m = data.message
+                assert m != originals[m.message_id] and m.m == params.m
+                assert int(m.payload.max()) < (1 << p)
+                assert type(m).from_bytes(m.to_bytes(), p) == m
+
     def test_partial_rate_pollutes_some(self, setup, keys):
         _, store, digests = setup
         session = wrapped(store, keys, PeerFault("pollute", rate=0.5), seed=11)

@@ -100,6 +100,34 @@ class TestMatrixBatching:
         # Subsequent matrix() calls reuse the cache, not the stream.
         assert np.array_equal(gen.matrix([5])[0], cached)
 
+    def test_batch_is_frozen_whole_and_cached_as_row_views(self):
+        gen = CoefficientGenerator(GF(8), k=4, secret=b"s", file_id=2)
+        gen.row(6)  # cached on its own before the batch
+        M = gen.matrix([5, 6, 7, 5])
+        rows = [gen.row(i) for i in (5, 7)]
+        assert rows[0].base is rows[1].base and rows[0].base is not None
+        assert not rows[0].base.flags.writeable  # no way in through the block
+        assert gen.row(6).base is None
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 0
+        # matrix() hands out a stacked copy: writing to it reaches no row
+        expected = M.copy()
+        M[:] = 0
+        assert np.array_equal(gen.matrix([5, 6, 7, 5]), expected)
+
+    def test_out_of_range_stream_symbol_is_refused(self, monkeypatch):
+        from repro.gf import FieldError
+
+        gen = CoefficientGenerator(GF(4), k=4, secret=b"s", file_id=2)
+        monkeypatch.setattr(
+            gen._stream, "symbols_many",
+            lambda labels, count, bits: np.full((len(labels), count), 16, dtype=np.uint32),
+        )
+        with pytest.raises(FieldError):
+            gen.matrix([1, 2])
+        assert not gen._cache
+
     def test_mixed_cached_and_missing(self):
         a = CoefficientGenerator(GF(8), k=6, secret=b"s", file_id=3)
         b = CoefficientGenerator(GF(8), k=6, secret=b"s", file_id=3)

@@ -53,6 +53,20 @@ class TestKeyedStream:
     def test_count_zero(self):
         assert KeyedStream(b"k").bytes_for("a", 0) == b""
 
+    @pytest.mark.parametrize("key", [b"k", b"k" * 64, b"k" * 200])  # <, =, > one block
+    def test_stream_is_the_spelled_out_construction(self, key):
+        # The stream copies one keyed HMAC state per label; the bytes are
+        # still SHA256(derive_key(key, label) || counter), label by label
+        # and in any order.
+        import hashlib
+        import struct
+
+        stream = KeyedStream(key)
+        for label in (7, "seven", b"\x07", 7, 1 << 100):
+            seed = derive_key(key, label)
+            blocks = [hashlib.sha256(seed + struct.pack(">Q", t)).digest() for t in range(3)]
+            assert stream.bytes_for(label, 70) == b"".join(blocks)[:70]
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             KeyedStream(b"k").bytes_for("a", -1)

@@ -102,6 +102,23 @@ class TestServingCursor:
         a.advance()
         assert b.remaining == 3
 
+    def test_take_is_the_peek_advance_loop(self, messages):
+        store = MessageStore()
+        store.add_messages(messages)
+        size = messages[0].wire_size()
+        for budget in (0, size - 1, size, 2.5 * size, float("inf")):
+            fast, slow = store.open_cursor(0x11), store.open_cursor(0x11)
+            taken, left = fast.take(budget)
+            expected, remaining = [], budget
+            while not slow.exhausted and remaining >= slow.peek().wire_size():
+                remaining -= slow.peek().wire_size()
+                expected.append(slow.advance())
+            assert taken == expected and left == remaining
+            assert fast.remaining == slow.remaining
+        cursor = store.open_cursor(0x11)
+        store.drop_file(0x11)
+        assert cursor.take(float("inf")) == ([], float("inf"))  # stale: nothing
+
     def test_peek_does_not_consume(self, messages):
         store = MessageStore()
         store.add_messages(messages[:2])
@@ -126,6 +143,21 @@ class TestDatPersistence:
         for a, b in zip(original, restored):
             assert a.message_id == b.message_id
             assert np.array_equal(a.payload, b.payload)
+
+    def test_loaded_messages_are_slices_of_one_read(self, messages, tmp_path):
+        store = MessageStore()
+        store.add_messages(messages)
+        (path,) = store.save_dat(str(tmp_path))
+        loaded = MessageStore()
+        loaded.load_dat(path, p=PARAMS.p, m=PARAMS.m)
+        restored = loaded.messages(0x11)
+        blobs = {id(msg.payload_bytes().obj) for msg in restored}
+        assert len(blobs) == 1 and isinstance(restored[0].payload_bytes().obj, bytes)
+        assert restored == store.messages(0x11)
+        # saving again writes the same file without unpacking a record
+        (again,) = loaded.save_dat(str(tmp_path / "again"))
+        assert Path(again).read_bytes() == Path(path).read_bytes()
+        assert all(msg._symbols is None for msg in restored)
 
     @pytest.mark.parametrize("m", [32, 33])
     @pytest.mark.parametrize("p", [4, 8, 16, 32])

@@ -49,6 +49,29 @@ class TestRoundtrip:
         else:
             assert decoded == frame
 
+    def test_data_frame_layout_and_zero_copy_parse(self):
+        message = sample_frames()[4].message
+        frame = encode_frame(DataMessage(message))
+        record = message.to_bytes()
+        assert frame == (
+            b"\x05" + (16).to_bytes(4, "big") + len(record).to_bytes(4, "big") + record
+        )
+        decoded = decode_frame(frame).message
+        assert decoded == message  # DataMessage compares equal now, too
+        # the payload is a slice of the frame, through the envelope as well
+        assert decoded.payload_bytes().obj is frame
+        wrapped = _enveloped(frame)
+        _, inner = extract_context(wrapped)
+        assert isinstance(inner, memoryview) and inner.obj is wrapped
+        assert decode_frame(inner).message.payload_bytes().obj is wrapped
+
+    def test_decoded_message_does_not_alias_a_mutable_frame(self):
+        frame = bytearray(encode_frame(sample_frames()[4]))
+        decoded = decode_frame(frame).message
+        before = decoded.to_bytes()
+        frame[-1] ^= 0xFF
+        assert decoded.to_bytes() == before
+
     def test_frame_types_distinct(self):
         frames = sample_frames()
         first_bytes = {encode_frame(f)[0] for f in frames}
