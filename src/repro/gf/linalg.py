@@ -79,9 +79,9 @@ def _row_reduce(field: BinaryField, matrix: np.ndarray) -> tuple[np.ndarray, int
         src = pivot_row + int(nonzero[0])
         if src != pivot_row:
             A[[pivot_row, src]] = A[[src, pivot_row]]
-        pivot = A[pivot_row, col]
+        pivot = int(A[pivot_row, col])
         if pivot != 1:
-            field.scale_rows(A[pivot_row, col:], field.inv(pivot))
+            field.scale_rows(A[pivot_row, col:], field.inv_scalar(pivot))
         factors = A[:, col].copy()
         factors[pivot_row] = 0
         if factors.any():
@@ -264,8 +264,9 @@ class IncrementalRank:
         if nonzero.size == 0:
             return False
         pivot = int(nonzero[0])
-        if r[pivot] != 1:
-            field.scale_rows(r[pivot:], field.inv(r[pivot]))
+        lead = int(r[pivot])
+        if lead != 1:
+            field.scale_rows(r[pivot:], field.inv_scalar(lead))
         self._rows.append(r)
         self._pivots.append(pivot)
         return True

@@ -75,8 +75,10 @@ class CoefficientGenerator:
                     f"id {message_id:#x} is in the reserved repair range; "
                     "its row needs a registered repair record"
                 )
-            symbols = self._stream.symbols(message_id, self.k, self.field.p)
-            cached = self.field.asarray(symbols)
+            # p-bit fields of a keyed hash cannot exceed q: no range scan
+            cached = self.field._canon(
+                self._stream.symbols(message_id, self.k, self.field.p)
+            )
             cached.flags.writeable = False
             self._cache[message_id] = cached
         return cached

@@ -178,12 +178,15 @@ class ProgressiveDecoder:
         self.field = field if field is not None else GF(params.p)
         self.coefficients = coefficients
         self.digest_store = digest_store
+        self._k = params.k  # the property divides; arrivals read it often
         # Allocated by the first row that reaches elimination (the idle
-        # chunks of a streaming download hold nothing); row i of each
-        # belongs to the i-th accepted message.
+        # chunks of a streaming download hold nothing) and dropped once
+        # result() has the bytes; row i of each belongs to the i-th
+        # accepted message, row ``rank`` is the arrival's work row.
         self._payloads: np.ndarray | None = None  # (k, m) raw payloads
         self._reduced: np.ndarray | None = None  # (k, 2k) rows [e | t]
-        self._pivots: list[int] = []  # pivot column of reduced row i
+        self._pivots = np.empty(self._k, dtype=np.intp)  # [:rank]: pivot columns
+        self._rank = 0
         self._seen_ids: set[int] = set()
         self._decoded: bytes | None = None
         self.accepted = 0
@@ -195,16 +198,16 @@ class ProgressiveDecoder:
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return self._rank
 
     @property
     def needed(self) -> int:
         """How many more useful messages are required."""
-        return self.params.k - self.rank
+        return self._k - self._rank
 
     @property
     def is_complete(self) -> bool:
-        return self.rank >= self.params.k
+        return self._rank >= self._k
 
     def offer(self, message: EncodedMessage) -> Offer:
         """Feed one received message; returns what happened to it."""
@@ -255,7 +258,8 @@ class ProgressiveDecoder:
         return outcome
 
     def _offer(self, message: EncodedMessage) -> Offer:
-        if self.is_complete:
+        k, rank = self._k, self._rank
+        if rank >= k:
             return Offer.COMPLETE
         if message.file_id != self.coefficients.file_id:
             self.rejected += 1
@@ -273,8 +277,6 @@ class ProgressiveDecoder:
             return Offer.REJECTED
 
         field = self.field
-        k = self.params.k
-        rank = self.rank
         elim_start = time.perf_counter_ns() if _OBS.enabled else None
         try:
             try:
@@ -287,22 +289,28 @@ class ProgressiveDecoder:
                 return Offer.REJECTED
             if self._reduced is None:
                 self._payloads = np.empty((k, self.params.m), dtype=field.dtype)
-                self._reduced = np.zeros((k, 2 * k), dtype=field.dtype)
-            row = np.zeros(2 * k, dtype=field.dtype)
+                self._reduced = np.empty((k, 2 * k), dtype=field.dtype)
+            # The arrival is reduced where it will be kept: the next free
+            # row of each matrix.  Nothing reads a row at or past ``rank``,
+            # so one that turns out dependent or forged is simply left
+            # there for the next arrival to overwrite.
+            row, payload = self._reduced[rank], self._payloads[rank]
             row[:k] = coeff_row
+            row[k:] = 0
+            message.payload_into(payload)
             kept = self._reduced[:rank]
             # Kept rows are fully reduced — 1 at their own pivot, 0 at
             # every other kept pivot — so all factors can be read off
             # the arrival at once and one product clears them.
-            factors = row[self._pivots]
+            factors = row.take(self._pivots[:rank])
             if factors.any():
-                row ^= np.bitwise_xor.reduce(field.mul(factors[:, None], kept), axis=0)
-            nonzero = np.nonzero(row[:k])[0]
+                row ^= field.combine(factors, kept)
+            nonzero = row[:k].nonzero()[0]
             if nonzero.size == 0:
                 if _OBS.enabled:
                     _DEC_RESIDUAL_CHECKS.inc()
-                expected = field.dot(row[k : k + rank], self._payloads[:rank])
-                if not np.array_equal(expected, message.payload):
+                expected = field.combine(row[k : k + rank], self._payloads[:rank])
+                if not np.array_equal(expected, payload):
                     # Authentic rows can never contradict the span; this
                     # message was forged in a way the digests did not catch.
                     # The decoder survives: the row is dropped, state is
@@ -319,20 +327,18 @@ class ProgressiveDecoder:
                 return Offer.DEPENDENT
             pivot = int(nonzero[0])
             row[k + rank] = 1  # the new raw row enters its own combination
-            v = row[pivot]
+            v = int(row[pivot])
             if v != 1:
-                field.scale_rows(row[pivot:], field.inv(v))
+                field.scale_rows(row[pivot:], field.inv_scalar(v))
             # Keep the kept rows reduced: clear the new pivot from them.
             factors = kept[:, pivot].copy()
             if factors.any():
-                field.addmul(kept, factors[:, None], row[None, :])
-            self._reduced[rank] = row
-            self._payloads[rank] = message.payload
-            self._pivots.append(pivot)
+                field.addmul(kept, factors[:, None], row)
+            self._pivots[rank] = pivot
+            self._rank = rank + 1
             self._seen_ids.add(message.message_id)
             self.accepted += 1
-            self._decoded = None
-            return Offer.COMPLETE if self.is_complete else Offer.ACCEPTED
+            return Offer.COMPLETE if rank + 1 == k else Offer.ACCEPTED
         finally:
             if elim_start is not None:
                 _DEC_ELIM_NS.observe(time.perf_counter_ns() - elim_start)
@@ -340,14 +346,15 @@ class ProgressiveDecoder:
     def result(self, length: int | None = None) -> bytes:
         """The decoded file bytes; valid once :attr:`is_complete`."""
         if not self.is_complete:
-            raise DecodeError(
-                f"decode incomplete: rank {self.rank} of {self.params.k}"
-            )
+            raise DecodeError(f"decode incomplete: rank {self._rank} of {self._k}")
         if self._decoded is None:
-            k = self.params.k
+            k = self._k
             # ``t @ B`` has the unit vector at ``_pivots[i]`` in row i.
             inverse = np.empty((k, k), dtype=self.field.dtype)
             inverse[self._pivots] = self._reduced[:, k:]
             source = self.field.matmul(inverse, self._payloads)
             self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
+            # The bytes are the result; the matrices (4x the chunk at
+            # p = 8) would otherwise live as long as the decoder does.
+            self._payloads = self._reduced = None
         return _trim(self._decoded, self.params, length)

@@ -153,12 +153,16 @@ class EncodedMessage:
         """The ``m`` symbols (``uint32``, read-only), unpacked on first use."""
         symbols = self._symbols
         if symbols is None:
-            symbols = bytes_to_symbols(self._packed, self.p)
-            if symbols.size != self.m:  # p = 4, odd m: drop the padding nibble
-                symbols = symbols[: self.m].copy()
+            symbols = np.empty(self.m, dtype=np.uint32)
+            self.payload_into(symbols)
             symbols.flags.writeable = False
             object.__setattr__(self, "_symbols", symbols)
         return symbols
+
+    def payload_into(self, out: np.ndarray) -> None:
+        """Unpack the ``m`` symbols into ``out`` (a ``uint32`` row of a
+        decoder's matrix), caching nothing on the message."""
+        bytes_to_symbols(self._packed, self.p, out=out)
 
     def payload_bytes(self):
         """Packed payload (read-only bytes-like), the unit the digest store hashes."""

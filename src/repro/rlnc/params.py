@@ -9,7 +9,6 @@ Fig. 2).  Table I of the paper tabulates ``k`` for 1 MB of data across
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -70,7 +69,7 @@ class CodingParams:
     @property
     def symbols_per_file(self) -> int:
         """Number of field symbols the padded file occupies."""
-        return math.ceil(self.file_bits / self.p)
+        return -(-self.file_bits // self.p)
 
     @property
     def k(self) -> int:
@@ -79,12 +78,12 @@ class CodingParams:
         ``k = ceil(b / (m * p))``; for the power-of-two grid of Table I
         the division is exact.
         """
-        return math.ceil(self.file_bits / (self.m * self.p))
+        return -(-self.file_bits // (self.m * self.p))
 
     @property
     def message_bytes(self) -> int:
         """Payload bytes of one encoded message (``m`` packed symbols)."""
-        return math.ceil(self.m * self.p / 8)
+        return -(-(self.m * self.p) // 8)
 
     @property
     def padded_bytes(self) -> int:

@@ -16,25 +16,29 @@ __all__ = ["bytes_to_symbols", "pack_symbols", "symbols_to_bytes", "reshape_file
 _WIDTH_DTYPE = {8: ">u1", 16: ">u2", 32: ">u4"}
 
 
-def bytes_to_symbols(data, p: int, count: int | None = None) -> np.ndarray:
+def bytes_to_symbols(data, p: int, count: int | None = None, out=None) -> np.ndarray:
     """Interpret ``data`` (any bytes-like) as ``p``-bit symbols, zero-padded
     at the end; the result is a fresh, writable ``uint32`` array.
 
     ``count``, when given, fixes the output length (must be at least the
-    number of symbols ``data`` fills).
+    number of symbols ``data`` fills).  ``out``, when given, is written
+    and returned instead of a fresh array: a 1-D ``uint32`` array with one
+    slot per symbol (a row of a decoder's matrix; at ``p = 4`` an odd
+    length leaves the last byte's padding nibble behind).
     """
     if p == 4:
         raw = np.frombuffer(data, dtype=np.uint8)
-        out = np.empty(raw.size * 2, dtype=np.uint32)
-        out[0::2] = raw >> 4
-        out[1::2] = raw & 0x0F
-        symbols = out
+        symbols = np.empty(raw.size * 2, dtype=np.uint32) if out is None else out
+        symbols[0::2] = raw >> 4
+        symbols[1::2] = (raw & 0x0F)[: symbols.size // 2]
     elif p in _WIDTH_DTYPE:
         width = p // 8
         pad = (-len(data)) % width
         if pad:
             data = bytes(data) + b"\x00" * pad
-        symbols = np.frombuffer(data, dtype=_WIDTH_DTYPE[p]).astype(np.uint32)
+        raw = np.frombuffer(data, dtype=_WIDTH_DTYPE[p])
+        symbols = np.empty(raw.size, dtype=np.uint32) if out is None else out
+        symbols[...] = raw
     else:
         raise ValueError(f"unsupported symbol width p={p}")
     if count is None:

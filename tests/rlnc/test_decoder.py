@@ -234,7 +234,7 @@ class TestProgressiveDecoder:
         ]
         prog = ProgressiveDecoder(PARAMS, coefficients)
         assert prog.offer_many(messages)[-1] == Offer.COMPLETE
-        assert prog._pivots == list(range(PARAMS.k - 1, -1, -1))
+        assert list(prog._pivots) == list(range(PARAMS.k - 1, -1, -1))
         decoded = prog.result()
         assert decoded == BlockDecoder(PARAMS, coefficients).decode(messages)
         assert decoded == symbols_to_bytes(source.reshape(-1), PARAMS.p)

@@ -192,6 +192,15 @@ def _assert_same_state(decoder, oracle, rejected_elsewhere=0):
     assert decoder.rank == len(oracle.kept)
 
 
+def _kept_rows(decoder):
+    """The rows the decoder has kept, as bytes: an arrival it does not
+    keep is reduced in the next free row and must leave these alone."""
+    if decoder._reduced is None:
+        return b"", b""
+    rank = decoder.rank
+    return decoder._reduced[:rank].tobytes(), decoder._payloads[:rank].tobytes()
+
+
 def _feed_batches(target, oracle, queue, batches, check):
     """Cut ``queue`` into the drawn batch sizes; ``check`` after each."""
     while queue:
@@ -218,8 +227,12 @@ def test_offer_matches_dense_oracle(p, k, picks, with_store, seed, helpers_first
     params, pools, store, coefficients, oracle = _cell(p, k, with_store)
     decoder = ProgressiveDecoder(params, coefficients, store)
     for msg in _stream(pools, picks, seed, helpers_first):
-        assert decoder.offer(msg) == oracle.offer(msg)
+        kept = _kept_rows(decoder)
+        outcome = decoder.offer(msg)
+        assert outcome == oracle.offer(msg)
         _assert_same_state(decoder, oracle)
+        if outcome in (Offer.DEPENDENT, Offer.REJECTED):
+            assert _kept_rows(decoder) == kept
     assert decoder.is_complete == oracle.is_complete
     if oracle.is_complete:
         assert decoder.result() == oracle.result()

@@ -1,6 +1,8 @@
 """Unit tests for coding-parameter arithmetic (Table I math)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rlnc import (
     ONE_MEGABYTE,
@@ -31,6 +33,25 @@ class TestCodingParams:
         params = CodingParams(p=8, m=33, file_bytes=100)
         assert params.k == 4
         assert params.padded_bytes >= 100
+
+    def test_k_is_exact_above_the_float_mantissa(self):
+        """``ceil(int / int)`` through a float rounds the quotient above
+        2^53 bits and came out one chunk short here."""
+        params = CodingParams(p=8, m=1 << 27, file_bytes=(1 << 57) + 1)
+        assert params.k == (1 << 30) + 1
+        assert params.symbols_per_file == (1 << 57) + 1
+        assert CodingParams(p=4, m=3, file_bytes=(1 << 57) + 1).symbols_per_file == (1 << 58) + 2
+
+    @given(
+        p=st.sampled_from(TABLE1_FIELD_BITS),
+        m=st.integers(1, 1 << 40),
+        file_bytes=st.integers(1, 1 << 70),
+    )
+    def test_k_chunks_cover_the_file_and_k_minus_one_do_not(self, p, m, file_bytes):
+        params = CodingParams(p=p, m=m, file_bytes=file_bytes)
+        assert (params.k - 1) * m * p < params.file_bits <= params.k * m * p
+        assert (params.symbols_per_file - 1) * p < params.file_bits <= params.symbols_per_file * p
+        assert 8 * (params.message_bytes - 1) < m * p <= 8 * params.message_bytes
 
     def test_message_bytes(self):
         assert CodingParams(p=8, m=100, file_bytes=100).message_bytes == 100
