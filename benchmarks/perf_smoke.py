@@ -197,9 +197,10 @@ def gate_screen() -> int:
     The publish screens every peer's ``k`` candidate rows in one forward
     elimination whose column loop all blocks share; block by block — and
     Gauss-Jordan, as ``rank`` reduces — the same verdicts measure ~1.0x.
-    (Reads 0.42-0.45x and 0.16x; the p=8 cell read 0.28x until ``rank``
-    itself halved there — scalar pivot inverses, one-gather products —
-    which is why the budget is 0.7x and not the 0.5x it started at.)
+    (Reads 0.41-0.45x, once 0.49x inside a whole run, and 0.15-0.18x.  The
+    p=8 cell read 0.28x until its reference, ``rank``, halved there; its
+    headroom is thin until that cell gets a reference production code
+    cannot speed up (ROADMAP item 3).)
     """
     import numpy as np
 
@@ -220,7 +221,7 @@ def gate_screen() -> int:
 
         assert stacked() == per_block() and stacked()[4:7] == [True, False, True]
         failures += ratio_gate(
-            f"stacked is_invertible / 8 x rank, p={p} k={k}", stacked, per_block, 0.7,
+            f"stacked is_invertible / 8 x rank, p={p} k={k}", stacked, per_block, 0.5,
             "is screening back to one elimination per peer, or reducing to "
             "Gauss-Jordan form again?",
         )
@@ -439,17 +440,19 @@ def gate_peer_path() -> int:
 
 
 def gate_arrival() -> int:
-    """An arrival's reduction: ``field.combine`` / the validated product.
+    """An arrival's reduction: ``field.combine`` / the product it replaced.
 
     ``ProgressiveDecoder`` clears the kept pivots from an arriving row
-    with one trusted kernel call; the reference is that sum spelled with
-    the public ``mul``, which makes the same gather behind a range scan
-    of both operands.  Half-way through a k = 64 decode: 32 kept rows,
-    2k = 128 wide.  Reads 0.65-0.70x at p=8 and 0.76-0.79x at p=16 (0.86x
-    once, at the end of a whole run); the kernel on the validated path
-    reads 1.08-1.18x.  ``mul`` shares the gather,
-    so ``take`` going back to fancy indexing slows both sides alike and
-    does not show here.
+    with one trusted kernel call.  The reference is spelled out here and
+    frozen, so no change to ``field.mul`` moves it: both operands through
+    the validating ``asarray``, then ``expz[logz[a] + logz[x]]`` by fancy
+    index — what ``mul`` was when the arrival path still called it.
+    Half-way through a k = 64 decode: 32 kept rows, 2k = 128 wide.
+    Reads 0.39-0.45x at p=8 (the flat table: one gather) and 0.57-0.64x
+    at p=16 (three); with ``_product`` range-scanning its operands
+    0.68-0.70x and 0.82-0.88x, with ``table[index]`` in place of ``take``
+    0.59x and 0.81-0.83x.  Each budget sits between its cell's reading
+    and the nearer regression.
     """
     import numpy as np
 
@@ -458,8 +461,9 @@ def gate_arrival() -> int:
     failures = 0
     rng = np.random.default_rng(0)
     rounds = range(200)  # one call is ~10 us: time a few hundred
-    for p in (8, 16):
+    for p, budget in ((8, 0.52), (16, 0.72)):
         field = GF(p)
+        logz, expz = field._logz, field._expz  # the tables only; the gathers are below
         factors, kept = field.random(32, rng), field.random((32, 128), rng)
 
         def trusted():
@@ -467,15 +471,18 @@ def gate_arrival() -> int:
                 out = field.combine(factors, kept)
             return out
 
-        def validated():
+        def former():
             for _ in rounds:
-                out = np.bitwise_xor.reduce(field.mul(factors[:, None], kept), axis=0)
+                a, x = field.asarray(factors[:, None]), field.asarray(kept)
+                out = np.bitwise_xor.reduce(expz[logz[a] + logz[x]], axis=0)
             return out
 
-        assert np.array_equal(trusted(), validated())  # and warm both
+        assert np.array_equal(trusted(), former())  # and warm both
         failures += ratio_gate(
-            f"combine / xor-reduce of mul, p={p} (32,128)", trusted, validated, 0.9,
-            "is the arrival's reduction back on the validated path?",
+            f"combine / validated fancy-index product, p={p} (32,128)",
+            trusted, former, budget,
+            "is the arrival's reduction back on the validated path or on "
+            "fancy indexing?",
         )
     return failures
 

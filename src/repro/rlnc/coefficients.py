@@ -51,6 +51,10 @@ class CoefficientGenerator:
     file_id:
         Domain separator so different files of one owner get independent
         coefficient streams.
+
+    :meth:`matrix` is the validated entry point: it range-checks the block
+    it generates, once per publish.  :meth:`row`, which a decoder calls per
+    arrival, takes the keyed stream's ``uint32`` symbols as they come.
     """
 
     def __init__(self, field: BinaryField, k: int, secret: bytes, file_id: int):
@@ -76,9 +80,7 @@ class CoefficientGenerator:
                     "its row needs a registered repair record"
                 )
             # p-bit fields of a keyed hash cannot exceed q: no range scan
-            cached = self.field._canon(
-                self._stream.symbols(message_id, self.k, self.field.p)
-            )
+            cached = self._stream.symbols(message_id, self.k, self.field.p)
             cached.flags.writeable = False
             self._cache[message_id] = cached
         return cached

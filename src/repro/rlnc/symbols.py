@@ -21,16 +21,19 @@ def bytes_to_symbols(data, p: int, count: int | None = None, out=None) -> np.nda
     at the end; the result is a fresh, writable ``uint32`` array.
 
     ``count``, when given, fixes the output length (must be at least the
-    number of symbols ``data`` fills).  ``out``, when given, is written
-    and returned instead of a fresh array: a 1-D ``uint32`` array with one
-    slot per symbol (a row of a decoder's matrix; at ``p = 4`` an odd
-    length leaves the last byte's padding nibble behind).
+    number of symbols ``data`` fills).  ``out``, instead of ``count``, is
+    a 1-D ``uint32`` array to fill and return in place of a fresh one (a
+    row of a decoder's matrix): ``data`` must hold exactly ``out.size``
+    symbols, up to the padding nibble of an odd length at ``p = 4``.
     """
+    if out is not None and count is not None:
+        raise ValueError("out has its own length: count does not apply")
     if p == 4:
         raw = np.frombuffer(data, dtype=np.uint8)
         symbols = np.empty(raw.size * 2, dtype=np.uint32) if out is None else out
         symbols[0::2] = raw >> 4
-        symbols[1::2] = (raw & 0x0F)[: symbols.size // 2]
+        # an odd-length ``out`` has no slot for the last byte's low nibble
+        symbols[1::2] = raw[: symbols.size // 2] & 0x0F
     elif p in _WIDTH_DTYPE:
         width = p // 8
         pad = (-len(data)) % width

@@ -8,6 +8,7 @@ bytes are out, the matrices are gone.
 """
 
 import numpy as np
+import pytest
 
 from repro.gf.field import TableField
 from repro.rlnc import (
@@ -19,6 +20,7 @@ from repro.rlnc import (
     ProgressiveDecoder,
     StreamingDecoder,
 )
+from repro.rlnc.symbols import bytes_to_symbols, symbols_to_bytes
 from repro.security import DigestStore
 
 PARAMS = CodingParams(p=8, m=32, file_bytes=64 * 32)  # k = 64
@@ -95,6 +97,19 @@ def test_no_arrival_leaves_symbols_cached_on_the_message(rng):
     outcomes = {decoder.offer(msg) for msg in stream}
     assert outcomes == set(Offer) and decoder.result() == data
     assert all(msg._symbols is None for msg in stream)
+
+
+@pytest.mark.parametrize("p, m", [(4, 33), (4, 32), (8, 17), (16, 9), (32, 5)])
+def test_unpacking_into_a_row_is_the_fresh_array(p, m, rng):
+    symbols = rng.integers(0, 1 << p, size=m, dtype=np.uint64).astype(np.uint32)
+    packed = symbols_to_bytes(symbols, p)
+    matrix = np.full((3, m), 0xFFFFFFFF, dtype=np.uint32)
+    row = bytes_to_symbols(packed, p, out=matrix[1])
+    assert np.shares_memory(row, matrix) and np.array_equal(matrix[1], symbols)
+    assert np.array_equal(matrix[1], bytes_to_symbols(packed, p)[:m])
+    assert (matrix[[0, 2]] == 0xFFFFFFFF).all()  # the rows either side untouched
+    with pytest.raises(ValueError):
+        bytes_to_symbols(packed, p, count=m, out=matrix[1])
 
 
 def test_forged_and_dependent_arrivals_leave_the_kept_rows_alone(rng):
