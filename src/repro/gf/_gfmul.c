@@ -14,30 +14,63 @@
  *  - a column block is 512 symbols, so a bit-row of the block is 8 words:
  *    one cache line, and the 256-entry table of one group of eight inner
  *    bit-rows is 16 KiB;
- *  - the gather runs group-outer, bit-row-inner over at most 256 output
- *    bit-rows, so one group table and the accumulator share L1;
+ *  - the gather takes four groups per pass, bit-row-inner over at most
+ *    256 output bit-rows: each accumulator line is loaded and stored
+ *    once per four table rows, and groups past the last one read the
+ *    zero line, so there is one gather loop and no remainder;
  *  - symbols <-> bit-planes is a 32x32 bit-matrix transpose on 64-bit
  *    words that each hold two adjacent symbols, 8 words abreast.  That
  *    permutes the columns inside a block, which a column-wise map cannot
  *    see, and packing and unpacking are the same involution;
  *  - more than 512 inner bit-rows are taken in chunks of 64 groups (1 MiB
  *    of tables) whose partial products XOR into out, so scratch does not
- *    grow with n.
+ *    grow with n;
+ *  - every line is loaded, combined and stored as vec_t, one vector as
+ *    wide as the target has, never through a local copy: a line stored
+ *    at one width and reloaded at another stalls store forwarding (gcc
+ *    12's -march=sapphirerapids copies 64 bytes at 512 bits but
+ *    vectorises loops at 256, which made that build the slowest one).
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__AVX512F__)
+#define VEC_BYTES 64
+#elif defined(__AVX__)
+#define VEC_BYTES 32
+#else
+#define VEC_BYTES 16
+#endif
+
 #define LANES 8                  /* 64-bit words per bit-row of a column block */
+#define VECS (8 * LANES / VEC_BYTES)
 #define BLOCK_COLS (32 * 2 * LANES)
 #define ROW_BLOCK 256            /* output bit-rows gathered per pass */
 #define GROUP_CHUNK 64           /* groups of eight inner bit-rows tabulated at once */
 
-typedef uint64_t line_t[LANES];
+typedef uint64_t vec_t __attribute__((vector_size(VEC_BYTES)));
+typedef vec_t line_t[VECS];
+typedef uint32_t sym_t __attribute__((may_alias));
 
-/* The inner loops work on local copies of the lines they combine: with
- * no store a load could alias, -O3 turns each into whole-vector code. */
+static const uint8_t zero_idx[ROW_BLOCK];
+
+/* The vector width this build works lines at, in bytes. */
+int repro_gf2_vector_bytes(void)
+{
+    return VEC_BYTES;
+}
+
+/* n lines from src, or zero lines when src is NULL. */
+static inline void copy_lines(line_t *dst, const line_t *src, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++) {
+        for (int v = 0; v < VECS; v++) {
+            dst[k][v] = src == NULL ? (vec_t){0} : src[k][v];
+        }
+    }
+}
 
 /* One round of the transpose network: swap the off-diagonal j x j
  * blocks of every 2j x 2j block (LSB-first). */
@@ -45,16 +78,11 @@ static inline void swap_round(line_t *x, const int j, const uint64_t mask)
 {
     for (int k0 = 0; k0 < 32; k0 += 2 * j) {
         for (int k = k0; k < k0 + j; k++) {
-            uint64_t lo[LANES], hi[LANES];
-            memcpy(lo, x[k], sizeof lo);
-            memcpy(hi, x[k + j], sizeof hi);
-            for (int w = 0; w < LANES; w++) {
-                const uint64_t t = ((lo[w] >> j) ^ hi[w]) & mask;
-                lo[w] ^= t << j;
-                hi[w] ^= t;
+            for (int v = 0; v < VECS; v++) {
+                const vec_t t = ((x[k][v] >> j) ^ x[k + j][v]) & mask;
+                x[k][v] ^= t << j;
+                x[k + j][v] ^= t;
             }
-            memcpy(x[k], lo, sizeof lo);
-            memcpy(x[k + j], hi, sizeof hi);
         }
     }
 }
@@ -69,16 +97,6 @@ static void transpose32(line_t *x)
     swap_round(x, 4, 0x0F0F0F0F0F0F0F0FULL);
     swap_round(x, 2, 0x3333333333333333ULL);
     swap_round(x, 1, 0x5555555555555555ULL);
-}
-
-/* dst = a ^ b, one line. */
-static inline void xor_lines(uint64_t *dst, const uint64_t *a, const uint64_t *b)
-{
-    uint64_t t[LANES];
-    for (int w = 0; w < LANES; w++) {
-        t[w] = a[w] ^ b[w];
-    }
-    memcpy(dst, t, sizeof t);
 }
 
 /* 8x8 bit-matrix transpose: bit u of byte c becomes bit c of byte u. */
@@ -167,7 +185,7 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
 
             /* Pack: inner bit-rows t0..t1 of this column block, the last
              * group zero-padded to eight. */
-            memset(bits + (t1 - t0), 0, (size_t)(8 * gn - (t1 - t0)) * sizeof(line_t));
+            copy_lines(bits + (t1 - t0), NULL, 8 * gn - (t1 - t0));
             for (int64_t j = t0 / p; j * p < t1; j++) {
                 memcpy(x, src + j * m + c0, col_bytes);
                 memset((char *)x + col_bytes, 0, x_bytes - col_bytes);
@@ -175,19 +193,21 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                 for (int64_t b = 0; b < p; b++) {
                     const int64_t t = j * p + b;
                     if (t >= t0 && t < t1) {
-                        memcpy(bits[t - t0], x[b], sizeof(line_t));
+                        copy_lines(bits + (t - t0), x + b, 1);
                     }
                 }
             }
 
-            /* Tables by doubling: entry v is the XOR of the group's
-             * bit-rows selected by the bits of v. */
+            /* Tables by doubling: entry e is the XOR of the group's
+             * bit-rows selected by the bits of e. */
             for (int64_t g = 0; g < gn; g++) {
                 line_t *tab = tables + g * 256;
-                memset(tab[0], 0, sizeof(line_t));
+                copy_lines(tab, NULL, 1);
                 for (int b = 0; b < 8; b++) {
-                    for (int v = 0; v < (1 << b); v++) {
-                        xor_lines(tab[(1 << b) + v], tab[v], bits[8 * g + b]);
+                    for (int e = 0; e < (1 << b); e++) {
+                        for (int v = 0; v < VECS; v++) {
+                            tab[(1 << b) + e][v] = tab[e][v] ^ bits[8 * g + b][v];
+                        }
                     }
                 }
             }
@@ -196,13 +216,23 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                 const int64_t in = r - i0 < block_rows ? r - i0 : block_rows;
                 const int64_t nrows = in * p;
 
-                /* Gather: one table row XORed in per (group, bit-row). */
-                memset(acc, 0, (size_t)nrows * sizeof(line_t));
-                for (int64_t g = 0; g < gn; g++) {
-                    const line_t *tab = tables + g * 256;
-                    const uint8_t *idx = gen + ((g0 + g) * r + i0) * p;
+                /* Gather: a pass XORs four groups' table rows into
+                 * each accumulator line.  Groups past the last read
+                 * entry 0 of table 0, the zero line. */
+                copy_lines(acc, NULL, nrows);
+                for (int64_t g = 0; g < gn; g += 4) {
+                    const line_t *tab[4];
+                    const uint8_t *idx[4];
+                    for (int u = 0; u < 4; u++) {
+                        tab[u] = tables + (g + u < gn ? g + u : 0) * 256;
+                        idx[u] = g + u < gn ? gen + ((g0 + g + u) * r + i0) * p : zero_idx;
+                    }
                     for (int64_t row = 0; row < nrows; row++) {
-                        xor_lines(acc[row], acc[row], tab[idx[row]]);
+                        const vec_t *a = tab[0][idx[0][row]], *b = tab[1][idx[1][row]];
+                        const vec_t *c = tab[2][idx[2][row]], *d = tab[3][idx[3][row]];
+                        for (int v = 0; v < VECS; v++) {
+                            acc[row][v] ^= (a[v] ^ b[v]) ^ (c[v] ^ d[v]);
+                        }
                     }
                 }
 
@@ -210,15 +240,14 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                  * chunks of inner bits add to what the first one wrote. */
                 for (int64_t i = 0; i < in; i++) {
                     uint32_t *dst = out + (i0 + i) * m + c0;
-                    memcpy(x, acc + i * p, (size_t)p * sizeof(line_t));
-                    memset(x + p, 0, (size_t)(32 - p) * sizeof(line_t));
+                    copy_lines(x, acc + i * p, p);
+                    copy_lines(x + p, NULL, 32 - p);
                     transpose32(x);
                     if (g0 == 0) {
                         memcpy(dst, x, col_bytes);
                     }
                     else {
-                        uint32_t sym[BLOCK_COLS];
-                        memcpy(sym, x, sizeof sym);
+                        const sym_t *sym = (const sym_t *)x;
                         for (int64_t c = 0; c < cols; c++) {
                             dst[c] ^= sym[c];
                         }

@@ -187,6 +187,10 @@ class GF2Kernel:
         self._matmul = lib.repro_gf2_matmul
         self._matmul.restype = ctypes.c_int
         self._matmul.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+        width = lib.repro_gf2_vector_bytes
+        width.restype = ctypes.c_int
+        #: Bytes per vector the build works each line at: 64, 32 or 16.
+        self.vector_bytes = width()
 
     def matmul(self, prods: np.ndarray, P: np.ndarray, p: int, out: np.ndarray) -> None:
         """Fill ``out`` with the ``(r, m)`` symbols whose bit-planes are

@@ -39,8 +39,12 @@ __all__ = ["load", "status"]
 
 K = TypeVar("K")
 
-#: Tried in order; the host-tuned build roughly halves kernel time, the
-#: plain -O2 set is the portable fallback.  -ffp-contract=off is not
+#: Tried in order; the plain -O2 set is the portable fallback.  The
+#: host-tuned build is not faster by itself: it halves the GF kernel's
+#: time because ``_gfmul.c`` works every line at the one vector width
+#: the target's macros give, where lines stored at one width and
+#: reloaded at another made it 2x slower than -O2 (gcc 12,
+#: -march=sapphirerapids).  -ffp-contract=off is not
 #: negotiable: fused multiply-adds would change the allocation kernels'
 #: results by an ulp (and be rejected by their self-check).
 _CFLAG_SETS = [

@@ -24,6 +24,24 @@ class StorageError(Exception):
     """Raised on storage misuse (unknown file, malformed .dat, ...)."""
 
 
+#: Most buffers one ``writev`` takes (1024 on Linux).
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _write_all(fd: int, buffers: list) -> None:
+    """Write ``buffers`` to ``fd`` in order, ``_IOV_MAX`` to a ``writev``,
+    resuming after a short write where it stopped (``buffers`` is used
+    up): no joined copy of the records, no buffered writer."""
+    i = 0
+    while i < len(buffers):
+        done = os.writev(fd, buffers[i : i + _IOV_MAX])
+        while i < len(buffers) and done >= len(buffers[i]):
+            done -= len(buffers[i])
+            i += 1
+        if done:
+            buffers[i] = memoryview(buffers[i])[done:]
+
+
 class ServingCursor:
     """Serial reader over one peer's stored messages for one file.
 
@@ -176,18 +194,21 @@ class MessageStore:
 
         The .dat layout is the concatenation of wire messages, each a
         16-byte header plus the fixed-size packed payload — exactly the
-        storage format of Fig. 3.
+        storage format of Fig. 3 — written with ``writev`` straight from
+        the messages' bytes.
         """
         os.makedirs(directory, exist_ok=True)
         paths = []
         for file_id, msgs in sorted(self._files.items()):
             path = os.path.join(directory, f"{file_id:016x}.dat")
-            with open(path, "wb") as fh:
-                for msg in msgs:
-                    # two writes into the file buffer: no joined copy of
-                    # header + payload per record
-                    fh.write(msg.header_bytes())
-                    fh.write(msg.payload_bytes())
+            records = []
+            for msg in msgs:
+                records += (msg.header_bytes(), msg.payload_bytes())
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write_all(fd, records)
+            finally:
+                os.close(fd)
             paths.append(path)
         return paths
 

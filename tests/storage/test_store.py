@@ -1,5 +1,6 @@
 """Unit tests for per-peer message storage and File-id.dat persistence."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rlnc import CodingParams, FileEncoder
+from repro.rlnc.message import EncodedMessage
 from repro.storage import MessageStore, ServingCursor, StorageError
+from repro.storage import store as store_module
 
 PARAMS = CodingParams(p=16, m=32, file_bytes=512)  # k = 8
 
@@ -253,6 +256,60 @@ class TestDatPersistence:
             enc = FileEncoder(PARAMS, b"s", file_id=fid)
             store.add_messages(enc.encode_bundles(rng.bytes(100), 1).all_messages())
         assert len(store.save_dat(str(tmp_path))) == 2
+
+
+class TestDatWrites:
+    """``save_dat`` writes each file with ``os.writev``: the bytes are the
+    records' wire bytes whatever the calls look like."""
+
+    @staticmethod
+    def spy(monkeypatch, limit=None):
+        """Record the buffers of every ``writev``; with ``limit``, write
+        at most that many bytes per call, as a short write does."""
+        calls = []
+        real = os.writev
+
+        def writev(fd, buffers):
+            buffers = [bytes(buf) for buf in buffers]
+            calls.append(buffers)
+            if limit is None:
+                return real(fd, buffers)
+            return os.write(fd, b"".join(buffers)[:limit])
+
+        monkeypatch.setattr(os, "writev", writev)
+        return calls
+
+    @staticmethod
+    def saved(store, tmp_path):
+        (path,) = store.save_dat(str(tmp_path))
+        return Path(path).read_bytes()
+
+    def test_short_write_resumes_mid_buffer(self, messages, monkeypatch, tmp_path):
+        store = MessageStore()
+        store.add_messages(messages)
+        record = messages[0].wire_size()
+        calls = self.spy(monkeypatch, limit=record + 21)  # ends inside a payload
+        assert self.saved(store, tmp_path) == b"".join(m.to_bytes() for m in messages)
+        assert len(calls) == -(-len(messages) * record // (record + 21))
+        assert len(calls[1][0]) == record - 21  # the rest of the cut payload
+
+    def test_more_records_than_one_writev_takes(self, monkeypatch, rng, tmp_path):
+        count = store_module._IOV_MAX // 2 + 3
+        msgs = [
+            EncodedMessage(7, i, rng.integers(0, 1 << 16, PARAMS.m, dtype=np.uint32), 16)
+            for i in range(count)
+        ]
+        store = MessageStore()
+        store.add_messages(msgs)
+        calls = self.spy(monkeypatch)
+        assert self.saved(store, tmp_path) == b"".join(m.to_bytes() for m in msgs)
+        assert [len(c) for c in calls] == [store_module._IOV_MAX, 2 * count - store_module._IOV_MAX]
+
+    def test_empty_store_writes_nothing(self, monkeypatch, tmp_path):
+        calls = self.spy(monkeypatch)
+        assert MessageStore().save_dat(str(tmp_path / "peer")) == []
+        assert (tmp_path / "peer").is_dir() and not any((tmp_path / "peer").iterdir())
+        assert calls == []
 
 
 class TestCursorStaleness:
