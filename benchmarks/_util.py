@@ -22,7 +22,6 @@ __all__ = [
     "metered",
     "median",
     "peak_rss_bytes",
-    "usable_cores",
     "write_bench_json",
     "BENCH_SCHEMA",
     "REPO_ROOT",
@@ -53,16 +52,6 @@ def peak_rss_bytes() -> int:
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux but bytes on macOS.
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
-
-
-def usable_cores() -> int:
-    """CPUs this process may run on (the affinity mask where there is one)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS
-        return os.cpu_count() or 1
 
 
 def write_bench_json(filename: str, results: dict, merge: bool = True) -> Path:

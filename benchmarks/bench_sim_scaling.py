@@ -30,6 +30,7 @@ Shape claims asserted:
 import time
 
 from repro.core.allocation import PeerwiseProportionalAllocator
+from repro.native import usable_cpus
 from repro.sim import AlwaysOn, PeerConfig, Simulation
 
 from _util import (
@@ -38,7 +39,6 @@ from _util import (
     peak_rss_bytes,
     print_header,
     print_table,
-    usable_cores,
     write_bench_json,
 )
 
@@ -255,7 +255,7 @@ def test_procs_engine_scale_points(benchmark):
             "samples": SPARSE_REPS,
         }
     print_header(
-        f"Procs vs sparse at n={PROCS_N} ({backend}, {usable_cores()} usable cores)"
+        f"Procs vs sparse at n={PROCS_N} ({backend}, {usable_cpus()} usable cores)"
     )
     print_table(["engine", "per slot", "/ sparse", "worst shard B/peer"], rows)
     path = write_bench_json("BENCH_sim.json", results)

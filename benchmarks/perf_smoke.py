@@ -1,4 +1,4 @@
-"""CI perf-smoke: twelve timing gates, each a ratio measured in this run.
+"""CI perf-smoke: thirteen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -63,7 +63,7 @@ def gate_procs() -> int:
     """
     import bench_sim_scaling as scaling
 
-    from _util import usable_cores
+    from repro.native import usable_cpus
 
     def slot_seconds(engine, workers=None):
         return lambda: scaling.sparse_slot_stats(
@@ -75,7 +75,7 @@ def gate_procs() -> int:
     # cold first prefetch (tens of ms over 48 slots): not what is probed.
     procs()
     return ratio_gate(
-        f"procs-2 / sparse slot, n=8192 on {usable_cores()} usable cores",
+        f"procs-2 / sparse slot, n=8192 on {usable_cpus()} usable cores",
         procs, sparse, 3.0,
         "is a barrier or a per-slot message broken?", reps=3,
     )
@@ -192,15 +192,16 @@ def gate_publish() -> int:
 
 
 def gate_screen() -> int:
-    """``is_invertible`` of an eight-block stack / eight ``rank()`` calls.
+    """``is_invertible`` of an eight-block stack / eight per-block reductions.
 
     The publish screens every peer's ``k`` candidate rows in one forward
     elimination whose column loop all blocks share; block by block — and
-    Gauss-Jordan, as ``rank`` reduces — the same verdicts measure ~1.0x.
-    (Reads 0.41-0.45x, once 0.49x inside a whole run, and 0.15-0.18x.  The
-    p=8 cell read 0.28x until its reference, ``rank``, halved there; its
-    headroom is thin until that cell gets a reference production code
-    cannot speed up (ROADMAP item 3).)
+    Gauss-Jordan — the same verdicts measure ~1.0x.  At p=8 the reference
+    is spelled out here and frozen, as ``gate_arrival``'s is, so no change
+    to ``rank`` or the field kernels moves it: Gauss-Jordan per block with
+    every product by fancy index on the log/antilog tables.  It reads
+    0.31-0.33x there; eight ``rank()`` calls read 0.77-0.80x of it.  The
+    p=32 cell's reference is ``rank()`` itself (reads 0.15-0.18x).
     """
     import numpy as np
 
@@ -216,12 +217,36 @@ def gate_screen() -> int:
         def stacked():
             return is_invertible(field, blocks).tolist()
 
+        if p == 8:
+            logz, expz = field._logz, field._expz  # the tables only
+            log, exp, order = field._log, field._exp, field.q - 1
+
+            def full_rank(block) -> bool:
+                A, rows = block.copy(), 0
+                for col in range(k):
+                    below = np.flatnonzero(A[rows:, col])
+                    if below.size == 0:
+                        continue
+                    src = rows + below[0]
+                    A[[rows, src]] = A[[src, rows]]
+                    inverse = exp[order - log[A[rows, col]]]
+                    A[rows, col:] = expz[logz[inverse] + logz[A[rows, col:]]]
+                    factors = A[:, col].copy()
+                    factors[rows] = 0
+                    A[:, col:] ^= expz[logz[factors[:, None]] + logz[A[rows, col:]]]
+                    rows += 1
+                return rows == k
+        else:
+            def full_rank(block) -> bool:
+                return rank(field, block) == k
+
         def per_block():
-            return [rank(field, block) == k for block in blocks]
+            return [full_rank(block) for block in blocks]
 
         assert stacked() == per_block() and stacked()[4:7] == [True, False, True]
         failures += ratio_gate(
-            f"stacked is_invertible / 8 x rank, p={p} k={k}", stacked, per_block, 0.5,
+            f"stacked is_invertible / 8 per-block reductions, p={p} k={k}",
+            stacked, per_block, 0.5,
             "is screening back to one elimination per peer, or reducing to "
             "Gauss-Jordan form again?",
         )
@@ -488,10 +513,48 @@ def gate_arrival() -> int:
     return failures
 
 
+def gate_digest() -> int:
+    """``DigestStore.record_many`` / a ``record`` loop over the same batch.
+
+    The owner hashes a publish batch on every usable CPU.  At 64 x 128 KiB,
+    ``publish_bulk``'s batch, that reads 0.54x on two CPUs; the cell is
+    skipped, with its reason, on one.  At 512 x 4 KiB, ``publish_rows``'
+    batch, the size rule keeps the serial loop (~1.0x): splitting there
+    reads 1.20x, which the 1.1x budget catches.
+    """
+    from repro import native
+    from repro.security import DigestStore
+
+    failures = 0
+    for count, size, budget in ((64, 128 << 10, 0.75), (512, 4 << 10, 1.1)):
+        name = f"record_many / record loop, {count} x {size >> 10} KiB"
+        if budget < 1 and native.usable_cpus() == 1:
+            print(f"{name}: one usable CPU, nothing to split over; skipped")
+            continue
+        packed = memoryview(os.urandom(count * size))  # one product, as the owner holds it
+        payloads = [packed[i * size : (i + 1) * size] for i in range(count)]
+        ids = range(count)
+        store = DigestStore()
+
+        def batched():
+            return store.record_many(1, ids, payloads)
+
+        def looped():
+            return [store.record(1, mid, payload) for mid, payload in zip(ids, payloads)]
+
+        assert batched() == looped()  # and warm the pool
+        failures += ratio_gate(
+            name, batched, looped, budget,
+            "is the batch hashed on one thread again, or are small payloads "
+            "handed to the pool?", reps=15,
+        )
+    return failures
+
+
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_batched, gate_sparse, gate_recombine, gate_sign,
-    gate_peer_path, gate_arrival,
+    gate_peer_path, gate_arrival, gate_digest,
 )
 
 

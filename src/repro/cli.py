@@ -343,10 +343,11 @@ def _note_repair(chunk_id, outcome, records, digest_store) -> None:
     """File a successful repair: its record and the minted digests."""
     records.setdefault(chunk_id, []).append(outcome.record)
     if digest_store is not None:
-        for message in outcome.messages:
-            digest_store.record(
-                chunk_id, message.message_id, message.payload_bytes()
-            )
+        digest_store.record_many(
+            chunk_id,
+            [message.message_id for message in outcome.messages],
+            [message.payload_bytes() for message in outcome.messages],
+        )
 
 
 def _local_repair_hook(chunk_id, holders, stores, records, field, digest_store):

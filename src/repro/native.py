@@ -35,7 +35,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
 
-__all__ = ["load", "status"]
+__all__ = ["load", "status", "usable_cpus"]
 
 K = TypeVar("K")
 
@@ -149,6 +149,16 @@ def load(
     if name not in _LOADED:
         _LOADED[name] = _resolve(name, source, bind, self_check)
     return _LOADED[name][0]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the scheduler affinity mask — a
+    container pinned to 2 of 64 CPUs gets 2 — else the CPU count.  The
+    one CPU rule behind the sparse kernels' pthreads and the digest pool."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def status() -> dict[str, str]:

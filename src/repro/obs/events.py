@@ -85,6 +85,7 @@ SPAN_OPS = (
     "transfer.retry",
     "rlnc.offer_many",
     "rlnc.encode",
+    "security.digest",
     "sim.run",
     "sim.step",
     "repair.run",

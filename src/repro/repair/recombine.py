@@ -284,13 +284,12 @@ def register_repair_digests(
 
     field = coefficients.field
     payloads = field.matmul(effective_rows(record, coefficients), source)
-    shipped = 0
-    for i, mid in enumerate(record.message_ids):
-        digest = digest_store.record(
-            record.file_id, mid, symbols_to_bytes(payloads[i], field.p)
-        )
-        shipped += len(digest)
-    return shipped
+    digests = digest_store.record_many(
+        record.file_id,
+        record.message_ids,
+        [symbols_to_bytes(row, field.p) for row in payloads],
+    )
+    return sum(map(len, digests))
 
 
 class RepairableCoefficients:

@@ -321,8 +321,9 @@ class ChunkedEncoder:
         ids = encoder.independent_ids(1, start_id=start_id)[0]
         bundle = tuple(encoder.encode_ids(source, ids))
         if digest_store is not None:
-            for msg in bundle:
-                digest_store.record(msg.file_id, msg.message_id, msg.payload_bytes())
+            digest_store.record_many(
+                encoder.file_id, ids, [msg.payload_bytes() for msg in bundle]
+            )
         return bundle
 
 

@@ -206,10 +206,12 @@ class FileEncoder:
         k = self.params.k
         source = self.source_matrix(data)
         plan = self.independent_ids(n_peers, start_id=start_id)
-        messages = self.encode_ids(source, [mid for ids in plan for mid in ids])
+        ids = [mid for bundle in plan for mid in bundle]
+        messages = self.encode_ids(source, ids)
         if digest_store is not None:
-            for msg in messages:
-                digest_store.record(msg.file_id, msg.message_id, msg.payload_bytes())
+            digest_store.record_many(
+                self.file_id, ids, [msg.payload_bytes() for msg in messages]
+            )
         return EncodedFile(
             file_id=self.file_id,
             params=self.params,

@@ -37,19 +37,15 @@ __all__ = ["load", "FastAlloc", "thread_count"]
 def thread_count() -> int:
     """Worker threads for the sparse kernels (and the CPUs behind an
     explicit ``engine="procs"``'s default worker count):
-    ``REPRO_SIM_THREADS``, else the scheduler affinity mask — a container
-    pinned to 2 of 64 CPUs starts 2 — else the CPU count, capped at 8."""
+    ``REPRO_SIM_THREADS``, else :func:`repro.native.usable_cpus` — a
+    container pinned to 2 of 64 CPUs starts 2 — capped at 8."""
     env = os.environ.get("REPRO_SIM_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cpus = os.cpu_count() or 1
-    return max(1, min(8, cpus))
+    return min(8, native.usable_cpus())
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
 
