@@ -1,4 +1,4 @@
-"""CI perf-smoke: thirteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: fourteen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -336,6 +336,62 @@ def gate_sparse() -> int:
     )
 
 
+def gate_sparse_sample() -> int:
+    """One time block of ``ShardKernel.sample`` / the ``(block, n)``
+    scatter it replaced, n = 10^5 in 64 cohorts (a 74-slot block).
+
+    The kernel samples per class: one ``sample_block`` per cohort into a
+    ``(block, 65)`` table, then one ``take`` per vector per slot.  The
+    reference is spelled out here and frozen, as ``gate_screen``'s is:
+    the same cohort draws scattered by fancy index over every member's
+    column of ``(block, n)`` tables, each slot's rows then read as
+    views.  Both sides start a fresh block every rep, and their first
+    block is asserted equal.
+    """
+    import numpy as np
+
+    from repro.sim import sparse_population_sim
+
+    sim = sparse_population_sim(n=100_000, cohorts=64, givers=16, slots=8192, engine="sparse")
+    kernel = sim._shards.kernel
+    block, n = kernel._block, kernel.n
+    demands, capacities = {}, {}
+    for i, config in enumerate(sim.configs):
+        demands.setdefault(id(config.demand), (config.demand, []))[1].append(i)
+        capacities.setdefault(id(config.capacity), (config.capacity, []))[1].append(i)
+    demands = [(demand, np.asarray(rows)) for demand, rows in demands.values()]
+    capacities = [(capacity, np.asarray(rows)) for capacity, rows in capacities.values()]
+    req_block = np.empty((block, n), dtype=bool)
+    cap_block = np.empty((block, n))
+    starts = {"classes": 0, "scatter": 0}
+
+    def classes():
+        t0 = starts["classes"]
+        starts["classes"] += block
+        return [kernel.sample(t)[:2] for t in range(t0, t0 + block)]
+
+    def scatter():
+        t0 = starts["scatter"]
+        starts["scatter"] += block
+        for demand, rows in demands:
+            req_block[:, rows] = demand.sample_block(t0, block, None)[:, None]
+        for capacity, rows in capacities:
+            cap_block[:, rows] = capacity.values(t0, block)[:, None]
+        return [(req_block[off], cap_block[off]) for off in range(block)]
+
+    assert all(
+        a.tobytes() == b.tobytes()
+        for got, want in zip(classes(), scatter())
+        for a, b in zip(got, want)
+    )
+    return ratio_gate(
+        f"sample by class / (block, n) scatter, one {block}-slot block, n={n} in 64 cohorts",
+        classes, scatter, 0.7,
+        "are the prefetch tables (block, n) again, or is a cohort's value "
+        "written over each member's column?",
+    )
+
+
 def gate_recombine() -> int:
     """Repair recombination / ``encode_ids`` of as many fresh messages.
 
@@ -553,8 +609,8 @@ def gate_digest() -> int:
 
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
-    gate_native_matmul, gate_batched, gate_sparse, gate_recombine, gate_sign,
-    gate_peer_path, gate_arrival, gate_digest,
+    gate_native_matmul, gate_batched, gate_sparse, gate_sparse_sample,
+    gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
 )
 
 

@@ -156,6 +156,8 @@ class ScheduleDemand(DemandProcess):
         for a, b in self.intervals:
             if b < a:
                 raise ValueError(f"interval ({a}, {b}) has negative length")
+        bounds = np.array(self.intervals, dtype=np.int64).reshape(-1, 2)
+        self._starts, self._ends = bounds[:, 0], bounds[:, 1]
 
     def sample(self, t: int, rng: np.random.Generator) -> bool:
         return any(a <= t < b for a, b in self.intervals)
@@ -163,11 +165,16 @@ class ScheduleDemand(DemandProcess):
     def sample_block(
         self, t0: int, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        ts = np.arange(t0, t0 + count)
-        out = np.zeros(count, dtype=bool)
-        for a, b in self.intervals:
-            out |= (ts >= a) & (ts < b)
-        return out
+        # Clip every interval to the window; the ones that miss it come
+        # out empty and count nowhere.  What is left is a +1/-1 edge
+        # count whose running sum is positive exactly on covered slots,
+        # so unsorted and overlapping intervals need no special case.
+        lo = np.clip(self._starts - t0, 0, count)
+        hi = np.clip(self._ends - t0, 0, count)
+        meets = lo < hi
+        edges = np.bincount(lo[meets], minlength=count + 1)
+        edges -= np.bincount(hi[meets], minlength=count + 1)
+        return np.cumsum(edges[:count]) > 0
 
 
 class DutyCycleDemand(DemandProcess):

@@ -411,10 +411,11 @@ class Simulation:
     def memory_bytes(self) -> int:
         """Resident bytes of engine-owned slot-loop state.
 
-        Shard kernels: ledger store + prefetch buffers summed over
-        :meth:`shard_stats` (the bytes-per-peer benchmark metric), plus
-        the transport's shared slot vectors under ``procs``.  Dense:
-        credit matrix + pending feedback + prefetch buffers.
+        Shard kernels: ledger store + class index + prefetch tables
+        summed over :meth:`shard_stats` (the bytes-per-peer benchmark
+        metric), plus the transport's shared slot vectors under
+        ``procs``.  Dense: credit matrix + pending feedback + prefetch
+        buffers.
         """
         shards = self._shards
         if shards is not None:
@@ -746,9 +747,12 @@ class Simulation:
         self.close()
         return False
 
+    @cached_property
     def _labels(self) -> tuple[str, ...]:
         """Per-peer display labels (from the configs: the procs engine
-        keeps its peer states in the workers)."""
+        keeps its peer states in the workers), built on the first run
+        and shared by every later result — at 10^5 peers building them
+        cost a run tens of milliseconds."""
         return tuple(c.label or f"peer {i}" for i, c in enumerate(self.configs))
 
     def run(
@@ -826,7 +830,7 @@ class Simulation:
             mean_alloc=mean_alloc,
             slot_seconds=self.slot_seconds,
             alloc_history=alloc_history,
-            labels=self._labels(),
+            labels=self._labels,
         )
 
     def _run_streaming(self, slots: int) -> SimulationResult:
@@ -858,6 +862,6 @@ class Simulation:
             capacities=None,
             mean_alloc=None,
             slot_seconds=self.slot_seconds,
-            labels=self._labels(),
+            labels=self._labels,
             summary=metrics.summary(),
         )

@@ -46,8 +46,8 @@ class StreamingMetrics:
     trajectory is recorded as the engine computes it, the masked gain
     sum mirrors :func:`~repro.core.fairness.cooperation_gain`, and the
     report's final rate window (``max(1, slots // 10)`` trailing slots)
-    is pre-registered at run start.  The sparse engines keep one
-    accumulator per shard kernel (:meth:`fold_compact`) which the run
+    is pre-registered at run start.  The sparse engines fold one per
+    shard kernel (:class:`~repro.sim.shard.ClassFold`), which the run
     merges by :meth:`place`; only the Jain record needs the global rate
     vector and is appended on the simulation side.
     """
@@ -79,40 +79,6 @@ class StreamingMetrics:
         self.jain.append(
             jain_index(rates_t[req]) if bool(req.any()) else 1.0
         )
-
-    def fold_compact(
-        self,
-        s: int,
-        R: np.ndarray,
-        rates_c: np.ndarray,
-        req: np.ndarray,
-        caps: np.ndarray,
-    ) -> None:
-        """Fold one slot's sums from the compact request set (``rates_c``
-        are the requesters' rates at sorted positions ``R``); zero cells
-        outside ``R`` are exact no-ops in every sum.  Every sum is
-        per-peer, so a shard folds its own rows and nothing else."""
-        if R.size:
-            self.rate_sum[R] += rates_c
-            self.gain_sum[R] += rates_c - caps[R]
-            if s >= self.window_start:
-                self.window_rate_sum[R] += rates_c
-        self.request_count += req
-        self.capacity_sum += caps
-        self.isolation_sum += np.where(req, caps, 0.0)
-
-    def update_compact(
-        self,
-        s: int,
-        R: np.ndarray,
-        rates_c: np.ndarray,
-        req: np.ndarray,
-        caps: np.ndarray,
-    ) -> None:
-        """:meth:`fold_compact` plus the slot's Jain entry — the compact
-        twin of :meth:`update_dense` for an unsharded population."""
-        self.fold_compact(s, R, rates_c, req, caps)
-        self.jain.append(jain_index(rates_c) if R.size else 1.0)
 
     def place(self, lo: int, shard: "StreamingMetrics") -> None:
         """Adopt a shard's sums as rows ``[lo, lo + shard.n)`` — shards

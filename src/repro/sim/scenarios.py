@@ -515,11 +515,13 @@ def sparse_population_sim(
     round-robin through ``cohorts`` cohorts (cohort ``c`` requests in
     slots ``t = c mod cohorts``), so only about ``(n - givers) /
     cohorts`` users are active in any one slot.  Capacity profiles and
-    demand processes are **shared instances** per cohort: the sparse
-    engine groups equivalent deterministic processes, so demand
-    sampling costs O(cohorts) per block instead of O(n), and the credit
-    ledgers only ever materialise ``givers`` explicit entries per
-    consumer row.  This is the population shape the sparse engine is
+    demand processes are **shared instances** per cohort: the shard
+    kernel puts a cohort's consumers in one sampling class (the givers
+    are one more), so a time block is drawn and stored for
+    ``cohorts + 1`` classes, not n peers; a slot's request and capacity
+    vectors are one gather each through the peer-to-class index, and
+    the credit ledgers only ever materialise ``givers`` explicit
+    entries per consumer row.  This is the population shape the sparse engine is
     built for — per-slot work scales with the *active* set, not ``n``.
 
     Returns the live :class:`~repro.sim.engine.Simulation` so callers

@@ -55,13 +55,15 @@ from .metrics import StreamingMetrics
 from .peer import PeerConfig, PeerState
 from .sparse import SparseLedgers, SparseLedgerView, sparse_pairwise
 
-__all__ = ["ShardKernel", "LocalShard", "needs_declared", "column_sums"]
+__all__ = [
+    "ShardKernel", "LocalShard", "ClassFold", "needs_declared", "column_sums",
+]
 
 #: Slots of demand/capacity pre-sampled per blockable peer at a time.
 TIME_BLOCK = 256
 
-#: Cap on the prefetch buffers, so the time block shrinks instead of
-#: the buffers growing with n.
+#: What the time-block length rule budgets for 9 bytes per peer per slot
+#: over the whole population (see ``ShardKernel.__init__``).
 _BLOCK_BYTES_BUDGET = 64 << 20
 
 
@@ -168,12 +170,64 @@ def _feasibility(row: np.ndarray, cap: float, R: np.ndarray, n: int) -> np.ndarr
     return row
 
 
-def _fill(block: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """Broadcast one cohort's per-slot values over its columns."""
-    if rows.size == 1:
-        block[:, rows[0]] = vals
-    else:
-        block[:, rows] = vals[:, None]
+def _columns(size: int, groups: list[np.ndarray], solo: np.ndarray) -> np.ndarray:
+    """Per-row column ids: group ``g``'s rows share column ``g``, and
+    each ``solo`` row gets a column of its own after them (one
+    vectorised store per group, none per peer)."""
+    col = np.empty(size, dtype=np.int64)
+    for g, rows in enumerate(groups):
+        col[rows] = g
+    col[solo] = len(groups) + np.arange(solo.size)
+    return col
+
+
+class ClassFold:
+    """One shard's ``history="none"`` sums, folded per sampling class.
+
+    ``request_count``, ``capacity_sum`` and ``isolation_sum`` read only
+    a peer's request indicator and capacity, which are equal across a
+    sampling class by construction; so they are summed once per class
+    per slot, in O(classes), and expanded through ``class_of`` at the
+    end.  Every member of a class receives the sequence of IEEE
+    additions it would have received alone, so the expansion is exact.
+    The rate sums are per peer and touch only the slot's requesters.
+    """
+
+    def __init__(self, class_of: np.ndarray, classes: int, slots: int):
+        self.class_of = class_of
+        self.sums = StreamingMetrics(class_of.size, slots)
+        self.request_count = np.zeros(classes, dtype=np.int64)
+        self.capacity_sum = np.zeros(classes)
+        self.isolation_sum = np.zeros(classes)
+
+    def fold(
+        self,
+        s: int,
+        R: np.ndarray,
+        rates_c: np.ndarray,
+        req_c: np.ndarray,
+        cap_c: np.ndarray,
+    ) -> None:
+        """Fold slot ``s``: ``R`` the requesters' rows (sorted, local to
+        the shard), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
+        slot's request indicator and capacity per class.  Zero cells
+        outside ``R`` are exact no-ops in every rate sum."""
+        sums = self.sums
+        if R.size:
+            sums.rate_sum[R] += rates_c
+            sums.gain_sum[R] += rates_c - cap_c[self.class_of[R]]
+            if s >= sums.window_start:
+                sums.window_rate_sum[R] += rates_c
+        self.request_count += req_c
+        self.capacity_sum += cap_c
+        self.isolation_sum += np.where(req_c, cap_c, 0.0)
+
+    def expand(self) -> StreamingMetrics:
+        """The per-peer :class:`StreamingMetrics` of the folded slots."""
+        sums = self.sums
+        for name in ("request_count", "capacity_sum", "isolation_sum"):
+            getattr(self, name).take(self.class_of, out=getattr(sums, name))
+        return sums
 
 
 class ShardKernel:
@@ -183,13 +237,18 @@ class ShardKernel:
     kernel keeps only its slice.  It owns the range's
     :class:`~repro.sim.sparse.SparseLedgers` rows (plus a dense-island
     :class:`~repro.sim.peer.PeerState` per slow-path peer), the eq2 /
-    eq3 / slow partition, the grouped demand/capacity prefetch plans,
+    eq3 / slow partition, the per-class demand/capacity prefetch tables,
     the deferred-feedback buffer and, during a ``history="none"`` run, a
-    shard-sized :class:`~repro.sim.metrics.StreamingMetrics`.  Row
-    indices into the store and the prefetch buffers are shard-local;
-    every giver/taker/column index crossing the API is global, and
-    per-peer RNG streams are seeded by global index, so the split never
-    changes a draw.  ``needs_declared`` is the population-wide
+    :class:`ClassFold`.  Each peer belongs to one **sampling class**
+    (``class_of``): peers of a class share their deterministic demand
+    group and their capacity group, so they request and contribute
+    alike every slot; an rng-drawn or slot-sampled peer is a class of
+    its own.  Sampling and the metrics fold work per class, and one
+    ``take`` through ``class_of`` spreads a slot over the peers.  Row
+    indices into the store and ``class_of`` are shard-local; every
+    giver/taker/column index crossing the API is global, and per-peer
+    RNG streams are seeded by global index, so the split never changes a
+    draw.  ``needs_declared`` is the population-wide
     :func:`needs_declared` answer.
     """
 
@@ -232,7 +291,8 @@ class ShardKernel:
         # equivalence key (one rng-free sample_block serves the cohort;
         # value-identical per row however a split cuts the groups),
         # stochastic blockable ones keep their per-peer streams, the
-        # rest sample slot by slot.
+        # rest sample slot by slot.  Capacity likewise: blockable
+        # profiles by key, the rest slot by slot.
         eq2: list[int] = []
         eq3: list[int] = []
         self._slow_peers: list[PeerState] = []
@@ -278,68 +338,92 @@ class ShardKernel:
         self._eq3_rows = np.asarray(eq3, dtype=np.int64)
         self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
         self._declared_vals = np.array([v for _, v in overrides])
+        # Sampling classes: a peer's demand column is its group's, or
+        # one of its own when its demand draws from its rng or is
+        # sampled slot by slot; its capacity column likewise.  A class
+        # is one distinct (demand column, capacity column) pair.
+        det = [np.asarray(rows, dtype=np.intp) for rows in det_groups.values()]
+        caps = [np.asarray(rows, dtype=np.intp) for rows in cap_groups.values()]
+        solo = np.asarray(self._rng_demand + self._slot_demand, dtype=np.intp)
+        dcol = _columns(hi - lo, det, solo)
+        ccol = _columns(hi - lo, caps, np.asarray(self._slot_capacity, dtype=np.intp))
+        _, class_of = np.unique(
+            dcol * (ccol.max(initial=0) + 1) + ccol, return_inverse=True
+        )
+        #: Shard-local row -> sampling class.
+        self._class_of = class_of.astype(np.intp, copy=False)
+        self.classes = int(class_of.max(initial=-1)) + 1
+        # Each group writes the columns of its classes; each solo peer
+        # is a class of its own: (local row, class) pairs.
         self._det_demand_groups = [
-            (configs[rows[0]].demand, np.asarray(rows, dtype=np.intp))
-            for rows in det_groups.values()
+            (configs[rows[0]].demand, np.unique(class_of[rows])) for rows in det
         ]
         self._cap_groups = [
-            (configs[rows[0]].capacity, np.asarray(rows, dtype=np.intp))
-            for rows in cap_groups.values()
+            (configs[rows[0]].capacity, np.unique(class_of[rows])) for rows in caps
         ]
+        self._rng_demand, self._slot_demand, self._slot_capacity = (
+            list(zip(rows, class_of[rows].tolist()))
+            for rows in (self._rng_demand, self._slot_demand, self._slot_capacity)
+        )
         self._rngs = _LazyRngs(seed)
-        # Prefetch window: one bool + two float64 rows per slot is 9n
-        # bytes over the whole population; shrink the window instead of
-        # letting the buffers scale (sized from the global n so every
-        # shard of a split refreshes on the same cadence).
+        # Prefetch window.  The tables hold one bool and one float64 per
+        # class per slot, but the length rule is still the one sized for
+        # 9 bytes per peer per slot over the global n: every shard of a
+        # split refreshes on the same cadence, and each rng stream is
+        # drawn by sample_block in the chunks it always was.
         self._block = min(TIME_BLOCK, max(4, _BLOCK_BYTES_BUDGET // (9 * n)))
         self._block_start = -self._block  # force a build on first sample
-        self._req_block = np.empty((self._block, hi - lo), dtype=bool)
-        self._cap_block = np.empty((self._block, hi - lo))
-        #: This range's request/capacity rows of the slot last sampled
-        #: (views into the prefetch blocks; the metrics fold reads them).
+        self._req_block = np.empty((self._block, self.classes), dtype=bool)
+        self._cap_block = np.empty((self._block, self.classes))
+        #: The per-class request/capacity rows of the slot last sampled
+        #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
         #: Deferred feedback (feedback_interval > 1): global receiver id
         #: -> [sorted giver ids, accumulated credit values].
         self._pending: dict[int, list[np.ndarray]] = {}
-        self._metrics: StreamingMetrics | None = None
+        self._metrics: ClassFold | None = None
         self._metrics_slot = 0
 
     # -- phase 1: sampling ---------------------------------------------
 
     def _refresh_blocks(self, t: int) -> None:
-        """Pre-sample the next time block, one call per cohort."""
+        """Pre-sample the next time block: one call per group, written
+        into the columns of the group's classes."""
         self._block_start = t
         block = self._block
-        for d, rows in self._det_demand_groups:
-            vals = np.asarray(d.sample_block(t, block, None), dtype=bool)
-            _fill(self._req_block, rows, vals)
-        for i in self._rng_demand:
-            self._req_block[:, i] = self.configs[i].demand.sample_block(
+        for d, cols in self._det_demand_groups:
+            self._req_block[:, cols] = np.asarray(
+                d.sample_block(t, block, None), dtype=bool
+            )[:, None]
+        for i, c in self._rng_demand:
+            self._req_block[:, c] = self.configs[i].demand.sample_block(
                 t, block, self._rngs[self.lo + i]
             )
-        for c, rows in self._cap_groups:
-            _fill(self._cap_block, rows, c.values(t, block))
+        for cap, cols in self._cap_groups:
+            self._cap_block[:, cols] = cap.values(t, block)[:, None]
 
     def sample(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """This range's ``(requesting, capacities, declared)`` for slot
         ``t`` — ``declared`` is ``None`` unless the population needs it.
-        The first two are views that stay valid until the next call."""
+        Fresh arrays, gathered from the slot's class rows."""
         if not self._block_start <= t < self._block_start + self._block:
             self._refresh_blocks(t)
         off = t - self._block_start
         req_row = self._req_block[off]
         cap_row = self._cap_block[off]
-        for i in self._slot_demand:
-            req_row[i] = self.configs[i].demand.sample(t, self._rngs[self.lo + i])
-        for i in self._slot_capacity:
-            cap_row[i] = self.configs[i].capacity.value(t)
+        for i, c in self._slot_demand:
+            req_row[c] = self.configs[i].demand.sample(t, self._rngs[self.lo + i])
+        for i, c in self._slot_capacity:
+            cap_row[c] = self.configs[i].capacity.value(t)
         self._req_row, self._cap_row = req_row, cap_row
+        requesting = req_row.take(self._class_of)
+        capacities = cap_row.take(self._class_of)
         declared = None
         if self.needs_declared:
-            declared = cap_row.copy()
+            declared = capacities.copy()
             if self._declared_idx.size:
                 declared[self._declared_idx] = self._declared_vals
-        return req_row, cap_row, declared
+        return requesting, capacities, declared
 
     # -- phase 2: allocation -------------------------------------------
 
@@ -499,7 +583,7 @@ class ShardKernel:
         for hook in self._slot_end_hooks:
             hook(t)
         if self._metrics is not None:
-            self._metrics.fold_compact(
+            self._metrics.fold(
                 self._metrics_slot, rows, rates, self._req_row, self._cap_row
             )
             self._metrics_slot += 1
@@ -572,17 +656,17 @@ class ShardKernel:
     # -- streaming metrics ---------------------------------------------
 
     def begin_metrics(self, slots: int) -> None:
-        """Arm a shard-sized accumulator for a ``slots``-slot run; every
+        """Arm a :class:`ClassFold` for a ``slots``-slot run; every
         :meth:`credit` folds its slot until :meth:`end_metrics`."""
-        self._metrics = StreamingMetrics(self.hi - self.lo, slots)
+        self._metrics = ClassFold(self._class_of, self.classes, slots)
         self._metrics_slot = 0
 
     def end_metrics(self) -> StreamingMetrics:
-        """Disarm and hand over the accumulator (rows ``[lo, hi)`` of
-        the population's sums; its Jain record stays empty — that needs
-        the global rate vector)."""
-        metrics, self._metrics = self._metrics, None
-        return metrics
+        """Disarm and hand over the expanded sums (rows ``[lo, hi)`` of
+        the population's; the Jain record stays empty — that needs the
+        global rate vector)."""
+        fold, self._metrics = self._metrics, None
+        return fold.expand()
 
     # -- inspection ----------------------------------------------------
 
@@ -591,13 +675,16 @@ class ShardKernel:
         return self.store.materialize()
 
     def stats(self) -> dict:
-        """Bounds, resident bytes (ledger store + prefetch buffers) and
-        ledger entry accounting."""
+        """Bounds, resident bytes (ledger store, ``class_of`` and the
+        prefetch tables) and ledger entry accounting."""
         return {
             "lo": self.lo,
             "hi": self.hi,
             "memory_bytes": int(
-                self.store.nbytes + self._req_block.nbytes + self._cap_block.nbytes
+                self.store.nbytes
+                + self._class_of.nbytes
+                + self._req_block.nbytes
+                + self._cap_block.nbytes
             ),
             "entries": int(self.store.entries),
             "evicted": int(self.store.evicted),
@@ -643,8 +730,7 @@ class LocalShard:
         self._vectors = None
 
     def sample(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        requesting, capacities, declared = self.kernel.sample(t)
-        self._vectors = (requesting.copy(), capacities.copy(), declared)
+        self._vectors = self.kernel.sample(t)
         return self._vectors[:2]
 
     def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:

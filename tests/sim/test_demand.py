@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.sim import (
     AlwaysOn,
@@ -63,6 +65,29 @@ class TestSchedule:
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             ScheduleDemand([(5, 3)])
+
+    @given(
+        intervals=st.lists(
+            st.tuples(st.integers(-20, 60), st.integers(0, 15)).map(
+                lambda p: (p[0], p[0] + p[1])
+            ),
+            max_size=12,
+        ),
+        t0=st.integers(-10, 70),
+        count=st.integers(0, 40),
+    )
+    # unsorted, overlapping, empty (a == b), and windows that straddle
+    # an interval's start, its end, or both
+    @example(intervals=[(30, 40), (5, 9), (7, 12)], t0=8, count=4)
+    @example(intervals=[(3, 3), (10, 20)], t0=18, count=5)
+    @example(intervals=[(10, 20)], t0=5, count=30)
+    @example(intervals=[(10, 20), (20, 25)], t0=19, count=2)
+    @example(intervals=[], t0=0, count=3)
+    def test_sample_block_matches_per_slot(self, intervals, t0, count):
+        d = ScheduleDemand(intervals)
+        block = d.sample_block(t0, count, None)
+        assert block.dtype == bool and block.shape == (count,)
+        assert block.tolist() == [d.sample(t, None) for t in range(t0, t0 + count)]
 
 
 class TestDutyCycle:

@@ -150,3 +150,25 @@ class TestConservationInvariants:
         )
         result = sim.run(20)
         assert np.allclose(result.rates, [[100.0, 50.0]] * 20)
+
+
+def test_labels_built_once_and_equal_across_runs_and_engines():
+    """Labels come from the configs once per simulation: every run of
+    one simulation, and every engine, reports the same tuple."""
+
+    def configs():
+        return [
+            PeerConfig(capacity=100.0, demand=AlwaysOn(), label="home"),
+            PeerConfig(capacity=50.0, demand=BernoulliDemand(0.5)),
+            PeerConfig(capacity=0.0, demand=NeverRequests(), label="idle"),
+        ]
+
+    want = ("home", "peer 1", "idle")
+    for engine in ("reference", "batched", "sparse"):
+        sim = Simulation(configs(), engine=engine)
+        first, second = sim.run(3).labels, sim.run(2, history="none").labels
+        assert first == second == want, engine
+        assert first is second, engine
+    with Simulation(configs(), engine="procs", workers=2) as sim:
+        assert sim.run(3, history="none").labels == want
+

@@ -376,12 +376,21 @@ def test_shared_and_equal_valued_processes_share_groups():
             for i in range(12)
         ]
 
+    def rows(kernel, plan):
+        """Each group's peer rows: the peers whose sampling class is
+        one of the group's class columns."""
+        classes = np.arange(kernel.classes)
+        return [
+            np.flatnonzero(np.isin(kernel._class_of, classes[cols])).tolist()
+            for _, cols in plan
+        ]
+
     groups = {}
     for shared in (True, False):
         kernel = Simulation(configs(shared), engine="sparse")._shards.kernel
         groups[shared] = (
-            [rows.tolist() for _, rows in kernel._det_demand_groups],
-            [rows.tolist() for _, rows in kernel._cap_groups],
+            rows(kernel, kernel._det_demand_groups),
+            rows(kernel, kernel._cap_groups),
         )
     assert groups[True] == groups[False]
     assert groups[True][0] == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]

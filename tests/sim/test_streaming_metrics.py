@@ -26,6 +26,8 @@ from repro.sim import (
     StepCapacity,
     StreamingMetrics,
 )
+from repro.sim.metrics import _PEER_SUMS
+from repro.sim.shard import ClassFold
 
 
 def _configs():
@@ -111,23 +113,26 @@ def test_labels_survive_reduced_history():
 
 
 def test_streaming_accumulator_unit():
-    """update_dense/update_compact are the same fold over a known run."""
+    """update_dense and the shard kernel's ClassFold are the same fold
+    over a known run, with peers sharing sampling classes."""
     rng = np.random.default_rng(0)
-    n, slots = 6, 17
+    n, classes, slots = 6, 4, 17
+    class_of = np.array([0, 2, 1, 2, 3, 2], dtype=np.intp)
+    req_c = rng.random(size=(slots, classes)) < 0.6
+    caps_c = rng.uniform(0.0, 50.0, size=(slots, classes))
+    req, caps = req_c[:, class_of], caps_c[:, class_of]
     rates = rng.uniform(0.0, 100.0, size=(slots, n))
-    req = rng.random(size=(slots, n)) < 0.6
-    caps = rng.uniform(0.0, 50.0, size=(slots, n))
     rates[~req] = 0.0
 
     dense = StreamingMetrics(n, slots)
-    compact = StreamingMetrics(n, slots)
+    fold = ClassFold(class_of, classes, slots)
     for s in range(slots):
         dense.update_dense(s, rates[s], req[s], caps[s])
         R = np.flatnonzero(req[s]).astype(np.int64)
-        compact.update_compact(s, R, rates[s][R], req[s], caps[s])
-    a, b = dense.summary(), compact.summary()
+        fold.fold(s, R, rates[s][R], req_c[s], caps_c[s])
+    a, b = dense.summary(), fold.expand().summary()
     assert set(a) == set(b)
-    for key in a:
-        assert np.asarray(a[key]).tobytes() == np.asarray(b[key]).tobytes(), key
+    for key in _PEER_SUMS:
+        assert a[key].tobytes() == b[key].tobytes(), key
     assert a["rate_sum"].tobytes() == rates.sum(axis=0).tobytes()
     assert a["request_count"].tolist() == req.sum(axis=0).tolist()
