@@ -238,12 +238,10 @@ def _obs_report(args: argparse.Namespace) -> None:
         except OSError as exc:
             raise SystemExit(f"cannot write trace: {exc}") from exc
         print(f"trace: {count} event(s) -> {args.trace}")
-        if obs.TRACER.dropped:
-            print(
-                f"WARNING: trace ring dropped {obs.TRACER.dropped} event(s); "
-                "the written trace is incomplete",
-                file=sys.stderr,
-            )
+        # A printed run report already carries the drop warning.
+        section = obs.report.trace_section(obs.TRACER.recorded())
+        if "warning" in section and not getattr(args, "report", False):
+            print(f"WARNING: {section['warning']}", file=sys.stderr)
     if getattr(args, "metrics_out", None):
         try:
             with open(args.metrics_out, "w") as fh:
@@ -497,6 +495,7 @@ def _download(args: argparse.Namespace) -> int:
     total_slots = 0
     total_bytes = 0.0
     chunk_reports = []
+    chunk_sources = []  # per chunk: the source index behind each session
     failures: dict[int, object] = {}  # original peer index -> PeerFailure
     for index, chunk_id in enumerate(manifest.chunk_ids):
         holders = [pi for pi, s in enumerate(stores) if s.has_file(chunk_id)]
@@ -545,6 +544,7 @@ def _download(args: argparse.Namespace) -> int:
             repair=repair,
         ).run(args.max_slots, file_id=chunk_id)
         chunk_reports.append(report)
+        chunk_sources.append(holders)
         total_slots += report.slots
         total_bytes += report.bytes_received
         for f in report.failures:
@@ -577,9 +577,10 @@ def _download(args: argparse.Namespace) -> int:
         print(f"  peer {pi} [{args.sources[pi]}]: {f.kind} at slot {f.slot}{cost}")
 
     if (args.report or args.report_json) and chunk_reports:
-        events = obs.TRACER.events() if obs.TRACER.enabled else None
+        events = obs.TRACER.recorded() if obs.TRACER.enabled else None
         _emit_run_report(
-            args, obs.report.download_report(chunk_reports, events=events)
+            args,
+            obs.report.download_report(chunk_reports, chunk_sources, events=events),
         )
 
     if not decoder.is_complete:
@@ -800,7 +801,7 @@ def _simulate(args: argparse.Namespace) -> int:
             json.dump(result.to_dict(), fh)
         print(f"result -> {args.json}")
     if args.report or args.report_json:
-        events = obs.TRACER.events() if obs.TRACER.enabled else None
+        events = obs.TRACER.recorded() if obs.TRACER.enabled else None
         _emit_run_report(args, obs.report.simulation_report(result, events=events))
     return 0
 
@@ -928,63 +929,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"{args.snapshot} is not a metrics snapshot "
                 "(expected the JSON written by --metrics-out)"
             )
-        if args.format == "json":
-            print(json.dumps(snapshot, indent=2))
-        elif args.format == "openmetrics":
-            print(obs.render_openmetrics(snapshot), end="")
-        else:
-            print(obs.render_snapshot(snapshot, header=args.snapshot))
-        _warn_dropped()
-        return 0
-    # Import every instrumented layer so its metrics are registered and
-    # the catalog is complete.
-    from . import sim, transfer  # noqa: F401
-
-    if args.format == "json":
-        print(json.dumps(obs.REGISTRY.snapshot(), indent=2))
-    elif args.format == "openmetrics":
-        print(obs.render_openmetrics(obs.REGISTRY.snapshot()), end="")
     else:
-        print(obs.render_catalog(obs.REGISTRY.snapshot(), obs.events.ALL_EVENTS))
-    _warn_dropped()
+        # Import every instrumented layer so its metrics are registered
+        # and the catalog is complete.
+        from . import sim, transfer  # noqa: F401
+
+        snapshot = obs.REGISTRY.snapshot()
+    if args.format == "json":
+        print(json.dumps(snapshot, indent=2))
+    elif args.format == "openmetrics":
+        print(obs.render_openmetrics(snapshot), end="")
+    elif args.snapshot is not None:
+        print(obs.render_snapshot(snapshot, header=args.snapshot))
+    else:
+        print(obs.render_catalog(snapshot, obs.events.ALL_EVENTS))
     return 0
-
-
-def _warn_dropped() -> None:
-    if obs.TRACER.dropped:
-        print(
-            f"WARNING: trace ring dropped {obs.TRACER.dropped} event(s) "
-            "this process",
-            file=sys.stderr,
-        )
-
-
-def _render_span_node(node, depth: int, lines: list[str]) -> None:
-    attrs = ",".join(f"{k}={v}" for k, v in sorted(node.attrs.items()))
-    dur = (
-        f"{node.duration_ns / 1e6:.3f} ms"
-        if node.duration_ns is not None
-        else "unfinished"
-    )
-    label = f"{node.op}[{attrs}]" if attrs else node.op
-    lines.append(f"{'  ' * depth}{label}  {dur}  ({node.status or '...'})")
-    # Same-op sibling runs (e.g. 10 000 sim.step children) collapse into
-    # an aggregate line after the first few, or the tree is unreadable.
-    by_op: dict[str, list] = {}
-    for child in node.children:
-        by_op.setdefault(child.op, []).append(child)
-    for op, group in by_op.items():
-        shown = group if len(group) <= 8 else group[:3]
-        for child in shown:
-            _render_span_node(child, depth + 1, lines)
-        if len(group) > len(shown):
-            rest = group[len(shown):]
-            finished = [c.duration_ns for c in rest if c.duration_ns is not None]
-            total_ms = sum(finished) / 1e6
-            lines.append(
-                f"{'  ' * (depth + 1)}... {len(rest)} more {op} span(s) "
-                f"({total_ms:.3f} ms)"
-            )
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
@@ -993,65 +952,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
         events = obs.read_jsonl(args.file, meta=True)
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"cannot read trace: {exc}") from exc
-    meta = obs.analyze.trace_meta(events)
-    body = [e for e in events if e.name != obs.events.TRACE_META]
-    dropped = int(meta.get("dropped", 0)) if meta else 0
-    print(f"{args.file}: {len(body)} event(s), {dropped} dropped")
-    if dropped:
-        print(
-            f"WARNING: trace ring dropped {dropped} event(s); "
-            "spans and timelines below may be incomplete",
-            file=sys.stderr,
-        )
-
-    forest = obs.analyze.build_span_forest(body)
-    if forest:
-        print(f"\nspans ({sum(1 for r in forest for _ in r.walk())}):")
-        lines: list[str] = []
-        for root in forest:
-            _render_span_node(root, 1, lines)
-        print("\n".join(lines))
-        # The critical path of the longest-running root tells which
-        # child (peer session, slot) bounded the run's wall-clock.
-        root = max(
-            forest,
-            key=lambda r: -1 if r.duration_ns is None else r.duration_ns,
-        )
-        path = obs.analyze.critical_path(root)
-        if len(path) > 1:
-            steps = []
-            for node in path:
-                attrs = ",".join(
-                    f"{k}={v}" for k, v in sorted(node.attrs.items())
-                )
-                steps.append(f"{node.op}[{attrs}]" if attrs else node.op)
-            print("critical path: " + " -> ".join(steps))
-    else:
-        print("no spans recorded (flat trace)")
-
-    states = obs.analyze.time_in_state(body)
-    if states:
-        print("\ntime in state:")
-        print(
-            f"  {'peer':>4} {'active':>7} {'retry-wait':>10} "
-            f"{'quarantined':>11} {'discarded':>9}  fault"
-        )
-        for peer, st in states.items():
-            print(
-                f"  {peer:>4} {st['active_slots']:>7} "
-                f"{st['retry_wait_slots']:>10} {st['quarantined_slots']:>11} "
-                f"{st['discarded']:>9}  {st['fault'] or '-'}"
-            )
-
-    timeline = obs.analyze.fairness_timeline(body)
-    if timeline:
-        jains = [row["jain"] for row in timeline]
-        lo = min(range(len(jains)), key=jains.__getitem__)
-        print(
-            f"\nfairness timeline: {len(timeline)} slot(s), "
-            f"jain final {jains[-1]:.4f} mean {sum(jains) / len(jains):.4f} "
-            f"min {jains[lo]:.4f} @ slot {timeline[lo]['t']}"
-        )
+    print(obs.report.render_report(obs.report.trace_report(events)), end="")
     return 0
 
 

@@ -10,12 +10,12 @@ row updates so the inner loops stay in numpy.
 from __future__ import annotations
 
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
 
 from ..obs import REGISTRY as _OBS
-from ..obs import span as _span
 from .field import _DEFAULT_RNG, DTYPE, BinaryField, FieldError
 
 __all__ = [
@@ -35,9 +35,9 @@ class SingularMatrixError(FieldError):
 
 
 _SOLVE_CALLS = _OBS.counter("repro.gf.solve.calls", "solve() invocations")
-_SOLVE_NS = _span("repro.gf.solve.ns", description="nanoseconds per solve()")
-_ROW_REDUCE_NS = _span(
-    "repro.gf.row_reduce.ns", description="nanoseconds per row_reduce()"
+_SOLVE_NS = _OBS.histogram("repro.gf.solve.ns", "nanoseconds per solve()")
+_ROW_REDUCE_NS = _OBS.histogram(
+    "repro.gf.row_reduce.ns", "nanoseconds per row_reduce()"
 )
 
 
@@ -60,8 +60,11 @@ def row_reduce(field: BinaryField, matrix: np.ndarray) -> tuple[np.ndarray, int]
 
     The input is not modified.  Works for any rectangular shape.
     """
-    with _ROW_REDUCE_NS:
-        return _row_reduce(field, matrix)
+    start = time.perf_counter_ns() if _OBS.enabled else None
+    out = _row_reduce(field, matrix)
+    if start is not None:
+        _ROW_REDUCE_NS.observe(time.perf_counter_ns() - start)
+    return out
 
 
 def _row_reduce(field: BinaryField, matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -171,10 +174,14 @@ def solve(field: BinaryField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     matches its shape.  This is exactly the decoding step of the paper:
     ``A`` is the coefficient sub-matrix, ``B`` the stacked payloads.
     """
+    start = None
     if _OBS.enabled:
         _SOLVE_CALLS.inc()
-    with _SOLVE_NS:
-        return _solve(field, A, B)
+        start = time.perf_counter_ns()
+    X = _solve(field, A, B)
+    if start is not None:
+        _SOLVE_NS.observe(time.perf_counter_ns() - start)
+    return X
 
 
 def _solve(field: BinaryField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Observability: metrics, structured tracing and profiling hooks.
+"""Observability: metrics, structured tracing and run reports.
 
 This package is dependency-free (standard library only) and sits below
 every other ``repro`` layer — ``gf``/``security`` may import it without
@@ -9,6 +9,12 @@ Everything is **off by default**: instrumentation sites guard on
 hot loops pay ~zero cost until :func:`enable` is called.  Instrumented
 code must behave bit-identically either way; only timings, counters and
 trace events may differ.
+
+Timers are registry histograms, observed between a guarded
+``perf_counter_ns`` pair; causal intervals are :mod:`.spans`.  All
+human-readable text — run reports, ``repro trace analyze``, snapshots
+and the catalog — is rendered by :mod:`.report` (the OpenMetrics
+exposition is :mod:`.export`).
 
 Typical use::
 
@@ -32,9 +38,8 @@ from contextlib import contextmanager
 
 from . import analyze, events, export, report, spans
 from .export import render_openmetrics, validate_openmetrics, write_openmetrics
-from .profiling import span, timed
 from .registry import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry, quantile
-from .render import render_catalog, render_snapshot
+from .report import render_catalog, render_snapshot
 from .spans import (
     SpanHandle,
     current_span,
@@ -69,11 +74,9 @@ __all__ = [
     "render_openmetrics",
     "render_snapshot",
     "report",
-    "span",
     "span_scope",
     "spans",
     "start_span",
-    "timed",
     "validate_openmetrics",
     "write_openmetrics",
 ]

@@ -1,14 +1,18 @@
-"""Fairness + goodput run reports from results and their traces.
+"""Run reports and every human-readable rendering of ``repro.obs`` data.
 
-The ROADMAP asks for "a fairness + goodput report via the obs
-subsystem": this module turns a
-:class:`~repro.sim.metrics.SimulationResult` or a batch of
-:class:`~repro.transfer.scheduler.DownloadReport` objects — plus,
-optionally, the trace recorded alongside them — into one JSON-able dict
-(:func:`simulation_report` / :func:`download_report`) and a human
-rendering (:func:`render_report`).  ``repro simulate --report`` /
+This module turns a :class:`~repro.sim.metrics.SimulationResult`, a
+batch of :class:`~repro.transfer.scheduler.DownloadReport` objects or a
+recorded trace — plus, for the first two, optionally the trace recorded
+alongside them — into one JSON-able dict (:func:`simulation_report` /
+:func:`download_report` / :func:`trace_report`) and renders any of them
+as text with :func:`render_report`.  ``repro simulate --report``,
 ``repro download --report`` and ``repro trace analyze`` are thin
-wrappers over these functions.
+wrappers over these functions: a download's report and the analysis of
+its written trace print the same critical-path line and time-in-state
+table, built by the same code.  Registry snapshots and the metric/event
+catalog render here too (:func:`render_snapshot` /
+:func:`render_catalog`), and :func:`trace_section` is the one place a
+trace-ring drop turns into a warning.
 
 The fairness trajectory is recomputed from the result arrays with the
 *same* expression the engine's ``sim.slot`` emitter uses
@@ -29,7 +33,11 @@ __all__ = [
     "jain_trajectory",
     "simulation_report",
     "download_report",
+    "trace_report",
+    "trace_section",
     "render_report",
+    "render_snapshot",
+    "render_catalog",
 ]
 
 
@@ -65,7 +73,14 @@ def jain_trajectory(result) -> list[float]:
     return out
 
 
-def _trace_section(events, extra=None) -> dict | None:
+def trace_section(events, extra=None) -> dict | None:
+    """The ``trace`` section of a report: event count and ring drops.
+
+    ``dropped`` comes from the ``trace.meta`` header among ``events``
+    (:meth:`TraceBuffer.recorded` and ``read_jsonl(..., meta=True)``
+    keep it).  This is the one place a drop becomes a warning: the
+    section carries it and :func:`render_report` prints it.
+    """
     if events is None:
         return None
     dropped = 0
@@ -84,6 +99,17 @@ def _trace_section(events, extra=None) -> dict | None:
     return section
 
 
+def _fairness_summary(jains, slots) -> dict:
+    """Final / mean / min (and the slot of the min) of a Jain series."""
+    lo = min(range(len(jains)), key=jains.__getitem__)
+    return {
+        "final": jains[-1],
+        "mean": sum(jains) / len(jains),
+        "min": jains[lo],
+        "min_slot": slots[lo],
+    }
+
+
 def simulation_report(result, events=None) -> dict:
     """Fairness + goodput report for one simulation run (JSON-able).
 
@@ -92,7 +118,6 @@ def simulation_report(result, events=None) -> dict:
     series come from the result arrays.
     """
     trajectory = jain_trajectory(result)
-    min_slot = min(range(len(trajectory)), key=trajectory.__getitem__)
     n = result.n
     mean_rates = result.mean_download_bandwidth()
     mean_caps = result.mean_capacity()
@@ -111,10 +136,7 @@ def simulation_report(result, events=None) -> dict:
         "labels": [result.label_of(i) for i in range(n)],
         "fairness": {
             "trajectory": trajectory,
-            "final": trajectory[-1],
-            "mean": sum(trajectory) / len(trajectory),
-            "min": trajectory[min_slot],
-            "min_slot": min_slot,
+            **_fairness_summary(trajectory, range(len(trajectory))),
         },
         "goodput": {
             "mean_rate_kbps": [float(v) for v in mean_rates],
@@ -125,55 +147,64 @@ def simulation_report(result, events=None) -> dict:
             "gain_over_isolation_kbps": [float(v) for v in gains],
             "total_mean_rate_kbps": float(mean_rates.sum()),
         },
-        "trace": _trace_section(events, extra),
+        "trace": trace_section(events, extra),
     }
 
 
-def _critical_path_section(events) -> list[dict] | None:
-    """The longest download root's critical path, as JSON-able steps."""
-    roots = [
-        r
-        for r in analyze.build_span_forest(events)
-        if r.op == "transfer.download"
-    ]
+def _span_step(node) -> dict:
+    return {
+        "op": node.op,
+        "attrs": node.attrs,
+        "status": node.status,
+        "duration_ns": node.duration_ns,
+    }
+
+
+def _span_tree(node) -> dict:
+    return {**_span_step(node), "children": [_span_tree(c) for c in node.children]}
+
+
+def _critical_path_section(forest) -> list[dict] | None:
+    """The critical path of the longest download root, as JSON-able steps.
+
+    A trace without a ``transfer.download`` span (a simulation) takes
+    the longest root of any op instead.
+    """
+    roots = [r for r in forest if r.op == "transfer.download"] or forest
     if not roots:
         return None
     root = max(
         roots, key=lambda r: -1 if r.duration_ns is None else r.duration_ns
     )
-    return [
-        {
-            "op": node.op,
-            "attrs": node.attrs,
-            "status": node.status,
-            "duration_ns": node.duration_ns,
-        }
-        for node in analyze.critical_path(root)
-    ]
+    return [_span_step(node) for node in analyze.critical_path(root)]
 
 
-def download_report(reports, events=None) -> dict:
+def download_report(reports, sources, events=None) -> dict:
     """Aggregate report over one download's chunks (JSON-able).
 
     ``reports`` is a sequence of per-chunk ``DownloadReport`` objects
-    (one entry for an unchunked download).  With ``events`` the causal
-    sections — critical path and per-peer time-in-state — are derived
-    from the recorded trace.
+    (one entry for an unchunked download).  ``sources[c]`` names the
+    source behind each session position of chunk ``c``: a chunk is
+    fetched only from the sources that hold it, so positions are not
+    source indices, and ``per_peer_bytes`` / ``failures[].peer`` are
+    keyed by source.  With ``events`` the causal sections — critical
+    path and per-peer time-in-state — are derived from the recorded
+    trace.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("download_report needs at least one DownloadReport")
-    n_peers = max(len(r.per_peer_bytes) for r in reports)
-    per_peer = [0.0] * n_peers
-    for r in reports:
-        for i, b in enumerate(r.per_peer_bytes):
-            per_peer[i] += b
+    per_peer = [0.0] * (max((i for s in sources for i in s), default=-1) + 1)
+    failures = []
+    for chunk, (r, chunk_sources) in enumerate(zip(reports, sources, strict=True)):
+        for position, b in enumerate(r.per_peer_bytes):
+            per_peer[chunk_sources[position]] += b
+        for f in r.failures:
+            failures.append(
+                {"chunk": chunk, **f.to_dict(), "peer": chunk_sources[f.peer]}
+            )
     total_bytes = sum(r.bytes_received for r in reports)
     total_seconds = sum(r.seconds for r in reports)
-    failures = []
-    for chunk, r in enumerate(reports):
-        for f in r.failures:
-            failures.append({"chunk": chunk, **f.to_dict()})
     out = {
         "kind": "download",
         "chunks": len(reports),
@@ -195,28 +226,65 @@ def download_report(reports, events=None) -> dict:
         "failures": failures,
         "critical_path": None,
         "time_in_state": None,
-        "trace": _trace_section(events),
+        "trace": trace_section(events),
     }
     if events is not None:
-        out["critical_path"] = _critical_path_section(events)
+        out["critical_path"] = _critical_path_section(
+            analyze.build_span_forest(events)
+        )
         out["time_in_state"] = analyze.time_in_state(events)
     return out
+
+
+def trace_report(events) -> dict:
+    """What ``repro trace analyze`` shows of a recorded trace (JSON-able).
+
+    Sections: the span forest, the critical path (same root rule as
+    :func:`download_report`), per-peer time-in-state, the fairness
+    summary of the ``sim.slot`` timeline and the ``trace`` section.
+    Pass the ``trace.meta`` header along (``read_jsonl(..., meta=True)``)
+    so ring drops are reported.
+    """
+    events = list(events)
+    forest = analyze.build_span_forest(events)
+    timeline = analyze.fairness_timeline(events)
+    fairness = None
+    if timeline:
+        fairness = {
+            "slots": len(timeline),
+            **_fairness_summary(
+                [row["jain"] for row in timeline], [row["t"] for row in timeline]
+            ),
+        }
+    return {
+        "kind": "trace",
+        "spans": [_span_tree(root) for root in forest],
+        "critical_path": _critical_path_section(forest),
+        "time_in_state": analyze.time_in_state(events),
+        "fairness": fairness,
+        "trace": trace_section(events),
+    }
 
 
 def _fmt(value: float, digits: int = 1) -> str:
     return f"{value:.{digits}f}"
 
 
+def _render_fairness(fair: dict) -> str:
+    return (
+        f"  final {fair['final']:.4f}   mean {fair['mean']:.4f}   "
+        f"min {fair['min']:.4f} @ slot {fair['min_slot']}"
+    )
+
+
 def _render_simulation(report: dict) -> str:
-    fair = report["fairness"]
     good = report["goodput"]
     lines = [
         "== simulation report ==",
         f"slots: {report['slots']}   peers: {report['peers']}   "
         f"slot: {report['slot_seconds']} s",
         "fairness (Jain index over requesting users):",
-        f"  final {fair['final']:.4f}   mean {fair['mean']:.4f}   "
-        f"min {fair['min']:.4f} @ slot {fair['min_slot']}",
+        _render_fairness(report["fairness"]),
         "goodput (kbps):",
         f"  {'peer':<16} {'mean rate':>10} {'final rate':>10} "
         f"{'mean cap':>10} {'gamma':>6} {'gain':>8}",
@@ -236,15 +304,39 @@ def _render_simulation(report: dict) -> str:
     return "\n".join(lines) + _render_trace_tail(report)
 
 
+def _span_label(step: dict) -> str:
+    attrs = ",".join(f"{k}={v}" for k, v in sorted(step["attrs"].items()))
+    return f"{step['op']}[{attrs}]" if attrs else step["op"]
+
+
 def _render_critical_path(steps: list[dict]) -> str:
     parts = []
     for step in steps:
-        attrs = ",".join(f"{k}={v}" for k, v in sorted(step["attrs"].items()))
-        label = f"{step['op']}[{attrs}]" if attrs else step["op"]
+        label = _span_label(step)
         if step["duration_ns"] is not None:
             label += f" ({step['duration_ns'] / 1e6:.2f} ms)"
         parts.append(label)
     return " -> ".join(parts)
+
+
+def _render_causal(report: dict) -> list[str]:
+    """The critical-path line and the time-in-state table, when present."""
+    lines = []
+    if report["critical_path"]:
+        lines.append("critical path: " + _render_critical_path(report["critical_path"]))
+    if report["time_in_state"]:
+        lines.append("time in state:")
+        lines.append(
+            f"  {'peer':>4} {'active':>7} {'retry-wait':>10} "
+            f"{'quarantined':>11} {'discarded':>9}  fault"
+        )
+        for peer, st in sorted(report["time_in_state"].items()):
+            lines.append(
+                f"  {peer:>4} {st['active_slots']:>7} "
+                f"{st['retry_wait_slots']:>10} {st['quarantined_slots']:>11} "
+                f"{st['discarded']:>9}  {st['fault'] or '-'}"
+            )
+    return lines
 
 
 def _render_download(report: dict) -> str:
@@ -275,20 +367,57 @@ def _render_download(report: dict) -> str:
             )
     else:
         lines.append("failures: none")
-    if report["critical_path"]:
-        lines.append("critical path: " + _render_critical_path(report["critical_path"]))
-    if report["time_in_state"]:
-        lines.append("time in state:")
-        lines.append(
-            f"  {'peer':>4} {'active':>7} {'retry-wait':>10} "
-            f"{'quarantined':>11} {'discarded':>9}  fault"
-        )
-        for peer, st in sorted(report["time_in_state"].items()):
+    lines.extend(_render_causal(report))
+    return "\n".join(lines) + _render_trace_tail(report)
+
+
+def _render_span_node(node: dict, depth: int, lines: list[str]) -> None:
+    dur = (
+        f"{node['duration_ns'] / 1e6:.3f} ms"
+        if node["duration_ns"] is not None
+        else "unfinished"
+    )
+    lines.append(
+        f"{'  ' * depth}{_span_label(node)}  {dur}  ({node['status'] or '...'})"
+    )
+    # Same-op sibling runs (e.g. 10 000 sim.step children) collapse into
+    # an aggregate line after the first few, or the tree is unreadable.
+    by_op: dict[str, list] = {}
+    for child in node["children"]:
+        by_op.setdefault(child["op"], []).append(child)
+    for op, group in by_op.items():
+        shown = group if len(group) <= 8 else group[:3]
+        for child in shown:
+            _render_span_node(child, depth + 1, lines)
+        if len(group) > len(shown):
+            rest = group[len(shown):]
+            finished = [c["duration_ns"] for c in rest if c["duration_ns"] is not None]
             lines.append(
-                f"  {peer:>4} {st['active_slots']:>7} "
-                f"{st['retry_wait_slots']:>10} {st['quarantined_slots']:>11} "
-                f"{st['discarded']:>9}  {st['fault'] or '-'}"
+                f"{'  ' * (depth + 1)}... {len(rest)} more {op} span(s) "
+                f"({sum(finished) / 1e6:.3f} ms)"
             )
+
+
+def _span_count(node: dict) -> int:
+    return 1 + sum(_span_count(child) for child in node["children"])
+
+
+def _render_trace(report: dict) -> str:
+    lines = ["== trace report =="]
+    if report["spans"]:
+        lines.append(f"spans ({sum(_span_count(r) for r in report['spans'])}):")
+        for root in report["spans"]:
+            _render_span_node(root, 1, lines)
+    else:
+        lines.append("no spans recorded (flat trace)")
+    lines.extend(_render_causal(report))
+    fair = report["fairness"]
+    if fair:
+        lines.append(
+            f"fairness timeline: {fair['slots']} slot(s), "
+            "Jain index over requesting users:"
+        )
+        lines.append(_render_fairness(fair))
     return "\n".join(lines) + _render_trace_tail(report)
 
 
@@ -303,10 +432,78 @@ def _render_trace_tail(report: dict) -> str:
 
 
 def render_report(report: dict) -> str:
-    """Human rendering of a :func:`simulation_report` / :func:`download_report`."""
+    """Human rendering of a simulation, download or trace report."""
     kind = report.get("kind")
     if kind == "simulation":
         return _render_simulation(report)
     if kind == "download":
         return _render_download(report)
+    if kind == "trace":
+        return _render_trace(report)
     raise ValueError(f"not a run report: kind={kind!r}")
+
+
+def _format_number(value: float) -> str:
+    """Compact fixed-width-friendly number formatting."""
+    if value != value:  # NaN
+        return "nan"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return f"{int(value):,}"
+    if abs(value) >= 1000 or (value != 0 and abs(value) < 0.001):
+        return f"{value:.4g}"
+    return f"{value:.3f}"
+
+
+def render_snapshot(snapshot: dict[str, dict], header: str = "metrics") -> str:
+    """Format a :meth:`MetricsRegistry.snapshot` dict as aligned text.
+
+    ``repro simulate --metrics`` and ``repro stats FILE`` print this; the
+    snapshot itself is what ``--metrics-out`` writes as JSON.
+    """
+    lines = [f"--- {header} " + "-" * max(1, 60 - len(header))]
+    if not snapshot:
+        lines.append("(no metrics registered)")
+        return "\n".join(lines)
+    width = max(len(name) for name in snapshot)
+    for name, state in snapshot.items():
+        kind = state.get("kind", "?")
+        if kind == "counter":
+            detail = _format_number(state.get("value", 0.0))
+        elif kind == "gauge":
+            value = _format_number(state.get("value", 0.0))
+            detail = value if state.get("set") else f"{value} (unset)"
+        elif kind == "histogram":
+            count = state.get("count", 0)
+            if count:
+                detail = (
+                    f"count={_format_number(count)} "
+                    f"mean={_format_number(state['mean'])} "
+                    f"p50={_format_number(state['p50'])} "
+                    f"p90={_format_number(state['p90'])} "
+                    f"p99={_format_number(state['p99'])} "
+                    f"max={_format_number(state['max'])}"
+                )
+            else:
+                detail = "count=0"
+        else:
+            detail = repr(state)
+        lines.append(f"{name.ljust(width)}  [{kind:9s}] {detail}")
+    return "\n".join(lines)
+
+
+def render_catalog(snapshot: dict[str, dict], events: tuple[str, ...]) -> str:
+    """Format the metric + event inventory (``repro stats`` with no file)."""
+    lines = ["registered metrics:"]
+    if snapshot:
+        width = max(len(name) for name in snapshot)
+        for name, state in snapshot.items():
+            lines.append(
+                f"  {name.ljust(width)}  [{state.get('kind', '?'):9s}] "
+                f"{state.get('description', '')}"
+            )
+    else:
+        lines.append("  (none)")
+    lines.append("trace events:")
+    for event in events:
+        lines.append(f"  {event}")
+    return "\n".join(lines)

@@ -113,18 +113,16 @@ class TraceBuffer:
             self._events.clear()
             self.dropped = 0
 
-    def write_jsonl(self, path_or_file) -> int:
-        """Write buffered events as JSON Lines; returns the event count.
+    def recorded(self) -> list[TraceEvent]:
+        """The buffered events behind a synthetic ``trace.meta`` header.
 
-        Accepts a path or an open text file object.  The first line is a
-        synthetic ``trace.meta`` header recording the event count, the
-        ring capacity and — crucially — :attr:`dropped`, so a truncated
-        trace can never masquerade as a complete run.  The header is not
-        counted in the return value and :func:`read_jsonl` strips it by
-        default.
+        The header records the event count, the ring capacity and —
+        crucially — :attr:`dropped`, so a truncated trace can never
+        masquerade as a complete run: reports built from this list (or
+        from the file :meth:`write_jsonl` makes of it) warn about drops.
         """
-        events = self.events()
         with self._lock:
+            events = list(self._events)
             dropped = self.dropped
         meta = TraceEvent(
             name=TRACE_META,
@@ -138,16 +136,24 @@ class TraceBuffer:
                 "capacity": self.capacity,
             },
         )
+        return [meta, *events]
+
+    def write_jsonl(self, path_or_file) -> int:
+        """Write :meth:`recorded` as JSON Lines; returns the event count.
+
+        Accepts a path or an open text file object.  The ``trace.meta``
+        header is the first line; it is not counted in the return value
+        and :func:`read_jsonl` strips it by default.
+        """
+        records = self.recorded()
         if hasattr(path_or_file, "write"):
-            path_or_file.write(json.dumps(meta.to_dict()) + "\n")
-            for event in events:
-                path_or_file.write(json.dumps(event.to_dict()) + "\n")
+            for record in records:
+                path_or_file.write(json.dumps(record.to_dict()) + "\n")
         else:
             with open(path_or_file, "w") as fh:
-                fh.write(json.dumps(meta.to_dict()) + "\n")
-                for event in events:
-                    fh.write(json.dumps(event.to_dict()) + "\n")
-        return len(events)
+                for record in records:
+                    fh.write(json.dumps(record.to_dict()) + "\n")
+        return len(records) - 1
 
 
 def read_jsonl(path_or_file, meta: bool = False) -> list[TraceEvent]:

@@ -25,7 +25,6 @@ import numpy as np
 from ..gf import GF, BinaryField, SingularMatrixError, solve
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
-from ..obs import span as _span
 from ..obs import spans as _spans
 from ..obs.events import RLNC_OFFER
 from ..security.integrity import DigestStore
@@ -59,8 +58,8 @@ _DEC_RESIDUAL_CHECKS = _OBS.counter(
     "offered rows whose coefficients cancelled, so the O(rank * m) payload "
     "residual had to be computed to tell dependent from forged",
 )
-_DEC_BLOCK_NS = _span(
-    "repro.rlnc.decode.block_ns", description="nanoseconds per BlockDecoder.decode()"
+_DEC_BLOCK_NS = _OBS.histogram(
+    "repro.rlnc.decode.block_ns", "nanoseconds per BlockDecoder.decode()"
 )
 
 
@@ -119,27 +118,29 @@ class BlockDecoder:
         :class:`DecodeError` if fewer are supplied or the coefficient
         sub-matrix is singular (caller should add another message).
         """
-        with _DEC_BLOCK_NS:
-            k = self.params.k
-            unique: dict[int, EncodedMessage] = {}
-            for msg in messages:
-                if msg.file_id != self.coefficients.file_id:
-                    raise DecodeError(
-                        f"message for file {msg.file_id:#x} offered to decoder for "
-                        f"file {self.coefficients.file_id:#x}"
-                    )
-                unique.setdefault(msg.message_id, msg)
-                if len(unique) == k:
-                    break
-            if len(unique) < k:
+        start = time.perf_counter_ns() if _OBS.enabled else None
+        k = self.params.k
+        unique: dict[int, EncodedMessage] = {}
+        for msg in messages:
+            if msg.file_id != self.coefficients.file_id:
                 raise DecodeError(
-                    f"need {k} distinct messages to decode, got {len(unique)}"
+                    f"message for file {msg.file_id:#x} offered to decoder for "
+                    f"file {self.coefficients.file_id:#x}"
                 )
-            chosen = list(unique.values())
-            beta = self.coefficients.matrix(m.message_id for m in chosen)
-            payloads = np.stack([m.payload for m in chosen])
-            data = _source_bytes(self.field, self.params, beta, payloads)
-            return _trim(data, self.params, length)
+            unique.setdefault(msg.message_id, msg)
+            if len(unique) == k:
+                break
+        if len(unique) < k:
+            raise DecodeError(
+                f"need {k} distinct messages to decode, got {len(unique)}"
+            )
+        chosen = list(unique.values())
+        beta = self.coefficients.matrix(m.message_id for m in chosen)
+        payloads = np.stack([m.payload for m in chosen])
+        data = _source_bytes(self.field, self.params, beta, payloads)
+        if start is not None:
+            _DEC_BLOCK_NS.observe(time.perf_counter_ns() - start)
+        return _trim(data, self.params, length)
 
 
 class ProgressiveDecoder:

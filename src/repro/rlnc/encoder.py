@@ -24,6 +24,7 @@ measures that overhead.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from ..gf import GF, BinaryField, IncrementalRank, is_invertible
 from ..gf.bitmatmul import _TABLE_BYTES
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
-from ..obs import span as _span
 from ..obs import spans as _spans
 from ..security.integrity import DigestStore
 from .coefficients import CoefficientGenerator
@@ -43,7 +43,7 @@ from .symbols import reshape_file_matrix
 __all__ = ["FileEncoder", "EncodedFile"]
 
 _ENC_MESSAGES = _OBS.counter("repro.rlnc.encode.messages", "coded messages produced")
-_ENC_NS = _span("repro.rlnc.encode.ns", description="nanoseconds per encoded message")
+_ENC_NS = _OBS.histogram("repro.rlnc.encode.ns", "nanoseconds per encoded message")
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,11 @@ class FileEncoder:
         enc_span = None
         if _TRACER.enabled:
             enc_span = _spans.start_span("rlnc.encode", messages=1)
-        with _ENC_NS:
-            beta = self.coefficients.row(message_id)
-            payload = self.field.dot(beta, source)
-        if _OBS.enabled:
+        start = time.perf_counter_ns() if _OBS.enabled else None
+        beta = self.coefficients.row(message_id)
+        payload = self.field.dot(beta, source)
+        if start is not None:
+            _ENC_NS.observe(time.perf_counter_ns() - start)
             _ENC_MESSAGES.inc()
         _spans.finish_span(enc_span)
         return EncodedMessage(
@@ -131,12 +132,13 @@ class FileEncoder:
         enc_span = None
         if _TRACER.enabled:
             enc_span = _spans.start_span("rlnc.encode", messages=len(ids))
-        with _ENC_NS:
-            beta = self.coefficients.matrix(ids)
-            messages = EncodedMessage.from_rows(
-                self.file_id, ids, self.field.matmul(beta, source), self.params.p
-            )
-        if _OBS.enabled:
+        start = time.perf_counter_ns() if _OBS.enabled else None
+        beta = self.coefficients.matrix(ids)
+        messages = EncodedMessage.from_rows(
+            self.file_id, ids, self.field.matmul(beta, source), self.params.p
+        )
+        if start is not None:
+            _ENC_NS.observe(time.perf_counter_ns() - start)
             _ENC_MESSAGES.inc(len(ids))
         _spans.finish_span(enc_span)
         return messages

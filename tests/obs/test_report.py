@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import TRACER, TraceEvent, observability, report
+from repro.obs import TRACER, TraceBuffer, TraceEvent, observability, report
 from repro.sim import Simulation
 from repro.sim.peer import PeerConfig
 
@@ -86,7 +86,9 @@ class _FakeReport:
 
 class TestDownloadReport:
     def test_aggregates_across_chunks(self):
-        rep = report.download_report([_FakeReport(), _FakeReport()])
+        rep = report.download_report(
+            [_FakeReport(), _FakeReport()], [[0, 1], [0, 1]]
+        )
         assert rep["kind"] == "download"
         assert rep["chunks"] == 2
         assert rep["slots"] == 8
@@ -97,10 +99,10 @@ class TestDownloadReport:
 
     def test_requires_at_least_one_chunk(self):
         with pytest.raises(ValueError):
-            report.download_report([])
+            report.download_report([], [])
 
     def test_render_flags_incomplete_runs(self):
-        rep = report.download_report([_FakeReport(complete=False)])
+        rep = report.download_report([_FakeReport(complete=False)], [[0, 1]])
         text = report.render_report(rep)
         assert "complete: NO" in text
         assert "failures: none" in text
@@ -119,13 +121,26 @@ class TestTraceSection:
         ]
 
     def test_dropped_events_produce_warning(self):
-        rep = report.download_report([_FakeReport()], events=self._events(7))
+        rep = report.download_report(
+            [_FakeReport()], [[0, 1]], events=self._events(7)
+        )
         assert rep["trace"]["dropped"] == 7
         assert "dropped 7" in rep["trace"]["warning"]
         assert "WARNING" in report.render_report(rep)
 
+    def test_recorded_ring_carries_its_drops(self):
+        ring = TraceBuffer(capacity=2)
+        ring.enabled = True
+        for t in range(5):
+            ring.emit("sim.slot", t=t)
+        section = report.trace_section(ring.recorded())
+        assert section["events"] == 2 and section["dropped"] == 3
+        assert "dropped 3" in section["warning"]
+
     def test_no_warning_without_drops(self):
-        rep = report.download_report([_FakeReport()], events=self._events(0))
+        rep = report.download_report(
+            [_FakeReport()], [[0, 1]], events=self._events(0)
+        )
         assert "warning" not in rep["trace"]
         assert rep["trace"]["events"] == 1  # meta record not counted
 

@@ -851,6 +851,57 @@ class TestRunReports:
         assert rep["critical_path"][0]["op"] == "transfer.download"
         assert rep["time_in_state"]["1"]["fault"] == "polluted"
 
+    def _sparse_holders(self, tmp_path, rng):
+        """Three sources of a 4-chunk file; peer1 lacks chunk 2."""
+        from repro.cli import _load_manifest
+
+        src = tmp_path / "video.bin"
+        src.write_bytes(rng.bytes(200_000))
+        out = tmp_path / "encoded"
+        assert main(
+            [
+                "encode", str(src), "--out", str(out), "--secret", "s3cret",
+                "--peers", "3", "--p", "16", "--m", "2048",
+                "--chunk-bytes", "65536",
+            ]
+        ) == 0
+        manifest = _load_manifest(str(out / "manifest.json"))
+        assert manifest.n_chunks == 4
+        (out / "peer1" / f"{manifest.chunk_ids[2]:016x}.dat").unlink()
+        return src, out
+
+    def _download_sparse(self, tmp_path, rng, *extra):
+        src, out = self._sparse_holders(tmp_path, rng)
+        rep_file = tmp_path / "r.json"
+        dest = tmp_path / "got.bin"
+        code = main(
+            [
+                "download",
+                *(str(out / f"peer{i}") for i in range(3)),
+                "--manifest", str(out / "manifest.json"),
+                "--secret", "s3cret",
+                "--digests", str(out / "digests.json"),
+                "--out", str(dest),
+                "--rate", "40",
+                "--report-json", str(rep_file),
+                *extra,
+            ]
+        )
+        assert code == 0
+        assert dest.read_bytes() == src.read_bytes()
+        return json.loads(rep_file.read_text())
+
+    def test_download_report_credits_sources_not_positions(self, tmp_path, rng):
+        # Chunk 2 is fetched from peer0 and peer2 only: its session
+        # positions 0 and 1 are sources 0 and 2.
+        rep = self._download_sparse(tmp_path, rng)
+        assert rep["per_peer_bytes"] == [110000, 75000, 110000]
+
+    def test_download_report_failures_name_sources(self, tmp_path, rng):
+        rep = self._download_sparse(tmp_path, rng, "--faults", "2:pollute")
+        assert {f["chunk"] for f in rep["failures"]} == {0, 1, 2, 3}
+        assert {f["peer"] for f in rep["failures"]} == {2}
+
 
 class TestTraceAnalyze:
     def test_reconstructs_download_span_tree(self, workspace, tmp_path, capsys):
@@ -895,3 +946,103 @@ class TestTraceAnalyze:
     def test_unreadable_trace_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(["trace", "analyze", str(tmp_path / "nope.jsonl")])
+
+
+def _block(text, heading):
+    """``heading``'s line plus the indented lines under it."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    block = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        block.append(line)
+    return block
+
+
+class TestTraceAnalyzeMatchesReports:
+    """``trace analyze`` and ``--report`` print one ``obs.report`` rendering."""
+
+    def test_download_critical_path_and_time_in_state(
+        self, workspace, tmp_path, capsys
+    ):
+        tmp, src, out = workspace
+        encode(src, out)
+        trace = tmp_path / "t.jsonl"
+        code = main(
+            [
+                "download",
+                str(out / "peer0"),
+                str(out / "peer1"),
+                str(out / "peer2"),
+                "--manifest", str(out / "manifest.json"),
+                "--secret", "s3cret",
+                "--digests", str(out / "digests.json"),
+                "--out", str(tmp / "got.bin"),
+                "--rate", "4",
+                "--faults", "seed=7;0:pollute;1:crash@300",
+                "--trace", str(trace),
+                "--report",
+            ]
+        )
+        assert code == 0
+        reported = capsys.readouterr().out
+        assert main(["trace", "analyze", str(trace)]) == 0
+        analyzed = capsys.readouterr().out
+        for heading in ("critical path:", "time in state:"):
+            assert _block(reported, heading) == _block(analyzed, heading)
+        assert len(_block(analyzed, "time in state:")) == 2 + 3  # 3 peers
+
+    def test_simulation_fairness_summary(self, tmp_path, capsys):
+        from repro.obs import read_jsonl, report
+
+        trace = tmp_path / "t.jsonl"
+        rep_file = tmp_path / "r.json"
+        code = main(
+            [
+                "simulate", "fig5b", "--trace", str(trace),
+                "--report", "--report-json", str(rep_file),
+            ]
+        )
+        assert code == 0
+        reported = capsys.readouterr().out
+        assert main(["trace", "analyze", str(trace)]) == 0
+        analyzed = capsys.readouterr().out
+        assert (
+            _block(reported, "fairness (Jain")[1:]
+            == _block(analyzed, "fairness timeline:")[1:]
+        )
+        sim = json.loads(rep_file.read_text())["fairness"]
+        fair = report.trace_report(read_jsonl(trace, meta=True))["fairness"]
+        for key in ("final", "mean", "min", "min_slot"):
+            assert fair[key] == sim[key]
+
+    def test_ring_drops_warn_exactly_once(self, tmp_path, capsys):
+        from repro.obs import TraceBuffer
+
+        ring = TraceBuffer(capacity=4)
+        ring.enabled = True
+        for t in range(10):
+            ring.emit(
+                "sim.slot", t=t, jain=1.0, requesting=1, allocated_kbps=1.0
+            )
+        trace = tmp_path / "t.jsonl"
+        ring.write_jsonl(trace)
+        assert main(["trace", "analyze", str(trace)]) == 0
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert text.count("trace ring dropped") == 1
+        assert "trace ring dropped 6 events" in text
+
+    @pytest.mark.parametrize("report", [[], ["--report"]])
+    def test_run_that_drops_warns_once(self, tmp_path, capsys, monkeypatch, report):
+        from collections import deque
+
+        from repro.obs import TRACER
+
+        monkeypatch.setattr(TRACER, "capacity", 64)
+        monkeypatch.setattr(TRACER, "_events", deque(maxlen=64))
+        trace = tmp_path / "t.jsonl"
+        assert main(["simulate", "fig5b", "--trace", str(trace), *report]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).count("trace ring dropped") == 1
