@@ -337,50 +337,48 @@ def _write_repairs(path: str, records: dict[int, list]) -> int:
     return len(flat)
 
 
-def _note_repair(chunk_id, outcome, records, digest_store) -> None:
-    """File a successful repair: its record and the minted digests."""
-    records.setdefault(chunk_id, []).append(outcome.record)
-    if digest_store is not None:
-        digest_store.record_many(
-            chunk_id,
-            [message.message_id for message in outcome.messages],
-            [message.payload_bytes() for message in outcome.messages],
-        )
+def _repair_chunk(coordinator, chunk_id, stores, target, digest_store, count):
+    """Recombine the ``stores``' messages of ``chunk_id`` into ``target``.
 
-
-def _local_repair_hook(chunk_id, holders, stores, records, field, digest_store):
-    """Mid-download repair over the local ``.dat`` stores.
-
-    Surviving stores recombine their messages into the first holder
-    still caching the chunk; the open serving cursor aliases that store,
-    so the fresh messages flow to the downloader without a new session.
-    Fresh digests are recorded straight from the minted payloads (local
-    stores are the trusted source in the CLI model) so the robust
-    policy accepts them.
+    The one repair driver of ``repro repair`` and ``repro download
+    --repair-threshold``.  With a ``digest_store``, each helper's
+    messages are screened against it first: the fresh digests are
+    minted here from the recombined payloads, so a corrupted helper
+    payload mixed into them would come out accepted.  ``count(live)``
+    says how many fresh messages to mint given the ``live`` screened
+    helper messages.  A successful repair records the fresh digests and
+    adds the fresh messages to ``target``.  Returns ``(live, outcome)``;
+    ``outcome`` is ``None`` when ``count`` asks for nothing.
     """
-    from .repair import RepairCoordinator
-
-    coordinator = RepairCoordinator(field)
-
-    def hook(needed: int) -> int:
-        with_data = [pi for pi in holders if stores[pi].has_file(chunk_id)]
-        if not with_data:
-            return 0
-        target = with_data[0]
-        helper_pairs = [
-            (pi, lambda pi=pi: stores[pi].messages(chunk_id)) for pi in with_data
-        ]
-        epoch = len(records.get(chunk_id, []))
-        outcome = coordinator.repair(
-            chunk_id, helper_pairs, int(needed), epoch=epoch
-        )
-        if not outcome.ok:
-            return 0
-        _note_repair(chunk_id, outcome, records, digest_store)
-        stores[target].add_messages(outcome.messages)
-        return outcome.report.produced
-
-    return hook
+    supplies = {}
+    for pi, store in enumerate(stores):
+        if not store.has_file(chunk_id):
+            continue
+        messages = store.messages(chunk_id)
+        if digest_store is not None:
+            messages = [
+                m
+                for m in messages
+                if digest_store.verify(chunk_id, m.message_id, m.payload_bytes())
+            ]
+        if messages:
+            supplies[pi] = messages
+    live = sum(map(len, supplies.values()))
+    wanted = count(live)
+    if wanted <= 0:
+        return live, None
+    outcome = coordinator.repair(
+        chunk_id, [(pi, lambda pi=pi: supplies[pi]) for pi in supplies], wanted
+    )
+    if outcome.ok:
+        if digest_store is not None:
+            digest_store.record_many(
+                chunk_id,
+                [message.message_id for message in outcome.messages],
+                [message.payload_bytes() for message in outcome.messages],
+            )
+        target.add_messages(outcome.messages)
+    return live, outcome
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -450,7 +448,8 @@ def _download(args: argparse.Namespace) -> int:
     Each chunk opens fresh sessions, so fault schedules restart per chunk.
     """
     from .faults import FaultyServingSession
-    from .repair import RepairAwareSource
+    from .gf import GF
+    from .repair import DownloadRepairTrigger, RepairAwareSource, RepairCoordinator
     from .security.keys import generate_keypair
     from .transfer import (
         DownloadSession,
@@ -478,11 +477,10 @@ def _download(args: argparse.Namespace) -> int:
     repair_records: dict[int, list] = (
         _load_repairs(args.repairs) if args.repairs else {}
     )
-    preloaded_repairs = {
-        chunk_id: len(lst) for chunk_id, lst in repair_records.items()
-    }
-    repair_enabled = args.repair_threshold is not None
-    if repair_enabled or repair_records:
+    coordinator = None
+    if args.repair_threshold is not None:
+        coordinator = RepairCoordinator(GF(manifest.p), repair_records)
+    if coordinator is not None or repair_records:
         # Only wrap when repair is in play: the plain path stays
         # bit-identical to older builds.
         generator_source = RepairAwareSource(generator_source, repair_records)
@@ -497,6 +495,7 @@ def _download(args: argparse.Namespace) -> int:
     chunk_reports = []
     chunk_sources = []  # per chunk: the source index behind each session
     failures: dict[int, object] = {}  # original peer index -> PeerFailure
+    minted = 0
     for index, chunk_id in enumerate(manifest.chunk_ids):
         holders = [pi for pi, s in enumerate(stores) if s.has_file(chunk_id)]
         if not holders:
@@ -521,21 +520,24 @@ def _download(args: argparse.Namespace) -> int:
             )
             sessions.append(serving)
         repair = None
-        if repair_enabled:
-            from .gf import GF
-            from .repair import DownloadRepairTrigger
+        if coordinator is not None:
+            helpers = [stores[pi] for pi in holders]
 
-            repair = DownloadRepairTrigger(
-                hook=_local_repair_hook(
+            def hook(needed, chunk_id=chunk_id, helpers=helpers):
+                # Survivors recombine into the first holder; its open
+                # serving cursor aliases that store, so the fresh
+                # messages flow to the downloader without a new session.
+                _, outcome = _repair_chunk(
+                    coordinator,
                     chunk_id,
-                    holders,
-                    stores,
-                    repair_records,
-                    GF(manifest.p),
+                    helpers,
+                    helpers[0],
                     digest_store,
-                ),
-                threshold=args.repair_threshold,
-            )
+                    lambda live: needed,
+                )
+                return outcome.report.produced
+
+            repair = DownloadRepairTrigger(hook, threshold=args.repair_threshold)
         report = ParallelDownloader(
             sessions,
             decoder.chunk(index),
@@ -545,6 +547,8 @@ def _download(args: argparse.Namespace) -> int:
         ).run(args.max_slots, file_id=chunk_id)
         chunk_reports.append(report)
         chunk_sources.append(holders)
+        if repair is not None:
+            minted += repair.injected
         total_slots += report.slots
         total_bytes += report.bytes_received
         for f in report.failures:
@@ -557,14 +561,8 @@ def _download(args: argparse.Namespace) -> int:
         if not report.complete:
             break
 
-    if repair_enabled:
-        minted = sum(
-            record.count
-            for chunk_id, lst in repair_records.items()
-            for record in lst[preloaded_repairs.get(chunk_id, 0):]
-        )
-        if minted:
-            print(f"repair: {minted} fresh message(s) recombined mid-download")
+    if minted:
+        print(f"repair: {minted} fresh message(s) recombined mid-download")
 
     for pi in sorted(failures):
         f = failures[pi]
@@ -614,7 +612,8 @@ def _repair(args: argparse.Namespace) -> int:
     below the redundancy target (or for ``--count`` messages when
     given), the helpers' stored messages are recombined under public,
     replayable coefficients into a new bundle written to ``--out``.
-    Digests of the fresh messages are computed locally from the minted
+    Helper messages that fail ``--digests`` are dropped first; digests
+    of the fresh messages are then computed locally from the minted
     payloads — the owner's secret never leaves home, and no plaintext
     is needed.  The repair records that make the new ids decodable are
     appended to ``--repairs`` (pass the same file to ``repro download``
@@ -635,40 +634,21 @@ def _repair(args: argparse.Namespace) -> int:
         _load_repairs(repairs_path) if os.path.exists(repairs_path) else {}
     )
 
-    field = GF(manifest.p)
     monitor = RedundancyMonitor(
         manifest.params_for_chunk(0).k, threshold=args.threshold
     )
-    coordinator = RepairCoordinator(field, monitor=monitor)
+    wanted = monitor.deficit if args.count is None else (lambda live: args.count)
+    coordinator = RepairCoordinator(GF(manifest.p), records)
     fresh = MessageStore()
     produced = degraded = bad = 0
     for index, chunk_id in enumerate(manifest.chunk_ids):
-        supplies: dict[int, list] = {}
-        for pi, store in enumerate(stores):
-            if not store.has_file(chunk_id):
-                continue
-            messages = store.messages(chunk_id)
-            if digest_store is not None:
-                kept = [
-                    m
-                    for m in messages
-                    if digest_store.verify(chunk_id, m.message_id, m.payload_bytes())
-                ]
-                bad += len(messages) - len(kept)
-                messages = kept
-            if messages:
-                supplies[pi] = messages
-        live = sum(len(v) for v in supplies.values())
-        monitor.observe(chunk_id, live)
-        deficit = args.count if args.count is not None else monitor.deficit(chunk_id)
-        if deficit <= 0:
+        live, outcome = _repair_chunk(
+            coordinator, chunk_id, stores, fresh, digest_store, wanted
+        )
+        bad += sum(store.count(chunk_id) for store in stores) - live
+        if outcome is None:
             print(f"chunk {index} ({chunk_id:#x}): {live} live message(s), no deficit")
             continue
-        helper_pairs = [
-            (pi, lambda pi=pi: supplies[pi]) for pi in sorted(supplies)
-        ]
-        epoch = len(records.get(chunk_id, []))
-        outcome = coordinator.repair(chunk_id, helper_pairs, deficit, epoch=epoch)
         if not outcome.ok:
             degraded += 1
             print(
@@ -677,8 +657,6 @@ def _repair(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        _note_repair(chunk_id, outcome, records, digest_store)
-        fresh.add_messages(outcome.messages)
         produced += outcome.report.produced
         state = " (partial)" if outcome.report.degraded else ""
         print(
@@ -1107,7 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair-threshold", type=float, default=None, metavar="X",
         help="arm mid-download repair: when undelivered supply falls below "
         "X times what a chunk still needs, surviving stores recombine "
-        "fresh messages (omit for the exact legacy behaviour)",
+        "fresh messages, helpers screened against --digests "
+        "(omit for the exact legacy behaviour)",
     )
     dl.add_argument(
         "--repairs", default=None, metavar="FILE",

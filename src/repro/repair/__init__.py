@@ -10,8 +10,9 @@ it from survivors alone:
   registration path (~16 bytes of uplink per fresh message, zero
   payload bytes).
 - :mod:`~repro.repair.monitor` — the control loop: redundancy
-  thresholds, helper retry/backoff, graceful partial repair, and the
-  mid-download repair trigger.
+  thresholds, the coordinator that owns epochs and the record registry,
+  helper retry/backoff, graceful partial repair, and the mid-download
+  repair trigger.
 """
 
 from .monitor import (

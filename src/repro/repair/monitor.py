@@ -2,14 +2,16 @@
 
 The codec (:mod:`repro.repair.recombine`) answers *how* to mint fresh
 coded messages from survivors; this module answers *when* and *from
-whom*.  :class:`RedundancyMonitor` watches the live coded-message count
-of a file against a configurable threshold (expressed in multiples of
-``k``, the decode requirement).  :class:`RepairCoordinator` runs one
-repair epoch end to end: gather helper messages (tolerating helpers
-that fail mid-repair, with retry and slot-denominated backoff), build
-the replayable :class:`~repro.repair.recombine.RepairRecord`, and
-recombine — degrading gracefully to a partial repair with a warning
-when the surviving rank cannot cover the request.
+whom*.  :class:`RedundancyMonitor` turns a live coded-message count
+into a deficit against a threshold (expressed in multiples of ``k``,
+the decode requirement).  :class:`RepairCoordinator` owns the
+``{chunk_id: [RepairRecord, ...]}`` registry and runs one repair epoch
+end to end: take the epoch from the registry, gather helper messages
+(tolerating helpers that fail mid-repair, with retry and
+slot-denominated backoff), build the replayable
+:class:`~repro.repair.recombine.RepairRecord`, recombine — degrading
+gracefully to a partial repair with a warning when the surviving rank
+cannot cover the request — and file the record.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from ..obs.events import REPAIR_DONE, REPAIR_FAILED, REPAIR_START
 from .recombine import RepairRecord, recombine
 
 __all__ = [
+    "MAX_ATTEMPTS",
+    "BACKOFF_SLOTS",
     "RedundancyMonitor",
     "RepairCoordinator",
     "RepairOutcome",
@@ -30,13 +34,19 @@ __all__ = [
     "DownloadRepairTrigger",
 ]
 
+#: Gathering rounds a repair makes before it gives up on its helpers.
+MAX_ATTEMPTS = 3
+#: Slots a repair backs off after a round that gathered nothing
+#: (accounted in the report; the surrounding sim owns time).
+BACKOFF_SLOTS = 1
+
 
 class RedundancyMonitor:
-    """Tracks live coded-message counts against a redundancy threshold.
+    """The deficit of a live coded-message count against a threshold.
 
     ``threshold`` is in multiples of ``k``: ``1.0`` means "keep at least
     enough messages to decode once", ``2.0`` keeps 2x decode-worth of
-    redundancy.  The monitor is deliberately dumb — callers ``observe``
+    redundancy.  The monitor is deliberately dumb — callers count
     whatever census they trust (a storage sweep, a sim's peer registry)
     and read back the deficit.
     """
@@ -48,8 +58,6 @@ class RedundancyMonitor:
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.k = k
         self.threshold = threshold
-        self._live: dict[int, int] = {}
-        self._epochs: dict[int, int] = {}
 
     @property
     def target(self) -> int:
@@ -58,27 +66,9 @@ class RedundancyMonitor:
         whole = int(scaled)
         return whole if whole == scaled else whole + 1
 
-    def observe(self, file_id: int, live: int) -> None:
-        """Record the latest live-message census for ``file_id``."""
-        if live < 0:
-            raise ValueError(f"live count cannot be negative, got {live}")
-        self._live[file_id] = live
-
-    def live(self, file_id: int) -> int:
-        return self._live.get(file_id, 0)
-
-    def deficit(self, file_id: int) -> int:
+    def deficit(self, live: int) -> int:
         """How many fresh messages repair should mint (0 = healthy)."""
-        return max(0, self.target - self.live(file_id))
-
-    def needs_repair(self, file_id: int) -> bool:
-        return self.deficit(file_id) > 0
-
-    def next_epoch(self, file_id: int) -> int:
-        """Monotone per-file epoch counter for repair-id assignment."""
-        epoch = self._epochs.get(file_id, 0)
-        self._epochs[file_id] = epoch + 1
-        return epoch
+        return max(0, self.target - live)
 
 
 @dataclass(frozen=True)
@@ -131,43 +121,26 @@ class RepairOutcome:
 class RepairCoordinator:
     """Runs repair epochs against a set of fallible helpers.
 
+    ``records`` is the ``{chunk_id: [RepairRecord, ...]}`` registry a
+    :class:`~repro.repair.recombine.RepairAwareSource` reads, shared by
+    reference: a chunk's next epoch is the length of its record list,
+    and every successful repair appends its record there.
+
     Helpers are ``(peer_id, supply)`` pairs where ``supply()`` returns
     the peer's stored :class:`~repro.rlnc.message.EncodedMessage` list
     for the file — or raises, which marks the helper failed for the rest
     of this repair.  A round that gathers nothing backs off
-    ``backoff_slots`` (accounted in the report, no wall-clock sleep: the
-    surrounding sim owns time) and retries up to ``max_attempts``.
+    :data:`BACKOFF_SLOTS` and retries, :data:`MAX_ATTEMPTS` rounds in all.
     """
 
-    def __init__(
-        self,
-        field: BinaryField,
-        monitor: RedundancyMonitor | None = None,
-        max_attempts: int = 3,
-        backoff_slots: int = 1,
-    ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-        if backoff_slots < 0:
-            raise ValueError(f"backoff_slots cannot be negative, got {backoff_slots}")
+    def __init__(self, field: BinaryField, records: dict[int, list]):
         self.field = field
-        self.monitor = monitor
-        self.max_attempts = max_attempts
-        self.backoff_slots = backoff_slots
+        self.records = records
 
-    def repair(
-        self,
-        file_id: int,
-        helpers,
-        count: int,
-        epoch: int | None = None,
-    ) -> RepairOutcome:
-        """Run one repair epoch; degrade rather than fail when possible."""
+    def repair(self, file_id: int, helpers, count: int) -> RepairOutcome:
+        """Run the file's next repair epoch; degrade rather than fail when possible."""
         helpers = list(helpers)
-        if epoch is None:
-            if self.monitor is None:
-                raise ValueError("epoch is required when no monitor is attached")
-            epoch = self.monitor.next_epoch(file_id)
+        epoch = len(self.records.get(file_id, ()))
         _TRACER.emit(
             REPAIR_START,
             file_id=file_id,
@@ -176,7 +149,10 @@ class RepairCoordinator:
             requested=count,
         )
         with _spans.span_scope("repair.run", file_id=file_id, epoch=epoch):
-            return self._run(file_id, helpers, count, epoch)
+            outcome = self._run(file_id, helpers, count, epoch)
+        if outcome.ok:
+            self.records.setdefault(file_id, []).append(outcome.record)
+        return outcome
 
     def _run(self, file_id, helpers, count, epoch) -> RepairOutcome:
         warnings: list[str] = []
@@ -187,7 +163,7 @@ class RepairCoordinator:
         bandwidth = 0
         waited = 0
         attempt = 0
-        while attempt < self.max_attempts:
+        while attempt < MAX_ATTEMPTS:
             attempt += 1
             for peer_id, supply in helpers:
                 if peer_id in failed:
@@ -209,8 +185,8 @@ class RepairCoordinator:
                     bandwidth += msg.wire_size()
             if gathered:
                 break
-            if attempt < self.max_attempts:
-                waited += self.backoff_slots
+            if attempt < MAX_ATTEMPTS:
+                waited += BACKOFF_SLOTS
         if not gathered:
             _TRACER.emit(
                 REPAIR_FAILED,
@@ -281,29 +257,20 @@ class DownloadRepairTrigger:
     messages across live sessions drops below ``threshold`` times what
     the decoder still needs.  ``hook(needed)`` performs the actual
     repair (typically via the embedding network, which knows the peers)
-    and returns how many fresh messages it injected.  ``max_fires`` and
-    ``cooldown_slots`` keep a doomed download from hammering repair
-    every slot.
+    and returns how many fresh messages it injected.  The trigger fires
+    at most once, so a doomed download cannot hammer repair every slot.
     """
 
     hook: object
     threshold: float = 1.0
-    max_fires: int = 1
-    cooldown_slots: int = 0
     fires: int = field(default=0, init=False)
     injected: int = field(default=0, init=False)
-    _last_fire_slot: int = field(default=-(1 << 30), init=False)
 
-    def should_fire(self, needed: int, supply: int, slot: int) -> bool:
-        if needed <= 0 or self.fires >= self.max_fires:
-            return False
-        if slot - self._last_fire_slot <= self.cooldown_slots and self.fires:
-            return False
-        return supply < needed * self.threshold
+    def should_fire(self, needed: int, supply: int) -> bool:
+        return needed > 0 and not self.fires and supply < needed * self.threshold
 
-    def fire(self, needed: int, slot: int = 0) -> int:
+    def fire(self, needed: int) -> int:
         self.fires += 1
-        self._last_fire_slot = slot
         added = int(self.hook(needed))
         self.injected += added
         return added

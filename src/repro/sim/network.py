@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ..core.allocation import Allocator
 from ..discovery.chord import ChordRing, PeerDirectory
 from ..obs import spans as _spans
-from ..repair.monitor import DownloadRepairTrigger, RedundancyMonitor, RepairCoordinator
+from ..repair.monitor import DownloadRepairTrigger, RepairCoordinator
 from ..repair.recombine import RepairAwareSource, register_repair_digests
 from ..rlnc.chunking import (
     ChunkedEncoder,
@@ -73,7 +73,8 @@ class FileHandle:
     #: Monotone counter giving repair bundles disjoint id ranges.
     reseed_rounds: int = 0
     #: Survivor-repair provenance, ``{chunk_id: [RepairRecord, ...]}``;
-    #: the list index doubles as the chunk's next repair epoch.
+    #: the registry a :class:`RepairCoordinator` takes epochs from and
+    #: files records in.
     repair_records: dict[int, list] = field(default_factory=dict)
 
     @property
@@ -328,73 +329,52 @@ class FileSharingNetwork:
         self,
         name: str,
         target: int,
+        count: int,
         helpers: list[int] | None = None,
-        count: int | None = None,
-        threshold: float = 1.0,
-        max_attempts: int = 3,
-        backoff_slots: int = 1,
         chunk_ids=None,
     ) -> dict:
         """Survivor-side repair: restore redundancy without the owner.
 
         Unlike :meth:`repair` (the owner re-encodes from plaintext over
         its uplink), this recombines the *surviving peers'* stored
-        messages into fresh coded messages (see :mod:`repro.repair`) and
-        stores them at ``target``.  The owner's entire uplink
-        contribution is the per-message digest registration — payload
-        bytes shipped by the owner are zero by construction.
+        messages into ``count`` fresh coded messages per chunk (see
+        :mod:`repro.repair`) and stores them at ``target``.  The owner's
+        entire uplink contribution is the per-message digest
+        registration — payload bytes shipped by the owner are zero by
+        construction.
 
-        ``count`` forces a fixed number of fresh messages per chunk;
-        otherwise the deficit against ``threshold`` (in multiples of
-        ``k``) is minted.  ``helpers`` restricts the helper set (default:
-        every peer but ``target`` holding chunk data).  ``chunk_ids``
-        restricts repair to those chunks (default: all).
-        Returns a JSON-able summary with per-chunk reports.
+        ``helpers`` restricts the helper set (default: every peer but
+        ``target`` holding chunk data).  ``chunk_ids`` restricts repair
+        to those chunks (default: all).  Epochs and records live in the
+        file's ``repair_records`` registry.  Returns a JSON-able summary
+        with per-chunk reports.
         """
         handle = self.registry.get(name)
         if handle is None:
             raise KeyError(f"no published file named {name!r}")
         self._check_peer(target)
         manifest = handle.manifest
-        monitor = RedundancyMonitor(self.params.k, threshold=threshold)
-        coordinator = RepairCoordinator(
-            handle.encoder.field,
-            monitor=monitor,
-            max_attempts=max_attempts,
-            backoff_slots=backoff_slots,
-        )
+        coordinator = RepairCoordinator(handle.encoder.field, handle.repair_records)
         wanted = set(chunk_ids) if chunk_ids is not None else None
         chunks = split_chunks(handle.data, self.params.file_bytes)
         # Repair-aware generator: helpers may themselves hold messages
         # minted by earlier repair epochs (repair of repairs).
         source = handle.coefficient_source()
+        candidates = (
+            helpers if helpers is not None else [j for j in range(self.n) if j != target]
+        )
         chunk_reports = []
         produced = degraded = 0
         helper_bandwidth = digest_bytes = 0
         for index, chunk_id in enumerate(manifest.chunk_ids):
             if wanted is not None and chunk_id not in wanted:
                 continue
-            live = sum(store.count(chunk_id) for store in self.stores)
-            monitor.observe(chunk_id, live)
-            deficit = count if count is not None else monitor.deficit(chunk_id)
-            if deficit <= 0:
-                continue
-            candidates = (
-                helpers
-                if helpers is not None
-                else [j for j in range(self.n) if j != target]
-            )
             helper_pairs = [
                 (j, lambda j=j, cid=chunk_id: self.stores[j].messages(cid))
                 for j in candidates
                 if self.stores[j].has_file(chunk_id)
             ]
-            # Epochs must stay monotone per chunk across calls; the
-            # record list length is exactly the next unused epoch.
-            epoch = len(handle.repair_records.get(chunk_id, []))
-            outcome = coordinator.repair(
-                chunk_id, helper_pairs, deficit, epoch=epoch
-            )
+            outcome = coordinator.repair(chunk_id, helper_pairs, count)
             chunk_reports.append(outcome.report.to_dict())
             helper_bandwidth += outcome.report.bandwidth_bytes
             if not outcome.ok:
@@ -410,7 +390,6 @@ class FileSharingNetwork:
                 self.digest_stores[handle.owner],
             )
             self.stores[target].add_messages(outcome.messages)
-            handle.repair_records.setdefault(chunk_id, []).append(outcome.record)
             produced += outcome.report.produced
             if outcome.report.degraded:
                 degraded += 1

@@ -52,8 +52,7 @@ class ServingCursor:
     Cursors opened through :meth:`MessageStore.open_cursor` observe the
     store: messages appended to the file mid-session (e.g. by a repair)
     flow straight to the open cursor, and dropping the file invalidates
-    the cursor — reading from a stale cursor raises
-    :class:`StorageError` rather than silently serving messages the
+    the cursor — a stale cursor serves nothing rather than messages the
     peer no longer stores.
     """
 
@@ -75,14 +74,6 @@ class ServingCursor:
             return False
         return self._store._files.get(self._file_id) is not self._messages
 
-    def _check_stale(self) -> None:
-        if self.stale:
-            raise StorageError(
-                f"file {self._file_id:#x} was dropped while a serving "
-                "cursor was open; the session must be torn down, not fed "
-                "stale messages"
-            )
-
     @property
     def remaining(self) -> int:
         if self.stale:
@@ -92,32 +83,17 @@ class ServingCursor:
     @property
     def exhausted(self) -> bool:
         # A stale cursor reports exhausted so `ServingSession.active`
-        # degrades gracefully; actually *reading* from it raises.
+        # degrades gracefully.
         if self.stale:
             return True
         return self._next >= len(self._messages)
-
-    def peek(self) -> EncodedMessage | None:
-        self._check_stale()
-        if self._next >= len(self._messages):
-            return None
-        return self._messages[self._next]
-
-    def advance(self) -> EncodedMessage:
-        self._check_stale()
-        if self._next >= len(self._messages):
-            raise StorageError("cursor exhausted: peer has no more messages")
-        msg = self._messages[self._next]
-        self._next += 1
-        return msg
 
     def take(self, byte_budget: float) -> tuple[list[EncodedMessage], float]:
         """Advance past every next message ``byte_budget`` covers whole.
 
         Returns those messages and what is left of the budget: a slot's
         worth of serial service in one call, sized by ``wire_size()``
-        alone.  A stale cursor yields nothing, as an exhausted one does
-        (only :meth:`peek` and :meth:`advance` raise on it).
+        alone.  A stale cursor yields nothing, as an exhausted one does.
         """
         taken: list[EncodedMessage] = []
         if not self.stale:

@@ -401,11 +401,12 @@ class ParallelDownloader:
         preserves the trusting behaviour exactly.
     repair:
         Optional :class:`~repro.repair.monitor.DownloadRepairTrigger`.
-        Each slot, when the undelivered supply across live sessions
-        falls below the trigger's threshold times what the decoder still
-        needs, the repair hook fires and restores redundancy out-of-band
-        (fresh messages appear in a live peer's store and flow through
-        its open serving cursor).  ``None`` changes nothing.
+        The first slot in which the undelivered supply across live
+        sessions falls below the trigger's threshold times what the
+        decoder still needs, the repair hook fires (once) and restores
+        redundancy out-of-band (fresh messages appear in a live peer's
+        store and flow through its open serving cursor).  ``None``
+        changes nothing.
     """
 
     def __init__(
@@ -504,7 +505,7 @@ class ParallelDownloader:
             gone = set(map(id, due[: self._offer(due, t)]))
             self._inflight = [e for e in self._inflight if id(e) not in gone]
         self._on_complete(t)
-        self._check_repair(t)
+        self._check_repair()
 
         if rates is None:
             rates = [self.rate_fn(i, t) for i in range(len(self.sessions))]
@@ -645,7 +646,7 @@ class ParallelDownloader:
                 _XFER_STOP_LAG.observe(lag)
             _TRACER.emit(TRANSFER_STOP, peer=i, slot=t + lag, lag_slots=lag)
 
-    def _check_repair(self, t: int) -> None:
+    def _check_repair(self) -> None:
         """Fire the repair trigger when surviving supply can't finish.
 
         ``supply`` counts messages in flight plus those undelivered at
@@ -663,5 +664,5 @@ class ParallelDownloader:
             for session, dead in zip(self.sessions, self._dead)
             if not dead and session.active
         )
-        if self.repair.should_fire(needed, supply, t):
-            self.repair.fire(needed, t)
+        if self.repair.should_fire(needed, supply):
+            self.repair.fire(needed)

@@ -75,26 +75,23 @@ class TestServingCursor:
         store = MessageStore()
         store.add_messages(messages[:5])
         cursor = store.open_cursor(0x11)
-        served = [cursor.advance() for _ in range(5)]
+        served, _ = cursor.take(float("inf"))
         assert [m.message_id for m in served] == [m.message_id for m in messages[:5]]
 
     def test_exhaustion(self, messages):
         store = MessageStore()
         store.add_messages(messages[:2])
         cursor = store.open_cursor(0x11)
-        cursor.advance()
-        cursor.advance()
+        assert len(cursor.take(float("inf"))[0]) == 2
         assert cursor.exhausted
-        assert cursor.peek() is None
-        with pytest.raises(StorageError):
-            cursor.advance()
+        assert cursor.take(float("inf")) == ([], float("inf"))
 
     def test_remaining_counts_down(self, messages):
         store = MessageStore()
         store.add_messages(messages[:3])
         cursor = store.open_cursor(0x11)
         assert cursor.remaining == 3
-        cursor.advance()
+        cursor.take(messages[0].wire_size())
         assert cursor.remaining == 2
 
     def test_independent_cursors(self, messages):
@@ -102,32 +99,29 @@ class TestServingCursor:
         store.add_messages(messages[:3])
         a = store.open_cursor(0x11)
         b = store.open_cursor(0x11)
-        a.advance()
+        a.take(messages[0].wire_size())
         assert b.remaining == 3
 
     def test_take_is_the_peek_advance_loop(self, messages):
+        # The reference is the stored list itself: the longest prefix
+        # whose wire sizes the budget covers, and the budget left over.
         store = MessageStore()
         store.add_messages(messages)
+        stored = store.messages(0x11)
         size = messages[0].wire_size()
         for budget in (0, size - 1, size, 2.5 * size, float("inf")):
-            fast, slow = store.open_cursor(0x11), store.open_cursor(0x11)
-            taken, left = fast.take(budget)
             expected, remaining = [], budget
-            while not slow.exhausted and remaining >= slow.peek().wire_size():
-                remaining -= slow.peek().wire_size()
-                expected.append(slow.advance())
-            assert taken == expected and left == remaining
-            assert fast.remaining == slow.remaining
+            for msg in stored:
+                if remaining < msg.wire_size():
+                    break
+                remaining -= msg.wire_size()
+                expected.append(msg)
+            cursor = store.open_cursor(0x11)
+            assert cursor.take(budget) == (expected, remaining)
+            assert cursor.remaining == len(stored) - len(expected)
         cursor = store.open_cursor(0x11)
         store.drop_file(0x11)
         assert cursor.take(float("inf")) == ([], float("inf"))  # stale: nothing
-
-    def test_peek_does_not_consume(self, messages):
-        store = MessageStore()
-        store.add_messages(messages[:2])
-        cursor = store.open_cursor(0x11)
-        assert cursor.peek() is cursor.peek()
-        assert cursor.remaining == 2
 
 
 class TestDatPersistence:
@@ -319,15 +313,12 @@ class TestCursorStaleness:
         store = MessageStore()
         store.add_messages(messages)
         cursor = store.open_cursor(0x11)
-        cursor.advance()
+        cursor.take(messages[0].wire_size())
         store.drop_file(0x11)
         assert cursor.stale
         assert cursor.remaining == 0
         assert cursor.exhausted  # ServingSession.active degrades cleanly
-        with pytest.raises(StorageError, match="dropped while a serving"):
-            cursor.peek()
-        with pytest.raises(StorageError, match="dropped while a serving"):
-            cursor.advance()
+        assert cursor.take(float("inf")) == ([], float("inf"))
 
     def test_republished_file_does_not_revive_old_cursor(self, messages):
         store = MessageStore()
@@ -336,8 +327,7 @@ class TestCursorStaleness:
         store.drop_file(0x11)
         store.add_messages(messages)  # fresh backing list, same file id
         assert cursor.stale
-        with pytest.raises(StorageError):
-            cursor.peek()
+        assert cursor.take(float("inf")) == ([], float("inf"))
         assert not store.open_cursor(0x11).stale
 
     def test_dropping_other_file_leaves_cursor_live(self, rng, messages):
@@ -348,9 +338,9 @@ class TestCursorStaleness:
         cursor = store.open_cursor(0x11)
         store.drop_file(0x22)
         assert not cursor.stale
-        assert cursor.peek() is not None
+        assert cursor.remaining == len(messages)
 
     def test_detached_cursor_never_goes_stale(self, messages):
         cursor = ServingCursor(messages)
         assert not cursor.stale
-        assert cursor.advance() is messages[0]
+        assert cursor.take(messages[0].wire_size())[0] == [messages[0]]

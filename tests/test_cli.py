@@ -455,6 +455,57 @@ class TestRepair:
              "--secret", "s3cret", "--out", str(tmp / "x.bin")]
         ) == 1
 
+    def test_mid_download_repair_screens_helpers_against_digests(
+        self, tmp_path, rng
+    ):
+        """A corrupted helper payload must not be laundered into fresh
+        messages whose digests the repair then mints itself.
+
+        One k = 8 chunk: store A holds 4 clean messages, store B one
+        payload with a flipped symbol followed by 4 clean ones.  The
+        repair threshold fires at once; the fresh messages may only mix
+        the 8 clean rows, so the download still yields the original.
+        """
+        from repro.rlnc import EncodedMessage
+        from repro.storage import MessageStore
+
+        src = tmp_path / "video.bin"
+        src.write_bytes(rng.bytes(1000))
+        out = tmp_path / "encoded"
+        assert encode(src, out, peers=2) == 0
+        stored = []
+        for peer in ("peer0", "peer1"):
+            store = MessageStore()
+            [dat] = (out / peer).glob("*.dat")
+            store.load_dat(str(dat), p=16, m=64)
+            [chunk_id] = store.files()
+            stored.append(store.messages(chunk_id))
+        bad = stored[1][0]
+        flipped = bad.payload.copy()
+        flipped[5] ^= 1
+        corrupt = EncodedMessage(bad.file_id, bad.message_id, flipped, bad.p)
+        for name, messages in (
+            ("A", stored[0][:4]),
+            ("B", [corrupt, *stored[1][1:5]]),
+        ):
+            store = MessageStore()
+            store.add_messages(messages)
+            store.save_dat(str(tmp_path / name))
+
+        dest = tmp_path / "got.bin"
+        code = main(
+            [
+                "download", str(tmp_path / "A"), str(tmp_path / "B"),
+                "--manifest", str(out / "manifest.json"),
+                "--secret", "s3cret",
+                "--digests", str(out / "digests.json"),
+                "--repair-threshold", "4",
+                "--out", str(dest),
+            ]
+        )
+        assert code == 0
+        assert dest.read_bytes() == src.read_bytes()
+
 
 class TestDownload:
     def _download(self, out, dest, *sources, extra=()):
