@@ -1,4 +1,4 @@
-"""CI perf-smoke: fourteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: fifteen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -341,12 +341,13 @@ def gate_sparse_sample() -> int:
     scatter it replaced, n = 10^5 in 64 cohorts (a 74-slot block).
 
     The kernel samples per class: one ``sample_block`` per cohort into a
-    ``(block, 65)`` table, then one ``take`` per vector per slot.  The
-    reference is spelled out here and frozen, as ``gate_screen``'s is:
-    the same cohort draws scattered by fancy index over every member's
-    column of ``(block, n)`` tables, each slot's rows then read as
-    views.  Both sides start a fresh block every rep, and their first
-    block is asserted equal.
+    ``(block, 65)`` table, then each slot's requesters gathered from the
+    requesting classes' members.  The reference is spelled out here and
+    frozen, as ``gate_screen``'s is: the same cohort draws scattered by
+    fancy index over every member's column of ``(block, n)`` tables,
+    each slot's rows then read as views.  Both sides start a fresh block
+    every rep, and their first block is asserted equal (the kernel's
+    compact requesters expanded to the dense vectors).
     """
     import numpy as np
 
@@ -368,7 +369,7 @@ def gate_sparse_sample() -> int:
     def classes():
         t0 = starts["classes"]
         starts["classes"] += block
-        return [kernel.sample(t)[:2] for t in range(t0, t0 + block)]
+        return [kernel.sample(t) for t in range(t0, t0 + block)]
 
     def scatter():
         t0 = starts["scatter"]
@@ -379,16 +380,105 @@ def gate_sparse_sample() -> int:
             cap_block[:, rows] = capacity.values(t0, block)[:, None]
         return [(req_block[off], cap_block[off]) for off in range(block)]
 
+    def expanded(t):
+        requesting = np.zeros(n, dtype=bool)
+        requesting[kernel.sample(t)] = True
+        return requesting, kernel.vectors()[1]
+
     assert all(
         a.tobytes() == b.tobytes()
-        for got, want in zip(classes(), scatter())
-        for a, b in zip(got, want)
+        for t, want in enumerate(scatter())
+        for a, b in zip(expanded(t), want)
     )
+    starts["classes"] = starts["scatter"]
     return ratio_gate(
         f"sample by class / (block, n) scatter, one {block}-slot block, n={n} in 64 cohorts",
         classes, scatter, 0.7,
         "are the prefetch tables (block, n) again, or is a cohort's value "
         "written over each member's column?",
+    )
+
+
+def gate_sparse_slot() -> int:
+    """One 64-slot cohort rotation of the shard kernel at n = 10^5 in 64
+    cohorts, 16 givers / the same slots with the dense selection the
+    kernel had before the member table, spelled out here and frozen.
+
+    Both sides run whole slots — sample, Equation (2) through the same
+    ``_eq2_block``, credit — on twin simulations.  The subject selects
+    from class rows: requesters from the requesting classes' members,
+    givers and their capacities from the positive-capacity classes'.
+    The reference spreads the class rows into two 10^5-peer vectors
+    through ``class_of``, ``flatnonzero``s the request vector twice (the
+    engine and the kernel each did) and masks every eq2 row's capacity.
+    The first rotation's ``(R, act, M)`` are asserted equal.  Skipped,
+    with the loader's reason, where the sparse kernels are not live: the
+    numpy Eq. (2) rows take ~0.35 s a slot here, which no selection cost
+    can show through.
+    """
+    import numpy as np
+
+    from repro import native
+    from repro.sim import fastpath, sparse_population_sim
+    from repro.sim.shard import column_sums
+
+    if fastpath.load() is None:
+        print(f"sparse slot selection: kernels not live "
+              f"({native.status()['fastalloc']}); skipped")
+        return 0
+
+    def twin():
+        sim = sparse_population_sim(n=100_000, cohorts=64, givers=16, slots=8192, engine="sparse")
+        return sim._shards.kernel
+
+    subject_kernel, frozen_kernel = twin(), twin()
+    eq2 = np.arange(frozen_kernel.n, dtype=np.int64)  # every peer is an eq2 row
+    starts = {"subject": 0, "frozen": 0}
+
+    def finish(kernel, t, R, act, M):
+        kernel.credit(t, act, R, M, column_sums(M), 1.0, True, False)
+        return R, act, M
+
+    def subject_slot(t):
+        R = subject_kernel.sample(t)
+        act, M = subject_kernel.alloc(t, R, subject_kernel)
+        return finish(subject_kernel, t, R, act, M)
+
+    def frozen_slot(t):
+        k = frozen_kernel
+        k.sample(t)
+        requesting = k._req_row.take(k._class_of)
+        capacities = k._cap_row.take(k._class_of)
+        for _ in ("engine", "kernel"):  # each took its own flatnonzero
+            R = np.flatnonzero(requesting).astype(np.int64, copy=False)
+        act = eq2[capacities[eq2] > 0.0] if R.size else eq2[:0]
+        M = np.empty((act.size, R.size))
+        k._eq2_block(
+            act, np.arange(act.size, dtype=np.int64), R,
+            np.ascontiguousarray(capacities[act]), M,
+        )
+        return finish(k, t, R, act, M)
+
+    def rotation(name, slot):
+        def run() -> float:
+            t0 = starts[name]
+            starts[name] += 64
+            start = time.perf_counter()
+            for t in range(t0, t0 + 64):
+                slot(t)
+            return time.perf_counter() - start
+        return run
+
+    for t in range(64):
+        assert all(
+            a.tobytes() == b.tobytes() for a, b in zip(subject_slot(t), frozen_slot(t))
+        )
+    starts["subject"] = starts["frozen"] = 64
+    return ratio_gate(
+        "sparse slot, class-row selection / frozen dense selection, n=100000 in 64 cohorts",
+        rotation("subject", subject_slot), rotation("frozen", frozen_slot), 0.8,
+        "is a per-peer vector built per slot again (a take through class_of, "
+        "a flatnonzero over n, a capacity mask over every eq2 row)?", reps=15,
     )
 
 
@@ -610,7 +700,7 @@ def gate_digest() -> int:
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_batched, gate_sparse, gate_sparse_sample,
-    gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
+    gate_sparse_slot, gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
 )
 
 

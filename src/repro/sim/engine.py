@@ -29,9 +29,10 @@ Three slot implementations produce those slots:
   large-``n`` path.  Credit lives in
   :class:`~repro.sim.sparse.SparseLedgers` and each slot touches only
   the *active set* (the requesters ``R`` and the givers with positive
-  capacity), so a slot costs O(n) bookkeeping plus O(active^2)
-  allocation.  A kernel owns a contiguous peer range and runs a slot as
-  three phases — sample, allocate, credit — which
+  capacity), read from per-class rows, so a slot costs O(classes +
+  |R| + givers x |R|) with no per-peer term.  A kernel owns a
+  contiguous peer range and runs a slot as three phases — sample,
+  allocate, credit — which
   :meth:`Simulation._step_compact` drives in one of two ways:
   ``sparse`` is one kernel over ``[0, n)`` called **in-process**
   (:class:`~repro.sim.shard.LocalShard`); ``procs`` is W kernels in
@@ -101,8 +102,14 @@ _SIM_SPARSE_SLOTS = _OBS.counter(
 _SIM_PROCS_SLOTS = _OBS.counter(
     "repro.sim.slots.procs", "slots stepped through the process-sharded engine"
 )
+_SIM_SAMPLE_NS = _OBS.histogram(
+    "repro.sim.sample_ns", "nanoseconds per slot spent sampling demand and capacity"
+)
 _SIM_ALLOC_NS = _OBS.histogram(
     "repro.sim.alloc_ns", "nanoseconds per slot spent in allocation + feasibility"
+)
+_SIM_CREDIT_NS = _OBS.histogram(
+    "repro.sim.credit_ns", "nanoseconds per slot spent crediting ledgers and folding rates"
 )
 _SIM_JAIN = _OBS.gauge(
     "repro.sim.jain_fairness",
@@ -447,7 +454,7 @@ class Simulation:
 
     def _step_dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._shards is not None:
-            act, R, M, _, requesting, capacities = self._step_compact()
+            act, R, M, _, (requesting, capacities) = self._step_compact(dense=True)
             alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
             if act.size and R.size:
                 alloc[np.ix_(act, R)] = M
@@ -516,6 +523,7 @@ class Simulation:
     def _step_batched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = self._t
         n = self.n
+        sample_start = time.perf_counter_ns() if _OBS.enabled else None
         if not self._block_start <= t < self._block_start + TIME_BLOCK:
             self._refresh_blocks(t)
         off = t - self._block_start
@@ -533,6 +541,8 @@ class Simulation:
         req_u8 = requesting.view(np.uint8)
 
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
+        if sample_start is not None:
+            _SIM_SAMPLE_NS.observe(alloc_start - sample_start)
         alloc = np.empty((n, n))  # repro: allow[sim-dense-alloc]
         ledgers = self._credit_matrix
         for rep, rows, kind in self._groups:
@@ -560,8 +570,10 @@ class Simulation:
                 i, capacities[i], requesting, peer.ledger, declared, t
             )
             alloc[i] = enforce_feasibility(proposal, capacities[i], requesting)
+        credit_start = None
         if alloc_start is not None:
-            _SIM_ALLOC_NS.observe(time.perf_counter_ns() - alloc_start)
+            credit_start = time.perf_counter_ns()
+            _SIM_ALLOC_NS.observe(credit_start - alloc_start)
 
         weight = self.slot_seconds
         if self.feedback_interval == 1:
@@ -595,6 +607,8 @@ class Simulation:
                     _SIM_FEEDBACK_FLUSHES.inc()
         for hook in self._slot_end_hooks:
             hook(t)
+        if credit_start is not None:
+            _SIM_CREDIT_NS.observe(time.perf_counter_ns() - credit_start)
         if _OBS.enabled:
             _SIM_BATCHED_SLOTS.inc()
             _SIM_FAST_PEERS.set(n - len(self._slow_rows))
@@ -604,27 +618,34 @@ class Simulation:
 
     # -- shard-kernel engines (sparse, procs) --------------------------
 
-    def _step_compact(self) -> tuple[np.ndarray, ...]:
+    def _step_compact(self, dense: bool = False) -> tuple:
         """One slot over the active set, through the shard kernel(s).
 
         The shards sample, allocate and credit; this side owns what
-        spans them: the request set, the compact rates
+        spans them: the compact rates
         (:func:`~repro.sim.shard.column_sums`, once over the whole
         ``M`` so every consumer sees identical bits) and the trace
-        totals.  Returns ``(act, R, M, rates, requesting, capacities)``:
-        ``act`` (sorted) the givers with nonzero rows this slot, ``R``
-        (sorted) the requesters, ``M[r, a]`` the allocation from
-        ``act[r]`` to ``R[a]`` — the nonzero block of the dense
-        allocation matrix — and ``rates`` its column sums.
+        totals.  Returns ``(act, R, M, rates, vectors)``: ``R`` (sorted)
+        the requesters as the shards sampled them, ``act`` (sorted) the
+        givers with nonzero rows this slot, ``M[r, a]`` the allocation
+        from ``act[r]`` to ``R[a]`` — the nonzero block of the dense
+        allocation matrix — and ``rates`` its column sums.  ``vectors``
+        is the dense ``(requesting, capacities)`` pair when ``dense``
+        asks for it (built from the shards' class rows), else ``None``.
         """
         t = self._t
         shards = self._shards
-        requesting, capacities = shards.sample(t)
-        R = np.flatnonzero(requesting).astype(np.int64, copy=False)
-        alloc_start = time.perf_counter_ns() if _OBS.enabled else None
-        act, M = shards.alloc(t)
-        if alloc_start is not None:
-            _SIM_ALLOC_NS.observe(time.perf_counter_ns() - alloc_start)
+        timed = _OBS.enabled
+        start = time.perf_counter_ns() if timed else 0
+        R = shards.sample(t)
+        vectors = shards.vectors() if dense else None
+        if timed:
+            alloc_start = time.perf_counter_ns()
+            _SIM_SAMPLE_NS.observe(alloc_start - start)
+        act, M = shards.alloc(t, R)
+        if timed:
+            credit_start = time.perf_counter_ns()
+            _SIM_ALLOC_NS.observe(credit_start - alloc_start)
         rates = column_sums(M)
         weight = self.slot_seconds
         instant = self.feedback_interval == 1
@@ -635,6 +656,8 @@ class Simulation:
         pending = shards.credit(
             t, act, R, M, rates, weight, flush, _TRACER.enabled and not instant
         )
+        if timed:
+            _SIM_CREDIT_NS.observe(time.perf_counter_ns() - credit_start)
         if flush:
             if _TRACER.enabled:
                 if credited is None:
@@ -647,7 +670,7 @@ class Simulation:
             _SIM_FAST_PEERS.set(self.n - len(self._slow_rows))
         self._emit_slot_sparse(act, R, M, rates)
         self._t += 1
-        return act, R, M, rates, requesting, capacities
+        return act, R, M, rates, vectors
 
     def _pending_total(self, dumps) -> float:
         """``float(pending.sum())`` of the dense deferred-feedback
@@ -808,8 +831,8 @@ class Simulation:
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
                 if compact and not full:
-                    _, R, _, rates_c, req, caps = self._in_step_span(
-                        self._step_compact
+                    _, R, _, rates_c, (req, caps) = self._in_step_span(
+                        lambda: self._step_compact(dense=True)
                     )
                     rates[s, R] = rates_c
                 else:
@@ -846,7 +869,7 @@ class Simulation:
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
                 if compact:
-                    _, R, _, rates_c, _, _ = self._in_step_span(self._step_compact)
+                    _, R, _, rates_c, _ = self._in_step_span(self._step_compact)
                     metrics.jain.append(jain_index(rates_c) if R.size else 1.0)
                 else:
                     alloc, req, caps = self.step()

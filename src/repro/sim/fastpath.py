@@ -49,13 +49,12 @@ def thread_count() -> int:
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_uint8_p = ctypes.POINTER(ctypes.c_uint8)
-_c_int64_p = ctypes.POINTER(ctypes.c_int64)
-
-
-def _ptr(arr: np.ndarray, ctype):
-    return arr.ctypes.data_as(ctype)
+#: Arrays cross as ``arr.ctypes.data`` addresses through ``c_void_p``
+#: argtypes, as in :class:`repro.gf.bitmatmul.GF2Kernel`: a slot makes
+#: ~20 conversions, and ``data_as`` builds a typed pointer object each.
+_ptr = ctypes.c_void_p
+_i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 
 
 class FastAlloc:
@@ -69,77 +68,63 @@ class FastAlloc:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.repro_pairwise_sum.restype = ctypes.c_double
-        lib.repro_pairwise_sum.argtypes = [_c_double_p, ctypes.c_int64]
-        lib.repro_alloc_rows_eq2.restype = None
-        lib.repro_alloc_rows_eq2.argtypes = [
-            _c_double_p, _c_uint8_p, _c_double_p, _c_int64_p,
-            ctypes.c_int64, ctypes.c_int64, _c_double_p,
-        ]
-        lib.repro_alloc_rows_shared.restype = None
-        lib.repro_alloc_rows_shared.argtypes = [
-            _c_double_p, ctypes.c_double, _c_uint8_p, _c_double_p, _c_int64_p,
-            ctypes.c_int64, ctypes.c_int64, _c_double_p,
-        ]
-        lib.repro_ledger_tadd.restype = None
-        lib.repro_ledger_tadd.argtypes = [
-            _c_double_p, _c_double_p, ctypes.c_int64, ctypes.c_double,
-        ]
-        lib.repro_sparse_pairwise.restype = ctypes.c_double
-        lib.repro_sparse_pairwise.argtypes = [
-            _c_int64_p, _c_double_p, ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.repro_sparse_rows_eq2.restype = None
-        lib.repro_sparse_rows_eq2.argtypes = [
-            _c_int64_p, _c_int64_p, ctypes.c_int64, _c_int64_p,
-            ctypes.c_int64, ctypes.c_int64, _c_double_p, _c_double_p,
-            _c_double_p, ctypes.c_int64, _c_int64_p, _c_int64_p,
-            _c_int64_p, _c_int64_p, _c_double_p, ctypes.c_int64,
-        ]
-        lib.repro_sparse_rows_shared.restype = None
-        lib.repro_sparse_rows_shared.argtypes = [
-            _c_int64_p, _c_int64_p, ctypes.c_int64, _c_int64_p,
-            ctypes.c_int64, ctypes.c_int64, _c_double_p, ctypes.c_double,
-            _c_double_p, _c_double_p, ctypes.c_int64,
-        ]
-        lib.repro_sparse_scatter.restype = None
-        lib.repro_sparse_scatter.argtypes = [
-            _c_int64_p, ctypes.c_int64, _c_int64_p, ctypes.c_int64,
-            _c_double_p, ctypes.c_double, _c_double_p, ctypes.c_int64,
-            _c_int64_p, _c_int64_p, _c_int64_p, _c_int64_p,
-            _c_uint8_p, ctypes.c_int64,
-        ]
+        signatures = {
+            "repro_pairwise_sum": (_f64, [_ptr, _i64]),
+            "repro_alloc_rows_eq2": (None, [_ptr] * 4 + [_i64, _i64, _ptr]),
+            "repro_alloc_rows_shared": (
+                None, [_ptr, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr],
+            ),
+            "repro_ledger_tadd": (None, [_ptr, _ptr, _i64, _f64]),
+            "repro_sparse_pairwise": (_f64, [_ptr, _ptr, _i64, _i64]),
+            "repro_sparse_rows_eq2": (
+                None,
+                [_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64]
+                + [_ptr] * 5 + [_i64],
+            ),
+            "repro_sparse_rows_shared": (
+                None, [_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _f64, _ptr, _ptr, _i64],
+            ),
+            "repro_sparse_scatter": (
+                None,
+                [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64]
+                + [_ptr] * 5 + [_i64],
+            ),
+        }
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
 
     def pairwise_sum(self, a: np.ndarray) -> float:
-        return self._lib.repro_pairwise_sum(_ptr(a, _c_double_p), a.size)
+        return self._lib.repro_pairwise_sum(a.ctypes.data, a.size)
 
     def alloc_rows_eq2(self, ledger, req_u8, caps, rows, out) -> None:
         """Equation (2) + feasibility for ``rows`` of ``out`` in place."""
         self._lib.repro_alloc_rows_eq2(
-            _ptr(ledger, _c_double_p), _ptr(req_u8, _c_uint8_p),
-            _ptr(caps, _c_double_p), _ptr(rows, _c_int64_p),
-            rows.size, ledger.shape[0], _ptr(out, _c_double_p),
+            ledger.ctypes.data, req_u8.ctypes.data,
+            caps.ctypes.data, rows.ctypes.data,
+            rows.size, ledger.shape[0], out.ctypes.data,
         )
 
     def alloc_rows_shared(self, weights, total, req_u8, caps, rows, out) -> None:
         """Equation (3) + feasibility (shared masked weight vector)."""
         self._lib.repro_alloc_rows_shared(
-            _ptr(weights, _c_double_p), float(total), _ptr(req_u8, _c_uint8_p),
-            _ptr(caps, _c_double_p), _ptr(rows, _c_int64_p),
-            rows.size, weights.size, _ptr(out, _c_double_p),
+            weights.ctypes.data, float(total), req_u8.ctypes.data,
+            caps.ctypes.data, rows.ctypes.data,
+            rows.size, weights.size, out.ctypes.data,
         )
 
     def ledger_tadd(self, ledger, alloc, weight: float) -> None:
         """``ledger += alloc.T * weight`` (cache-tiled transpose add)."""
         self._lib.repro_ledger_tadd(
-            _ptr(ledger, _c_double_p), _ptr(alloc, _c_double_p),
+            ledger.ctypes.data, alloc.ctypes.data,
             ledger.shape[0], float(weight),
         )
 
     def sparse_pairwise(self, pos, val, length: int) -> float:
         """Dense ``float64[length].sum()`` from its materialised entries."""
         return self._lib.repro_sparse_pairwise(
-            _ptr(pos, _c_int64_p), _ptr(val, _c_double_p), pos.size, int(length)
+            pos.ctypes.data, val.ctypes.data, pos.size, int(length)
         )
 
     def sparse_rows_eq2(
@@ -148,13 +133,13 @@ class FastAlloc:
         """Equation (2) + feasibility over the active set, from the
         sparse ledger store (lazy decay caught up in-kernel)."""
         self._lib.repro_sparse_rows_eq2(
-            _ptr(act, _c_int64_p), _ptr(rowpos, _c_int64_p), act.size,
-            _ptr(R, _c_int64_p), R.size, store.n,
-            _ptr(caps, _c_double_p), _ptr(store.background, _c_double_p),
-            _ptr(store.forgetting, _c_double_p), store.epoch,
-            _ptr(store.stamps, _c_int64_p), _ptr(store.nnz, _c_int64_p),
-            _ptr(store.idx_addr, _c_int64_p), _ptr(store.val_addr, _c_int64_p),
-            _ptr(M, _c_double_p),
+            act.ctypes.data, rowpos.ctypes.data, act.size,
+            R.ctypes.data, R.size, store.n,
+            caps.ctypes.data, store.background.ctypes.data,
+            store.forgetting.ctypes.data, store.epoch,
+            store.stamps.ctypes.data, store.nnz.ctypes.data,
+            store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
+            M.ctypes.data,
             thread_count() if nthreads is None else nthreads,
         )
 
@@ -164,10 +149,10 @@ class FastAlloc:
         """Equation (3) + feasibility over the active set (shared
         masked weights ``wR`` at positions ``R`` and their total)."""
         self._lib.repro_sparse_rows_shared(
-            _ptr(act, _c_int64_p), _ptr(rowpos, _c_int64_p), act.size,
-            _ptr(R, _c_int64_p), R.size, int(n),
-            _ptr(wR, _c_double_p), float(total), _ptr(caps, _c_double_p),
-            _ptr(M, _c_double_p),
+            act.ctypes.data, rowpos.ctypes.data, act.size,
+            R.ctypes.data, R.size, int(n),
+            wR.ctypes.data, float(total), caps.ctypes.data,
+            M.ctypes.data,
             thread_count() if nthreads is None else nthreads,
         )
 
@@ -178,12 +163,12 @@ class FastAlloc:
         marks receivers the python merge must handle (new entries,
         dense islands)."""
         self._lib.repro_sparse_scatter(
-            _ptr(act, _c_int64_p), act.size, _ptr(R, _c_int64_p), R.size,
-            _ptr(M, _c_double_p), float(weight),
-            _ptr(store.forgetting, _c_double_p), store.epoch,
-            _ptr(store.stamps, _c_int64_p), _ptr(store.nnz, _c_int64_p),
-            _ptr(store.idx_addr, _c_int64_p), _ptr(store.val_addr, _c_int64_p),
-            _ptr(ok, _c_uint8_p),
+            act.ctypes.data, act.size, R.ctypes.data, R.size,
+            M.ctypes.data, float(weight),
+            store.forgetting.ctypes.data, store.epoch,
+            store.stamps.ctypes.data, store.nnz.ctypes.data,
+            store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
+            ok.ctypes.data,
             thread_count() if nthreads is None else nthreads,
         )
 

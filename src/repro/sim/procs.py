@@ -184,19 +184,27 @@ class ProcsCoordinator:
 
     # -- the slot phases -----------------------------------------------
 
-    def sample(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The global ``(requesting, capacities)`` of slot ``t``."""
+    def sample(self, t: int) -> np.ndarray:
+        """The population's requesters of slot ``t`` (sorted global ids),
+        read off the shared request vector."""
         if self._sampled != t or self._closed:
             # Only the first slot pays a dedicated sample round-trip (the
             # workers sample ahead after each credit) — and a closed
             # coordinator, whose broadcast raises.
             self._broadcast(("sample", t))
             self._gather()
+        return np.flatnonzero(self.vec.requesting).astype(np.int64, copy=False)
+
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the global ``(requesting, capacities)`` of the slot
+        just sampled — read before :meth:`credit`, after which the
+        workers sample the next slot into the same vectors."""
         return np.array(self.vec.requesting), np.array(self.vec.capacities)
 
-    def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def alloc(self, t: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(act, M)`` over the whole population, shard blocks stacked
-        in shard order (globally sorted givers)."""
+        in shard order (globally sorted givers); each worker reads ``R``
+        off the shared request vector itself."""
         self._broadcast(("alloc", t))
         blocks = self._gather()
         return (
@@ -299,15 +307,17 @@ def _worker_main(configs, lo, hi, kernel_args, vec: SlotVectors, conn) -> None:
 
 class _ShardWorker:
     """One kernel's adapter to the transport (runs inside the worker):
-    its arrays go into this shard's slice of the shared slot vectors
-    and come out of them and the :class:`CreditBatch` messages."""
+    its slot vectors go into this shard's slice of the shared ones, and
+    the shared ones answer for the population when the kernel
+    allocates (its ``slot`` argument)."""
 
     def __init__(self, kernel: ShardKernel, vec: SlotVectors):
         self.kernel = kernel
         self.vec = vec
 
     def sample(self, t: int) -> None:
-        requesting, capacities, declared = self.kernel.sample(t)
+        self.kernel.sample(t)
+        requesting, capacities, declared = self.kernel.vectors()
         lo, hi = self.kernel.lo, self.kernel.hi
         self.vec.requesting[lo:hi] = requesting
         self.vec.capacities[lo:hi] = capacities
@@ -315,9 +325,15 @@ class _ShardWorker:
             self.vec.declared[lo:hi] = declared
 
     def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        R = np.flatnonzero(self.vec.requesting).astype(np.int64, copy=False)
+        return self.kernel.alloc(t, R, self)
+
+    def declared_of(self, R: np.ndarray) -> np.ndarray:
+        return self.vec.declared[R]
+
+    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         vec = self.vec
-        return self.kernel.alloc(
-            t,
+        return (
             np.array(vec.requesting),
             np.array(vec.capacities),
             np.array(vec.declared) if self.kernel.needs_declared else None,

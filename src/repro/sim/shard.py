@@ -6,17 +6,25 @@ contiguous peer range ``[lo, hi)`` of an ``n``-peer population is a
 self-contained unit of work.  :class:`ShardKernel` is that unit, and the
 only implementation of the large-``n`` slot step: it owns the range's
 ledger rows, sampling plans, deferred feedback and streaming sums, and
-runs a slot as three array-in/array-out phases:
+runs a slot as three array-in/array-out phases over the *active set*:
 
-1. :meth:`~ShardKernel.sample` — the range's slice of the request
-   indicators, capacities and declared capacities;
-2. :meth:`~ShardKernel.alloc` — given the *global* vectors, the range's
-   rows of the compact allocation matrix ``M`` (active givers x
+1. :meth:`~ShardKernel.sample` — the range's requesters ``R`` (sorted
+   global ids), gathered from the members of the slot's requesting
+   sampling classes;
+2. :meth:`~ShardKernel.alloc` — given the population's ``R``, the
+   range's rows of the compact allocation matrix ``M`` (active givers x
    requesters): Equation (2)/(3) plus feasibility, through the native
-   kernels when available;
+   kernels when available.  The active givers are the members of the
+   positive-capacity classes, their capacities the class rows';
 3. :meth:`~ShardKernel.credit` — given the range's column block of
    ``M``, the ledger credit (or its deferral), the allocators' slot-end
    hooks and the metrics fold.
+
+None of the three touches a per-peer vector: a slot costs O(classes +
+|R| + givers x |R|).  The dense request / capacity / declared vectors
+are built from the class rows only on demand (:meth:`~ShardKernel.vectors`)
+— for dense-island peers, ``Simulation.step()`` and recorded histories,
+and the ``procs`` transport's shared slot vectors.
 
 Who moves the arrays between kernels is not the kernel's business:
 ``engine="sparse"`` is one kernel over ``[0, n)`` called in-process
@@ -61,6 +69,11 @@ __all__ = [
 
 #: Slots of demand/capacity pre-sampled per blockable peer at a time.
 TIME_BLOCK = 256
+
+#: Allocator kinds, the minor key of the member table: closed-form
+#: Equation (2) rows, closed-form Equation (3) rows, dense islands.
+_EQ2, _EQ3, _SLOW = 0, 1, 2
+_KINDS = 3
 
 #: What the time-block length rule budgets for 9 bytes per peer per slot
 #: over the whole population (see ``ShardKernel.__init__``).
@@ -236,19 +249,24 @@ class ShardKernel:
     ``configs`` is the whole population (``n = len(configs)``); the
     kernel keeps only its slice.  It owns the range's
     :class:`~repro.sim.sparse.SparseLedgers` rows (plus a dense-island
-    :class:`~repro.sim.peer.PeerState` per slow-path peer), the eq2 /
-    eq3 / slow partition, the per-class demand/capacity prefetch tables,
-    the deferred-feedback buffer and, during a ``history="none"`` run, a
+    :class:`~repro.sim.peer.PeerState` per slow-path peer), the member
+    table, the per-class demand/capacity prefetch tables, the
+    deferred-feedback buffer and, during a ``history="none"`` run, a
     :class:`ClassFold`.  Each peer belongs to one **sampling class**
     (``class_of``): peers of a class share their deterministic demand
     group and their capacity group, so they request and contribute
     alike every slot; an rng-drawn or slot-sampled peer is a class of
-    its own.  Sampling and the metrics fold work per class, and one
-    ``take`` through ``class_of`` spreads a slot over the peers.  Row
-    indices into the store and ``class_of`` are shard-local; every
-    giver/taker/column index crossing the API is global, and per-peer
-    RNG streams are seeded by global index, so the split never changes a
-    draw.  ``needs_declared`` is the population-wide
+    its own.  The **member table** is the inverse of ``class_of``: the
+    range's rows grouped by class and, within a class, by allocator
+    kind (eq2, eq3, slow), ascending within each group — one CSR table
+    whose cells are ``(class, kind)`` pairs.  A slot's requesters are
+    the members of its requesting classes and its active givers the
+    eq2 / eq3 members of its positive-capacity classes, so sampling and
+    selection read class rows, never a per-peer vector.  Row indices
+    into the store, ``class_of`` and the member table are shard-local;
+    every giver/taker/column index crossing the API is global, and
+    per-peer RNG streams are seeded by global index, so the split never
+    changes a draw.  ``needs_declared`` is the population-wide
     :func:`needs_declared` answer.
     """
 
@@ -308,9 +326,9 @@ class ShardKernel:
         for i, cfg in enumerate(configs):
             cls = type(cfg.allocator)
             if cls is PeerwiseProportionalAllocator:
-                eq2.append(lo + i)
+                eq2.append(i)
             elif cls is GlobalProportionalAllocator:
-                eq3.append(lo + i)
+                eq3.append(i)
             else:
                 island = self.store.dense_row(i)
                 self._slow_peers.append(
@@ -334,8 +352,6 @@ class ShardKernel:
                 _group_rows(cap_groups, cap_by_id, c, _capacity_group_key).append(i)
             else:
                 self._slot_capacity.append(i)
-        self._eq2_rows = np.asarray(eq2, dtype=np.int64)
-        self._eq3_rows = np.asarray(eq3, dtype=np.int64)
         self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
         self._declared_vals = np.array([v for _, v in overrides])
         # Sampling classes: a peer's demand column is its group's, or
@@ -365,6 +381,18 @@ class ShardKernel:
             list(zip(rows, class_of[rows].tolist()))
             for rows in (self._rng_demand, self._slot_demand, self._slot_capacity)
         )
+        # Member table: rows sorted by cell = class * _KINDS + kind
+        # (stable, so ascending within a cell); cell c's members are
+        # _members[_cells[c] : _cells[c + 1]], as int32 local rows.
+        kind = np.full(hi - lo, _SLOW, dtype=np.intp)
+        kind[eq2] = _EQ2
+        kind[eq3] = _EQ3
+        cell = self._class_of * _KINDS + kind
+        self._members = np.argsort(cell, kind="stable").astype(np.int32)
+        self._cells = np.zeros(self.classes * _KINDS + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(cell, minlength=self.classes * _KINDS), out=self._cells[1:]
+        )
         self._rngs = _LazyRngs(seed)
         # Prefetch window.  The tables hold one bool and one float64 per
         # class per slot, but the length rule is still the one sized for
@@ -378,6 +406,8 @@ class ShardKernel:
         #: The per-class request/capacity rows of the slot last sampled
         #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
+        #: That slot's dense vectors, once :meth:`vectors` built them.
+        self._dense = None
         #: Deferred feedback (feedback_interval > 1): global receiver id
         #: -> [sorted giver ids, accumulated credit values].
         self._pending: dict[int, list[np.ndarray]] = {}
@@ -402,10 +432,9 @@ class ShardKernel:
         for cap, cols in self._cap_groups:
             self._cap_block[:, cols] = cap.values(t, block)[:, None]
 
-    def sample(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """This range's ``(requesting, capacities, declared)`` for slot
-        ``t`` — ``declared`` is ``None`` unless the population needs it.
-        Fresh arrays, gathered from the slot's class rows."""
+    def sample(self, t: int) -> np.ndarray:
+        """This range's requesters of slot ``t``: sorted global ids, the
+        members of the slot's requesting classes."""
         if not self._block_start <= t < self._block_start + self._block:
             self._refresh_blocks(t)
         off = t - self._block_start
@@ -416,40 +445,94 @@ class ShardKernel:
         for i, c in self._slot_capacity:
             cap_row[c] = self.configs[i].capacity.value(t)
         self._req_row, self._cap_row = req_row, cap_row
-        requesting = req_row.take(self._class_of)
-        capacities = cap_row.take(self._class_of)
-        declared = None
-        if self.needs_declared:
-            declared = capacities.copy()
-            if self._declared_idx.size:
-                declared[self._declared_idx] = self._declared_vals
-        return requesting, capacities, declared
+        self._dense = None
+        classes = np.flatnonzero(req_row)
+        return self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
+
+    def _gather(self, cells: np.ndarray) -> np.ndarray:
+        """The members of ``cells`` (ascending cell ids) as sorted
+        global ids: a slice when one cell is nonempty, else a gather of
+        the cells' ranges and one sort of the result."""
+        starts = self._cells[cells]
+        lens = self._cells[cells + 1] - starts
+        full = np.flatnonzero(lens)
+        if full.size <= 1:
+            start = int(starts[full[0]]) if full.size else 0
+            stop = start + (int(lens[full[0]]) if full.size else 0)
+            rows = self._members[start:stop]
+        else:
+            starts, lens = starts[full], lens[full]
+            ends = np.cumsum(lens)
+            rows = self._members[np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])]
+            rows.sort()
+        return np.add(rows, self.lo, dtype=np.int64)
+
+    def active_givers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``((act2, caps2), (act3, caps3))`` of the slot last sampled:
+        the eq2 and eq3 members of its positive-capacity classes (sorted
+        global ids) and their capacities, read from the class row."""
+        classes = np.flatnonzero(self._cap_row > 0.0) * _KINDS
+        out = []
+        for kind in (_EQ2, _EQ3):
+            act = self._gather(classes + kind)
+            out.append((act, self._cap_row[self._class_of[act - self.lo]]))
+        return tuple(out)
+
+    def declared_of(self, R: np.ndarray) -> np.ndarray:
+        """Declared capacities of the slot last sampled at global ids
+        ``R`` (sorted, within the range): the class row's capacities
+        with the per-peer overrides applied."""
+        local = R - self.lo
+        declared = self._cap_row[self._class_of[local]]
+        idx = self._declared_idx
+        if idx.size and local.size:
+            pos = np.minimum(np.searchsorted(idx, local), idx.size - 1)
+            hit = idx[pos] == local
+            declared[hit] = self._declared_vals[pos[hit]]
+        return declared
+
+    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """This range's dense ``(requesting, capacities, declared)`` of
+        the slot last sampled, spread from the class rows on first call
+        (``declared`` is ``None`` unless the population needs it)."""
+        if self._dense is None:
+            requesting = self._req_row.take(self._class_of)
+            capacities = self._cap_row.take(self._class_of)
+            declared = None
+            if self.needs_declared:
+                declared = capacities.copy()
+                if self._declared_idx.size:
+                    declared[self._declared_idx] = self._declared_vals
+            self._dense = requesting, capacities, declared
+        return self._dense
 
     # -- phase 2: allocation -------------------------------------------
 
-    def alloc(
-        self,
-        t: int,
-        requesting: np.ndarray,
-        capacities: np.ndarray,
-        declared: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def alloc(self, t: int, R: np.ndarray, slot) -> tuple[np.ndarray, np.ndarray]:
         """This range's rows of the compact allocation matrix.
 
-        Takes the *global* slot vectors; returns ``(act, M)`` with
-        ``act`` the range's givers with nonzero rows this slot (global
-        ids, sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
-        the ``a``-th requester of the whole population — the nonzero
-        block of the dense allocation matrix's rows ``[lo, hi)``.
+        ``R`` is the *population's* requesters (sorted global ids) and
+        ``slot`` answers for the population's slot vectors:
+        ``slot.declared_of(R)`` (read when an eq3 giver is active) and
+        ``slot.vectors()`` (read when the range has dense-island peers)
+        — the kernel itself when it spans the population, the shared
+        slot vectors under ``procs``.  Returns ``(act, M)`` with ``act``
+        the range's givers with nonzero rows this slot (global ids,
+        sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
+        ``R[a]`` — the nonzero block of the dense allocation matrix's
+        rows ``[lo, hi)``.
         """
-        R = np.flatnonzero(requesting).astype(np.int64, copy=False)
         A = R.size
-        eq2, eq3 = self._eq2_rows, self._eq3_rows
-        act2 = eq2[capacities[eq2] > 0.0] if A else eq2[:0]
-        act3 = eq3[capacities[eq3] > 0.0] if A else eq3[:0]
+        empty = np.empty(0, dtype=np.int64)
+        if A:
+            (act2, caps2), (act3, caps3) = self.active_givers()
+        else:
+            act2 = act3 = empty
         # Slow rows run the untouched per-peer path every slot (their
         # allocators may be stateful), compacted onto the active set.
         slow_pairs: list[tuple[int, np.ndarray]] = []
+        if self._slow_peers:
+            requesting, capacities, declared = slot.vectors()
         for peer in self._slow_peers:
             i = peer.index
             proposal = peer.config.allocator.allocate(
@@ -460,28 +543,30 @@ class ShardKernel:
                 if row.any():
                     slow_pairs.append((i, row[R]))
         nact = act2.size + act3.size + len(slow_pairs)
-        if A and nact:
-            slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
-            cat = np.concatenate([act2, act3, slow_act])
-            order = np.argsort(cat, kind="stable")
-            act = np.ascontiguousarray(cat[order])
-            # Output row position of each source row: rates sum columns
-            # over rows in ascending global order, so M is kept sorted.
-            rowpos = np.empty(nact, dtype=np.int64)
-            rowpos[order] = np.arange(nact, dtype=np.int64)
-            M = np.empty((nact, A))
-            self._eq2_block(act2, rowpos[: act2.size], R, capacities, M)
-            n23 = act2.size + act3.size
-            self._eq3_block(act3, rowpos[act2.size : n23], R, declared, capacities, M)
-            for (_, row), p in zip(slow_pairs, rowpos[n23:]):
-                M[p] = row
-        else:
-            act = np.empty(0, dtype=np.int64)
-            M = np.empty((0, A))
+        if not (A and nact):
+            return empty, np.empty((0, A))
+        slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
+        cat = np.concatenate([act2, act3, slow_act])
+        order = np.argsort(cat, kind="stable")
+        act = np.ascontiguousarray(cat[order])
+        # Output row position of each source row: rates sum columns
+        # over rows in ascending global order, so M is kept sorted.
+        rowpos = np.empty(nact, dtype=np.int64)
+        rowpos[order] = np.arange(nact, dtype=np.int64)
+        M = np.empty((nact, A))
+        self._eq2_block(act2, rowpos[: act2.size], R, caps2, M)
+        n23 = act2.size + act3.size
+        if act3.size:
+            self._eq3_block(
+                act3, rowpos[act2.size : n23], R, slot.declared_of(R), caps3, M
+            )
+        for (_, row), p in zip(slow_pairs, rowpos[n23:]):
+            M[p] = row
         return act, M
 
-    def _eq2_block(self, act, rowpos, R, capacities, M) -> None:
-        """Equation (2) + feasibility for the active eq2 givers.
+    def _eq2_block(self, act, rowpos, R, caps, M) -> None:
+        """Equation (2) + feasibility for the active eq2 givers ``act``
+        (capacities ``caps``).
 
         Writes ``M[rowpos[r]]`` for each ``act[r]``; bit-identical to
         ``enforce_feasibility(allocate(...))`` on the dense vectors
@@ -497,13 +582,10 @@ class ShardKernel:
             # The kernel indexes the store's row tables by the ids it
             # is given (shard-local), while R and store.n keep the
             # column space global.
-            self._kernels.sparse_rows_eq2(
-                store, local, rowpos, R, np.ascontiguousarray(capacities[act]), M
-            )
+            self._kernels.sparse_rows_eq2(store, local, rowpos, R, caps, M)
             return
         n = self.n
-        for i, g, p in zip(local.tolist(), act.tolist(), rowpos.tolist()):
-            cap = float(capacities[g])
+        for i, cap, p in zip(local.tolist(), caps.tolist(), rowpos.tolist()):
             w = store.row_at(i, R)
             total = sparse_pairwise(R, w, n)
             if total <= 0.0:
@@ -513,24 +595,19 @@ class ShardKernel:
             row /= total
             M[p] = _feasibility(row, cap, R, n)
 
-    def _eq3_block(self, act, rowpos, R, declared, capacities, M) -> None:
+    def _eq3_block(self, act, rowpos, R, wR, caps, M) -> None:
         """Equation (3) + feasibility for the active eq3 givers (one
-        shared weight vector and total for the whole group)."""
-        if not act.size:
-            return
+        shared weight vector ``wR``, the declared capacities at ``R``,
+        and one total for the whole group)."""
         n = self.n
-        wR = np.ascontiguousarray(declared[R], dtype=np.float64)
         total = sparse_pairwise(R, wR, n)
         if total <= 0.0:
             M[rowpos] = 0.0
             return
         if self.native:
-            self._kernels.sparse_rows_shared(
-                act, rowpos, R, wR, total, np.ascontiguousarray(capacities[act]), M, n
-            )
+            self._kernels.sparse_rows_shared(act, rowpos, R, wR, total, caps, M, n)
             return
-        for g, p in zip(act.tolist(), rowpos.tolist()):
-            cap = float(capacities[g])
+        for cap, p in zip(caps.tolist(), rowpos.tolist()):
             row = cap * wR
             row /= total
             # Declared capacities may be negative (lies go both ways);
@@ -675,14 +752,16 @@ class ShardKernel:
         return self.store.materialize()
 
     def stats(self) -> dict:
-        """Bounds, resident bytes (ledger store, ``class_of`` and the
-        prefetch tables) and ledger entry accounting."""
+        """Bounds, resident bytes (ledger store, ``class_of``, the member
+        table and the prefetch tables) and ledger entry accounting."""
         return {
             "lo": self.lo,
             "hi": self.hi,
             "memory_bytes": int(
                 self.store.nbytes
                 + self._class_of.nbytes
+                + self._members.nbytes
+                + self._cells.nbytes
                 + self._req_block.nbytes
                 + self._cap_block.nbytes
             ),
@@ -712,8 +791,9 @@ class LocalShard:
     """``engine="sparse"``: one kernel over ``[0, n)``, called in-process.
 
     Same phase surface as :class:`~repro.sim.procs.ProcsCoordinator`
-    (``sample`` / ``alloc`` / ``credit`` plus metrics and inspection),
-    with plain numpy vectors standing in for the transport.
+    (``sample`` / ``alloc`` / ``credit`` / ``vectors`` plus metrics and
+    inspection); the kernel spans the population, so it answers for the
+    slot vectors its own ``alloc`` reads.
     """
 
     #: Bytes the transport itself holds (none: there is no transport).
@@ -724,17 +804,16 @@ class LocalShard:
             configs, 0, len(configs), needs_declared=needs_declared(configs), **kernel_args
         )
         self.native = kernel.native
+        self.sample = kernel.sample
         self.credit = kernel.credit
         self.begin_metrics = kernel.begin_metrics
         self.credit_matrix = kernel.materialize
-        self._vectors = None
 
-    def sample(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        self._vectors = self.kernel.sample(t)
-        return self._vectors[:2]
+    def alloc(self, t: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.kernel.alloc(t, R, self.kernel)
 
-    def alloc(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.kernel.alloc(t, *self._vectors)
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.kernel.vectors()[:2]
 
     def end_metrics(self) -> list[StreamingMetrics]:
         return [self.kernel.end_metrics()]

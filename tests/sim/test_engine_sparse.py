@@ -255,6 +255,19 @@ def test_reduced_history_raises_and_roundtrips():
         Simulation(_history_configs(), seed=4).run(5, history="bogus")
 
 
+@pytest.mark.parametrize("engine", ["sparse", "batched"])
+def test_metrics_time_every_slot_phase(engine):
+    """With metrics on, each slot records its sample / allocate / credit
+    split — the three histograms ``repro stats`` lists."""
+    with obs.observability(reset=True):
+        Simulation(_history_configs(), seed=4, engine=engine).run(9, history="none")
+        snap = obs.REGISTRY.snapshot()
+    for phase in ("sample", "alloc", "credit"):
+        hist = snap[f"repro.sim.{phase}_ns"]
+        assert hist["count"] == 9, phase
+        assert hist["min"] >= 0, phase
+
+
 # -- auto-selection and its trace event ------------------------------------
 
 

@@ -2,11 +2,16 @@
 
 Peers sharing a deterministic demand group and a capacity group form
 one class; an rng-drawn or slot-sampled peer is a class of its own.
-The kernel's prefetch tables are ``(block, classes)`` and one ``take``
-through ``class_of`` spreads a slot over the peers.  These tests pin
-that the slot vectors are the batched engine's bits whatever the block
-length or the shard split, and that the tables do not grow with ``n``.
+The kernel's prefetch tables are ``(block, classes)``; a slot's
+requesters and active givers are gathered from the member table of the
+requesting / positive-capacity classes, and the dense vectors are
+spread through ``class_of`` only on demand.  These tests pin that the
+slot vectors are the batched engine's bits whatever the block length or
+the shard split, and that neither the tables nor a warm slot's
+allocations grow with ``n``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,10 +157,31 @@ def test_prefetch_tables_do_not_grow_with_n():
         sim = sparse_population_sim(n=n, cohorts=64, givers=16, slots=256, engine="sparse")
         kernel = sim._shards.kernel
         (stats,) = sim.shard_stats()
-        prefetch = stats["memory_bytes"] - kernel.store.nbytes - kernel._class_of.nbytes
+        index = kernel._class_of.nbytes + kernel._members.nbytes + kernel._cells.nbytes
+        prefetch = stats["memory_bytes"] - kernel.store.nbytes - index
         assert kernel.classes == 65
         assert kernel._req_block.shape == (kernel._block, 65)
         per_slot.append(prefetch / kernel._block)
         totals.append(prefetch)
     assert per_slot[0] == per_slot[1] == 65 * 9
     assert totals[1] <= totals[0]
+
+
+def test_warm_slot_peak_follows_the_active_set_not_n():
+    """A warm slot allocates for its requesters and givers, not for the
+    population: the tracemalloc peak of one slot at n = 10^5 (64 cohorts
+    of ~1562) is within 1.5x of the same at n = 2 * 10^4 (13 cohorts of
+    ~1537).  A per-peer vector built per slot (800 kB of capacities at
+    10^5) breaks the bound."""
+    peaks = []
+    for n, cohorts in ((20_000, 13), (100_000, 64)):
+        sim = sparse_population_sim(n=n, cohorts=cohorts, givers=16, slots=512, engine="sparse")
+        sim.run(2 * cohorts, history="none")  # every cohort has met the givers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim._step_compact()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

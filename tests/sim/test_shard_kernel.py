@@ -28,15 +28,20 @@ from repro.core import (
 )
 from repro.core.ledger import DEFAULT_INITIAL_CREDIT
 from repro.sim import (
+    AlwaysOn,
     BernoulliDemand,
+    NeverRequests,
     PeerConfig,
+    ScheduleDemand,
     Simulation,
+    StepCapacity,
     StreamingMetrics,
     fastpath,
 )
 from repro.sim.shard import ShardKernel, column_sums, needs_declared
 
 from test_engine_batched import adversarial_configs
+from test_sampling_classes import SlotCapacity, SlotDemand
 
 SHARD_COUNTS = (1, 2, 3, 5)
 SUMS = (
@@ -64,20 +69,31 @@ def backend(native):
             yield
 
 
-def run_split(
-    configs, workers, slots, seed=3, feedback_interval=1, evict_age=None,
-    slot_seconds=1.0,
-):
-    """Step ``workers`` kernels over a contiguous split of ``configs``.
+class SplitSlot:
+    """The population's slot vectors over W in-process kernels: what
+    ``ShardKernel.alloc`` reads as its ``slot`` argument — the kernel
+    itself under ``sparse``, the shared slot vectors under ``procs``."""
 
-    Returns ``(rates, credit, metrics)``: the ``(slots, n)`` rate
-    record, the stacked ``(n, n)`` credit matrix and the merged
-    :class:`StreamingMetrics`.
-    """
+    def __init__(self, kernels):
+        self.kernels = kernels
+
+    def declared_of(self, R):
+        cuts = np.searchsorted(R, [k.hi for k in self.kernels[:-1]])
+        return np.concatenate(
+            [k.declared_of(part) for k, part in zip(self.kernels, np.split(R, cuts))]
+        )
+
+    def vectors(self):
+        parts = zip(*(k.vectors() for k in self.kernels))
+        return tuple(None if p[0] is None else np.concatenate(p) for p in parts)
+
+
+def make_kernels(configs, workers, seed=3, feedback_interval=1, evict_age=None):
+    """``workers`` kernels over a contiguous split of ``configs``."""
     n = len(configs)
     workers = min(workers, n)
     bounds = [(w * n) // workers for w in range(workers + 1)]
-    kernels = [
+    return [
         ShardKernel(
             configs,
             lo,
@@ -90,27 +106,30 @@ def run_split(
         )
         for lo, hi in zip(bounds, bounds[1:])
     ]
+
+
+def run_split(
+    configs, workers, slots, seed=3, feedback_interval=1, evict_age=None,
+    slot_seconds=1.0,
+):
+    """Step ``workers`` kernels over a contiguous split of ``configs``.
+
+    Returns ``(rates, credit, metrics)``: the ``(slots, n)`` rate
+    record, the stacked ``(n, n)`` credit matrix and the merged
+    :class:`StreamingMetrics`.
+    """
+    n = len(configs)
+    kernels = make_kernels(configs, workers, seed, feedback_interval, evict_age)
+    slot = SplitSlot(kernels)
     for kernel in kernels:
         kernel.begin_metrics(slots)
-    requesting = np.zeros(n, dtype=bool)
-    capacities = np.zeros(n)
-    declared = np.zeros(n)
     rates = np.zeros((slots, n))
     metrics = StreamingMetrics(n, slots)
     for t in range(slots):
-        for k in kernels:
-            req, caps, dec = k.sample(t)
-            requesting[k.lo : k.hi] = req
-            capacities[k.lo : k.hi] = caps
-            if dec is not None:
-                declared[k.lo : k.hi] = dec
-        blocks = [
-            k.alloc(t, requesting.copy(), capacities.copy(), declared.copy())
-            for k in kernels
-        ]
+        R = np.concatenate([k.sample(t) for k in kernels])
+        blocks = [k.alloc(t, R, slot) for k in kernels]
         act = np.concatenate([a for a, _ in blocks])
         M = np.vstack([m for _, m in blocks])
-        R = np.flatnonzero(requesting)
         rates_c = column_sums(M)  # once, over the whole M
         rates[t, R] = rates_c
         flush = (t + 1) % feedback_interval == 0
@@ -257,6 +276,85 @@ def test_eviction_sweeps_are_split_invariant(native, evict_age, feedback, seed):
         one = run_split(make_configs(), 1, 30, **kwargs)
         for workers in SHARD_COUNTS[1:]:
             assert_same(one, run_split(make_configs(), workers, 30, **kwargs), workers)
+
+
+@both_backends
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_compact_selection_matches_dense_derivation(native, data):
+    """Over any contiguous split, the requesters, the active eq2 / eq3
+    givers with their capacities and the declared capacities at ``R``
+    that the kernels read from class rows are what the dense vectors of
+    the reference loop give: ``flatnonzero(requesting)``, ``eq2[caps[eq2]
+    > 0]`` and ``declared[R]``."""
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    allocators = [
+        PeerwiseProportionalAllocator,
+        GlobalProportionalAllocator,
+        IsolationAllocator,
+        lambda: WithholdingAllocator(0.5),
+    ]
+    cohorts = [ScheduleDemand([(t, t + 2) for t in range(c, 16, 3)]) for c in range(3)]
+    demands = [
+        lambda: AlwaysOn(),
+        lambda: NeverRequests(),
+        lambda: cohorts[0],
+        lambda: cohorts[1],
+        lambda: cohorts[2],
+        lambda: BernoulliDemand(0.4),
+        lambda: SlotDemand(0.3),
+    ]
+    stepped = StepCapacity([(0, 300.0), (5, 0.0), (9, 700.0)])
+    capacities = [
+        lambda: 0.0,
+        lambda: 250.0,
+        lambda: stepped,
+        lambda: SlotCapacity(90.0),
+    ]
+    pick = lambda options: st.lists(  # noqa: E731
+        st.integers(0, len(options) - 1), min_size=n, max_size=n
+    )
+    alloc_of, demand_of, cap_of = (data.draw(pick(o)) for o in (allocators, demands, capacities))
+    overrides = data.draw(
+        st.lists(st.sampled_from([None, None, 0.0, 800.0]), min_size=n, max_size=n)
+    )
+    workers = data.draw(st.integers(min_value=1, max_value=4))
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+
+    def make_configs():
+        return [
+            PeerConfig(
+                capacity=capacities[cap_of[i]](),
+                demand=demands[demand_of[i]](),
+                allocator=allocators[alloc_of[i]](),
+                declared_capacity=overrides[i],
+            )
+            for i in range(n)
+        ]
+
+    kind = np.array(alloc_of)
+    eq2, eq3 = np.flatnonzero(kind == 0), np.flatnonzero(kind == 1)
+    ref = Simulation(make_configs(), seed=seed, engine="reference")
+    with backend(native):
+        kernels = make_kernels(make_configs(), workers, seed)
+    for t in range(16):
+        _, requesting, caps = ref.step()
+        declared = np.array([p.declared_at(t) for p in ref.peers])
+        R = np.concatenate([k.sample(t) for k in kernels])
+        assert R.dtype == np.int64
+        assert R.tobytes() == np.flatnonzero(requesting).astype(np.int64).tobytes()
+        for k in kernels:
+            mine = R[(R >= k.lo) & (R < k.hi)]
+            assert k.declared_of(mine).tobytes() == declared[mine].tobytes()
+            for (act, act_caps), rows in zip(k.active_givers(), (eq2, eq3)):
+                rows = rows[(rows >= k.lo) & (rows < k.hi)]
+                want = rows[caps[rows] > 0.0].astype(np.int64)
+                assert act.tobytes() == want.tobytes(), t
+                assert act_caps.tobytes() == caps[want].tobytes(), t
 
 
 @pytest.mark.parametrize("engine,workers", [("sparse", None), ("procs", 2)])
