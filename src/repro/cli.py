@@ -739,8 +739,6 @@ def _simulate(args: argparse.Namespace) -> int:
             "--workers only applies to --engine procs on the 'scale' and "
             "'churn-scale' scenarios"
         )
-    if args.evict_age is not None and args.scenario != "churn-scale":
-        raise SystemExit("--evict-age only applies to the 'churn-scale' scenario")
     if args.scenario == "repair":
         return _simulate_repair(args)
     if args.scenario in ("scale", "churn-scale"):
@@ -788,9 +786,9 @@ def _simulate_population(args: argparse.Namespace) -> int:
     """Run a cohort-structured population scenario on the sparse engines.
 
     ``scale`` is the sparse-engine showcase; ``churn-scale`` adds giver
-    churn (contributor generations join and leave) and, with
-    ``--evict-age``, sweeps the departed generations' ledger entries so
-    the printed bytes/peer stays bounded by the live giver set.
+    churn (contributor generations join and leave).  Ledgers are
+    cumulative, so the departed generations' entries stay and the
+    printed bytes/peer grows with every generation a consumer met.
 
     Aggregate-only history: per-slot arrays would dominate the memory
     the sparse engine exists to save, so the printout reports the O(n)
@@ -806,7 +804,6 @@ def _simulate_population(args: argparse.Namespace) -> int:
         givers, slots = 16, 64
         sim = sparse_population_sim(givers=givers, slots=slots, **common)
         shape = f"{givers} givers"
-        eviction = ""
     else:
         per_phase, phases, phase_slots = 16, 4, 32
         slots = phases * phase_slots
@@ -814,12 +811,9 @@ def _simulate_population(args: argparse.Namespace) -> int:
             givers_per_phase=per_phase,
             phases=phases,
             phase_slots=phase_slots,
-            evict_age=args.evict_age,
             **common,
         )
         shape = f"{phases} giver generations x {per_phase}"
-        evict = "off" if args.evict_age is None else f"age {args.evict_age}"
-        eviction = f" (eviction {evict})"
     with sim:
         result = sim.run(slots, history="none")
         state = sim.memory_bytes()
@@ -830,7 +824,7 @@ def _simulate_population(args: argparse.Namespace) -> int:
         f"scenario {args.scenario}: {slots} slots x {n} peers "
         f"({shape}, {cohorts} request cohorts, backend {sim.backend})"
     )
-    print(f"engine state: {state / n:.1f} bytes/peer{eviction}")
+    print(f"engine state: {state / n:.1f} bytes/peer")
     print(
         f"served {served:.0f} kbps-slots over {requests} request-slots "
         f"({served / max(1, requests):.1f} kbps mean while requesting)"
@@ -1155,11 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="W",
         help="shard worker processes, with --engine procs only "
         "(default: min(4, usable CPUs))",
-    )
-    simp.add_argument(
-        "--evict-age", type=int, default=None, metavar="EPOCHS",
-        help="churn-scale only: evict sparse ledger entries unwritten "
-        "for this many feedback flushes (changes results; off by default)",
     )
     simp.add_argument(
         "--faults", default=None, metavar="SPEC",

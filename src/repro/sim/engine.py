@@ -165,17 +165,15 @@ class Simulation:
         ``"reference"`` forces the original per-peer loop for A/B
         debugging; ``"procs"`` runs the sparse kernel sharded over
         forked worker processes and is only ever chosen by name.
-        Results are bit-identical whichever engine runs.  The batched
-        and shard-kernel engines bind each peer's allocator/demand/
-        capacity strategy at construction; swap strategies mid-run only
-        under ``reference``.
+        Results are bit-identical whichever engine runs: every engine
+        keeps Equation (2)'s cumulative ledger, with no entry expiry, so
+        the sparse store holds one entry per partner a peer has ever
+        received from.  The batched and shard-kernel engines bind each
+        peer's allocator/demand/capacity strategy at construction; swap
+        strategies mid-run only under ``reference``.
     workers:
         Worker processes, only with ``engine="procs"`` (default and cap:
         :func:`repro.sim.procs.worker_count`).
-    evict_age:
-        Drop sparse ledger entries unwritten for this many feedback
-        flushes (``sparse`` / ``procs`` only; changes results — see
-        :func:`~repro.sim.scenarios.sparse_population_churn`).
     """
 
     def __init__(
@@ -187,7 +185,6 @@ class Simulation:
         feedback_interval: int = 1,
         engine: str = "auto",
         workers: int | None = None,
-        evict_age: int | None = None,
     ):
         if not configs:
             raise ValueError("a simulation needs at least one peer")
@@ -208,14 +205,6 @@ class Simulation:
             if engine != "procs":
                 raise ValueError(
                     f"workers only applies to engine='procs' (got {engine!r})"
-                )
-        if evict_age is not None:
-            if evict_age < 1:
-                raise ValueError(f"evict_age must be >= 1, got {evict_age}")
-            if engine in ("reference", "batched"):
-                raise ValueError(
-                    "evict_age needs a sparse-ledger engine "
-                    f"('sparse' or 'procs'), got engine={engine!r}"
                 )
         self.configs = list(configs)
         self.n = len(self.configs)
@@ -263,7 +252,6 @@ class Simulation:
                 seed=seed,
                 initial_credit=initial_credit,
                 feedback_interval=self.feedback_interval,
-                evict_age=evict_age,
             )
             if mode == "procs":
                 self._shards = ProcsCoordinator(
@@ -408,9 +396,9 @@ class Simulation:
 
     def shard_stats(self) -> list[dict]:
         """Per-shard accounting straight from the kernels: ``lo``,
-        ``hi``, ``memory_bytes``, ``entries`` and ``evicted`` — one
-        entry under ``sparse``, one per worker under ``procs``, none
-        for the dense engines."""
+        ``hi``, ``memory_bytes`` and ``entries`` — one entry under
+        ``sparse``, one per worker under ``procs``, none for the dense
+        engines."""
         if self._shards is None:
             return []
         return self._shards.shard_stats()

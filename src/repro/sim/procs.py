@@ -93,7 +93,6 @@ class ProcsCoordinator:
         initial_credit: float,
         feedback_interval: int,
         workers: int,
-        evict_age: int | None,
     ):
         n = len(configs)
         self.workers = int(workers)
@@ -104,7 +103,6 @@ class ProcsCoordinator:
             seed=seed,
             initial_credit=initial_credit,
             feedback_interval=feedback_interval,
-            evict_age=evict_age,
             needs_declared=needs_declared(configs),
         )
         ctx = multiprocessing.get_context("fork")

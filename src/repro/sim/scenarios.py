@@ -506,7 +506,6 @@ def sparse_population_sim(
     seed: int = 0,
     engine: str = "auto",
     workers: int | None = None,
-    evict_age: int | None = None,
 ) -> Simulation:
     """Cohort-structured population for the 10^5-10^6-peer scale runs.
 
@@ -542,8 +541,7 @@ def sparse_population_sim(
         for i in range(givers)
     ]
     return _cohort_population(
-        n, configs, cohorts, slots,
-        seed=seed, engine=engine, workers=workers, evict_age=evict_age,
+        n, configs, cohorts, slots, seed=seed, engine=engine, workers=workers
     )
 
 
@@ -588,7 +586,6 @@ def sparse_population_churn(
     seed: int = 0,
     engine: str = "auto",
     workers: int | None = None,
-    evict_age: int | None = None,
 ) -> Simulation:
     """Giver churn at scale: contributor generations that join and leave.
 
@@ -600,15 +597,14 @@ def sparse_population_churn(
     generation writes a fresh set of explicit ledger entries into each
     consumer row it serves and then never touches them again.
 
-    Without eviction those dead entries accumulate (~``phases *
-    givers_per_phase`` per consumer row); with ``evict_age`` set the
-    sweep drops entries unwritten for that many feedback flushes and
-    per-peer ledger bytes stay bounded by the *live* giver set — the
-    property the churn benchmark asserts.  Because departed givers
-    never request, the swept entries are never read again and this
-    scenario's results are unchanged by eviction; it stays opt-in
-    because that is not true in general (a peer whose row is swept
-    while idle and then uploads reweights its requesters).
+    Those dead entries stay: Equation (2)'s ledger is cumulative, so a
+    consumer row ends with up to ``phases * givers_per_phase`` explicit
+    entries, the bound the churn benchmark asserts.  Nothing here
+    expires an entry by age: a row goes stale between its own
+    requests, and a peer that forgot who helped it would pay free
+    riders.  Dropping a departed giver's column when it *leaves* would
+    bound the store by the live giver set; that needs a departure
+    event the engines do not have yet.
     """
     if n < 2:
         raise ValueError(f"a sparse population needs >= 2 peers, got {n}")
@@ -640,7 +636,7 @@ def sparse_population_churn(
     ]
     return _cohort_population(
         n, configs, cohorts, phases * phase_slots,
-        seed=seed, engine=engine, workers=workers, evict_age=evict_age,
+        seed=seed, engine=engine, workers=workers,
     )
 
 

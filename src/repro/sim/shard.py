@@ -278,7 +278,6 @@ class ShardKernel:
         seed: int,
         initial_credit: float,
         feedback_interval: int,
-        evict_age: int | None,
         needs_declared: bool,
     ):
         n = len(configs)
@@ -287,7 +286,6 @@ class ShardKernel:
         self.hi = hi
         self.n = n
         self.configs = configs
-        self.feedback_interval = feedback_interval
         self.needs_declared = needs_declared
         self._kernels = fastpath.load()
         #: Whether the compiled sparse-row kernels drive the hot loops.
@@ -298,7 +296,6 @@ class ShardKernel:
             initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT,
             np.array([c.forgetting for c in configs]),
             rows=hi - lo,
-            evict_age=evict_age,
         )
         # Fast rows: exactly the two closed-form rules the kernel can
         # evaluate straight from the store.  Everything else — custom,
@@ -408,9 +405,14 @@ class ShardKernel:
         self._req_row = self._cap_row = None
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
-        #: Deferred feedback (feedback_interval > 1): global receiver id
-        #: -> [sorted giver ids, accumulated credit values].
-        self._pending: dict[int, list[np.ndarray]] = {}
+        #: Deferred feedback (feedback_interval > 1): the credit since
+        #: the last flush, in a store of its own with zero background
+        #: and no forgetting, so it accumulates through the same merge.
+        self._buffer = (
+            SparseLedgers(n, 0.0, np.ones(hi - lo), rows=hi - lo)
+            if feedback_interval > 1
+            else None
+        )
         self._metrics: ClassFold | None = None
         self._metrics_slot = 0
 
@@ -643,20 +645,18 @@ class ShardKernel:
         dump = None
         store = self.store
         rows = takers - self.lo
-        if self.feedback_interval == 1:
+        if self._buffer is None:
             store.advance_epoch()
-            self._scatter(givers, rows, amounts, weight)
+            self._scatter(store, givers, rows, amounts, weight)
         else:
-            if givers.size:
-                self._accumulate_pending(givers, takers, amounts, weight)
+            self._scatter(self._buffer, givers, rows, amounts, weight)
             if flush:
-                pending = sorted(self._pending.items())
+                pending = self._buffer.drain()
                 if want_pending:
-                    dump = [(j, idx.copy(), val.copy()) for j, (idx, val) in pending]
+                    dump = [(self.lo + i, idx, val) for i, idx, val in pending]
                 store.advance_epoch()
-                for j, (idx, val) in pending:
-                    store.add_compact(j - self.lo, idx, val)
-                self._pending.clear()
+                for i, idx, val in pending:
+                    store.add_compact(i, idx, val)
         for hook in self._slot_end_hooks:
             hook(t)
         if self._metrics is not None:
@@ -667,23 +667,27 @@ class ShardKernel:
         return dump
 
     def _scatter(
-        self, act: np.ndarray, rows: np.ndarray, M: np.ndarray, weight: float
+        self,
+        store: SparseLedgers,
+        act: np.ndarray,
+        rows: np.ndarray,
+        M: np.ndarray,
+        weight: float,
     ) -> None:
-        """Fused feedback credit: ledger row ``rows[a]`` += ``M[:, a] * weight``.
+        """Fused feedback credit: ``store`` row ``rows[a]`` +=
+        ``M[:, a] * weight`` — the ledger store itself, or the
+        deferred-feedback buffer.
 
         The native kernel handles receivers whose entry rows already
         contain every active giver (the steady state); cold receivers
         with *no* entries yet (fresh cohorts meeting the givers — the
         dominant case in rotating-cohort scale scenarios) go through the
         store's vectorised ``bulk_insert``; the remaining first-contact
-        merges and dense-island rows fall back to the per-row python
-        path.  Eviction-enabled stores skip the kernel entirely so every
-        write refreshes the per-entry age stamps.
+        merges and dense-island rows go through ``add_compact``.
         """
         if not act.size or not rows.size:
             return
-        store = self.store
-        if self.native and store.evict_age is None:
+        if self.native:
             ok = np.zeros(rows.size, dtype=np.uint8)
             self._kernels.sparse_scatter(store, act, rows, M, weight, ok)
             miss = np.flatnonzero(ok == 0)
@@ -694,41 +698,9 @@ class ShardKernel:
         P = M[:, miss].T * weight
         rows = rows[miss]
         cold = store.nnz[rows] == 0
-        if int(cold.sum()) > 1:
-            store.bulk_insert(rows[cold], act, P[cold])
-            warm = np.flatnonzero(~cold)
-        else:
-            warm = np.arange(miss.size)
-        for m in warm.tolist():
+        store.bulk_insert(rows[cold], act, P[cold])
+        for m in np.flatnonzero(~cold).tolist():
             store.add_compact(int(rows[m]), act, P[m])
-
-    def _accumulate_pending(
-        self, act: np.ndarray, takers: np.ndarray, M: np.ndarray, weight: float
-    ) -> None:
-        """Defer ``alloc.T * weight`` into per-receiver sparse rows
-        (keyed by global receiver id, which orders the traced dump)."""
-        P = M.T * weight
-        pending = self._pending
-        for a, j in enumerate(takers.tolist()):
-            ent = pending.get(j)
-            if ent is None:
-                pending[j] = [act.copy(), P[a].copy()]
-                continue
-            idx, val = ent
-            pos = np.searchsorted(idx, act)
-            inb = pos < idx.size
-            hit = np.zeros(act.size, dtype=bool)
-            hit[inb] = idx[pos[inb]] == act[inb]
-            if hit.all():
-                val[pos] += P[a]
-                continue
-            miss = ~hit
-            val[pos[hit]] += P[a][hit]
-            new_idx = np.concatenate([idx, act[miss]])
-            new_val = np.concatenate([val, P[a][miss]])
-            order = np.argsort(new_idx, kind="stable")
-            ent[0] = np.ascontiguousarray(new_idx[order])
-            ent[1] = np.ascontiguousarray(new_val[order])
 
     # -- streaming metrics ---------------------------------------------
 
@@ -766,7 +738,6 @@ class ShardKernel:
                 + self._cap_block.nbytes
             ),
             "entries": int(self.store.entries),
-            "evicted": int(self.store.evicted),
         }
 
     def peer_states(self) -> list[PeerState]:

@@ -60,13 +60,6 @@ class SparseLedgers:
         shard-local store (the procs engine) owns a contiguous row
         slice while its columns still span the whole population, so
         row indices are *local* and column/partner indices *global*.
-    evict_age:
-        Optional entry time-to-live in epochs.  When set, every
-        explicit entry records the epoch it was last written; entries
-        untouched for more than ``evict_age`` flushes are dropped on a
-        sweep (the cell reverts to the background), bounding memory
-        under giver churn.  Eviction intentionally *breaks* the dense
-        bit-identity contract — it is opt-in and off by default.
 
     Alongside the Python-dict row storage, the store maintains flat
     metadata arrays (:attr:`nnz`, :attr:`idx_addr`, :attr:`val_addr`,
@@ -82,13 +75,9 @@ class SparseLedgers:
         initial: float,
         forgetting: np.ndarray,
         rows: int | None = None,
-        evict_age: int | None = None,
     ):
         self.n = int(n)
         self.rows = self.n if rows is None else int(rows)
-        if evict_age is not None and evict_age < 1:
-            raise ValueError(f"evict_age must be >= 1 epoch, got {evict_age}")
-        self.evict_age = evict_age
         self.background = np.full(self.rows, float(initial))
         self.forgetting = np.ascontiguousarray(forgetting, dtype=np.float64)
         #: Feedback flushes seen so far (the decay clock).
@@ -104,10 +93,6 @@ class SparseLedgers:
         self._idx: dict[int, np.ndarray] = {}
         self._val: dict[int, np.ndarray] = {}
         self._dense: dict[int, np.ndarray] = {}
-        #: Per-entry last-write epochs (eviction mode only).
-        self._wstamp: dict[int, np.ndarray] = {}
-        #: Entries dropped by eviction sweeps so far.
-        self.evicted = 0
         self._any_forgetting = bool((self.forgetting < 1.0).any())
 
     # -- row lifecycle -------------------------------------------------
@@ -138,36 +123,6 @@ class SparseLedgers:
                 f = self.forgetting[i]
                 if f < 1.0:
                     row *= f
-        if self.evict_age is not None and self.epoch % self.evict_age == 0:
-            self._evict_stale()
-
-    def _evict_stale(self) -> None:
-        """Drop explicit entries not written for > ``evict_age`` epochs.
-
-        Evicted cells revert to the row background.  Remaining entries
-        keep their lazy-decay stamps (values are not caught up here), so
-        later reads decay them exactly as before the sweep.  Runs every
-        ``evict_age``-th flush, amortising the O(entries) scan.
-        """
-        cutoff = self.epoch - self.evict_age
-        for i in list(self._wstamp):
-            ws = self._wstamp[i]
-            keep = ws >= cutoff
-            if keep.all():
-                continue
-            self.evicted += int(ws.size - int(keep.sum()))
-            if not keep.any():
-                del self._idx[i], self._val[i], self._wstamp[i]
-                self.nnz[i] = 0
-                self.idx_addr[i] = 0
-                self.val_addr[i] = 0
-                continue
-            self._publish(
-                i,
-                np.ascontiguousarray(self._idx[i][keep]),
-                np.ascontiguousarray(self._val[i][keep]),
-            )
-            self._wstamp[i] = np.ascontiguousarray(ws[keep])
 
     def catch_up(self, i: int) -> None:
         """Apply any missed flush decays to row ``i``'s explicit values.
@@ -196,10 +151,7 @@ class SparseLedgers:
         idx = self._idx.get(i)
         if idx is not None:
             self.catch_up(i)
-            pos = np.searchsorted(idx, cols)
-            inb = pos < idx.size
-            hit = np.zeros(cols.size, dtype=bool)
-            hit[inb] = idx[pos[inb]] == cols[inb]
+            pos, hit = _locate(idx, cols)
             out[hit] = self._val[i][pos[hit]]
         return out
 
@@ -240,33 +192,18 @@ class SparseLedgers:
         if idx is None:
             self.stamps[i] = self.epoch
             self._publish(i, add_idx.copy(), self.background[i] + add_val)
-            if self.evict_age is not None:
-                self._wstamp[i] = np.full(add_idx.size, self.epoch,
-                                          dtype=np.int64)
             return
         self.catch_up(i)
         val = self._val[i]
-        pos = np.searchsorted(idx, add_idx)
-        inb = pos < idx.size
-        hit = np.zeros(add_idx.size, dtype=bool)
-        hit[inb] = idx[pos[inb]] == add_idx[inb]
+        pos, hit = _locate(idx, add_idx)
         if hit.all():
             val[pos] += add_val
-            if self.evict_age is not None:
-                self._wstamp[i][pos] = self.epoch
             return
         miss = ~hit
         val[pos[hit]] += add_val[hit]
         new_idx = np.concatenate([idx, add_idx[miss]])
         new_val = np.concatenate([val, self.background[i] + add_val[miss]])
         order = np.argsort(new_idx, kind="stable")
-        if self.evict_age is not None:
-            ws = self._wstamp[i]
-            ws[pos[hit]] = self.epoch
-            new_ws = np.concatenate(
-                [ws, np.full(int(miss.sum()), self.epoch, dtype=np.int64)]
-            )
-            self._wstamp[i] = np.ascontiguousarray(new_ws[order])
         self._publish(i, np.ascontiguousarray(new_idx[order]),
                       np.ascontiguousarray(new_val[order]))
 
@@ -300,17 +237,24 @@ class SparseLedgers:
             k, dtype=np.int64
         ) * (nact * 8)
         _idx, _val = self._idx, self._val
-        if self.evict_age is not None:
-            stamp_block = np.full((k, nact), self.epoch, dtype=np.int64)
-            _ws = self._wstamp
-            for m, i in enumerate(rows.tolist()):
-                _idx[i] = idx
-                _val[i] = vals[m]
-                _ws[i] = stamp_block[m]
-        else:
-            for m, i in enumerate(rows.tolist()):
-                _idx[i] = idx
-                _val[i] = vals[m]
+        for m, i in enumerate(rows.tolist()):
+            _idx[i] = idx
+            _val[i] = vals[m]
+
+    def drain(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Remove every explicit row and return ``(row, idx, val)``
+        triples in row order.
+
+        The deferred-feedback buffer (zero background, no forgetting)
+        hands its accumulated rows to the ledger store this way at each
+        flush; values are returned as stored, with no catch-up.
+        """
+        rows = sorted(self._idx)
+        out = [(i, self._idx.pop(i), self._val.pop(i)) for i in rows]
+        self.nnz[rows] = 0
+        self.idx_addr[rows] = 0
+        self.val_addr[rows] = 0
+        return out
 
     # -- accounting ----------------------------------------------------
 
@@ -330,7 +274,6 @@ class SparseLedgers:
         rows = sum(a.nbytes for a in self._idx.values())
         rows += sum(a.nbytes for a in self._val.values())
         rows += sum(a.nbytes for a in self._dense.values())
-        rows += sum(a.nbytes for a in self._wstamp.values())
         return int(fixed + rows)
 
 
@@ -375,6 +318,13 @@ class SparseLedgerView:
 
     def share_of(self, peer: int) -> float:
         return float(self.credit_of(peer) / self.credits.sum())
+
+
+def _locate(idx: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of sorted ``keys`` in a row's sorted, nonempty
+    entry index ``idx``, and which keys are already entries."""
+    pos = np.searchsorted(idx, keys)
+    return pos, idx[np.minimum(pos, idx.size - 1)] == keys
 
 
 def sparse_pairwise(pos: np.ndarray, val: np.ndarray, length: int) -> float:

@@ -210,6 +210,22 @@ class TestMutationGates:
         assert hits, [f.message for f in report.findings]
         assert any("'seed' parameter" in f.message for f in hits)
 
+    def test_wallclock_in_deferred_credit_is_caught(self, repo_copy):
+        # The deferred-feedback buffer credits through the same store
+        # merge, so the taint reaches the ledger sinks, not only the
+        # syntactic wall-clock rule.
+        shard = repo_copy / "src" / "repro" / "sim" / "shard.py"
+        self._mutate(shard, "\nimport numpy as np\n", "\nimport time\n\nimport numpy as np\n")
+        self._mutate(
+            shard,
+            "self._scatter(self._buffer, givers, rows, amounts, weight)",
+            "self._scatter(self._buffer, givers, rows, amounts, weight * time.time())",
+        )
+        report = run_lint([shard], flow=True)
+        hits = [f for f in report.findings if f.rule == "det-taint-ledger"]
+        assert hits, [f.message for f in report.findings]
+        assert any("add_compact" in f.message for f in hits)
+
     def test_second_slotvectors_writer_is_caught(self, repo_copy):
         procs = repo_copy / "src" / "repro" / "sim" / "procs.py"
         self._mutate(

@@ -354,7 +354,6 @@ def test_shard_stats_cover_the_population():
         shards = sim.shard_stats()
         state = sim.memory_bytes()
     assert [(s["lo"], s["hi"]) for s in shards] == [(0, 1), (1, 2), (2, 4)]
-    assert all(s["evicted"] == 0 for s in shards)
     assert sum(s["entries"] for s in shards) > 0
     # memory_bytes is the shards' state plus the shared slot vectors.
     assert state == sum(s["memory_bytes"] for s in shards) + 25 * 4
@@ -368,10 +367,6 @@ def test_validation_errors():
         Simulation(_history_configs(), engine="sparse", workers=2)
     with pytest.raises(ValueError, match="workers"):
         Simulation(_history_configs(), engine="procs", workers=0)
-    with pytest.raises(ValueError, match="evict_age"):
-        Simulation(_history_configs(), engine="reference", evict_age=4)
-    with pytest.raises(ValueError, match="evict_age"):
-        Simulation(_history_configs(), engine="procs", evict_age=0)
     with pytest.raises(ValueError, match="engine"):
         Simulation(_history_configs(), engine="bogus")
 

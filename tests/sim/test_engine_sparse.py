@@ -462,84 +462,31 @@ def test_network_engine_plumbing():
     assert net._sim.backend.startswith("sparse")
 
 
-# -- row eviction under churn (PR 9) ----------------------------------------
+# -- giver churn -----------------------------------------------------------
 
 
-def test_evict_age_drops_stale_entries_and_counts_them():
-    """Entries unwritten for ``evict_age`` flushes go back to background."""
-    from repro.sim import sparse_population_churn
-
-    kwargs = dict(n=200, cohorts=8, givers_per_phase=4, phases=3,
-                  phase_slots=8, seed=1, engine="sparse")
-    plain = sparse_population_churn(**kwargs)
-    plain.run(24, history="none")
-    evicting = sparse_population_churn(evict_age=4, **kwargs)
-    evicting.run(24, history="none")
-    (plain_stats,) = plain.shard_stats()
-    (evicting_stats,) = evicting.shard_stats()
-    assert plain_stats["evicted"] == 0
-    assert evicting_stats["evicted"] > 0
-    assert evicting_stats["entries"] < plain_stats["entries"]
-    # Eviction keeps explicit entries bounded by the *live* givers:
-    # fewer than two generations' worth per consumer row on average.
-    consumers = 200 - 3 * 4
-    assert evicting_stats["entries"] < consumers * 2 * 4
-
-
-def test_churn_eviction_is_result_neutral():
-    """Departed givers never request, so sweeping the dead entries they
-    left in consumer rows cannot change any later allocation — the
-    churn scenario buys bounded memory at unchanged output."""
-    from repro.sim import sparse_population_churn
-
-    kwargs = dict(n=60, cohorts=4, givers_per_phase=3, phases=2,
-                  phase_slots=10, seed=2, engine="sparse")
-    plain = sparse_population_churn(**kwargs).run(20, history="none")
-    evicting = sparse_population_churn(evict_age=2, **kwargs).run(
-        20, history="none"
-    )
-    assert (
-        plain.summary["rate_sum"].tobytes()
-        == evicting.summary["rate_sum"].tobytes()
-    )
-
-
-def test_eviction_changes_results_when_a_swept_row_uploads():
-    """Eviction is opt-in because it is *not* neutral in general: a peer
-    that earned entries while downloading, idled past the age, and then
-    uploads weights its requesters by the background again."""
-
-    def configs():
-        return [
-            PeerConfig(capacity=StepCapacity([(0, 0.0), (15, 500.0)]),
-                       demand=ScheduleDemand([(0, 6)])),
-            PeerConfig(capacity=300.0, demand=AlwaysOn()),
-            PeerConfig(capacity=0.0, demand=AlwaysOn()),
-        ]
-
-    plain = Simulation(configs(), seed=0, engine="sparse").run(30)
-    evicting = Simulation(
-        configs(), seed=0, engine="sparse", evict_age=4
-    ).run(30)
-    assert plain.rates.tobytes() != evicting.rates.tobytes()
-
-
-def test_eviction_procs_matches_sparse_bitwise():
-    """Sharded eviction sweeps in the same epochs as the local store."""
+def test_churn_procs_matches_sparse_bitwise():
+    """Giver generations that join and leave: the sharded stores hold
+    the same cumulative entries and give the same summaries as the
+    local one."""
     from repro.sim import sparse_population_churn
 
     kwargs = dict(n=120, cohorts=6, givers_per_phase=3, phases=2,
-                  phase_slots=8, seed=5, evict_age=3)
-    sparse = sparse_population_churn(engine="sparse", **kwargs).run(
-        16, history="none"
-    )
-    with sparse_population_churn(engine="procs", workers=3, **kwargs) as sim:
-        procs = sim.run(16, history="none")
+                  phase_slots=8, seed=5)
+    sim = sparse_population_churn(engine="sparse", **kwargs)
+    sparse = sim.run(16, history="none")
+    with sparse_population_churn(engine="procs", workers=3, **kwargs) as psim:
+        procs = psim.run(16, history="none")
+        procs_entries = sum(s["entries"] for s in psim.shard_stats())
     for key in sparse.summary:
         assert (
             np.asarray(sparse.summary[key]).tobytes()
             == np.asarray(procs.summary[key]).tobytes()
         ), key
+    (stats,) = sim.shard_stats()
+    assert procs_entries == stats["entries"]
+    # Nothing expires: at most one entry per (consumer, giver ever met).
+    assert 0 < stats["entries"] <= (120 - 2 * 3) * 2 * 3
 
 
 def test_churn_scenario_validation():

@@ -88,7 +88,7 @@ class SplitSlot:
         return tuple(None if p[0] is None else np.concatenate(p) for p in parts)
 
 
-def make_kernels(configs, workers, seed=3, feedback_interval=1, evict_age=None):
+def make_kernels(configs, workers, seed=3, feedback_interval=1):
     """``workers`` kernels over a contiguous split of ``configs``."""
     n = len(configs)
     workers = min(workers, n)
@@ -101,7 +101,6 @@ def make_kernels(configs, workers, seed=3, feedback_interval=1, evict_age=None):
             seed=seed,
             initial_credit=DEFAULT_INITIAL_CREDIT,
             feedback_interval=feedback_interval,
-            evict_age=evict_age,
             needs_declared=needs_declared(configs),
         )
         for lo, hi in zip(bounds, bounds[1:])
@@ -109,8 +108,7 @@ def make_kernels(configs, workers, seed=3, feedback_interval=1, evict_age=None):
 
 
 def run_split(
-    configs, workers, slots, seed=3, feedback_interval=1, evict_age=None,
-    slot_seconds=1.0,
+    configs, workers, slots, seed=3, feedback_interval=1, slot_seconds=1.0
 ):
     """Step ``workers`` kernels over a contiguous split of ``configs``.
 
@@ -119,7 +117,7 @@ def run_split(
     :class:`StreamingMetrics`.
     """
     n = len(configs)
-    kernels = make_kernels(configs, workers, seed, feedback_interval, evict_age)
+    kernels = make_kernels(configs, workers, seed, feedback_interval)
     slot = SplitSlot(kernels)
     for kernel in kernels:
         kernel.begin_metrics(slots)
@@ -248,34 +246,6 @@ def test_random_networks_any_split_matches_reference(native, data):
                 make_configs(), workers, 18, seed=seed, feedback_interval=feedback
             )
             assert_same(ref, got, f"W={workers}")
-
-
-@both_backends
-@settings(max_examples=25, deadline=None)
-@given(
-    evict_age=st.integers(min_value=1, max_value=5),
-    feedback=st.sampled_from([1, 3]),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_eviction_sweeps_are_split_invariant(native, evict_age, feedback, seed):
-    """Eviction leaves the dense contract (no reference to compare to),
-    but every shard sweeps in the same epochs as the single kernel."""
-
-    def make_configs():
-        return [
-            PeerConfig(
-                capacity=100.0 + 40.0 * (i % 5),
-                demand=BernoulliDemand(0.15 + 0.1 * (i % 4)),
-                forgetting=0.9 if i % 3 == 0 else 1.0,
-            )
-            for i in range(11)
-        ]
-
-    kwargs = dict(seed=seed, feedback_interval=feedback, evict_age=evict_age)
-    with backend(native):
-        one = run_split(make_configs(), 1, 30, **kwargs)
-        for workers in SHARD_COUNTS[1:]:
-            assert_same(one, run_split(make_configs(), workers, 30, **kwargs), workers)
 
 
 @both_backends
