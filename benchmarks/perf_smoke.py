@@ -441,7 +441,7 @@ def gate_sparse_slot() -> int:
 
     def subject_slot(t):
         R = subject_kernel.sample(t)
-        act, M = subject_kernel.alloc(t, R, subject_kernel)
+        act, M = subject_kernel.alloc(t, R)
         return finish(subject_kernel, t, R, act, M)
 
     def frozen_slot(t):

@@ -511,13 +511,7 @@ def _download(args: argparse.Namespace) -> int:
                 serving = FaultyServingSession(
                     serving, plan.faults_for(pi), plan.rng_for(pi), peer=pi
                 )
-            DownloadSession(keys).handshake_with_retry(
-                serving,
-                chunk_id,
-                attempts=policy.max_handshake_attempts,
-                backoff_slots=policy.backoff_slots,
-                peer=pi,
-            )
+            DownloadSession(keys).handshake_with_retry(serving, chunk_id, peer=pi)
             sessions.append(serving)
         repair = None
         if coordinator is not None:
@@ -1212,8 +1206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--flow", action="store_true", default=False,
-        help="also run the whole-project flow rules (taint tracking, "
-        "writer discipline) over the call graph",
+        help="also run the whole-project flow rules (determinism and key "
+        "taint tracking) over the project symbol table",
     )
     lint.add_argument(
         "--no-flow", dest="flow", action="store_false",

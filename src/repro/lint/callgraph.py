@@ -1,8 +1,8 @@
-"""Project-wide symbol table and call graph for the flow rules.
+"""Project-wide symbol table and call resolution for the flow rules.
 
 The per-expression rules in :mod:`repro.lint.rules` see one file at a
-time; the flow rules (determinism/entropy taint, writer discipline)
-need to know *who calls whom* across the whole package.  This module
+time; the flow rules (determinism/entropy and key taint) need to know
+what a call dispatches to across the whole package.  This module
 builds that picture once per project root:
 
 * every module under ``<root>/src`` is parsed and its imports, classes
@@ -12,9 +12,7 @@ builds that picture once per project root:
   symbol table — ``np.random.default_rng`` becomes
   ``numpy.random.default_rng``, ``self.store.add_compact`` becomes
   ``repro.sim.sparse.SparseLedgers.add_compact`` when ``self.store``
-  was assigned a ``SparseLedgers(...)`` in ``__init__``;
-* call edges ``caller -> (callee, line)`` are extracted per function
-  with a light forward pass that tracks local variable classes.
+  was assigned a ``SparseLedgers(...)`` in ``__init__``.
 
 A built graph is memoised per process against the per-file SHA-256
 digests of the sources, so repeated ``run_lint`` calls share it until a
@@ -129,15 +127,13 @@ def _resolve_relative(module: str, level: int, target: str | None) -> str:
 
 
 class CallGraph:
-    """The project symbol table plus extracted call edges."""
+    """The project symbol table the flow rules resolve calls against."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        #: caller qualname -> list of (callee qualname, call line)
-        self.edges: dict[str, list[tuple[str, int]]] = {}
         self._trees: dict[str, ast.Module] = {}
         self._path_to_module: dict[str, str] = {}
 
@@ -149,7 +145,6 @@ class CallGraph:
         for rel in project_digests(Path(root)):
             graph._ingest(rel)
         graph._link()
-        graph._extract_edges()
         return graph
 
     def _ingest(self, rel: str) -> None:
@@ -275,38 +270,6 @@ class CallGraph:
                 ):
                     info.attr_types.setdefault(tgt.attr, cls)
 
-    def _extract_edges(self) -> None:
-        for qualname, info in self.functions.items():
-            node = self.function_def(qualname)
-            if node is None:
-                continue
-            mod = self.modules[info.module]
-            resolver = Resolver(self, mod, self_class=info.cls)
-            local_types: dict[str, str] = {}
-            edges: list[tuple[str, int]] = []
-
-            def visit(stmts, edges=edges, resolver=resolver, local_types=local_types):
-                for stmt in stmts:
-                    for sub in ast.walk(stmt):
-                        if isinstance(sub, ast.Call):
-                            callee = resolver.callee_qualname(sub, local_types)
-                            if callee is not None:
-                                edges.append((callee, sub.lineno))
-                    if isinstance(stmt, ast.Assign) and isinstance(
-                        stmt.value, ast.Call
-                    ):
-                        cls = resolver.class_of_call(stmt.value, local_types)
-                        if cls is not None:
-                            for tgt in stmt.targets:
-                                if isinstance(tgt, ast.Name):
-                                    local_types[tgt.id] = cls
-                    for body in _sub_blocks(stmt):
-                        visit(body)
-
-            visit(node.body)
-            if edges:
-                self.edges[qualname] = edges
-
     # -- queries -------------------------------------------------------
 
     def function_def(
@@ -347,13 +310,6 @@ class CallGraph:
         if mod is None:
             return []
         return [self.functions[q] for q in mod.functions]
-
-    def callers_of(self, qualname: str) -> set[str]:
-        return {
-            caller
-            for caller, targets in self.edges.items()
-            if any(callee == qualname for callee, _ in targets)
-        }
 
     def method_on(self, cls_qualname: str, name: str) -> str | None:
         """Resolve a method through the project-visible MRO (BFS)."""
@@ -415,15 +371,6 @@ def _dotted(node: ast.expr) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _sub_blocks(stmt: ast.stmt):
-    for attr in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, attr, None)
-        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-            yield block
-    for handler in getattr(stmt, "handlers", ()):
-        yield handler.body
 
 
 class Resolver:
@@ -535,21 +482,6 @@ class Resolver:
         if resolved is not None and resolved[0] == "sym":
             if resolved[1] in self.graph.classes:
                 return resolved[1]
-        return None
-
-    def callee_qualname(
-        self, call: ast.Call, local_types: dict[str, str]
-    ) -> str | None:
-        """Project function qualname a call dispatches to, if known."""
-        resolved = self.resolve(call.func, local_types)
-        if resolved is None or resolved[0] != "sym":
-            return None
-        name = resolved[1]
-        if name in self.graph.functions:
-            return name
-        if name in self.graph.classes:
-            init = self.graph.method_on(name, "__init__")
-            return init if init is not None else name
         return None
 
     def call_target(

@@ -7,8 +7,6 @@ from . import (
     density,
     determinism,
     floatsafety,
-    procs,
-    sharedstate,
     taint,
     tracing,
 )
@@ -18,8 +16,6 @@ __all__ = [
     "density",
     "determinism",
     "floatsafety",
-    "procs",
-    "sharedstate",
     "taint",
     "tracing",
 ]

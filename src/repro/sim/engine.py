@@ -36,8 +36,8 @@ Three slot implementations produce those slots:
   :meth:`Simulation._step_compact` drives in one of two ways:
   ``sparse`` is one kernel over ``[0, n)`` called **in-process**
   (:class:`~repro.sim.shard.LocalShard`); ``procs`` is W kernels in
-  forked worker **processes** behind the :mod:`repro.sim.shardmsg`
-  transport (:mod:`repro.sim.procs`).  The in-process kernel is already
+  forked worker **processes** that exchange pipe messages
+  (:mod:`repro.sim.procs`).  The in-process kernel is already
   pthread-sharded natively and has measured faster on every input, so
   ``procs`` runs only when asked for by name.
 
@@ -87,7 +87,7 @@ from ..obs.events import SIM_ENGINE_SELECTED, SIM_FEEDBACK, SIM_SLOT
 from . import fastpath
 from .metrics import SimulationResult, StreamingMetrics
 from .peer import PeerConfig, PeerState
-from .shard import TIME_BLOCK, LocalShard, column_sums
+from .shard import FAST_ALLOCATORS, TIME_BLOCK, LocalShard, column_sums
 from .sparse import sparse_pairwise
 
 __all__ = ["Simulation"]
@@ -225,7 +225,7 @@ class Simulation:
         self._workers = 0
         if mode == "procs":
             # Imported here so the in-process engines never pay for
-            # multiprocessing / shared-memory imports.
+            # multiprocessing imports.
             from .procs import ProcsCoordinator, worker_count
 
             self._workers = worker_count(self.n, workers)
@@ -244,9 +244,9 @@ class Simulation:
         self._shards = None
         if mode in ("sparse", "procs"):
             self._credit_matrix = self._pending_feedback = None
-            fast = (PeerwiseProportionalAllocator, GlobalProportionalAllocator)
             self._slow_rows = [
-                i for i, cfg in enumerate(self.configs) if type(cfg.allocator) not in fast
+                i for i, cfg in enumerate(self.configs)
+                if type(cfg.allocator) not in FAST_ALLOCATORS
             ]
             kernel_args = dict(
                 seed=seed,
@@ -408,14 +408,11 @@ class Simulation:
 
         Shard kernels: ledger store + class index + prefetch tables
         summed over :meth:`shard_stats` (the bytes-per-peer benchmark
-        metric), plus the transport's shared slot vectors under
-        ``procs``.  Dense: credit matrix + pending feedback + prefetch
+        metric).  Dense: credit matrix + pending feedback + prefetch
         buffers.
         """
-        shards = self._shards
-        if shards is not None:
-            stats = shards.shard_stats()
-            return sum(s["memory_bytes"] for s in stats) + shards.transport_bytes
+        if self._shards is not None:
+            return sum(s["memory_bytes"] for s in self._shards.shard_stats())
         total = self._credit_matrix.nbytes + self._pending_feedback.nbytes
         if self._mode == "batched":
             total += self._req_block.nbytes + self._cap_block.nbytes

@@ -23,13 +23,12 @@ runs a slot as three array-in/array-out phases over the *active set*:
 None of the three touches a per-peer vector: a slot costs O(classes +
 |R| + givers x |R|).  The dense request / capacity / declared vectors
 are built from the class rows only on demand (:meth:`~ShardKernel.vectors`)
-— for dense-island peers, ``Simulation.step()`` and recorded histories,
-and the ``procs`` transport's shared slot vectors.
+— for dense-island peers, ``Simulation.step()`` and recorded histories.
 
 Who moves the arrays between kernels is not the kernel's business:
 ``engine="sparse"`` is one kernel over ``[0, n)`` called in-process
 (:class:`LocalShard`), ``engine="procs"`` is W kernels in forked
-workers behind :mod:`repro.sim.shardmsg` (:mod:`repro.sim.procs`).
+workers that exchange them as pipe messages (:mod:`repro.sim.procs`).
 Every floating-point reduction here is row-local or replayed from
 global positions (:func:`~repro.sim.sparse.sparse_pairwise`), so any
 contiguous split yields the same bits as the reference loop —
@@ -64,8 +63,13 @@ from .peer import PeerConfig, PeerState
 from .sparse import SparseLedgers, SparseLedgerView, sparse_pairwise
 
 __all__ = [
-    "ShardKernel", "LocalShard", "ClassFold", "needs_declared", "column_sums",
+    "ShardKernel", "LocalShard", "ClassFold", "FAST_ALLOCATORS", "needs_declared",
+    "has_islands", "column_sums",
 ]
+
+#: The allocators the kernel evaluates in closed form from the store;
+#: any other allocator's peer is a dense island.
+FAST_ALLOCATORS = (PeerwiseProportionalAllocator, GlobalProportionalAllocator)
 
 #: Slots of demand/capacity pre-sampled per blockable peer at a time.
 TIME_BLOCK = 256
@@ -153,6 +157,13 @@ def needs_declared(configs: Sequence[PeerConfig]) -> bool:
     return any(
         type(c.allocator) is not PeerwiseProportionalAllocator for c in configs
     )
+
+
+def has_islands(configs: Sequence[PeerConfig]) -> bool:
+    """Whether any peer runs a dense-island allocator (neither Equation
+    (2) nor (3)) — a *global* property too: an island's ``allocate()``
+    receives the population's dense declared vector."""
+    return any(type(c.allocator) not in FAST_ALLOCATORS for c in configs)
 
 
 def column_sums(M: np.ndarray) -> np.ndarray:
@@ -510,17 +521,24 @@ class ShardKernel:
 
     # -- phase 2: allocation -------------------------------------------
 
-    def alloc(self, t: int, R: np.ndarray, slot) -> tuple[np.ndarray, np.ndarray]:
+    def alloc(
+        self,
+        t: int,
+        R: np.ndarray,
+        declared_R: np.ndarray | None = None,
+        declared: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """This range's rows of the compact allocation matrix.
 
-        ``R`` is the *population's* requesters (sorted global ids) and
-        ``slot`` answers for the population's slot vectors:
-        ``slot.declared_of(R)`` (read when an eq3 giver is active) and
-        ``slot.vectors()`` (read when the range has dense-island peers)
-        — the kernel itself when it spans the population, the shared
-        slot vectors under ``procs``.  Returns ``(act, M)`` with ``act``
-        the range's givers with nonzero rows this slot (global ids,
-        sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
+        ``R`` is the *population's* requesters (sorted global ids),
+        ``declared_R`` their declared capacities (read when an eq3 giver
+        is active) and ``declared`` the population's dense declared
+        vector (read when the range has dense-island peers, whose
+        ``allocate()`` receives it).  A kernel spanning the population
+        reads both off its own class rows when they are omitted; under
+        ``procs`` they arrive with the alloc message.  Returns ``(act,
+        M)`` with ``act`` the range's givers with nonzero rows this slot
+        (global ids, sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
         ``R[a]`` — the nonzero block of the dense allocation matrix's
         rows ``[lo, hi)``.
         """
@@ -534,14 +552,18 @@ class ShardKernel:
         # allocators may be stateful), compacted onto the active set.
         slow_pairs: list[tuple[int, np.ndarray]] = []
         if self._slow_peers:
-            requesting, capacities, declared = slot.vectors()
+            requesting = np.zeros(self.n, dtype=bool)
+            requesting[R] = True
+            if declared is None:
+                declared = self.vectors()[2]
         for peer in self._slow_peers:
             i = peer.index
+            cap = self._cap_row[self._class_of[i - self.lo]]
             proposal = peer.config.allocator.allocate(
-                i, capacities[i], requesting, peer.ledger, declared, t
+                i, cap, requesting, peer.ledger, declared, t
             )
             if A:
-                row = enforce_feasibility(proposal, capacities[i], requesting)
+                row = enforce_feasibility(proposal, cap, requesting)
                 if row.any():
                     slow_pairs.append((i, row[R]))
         nact = act2.size + act3.size + len(slow_pairs)
@@ -559,9 +581,9 @@ class ShardKernel:
         self._eq2_block(act2, rowpos[: act2.size], R, caps2, M)
         n23 = act2.size + act3.size
         if act3.size:
-            self._eq3_block(
-                act3, rowpos[act2.size : n23], R, slot.declared_of(R), caps3, M
-            )
+            if declared_R is None:
+                declared_R = self.declared_of(R)
+            self._eq3_block(act3, rowpos[act2.size : n23], R, declared_R, caps3, M)
         for (_, row), p in zip(slow_pairs, rowpos[n23:]):
             M[p] = row
         return act, M
@@ -763,12 +785,9 @@ class LocalShard:
 
     Same phase surface as :class:`~repro.sim.procs.ProcsCoordinator`
     (``sample`` / ``alloc`` / ``credit`` / ``vectors`` plus metrics and
-    inspection); the kernel spans the population, so it answers for the
-    slot vectors its own ``alloc`` reads.
+    inspection); the kernel spans the population, so its ``alloc``
+    reads the declared capacities off its own class rows.
     """
-
-    #: Bytes the transport itself holds (none: there is no transport).
-    transport_bytes = 0
 
     def __init__(self, configs: Sequence[PeerConfig], **kernel_args):
         self.kernel = kernel = ShardKernel(
@@ -776,12 +795,10 @@ class LocalShard:
         )
         self.native = kernel.native
         self.sample = kernel.sample
+        self.alloc = kernel.alloc
         self.credit = kernel.credit
         self.begin_metrics = kernel.begin_metrics
         self.credit_matrix = kernel.materialize
-
-    def alloc(self, t: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.kernel.alloc(t, R, self.kernel)
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         return self.kernel.vectors()[:2]

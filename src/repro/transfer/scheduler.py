@@ -120,6 +120,11 @@ class PeerFailure:
         return asdict(self)
 
 
+#: Digest failures tolerated before a peer is quarantined: one provably
+#: bogus message is proof enough (the paper's stance).
+QUARANTINE_AFTER = 1
+
+
 @dataclass(frozen=True)
 class RobustPolicy:
     """Failure handling knobs for the robust download path.
@@ -136,33 +141,20 @@ class RobustPolicy:
         was granted budget but completed no message.  Must exceed the
         worst-case slots-per-message at the granted rate, or slow honest
         peers will be misclassified.
-    quarantine_after:
-        Digest failures tolerated before the peer is quarantined.  The
-        default of 1 is the paper's stance: one provably bogus message
-        is proof enough.
-    max_handshake_attempts / backoff_slots:
-        Bounded retry for failed handshakes (used by
-        :meth:`~repro.transfer.session.DownloadSession.handshake_with_retry`).
-    redistribute:
-        Re-scale quarantined peers' slot budget across the remaining
-        healthy peers so the download degrades instead of slowing by
-        the faulty peers' share.
+
+    A peer is quarantined after :data:`QUARANTINE_AFTER` digest
+    failures, and quarantined peers' slot budget is re-scaled across
+    the remaining healthy peers, so the download degrades instead of
+    slowing by the faulty peers' share.
     """
 
     digest_store: DigestStore | None = None
     stall_timeout_slots: int = 12
-    quarantine_after: int = 1
-    max_handshake_attempts: int = 3
-    backoff_slots: int = 1
-    redistribute: bool = True
 
     def __post_init__(self):
-        for knob in ("stall_timeout_slots", "quarantine_after", "max_handshake_attempts"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
-        if self.backoff_slots < 0:
+        if self.stall_timeout_slots < 1:
             raise ValueError(
-                f"backoff_slots cannot be negative: {self.backoff_slots}"
+                f"stall_timeout_slots must be >= 1, got {self.stall_timeout_slots}"
             )
 
 
@@ -297,7 +289,7 @@ class _RobustState:
             if self.dead[i]:
                 lost += max(out[i], 0.0)
                 out[i] = 0.0
-        if lost > 0.0 and self.policy.redistribute:
+        if lost > 0.0:
             healthy = [
                 i
                 for i in range(self.n)
@@ -326,7 +318,7 @@ class _RobustState:
         _TRACER.emit(
             TRANSFER_DISCARD, slot=slot, peer=peer, message_id=int(message.message_id)
         )
-        if self._discard_msgs[peer] >= self.policy.quarantine_after:
+        if self._discard_msgs[peer] >= QUARANTINE_AFTER:
             self._fail(
                 peer, "polluted", slot,
                 "quarantined after failed digest verification",

@@ -1,17 +1,8 @@
-"""Fixture procs engine: planted writer-discipline violations.
-
-Two bugs for ``procs-writer-discipline``: the coordinator writes the
-worker-owned ``capacities`` field after the alloc broadcast (second
-writer role), and the worker writes ``requesting`` with a full ``[:]``
-slice (stomping other shards' cells).
-"""
-
-from .shardmsg import SlotVectors
+"""Fixture procs coordinator: ``step`` dispatches through ``self``."""
 
 
 class ProcsCoordinator:
-    def __init__(self, n):
-        self.vec = SlotVectors(n)
+    def __init__(self):
         self._conns = []
 
     def _broadcast(self, msg):
@@ -21,28 +12,3 @@ class ProcsCoordinator:
     def step(self, t):
         self._broadcast(("sample", t))
         self._broadcast(("alloc", t))
-        self.vec.rates[:4] = 0.0
-        self.vec.capacities[0] = 1.0
-
-
-class _ShardWorker:
-    def __init__(self, vec, lo, hi):
-        self.vec = vec
-        self.lo = lo
-        self.hi = hi
-
-    def sample(self, t):
-        self.vec.capacities[self.lo : self.hi] = 1.0
-        self.vec.requesting[:] = True
-
-
-def _worker_main(vec, conn):
-    shard = _ShardWorker(vec, 0, 4)
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "sample":
-            shard.sample(msg[1])
-            conn.send(("ok",))
-        elif cmd == "stop":
-            return

@@ -126,31 +126,6 @@ class TestApiFamily:
         assert pair_lines == [6]
 
 
-class TestSharedStateFamily:
-    def test_planted_violations(self):
-        got, _ = findings_for("sim/bad_shared_state.py")
-        assert (7, "sim-shared-state") in got
-        assert (8, "sim-shared-state") in got
-        assert (9, "sim-shared-state") in got
-
-    def test_allow_comment_suppresses(self):
-        # allowed_segment() spans lines 13-15: both escapes must hold.
-        got, _ = findings_for("sim/bad_shared_state.py")
-        assert not [line for line, _ in got if line >= 13]
-
-    def test_message_layer_is_exempt(self):
-        from repro.sim import shardmsg
-
-        report = run_lint([Path(shardmsg.__file__)])
-        assert [f for f in report.findings if f.rule == "sim-shared-state"] == []
-
-    def test_procs_engine_itself_is_clean(self):
-        from repro.sim import procs
-
-        report = run_lint([Path(procs.__file__)])
-        assert [f for f in report.findings if f.rule == "sim-shared-state"] == []
-
-
 class TestScoping:
     def test_det_rules_do_not_apply_outside_scoped_layers(self, tmp_path):
         # The same violations in an unscoped location (no src/repro/...

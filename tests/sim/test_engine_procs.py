@@ -12,6 +12,8 @@ the ``workers`` trace field, lifecycle (close/context manager) and the
 scale scenario plumbing.
 """
 
+from multiprocessing import connection, shared_memory
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import (
     EqualSplitAllocator,
+    FreeRiderAllocator,
     GlobalProportionalAllocator,
     IsolationAllocator,
     PeerwiseProportionalAllocator,
@@ -216,6 +219,104 @@ def test_history_modes_consistent():
     ).tobytes()
 
 
+class _DeclaredIsland(GlobalProportionalAllocator):
+    """Equation (3) by a subclass: a dense island that reads the whole
+    declared vector its ``allocate()`` receives."""
+
+
+def _message_mix():
+    """Eq. 2 rows, Eq. 3 rows with declared-capacity lies, free-riding
+    dense islands and declared-reading ones, with time-varying capacity."""
+    configs = []
+    for i in range(11):
+        configs.append(PeerConfig(
+            capacity=StepCapacity([(0, 100.0 + 40 * i), (7, 60.0 * (i % 4))]),
+            demand=BernoulliDemand(0.3 + 0.05 * (i % 5)),
+            allocator=(
+                PeerwiseProportionalAllocator(),
+                GlobalProportionalAllocator(),
+                FreeRiderAllocator(),
+                _DeclaredIsland(),
+            )[i % 4],
+            declared_capacity=900.0 if i in (4, 9) else None,
+        ))
+    return configs
+
+
+@pytest.mark.parametrize("feedback_interval", [1, 3])
+def test_runs_without_shared_memory(monkeypatch, feedback_interval):
+    """Only pipe messages cross the process boundary: with shared
+    memory unavailable, procs at W = 1-3 still matches sparse bit for
+    bit on an eq2 / eq3 / dense-island mix, in every history mode."""
+
+    def refuse(*args, **kwargs):
+        raise OSError("shared memory is unavailable")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    kw = dict(seed=7, feedback_interval=feedback_interval)
+    with Simulation(_message_mix(), engine="sparse", **kw) as sim:
+        want = sim.run(29, record_allocations=True)
+        want_none = sim.run(12, history="none")
+        want_credit = sim.credit_matrix()
+    for w in (1, 2, 3):
+        with Simulation(_message_mix(), engine="procs", workers=w, **kw) as sim:
+            got = sim.run(29, record_allocations=True)
+            got_none = sim.run(12, history="none")
+            credit = sim.credit_matrix()
+        for name in ("rates", "requesting", "capacities", "alloc_history"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (w, name)
+        for name, value in want_none.summary.items():
+            assert np.asarray(got_none.summary[name]).tobytes() == np.asarray(
+                value
+            ).tobytes(), (w, name)
+        assert credit.tobytes() == want_credit.tobytes(), w
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_warm_slots_send_no_per_peer_vector(monkeypatch):
+    """Without dense islands a slot's messages carry the active set
+    only: no array crossing a pipe during a streaming run has a
+    dimension of the population's size."""
+    n = 512
+    configs = [
+        PeerConfig(
+            capacity=800.0 if i % 64 == 0 else 0.0,
+            demand=NeverRequests() if i % 64 == 0 else BernoulliDemand(0.2),
+            allocator=GlobalProportionalAllocator() if i == 64 else PeerwiseProportionalAllocator(),
+        )
+        for i in range(n)
+    ]
+    shapes = []
+    last = [None]
+    send, recv = connection.Connection.send, connection.Connection.recv
+
+    def spy_send(self, obj):
+        last[0] = obj[0]
+        if last[0] in ("sample", "alloc", "credit"):
+            shapes.extend(a.shape for a in _arrays(obj))
+        return send(self, obj)
+
+    def spy_recv(self):
+        obj = recv(self)
+        if last[0] in ("sample", "alloc", "credit"):
+            shapes.extend(a.shape for a in _arrays(obj))
+        return obj
+
+    with Simulation(configs, seed=2, engine="procs", workers=2) as sim:
+        monkeypatch.setattr(connection.Connection, "send", spy_send)
+        monkeypatch.setattr(connection.Connection, "recv", spy_recv)
+        sim.run(10, history="none")
+    # Below half of n, so a shard's whole range (n / 2 here) would show.
+    assert shapes and max(max(s, default=0) for s in shapes) < n // 2
+
+
 # -- auto-selection and its trace event ------------------------------------
 
 
@@ -355,8 +456,8 @@ def test_shard_stats_cover_the_population():
         state = sim.memory_bytes()
     assert [(s["lo"], s["hi"]) for s in shards] == [(0, 1), (1, 2), (2, 4)]
     assert sum(s["entries"] for s in shards) > 0
-    # memory_bytes is the shards' state plus the shared slot vectors.
-    assert state == sum(s["memory_bytes"] for s in shards) + 25 * 4
+    # memory_bytes is the shards' state: nothing else is resident.
+    assert state == sum(s["memory_bytes"] for s in shards)
     (one,) = Simulation(_history_configs(), engine="sparse").shard_stats()
     assert (one["lo"], one["hi"]) == (0, 4)
     assert Simulation(_history_configs(), engine="batched").shard_stats() == []

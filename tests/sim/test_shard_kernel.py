@@ -1,11 +1,12 @@
 """Shard-split invariance of the one ``ShardKernel``, without a transport.
 
 ``engine="sparse"`` is one kernel over ``[0, n)`` and ``engine="procs"``
-is W kernels behind pipes and shared memory; both lean on the same
-claim: *any* contiguous split of the peers yields the reference loop's
-bits.  Here W kernels are driven in one process on plain numpy vectors
-— no fork, no ``SharedMemory`` — routing each shard its column block of
-``M`` by ``searchsorted`` exactly as the coordinator does, so the claim
+is W kernels behind pipes; both lean on the same claim: *any*
+contiguous split of the peers yields the reference loop's bits.  Here
+W kernels are driven in one process — no fork, no pipes — handing them
+the concatenated requesters and declared capacities and routing each
+shard its column block of ``M`` by ``searchsorted`` exactly as the
+coordinator does, so the claim
 is tested as a cheap hypothesis property rather than through the
 dozen examples the forking suite can afford.
 """
@@ -38,7 +39,7 @@ from repro.sim import (
     StreamingMetrics,
     fastpath,
 )
-from repro.sim.shard import ShardKernel, column_sums, needs_declared
+from repro.sim.shard import ShardKernel, column_sums, has_islands, needs_declared
 
 from test_engine_batched import adversarial_configs
 from test_sampling_classes import SlotCapacity, SlotDemand
@@ -69,23 +70,19 @@ def backend(native):
             yield
 
 
-class SplitSlot:
-    """The population's slot vectors over W in-process kernels: what
-    ``ShardKernel.alloc`` reads as its ``slot`` argument — the kernel
-    itself under ``sparse``, the shared slot vectors under ``procs``."""
-
-    def __init__(self, kernels):
-        self.kernels = kernels
-
-    def declared_of(self, R):
-        cuts = np.searchsorted(R, [k.hi for k in self.kernels[:-1]])
-        return np.concatenate(
-            [k.declared_of(part) for k, part in zip(self.kernels, np.split(R, cuts))]
-        )
-
-    def vectors(self):
-        parts = zip(*(k.vectors() for k in self.kernels))
-        return tuple(None if p[0] is None else np.concatenate(p) for p in parts)
+def split_sample(kernels, t, islands):
+    """``(R, declared_R, declared)`` of slot ``t`` over W kernels: what
+    the procs coordinator stacks from its workers' sample replies and
+    broadcasts with ``alloc``."""
+    parts = []
+    for k in kernels:
+        R = k.sample(t)
+        parts.append((
+            R,
+            k.declared_of(R) if k.needs_declared else None,
+            k.vectors()[2] if islands else None,
+        ))
+    return [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
 
 
 def make_kernels(configs, workers, seed=3, feedback_interval=1):
@@ -118,14 +115,14 @@ def run_split(
     """
     n = len(configs)
     kernels = make_kernels(configs, workers, seed, feedback_interval)
-    slot = SplitSlot(kernels)
+    islands = has_islands(configs)
     for kernel in kernels:
         kernel.begin_metrics(slots)
     rates = np.zeros((slots, n))
     metrics = StreamingMetrics(n, slots)
     for t in range(slots):
-        R = np.concatenate([k.sample(t) for k in kernels])
-        blocks = [k.alloc(t, R, slot) for k in kernels]
+        R, declared_R, declared = split_sample(kernels, t, islands)
+        blocks = [k.alloc(t, R, declared_R, declared) for k in kernels]
         act = np.concatenate([a for a, _ in blocks])
         M = np.vstack([m for _, m in blocks])
         rates_c = column_sums(M)  # once, over the whole M

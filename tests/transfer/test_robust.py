@@ -13,6 +13,7 @@ from repro.transfer import (
     RobustPolicy,
     ServingSession,
     SessionCrashed,
+    scheduler,
 )
 
 PARAMS = CodingParams(p=16, m=32, file_bytes=512)  # k = 8
@@ -71,12 +72,15 @@ class TestPollution:
         assert decoder.rejected == 0
         assert report.messages_rejected == 0
 
-    def test_quarantine_threshold_respected(self, rng, keys):
+    def test_quarantine_threshold_respected(self, rng, keys, monkeypatch):
+        monkeypatch.setattr(scheduler, "QUARANTINE_AFTER", 3)
         plan = FaultPlan(seed=1, faults={0: PeerFault("pollute")})
         data, sessions, decoder, digests = build(rng, 2, keys, plan)
-        report = run(sessions, decoder, digests, quarantine_after=3)
+        # At 1 kbps a slot carries about one message, so the count of
+        # discards before the quarantine is the threshold itself.
+        report = run(sessions, decoder, digests, rate=1.0)
         assert report.complete
-        assert report.failure_of(0).messages_discarded >= 3
+        assert report.failure_of(0).messages_discarded == 3
 
     def test_no_digest_store_disables_filtering(self, rng, keys):
         # Without the carried digests the robust path cannot tell
@@ -163,12 +167,6 @@ class TestRedistribution:
         # Peer 1 absorbs peer 0's share: 40 kbps -> 5000 B/slot.
         assert report.per_peer_bytes[1] / report.slots == pytest.approx(5000.0)
 
-    def test_redistribution_can_be_disabled(self, rng, keys):
-        plan = FaultPlan(seed=1, faults={0: PeerFault("refuse")})
-        data, sessions, decoder, digests = build(rng, 2, keys, plan)
-        report = run(sessions, decoder, digests, rate=20.0, redistribute=False)
-        assert report.per_peer_bytes[1] / report.slots == pytest.approx(2500.0)
-
 
 class TestBitIdentical:
     def test_policy_none_matches_legacy_report(self, rng, keys):
@@ -216,15 +214,7 @@ class TestLatencyPath:
 
 
 class TestPolicyValidation:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"stall_timeout_slots": 0},
-            {"quarantine_after": 0},
-            {"max_handshake_attempts": 0},
-            {"backoff_slots": -1},
-        ],
-    )
+    @pytest.mark.parametrize("kw", [{"stall_timeout_slots": 0}])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ValueError):
             RobustPolicy(**kw)
@@ -270,3 +260,10 @@ class TestHandshakeRetry:
             sessions[0], FILE_ID
         )
         assert accept is not None and attempts == 1 and waited == 0
+
+    @pytest.mark.parametrize("kw", [{"attempts": 0}, {"backoff_slots": -1}])
+    def test_bad_retry_knobs_rejected(self, keys, kw):
+        # The retry bound and backoff are handshake_with_retry's own
+        # arguments; it checks them before touching the session.
+        with pytest.raises(ValueError):
+            DownloadSession(keys).handshake_with_retry(None, FILE_ID, **kw)
