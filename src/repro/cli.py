@@ -940,9 +940,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"{'':<{width}}  {rule.rationale}")
         return 0
 
-    flow = args.flow
-    if args.explain and not flow:
-        flow = True  # --explain is about flow findings' taint paths
     try:
         if args.changed is not None:
             from .lint.engine import changed_files
@@ -961,18 +958,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
                       f"{'/'.join(_LINT_DEFAULT_PATHS)} exist here",
                       file=sys.stderr)
                 return 2
-        report = run_lint(paths, rule_ids=args.rule or None, flow=flow)
+        report = run_lint(paths, rule_ids=args.rule or None)
     except LintError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.explain:
-        explained = [f for f in report.findings if f.rule == args.explain]
-        for f in explained:
-            print(f.format_trace())
-        noun = "finding" if len(explained) == 1 else "findings"
-        print(f"{len(explained)} {args.explain} {noun} "
-              f"in {report.files_checked} file(s)")
-        return 1 if explained else 0
     if args.format == "json":
         print(report.to_json())
     else:
@@ -1205,24 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every rule id, its scope and rationale, then exit",
     )
     lint.add_argument(
-        "--flow", action="store_true", default=False,
-        help="also run the whole-project flow rules (determinism and key "
-        "taint tracking) over the project symbol table",
-    )
-    lint.add_argument(
-        "--no-flow", dest="flow", action="store_false",
-        help="disable the flow rules (the default; pairs with --flow in "
-        "scripts)",
-    )
-    lint.add_argument(
-        "--explain", metavar="RULE-ID",
-        help="print each finding of RULE-ID with its taint path, "
-        "file:line by file:line (implies --flow)",
-    )
-    lint.add_argument(
         "--changed", metavar="REF",
-        help="lint only python files changed vs the given git ref "
-        "(the call graph still covers the whole project)",
+        help="lint only python files changed vs the given git ref",
     )
     lint.set_defaults(func=cmd_lint)
 

@@ -33,7 +33,6 @@ from .registry import RULES, Rule, register_meta
 
 __all__ = [
     "FileContext",
-    "FlowContext",
     "LintError",
     "LintReport",
     "ProjectContext",
@@ -164,21 +163,6 @@ class FileContext:
             rule=rule_id,
             message=message,
         )
-
-
-@dataclass
-class FlowContext:
-    """What a whole-project flow rule gets to look at.
-
-    ``graph`` covers every module under ``<root>/src``; ``targets`` is
-    the set of absolute file paths this invocation was asked to lint —
-    the engine drops flow findings outside it, so rules may analyse
-    broadly and report freely.
-    """
-
-    root: Path
-    graph: object  #: :class:`repro.lint.callgraph.CallGraph`
-    targets: frozenset[str]
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +437,8 @@ def lint_file(
 def run_lint(
     paths: list[str | os.PathLike],
     rule_ids: list[str] | None = None,
-    *,
-    flow: bool = False,
 ) -> LintReport:
-    """Lint ``paths`` (files or directories) with the selected rules.
-
-    With ``flow=True`` the whole-project flow rules also run, once per
-    project root covering the inputs.
-    """
+    """Lint ``paths`` (files or directories) with the selected rules."""
     rules = _select_rules(rule_ids)
     files = collect_files(paths)
     invocation_root = resolve_invocation_root(files)
@@ -472,64 +450,9 @@ def run_lint(
         if project is None:
             project = projects[root] = ProjectContext.load(root)
         findings.extend(lint_file(path, rules, project, invocation_root))
-    flow_rules = [r for r in rules if r.is_flow]
-    if flow and flow_rules:
-        findings.extend(_run_flow(files, flow_rules, invocation_root))
     findings.sort()
-    rules_run = [r.id for r in rules if flow or not r.is_flow]
     return LintReport(
         findings=findings,
         files_checked=len(files),
-        rules_run=rules_run,
+        rules_run=[r.id for r in rules],
     )
-
-
-def _run_flow(
-    files: list[Path],
-    flow_rules: list[Rule],
-    invocation_root: Path | None,
-) -> list[Finding]:
-    """Run the flow rules once per project root covering ``files``."""
-    from .callgraph import CallGraph
-
-    by_root: dict[Path, list[Path]] = {}
-    for path in files:
-        by_root.setdefault(_find_root(path, invocation_root), []).append(path)
-    out: list[Finding] = []
-    allows_cache: dict[str, dict[int, list[str]]] = {}
-    for root, group in sorted(by_root.items()):
-        if not (root / "src").is_dir():
-            continue
-        graph = CallGraph.load_or_build(root)
-        targets = frozenset(str(p) for p in group)
-        ctx = FlowContext(root=root, graph=graph, targets=targets)
-        for r in flow_rules:
-            for f in r.flow_check(ctx):
-                if f.path not in targets:
-                    continue
-                try:
-                    relpath = Path(f.path).relative_to(root).as_posix()
-                except ValueError:  # pragma: no cover - foreign path
-                    relpath = Path(f.path).name
-                if not r.applies_to(relpath):
-                    continue
-                allows = allows_cache.get(f.path)
-                if allows is None:
-                    try:
-                        source = Path(f.path).read_text(encoding="utf-8")
-                    except OSError:  # pragma: no cover - racing deletion
-                        source = ""
-                    allows = allows_cache[f.path] = _parse_suppressions(source)
-                if f.rule in allows.get(f.line, ()):
-                    continue
-                out.append(
-                    Finding(
-                        path=_display_path(Path(f.path)),
-                        line=f.line,
-                        col=f.col,
-                        rule=f.rule,
-                        message=f.message,
-                        trace=f.trace,
-                    )
-                )
-    return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -10,10 +10,7 @@ class Finding:
     """One rule violation at one source location.
 
     Ordering is (path, line, col, rule) so reports are stable across
-    runs and directory-walk order.  ``trace`` carries the step-by-step
-    taint path for flow findings (``repro lint --explain``); it is
-    excluded from ordering/equality so a finding is the same finding
-    whichever witness path the engine happened to record first.
+    runs and directory-walk order.
     """
 
     path: str
@@ -21,29 +18,19 @@ class Finding:
     col: int
     rule: str
     message: str
-    trace: tuple[str, ...] = field(default=(), compare=False)
 
     def format(self) -> str:
         """The classic compiler-style one-liner: ``path:line:col: id msg``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def format_trace(self) -> str:
-        """The finding plus its witness path, one step per line."""
-        lines = [self.format()]
-        lines.extend(f"    {step}" for step in self.trace)
-        return "\n".join(lines)
-
     def to_dict(self) -> dict:
-        blob = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
         }
-        if self.trace:
-            blob["trace"] = list(self.trace)
-        return blob
 
     @classmethod
     def from_dict(cls, blob: dict) -> Finding:
@@ -53,5 +40,4 @@ class Finding:
             col=int(blob["col"]),
             rule=str(blob["rule"]),
             message=str(blob["message"]),
-            trace=tuple(blob.get("trace", ())),
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import FileContext, FlowContext
+    from .engine import FileContext
     from .findings import Finding
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "RULES",
     "Rule",
     "all_rule_ids",
-    "flow_rule",
     "get_rule",
     "rule",
 ]
@@ -50,10 +49,7 @@ class Rule:
 
     ``check`` is ``None`` for the engine's own meta rules (suppression
     hygiene, syntax errors) which are emitted by the engine itself
-    rather than by walking an AST.  Flow rules carry ``flow_check``
-    instead: a whole-project callable run once per project root against
-    the call graph (only with ``repro lint --flow``), whose findings
-    are then scoped/suppressed per file like any other.
+    rather than by walking an AST.
     """
 
     id: str
@@ -62,13 +58,6 @@ class Rule:
     check: Callable[[FileContext], Iterable[Finding]] | None = field(
         default=None, compare=False
     )
-    flow_check: Callable[[FlowContext], Iterable[Finding]] | None = field(
-        default=None, compare=False
-    )
-
-    @property
-    def is_flow(self) -> bool:
-        return self.flow_check is not None
 
     def applies_to(self, relpath: str) -> bool:
         if not self.scope:
@@ -87,20 +76,6 @@ def rule(rule_id: str, *, rationale: str, scope: tuple[str, ...] = ()):
         if rule_id in RULES:
             raise ValueError(f"duplicate rule id: {rule_id}")
         RULES[rule_id] = Rule(id=rule_id, rationale=rationale, scope=scope, check=fn)
-        return fn
-
-    return decorate
-
-
-def flow_rule(rule_id: str, *, rationale: str, scope: tuple[str, ...] = ()):
-    """Decorator: register ``fn`` as a whole-project flow checker."""
-
-    def decorate(fn):
-        if rule_id in RULES:
-            raise ValueError(f"duplicate rule id: {rule_id}")
-        RULES[rule_id] = Rule(
-            id=rule_id, rationale=rationale, scope=scope, flow_check=fn
-        )
         return fn
 
     return decorate

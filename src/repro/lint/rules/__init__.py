@@ -7,7 +7,6 @@ from . import (
     density,
     determinism,
     floatsafety,
-    taint,
     tracing,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "density",
     "determinism",
     "floatsafety",
-    "taint",
     "tracing",
 ]

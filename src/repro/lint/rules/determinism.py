@@ -34,6 +34,22 @@ _NP_RANDOM_OK = frozenset(
 )
 
 
+#: Clock reads that differ run to run.  ``time.perf_counter*`` stays
+#: allowed: obs timers in ``sim/`` read it and never feed a decision.
+_WALLCLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.clock_gettime",
+        "time.process_time",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+    }
+)
+
+
 @rule(
     "det-wallclock",
     rationale="wall-clock reads make slot loops and coding decisions "
@@ -45,7 +61,7 @@ def check_wallclock(ctx) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
             resolved = imap.resolve(node.func)
-            if resolved in ("time.time", "time.time_ns"):
+            if resolved in _WALLCLOCK_CALLS:
                 yield ctx.finding(
                     "det-wallclock",
                     node,

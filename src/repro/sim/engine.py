@@ -424,8 +424,8 @@ class Simulation:
         ``allocation_matrix[i, j]`` is ``mu_ij(t)`` after feasibility
         enforcement.  Under the sparse engines the dense matrix is
         materialised from the compact active-set rows — use
-        :meth:`run` with ``history="rates"`` / ``"none"`` to keep large
-        populations allocation-free.
+        :meth:`run` with ``history="none"`` to keep large populations
+        allocation-free.
         """
         return self._in_step_span(self._step_dense)
 
@@ -776,9 +776,6 @@ class Simulation:
         * ``"full"`` (default) — per-slot rates, request indicators and
           capacities as ``(slots, n)`` arrays plus the ``(n, n)`` mean
           allocation matrix: the complete :class:`SimulationResult`.
-        * ``"rates"`` — the ``(slots, n)`` arrays but no allocation
-          matrices (``mean_alloc`` is ``None``); the sparse engines then
-          never materialise a dense slot.
         * ``"none"`` (or ``None``) — O(n) running aggregates only
           (per-peer rate/capacity/isolation sums and request counts);
           the result's summary accessors (mean capacity, isolation
@@ -795,42 +792,29 @@ class Simulation:
             raise ValueError(f"slots must be positive, got {slots}")
         if history is None:
             history = "none"
-        if history not in ("full", "rates", "none"):
-            raise ValueError(
-                f"history must be 'full', 'rates' or 'none', got {history!r}"
-            )
+        if history not in ("full", "none"):
+            raise ValueError(f"history must be 'full' or 'none', got {history!r}")
         if record_allocations and history != "full":
             raise ValueError("record_allocations requires history='full'")
         if history == "none":
             return self._run_streaming(slots)
-        compact = self._shards is not None
-        full = history == "full"
         rates = np.zeros((slots, self.n))
         requesting = np.zeros((slots, self.n), dtype=bool)
         capacities = np.zeros((slots, self.n))
-        mean_alloc = alloc_history = None
-        if full:
-            mean_alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        mean_alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        alloc_history = None
         if record_allocations:
             alloc_history = np.zeros((slots, self.n, self.n))  # repro: allow[sim-dense-alloc]
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
-                if compact and not full:
-                    _, R, _, rates_c, (req, caps) = self._in_step_span(
-                        lambda: self._step_compact(dense=True)
-                    )
-                    rates[s, R] = rates_c
-                else:
-                    alloc, req, caps = self.step()
-                    rates[s] = alloc.sum(axis=0)
-                    if full:
-                        mean_alloc += alloc
-                    if alloc_history is not None:
-                        alloc_history[s] = alloc
+                alloc, req, caps = self.step()
+                rates[s] = alloc.sum(axis=0)
+                mean_alloc += alloc
+                if alloc_history is not None:
+                    alloc_history[s] = alloc
                 requesting[s] = req
                 capacities[s] = caps
-        if full:
-            mean_alloc /= slots
+        mean_alloc /= slots
         return SimulationResult(
             rates=rates,
             requesting=requesting,

@@ -6,10 +6,9 @@ indicators, realised capacities, and the time-average allocation matrix
 ``mean_alloc[i, j] = (1/T) sum_t mu_ij(t)`` (the ``mu_bar_ij`` of
 Section IV-C).
 
-Large-population runs (``Simulation.run(history="rates")`` or
-``history="none"``) omit some of those records: ``mean_alloc`` may be
-``None``, and in aggregate-only mode the per-slot arrays are ``None``
-too, replaced by a :attr:`summary` of O(n) running sums.  Every derived
+Large-population runs (``Simulation.run(history="none")``) omit those
+records: ``mean_alloc`` and the per-slot arrays are ``None``, replaced
+by a :attr:`summary` of O(n) running sums.  Every derived
 measurement either degrades to the summary or raises a ``ValueError``
 naming the history mode it needs.
 """
@@ -116,8 +115,8 @@ class SimulationResult:
         (``None`` under ``history="none"``).
     mean_alloc:
         ``(n, n)`` — time-average of ``mu_ij(t)`` with ``[from, to]``
-        indexing (peer ``i`` to user ``j``); ``None`` when the run did
-        not record allocation matrices.
+        indexing (peer ``i`` to user ``j``); ``None`` under
+        ``history="none"``.
     slot_seconds:
         Wall-clock duration one slot represents.
     alloc_history:

@@ -25,3 +25,17 @@ def legacy_global():
 
 def stdlib_draw():
     return random.random()
+
+
+def other_clocks():
+    import datetime
+
+    return (
+        time.monotonic(),  # line 34: det-wallclock
+        time.monotonic_ns(),  # line 35: det-wallclock
+        time.clock_gettime(time.CLOCK_MONOTONIC),  # line 36: det-wallclock
+        time.process_time(),  # line 37: det-wallclock
+        datetime.datetime.now(),  # line 38: det-wallclock
+        datetime.datetime.utcnow(),  # line 39: det-wallclock
+        time.perf_counter(),  # line 40: allowed (obs timers)
+    )

@@ -3,12 +3,14 @@ exact file:line the fixture pins (the ISSUE's acceptance criterion)."""
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.lint import run_lint
 
+REPO = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 
 
@@ -29,6 +31,24 @@ class TestDeterminismFamily:
         assert (23, "det-unseeded-rng") in got
         for f in report.findings:
             assert f.path.endswith("bad_determinism.py")
+
+    def test_every_wallclock_spelling(self):
+        # other_clocks(): monotonic, monotonic_ns, clock_gettime,
+        # process_time, datetime.now, datetime.utcnow on lines 34-39;
+        # perf_counter on line 40 stays allowed for obs timers.
+        got, report = findings_for("core/bad_determinism.py")
+        wallclock = {line for line, rule in got if rule == "det-wallclock"}
+        assert wallclock >= set(range(34, 40))
+        assert 40 not in wallclock
+        messages = {f.message.split("()")[0] for f in report.findings if f.line >= 34}
+        assert messages == {
+            "time.monotonic",
+            "time.monotonic_ns",
+            "time.clock_gettime",
+            "time.process_time",
+            "datetime.datetime.now",
+            "datetime.datetime.utcnow",
+        }
 
     def test_no_extra_rules_fire(self):
         got, _ = findings_for("core/bad_determinism.py")
@@ -174,3 +194,48 @@ class TestRuleMetadata:
 
         with pytest.raises(LintError, match="unknown rule id"):
             run_lint([FIXTURES], rule_ids=["nope"])
+
+
+class TestMutationGates:
+    """Seed a wall-clock read into a copy of the real sharded kernel: the
+    syntactic pass catches it at the call site, wherever the value goes
+    (an rng seed, a deferred ledger credit)."""
+
+    @pytest.fixture()
+    def shard(self, tmp_path):
+        sim = tmp_path / "proj" / "src" / "repro" / "sim"
+        sim.mkdir(parents=True)
+        shutil.copy(REPO / "pyproject.toml", tmp_path / "proj" / "pyproject.toml")
+        for name in ("engine.py", "shard.py", "procs.py"):
+            shutil.copy(REPO / "src" / "repro" / "sim" / name, sim / name)
+        return sim / "shard.py"
+
+    def _mutate(self, path: Path, old: str, new: str) -> None:
+        text = path.read_text(encoding="utf-8")
+        assert old in text, f"mutation anchor missing in {path}"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+    def _wallclock_lines(self, path: Path) -> list[int]:
+        report = run_lint([path])
+        assert {f.rule for f in report.findings} <= {"det-wallclock"}, report.format_text()
+        return [f.line for f in report.findings]
+
+    def test_wallclock_seed_in_engine_is_caught(self, shard):
+        self._mutate(shard, "\nimport numpy as np\n", "\nimport time\n\nimport numpy as np\n")
+        self._mutate(shard, "_LazyRngs(seed)", "_LazyRngs(time.time_ns())")
+        (line,) = self._wallclock_lines(shard)
+        assert "_LazyRngs(time.time_ns())" in shard.read_text().splitlines()[line - 1]
+
+    def test_wallclock_in_deferred_credit_is_caught(self, shard):
+        self._mutate(shard, "\nimport numpy as np\n", "\nimport time\n\nimport numpy as np\n")
+        self._mutate(
+            shard,
+            "self._scatter(self._buffer, givers, rows, amounts, weight)",
+            "self._scatter(self._buffer, givers, rows, amounts, weight * time.time())",
+        )
+        (line,) = self._wallclock_lines(shard)
+        assert "weight * time.time()" in shard.read_text().splitlines()[line - 1]
+
+    def test_unmutated_copy_is_clean(self, shard):
+        report = run_lint(sorted(shard.parent.glob("*.py")))
+        assert report.findings == [], report.format_text()

@@ -203,13 +203,8 @@ def test_history_modes_consistent():
         full = sim.run(20)
     with Simulation(_history_configs(), seed=4, engine="procs",
                     workers=2) as sim:
-        rates_only = sim.run(20, history="rates")
-    with Simulation(_history_configs(), seed=4, engine="procs",
-                    workers=2) as sim:
         none = sim.run(20, history="none")
 
-    assert full.rates.tobytes() == rates_only.rates.tobytes()
-    assert rates_only.mean_alloc is None
     assert none.rates is None and none.summary is not None
     assert none.summary["rate_sum"].tobytes() == full.rates.sum(
         axis=0

@@ -176,17 +176,9 @@ def _history_configs():
 @pytest.mark.parametrize("engine", ["batched", "sparse"])
 def test_history_modes_consistent(engine):
     full = Simulation(_history_configs(), seed=4, engine=engine).run(20)
-    rates_only = Simulation(_history_configs(), seed=4, engine=engine).run(
-        20, history="rates"
-    )
     none = Simulation(_history_configs(), seed=4, engine=engine).run(
         20, history="none"
     )
-
-    assert full.rates.tobytes() == rates_only.rates.tobytes()
-    assert full.requesting.tobytes() == rates_only.requesting.tobytes()
-    assert full.capacities.tobytes() == rates_only.capacities.tobytes()
-    assert rates_only.mean_alloc is None
 
     assert none.rates is None and none.summary is not None
     assert none.slots == full.slots and none.n == full.n
@@ -249,10 +241,11 @@ def test_reduced_history_raises_and_roundtrips():
 
     with pytest.raises(ValueError, match="record_allocations"):
         Simulation(_history_configs(), seed=4).run(
-            5, record_allocations=True, history="rates"
+            5, record_allocations=True, history="none"
         )
-    with pytest.raises(ValueError, match="history"):
-        Simulation(_history_configs(), seed=4).run(5, history="bogus")
+    for bad in ("bogus", "rates"):
+        with pytest.raises(ValueError, match="history"):
+            Simulation(_history_configs(), seed=4).run(5, history=bad)
 
 
 @pytest.mark.parametrize("engine", ["sparse", "batched"])

@@ -338,7 +338,7 @@ def test_single_requester_rates_match_reference(engine, workers):
 
     ref = Simulation(make_configs(), engine="reference").run(18)
     with Simulation(make_configs(), engine=engine, workers=workers) as sim:
-        rates = sim.run(9, history="rates").rates
+        rates = sim.run(9).rates
         summary = sim.run(9, history="none").summary
     assert ref.rates[:9].tobytes() == rates.tobytes()
     assert ref.rates[9:].sum(axis=0).tobytes() == summary["rate_sum"].tobytes()
@@ -358,7 +358,7 @@ def test_trace_totals_match_reference(feedback_interval):
                 workers=workers,
                 feedback_interval=feedback_interval,
             ) as sim:
-                sim.run(12, history="rates")
+                sim.run(12, history="none")
             return [
                 (e.name, e.fields)
                 for e in obs.TRACER.events()
