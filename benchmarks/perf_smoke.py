@@ -1,4 +1,4 @@
-"""CI perf-smoke: fifteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: sixteen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -45,9 +45,9 @@ def ratio_gate(name, subject, reference, budget, hint, reps=9) -> int:
     cost, base = (statistics.median(side) * 1e3 for side in samples)
     ratio = statistics.median(s / r for s, r in zip(*samples))
     print(f"{name}: {cost:.3f} / {base:.3f} ms, median of {reps} paired ratios "
-          f"{ratio:.3f}x (budget {budget}x)")
+          f"{ratio:.4g}x (budget {budget}x)")
     if ratio > budget:
-        print(f"FAIL: {name} is {ratio:.3f}x > {budget}x; {hint}")
+        print(f"FAIL: {name} is {ratio:.4g}x > {budget}x; {hint}")
         return 1
     return 0
 
@@ -482,6 +482,65 @@ def gate_sparse_slot() -> int:
     )
 
 
+def gate_sparse_rows() -> int:
+    """One native Equation (2) call / the numpy ``_eq2_block`` rows on the
+    same input, at ``sim_sparse``'s shape: 16 givers, 1,563 requesters
+    at stride 64, n = 10^5.
+
+    Two cells.  *Cold*: the givers' ledgers hold no entry at any
+    requester (every slot of ``sim_sparse``), so the kernel computes one
+    row per distinct (background, capacity) pair and copies the rest.
+    *Warm*: each giver holds an entry at every requester, so no row is
+    copied and the cell prices the pairwise plan itself.  Both sides
+    write the same ``M``, asserted equal first.  The kernel side is
+    the mean of 40 calls.  Skipped, with the loader's reason, where the
+    sparse kernels are not live.
+    """
+    import numpy as np
+
+    from repro import native
+    from repro.sim import fastpath, sparse_population_sim
+
+    if fastpath.load() is None:
+        print(f"sparse Eq. (2) rows: kernels not live "
+              f"({native.status()['fastalloc']}); skipped")
+        return 0
+    kernel = sparse_population_sim(
+        n=100_000, cohorts=64, givers=16, slots=8192, engine="sparse"
+    )._shards.kernel
+    R = kernel.sample(0)
+    (act, caps), _ = kernel.active_givers()
+    rowpos = np.arange(act.size, dtype=np.int64)
+    M = np.empty((act.size, R.size))
+
+    def rows(native_rows: bool, calls: int):
+        def run() -> float:
+            kernel.native = native_rows
+            start = time.perf_counter()
+            for _ in range(calls):
+                kernel._eq2_block(act, rowpos, R, caps, M)
+            return (time.perf_counter() - start) / calls
+        return run
+
+    failures = 0
+    for cell, budget in (("cold", 0.0008), ("warm", 0.0014)):
+        if cell == "warm":
+            rng = np.random.default_rng(0)
+            for i in (act - kernel.lo).tolist():
+                kernel.store.add_compact(i, R, rng.random(R.size))
+        rows(False, 1)()
+        want = M.copy()
+        rows(True, 1)()
+        assert M.tobytes() == want.tobytes()
+        failures += ratio_gate(
+            f"native / numpy Eq. (2) rows, {cell}, 16 givers x {R.size} requesters, n=100000",
+            rows(True, 40), rows(False, 1), budget,
+            "is the pairwise recursion re-run per sum, a pthread started per "
+            "call, or (cold) a cold row computed more than once?", reps=5,
+        )
+    return failures
+
+
 def gate_recombine() -> int:
     """Repair recombination / ``encode_ids`` of as many fresh messages.
 
@@ -700,7 +759,7 @@ def gate_digest() -> int:
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_batched, gate_sparse, gate_sparse_sample,
-    gate_sparse_slot, gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
+    gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
 )
 
 

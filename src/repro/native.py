@@ -48,8 +48,8 @@ K = TypeVar("K")
 #: negotiable: fused multiply-adds would change the allocation kernels'
 #: results by an ulp (and be rejected by their self-check).
 _CFLAG_SETS = [
-    ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"],
-    ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"],
+    ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"],
+    ["-O2", "-fPIC", "-shared", "-ffp-contract=off"],
 ]
 
 #: Kernel name -> (facade or ``None``, why): the process-wide memo.
@@ -154,7 +154,8 @@ def load(
 def usable_cpus() -> int:
     """CPUs this process may run on: the scheduler affinity mask — a
     container pinned to 2 of 64 CPUs gets 2 — else the CPU count.  The
-    one CPU rule behind the sparse kernels' pthreads and the digest pool."""
+    one CPU rule behind ``engine="procs"``'s default worker count and
+    the digest pool."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):

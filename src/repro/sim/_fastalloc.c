@@ -18,8 +18,9 @@
  *    would change results by an ulp.
  */
 
-#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define PW_BLOCKSIZE 128
 
@@ -62,13 +63,6 @@ double repro_pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n);
 }
 
-static void zero_row(double *o, int64_t n)
-{
-    for (int64_t j = 0; j < n; j++) {
-        o[j] = 0.0;
-    }
-}
-
 /* Shared tail of both allocators: the enforce_feasibility() chain for a
  * row that already went through clip+mask (values are the proposal with
  * non-requesters zeroed).  cap > 0 is guaranteed by the callers. */
@@ -93,6 +87,33 @@ static void feasibility_tail(double *o, int64_t n, double cap)
     }
 }
 
+/* Shared body of both allocators: o = enforce_feasibility(cap * w / tot,
+ * cap, req), or zeros when tot or cap is not positive.  Multiply before
+ * dividing, like the numpy reference (capacity * weights / total): cap
+ * * w stays finite even when tot is subnormal, where cap / tot would
+ * overflow.  The arithmetic loop is kept branch-free so it vectorises;
+ * the mask pass mirrors enforce_feasibility zeroing non-requesters
+ * after the arithmetic.  w may be o. */
+static void scaled_row(double *o, const double *w, double tot,
+                       const uint8_t *req, int64_t n, double cap)
+{
+    if (tot <= 0.0 || cap <= 0.0) {
+        for (int64_t j = 0; j < n; j++) {
+            o[j] = 0.0;
+        }
+        return;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        o[j] = cap * w[j] / tot;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        if (!req[j]) {
+            o[j] = 0.0;
+        }
+    }
+    feasibility_tail(o, n, cap);
+}
+
 /* Equation (2) + feasibility for a batch of peers sharing the engine's
  * ledger matrix.  For each listed row i:
  *
@@ -111,30 +132,10 @@ void repro_alloc_rows_eq2(const double *ledger, const uint8_t *req,
         int64_t i = rows[r];
         const double *cred = ledger + (uint64_t)i * n;
         double *o = out + (uint64_t)i * n;
-        double cap = caps[r];
         for (int64_t j = 0; j < n; j++) {
             o[j] = req[j] ? cred[j] : 0.0;
         }
-        double tot = pairwise_sum(o, n);
-        if (tot <= 0.0 || cap <= 0.0) {
-            zero_row(o, n);
-            continue;
-        }
-        /* Multiply before dividing, like the numpy reference
-         * (capacity * weights / total): cap * w stays finite even when
-         * tot is subnormal, where cap / tot would overflow.  The
-         * arithmetic loop is kept branch-free so it vectorises; the
-         * mask pass mirrors enforce_feasibility zeroing non-requesters
-         * after the arithmetic. */
-        for (int64_t j = 0; j < n; j++) {
-            o[j] = cap * o[j] / tot;
-        }
-        for (int64_t j = 0; j < n; j++) {
-            if (!req[j]) {
-                o[j] = 0.0;
-            }
-        }
-        feasibility_tail(o, n, cap);
+        scaled_row(o, o, pairwise_sum(o, n), req, n, caps[r]);
     }
 }
 
@@ -146,22 +147,8 @@ void repro_alloc_rows_shared(const double *weights, double total,
                              double *out)
 {
     for (int64_t r = 0; r < nrows; r++) {
-        int64_t i = rows[r];
-        double *o = out + (uint64_t)i * n;
-        double cap = caps[r];
-        if (total <= 0.0 || cap <= 0.0) {
-            zero_row(o, n);
-            continue;
-        }
-        for (int64_t j = 0; j < n; j++) {
-            o[j] = cap * weights[j] / total;
-        }
-        for (int64_t j = 0; j < n; j++) {
-            if (!req[j]) {
-                o[j] = 0.0;
-            }
-        }
-        feasibility_tail(o, n, cap);
+        scaled_row(out + (uint64_t)rows[r] * n, weights, total, req, n,
+                   caps[r]);
     }
 }
 
@@ -179,78 +166,167 @@ void repro_alloc_rows_shared(const double *weights, double total,
  * missed feedback flush is one more in-place multiply, the same
  * rounded operations the reference ledger performed eagerly.
  *
- * Threading: workers own contiguous shards of independent rows (givers
- * for the allocation kernels, receivers for the scatter), so results
- * are identical for every thread count — the self-check fuzzes that.
+ * The kernels are single-threaded (a slot's rows cost less than
+ * starting a thread) and return a negative status, having written
+ * nothing, when their plan cannot be allocated.
  * ------------------------------------------------------------------ */
 
-#define MAX_THREADS 64
+/* numpy's pairwise recursion over the dense extent of one call's
+ * positions, flattened once so that every sum of the call is a linear
+ * replay (the recursion survives as the builder).  Leaf i takes the
+ * next entries up to leaf[2i] into the eight accumulator lanes lane[k]
+ * (the dense kernel's unrolled chains, keyed by position residue mod
+ * 8) and the rest up to leaf[2i + 1] into the sequential tail past its
+ * last multiple of 8 (a leaf shorter than 8 is all tail).  An all-zero
+ * dense range is a leaf with no entries: it sums to +0.0, as every
+ * branch of numpy's recursion does over it.  Add j sums nodes add[2j]
+ * and add[2j + 1] (leaves first, then adds, in postorder), so a sum is
+ * one pass over the leaves and one over the adds, into node[]; the
+ * last node is the root. */
+typedef struct {
+    int64_t *leaf, *add;
+    uint8_t *lane;
+    double *node;
+    int64_t cnt, nleaf, nadd, leaf_room, add_room;
+} pw_plan;
 
-static int64_t lower_bound(const int64_t *a, int64_t n, int64_t key)
+/* Room for one more pair in *a (doubling); nonzero if out of memory. */
+static int grow(int64_t **a, int64_t *room, int64_t used)
 {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (a[mid] < key) {
-            lo = mid + 1;
+    int64_t *b;
+    if (used < *room) {
+        return 0;
+    }
+    b = realloc(*a, (size_t)*room * 4 * sizeof *b);
+    if (!b) {
+        return -1;
+    }
+    *a = b;
+    *room *= 2;
+    return 0;
+}
+
+/* Plan the dense extent `len` at offset `off`, whose entries are the
+ * sorted positions pos[*k] onwards that fall below off + len (the walk
+ * consumes them in order, so it needs no search).  Returns the node:
+ * a leaf number, ~j for add j, or INT64_MIN when out of memory. */
+static int64_t plan_build(pw_plan *p, const int64_t *pos, int64_t *k,
+                          int64_t off, int64_t len)
+{
+    int64_t half, left, right, j = *k, cnt = p->cnt;
+    if (j == cnt || pos[j] >= off + len || len <= PW_BLOCKSIZE) {
+        uint8_t *lane = p->lane;
+        if (grow(&p->leaf, &p->leaf_room, p->nleaf)) {
+            return INT64_MIN;
+        }
+        for (; j < cnt && pos[j] < off + len - len % 8; j++) {
+            lane[j] = (uint8_t)((pos[j] - off) & 7);
+        }
+        p->leaf[2 * p->nleaf] = j;
+        for (; j < cnt && pos[j] < off + len; j++) {
+        }
+        p->leaf[2 * p->nleaf + 1] = *k = j;
+        return p->nleaf++;
+    }
+    half = len / 2;
+    half -= half % 8;
+    left = plan_build(p, pos, k, off, half);
+    right = left == INT64_MIN ? INT64_MIN
+                              : plan_build(p, pos, k, off + half, len - half);
+    if (right == INT64_MIN || grow(&p->add, &p->add_room, p->nadd)) {
+        return INT64_MIN;
+    }
+    p->add[2 * p->nadd] = left;
+    p->add[2 * p->nadd + 1] = right;
+    return ~p->nadd++;
+}
+
+static void plan_free(pw_plan *p)
+{
+    free(p->leaf);
+    free(p->add);
+    free(p->lane);
+    free(p->node);
+}
+
+/* The plan of `cnt` sorted positions in a dense extent of `len`. */
+static int plan_init(pw_plan *p, const int64_t *pos, int64_t cnt, int64_t len)
+{
+    int64_t k = 0;
+    if (cnt < 0 || (uint64_t)cnt > SIZE_MAX / 64) {
+        return -1;  /* the byte counts below would wrap */
+    }
+    p->cnt = cnt;
+    p->nleaf = p->nadd = 0;
+    /* No leaf of an extent of 128 or more is shorter than 64 cells. */
+    p->leaf_room = p->add_room = 16 + (2 * cnt < len / 64 ? 2 * cnt : len / 64);
+    p->leaf = malloc((size_t)p->leaf_room * 2 * sizeof *p->leaf);
+    p->add = malloc((size_t)p->add_room * 2 * sizeof *p->add);
+    p->lane = malloc((size_t)cnt + 1);
+    p->node = NULL;
+    if (!p->leaf || !p->add || !p->lane
+        || plan_build(p, pos, &k, 0, len) == INT64_MIN
+        || !(p->node = malloc((size_t)(p->nleaf + p->nadd) * sizeof(double)))) {
+        plan_free(p);
+        return -1;
+    }
+    for (int64_t j = 0; j < 2 * p->nadd; j++) {
+        if (p->add[j] < 0) {
+            p->add[j] = p->nleaf + ~p->add[j];
+        }
+    }
+    return 0;
+}
+
+/* The dense pairwise sum of the plan's extent, v[k] at entry k. */
+static double plan_sum(const pw_plan *p, const double *v)
+{
+    double *node = p->node;
+    int64_t k = 0;
+    if (!p->cnt) {
+        return 0.;
+    }
+    for (int64_t i = 0; i < p->nleaf; i++) {
+        int64_t lane_end = p->leaf[2 * i], end = p->leaf[2 * i + 1];
+        if (end - k <= 2) {
+            /* Up to two entries, wherever they sit: every other add of
+             * the lanes, the tree and the tail is x + +0.0 with x not
+             * -0.0, an identity, which leaves (0. + a) + b.  Both loads
+             * are in bounds (cnt > 0): selects, not branches. */
+            double a = v[end > k ? k : 0], b = v[end > k + 1 ? k + 1 : 0];
+            node[i] = (0. + (end > k ? a : 0.)) + (end > k + 1 ? b : 0.);
         }
         else {
-            hi = mid;
+            double r[8] = {0., 0., 0., 0., 0., 0., 0., 0.};
+            double res;
+            for (; k < lane_end; k++) {
+                r[p->lane[k]] += v[k];
+            }
+            res = ((r[0] + r[1]) + (r[2] + r[3]))
+                + ((r[4] + r[5]) + (r[6] + r[7]));
+            for (; k < end; k++) {
+                res += v[k];
+            }
+            node[i] = res;
         }
+        k = end;
     }
-    return lo;
+    for (int64_t j = 0; j < p->nadd; j++) {
+        node[p->nleaf + j] = node[p->add[2 * j]] + node[p->add[2 * j + 1]];
+    }
+    return node[p->nleaf + p->nadd - 1];
 }
 
-/* numpy's pairwise_sum_DOUBLE over a dense vector of extent `len`
- * starting at dense offset `off`, given only its `cnt` materialised
- * entries at sorted dense positions pos[] with values val[]. */
-static double sparse_pw(const int64_t *pos, const double *val, int64_t cnt,
-                        int64_t off, int64_t len)
+int64_t repro_sparse_pairwise(const int64_t *pos, const double *val,
+                              int64_t cnt, int64_t len, double *out)
 {
-    if (cnt == 0) {
-        /* An all-zero dense range reduces to +0.0 in every branch of
-         * the recursion, so the whole subtree collapses. */
-        return 0.0;
+    pw_plan plan;
+    if (plan_init(&plan, pos, cnt, len)) {
+        return -1;
     }
-    if (len < 8) {
-        double res = 0.;
-        for (int64_t i = 0; i < cnt; i++) {
-            res += val[i];
-        }
-        return res;
-    }
-    if (len <= PW_BLOCKSIZE) {
-        /* Eight accumulator chains keyed by position residue mod 8 (the
-         * dense kernel's unrolled lanes), then the fixed reduction tree
-         * and the sequential tail past the last multiple of 8. */
-        int64_t lim = len - len % 8;
-        double r[8] = {0., 0., 0., 0., 0., 0., 0., 0.};
-        double res;
-        int64_t k = 0;
-        for (; k < cnt && pos[k] - off < lim; k++) {
-            r[(pos[k] - off) & 7] += val[k];
-        }
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; k < cnt; k++) {
-            res += val[k];
-        }
-        return res;
-    }
-    {
-        int64_t half = len / 2;
-        int64_t split;
-        half -= half % 8;
-        split = lower_bound(pos, cnt, off + half);
-        return sparse_pw(pos, val, split, off, half)
-             + sparse_pw(pos + split, val + split, cnt - split,
-                         off + half, len - half);
-    }
-}
-
-double repro_sparse_pairwise(const int64_t *pos, const double *val,
-                             int64_t cnt, int64_t len)
-{
-    return sparse_pw(pos, val, cnt, 0, len);
+    *out = plan_sum(&plan, val);
+    plan_free(&plan);
+    return 0;
 }
 
 /* Lazy forgetting catch-up for one sparse row: one in-place multiply
@@ -273,20 +349,32 @@ static void catch_up_row(int64_t i, double *val, int64_t cnt,
     }
 }
 
-/* enforce_feasibility() over the compact request set: o[] are the row's
- * values at dense positions R[]; every reduction replays the dense sum
- * and the rare cumsum-clamp is compaction-safe (the dense running sum
- * never crosses cap at an absent cell).  cap > 0 guaranteed. */
-static void sparse_feasibility_tail(double *o, const int64_t *R, int64_t A,
-                                    int64_t n, double cap)
+/* o = enforce_feasibility(cap * w / tot, cap) over the compact request
+ * set, or zeros when tot is not positive (cap > 0 is guaranteed).  The
+ * clip of negative proposals is a no-op for credits; every reduction
+ * replays the dense sum and the rare cumsum-clamp is compaction-safe
+ * (the dense running sum never crosses cap at an absent cell).  w may
+ * be o. */
+static void sparse_row(double *o, const double *w, double tot,
+                       const pw_plan *p, int64_t A, double cap)
 {
-    double t2 = sparse_pw(R, o, A, 0, n);
+    double t2;
+    for (int64_t a = 0; a < A; a++) {
+        o[a] = tot > 0.0 ? cap * w[a] / tot : 0.0;
+        if (o[a] < 0.0) {
+            o[a] = 0.0;
+        }
+    }
+    if (tot <= 0.0) {
+        return;
+    }
+    t2 = plan_sum(p, o);
     if (t2 > cap) {
         double s2 = cap / t2;
         for (int64_t a = 0; a < A; a++) {
             o[a] *= s2;
         }
-        if (sparse_pw(R, o, A, 0, n) > cap) {
+        if (plan_sum(p, o) > cap) {
             double run = 0.0, prev = 0.0;
             for (int64_t a = 0; a < A; a++) {
                 double m;
@@ -299,285 +387,160 @@ static void sparse_feasibility_tail(double *o, const int64_t *R, int64_t A,
     }
 }
 
-/* Shared context of the sparse row kernels; [lo, hi) is the worker's
- * shard of the active-giver list (disjoint rows => no locks needed and
- * bitwise scheduling invariance). */
-typedef struct {
-    const int64_t *act;
-    const int64_t *rowpos;
-    const int64_t *R;
-    int64_t A;
-    int64_t n;
-    const double *caps;
-    const double *background;
-    const double *forgetting;
-    int64_t epoch;
-    int64_t *stamps;
-    int64_t *nnz;
-    const int64_t *idx_addr;
-    const int64_t *val_addr;
-    const double *wR;      /* eq3 only: shared masked weights at R */
-    double total;          /* eq3 only: shared weight total */
-    const double *M_in;    /* scatter only */
-    double weight;         /* scatter only */
-    uint8_t *ok;           /* scatter only */
-    int64_t nact;          /* scatter only: giver count */
-    double *M;
-    int64_t lo, hi;
-} sparse_job;
-
 /* Equation (2) rows: for each active giver act[r], gather its credits
  * at the requesters R (explicit entries over the decayed background),
  * total them with the dense-extent pairwise sum, then cap*w/tot and
- * the feasibility chain — all written into M[rowpos[r]]. */
-static void eq2_shard(sparse_job *job)
+ * the feasibility chain — all written into M[rowpos[r]].
+ *
+ * A "cold" row has no explicit entry at any requester, so it is a
+ * function of (background, cap) alone: the first cold row of each
+ * distinct bit-pattern pair is computed, the others copy it (an
+ * open-addressing table of row numbers, keyed on both patterns).
+ * Returns the number of copied rows. */
+int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
+                              int64_t nact, const int64_t *R, int64_t A,
+                              int64_t n, const double *caps,
+                              const double *background,
+                              const double *forgetting, int64_t epoch,
+                              int64_t *stamps, int64_t *nnz,
+                              const int64_t *idx_addr, const int64_t *val_addr,
+                              double *M)
 {
-    const int64_t *R = job->R;
-    int64_t A = job->A, n = job->n;
-    for (int64_t r = job->lo; r < job->hi; r++) {
-        int64_t i = job->act[r];
-        double cap = job->caps[r];
-        double *o = job->M + job->rowpos[r] * A;
-        double bg = job->background[i];
-        int64_t cnt = job->nnz[i];
-        double tot;
+    pw_plan plan;
+    int64_t size = 16, copied = 0, *memo;
+    while (size < 2 * nact) {
+        size *= 2;
+    }
+    if (plan_init(&plan, R, A, n)) {
+        return -1;
+    }
+    memo = malloc((size_t)size * sizeof *memo);
+    if (!memo) {
+        plan_free(&plan);
+        return -1;
+    }
+    memset(memo, 0xff, (size_t)size * sizeof *memo);  /* all -1: empty */
+    for (int64_t r = 0; r < nact; r++) {
+        int64_t i = act[r], cnt = nnz[i], warm = 0;
+        double cap = caps[r], bg = background[i];
+        double *o = M + rowpos[r] * A;
         if (cnt > 0) {
-            const int64_t *idx = (const int64_t *)job->idx_addr[i];
-            double *vals = (double *)job->val_addr[i];
+            const int64_t *idx = (const int64_t *)idx_addr[i];
+            double *vals = (double *)val_addr[i];
             int64_t p = 0;
-            catch_up_row(i, vals, cnt, job->forgetting, job->epoch,
-                         job->stamps);
+            catch_up_row(i, vals, cnt, forgetting, epoch, stamps);
             for (int64_t a = 0; a < A; a++) {
                 int64_t col = R[a];
                 while (p < cnt && idx[p] < col) {
                     p++;
                 }
-                o[a] = (p < cnt && idx[p] == col) ? vals[p] : bg;
+                if (p < cnt && idx[p] == col) {
+                    o[a] = vals[p];
+                    warm = 1;
+                }
+                else {
+                    o[a] = bg;
+                }
             }
         }
-        else {
-            for (int64_t a = 0; a < A; a++) {
-                o[a] = bg;
+        if (!warm) {
+            uint64_t kb, kc, s;
+            int64_t e;
+            memcpy(&kb, &bg, sizeof kb);
+            memcpy(&kc, &cap, sizeof kc);
+            s = ((kb * 0x9E3779B97F4A7C15ull) ^ kc) * 0xC2B2AE3D27D4EB4Full;
+            s >>= 40;
+            for (; (e = memo[s & (size - 1)]) >= 0; s++) {
+                if (!memcmp(&background[act[e]], &bg, sizeof bg)
+                    && !memcmp(&caps[e], &cap, sizeof cap)) {
+                    break;
+                }
+            }
+            if (e >= 0) {
+                memcpy(o, M + rowpos[e] * A, (size_t)A * sizeof *o);
+                copied++;
+                continue;
+            }
+            memo[s & (size - 1)] = r;
+            if (cnt <= 0) {
+                for (int64_t a = 0; a < A; a++) {
+                    o[a] = bg;
+                }
             }
         }
-        tot = sparse_pw(R, o, A, 0, n);
-        if (tot <= 0.0) {
-            for (int64_t a = 0; a < A; a++) {
-                o[a] = 0.0;
-            }
-            continue;
-        }
-        /* Multiply before dividing, like the reference. */
-        for (int64_t a = 0; a < A; a++) {
-            o[a] = cap * o[a] / tot;
-        }
-        sparse_feasibility_tail(o, R, A, n, cap);
+        sparse_row(o, o, plan_sum(&plan, o), &plan, A, cap);
     }
+    free(memo);
+    plan_free(&plan);
+    return copied;
 }
 
-/* Equation (3) rows: one shared weight vector and total.  Declared
+/* Equation (3) rows: one shared weight vector wR at R and its dense
+ * pairwise total (rows are zero when it is not positive).  Declared
  * capacities may be negative (lies go both ways), so clip like
  * enforce_feasibility before summing. */
-static void eq3_shard(sparse_job *job)
+int64_t repro_sparse_rows_shared(const int64_t *rowpos, int64_t nact,
+                                 const int64_t *R, int64_t A, int64_t n,
+                                 const double *wR, const double *caps,
+                                 double *M)
 {
-    const int64_t *R = job->R;
-    int64_t A = job->A, n = job->n;
-    for (int64_t r = job->lo; r < job->hi; r++) {
-        double cap = job->caps[r];
-        double *o = job->M + job->rowpos[r] * A;
-        for (int64_t a = 0; a < A; a++) {
-            o[a] = cap * job->wR[a] / job->total;
-        }
-        for (int64_t a = 0; a < A; a++) {
-            if (o[a] < 0.0) {
-                o[a] = 0.0;
-            }
-        }
-        sparse_feasibility_tail(o, R, A, n, cap);
+    pw_plan plan;
+    double total;
+    if (plan_init(&plan, R, A, n)) {
+        return -1;
     }
+    total = plan_sum(&plan, wR);
+    for (int64_t r = 0; r < nact; r++) {
+        sparse_row(M + rowpos[r] * A, wR, total, &plan, A, caps[r]);
+    }
+    plan_free(&plan);
+    return 0;
 }
 
 /* Fused feedback scatter: receiver R[a] gains M[r][a] * weight from
- * every active giver act[r].  Workers own contiguous shards of the
- * *receiver* list.  Rows whose explicit entries already contain every
- * active giver take the in-place path (catch-up decay, then one
- * multiply + one add per cell, the reference's two-op rounding);
- * anything else — first contact (new entries), empty rows, dense
- * islands — reports ok=0 and is merged by the python store. */
-static void scatter_shard(sparse_job *job)
-{
-    const int64_t *act = job->act;
-    int64_t nact = job->nact, A = job->A;
-    double w = job->weight;
-    for (int64_t a = job->lo; a < job->hi; a++) {
-        int64_t j = job->R[a];
-        int64_t cnt = job->nnz[j];
-        const int64_t *idx;
-        double *vals;
-        int64_t p = 0, contained = 1;
-        if (cnt < nact) {   /* covers empty (0) and dense island (-1) */
-            job->ok[a] = 0;
-            continue;
-        }
-        idx = (const int64_t *)job->idx_addr[j];
-        vals = (double *)job->val_addr[j];
-        for (int64_t r = 0; r < nact; r++) {
-            int64_t col = act[r];
-            while (p < cnt && idx[p] < col) {
-                p++;
-            }
-            if (p >= cnt || idx[p] != col) {
-                contained = 0;
-                break;
-            }
-            p++;
-        }
-        if (!contained) {
-            job->ok[a] = 0;
-            continue;
-        }
-        catch_up_row(j, vals, cnt, job->forgetting, job->epoch, job->stamps);
-        p = 0;
-        for (int64_t r = 0; r < nact; r++) {
-            int64_t col = act[r];
-            while (idx[p] < col) {
-                p++;
-            }
-            vals[p] += job->M_in[r * A + a] * w;
-            p++;
-        }
-        job->ok[a] = 1;
-    }
-}
-
-typedef void (*shard_fn)(sparse_job *);
-
-typedef struct {
-    sparse_job job;
-    shard_fn fn;
-} sparse_task;
-
-static void *sparse_worker(void *p)
-{
-    sparse_task *task = (sparse_task *)p;
-    task->fn(&task->job);
-    return NULL;
-}
-
-/* Run `fn` over [0, count) split into contiguous per-thread shards.
- * Thread-count never changes the bits (rows are independent); a failed
- * pthread_create just runs that shard inline. */
-static void run_sharded(const sparse_job *proto, shard_fn fn, int64_t count,
-                        int64_t nthreads)
-{
-    sparse_task tasks[MAX_THREADS];
-    pthread_t tids[MAX_THREADS];
-    int started[MAX_THREADS];
-    int64_t chunk, t, nt = nthreads;
-    if (nt > count) {
-        nt = count;
-    }
-    if (nt > MAX_THREADS) {
-        nt = MAX_THREADS;
-    }
-    if (nt <= 1) {
-        sparse_job job = *proto;
-        job.lo = 0;
-        job.hi = count;
-        fn(&job);
-        return;
-    }
-    chunk = (count + nt - 1) / nt;
-    for (t = 0; t < nt; t++) {
-        tasks[t].job = *proto;
-        tasks[t].fn = fn;
-        tasks[t].job.lo = t * chunk;
-        tasks[t].job.hi = (t + 1) * chunk < count ? (t + 1) * chunk : count;
-        if (tasks[t].job.lo >= tasks[t].job.hi) {
-            started[t] = 0;
-            continue;
-        }
-        started[t] = pthread_create(&tids[t], NULL, sparse_worker,
-                                    &tasks[t]) == 0;
-        if (!started[t]) {
-            tasks[t].fn(&tasks[t].job);
-        }
-    }
-    for (t = 0; t < nt; t++) {
-        if (started[t]) {
-            pthread_join(tids[t], NULL);
-        }
-    }
-}
-
-void repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
-                           int64_t nact, const int64_t *R, int64_t A,
-                           int64_t n, const double *caps,
-                           const double *background,
-                           const double *forgetting, int64_t epoch,
-                           int64_t *stamps, int64_t *nnz,
-                           const int64_t *idx_addr, const int64_t *val_addr,
-                           double *M, int64_t nthreads)
-{
-    sparse_job job = {0};
-    job.act = act;
-    job.rowpos = rowpos;
-    job.R = R;
-    job.A = A;
-    job.n = n;
-    job.caps = caps;
-    job.background = background;
-    job.forgetting = forgetting;
-    job.epoch = epoch;
-    job.stamps = stamps;
-    job.nnz = nnz;
-    job.idx_addr = idx_addr;
-    job.val_addr = val_addr;
-    job.M = M;
-    run_sharded(&job, eq2_shard, nact, nthreads);
-}
-
-void repro_sparse_rows_shared(const int64_t *act, const int64_t *rowpos,
-                              int64_t nact, const int64_t *R, int64_t A,
-                              int64_t n, const double *wR, double total,
-                              const double *caps, double *M,
-                              int64_t nthreads)
-{
-    sparse_job job = {0};
-    job.act = act;
-    job.rowpos = rowpos;
-    job.R = R;
-    job.A = A;
-    job.n = n;
-    job.caps = caps;
-    job.wR = wR;
-    job.total = total;
-    job.M = M;
-    run_sharded(&job, eq3_shard, nact, nthreads);
-}
-
+ * every active giver act[r].  Rows whose explicit entries already
+ * contain every active giver take the in-place path (catch-up decay,
+ * then one multiply + one add per cell, the reference's two-op
+ * rounding); anything else — first contact (new entries), empty rows,
+ * dense islands — reports ok=0 and is merged by the python store. */
 void repro_sparse_scatter(const int64_t *act, int64_t nact,
                           const int64_t *R, int64_t A, const double *M,
                           double weight, const double *forgetting,
                           int64_t epoch, int64_t *stamps, int64_t *nnz,
                           const int64_t *idx_addr, const int64_t *val_addr,
-                          uint8_t *ok, int64_t nthreads)
+                          uint8_t *ok)
 {
-    sparse_job job = {0};
-    job.act = act;
-    job.nact = nact;
-    job.R = R;
-    job.A = A;
-    job.M_in = M;
-    job.weight = weight;
-    job.forgetting = forgetting;
-    job.epoch = epoch;
-    job.stamps = stamps;
-    job.nnz = nnz;
-    job.idx_addr = idx_addr;
-    job.val_addr = val_addr;
-    job.ok = ok;
-    run_sharded(&job, scatter_shard, A, nthreads);
+    for (int64_t a = 0; a < A; a++) {
+        int64_t j = R[a];
+        int64_t cnt = nnz[j];
+        const int64_t *idx;
+        double *vals;
+        int64_t p = 0, contained = 1;
+        ok[a] = 0;
+        if (cnt < nact) {   /* covers empty (0) and dense island (-1) */
+            continue;
+        }
+        idx = (const int64_t *)idx_addr[j];
+        vals = (double *)val_addr[j];
+        for (int64_t r = 0; r < nact && contained; r++) {
+            while (p < cnt && idx[p] < act[r]) {
+                p++;
+            }
+            contained = p < cnt && idx[p++] == act[r];
+        }
+        if (!contained) {
+            continue;
+        }
+        catch_up_row(j, vals, cnt, forgetting, epoch, stamps);
+        p = 0;
+        for (int64_t r = 0; r < nact; r++) {
+            while (idx[p] < act[r]) {
+                p++;
+            }
+            vals[p++] += M[r * A + a] * weight;
+        }
+        ok[a] = 1;
+    }
 }
 
 /* led += alloc.T * w, 64x64 tiles so both matrices stream through the

@@ -37,9 +37,8 @@ Three slot implementations produce those slots:
   ``sparse`` is one kernel over ``[0, n)`` called **in-process**
   (:class:`~repro.sim.shard.LocalShard`); ``procs`` is W kernels in
   forked worker **processes** that exchange pipe messages
-  (:mod:`repro.sim.procs`).  The in-process kernel is already
-  pthread-sharded natively and has measured faster on every input, so
-  ``procs`` runs only when asked for by name.
+  (:mod:`repro.sim.procs`).  The in-process kernel has measured
+  faster on every input, so ``procs`` runs only when asked for by name.
 
 ``engine="auto"`` is a two-way rule over what the code can observe (see
 :meth:`Simulation._auto_engine`): ``batched`` while ``n`` is below the

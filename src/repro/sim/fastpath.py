@@ -14,38 +14,24 @@ differences.  Otherwise :func:`load` returns ``None`` and the engine
 silently falls back to the pure-numpy path (same results, smaller
 speedup).
 
-The sparse engine's kernels (``sparse_rows_eq2`` / ``sparse_rows_shared``
-/ ``sparse_scatter``) are multi-threaded: workers own contiguous shards
-of independent rows, so the bits are identical for every thread count
-(the self-check verifies that too).  :func:`thread_count` is the one
-reader of ``REPRO_SIM_THREADS``.
+The sparse engine's kernels are single-threaded.  A call plans numpy's
+pairwise recursion over its request set once and replays the plan for
+every sum, and ``sparse_rows_eq2`` computes each distinct *cold* row (no
+ledger entry at any requester: a function of background credit and
+capacity alone) once and copies it.  A failed plan raises
+:class:`MemoryError`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .. import native
 
-__all__ = ["load", "FastAlloc", "thread_count"]
-
-
-def thread_count() -> int:
-    """Worker threads for the sparse kernels (and the CPUs behind an
-    explicit ``engine="procs"``'s default worker count):
-    ``REPRO_SIM_THREADS``, else :func:`repro.native.usable_cpus` — a
-    container pinned to 2 of 64 CPUs starts 2 — capped at 8."""
-    env = os.environ.get("REPRO_SIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, native.usable_cpus())
+__all__ = ["load", "FastAlloc"]
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
 
@@ -75,19 +61,18 @@ class FastAlloc:
                 None, [_ptr, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr],
             ),
             "repro_ledger_tadd": (None, [_ptr, _ptr, _i64, _f64]),
-            "repro_sparse_pairwise": (_f64, [_ptr, _ptr, _i64, _i64]),
+            "repro_sparse_pairwise": (_i64, [_ptr, _ptr, _i64, _i64, _ptr]),
             "repro_sparse_rows_eq2": (
-                None,
+                _i64,
                 [_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64]
-                + [_ptr] * 5 + [_i64],
+                + [_ptr] * 5,
             ),
             "repro_sparse_rows_shared": (
-                None, [_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _f64, _ptr, _ptr, _i64],
+                _i64, [_ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr],
             ),
             "repro_sparse_scatter": (
                 None,
-                [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64]
-                + [_ptr] * 5 + [_i64],
+                [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64] + [_ptr] * 5,
             ),
         }
         for name, (restype, argtypes) in signatures.items():
@@ -123,16 +108,17 @@ class FastAlloc:
 
     def sparse_pairwise(self, pos, val, length: int) -> float:
         """Dense ``float64[length].sum()`` from its materialised entries."""
-        return self._lib.repro_sparse_pairwise(
-            pos.ctypes.data, val.ctypes.data, pos.size, int(length)
-        )
+        out = ctypes.c_double()
+        _planned(self._lib.repro_sparse_pairwise(
+            pos.ctypes.data, val.ctypes.data, pos.size, int(length), ctypes.byref(out)
+        ))
+        return out.value
 
-    def sparse_rows_eq2(
-        self, store, act, rowpos, R, caps, M, nthreads: int | None = None
-    ) -> None:
+    def sparse_rows_eq2(self, store, act, rowpos, R, caps, M) -> int:
         """Equation (2) + feasibility over the active set, from the
-        sparse ledger store (lazy decay caught up in-kernel)."""
-        self._lib.repro_sparse_rows_eq2(
+        sparse ledger store (lazy decay caught up in-kernel); returns
+        how many (cold) rows were copied rather than computed."""
+        return _planned(self._lib.repro_sparse_rows_eq2(
             act.ctypes.data, rowpos.ctypes.data, act.size,
             R.ctypes.data, R.size, store.n,
             caps.ctypes.data, store.background.ctypes.data,
@@ -140,25 +126,18 @@ class FastAlloc:
             store.stamps.ctypes.data, store.nnz.ctypes.data,
             store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
             M.ctypes.data,
-            thread_count() if nthreads is None else nthreads,
-        )
+        ))
 
-    def sparse_rows_shared(
-        self, act, rowpos, R, wR, total, caps, M, n, nthreads: int | None = None
-    ) -> None:
-        """Equation (3) + feasibility over the active set (shared
-        masked weights ``wR`` at positions ``R`` and their total)."""
-        self._lib.repro_sparse_rows_shared(
-            act.ctypes.data, rowpos.ctypes.data, act.size,
-            R.ctypes.data, R.size, int(n),
-            wR.ctypes.data, float(total), caps.ctypes.data,
-            M.ctypes.data,
-            thread_count() if nthreads is None else nthreads,
-        )
+    def sparse_rows_shared(self, rowpos, R, wR, caps, M, n) -> None:
+        """Equation (3) + feasibility over the active set: one shared
+        weight vector ``wR`` at positions ``R``, totalled in-kernel
+        (rows are zero unless the total is positive)."""
+        _planned(self._lib.repro_sparse_rows_shared(
+            rowpos.ctypes.data, rowpos.size, R.ctypes.data, R.size, int(n),
+            wR.ctypes.data, caps.ctypes.data, M.ctypes.data,
+        ))
 
-    def sparse_scatter(
-        self, store, act, R, M, weight, ok, nthreads: int | None = None
-    ) -> None:
+    def sparse_scatter(self, store, act, R, M, weight, ok) -> None:
         """Fused feedback credit into the sparse store; ``ok[a] = 0``
         marks receivers the python merge must handle (new entries,
         dense islands)."""
@@ -169,8 +148,14 @@ class FastAlloc:
             store.stamps.ctypes.data, store.nnz.ctypes.data,
             store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
             ok.ctypes.data,
-            thread_count() if nthreads is None else nthreads,
         )
+
+
+def _planned(status: int) -> int:
+    """A sparse kernel's result; negative: no plan, nothing written."""
+    if status < 0:
+        raise MemoryError("sparse kernel could not allocate its pairwise plan")
+    return status
 
 
 def _self_check(k: FastAlloc) -> bool:
@@ -235,29 +220,75 @@ def _self_check(k: FastAlloc) -> bool:
     return _self_check_sparse(k)
 
 
+def pairwise_cases(rng: np.random.Generator):
+    """``(positions, length)`` for the plan check: none, one, extents
+    under 8, 128 and 129, random densities, strided and clustered runs,
+    and a run to the end (the last leaf's tail past a multiple of 8)."""
+    for length in (1, 5, 7, 8, 12, 100, 127, 128, 129, 255, 1001, 4099, 100_000):
+        yield np.empty(0, dtype=np.int64), length
+        yield rng.integers(0, length, 1), length
+        for density in (0.03, 0.4, 1.0):
+            yield np.flatnonzero(rng.random(length) < density), length
+        stride = int(rng.integers(1, 80))
+        yield np.arange(int(rng.integers(0, stride)), length, stride), length
+        runs = [np.arange(s, s + int(rng.integers(1, 40))) for s in rng.integers(0, length, 3)]
+        yield np.unique(np.concatenate(runs) % length), length
+        yield np.arange(max(0, length - int(rng.integers(3, 40))), length), length
+
+
+def pairwise_values(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Non-negative values over 22 decades: summation order shows."""
+    return rng.random(size) * 10.0 ** rng.integers(-12, 10, size)
+
+
+def eq2_mix(rng: np.random.Generator):
+    """``(store, rows, rowpos, R, caps)`` of an Equation (2) call mixing
+    warm rows (entries at requesters) and cold ones (entries elsewhere,
+    or none) whose ``(background, cap)`` pairs repeat or differ."""
+    from .sparse import SparseLedgers
+
+    n = int(rng.integers(40, 600))
+    R = np.unique(rng.integers(0, n, int(rng.integers(1, 100))))
+    store = SparseLedgers(n, 1e-6, rng.choice([1.0, 0.9], n))
+    rows = rng.choice(n, size=int(rng.integers(1, 24)), replace=False)
+    choices = (R, np.setdiff1d(np.arange(n), R), R[:0])
+    for i in rows.tolist():
+        cols = choices[rng.integers(3)]
+        if cols.size:
+            cols = np.unique(rng.choice(cols, 5))
+            store.add_compact(i, cols, rng.random(cols.size) * 10.0)
+    store.advance_epoch()
+    store.background[rows] = rng.choice([0.0, 5e-324, 1e-6, 0.37, 1e3], rows.size)
+    caps = rng.choice([1e-300, 3.0, 700.0], rows.size)
+    return store, rows, rng.permutation(rows.size), R, caps
+
+
 def _self_check_sparse(k: FastAlloc) -> bool:
-    """Fuzz the sparse-engine kernels: dense-replay reductions, the
-    compact eq2/eq3 pipelines with lazy decay catch-up, the fused
-    scatter, and thread-count invariance — zero bit differences."""
+    """Fuzz the sparse-engine kernels — the pairwise plan against dense
+    sums, cold and warm Eq. (2) rows against the numpy rows, the eq2/eq3
+    pipelines with lazy decay against the dense reference, the fused
+    scatter — demanding zero bit differences."""
     from ..core.allocation import enforce_feasibility
+    from .shard import numpy_eq2_rows
     from .sparse import SparseLedgers
 
     rng = np.random.default_rng(0x5BA85E)
     identical = lambda a, b: a.tobytes() == b.tobytes()  # noqa: E731
 
-    # Pairwise replay: every recursion class x entry density (values are
-    # non-negative — the engine's no-minus-zero precondition).
-    for length in [1, 5, 7, 8, 12, 100, 127, 128, 129, 255, 1000, 4099, 65536]:
-        for density in (0.0, 0.03, 0.4, 1.0):
-            dense = np.zeros(length)
-            mask = rng.random(length) < density
-            dense[mask] = rng.random(int(mask.sum())) * rng.choice(
-                [1e-12, 1.0, 1e9]
-            )
-            pos = np.flatnonzero(mask).astype(np.int64)
-            vals = np.ascontiguousarray(dense[pos])
-            if k.sparse_pairwise(pos, vals, length) != dense.sum():
-                return False
+    for pos, length in pairwise_cases(rng):
+        dense = np.zeros(length)
+        dense[pos] = pairwise_values(rng, pos.size)
+        if k.sparse_pairwise(pos.astype(np.int64), dense[pos], length) != dense.sum():
+            return False
+
+    for _ in range(12):
+        store, rows, rowpos, R, caps = eq2_mix(rng)
+        want = np.empty((rows.size, R.size))
+        numpy_eq2_rows(store, rows, rowpos, R, caps, want)
+        got = np.empty_like(want)
+        k.sparse_rows_eq2(store, rows, rowpos, R, caps, got)
+        if not identical(want, got):
+            return False
 
     for trial in range(12):
         # Build a store and its eagerly-decayed dense replica through a
@@ -290,39 +321,29 @@ def _self_check_sparse(k: FastAlloc) -> bool:
             continue
         caps_act = np.ascontiguousarray(caps[act])
         rowpos = np.arange(act.size, dtype=np.int64)
-        nthreads = int(rng.integers(1, 4))
 
         # Equation (2) rows vs the dense reference pipeline.
         want = np.empty((act.size, A))
         for p, i in enumerate(act.tolist()):
             w = np.where(req, dense[i], 0.0)
             tot = w.sum()
-            if tot <= 0.0:
-                want[p] = 0.0
-                continue
-            want[p] = enforce_feasibility(caps[i] * w / tot, caps[i], req)[R]
+            want[p] = enforce_feasibility(caps[i] * w / tot, caps[i], req)[R] if tot > 0.0 else 0.0
         got = np.empty((act.size, A))
-        k.sparse_rows_eq2(store, act, rowpos, R, caps_act, got, nthreads)
+        k.sparse_rows_eq2(store, act, rowpos, R, caps_act, got)
         if not identical(want, got):
-            return False
-        other = np.empty_like(got)
-        k.sparse_rows_eq2(store, act, rowpos, R, caps_act, other, nthreads % 3 + 1)
-        if not identical(got, other):
             return False
 
         # Equation (3) rows (negative declared values exercise the clip).
         declared = rng.random(n) * 100.0 - 10.0
         weights = np.where(req, declared, 0.0)
         total = weights.sum()
-        if total > 0.0:
-            for p, i in enumerate(act.tolist()):
-                want[p] = enforce_feasibility(
-                    caps[i] * weights / total, caps[i], req
-                )[R]
-            wR = np.ascontiguousarray(declared[R])
-            k.sparse_rows_shared(act, rowpos, R, wR, total, caps_act, got, n, nthreads)
-            if not identical(want, got):
-                return False
+        for p, i in enumerate(act.tolist()):
+            want[p] = enforce_feasibility(
+                caps[i] * weights / total, caps[i], req
+            )[R] if total > 0.0 else 0.0
+        k.sparse_rows_shared(rowpos, R, np.ascontiguousarray(declared[R]), caps_act, got, n)
+        if not identical(want, got):
+            return False
 
         # Fused scatter vs dense `pending += alloc.T * weight`, with the
         # python merge covering the kernel's ok=0 receivers.
@@ -331,7 +352,7 @@ def _self_check_sparse(k: FastAlloc) -> bool:
         store.advance_epoch()
         dense *= forgetting[:, None]
         ok = np.zeros(A, dtype=np.uint8)
-        k.sparse_scatter(store, act, R, M, weight, ok, nthreads)
+        k.sparse_scatter(store, act, R, M, weight, ok)
         miss = np.flatnonzero(ok == 0)
         if miss.size:
             P = M[:, miss].T * weight

@@ -16,10 +16,10 @@ on a slot they carry the active set, never a per-peer vector:
 * the **alloc** broadcast is the concatenated ``(R, declared_R)`` —
   Equation (2) needs only a peer's own ledger and the request set —
   and each shard answers with its rows ``(act, M)``;
-* each **credit** message is one shard's column block of ``M``, its
-  takers and its slice of the compact rates (the one cross-shard float
-  reduction, summed once by the caller so every shard's metrics fold
-  sees identical bits).
+* each shard's **credit** is its column block of ``M``, its takers and
+  its slice of the compact rates (the one cross-shard float reduction,
+  summed once by the caller so every shard's metrics fold sees
+  identical bits), held and sent ahead of the next command.
 
 A population with dense-island (slow-allocator) peers is the
 exception: their ``allocate()`` receives the population's dense
@@ -32,12 +32,12 @@ shards stacked in shard order give the single-kernel row order, and
 the engine is **bit-identical** to ``engine="sparse"`` and
 ``engine="reference"`` (``tests/sim/test_engine_procs.py``).
 
-As an IPC optimisation a worker samples slot ``t+1`` right after
-crediting slot ``t`` and returns it with the credit reply, so
-steady-state slots cost two round-trips, not three.  Pre-sampling is
-safe because blockable sampling is a pure function of the slot index
-and per-peer RNG streams are block-keyed; the engine only ever steps
-forward.
+So a steady-state slot is one round-trip: slot ``t``'s credit rides
+with slot ``t+1``'s alloc, whose reply carries the sample of ``t+2``
+(a traced flush that wants the pending dumps sends its credit alone).
+Sampling ahead is safe: sampling never reads a ledger, the kernel keeps
+the class rows of every slot it has yet to credit, and the engine only
+ever steps forward.
 
 Workers are forked (POSIX only), so they inherit the already-loaded
 native kernels and a private copy-on-write image of the peer configs;
@@ -53,6 +53,7 @@ import weakref
 
 import numpy as np
 
+from .. import native
 from . import fastpath
 from .shard import ShardKernel, has_islands, needs_declared
 
@@ -61,16 +62,15 @@ __all__ = ["ProcsCoordinator", "worker_count"]
 
 def worker_count(n: int, workers: int | None) -> int:
     """Worker processes for ``n`` peers: ``workers``, by default one per
-    usable CPU up to 4 (:func:`~repro.sim.fastpath.thread_count`, so
-    ``REPRO_SIM_THREADS=1`` means single-process too); never above ``n``."""
-    return min(n, workers if workers is not None else min(4, fastpath.thread_count()))
+    usable CPU (:func:`repro.native.usable_cpus`) up to 4; at most ``n``."""
+    return min(n, workers if workers is not None else min(4, native.usable_cpus()))
 
 
-def _cleanup(procs, conns) -> None:
-    """Tear down workers and pipes (idempotent)."""
-    for conn in conns:
+def _cleanup(procs, conns, held=None) -> None:
+    """Tear down workers and pipes (idempotent), behind any held credit."""
+    for conn, credit in zip(conns, held or [None] * len(conns)):
         try:
-            conn.send(("stop",))
+            conn.send(("stop", credit))
         except (OSError, ValueError, BrokenPipeError):
             pass
     for conn in conns:
@@ -150,6 +150,8 @@ class ProcsCoordinator:
         #: The slot the workers last sampled, and their sample replies.
         self._sampled: int | None = None
         self._samples: list = []
+        #: Each worker's credit message of the last slot, not yet sent.
+        self._held: list | None = None
         self._finalizer = weakref.finalize(
             self, _cleanup, list(self._procs), list(self._conns)
         )
@@ -161,12 +163,15 @@ class ProcsCoordinator:
 
     # -- plumbing ------------------------------------------------------
 
-    def _call(self, msg) -> list:
-        """Send ``msg`` to every worker; their replies, in shard order."""
+    def _call(self, *msg, each=None) -> list:
+        """Send ``msg`` (or ``each[w]`` to worker ``w``) to every worker
+        behind its held credit; their replies, in shard order."""
         if self._closed:
             raise RuntimeError("simulation is closed")
-        for conn in self._conns:
-            conn.send(msg)
+        held, self._held = self._held or [None] * self.workers, None
+        for w, conn in enumerate(self._conns):
+            cmd, *args = msg if each is None else each[w]
+            conn.send((cmd, held[w], *args))
         return self._gather()
 
     def _gather(self) -> list:
@@ -195,7 +200,8 @@ class ProcsCoordinator:
             return
         self._closed = True
         self._finalizer.detach()
-        _cleanup(self._procs, self._conns)
+        held, self._held = self._held, None
+        _cleanup(self._procs, self._conns, held)
 
     # -- the slot phases -----------------------------------------------
 
@@ -204,66 +210,68 @@ class ProcsCoordinator:
         stacked from the shards' sample replies."""
         if self._sampled != t or self._closed:
             # Only the first slot pays a dedicated sample round-trip (the
-            # workers sample ahead after each credit) — and a closed
+            # workers sample ahead after each alloc) — and a closed
             # coordinator, whose call raises.
-            self._samples = self._call(("sample", t))
+            self._samples = self._call("sample", t)
             self._sampled = t
         return np.concatenate([R for R, _, _ in self._samples])
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The global dense ``(requesting, capacities)`` of the slot just
-        sampled — asked before :meth:`credit`, after which the workers
+        sampled — asked before :meth:`alloc`, after which the workers
         sample the next slot."""
-        requesting, capacities = zip(*self._call(("vectors",)))
+        requesting, capacities = zip(*self._call("vectors"))
         return np.concatenate(requesting), np.concatenate(capacities)
 
     def alloc(self, t: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(act, M)`` over the whole population, shard blocks stacked
         in shard order (globally sorted givers); the broadcast carries
-        the declared capacities the sampled shards reported."""
+        the declared capacities the sampled shards reported, and the
+        replies slot ``t + 1``'s samples."""
         _, declared_R, declared = zip(*self._samples)
-        blocks = self._call(("alloc", t, R, _concat(declared_R), _concat(declared)))
+        replies = self._call("alloc", t, R, _concat(declared_R), _concat(declared))
+        blocks, self._samples = zip(*replies)
+        self._sampled = t + 1
         return (
             np.concatenate([act for act, _ in blocks]),
             np.vstack([M for _, M in blocks]),
         )
 
     def credit(self, t, act, R, M, rates, weight, flush, want_pending):
-        """Route each shard its column block of ``M`` (and the same
-        columns of ``rates``); returns the shards' pending dumps in
-        global row order when a flush is traced (``want_pending``),
-        else ``None``.  The replies carry slot ``t + 1``'s samples."""
-        for w, conn in enumerate(self._conns):
+        """Cut each shard its column block of ``M`` (and the same
+        columns of ``rates``) and hold it for the next command.  A
+        traced flush (``want_pending``) sends it now and returns the
+        shards' pending dumps in global row order; else ``None``."""
+        held = []
+        for w in range(self.workers):
             c0, c1 = np.searchsorted(R, self._bounds[w : w + 2]).tolist()
             amounts = np.ascontiguousarray(M[:, c0:c1])
-            conn.send(
-                ("credit", t, act, R[c0:c1], amounts, rates[c0:c1], weight, flush, want_pending)
-            )
-        dumps, self._samples = zip(*self._gather())
-        self._sampled = t + 1
+            held.append((t, act, R[c0:c1], amounts, rates[c0:c1], weight, flush, want_pending))
         if want_pending and flush:
+            dumps = self._call(each=[("credit", *msg) for msg in held])
             return [item for dump in dumps for item in dump]
+        self._held = held
         return None
 
     # -- streaming metrics ---------------------------------------------
 
     def begin_metrics(self, slots: int) -> None:
         """Arm the per-shard streaming accumulators for a ``run``."""
-        self._call(("begin_metrics", int(slots)))
+        self._call("begin_metrics", int(slots))
 
     def end_metrics(self) -> list:
         """The shards' accumulators, in shard order."""
-        return self._call(("end_metrics",))
+        return self._call("end_metrics")
 
     # -- inspection ----------------------------------------------------
 
     def credit_matrix(self) -> np.ndarray:
         """Dense ``(n, n)`` snapshot stacked from the shard blocks."""
-        return np.vstack(self._call(("materialize",)))
+        return np.vstack(self._call("materialize"))
 
     def shard_stats(self) -> list[dict]:
         """Per-shard accounting (bounds, resident bytes, entry counts)."""
-        return self._call(("stats",))
+        return self._call("stats")
 
 
 # -- worker side -------------------------------------------------------
@@ -285,13 +293,13 @@ def _worker_main(configs, lo, hi, kernel_args, islands: bool, conn) -> None:
                 kernel.vectors()[2] if islands else None,
             )
 
-        def credit(t, *args):
-            return kernel.credit(t, *args), sample(t + 1)
+        def alloc(t, *args):
+            return kernel.alloc(t, *args), sample(t + 1)
 
         commands = {
             "sample": sample,
-            "alloc": kernel.alloc,
-            "credit": credit,
+            "alloc": alloc,
+            "credit": kernel.credit,
             "vectors": lambda: kernel.vectors()[:2],
             "begin_metrics": kernel.begin_metrics,
             "end_metrics": kernel.end_metrics,
@@ -301,7 +309,9 @@ def _worker_main(configs, lo, hi, kernel_args, islands: bool, conn) -> None:
         }
         conn.send(("ok", None))
         while True:
-            cmd, *args = conn.recv()
+            cmd, credit, *args = conn.recv()
+            if credit is not None:
+                kernel.credit(*credit)
             if cmd not in commands:
                 raise ValueError(f"unknown shard command {cmd!r}")
             conn.send(("ok", commands[cmd](*args)))

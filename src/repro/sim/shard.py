@@ -49,6 +49,7 @@ from ..core.allocation import (
 )
 from ..core.baselines import GlobalProportionalAllocator
 from ..core.ledger import DEFAULT_INITIAL_CREDIT
+from ..obs import REGISTRY as _OBS
 from . import fastpath
 from .capacity import ConstantCapacity, StepCapacity
 from .demand import (
@@ -78,6 +79,9 @@ TIME_BLOCK = 256
 #: Equation (2) rows, closed-form Equation (3) rows, dense islands.
 _EQ2, _EQ3, _SLOW = 0, 1, 2
 _KINDS = 3
+
+_EQ2_ROWS = _OBS.counter("repro.sim.eq2_rows", "Equation (2) giver rows allocated")
+_EQ2_ROWS_COPIED = _OBS.counter("repro.sim.eq2_rows_copied", "of those, cold rows copied")
 
 #: What the time-block length rule budgets for 9 bytes per peer per slot
 #: over the whole population (see ``ShardKernel.__init__``).
@@ -192,6 +196,17 @@ def _feasibility(row: np.ndarray, cap: float, R: np.ndarray, n: int) -> np.ndarr
             # compact clamp produces the identical entries).
             row = np.diff(np.minimum(np.cumsum(row), cap), prepend=0.0)
     return row
+
+
+def numpy_eq2_rows(store: SparseLedgers, rows, rowpos, R, caps, M) -> None:
+    """Equation (2) + feasibility in numpy: ``M[rowpos[r]]`` is store
+    row ``rows[r]``'s allocation of capacity ``caps[r]`` over ``R`` —
+    the fallback of the native ``sparse_rows_eq2`` and its oracle."""
+    n = store.n
+    for i, cap, p in zip(rows.tolist(), caps.tolist(), rowpos.tolist()):
+        w = store.row_at(i, R)
+        total = sparse_pairwise(R, w, n)
+        M[p] = _feasibility(cap * w / total, cap, R, n) if total > 0.0 else 0.0
 
 
 def _columns(size: int, groups: list[np.ndarray], solo: np.ndarray) -> np.ndarray:
@@ -414,6 +429,8 @@ class ShardKernel:
         #: The per-class request/capacity rows of the slot last sampled
         #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
+        #: Those rows of every slot sampled and not yet credited.
+        self._uncredited: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
         #: Deferred feedback (feedback_interval > 1): the credit since
@@ -430,10 +447,13 @@ class ShardKernel:
     # -- phase 1: sampling ---------------------------------------------
 
     def _refresh_blocks(self, t: int) -> None:
-        """Pre-sample the next time block: one call per group, written
-        into the columns of the group's classes."""
+        """Pre-sample the next time block into new tables (an uncredited
+        slot's rows stay intact): one call per group, written into the
+        columns of the group's classes."""
         self._block_start = t
         block = self._block
+        self._req_block = np.empty_like(self._req_block)
+        self._cap_block = np.empty_like(self._cap_block)
         for d, cols in self._det_demand_groups:
             self._req_block[:, cols] = np.asarray(
                 d.sample_block(t, block, None), dtype=bool
@@ -458,6 +478,7 @@ class ShardKernel:
         for i, c in self._slot_capacity:
             cap_row[c] = self.configs[i].capacity.value(t)
         self._req_row, self._cap_row = req_row, cap_row
+        self._uncredited[t] = req_row, cap_row
         self._dense = None
         classes = np.flatnonzero(req_row)
         return self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
@@ -583,53 +604,38 @@ class ShardKernel:
         if act3.size:
             if declared_R is None:
                 declared_R = self.declared_of(R)
-            self._eq3_block(act3, rowpos[act2.size : n23], R, declared_R, caps3, M)
+            self._eq3_block(rowpos[act2.size : n23], R, declared_R, caps3, M)
         for (_, row), p in zip(slow_pairs, rowpos[n23:]):
             M[p] = row
         return act, M
 
     def _eq2_block(self, act, rowpos, R, caps, M) -> None:
         """Equation (2) + feasibility for the active eq2 givers ``act``
-        (capacities ``caps``).
-
-        Writes ``M[rowpos[r]]`` for each ``act[r]``; bit-identical to
-        ``enforce_feasibility(allocate(...))`` on the dense vectors
-        (zeros off the request set are exact no-ops in every reduction,
-        and :func:`sparse_pairwise` replays numpy's dense sum over the
-        surviving positions).
-        """
+        (capacities ``caps``) into ``M[rowpos[r]]``: bit-identical to
+        ``enforce_feasibility(allocate(...))`` on the dense vectors."""
         if not act.size:
             return
-        store = self.store
-        local = act - self.lo
+        # Store rows are shard-local; R and store.n stay global.
+        local, copied = act - self.lo, 0
         if self.native:
-            # The kernel indexes the store's row tables by the ids it
-            # is given (shard-local), while R and store.n keep the
-            # column space global.
-            self._kernels.sparse_rows_eq2(store, local, rowpos, R, caps, M)
-            return
-        n = self.n
-        for i, cap, p in zip(local.tolist(), caps.tolist(), rowpos.tolist()):
-            w = store.row_at(i, R)
-            total = sparse_pairwise(R, w, n)
-            if total <= 0.0:
-                M[p] = 0.0
-                continue
-            row = cap * w
-            row /= total
-            M[p] = _feasibility(row, cap, R, n)
+            copied = self._kernels.sparse_rows_eq2(self.store, local, rowpos, R, caps, M)
+        else:
+            numpy_eq2_rows(self.store, local, rowpos, R, caps, M)
+        if _OBS.enabled:
+            _EQ2_ROWS.inc(act.size)
+            _EQ2_ROWS_COPIED.inc(copied)
 
-    def _eq3_block(self, act, rowpos, R, wR, caps, M) -> None:
+    def _eq3_block(self, rowpos, R, wR, caps, M) -> None:
         """Equation (3) + feasibility for the active eq3 givers (one
         shared weight vector ``wR``, the declared capacities at ``R``,
         and one total for the whole group)."""
         n = self.n
+        if self.native:
+            self._kernels.sparse_rows_shared(rowpos, R, wR, caps, M, n)
+            return
         total = sparse_pairwise(R, wR, n)
         if total <= 0.0:
             M[rowpos] = 0.0
-            return
-        if self.native:
-            self._kernels.sparse_rows_shared(act, rowpos, R, wR, total, caps, M, n)
             return
         for cap, p in zip(caps.tolist(), rowpos.tolist()):
             row = cap * wR
@@ -681,10 +687,9 @@ class ShardKernel:
                     store.add_compact(i, idx, val)
         for hook in self._slot_end_hooks:
             hook(t)
+        req_row, cap_row = self._uncredited.pop(t)
         if self._metrics is not None:
-            self._metrics.fold(
-                self._metrics_slot, rows, rates, self._req_row, self._cap_row
-            )
+            self._metrics.fold(self._metrics_slot, rows, rates, req_row, cap_row)
             self._metrics_slot += 1
         return dump
 

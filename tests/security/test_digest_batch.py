@@ -134,10 +134,9 @@ def test_below_the_rule_starts_no_thread(cpus):
 
 
 def test_pool_reads_the_affinity_mask_not_the_sim_variable(own_pool, monkeypatch):
-    """One CPU rule: the pool is sized by ``native.usable_cpus``;
-    ``REPRO_SIM_THREADS`` is the simulator's alone."""
+    """One CPU rule: the pool is sized by ``native.usable_cpus``, the
+    scheduler affinity mask."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
     _, split = record_counted(DigestStore(), 1, range(8), payloads([128 * KIB] * 8))
     assert split == 1
     assert integrity._POOL._max_workers == 1  # one worker beside the caller

@@ -339,7 +339,6 @@ def test_auto_never_selects_procs(monkeypatch):
     with CPUs to spare, it still lands on the in-process kernel."""
     import sys
 
-    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.delitem(sys.modules, "repro.sim.procs", raising=False)
     sim, event = _auto_event(monkeypatch, n=100)
@@ -359,12 +358,6 @@ def test_auto_keeps_sparse_on_one_cpu(monkeypatch):
     assert event.fields["workers"] == 0
 
 
-def test_workers_env_caps_auto_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
-    sim, _ = _auto_event(monkeypatch)
-    assert sim.backend.startswith("sparse")
-
-
 def test_workers_with_auto_is_rejected():
     """``workers`` is the procs engine's argument; ``auto`` never picks
     procs, so the combination has no meaning left."""
@@ -374,18 +367,18 @@ def test_workers_with_auto_is_rejected():
         sparse_population(n=40, cohorts=8, givers=4, slots=4, workers=2)
 
 
-def test_default_workers_follow_the_one_thread_count(monkeypatch):
+def test_default_workers_follow_usable_cpus(monkeypatch):
     """An explicit ``procs`` without ``workers`` takes ``min(4, usable
-    CPUs)`` from the same reader the pthread shard count uses."""
+    CPUs)``: the scheduler affinity mask, not the machine's CPU count."""
     from repro.sim import procs
 
-    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(6)), raising=False)
     assert procs.worker_count(100, None) == 4
     assert procs.worker_count(3, None) == procs.worker_count(3, 32) == 3
-    monkeypatch.setenv("REPRO_SIM_THREADS", "3")
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3, 7})
     with Simulation(_history_configs(), engine="procs") as sim:
-        assert sim._workers == 3
+        assert sim._workers == 2
 
 
 def test_explicit_workers_event_field():

@@ -90,30 +90,6 @@ def test_numpy_fallback_bit_identical(monkeypatch):
     )
 
 
-def test_thread_count_invariance(monkeypatch):
-    """Sharded kernels must produce identical bits at any thread count."""
-    def configs():
-        return [
-            PeerConfig(
-                capacity=100.0 + 13.0 * (i % 7),
-                demand=BernoulliDemand(0.4),
-                forgetting=0.9 if i % 3 == 0 else 1.0,
-            )
-            for i in range(64)
-        ]
-
-    baselines = None
-    for threads in ("1", "3", "8"):
-        monkeypatch.setenv("REPRO_SIM_THREADS", threads)
-        sim = Simulation(configs(), seed=11, engine="sparse",
-                         feedback_interval=2)
-        result = sim.run(25)
-        blob = (result.rates.tobytes(), sim.credit_matrix().tobytes())
-        if baselines is None:
-            baselines = blob
-        assert blob == baselines, f"threads={threads} diverged"
-
-
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_sparse_equivalence_property(data):

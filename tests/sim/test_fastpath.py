@@ -9,6 +9,8 @@ a named test instead of silently downgrading the engine.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native
 from repro.core.allocation import (
@@ -17,6 +19,8 @@ from repro.core.allocation import (
 )
 from repro.core.baselines import GlobalProportionalAllocator
 from repro.sim import fastpath
+from repro.sim.shard import numpy_eq2_rows
+from repro.sim.sparse import SparseLedgers
 
 kernels = fastpath.load()
 needs_native = pytest.mark.skipif(
@@ -106,6 +110,102 @@ class TestKernelsBitIdentical:
         assert np.all(out[rows] >= 0.0)
 
 
+@st.composite
+def planned_sums(draw):
+    """A dense extent and sorted positions in it: random, strided, a
+    few clustered runs (or none), or one run to the end of the extent."""
+    length = draw(st.integers(1, 3000))
+    shape = draw(st.sampled_from(["random", "strided", "clustered", "end"]))
+    if shape == "end":
+        pos = range(max(0, length - draw(st.integers(1, 40))), length)
+    elif shape == "random":
+        pos = draw(st.sets(st.integers(0, length - 1), max_size=200))
+    elif shape == "strided":
+        stride = draw(st.integers(1, 200))
+        pos = range(draw(st.integers(0, stride - 1)), length, stride)
+    else:
+        pos = {
+            (start + k) % length
+            for start, run in draw(st.lists(st.tuples(st.integers(0, length - 1),
+                                                      st.integers(1, 40)), max_size=4))
+            for k in range(run)
+        }
+    return np.array(sorted(pos), dtype=np.int64), length
+
+
+@needs_native
+class TestSparsePlan:
+    """The sparse kernels' pairwise plan and Equation (2)'s cold-row copy,
+    as properties (the self-check draws the same cases from one seed)."""
+
+    @given(case=planned_sums(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_plan_sum_is_the_dense_sum(self, case, seed):
+        pos, length = case
+        dense = np.zeros(length)
+        dense[pos] = fastpath.pairwise_values(np.random.default_rng(seed), pos.size)
+        got = kernels.sparse_pairwise(pos, dense[pos], length)
+        assert np.float64(got).tobytes() == dense.sum().tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cold_and_warm_eq2_rows_match_numpy(self, data):
+        """Warm rows (an entry at a requester) and cold ones (entries
+        elsewhere, or none) with repeating and differing (background,
+        cap) pairs: bit-identical to the numpy rows, and every cold row
+        but the first of its pair is copied."""
+        n = data.draw(st.integers(2, 600))
+        R = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=80))),
+                     dtype=np.int64)
+        outside = np.setdiff1d(np.arange(n), R)
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16,
+                                           unique=True)), dtype=np.int64)
+        store = SparseLedgers(n, 1e-6, np.full(n, 0.9))
+        for i in rows.tolist():
+            kind = data.draw(st.sampled_from(["warm", "elsewhere", "none"]))
+            cols = R if kind == "warm" else outside if kind == "elsewhere" else R[:0]
+            if cols.size:
+                cols = cols[: data.draw(st.integers(1, 5))]
+                store.add_compact(i, cols, np.full(cols.size, 2.5))
+        store.advance_epoch()
+        pick = st.sampled_from
+        store.background[rows] = data.draw(st.lists(pick([0.0, 5e-324, 1e-6, 0.37]),
+                                                    min_size=rows.size, max_size=rows.size))
+        caps = np.array(data.draw(st.lists(pick([1e-300, 3.0, 700.0]),
+                                           min_size=rows.size, max_size=rows.size)))
+        rowpos = np.array(data.draw(st.permutations(range(rows.size))), dtype=np.int64)
+        want = np.empty((rows.size, R.size))
+        numpy_eq2_rows(store, rows, rowpos, R, caps, want)
+        got = np.empty_like(want)
+        copied = kernels.sparse_rows_eq2(store, rows, rowpos, R, caps, got)
+        assert got.tobytes() == want.tobytes()
+        cold = [
+            (store.background[i], cap)
+            for i, cap in zip(rows.tolist(), caps.tolist())
+            if not np.isin(R, store._idx.get(i, R[:0])).any()
+        ]
+        assert copied == len(cold) - len(set(cold))
+
+    def test_plan_allocation_failure_raises(self):
+        """An extent no allocator can plan raises MemoryError and writes
+        nothing."""
+
+        class Huge:
+            size = 1 << 60
+            ctypes = type("ctypes", (), {"data": 0})
+
+        with pytest.raises(MemoryError):
+            kernels.sparse_pairwise(Huge, Huge, 1 << 62)
+        store = SparseLedgers(4, 1e-6, np.ones(4))
+        M = np.full((1, 1), -1.0)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(MemoryError):
+            kernels.sparse_rows_eq2(store, one, one, Huge, np.ones(1), M)
+        with pytest.raises(MemoryError):
+            kernels.sparse_rows_shared(one, Huge, np.ones(1), np.ones(1), M, 1 << 62)
+        assert M[0, 0] == -1.0
+
+
 class TestGating:
     """The loader itself (env, compiler, cache, memo) is shared with the
     GF kernel and tested once, in ``tests/test_native.py``."""
@@ -132,34 +232,3 @@ class TestGating:
     @needs_native
     def test_self_check_accepts_good_kernels(self):
         assert fastpath._self_check(kernels)
-
-
-class TestThreadCount:
-    """``thread_count`` is the one reader of ``REPRO_SIM_THREADS``: env,
-    then the scheduler affinity mask, then the raw CPU count."""
-
-    def test_env_wins_uncapped(self, monkeypatch):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setenv("REPRO_SIM_THREADS", "12")
-        assert fastpath.thread_count() == 12
-        monkeypatch.setenv("REPRO_SIM_THREADS", "0")
-        assert fastpath.thread_count() == 1
-        monkeypatch.setenv("REPRO_SIM_THREADS", "many")  # unparsable: ignored
-        assert fastpath.thread_count() == 2
-
-    def test_affinity_mask_beats_cpu_count(self, monkeypatch):
-        """Pinned to 2 of 64 CPUs, the kernels start 2 pthreads, not 8."""
-        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 64)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3, 7}, raising=False)
-        assert fastpath.thread_count() == 2
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
-        assert fastpath.thread_count() == 8  # the cap
-
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
-        monkeypatch.delattr("os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert fastpath.thread_count() == 3
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert fastpath.thread_count() == 1

@@ -121,3 +121,20 @@ def test_failed_self_check_refuses_the_kernel(kernel):
     assert load(check=lambda k: False) is None
     assert native.status() == {"answer": "self-check failed"}
     assert load() is None  # the refusal is memoised too
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    """Pinned to 2 of 64 CPUs, a process has 2 CPUs to use, not 64."""
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3, 7}, raising=False)
+    assert native.usable_cpus() == 2
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
+    assert native.usable_cpus() == 64
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert native.usable_cpus() == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert native.usable_cpus() == 1
