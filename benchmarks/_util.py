@@ -54,18 +54,21 @@ def peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-def write_bench_json(filename: str, results: dict, merge: bool = True) -> Path:
-    """Write (or merge into) a machine-readable results file at repo root.
+def write_bench_json(benchmark, filename: str, results: dict) -> None:
+    """Merge ``results`` into a machine-readable results file at repo root.
 
     ``results`` maps point keys (e.g. ``"decode_p8_k64"``) to dicts with
-    at least ``ns_per_op``.  With ``merge`` (the default) existing keys
-    in the file are updated and unrelated keys preserved, so several
-    benchmark modules can contribute to one file; the file's ``schema``
-    becomes :data:`BENCH_SCHEMA` whatever it was.
+    at least ``ns_per_op``.  Existing keys in the file are updated and
+    unrelated keys preserved, so several benchmark modules can contribute
+    to one file; the file's ``schema`` becomes :data:`BENCH_SCHEMA`
+    whatever it was.  Under ``--benchmark-disable`` (``benchmark`` is the
+    pytest-benchmark fixture) nothing was timed, so nothing is written.
     """
+    if benchmark.disabled:
+        return
     path = REPO_ROOT / filename
     payload: dict = {"schema": BENCH_SCHEMA, "results": {}}
-    if merge and path.exists():
+    if path.exists():
         try:
             existing = json.loads(path.read_text())
             if isinstance(existing.get("results"), dict):
@@ -74,7 +77,7 @@ def write_bench_json(filename: str, results: dict, merge: bool = True) -> Path:
             pass
     payload["results"].update(results)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    print(f"wrote {filename}")
 
 
 def attach_obs_snapshot(benchmark, key: str = "obs") -> dict:

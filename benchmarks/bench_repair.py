@@ -84,6 +84,7 @@ def test_recombination_throughput(benchmark):
     assert mb_s >= 1.0
 
     write_bench_json(
+        benchmark,
         "BENCH_repair.json",
         {
             f"repair_recombine_p{P}_m{M}_h{HELPERS}_c{COUNT}": {
@@ -124,6 +125,7 @@ def test_owner_bandwidth_asymmetry(benchmark):
         assert ratio >= m / 16  # saving grows linearly with m
 
     write_bench_json(
+        benchmark,
         "BENCH_repair.json",
         {
             "repair_owner_uplink": {
@@ -163,6 +165,7 @@ def test_churn_scenario_restores_decode(benchmark):
     assert result["owner_payload_bytes"] == 0
 
     write_bench_json(
+        benchmark,
         "BENCH_repair.json",
         {
             "repair_churn_scenario_seed7": {

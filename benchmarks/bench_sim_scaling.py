@@ -107,8 +107,8 @@ def test_batched_engine_scaling(benchmark):
             }
     print_table(["n", "ref/slot", "batched/slot", "speedup"], rows)
 
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"\nbackend: {backend}; wrote {path.name}")
+    print(f"\nbackend: {backend}")
+    write_bench_json(benchmark, "BENCH_sim.json", results)
 
     assert timings[(1024, "reference")] / timings[(1024, "batched")] >= 10.0
     # No small-n regression (0.8 leaves margin for timer noise).
@@ -188,8 +188,8 @@ def test_sparse_engine_scale_points(benchmark):
         }
     print_table(["n", "sparse/slot", "state B/peer", "peak rss"], rows)
 
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"\nbackend: {backend}; wrote {path.name}")
+    print(f"\nbackend: {backend}")
+    write_bench_json(benchmark, "BENCH_sim.json", results)
 
     # The dense engines need 8n bytes/peer of credit matrix alone
     # (800 KiB/peer at n=100k); the sparse ledgers must stay O(partners).
@@ -258,8 +258,7 @@ def test_procs_engine_scale_points(benchmark):
         f"Procs vs sparse at n={PROCS_N} ({backend}, {usable_cpus()} usable cores)"
     )
     print_table(["engine", "per slot", "/ sparse", "worst shard B/peer"], rows)
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"wrote {path.name}")
+    write_bench_json(benchmark, "BENCH_sim.json", results)
 
     # Shard state stays O(partners) per peer on every shard.
     for _, shards in stats.values():
@@ -298,7 +297,8 @@ def test_churn_ledger_growth(benchmark):
         [[format_seconds(out["seconds_per_slot"]),
           f"{out['bytes_per_peer']:.0f}", out["entries"]]],
     )
-    path = write_bench_json(
+    write_bench_json(
+        benchmark,
         "BENCH_sim.json",
         {
             f"sim_churn_n{CHURN_KW['n']}_sparse": {
@@ -311,7 +311,6 @@ def test_churn_ledger_growth(benchmark):
             }
         },
     )
-    print(f"wrote {path.name}")
 
     # The structural bound with nothing expiring: every consumer row
     # holds at most one entry per giver of every generation.
@@ -353,8 +352,7 @@ def test_million_peer_smoke(benchmark):
             "samples": 1,
         }
     }
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"wrote {path.name}")
+    write_bench_json(benchmark, "BENCH_sim.json", results)
     assert out["within_cap"], (
         f"million-peer smoke peak RSS {out['peak_rss_bytes']} exceeds "
         f"the documented cap {out['memory_cap_bytes']}"
@@ -395,8 +393,7 @@ def test_million_peer_smoke_procs(benchmark):
             "samples": 1,
         }
     }
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"wrote {path.name}")
+    write_bench_json(benchmark, "BENCH_sim.json", results)
     assert out["backend"].startswith("procs")
     assert out["within_cap"], (
         f"procs million-peer smoke peak RSS {out['peak_rss_bytes']} "

@@ -192,21 +192,22 @@ def test_table2_cross_field_shape_and_realtime(benchmark):
 
     # Machine-readable perf trajectory: median ns/op per (k, p) point,
     # committed at the repo root so future PRs can diff the numbers.
-    decode_path = write_bench_json(
+    write_bench_json(
+        benchmark,
         "BENCH_decode.json",
         {
             **_bench_points(_DECODE_SAMPLES, "decode"),
             **_bench_points(_PROGRESSIVE_SAMPLES, "progressive"),
         },
     )
-    encode_path = write_bench_json(
+    write_bench_json(
+        benchmark,
         "BENCH_encode.json",
         {
             **_bench_points(_ENCODE_SAMPLES, "encode"),
             **_bench_points(_PUBLISH_SAMPLES, "publish"),
         },
     )
-    print(f"\nwrote {decode_path.name} and {encode_path.name}")
 
     # After the timing-sensitive work: re-run one representative cell
     # with observability on and attach the counters to the bench JSON,

@@ -23,8 +23,6 @@ from .dynamics import (
     mean_field_trajectory,
     predicted_convergence_slot,
 )
-from .economics import CachingEconomics, storage_donated_bytes
-from .streaming import PlaybackReport, min_startup_for_smooth, simulate_playback
 
 __all__ = [
     "LinkTechnology",
@@ -41,12 +39,7 @@ __all__ = [
     "saturated_fixed_point",
     "expected_alloc_fixed_point",
     "expected_rate_from_alloc",
-    "PlaybackReport",
-    "simulate_playback",
-    "min_startup_for_smooth",
     "MeanFieldTrajectory",
     "mean_field_trajectory",
     "predicted_convergence_slot",
-    "CachingEconomics",
-    "storage_donated_bytes",
 ]

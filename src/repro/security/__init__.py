@@ -28,7 +28,6 @@ from .keys import (
     generate_keypair,
     is_probable_prime,
 )
-from .merkle import MerkleDigestIndex, MerkleProof, MerkleVerifier, merkle_root
 from .prng import SUPPORTED_SYMBOL_BITS, KeyedStream, derive_key
 
 __all__ = [
@@ -50,8 +49,4 @@ __all__ = [
     "DigestStore",
     "IntegrityError",
     "DIGEST_ALGORITHMS",
-    "MerkleDigestIndex",
-    "MerkleProof",
-    "MerkleVerifier",
-    "merkle_root",
 ]

@@ -371,7 +371,7 @@ class Simulation:
     def backend(self) -> str:
         """Which slot loop runs: ``reference``, ``batched`` / ``sparse``
         / ``procs`` (numpy) or ``batched+native`` / ``sparse+native`` /
-        ``procs+native`` (compiled, multi-threaded for sparse)."""
+        ``procs+native`` (compiled, single-threaded kernels)."""
         if self._mode == "reference":
             return "reference"
         if self._shards is not None:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..core.allocation import Allocator
-from ..discovery.chord import ChordRing, PeerDirectory
 from ..obs import spans as _spans
 from ..repair.monitor import DownloadRepairTrigger, RepairCoordinator
 from ..repair.recombine import RepairAwareSource, register_repair_digests
@@ -142,8 +141,6 @@ class FileSharingNetwork:
         seed: int = 0,
         allocators: dict[int, Allocator] | None = None,
         background_gamma: float = 0.0,
-        key_bits: int = _DEFAULT_KEY_BITS,
-        use_discovery: bool = False,
         engine: str = "auto",
     ):
         self.capacities = [float(c) for c in capacities_kbps]
@@ -155,7 +152,7 @@ class FileSharingNetwork:
         master = hashlib.sha256(f"network-{seed}".encode()).digest()
         self.secrets = [derive_key(master, "peer-secret", i) for i in range(self.n)]
         self.keypairs: list[KeyPair] = [
-            generate_keypair(bits=key_bits, seed=seed * 1009 + i)
+            generate_keypair(bits=_DEFAULT_KEY_BITS, seed=seed * 1009 + i)
             for i in range(self.n)
         ]
         self.stores = [MessageStore() for _ in range(self.n)]
@@ -177,16 +174,6 @@ class FileSharingNetwork:
                 cfg.allocator = allocators[i]
             configs.append(cfg)
         self._sim = Simulation(configs, seed=seed, engine=engine)
-        # Optional DHT-based content location (the Section II pattern):
-        # peers form a Chord ring; publish registers chunk holders and
-        # download resolves them instead of consulting the registry.
-        self.directory: PeerDirectory | None = None
-        if use_discovery:
-            ring = ChordRing(bits=32, replication=min(3, self.n))
-            for i in range(self.n):
-                ring.join(f"peer:{seed}:{i}")
-            self.directory = PeerDirectory(ring)
-        self.lookup_hops = 0  # cumulative DHT routing hops observed
 
     # -- initialization phase (Section III-A) ---------------------------
 
@@ -223,16 +210,7 @@ class FileSharingNetwork:
             data=data,
         )
         self.registry[name] = handle
-        self._register_holders(manifest.chunk_ids)
         return handle
-
-    def _register_holders(self, chunk_ids) -> None:
-        """Announce chunk holders in the DHT directory, if enabled."""
-        if self.directory is None:
-            return
-        for chunk_id in chunk_ids:
-            result = self.directory.publish(chunk_id, holders=range(self.n))
-            self.lookup_hops += result.hops
 
     def publish_update(
         self,
@@ -270,9 +248,6 @@ class FileSharingNetwork:
         handle.manifest = result.manifest
         handle.wire_bytes += result.upload_bytes
         handle.data = new_data
-        self._register_holders(
-            result.manifest.chunk_ids[i] for i in result.changed_chunks
-        )
         return result
 
     def drop_peer_data(self, peer: int, name: str | None = None) -> None:
@@ -510,9 +485,9 @@ class FileSharingNetwork:
 
         Each transfer fetches its chunks in order (streaming); a chunk
         is one parallel download — one ``transfer.download`` span —
-        across ``peers`` (default: the holders the DHT directory names,
-        else all peers, the user's own home peer included) at the rates
-        the live allocation simulation grants that user.
+        across ``peers`` (default: all peers, the user's own home peer
+        included) at the rates the live allocation simulation grants
+        that user.
 
         ``repair_threshold`` arms mid-download repair: when the
         undelivered supply across live peers falls below the threshold
@@ -534,13 +509,6 @@ class FileSharingNetwork:
                 return
             chunk_id = tr.chunk_ids[tr.index]
             tr.peers = peers if peers is not None else list(range(self.n))
-            if peers is None and self.directory is not None:
-                # Resolve holders through the DHT instead of assuming
-                # global knowledge.
-                holders, lookup = self.directory.locate(chunk_id)
-                self.lookup_hops += lookup.hops
-                if holders is not None:
-                    tr.peers = [h for h in holders if 0 <= h < self.n]
             sessions = self._open_sessions(tr.user, chunk_id, tr.peers)
             repair = None
             if repair_threshold is not None:

@@ -203,7 +203,9 @@ class DownloadReport:
         return None
 
     def effective_rate_kbps(self, slot_seconds: float | None = None) -> float:
-        """Average goodput over the whole download.
+        """Granted rate over the whole download: ``bytes_received`` is the
+        byte budget the allocation granted, not the bytes delivered
+        (ROADMAP 15(a) splits the two).
 
         ``slot_seconds`` defaults to the report's own slot length (the
         explicit parameter is kept for callers that re-scale).

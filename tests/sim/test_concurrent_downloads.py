@@ -116,24 +116,6 @@ class TestOneDownloadLoop:
             r.to_dict() for r in plain.reports
         ]
 
-    def test_single_request_equals_plain_download_through_the_dht(self, blobs):
-        """Both resolve holders through the directory and pay its hops."""
-        nets = []
-        for _ in range(2):
-            net = FileSharingNetwork(
-                [400.0, 300.0, 200.0, 100.0], params=PARAMS, seed=8, use_discovery=True
-            )
-            net.publish(owner=0, name="a", data=blobs[0])
-            nets.append(net)
-        published = nets[0].lookup_hops
-        plain = nets[0].download(2, "a")
-        (together,) = nets[1].download_concurrently([(2, "a")])
-        assert together.data == plain.data == blobs[0]
-        assert [r.to_dict() for r in together.reports] == [
-            r.to_dict() for r in plain.reports
-        ]
-        assert nets[1].lookup_hops == nets[0].lookup_hops > published
-
     def test_peer_subset_and_repair_apply_to_every_transfer(self, blobs):
         """The shared loop honours ``peers`` (rates ``alloc[peers, user]``)
         and arms ``repair_threshold`` as a plain download always did:

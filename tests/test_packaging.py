@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.sim",
     "repro.storage",
     "repro.transfer",
-    "repro.discovery",
     "repro.analysis",
     "repro.cli",
 ]
@@ -56,7 +55,7 @@ def test_no_accidental_circular_imports():
         "import sys; import repro.gf, repro.security; "
         "loaded = [m for m in sys.modules if m.startswith('repro.')]; "
         "bad = [m for m in loaded if any(x in m for x in "
-        "('sim', 'transfer', 'storage', 'discovery', 'rlnc', 'core'))]; "
+        "('sim', 'transfer', 'storage', 'rlnc', 'core'))]; "
         "sys.exit(1 if bad else 0)"
     )
     result = subprocess.run([sys.executable, "-c", code])
