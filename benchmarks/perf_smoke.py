@@ -1,4 +1,4 @@
-"""CI perf-smoke: sixteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: seventeen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -196,16 +196,25 @@ def gate_screen() -> int:
 
     The publish screens every peer's ``k`` candidate rows in one forward
     elimination whose column loop all blocks share; block by block — and
-    Gauss-Jordan — the same verdicts measure ~1.0x.  At p=8 the reference
-    is spelled out here and frozen, as ``gate_arrival``'s is, so no change
-    to ``rank`` or the field kernels moves it: Gauss-Jordan per block with
-    every product by fancy index on the log/antilog tables.  It reads
-    0.31-0.33x there; eight ``rank()`` calls read 0.77-0.80x of it.  The
-    p=32 cell's reference is ``rank()`` itself (reads 0.15-0.18x).
+    Gauss-Jordan — the same verdicts measure ~1.0x.  The stacked side runs
+    the numpy body even where the compiled library is live (a table
+    field's screening goes there; ``gate_native_elimination`` times it),
+    so this gate keeps guarding the fallback's shared column loop.  At p=8
+    the reference is spelled out here and frozen, as ``gate_arrival``'s
+    is, so no change to ``rank`` or the field kernels moves it:
+    Gauss-Jordan per block with every product by fancy index on the
+    log/antilog tables.  It reads 0.31-0.33x there; eight ``rank()`` calls
+    read 0.77-0.80x of it.  The p=32 cell's reference is ``rank()`` itself
+    (reads 0.15-0.18x).
     """
+    from unittest import mock
+
     import numpy as np
 
+    from repro import native
     from repro.gf import GF, is_invertible, rank
+
+    numpy_only = mock.patch.dict(native._LOADED, {"gfmul": (None, "perf smoke: numpy body")})
 
     failures = 0
     rng = np.random.default_rng(0)
@@ -215,7 +224,8 @@ def gate_screen() -> int:
         blocks[5, k - 1] = blocks[5, 0]  # one deficient block rides along
 
         def stacked():
-            return is_invertible(field, blocks).tolist()
+            with numpy_only:
+                return is_invertible(field, blocks).tolist()
 
         if p == 8:
             logz, expz = field._logz, field._expz  # the tables only
@@ -294,6 +304,80 @@ def gate_native_matmul() -> int:
             compiled, fallback, 0.25,
             "is a line stored at one vector width and reloaded at another "
             "(store forwarding), or the gather back to one group per pass?",
+        )
+    return failures
+
+
+def gate_native_elimination() -> int:
+    """The compiled elimination steps / their numpy bodies, table fields.
+
+    Screening ``publish_rows``' stack (eight (64, 64) blocks at p=8, one
+    of them deficient) reads 0.15-0.23x.  One k = 64 decode's arrivals,
+    fresh rows with a few repeats among them, read 0.19-0.25x at p=8 and
+    0.18-0.22x at p=16; an arrival that gathers its four pointers per
+    call again reads 0.33-0.37x and 0.29-0.32x, which the arrival budgets
+    catch, and a step visiting all 2k columns reads like the committed
+    one at this k, which they do not.  Each budget sits between its
+    cell's reading and the nearest regression; the numpy body itself is
+    1.0x.  Skipped, with the loader's reason, where the library is not
+    live.
+    """
+    from unittest import mock
+
+    import numpy as np
+
+    from repro import native
+    from repro.gf import GF, bitmatmul, is_invertible, linalg
+
+    if bitmatmul.load() is None:
+        print(f"native / numpy elimination: kernel not live "
+              f"({native.status()['gfmul']}); skipped")
+        return 0
+    numpy_only = mock.patch.dict(native._LOADED, {"gfmul": (None, "perf smoke A/B")})
+    rng = np.random.default_rng(0)
+    field = GF(8)
+    blocks = field.random((8, 64, 64), rng)
+    blocks[5, 63] = blocks[5, 0]
+
+    def screen():
+        return is_invertible(field, blocks).tolist()
+
+    def screen_numpy():
+        with numpy_only:
+            return screen()
+
+    assert screen() == screen_numpy() and screen()[4:7] == [True, False, True]
+    failures = ratio_gate(
+        "native / numpy screening, p=8 (8,64,64)", screen, screen_numpy, 0.35,
+        "has the stack gone back to the numpy body?",
+    )
+    k = 64
+    for p, budget in ((8, 0.3), (16, 0.27)):
+        field = GF(p)
+        rows = field.random((k + 8, k), rng)
+        rows[[9, 30, 51]] = rows[[2, 7, 40]]  # repeats reach the elimination too
+
+        def decode(bind):
+            reduced = np.empty((k, 2 * k), dtype=np.uint32)
+            pivots = np.empty(k, dtype=np.intp)
+            step, rank = bind(reduced, pivots), 0
+            for row in rows:
+                reduced[rank, :k], reduced[rank, k:] = row, 0
+                pivot = step(rank)
+                if pivot >= 0:
+                    pivots[rank], rank = pivot, rank + 1
+                    if rank == k:
+                        return reduced
+
+        compiled = linalg.arrival_step(field)
+        with numpy_only:
+            fallback = linalg.arrival_step(field)
+        assert decode(compiled).tobytes() == decode(fallback).tobytes()
+        failures += ratio_gate(
+            f"native / numpy arrival steps, one k={k} decode at p={p}",
+            lambda: decode(compiled), lambda: decode(fallback), budget,
+            "is every arrival passing its pointers again, or has the "
+            "decoder's step gone back to the numpy body?",
         )
     return failures
 
@@ -758,7 +842,7 @@ def gate_digest() -> int:
 
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
-    gate_native_matmul, gate_batched, gate_sparse, gate_sparse_sample,
+    gate_native_matmul, gate_native_elimination, gate_batched, gate_sparse, gate_sparse_sample,
     gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
 )
 

@@ -1,11 +1,16 @@
-/* Bit-sliced GF(2^p) matrix product, p <= 32, for repro.gf.bitmatmul.
+/* Native kernels of repro.gf: the bit-sliced GF(2^p) matrix product
+ * (p <= 32) behind repro.gf.bitmatmul, and Gauss-Jordan elimination over
+ * a table field (p <= 16) behind repro.gf.linalg.
  *
  * Compiled at runtime by repro.native (plain cc, no build system) and
- * loaded through ctypes.  The contract is a product over GF(2): with
+ * loaded through ctypes as one library.  Its load-time self-check fuzzes
+ * every entry point against the numpy code it stands in for; any
+ * difference refuses the whole library.
+ *
+ * The product's contract is over GF(2): with
  * G[(i,rr), (j,b)] = bit rr of prods[i][j][b], the bit-planes of out are
  * G times the bit-planes of src.  bitmatmul.py fills prods with
- * C_ij * y^b, which makes that the field product C @ src, and fuzzes the
- * GF(2) contract at load time; any difference refuses the library.
+ * C_ij * y^b, which makes that the field product C @ src.
  *
  * Same plan as the numpy body of bit_matmul (packed generator, column
  * blocks, four-Russians tables by doubling, gather + XOR, unpack), laid
@@ -30,6 +35,12 @@
  *    at one width and reloaded at another stalls store forwarding (gcc
  *    12's -march=sapphirerapids copies 64 bytes at 512 bits but
  *    vectorises loops at 256, which made that build the slowest one).
+ *
+ * The elimination kernels (repro_gf_full_rank, repro_gf_arrival) multiply
+ * with the field's own tables, as TableField does: a product is
+ * expz[logz[a] + logz[x]], logz mapping 0 to the sentinel Z = 2(q-1)-1
+ * and expz being zero from Z on, so a zero operand needs no branch.
+ * Every scratch buffer they use is the caller's, sized by k.
  */
 
 #include <stdint.h>
@@ -258,4 +269,148 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
     }
     free(raw);
     return 0;
+}
+
+
+/* Every elimination step below is one of two loops: row[j] ^= a * x[j]
+ * with a's log la < Z and lx[j] = logz[x[j]] (or x itself through logz).
+ * la + lx[j] <= (Z - 1) + Z stays inside expz's 2Z + 1 entries, and below
+ * 2^18 for p <= 16: logs kept in scratch are int32, so a vector gathers
+ * twice the indices it would as intptr. */
+
+/* The log of a / b, a and b nonzero: in [0, order), never the sentinel. */
+static inline int32_t log_div(const intptr_t *logz, uint32_t a, uint32_t b, int64_t order)
+{
+    intptr_t l = logz[a] - logz[b];
+    return (int32_t)(l < 0 ? l + order : l);
+}
+
+/* Full-rank verdicts of nblocks (k, k) blocks, C-contiguous in a, by
+ * forward elimination in place (a is scratch afterwards): full[b] is 1
+ * iff block b has rank k.  lrow is caller scratch of k entries; order is
+ * q - 1. */
+void repro_gf_full_rank(uint32_t *restrict a, int64_t nblocks, int64_t k,
+                        const intptr_t *restrict logz, const uint32_t *restrict expz,
+                        int64_t order, int32_t *restrict lrow, uint8_t *restrict full)
+{
+    for (int64_t b = 0; b < nblocks; b++) {
+        uint32_t *m = a + b * k * k;
+        full[b] = 1;
+        for (int64_t col = 0; col < k; col++) {
+            int64_t src = col;
+            while (src < k && m[src * k + col] == 0) {
+                src++;
+            }
+            if (src == k) {
+                full[b] = 0;
+                break;
+            }
+            uint32_t *prow = m + col * k;
+            if (src != col) {
+                uint32_t *other = m + src * k;
+                for (int64_t j = col; j < k; j++) {
+                    const uint32_t t = prow[j];
+                    prow[j] = other[j];
+                    other[j] = t;
+                }
+            }
+            const uint32_t pivot = prow[col];
+            for (int64_t j = col + 1; j < k; j++) {
+                lrow[j] = (int32_t)logz[prow[j]];
+            }
+            for (int64_t r = col + 1; r < k; r++) {
+                uint32_t *restrict row = m + r * k;
+                if (row[col] == 0) {
+                    continue;
+                }
+                const int32_t lf = log_div(logz, row[col], pivot, order);
+                for (int64_t j = col + 1; j < k; j++) {
+                    row[j] ^= expz[lf + lrow[j]];
+                }
+            }
+        }
+    }
+}
+
+/* One progressive decoder's arrival state: everything but the rank,
+ * fixed for the decoder's life. */
+struct gf_arrival {
+    uint32_t *red;          /* (k, 2k) rows [e | t], C-contiguous */
+    const intptr_t *pivots; /* (k,): pivots[i] of kept row i */
+    const intptr_t *logz;   /* the field's tables */
+    const uint32_t *expz;
+    int32_t *scratch;       /* 2k entries */
+    int64_t k;
+    int64_t order;          /* q - 1 */
+};
+
+/* One arrival of the progressive decoder on the rows [e | t] of s->red.
+ * Rows [0, rank) are kept: e in reduced row echelon form, 1 at pivots[i]
+ * in row i and 0 at every other kept pivot; t zero from column k + rank
+ * on.  Row rank is the arrival, [beta | 0].
+ *
+ * The arrival is reduced against the kept rows.  If its e part cancels,
+ * -1 is returned and its t part says which combination of the kept raw
+ * rows it equals.  Otherwise its pivot, the first nonzero column of e,
+ * is returned, after the arrival's t got its unit at k + rank, the row
+ * was normalised and the pivot column was cleared from the kept rows.
+ * Columns past k + rank are zero in every row involved and are not
+ * visited. */
+int64_t repro_gf_arrival(const struct gf_arrival *s, int64_t rank)
+{
+    uint32_t *const red = s->red;
+    const intptr_t *restrict const pivots = s->pivots, *restrict const logz = s->logz;
+    const uint32_t *restrict const expz = s->expz;
+    int32_t *restrict const scratch = s->scratch;
+    const int64_t k = s->k, order = s->order;
+    const intptr_t zero = logz[0];
+    uint32_t *restrict const row = red + rank * 2 * k;
+    int64_t width = k + rank;
+
+    /* The factors are read off the arrival before it changes: the kept
+     * rows are zero at each other's pivots, so they would not move. */
+    for (int64_t i = 0; i < rank; i++) {
+        scratch[i] = (int32_t)logz[row[pivots[i]]];
+    }
+    for (int64_t i = 0; i < rank; i++) {
+        const int32_t lf = scratch[i];
+        if (lf == zero) {
+            continue;
+        }
+        const uint32_t *restrict kept = red + i * 2 * k;
+        for (int64_t j = 0; j < width; j++) {
+            row[j] ^= expz[lf + logz[kept[j]]];
+        }
+    }
+
+    int64_t pivot = 0;
+    while (pivot < k && row[pivot] == 0) {
+        pivot++;
+    }
+    if (pivot == k) {
+        return -1;
+    }
+    row[width++] = 1; /* the new raw row enters its own combination */
+    const uint32_t lead = row[pivot];
+    int32_t *restrict const lrow = scratch;
+    if (lead != 1) {
+        const int32_t linv = log_div(logz, 1, lead, order);
+        for (int64_t j = pivot; j < width; j++) {
+            row[j] = expz[linv + logz[row[j]]];
+        }
+    }
+    for (int64_t j = pivot; j < width; j++) {
+        lrow[j] = (int32_t)logz[row[j]];
+    }
+    for (int64_t i = 0; i < rank; i++) {
+        uint32_t *restrict kept = red + i * 2 * k;
+        if (kept[pivot] == 0) {
+            continue;
+        }
+        const int32_t lf = (int32_t)logz[kept[pivot]];
+        for (int64_t j = pivot; j < width; j++) {
+            kept[j] ^= expz[lf + lrow[j]];
+        }
+    }
+    return pivot;
 }

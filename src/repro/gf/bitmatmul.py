@@ -180,13 +180,35 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
     return packed
 
 
+class _Arrival(ctypes.Structure):
+    """``struct gf_arrival`` of ``_gfmul.c``."""
+
+    _fields_ = [
+        ("red", ctypes.c_void_p),
+        ("pivots", ctypes.c_void_p),
+        ("logz", ctypes.c_void_p),
+        ("expz", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+        ("k", ctypes.c_int64),
+        ("order", ctypes.c_int64),
+    ]
+
+
 class GF2Kernel:
-    """ctypes facade over ``_gfmul.c``."""
+    """ctypes facade over ``_gfmul.c``: the GF(2) product, and the two
+    elimination steps :mod:`repro.gf.linalg` runs over a table field."""
 
     def __init__(self, lib: ctypes.CDLL):
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self._matmul = lib.repro_gf2_matmul
         self._matmul.restype = ctypes.c_int
-        self._matmul.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+        self._matmul.argtypes = [ptr] * 3 + [i64] * 4
+        self._full_rank = lib.repro_gf_full_rank
+        self._full_rank.restype = None
+        self._full_rank.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr]
+        self._arrival = lib.repro_gf_arrival
+        self._arrival.restype = i64
+        self._arrival.argtypes = [ptr, i64]
         width = lib.repro_gf2_vector_bytes
         width.restype = ctypes.c_int
         #: Bytes per vector the build works each line at: 64, 32 or 16.
@@ -211,6 +233,61 @@ class GF2Kernel:
         if self._matmul(prods.ctypes.data, P.ctypes.data, out.ctypes.data, r, n, m, p):
             raise MemoryError("repro_gf2_matmul: no scratch memory")
 
+    @staticmethod
+    def _order(logz: np.ndarray, expz: np.ndarray) -> int:
+        """``q - 1`` of the field whose ``TableField`` tables these are."""
+        order = logz.shape[0] - 1
+        if not (
+            logz.dtype == np.intp and expz.dtype == np.uint32
+            and logz.ndim == expz.ndim == 1 and expz.shape[0] == 4 * order - 1
+            and logz.flags.c_contiguous and expz.flags.c_contiguous
+        ):
+            raise ValueError("logz / expz are not a table field's _logz / _expz")
+        return order
+
+    def full_rank(self, blocks: np.ndarray, logz: np.ndarray, expz: np.ndarray) -> np.ndarray:
+        """Whether each ``(k, k)`` block of the ``(B, k, k)`` stack has
+        full rank over the field of ``logz`` / ``expz`` (a ``TableField``'s
+        ``_logz`` / ``_expz``).  ``blocks`` is C-contiguous uint32 of
+        valid elements and is reduced in place."""
+        order = self._order(logz, expz)
+        count, k, width = blocks.shape
+        if width != k or blocks.dtype != np.uint32 or not blocks.flags.c_contiguous:
+            raise ValueError(f"not a C-contiguous uint32 (B, k, k) stack: {blocks.shape}")
+        full = np.empty(count, dtype=np.bool_)
+        lrow = np.empty(k, dtype=np.int32)
+        self._full_rank(blocks.ctypes.data, count, k, logz.ctypes.data, expz.ctypes.data,
+                        order, lrow.ctypes.data, full.ctypes.data)
+        return full
+
+    def arrival_step(self, logz: np.ndarray, expz: np.ndarray, reduced: np.ndarray,
+                     pivots: np.ndarray):
+        """``step(rank) -> pivot or -1``: the decoder's arrival step
+        (``repro.gf.linalg.eliminate_arrival``) in C, bound to one
+        decoder's C-contiguous uint32 ``(k, 2k)`` matrix ``reduced`` and
+        ``(k,)`` intp ``pivots``, over the field of ``logz`` / ``expz``.
+        Everything but the rank is checked and passed to C once, here."""
+        order = self._order(logz, expz)
+        k = reduced.shape[0]
+        if not (
+            reduced.shape == (k, 2 * k) and reduced.dtype == np.uint32
+            and reduced.flags.c_contiguous and pivots.shape == (k,)
+            and pivots.dtype == np.intp and pivots.flags.c_contiguous
+        ):
+            raise ValueError(f"bad arrival state: {reduced.shape} rows, {pivots.shape} pivots")
+        scratch = np.empty(2 * k, dtype=np.int32)
+        state = _Arrival(reduced.ctypes.data, pivots.ctypes.data, logz.ctypes.data,
+                         expz.ctypes.data, scratch.ctypes.data, k, order)
+        arrival, address = self._arrival, ctypes.addressof(state)
+
+        def step(rank: int) -> int:
+            if not 0 <= rank < k:
+                raise ValueError(f"rank {rank} has no work row among {k}")
+            return arrival(address, rank)
+
+        step.pinned = (state, reduced, pivots, logz, expz, scratch)  # what ``state`` points into
+        return step
+
 
 def _bits(a: np.ndarray, p: int) -> np.ndarray:
     """uint32 array -> its low ``p`` bits on a new trailing axis, LSB first."""
@@ -218,6 +295,14 @@ def _bits(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _self_check(kernel: GF2Kernel) -> bool:
+    """The library's load-time check: the product here, the elimination
+    steps in :func:`repro.gf.linalg._elimination_agrees`."""
+    from .linalg import _elimination_agrees
+
+    return _product_agrees(kernel) and _elimination_agrees(kernel)
+
+
+def _product_agrees(kernel: GF2Kernel) -> bool:
     """Fuzz the kernel's GF(2) contract against ``np.unpackbits`` and an
     integer matrix product, demanding zero bit differences.
 

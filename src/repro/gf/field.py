@@ -333,22 +333,42 @@ class TableField(BinaryField):
             self._mul_table = None
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
+        q, modulus = self.q, self.modulus
+
+        def times_x(v: int) -> int:
+            v <<= 1
+            return v ^ modulus if v & q else v
+
+        # exp[i] = x^i.  The first 256 powers one by one, then by
+        # doubling: exp[n:2n] = x^n * exp[:n].  Multiplying by x^n is
+        # GF(2)-linear in the other factor's bits, so it is one lookup per
+        # byte of exp[:n] in a table of the sums of x^(n+b), b in the byte.
         exp = np.zeros(2 * (q - 1), dtype=self.dtype)
+        powers = [1]
+        while len(powers) < min(q - 1, 256):
+            powers.append(times_x(powers[-1]))
+        n = len(powers)
+        exp[:n] = powers
+        while n < q - 1:
+            shifted = []
+            for _ in range(self.p):
+                shifted.append(times_x(shifted[-1] if shifted else int(exp[n - 1])))
+            count = min(n, q - 1 - n)
+            src, dst = exp[:count], exp[n : n + count]
+            for first in range(0, self.p, 8):
+                table = np.zeros(1, dtype=self.dtype)
+                for term in shifted[first : first + 8]:
+                    table = np.concatenate([table, table ^ term])
+                dst ^= table.take((src >> first) & 0xFF)
+            n += count
+        # Primitive iff x^(q-1) is 1 again and the powers before it are
+        # distinct: only then do q - 2 of them leave a non-zero log.
         log = np.zeros(q, dtype=self.dtype)
-        x = 1
-        for i in range(q - 1):
-            if x == 0 or (i > 0 and x == 1):
-                raise FieldError(
-                    f"modulus {self.modulus:#x} is not primitive for GF(2^{self.p})"
-                )
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & q:
-                x ^= self.modulus
-        if x != 1:  # after q-1 steps the generator must cycle back to 1
-            raise FieldError(f"modulus {self.modulus:#x} is not primitive")
+        log[exp[: q - 1]] = np.arange(q - 1, dtype=self.dtype)
+        if times_x(int(exp[q - 2])) != 1 or np.count_nonzero(log) != q - 2:
+            raise FieldError(
+                f"modulus {modulus:#x} is not primitive for GF(2^{self.p})"
+            )
         exp[q - 1 :] = exp[: q - 1]  # doubled table avoids a modulo reduction
         return exp, log
 

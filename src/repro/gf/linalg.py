@@ -5,18 +5,28 @@ of a ``k x k`` sub-matrix of the coefficient matrix ``beta``; the encoder
 "tests generated rows for linear independence" (Section III-A).  Both
 reduce to Gauss-Jordan elimination, implemented here with whole-matrix
 row updates so the inner loops stay in numpy.
+
+The two eliminations on the hot paths — the encoder's screening
+(:func:`is_invertible`) and the progressive decoder's arrival step
+(:func:`arrival_step`) — also run in ``_gfmul.c``, with the field's own
+log/antilog tables, whenever the field is a :class:`TableField`
+(``p <= 16``) and :func:`repro.gf.bitmatmul.load` has the library live.
+The numpy bodies below stay the fallback and the oracle the library's
+self-check fuzzes those steps against.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ..obs import REGISTRY as _OBS
-from .field import _DEFAULT_RNG, DTYPE, BinaryField, FieldError
+from . import bitmatmul
+from .field import _DEFAULT_RNG, DTYPE, GF, BinaryField, FieldError, TableField
 
 __all__ = [
     "SingularMatrixError",
@@ -27,6 +37,8 @@ __all__ = [
     "solve",
     "random_invertible",
     "IncrementalRank",
+    "eliminate_arrival",
+    "arrival_step",
 ]
 
 
@@ -39,6 +51,17 @@ _SOLVE_NS = _OBS.histogram("repro.gf.solve.ns", "nanoseconds per solve()")
 _ROW_REDUCE_NS = _OBS.histogram(
     "repro.gf.row_reduce.ns", "nanoseconds per row_reduce()"
 )
+_ELIM_NATIVE = _OBS.counter(
+    "repro.gf.eliminate.native",
+    "screening and arrival eliminations that ran in the compiled kernel "
+    "(the rest ran in numpy)",
+)
+
+
+def _compiled(field: BinaryField) -> bitmatmul.GF2Kernel | None:
+    """The compiled elimination kernels when they serve ``field``: a table
+    field, and the library live."""
+    return bitmatmul.load() if isinstance(field, TableField) else None
 
 
 @lru_cache(maxsize=64)
@@ -110,19 +133,36 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
     anything that is not square in its last two axes is not invertible.
 
     Only the verdict is wanted, so the stack is reduced by forward
-    elimination alone — no back-substitution, no scaling of pivot rows —
-    and one column loop serves every matrix of the stack: per column a
-    pivot search, a row swap, one ``inv`` of the pivots to turn the
-    column below them into factors, and one fused update of all the
-    trailing blocks.  A matrix with no pivot in some column is singular;
-    it stays in the stack (its zero factors change nothing) while the
-    others finish.
+    elimination alone — no back-substitution, no scaling of pivot rows.
+    A table field's stack is reduced in ``_gfmul.c`` when the library is
+    live, block by block; otherwise by :func:`_full_rank_numpy`.
     """
     A = field.asarray(matrix)  # a private copy: reduced in place below
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        return False
+        return False if A.ndim <= 2 else np.zeros(A.shape[:-2], dtype=bool)
     k = A.shape[-1]
     S = A.reshape(math.prod(A.shape[:-2]), k, k)
+    kernel = _compiled(field)
+    if kernel is None:
+        full = _full_rank_numpy(field, S)
+    else:
+        if _OBS.enabled:
+            _ELIM_NATIVE.inc()
+        full = kernel.full_rank(S, field._logz, field._expz)
+    return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
+
+
+def _full_rank_numpy(field: BinaryField, S: np.ndarray) -> np.ndarray:
+    """Full-rank verdicts of the ``(B, k, k)`` stack ``S``, reduced in place.
+
+    One column loop serves every matrix of the stack: per column a pivot
+    search, a row swap, one ``inv`` of the pivots to turn the column
+    below them into factors, and one fused update of all the trailing
+    blocks.  A matrix with no pivot in some column is singular; it stays
+    in the stack (its zero factors change nothing) while the others
+    finish.
+    """
+    k = S.shape[-1]
     full = np.ones(S.shape[0], dtype=bool)
     for col in range(k):
         first = (S[:, col:, col] != 0).argmax(axis=1)  # 0 if the column is zero
@@ -147,7 +187,130 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
                 factors[:, :, None],
                 S[:, col, None, col + 1 :],
             )
-    return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
+    return full
+
+
+def eliminate_arrival(
+    field: BinaryField, reduced: np.ndarray, pivots: np.ndarray, rank: int
+) -> int:
+    """One arrival of the progressive decoder, in numpy.
+
+    ``reduced`` is the decoder's ``(k, 2k)`` matrix of rows ``[e | t]``:
+    rows ``[0, rank)`` are kept, their ``e`` parts in reduced row echelon
+    form (1 at ``pivots[i]`` in row ``i``, 0 at every other kept pivot);
+    row ``rank`` is the arrival ``[beta | 0]``.  The arrival is reduced
+    against the kept rows.  If its ``e`` part cancels, ``-1`` is returned
+    and its ``t`` part (columns ``k`` to ``k + rank``) says which
+    combination of the kept raw rows it equals.  Otherwise its pivot — the
+    first non-zero column of ``e`` — is returned, after the arrival's
+    ``t`` got its unit at ``k + rank``, the row was scaled to 1 at the
+    pivot and the pivot column was cleared from the kept rows.  The
+    caller records the pivot and the rank.
+    """
+    k = reduced.shape[0]
+    row, kept = reduced[rank], reduced[:rank]
+    # Kept rows are fully reduced, so all factors can be read off the
+    # arrival at once and one product clears them.
+    factors = row.take(pivots[:rank])
+    if factors.any():
+        row ^= field.combine(factors, kept)
+    nonzero = row[:k].nonzero()[0]
+    if nonzero.size == 0:
+        return -1
+    pivot = int(nonzero[0])
+    row[k + rank] = 1  # the new raw row enters its own combination
+    v = int(row[pivot])
+    if v != 1:
+        field.scale_rows(row[pivot:], field.inv_scalar(v))
+    # Keep the kept rows reduced: clear the new pivot from them.
+    factors = kept[:, pivot].copy()
+    if factors.any():
+        field.addmul(kept, factors[:, None], row)
+    return pivot
+
+
+def arrival_step(
+    field: BinaryField,
+) -> Callable[[np.ndarray, np.ndarray], Callable[[int], int]]:
+    """How a decoder over ``field`` eliminates its arrivals, chosen once:
+    ``bind(reduced, pivots)`` returns ``step(rank)``, which is
+    ``eliminate_arrival(field, reduced, pivots, rank)`` — run in
+    ``_gfmul.c`` for a table field when the library is live."""
+    kernel = _compiled(field)
+    if kernel is None:
+        return partial(partial, eliminate_arrival, field)
+
+    def bind(reduced: np.ndarray, pivots: np.ndarray) -> Callable[[int], int]:
+        compiled = kernel.arrival_step(field._logz, field._expz, reduced, pivots)
+
+        def step(rank: int) -> int:
+            if _OBS.enabled:
+                _ELIM_NATIVE.inc()
+            return compiled(rank)
+
+        return step
+
+    return bind
+
+
+def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
+    """Fuzz the compiled screening and arrival steps against
+    :func:`_full_rank_numpy` and :func:`eliminate_arrival` at p = 4, 8
+    and 16, demanding identical verdicts, pivots and rows.
+
+    Screening stacks at k = 0, 1, 2 and 11 hold random blocks and blocks
+    made singular by a repeated row (a zero at k = 1) and by a zero
+    column.  Arrival streams run to rank k at k = 1, 2 and 7 and mix
+    fresh rows with repeats, combinations of earlier rows and a zero row
+    — the states a decoder can reach — and one-row arrivals lead with each
+    of the values 1 to 15.  A few ms: the tests sweep larger k.
+    """
+    rng = np.random.default_rng(0xE11A)
+    # A private GF(2^16): the cached one would stay resident (2.3 MiB of
+    # tables) in every process that loads the library and never uses it.
+    for field in (GF(4), GF(8), TableField(16)):
+        logz, expz = field._logz, field._expz
+        for count, k in ((1, 0), (3, 1), (4, 2), (4, 11)):
+            blocks = field.random((count, k, k), rng)
+            if k:
+                blocks[0, -1] = blocks[0, 0]  # a repeated row (a zero at k = 1)
+                blocks[1, :, k // 2] = 0  # a zero column
+            want = _full_rank_numpy(field, blocks.copy())
+            if kernel.full_rank(blocks, logz, expz).tolist() != want.tolist():
+                return False
+        for k in (1, 2, 7):
+            reduced, mine = np.zeros((2, k, 2 * k), dtype=DTYPE)
+            pivots = np.zeros(k, dtype=np.intp)
+            compiled = kernel.arrival_step(logz, expz, mine, pivots)
+            rank, sent = 0, [field.zeros(k)]
+            for turn in range(4 * k + 8):
+                if rank == k:
+                    break
+                kind = turn % 4
+                if kind == 1:  # a repeat
+                    coeffs = sent[int(rng.integers(len(sent)))]
+                elif kind == 2:  # in the span of what came before
+                    coeffs = field.combine(field.random(len(sent), rng), np.stack(sent))
+                else:  # fresh, or the zero row once
+                    coeffs = field.random(k, rng) if turn != 3 else field.zeros(k)
+                sent.append(coeffs)
+                reduced[rank, :k], reduced[rank, k:] = coeffs, 0
+                mine[rank] = reduced[rank]
+                want = eliminate_arrival(field, reduced, pivots, rank)
+                if compiled(rank) != want or mine.tobytes() != reduced.tobytes():
+                    return False
+                if want >= 0:
+                    pivots[rank], rank = want, rank + 1
+        # One-row arrivals leading with each of 1..15 (every non-zero
+        # element of GF(2^4)): normalising must not depend on the value.
+        for lead in range(1, 16):
+            reduced, mine = np.zeros((2, 1, 2), dtype=DTYPE)
+            reduced[0, 0] = mine[0, 0] = lead
+            pivots = np.zeros(1, dtype=np.intp)
+            got = kernel.arrival_step(logz, expz, mine, pivots)(0)
+            if got != eliminate_arrival(field, reduced, pivots, 0) or (mine != reduced).any():
+                return False
+    return True
 
 
 def inv_matrix(field: BinaryField, matrix: np.ndarray) -> np.ndarray:

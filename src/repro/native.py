@@ -1,7 +1,8 @@
 """Runtime-compiled native kernels: one compile / cache / verify loader.
 
 The package ships two C files (``sim/_fastalloc.c`` for the slot engines,
-``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product) and no build step.
+``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table field's
+screening and arrival elimination) and no build step.
 :func:`load` compiles one on first use with whatever C compiler the host
 has (``$CC``, ``cc``, ``gcc`` or ``clang`` — no build system, no
 packages), keeps the shared object in a digest-keyed cache, binds it

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from ..gf import GF, BinaryField, SingularMatrixError, solve
+from ..gf.linalg import arrival_step
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
@@ -180,6 +181,11 @@ class ProgressiveDecoder:
         self.coefficients = coefficients
         self.digest_store = digest_store
         self._k = params.k  # the property divides; arrivals read it often
+        # The elimination itself, chosen here: compiled for a table field
+        # when the library is live, numpy otherwise (repro.gf.linalg).
+        # Bound to the matrices when they are allocated.
+        self._bind_step = arrival_step(self.field)
+        self._step = None
         # Allocated by the first row that reaches elimination (the idle
         # chunks of a streaming download hold nothing) and dropped once
         # result() has the bytes; row i of each belongs to the i-th
@@ -291,6 +297,7 @@ class ProgressiveDecoder:
             if self._reduced is None:
                 self._payloads = np.empty((k, self.params.m), dtype=field.dtype)
                 self._reduced = np.empty((k, 2 * k), dtype=field.dtype)
+                self._step = self._bind_step(self._reduced, self._pivots)
             # The arrival is reduced where it will be kept: the next free
             # row of each matrix.  Nothing reads a row at or past ``rank``,
             # so one that turns out dependent or forged is simply left
@@ -299,15 +306,8 @@ class ProgressiveDecoder:
             row[:k] = coeff_row
             row[k:] = 0
             message.payload_into(payload)
-            kept = self._reduced[:rank]
-            # Kept rows are fully reduced — 1 at their own pivot, 0 at
-            # every other kept pivot — so all factors can be read off
-            # the arrival at once and one product clears them.
-            factors = row.take(self._pivots[:rank])
-            if factors.any():
-                row ^= field.combine(factors, kept)
-            nonzero = row[:k].nonzero()[0]
-            if nonzero.size == 0:
+            pivot = self._step(rank)
+            if pivot < 0:
                 if _OBS.enabled:
                     _DEC_RESIDUAL_CHECKS.inc()
                 expected = field.combine(row[k : k + rank], self._payloads[:rank])
@@ -326,15 +326,6 @@ class ProgressiveDecoder:
                 self._seen_ids.add(message.message_id)
                 self.dependent += 1
                 return Offer.DEPENDENT
-            pivot = int(nonzero[0])
-            row[k + rank] = 1  # the new raw row enters its own combination
-            v = int(row[pivot])
-            if v != 1:
-                field.scale_rows(row[pivot:], field.inv_scalar(v))
-            # Keep the kept rows reduced: clear the new pivot from them.
-            factors = kept[:, pivot].copy()
-            if factors.any():
-                field.addmul(kept, factors[:, None], row)
             self._pivots[rank] = pivot
             self._rank = rank + 1
             self._seen_ids.add(message.message_id)
@@ -357,5 +348,5 @@ class ProgressiveDecoder:
             self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
             # The bytes are the result; the matrices (4x the chunk at
             # p = 8) would otherwise live as long as the decoder does.
-            self._payloads = self._reduced = None
+            self._payloads = self._reduced = self._step = None
         return _trim(self._decoded, self.params, length)

@@ -7,6 +7,26 @@ from repro.gf import GF, ClmulField, FieldError, TableField
 from repro.gf.field import DTYPE
 
 
+def _power_loop(p, modulus):
+    """``(exp, log)`` built one power of x at a time, or ``None`` when x
+    does not run through every non-zero element (the modulus is not
+    primitive)."""
+    q = 1 << p
+    exp, log = np.zeros(2 * (q - 1), dtype=DTYPE), np.zeros(q, dtype=DTYPE)
+    x = 1
+    for i in range(q - 1):
+        if x == 0 or (i > 0 and x == 1):
+            return None
+        exp[i], log[x] = x, i
+        x <<= 1
+        if x & q:
+            x ^= modulus
+    if x != 1:
+        return None
+    exp[q - 1 :] = exp[: q - 1]
+    return exp, log
+
+
 class TestConstruction:
     def test_gf_factory_caches(self):
         assert GF(8) is GF(8)
@@ -34,6 +54,28 @@ class TestConstruction:
     def test_unknown_impl(self):
         with pytest.raises(FieldError):
             GF(8, impl="fpga")
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_tables_match_the_power_loop_for_every_modulus(self, p):
+        """Every degree-p modulus: the tables built by doubling are the
+        one-power-at-a-time loop's, and a non-primitive modulus is refused
+        (p >= 9 reaches the doubling)."""
+        for modulus in range(1 << p, 1 << (p + 1)):
+            want = _power_loop(p, modulus)
+            if want is None:
+                with pytest.raises(FieldError):
+                    TableField(p, modulus)
+            else:
+                field = TableField(p, modulus)
+                assert np.array_equal(field._exp, want[0]) and np.array_equal(field._log, want[1])
+
+    @pytest.mark.parametrize("p", range(11, 17))
+    def test_tables_match_the_power_loop_at_large_p(self, p):
+        field = GF(p)
+        exp, log = _power_loop(p, field.modulus)
+        assert np.array_equal(field._exp, exp) and np.array_equal(field._log, log)
+        with pytest.raises(FieldError):  # x^p + 1 = (x + 1)(...): reducible
+            TableField(p, (1 << p) | 1)
 
     def test_attributes(self):
         F = GF(8)

@@ -1,16 +1,20 @@
 """What one arrival costs ``ProgressiveDecoder``, counted, not timed.
 
 An arrival is one in-place elimination step: reduced in the next free row
-of the decoder's own matrix by at most one ``combine``, one ``scale_rows``
-and one ``addmul``, none of them through the validating ``mul`` / ``inv``;
-its payload is unpacked straight into the decoder's matrix; and once the
-bytes are out, the matrices are gone.
+of the decoder's own matrix — in numpy by at most one ``combine``, one
+``scale_rows`` and one ``addmul``, none of them through the validating
+``mul`` / ``inv``; with the compiled library live by one call into it and
+none of those — its payload is unpacked straight into the decoder's
+matrix; and once the bytes are out, the matrices are gone.
 """
 
 import numpy as np
 import pytest
 
+from repro import native
+from repro.gf import bitmatmul
 from repro.gf.field import TableField
+from repro.obs import observability
 from repro.rlnc import (
     ChunkedEncoder,
     CodingParams,
@@ -58,7 +62,9 @@ def _published(rng, extra=0):
     return data, encoder, store, messages
 
 
-def test_an_arrival_is_at_most_one_call_of_each_kernel(rng):
+def test_an_arrival_is_at_most_one_call_of_each_kernel(rng, monkeypatch):
+    """The numpy body, forced: the guard on the fallback."""
+    monkeypatch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
     data, encoder, store, messages = _published(rng)
     field = CountingField()
     decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, store, field=field)
@@ -71,6 +77,22 @@ def test_an_arrival_is_at_most_one_call_of_each_kernel(rng):
         assert spent["inv_scalar"] == spent["scale_rows"]
     # every kernel did run: the bound above is not vacuous
     assert min(field.calls[name] for name in COUNTED[:4]) > PARAMS.k // 2
+    assert decoder.result() == data
+
+
+@pytest.mark.skipif(bitmatmul.load() is None, reason="native GF kernel not live")
+def test_a_compiled_arrival_calls_no_numpy_kernel(rng):
+    """With the library live a table field's arrivals never fall back: no
+    ``combine`` / ``scale_rows`` / ``addmul`` (nor anything else counted),
+    one ``repro.gf.eliminate.native`` each."""
+    data, encoder, store, messages = _published(rng)
+    field = CountingField()
+    with observability(reset=True) as obs:
+        decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, store, field=field)
+        for msg in messages:
+            assert decoder.offer(msg) in (Offer.ACCEPTED, Offer.COMPLETE)
+        assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == len(messages)
+    assert field.calls == dict.fromkeys(COUNTED, 0)
     assert decoder.result() == data
 
 
