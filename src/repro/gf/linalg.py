@@ -262,8 +262,8 @@ def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
     made singular by a repeated row (a zero at k = 1) and by a zero
     column.  Arrival streams run to rank k at k = 1, 2 and 7 and mix
     fresh rows with repeats, combinations of earlier rows and a zero row
-    — the states a decoder can reach — and one-row arrivals lead with each
-    of the values 1 to 15.  A few ms: the tests sweep larger k.
+    — the states a decoder can reach — and one-row arrivals lead with
+    each non-zero element of GF(2^4).  A few ms: the tests sweep larger k.
     """
     rng = np.random.default_rng(0xE11A)
     # A private GF(2^16): the cached one would stay resident (2.3 MiB of
@@ -301,15 +301,16 @@ def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
                     return False
                 if want >= 0:
                     pivots[rank], rank = want, rank + 1
-        # One-row arrivals leading with each of 1..15 (every non-zero
-        # element of GF(2^4)): normalising must not depend on the value.
-        for lead in range(1, 16):
-            reduced, mine = np.zeros((2, 1, 2), dtype=DTYPE)
-            reduced[0, 0] = mine[0, 0] = lead
-            pivots = np.zeros(1, dtype=np.intp)
-            got = kernel.arrival_step(logz, expz, mine, pivots)(0)
-            if got != eliminate_arrival(field, reduced, pivots, 0) or (mine != reduced).any():
-                return False
+    # A one-row arrival leading with each non-zero element of GF(2^4):
+    # normalising must not depend on the value.
+    field = GF(4)
+    reduced, mine = np.zeros((2, 1, 2), dtype=DTYPE)
+    pivots = np.zeros(1, dtype=np.intp)
+    compiled = kernel.arrival_step(field._logz, field._expz, mine, pivots)
+    for lead in range(1, field.q):
+        reduced[0], mine[0] = (lead, 0), (lead, 0)
+        if compiled(0) != eliminate_arrival(field, reduced, pivots, 0) or (mine != reduced).any():
+            return False
     return True
 
 
