@@ -198,8 +198,9 @@ def gate_screen() -> int:
     elimination whose column loop all blocks share; block by block — and
     Gauss-Jordan — the same verdicts measure ~1.0x.  The stacked side runs
     the numpy body even where the compiled library is live (a table
-    field's screening goes there; ``gate_native_elimination`` times it),
-    so this gate keeps guarding the fallback's shared column loop.  At p=8
+    field's or the tower's screening goes there;
+    ``gate_native_elimination`` times it), so this gate keeps guarding the
+    fallback's shared column loop at both cells.  At p=8
     the reference is spelled out here and frozen, as ``gate_arrival``'s
     is, so no change to ``rank`` or the field kernels moves it:
     Gauss-Jordan per block with every product by fancy index on the
@@ -309,7 +310,7 @@ def gate_native_matmul() -> int:
 
 
 def gate_native_elimination() -> int:
-    """The compiled elimination steps / their numpy bodies, table fields.
+    """The compiled elimination steps / their numpy bodies.
 
     Screening ``publish_rows``' stack (eight (64, 64) blocks at p=8, one
     of them deficient) reads 0.15-0.23x.  One k = 64 decode's arrivals,
@@ -317,10 +318,14 @@ def gate_native_elimination() -> int:
     0.18-0.22x at p=16; an arrival that gathers its four pointers per
     call again reads 0.33-0.37x and 0.29-0.32x, which the arrival budgets
     catch, and a step visiting all 2k columns reads like the committed
-    one at this k, which they do not.  Each budget sits between its
-    cell's reading and the nearest regression; the numpy body itself is
-    1.0x.  Skipped, with the loader's reason, where the library is not
-    live.
+    one at this k, which they do not.  The p=32 cells are
+    ``publish_bulk``'s and ``fetch_bulk``'s, sixteen to a timed call:
+    screening eight (8, 8, 8) blocks, one deficient, reads 0.033-0.039x
+    (0.108-0.111x when each block is a call of its own), and k = 8
+    decodes read 0.029-0.036x (0.103-0.113x with the pointers passed per
+    call).  Each budget sits between its cell's reading and the nearest
+    regression; the numpy body itself is 1.0x.  Skipped, with the
+    loader's reason, where the library is not live.
     """
     from unittest import mock
 
@@ -335,46 +340,55 @@ def gate_native_elimination() -> int:
         return 0
     numpy_only = mock.patch.dict(native._LOADED, {"gfmul": (None, "perf smoke A/B")})
     rng = np.random.default_rng(0)
-    field = GF(8)
-    blocks = field.random((8, 64, 64), rng)
-    blocks[5, 63] = blocks[5, 0]
+    failures = 0
+    # (p, k, screenings per timed call, budget): one at p=32 is ~70 us
+    for p, k, screens, budget in ((8, 64, 1, 0.35), (32, 8, 16, 0.07)):
+        field = GF(p)
+        blocks = field.random((8, k, k), rng)
+        blocks[5, k - 1] = blocks[5, 0]
 
-    def screen():
-        return is_invertible(field, blocks).tolist()
+        def screen():
+            for _ in range(screens):
+                verdicts = is_invertible(field, blocks).tolist()
+            return verdicts
 
-    def screen_numpy():
-        with numpy_only:
-            return screen()
+        def screen_numpy():
+            with numpy_only:
+                return screen()
 
-    assert screen() == screen_numpy() and screen()[4:7] == [True, False, True]
-    failures = ratio_gate(
-        "native / numpy screening, p=8 (8,64,64)", screen, screen_numpy, 0.35,
-        "has the stack gone back to the numpy body?",
-    )
-    k = 64
-    for p, budget in ((8, 0.3), (16, 0.27)):
+        assert screen() == screen_numpy() and screen()[4:7] == [True, False, True]
+        failures += ratio_gate(
+            f"native / numpy screening, {screens} x p={p} (8,{k},{k})",
+            screen, screen_numpy, budget,
+            "has the stack gone back to the numpy body, or to one call per block?",
+        )
+    # (p, k, decodes per timed call, budget): one k = 8 decode is ~60 us
+    for p, k, decodes, budget in ((8, 64, 1, 0.3), (16, 64, 1, 0.27), (32, 8, 16, 0.06)):
         field = GF(p)
         rows = field.random((k + 8, k), rng)
-        rows[[9, 30, 51]] = rows[[2, 7, 40]]  # repeats reach the elimination too
+        into, src = ([9, 30, 51], [2, 7, 40]) if k == 64 else ([3], [1])
+        rows[into] = rows[src]  # repeats reach the elimination too
 
         def decode(bind):
-            reduced = np.empty((k, 2 * k), dtype=np.uint32)
-            pivots = np.empty(k, dtype=np.intp)
-            step, rank = bind(reduced, pivots), 0
-            for row in rows:
-                reduced[rank, :k], reduced[rank, k:] = row, 0
-                pivot = step(rank)
-                if pivot >= 0:
-                    pivots[rank], rank = pivot, rank + 1
-                    if rank == k:
-                        return reduced
+            for _ in range(decodes):
+                reduced = np.empty((k, 2 * k), dtype=np.uint32)
+                pivots = np.empty(k, dtype=np.intp)
+                step, rank = bind(reduced, pivots), 0
+                for row in rows:
+                    reduced[rank, :k], reduced[rank, k:] = row, 0
+                    pivot = step(rank)
+                    if pivot >= 0:
+                        pivots[rank], rank = pivot, rank + 1
+                        if rank == k:
+                            break
+            return reduced
 
         compiled = linalg.arrival_step(field)
         with numpy_only:
             fallback = linalg.arrival_step(field)
         assert decode(compiled).tobytes() == decode(fallback).tobytes()
         failures += ratio_gate(
-            f"native / numpy arrival steps, one k={k} decode at p={p}",
+            f"native / numpy arrival steps, {decodes} k={k} decode(s) at p={p}",
             lambda: decode(compiled), lambda: decode(fallback), budget,
             "is every arrival passing its pointers again, or has the "
             "decoder's step gone back to the numpy body?",

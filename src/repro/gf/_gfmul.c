@@ -1,6 +1,6 @@
 /* Native kernels of repro.gf: the bit-sliced GF(2^p) matrix product
  * (p <= 32) behind repro.gf.bitmatmul, and Gauss-Jordan elimination over
- * a table field (p <= 16) behind repro.gf.linalg.
+ * a table field (p <= 16) or the GF(2^32) tower behind repro.gf.linalg.
  *
  * Compiled at runtime by repro.native (plain cc, no build system) and
  * loaded through ctypes as one library.  Its load-time self-check fuzzes
@@ -37,10 +37,12 @@
  *    vectorises loops at 256, which made that build the slowest one).
  *
  * The elimination kernels (repro_gf_full_rank, repro_gf_arrival) multiply
- * with the field's own tables, as TableField does: a product is
+ * with a table field's own tables, as TableField does: a product is
  * expz[logz[a] + logz[x]], logz mapping 0 to the sentinel Z = 2(q-1)-1
- * and expz being zero from Z on, so a zero operand needs no branch.
- * Every scratch buffer they use is the caller's, sized by k.
+ * and expz being zero from Z on, so a zero operand needs no branch.  The
+ * tower reads its base GF(2^16)'s tables the same way, three products
+ * to one of its own, as TowerField._mul does.  Every scratch buffer they
+ * use is the caller's, sized by k.
  */
 
 #include <stdint.h>
@@ -272,27 +274,123 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
 }
 
 
-/* Every elimination step below is one of two loops: row[j] ^= a * x[j]
- * with a's log la < Z and lx[j] = logz[x[j]] (or x itself through logz).
- * la + lx[j] <= (Z - 1) + Z stays inside expz's 2Z + 1 entries, and below
- * 2^18 for p <= 16: logs kept in scratch are int32, so a vector gathers
- * twice the indices it would as intptr. */
+/* Every elimination step below is one body written once and instantiated
+ * twice, for a table field and for the tower GF(2^32) = GF(2^16)[y] /
+ * (y^2 + y + c) over a table field's GF(2^16); the kind is a constant in
+ * each copy, so no loop branches on it.  Either way the inner loop is
+ * row[j] ^= a * x[j] with a's logs fixed for the loop and x[j]'s read
+ * from scratch (or taken through logz on the fly).
+ *
+ * A table field keeps one log per element: a * x is expz[la + lx].
+ * The tower keeps three per element, [x0, x1, x0 + x1] for x = x1 y + x0,
+ * and three per factor, [a0, c a1, a0 + a1].  By Karatsuba and
+ * y^2 = y + c, a x = (t0 + tm) y + (t0 + c a1 x1) with t0 = a0 x0 and
+ * tm = (a0 + a1)(x0 + x1): three base products, each expz[la + lx]
+ * (a1 x1 itself is never needed).  An inverse goes through the norm
+ * a0 (a0 + a1) + c a1^2, as TowerField._inv does.
+ *
+ * A log is below Z or the sentinel Z itself, so every index sum is at
+ * most 2Z, inside expz's 2Z + 1 entries, and below 2^18 for p <= 16:
+ * logs kept in scratch are int32, so a vector gathers twice the indices
+ * it would as intptr. */
 
-/* The log of a / b, a and b nonzero: in [0, order), never the sentinel. */
-static inline int32_t log_div(const intptr_t *logz, uint32_t a, uint32_t b, int64_t order)
+enum field_kind { TABLE, TOWER };
+
+/* Int32 logs one element, or one factor, keeps in scratch. */
+#define NLOGS(kind) ((kind) == TOWER ? 3 : 1)
+
+#define BODY static inline __attribute__((always_inline))
+
+/* A table field's tables; for the tower, its base field's and c's log. */
+struct tables {
+    const intptr_t *restrict logz;
+    const uint32_t *restrict expz;
+    int64_t order; /* q - 1 of the table field */
+    int32_t lc;
+};
+
+/* The log of a / b in a table field, a and b nonzero: in [0, order),
+ * never the sentinel. */
+BODY int32_t log_div(const intptr_t *logz, uint32_t a, uint32_t b, int64_t order)
 {
     intptr_t l = logz[a] - logz[b];
     return (int32_t)(l < 0 ? l + order : l);
 }
 
-/* Full-rank verdicts of nblocks (k, k) blocks, C-contiguous in a, by
- * forward elimination in place (a is scratch afterwards): full[b] is 1
- * iff block b has rank k.  lrow is caller scratch of k entries; order is
- * q - 1. */
-void repro_gf_full_rank(uint32_t *restrict a, int64_t nblocks, int64_t k,
-                        const intptr_t *restrict logz, const uint32_t *restrict expz,
-                        int64_t order, int32_t *restrict lrow, uint8_t *restrict full)
+/* The logs element x keeps, into out. */
+BODY void element_logs(const struct tables f, const int kind, uint32_t x, int32_t *out)
 {
+    if (kind == TOWER) {
+        const uint32_t x0 = x & 0xFFFF, x1 = x >> 16;
+        out[0] = (int32_t)f.logz[x0];
+        out[1] = (int32_t)f.logz[x1];
+        out[2] = (int32_t)f.logz[x0 ^ x1];
+    }
+    else {
+        out[0] = (int32_t)f.logz[x];
+    }
+}
+
+/* The logs factor a keeps, into out. */
+BODY void factor_logs(const struct tables f, const int kind, uint32_t a, int32_t *out)
+{
+    if (kind == TOWER) {
+        const uint32_t a0 = a & 0xFFFF, a1 = a >> 16;
+        out[0] = (int32_t)f.logz[a0];
+        out[1] = (int32_t)f.logz[f.expz[f.lc + f.logz[a1]]];
+        out[2] = (int32_t)f.logz[a0 ^ a1];
+    }
+    else {
+        out[0] = (int32_t)f.logz[a];
+    }
+}
+
+/* Whether the factor with logs la is zero. */
+BODY int factor_is_zero(const struct tables f, const int kind, const int32_t *la)
+{
+    const int32_t zero = (int32_t)f.logz[0];
+    return la[0] == zero && (kind == TABLE || la[2] == zero);
+}
+
+/* a * x from the factor's logs la and the element's lx. */
+BODY uint32_t product(const struct tables f, const int kind, const int32_t *la,
+                      const int32_t *lx)
+{
+    const uint32_t t0 = f.expz[la[0] + lx[0]];
+    if (kind == TOWER) {
+        return (t0 ^ f.expz[la[2] + lx[2]]) << 16 | (t0 ^ f.expz[la[1] + lx[1]]);
+    }
+    return t0;
+}
+
+/* The logs of the factor a / b, a and b nonzero, into out. */
+BODY void quotient_logs(const struct tables f, const int kind, uint32_t a, uint32_t b,
+                        int32_t *out)
+{
+    if (kind == TOWER) {
+        const intptr_t *restrict logz = f.logz;
+        const uint32_t *restrict expz = f.expz;
+        const uint32_t b0 = b & 0xFFFF, b1 = b >> 16;
+        const uint32_t sq = expz[2 * logz[b1]];
+        const uint32_t norm = expz[logz[b0] + logz[b0 ^ b1]] ^ expz[f.lc + logz[sq]];
+        const int32_t ln = log_div(logz, 1, norm, f.order);
+        /* 1 / b = (b1 y + (b0 + b1)) / norm */
+        const uint32_t inv = expz[logz[b1] + ln] << 16 | expz[logz[b0 ^ b1] + ln];
+        int32_t la[3], lx[3];
+        factor_logs(f, kind, a, la);
+        element_logs(f, kind, inv, lx);
+        factor_logs(f, kind, product(f, kind, la, lx), out);
+    }
+    else {
+        out[0] = log_div(f.logz, a, b, f.order);
+    }
+}
+
+BODY void full_rank_body(const int kind, uint32_t *restrict a, int64_t nblocks, int64_t k,
+                         const struct tables f, int32_t *restrict lrow,
+                         uint8_t *restrict full)
+{
+    const int n = NLOGS(kind);
     for (int64_t b = 0; b < nblocks; b++) {
         uint32_t *m = a + b * k * k;
         full[b] = 1;
@@ -316,19 +414,40 @@ void repro_gf_full_rank(uint32_t *restrict a, int64_t nblocks, int64_t k,
             }
             const uint32_t pivot = prow[col];
             for (int64_t j = col + 1; j < k; j++) {
-                lrow[j] = (int32_t)logz[prow[j]];
+                element_logs(f, kind, prow[j], lrow + n * j);
             }
             for (int64_t r = col + 1; r < k; r++) {
                 uint32_t *restrict row = m + r * k;
                 if (row[col] == 0) {
                     continue;
                 }
-                const int32_t lf = log_div(logz, row[col], pivot, order);
+                int32_t lf[3];
+                quotient_logs(f, kind, row[col], pivot, lf);
                 for (int64_t j = col + 1; j < k; j++) {
-                    row[j] ^= expz[lf + lrow[j]];
+                    row[j] ^= product(f, kind, lf, lrow + n * j);
                 }
             }
         }
+    }
+}
+
+/* Full-rank verdicts of nblocks (k, k) blocks, C-contiguous in a, by
+ * forward elimination in place (a is scratch afterwards): full[b] is 1
+ * iff block b has rank k.  logz / expz / order are a table field's
+ * tables and q - 1; c is 0 for that field itself, or the tower's c over
+ * it.  lrow is caller scratch of k entries (3k for the tower). */
+void repro_gf_full_rank(uint32_t *restrict a, int64_t nblocks, int64_t k,
+                        const intptr_t *restrict logz, const uint32_t *restrict expz,
+                        int64_t order, int64_t c, int32_t *restrict lrow,
+                        uint8_t *restrict full)
+{
+    if (c == 0) {
+        const struct tables f = {logz, expz, order, 0};
+        full_rank_body(TABLE, a, nblocks, k, f, lrow, full);
+    }
+    else {
+        const struct tables f = {logz, expz, order, (int32_t)logz[c]};
+        full_rank_body(TOWER, a, nblocks, k, f, lrow, full);
     }
 }
 
@@ -337,12 +456,79 @@ void repro_gf_full_rank(uint32_t *restrict a, int64_t nblocks, int64_t k,
 struct gf_arrival {
     uint32_t *red;          /* (k, 2k) rows [e | t], C-contiguous */
     const intptr_t *pivots; /* (k,): pivots[i] of kept row i */
-    const intptr_t *logz;   /* the field's tables */
+    const intptr_t *logz;   /* a table field's tables */
     const uint32_t *expz;
-    int32_t *scratch;       /* 2k entries */
+    int32_t *scratch;       /* 2k entries (6k for the tower) */
     int64_t k;
-    int64_t order;          /* q - 1 */
+    int64_t order;          /* q - 1 of the table field */
+    int64_t c;              /* 0: that field; else the tower's c over it */
 };
+
+BODY int64_t arrival_body(const int kind, const struct gf_arrival *s, int64_t rank)
+{
+    const int n = NLOGS(kind);
+    const struct tables f = {s->logz, s->expz, s->order,
+                             kind == TOWER ? (int32_t)s->logz[s->c] : 0};
+    uint32_t *const red = s->red;
+    const intptr_t *restrict const pivots = s->pivots;
+    int32_t *restrict const scratch = s->scratch;
+    const int64_t k = s->k;
+    uint32_t *restrict const row = red + rank * 2 * k;
+    int64_t width = k + rank;
+
+    /* The factors are read off the arrival before it changes: the kept
+     * rows are zero at each other's pivots, so they would not move. */
+    for (int64_t i = 0; i < rank; i++) {
+        factor_logs(f, kind, row[pivots[i]], scratch + n * i);
+    }
+    for (int64_t i = 0; i < rank; i++) {
+        const int32_t *lf = scratch + n * i;
+        if (factor_is_zero(f, kind, lf)) {
+            continue;
+        }
+        const uint32_t *restrict kept = red + i * 2 * k;
+        for (int64_t j = 0; j < width; j++) {
+            int32_t lx[3];
+            element_logs(f, kind, kept[j], lx);
+            row[j] ^= product(f, kind, lf, lx);
+        }
+    }
+
+    int64_t pivot = 0;
+    while (pivot < k && row[pivot] == 0) {
+        pivot++;
+    }
+    if (pivot == k) {
+        return -1;
+    }
+    row[width++] = 1; /* the new raw row enters its own combination */
+    const uint32_t lead = row[pivot];
+    int32_t *restrict const lrow = scratch;
+    if (lead != 1) {
+        int32_t linv[3];
+        quotient_logs(f, kind, 1, lead, linv);
+        for (int64_t j = pivot; j < width; j++) {
+            int32_t lx[3];
+            element_logs(f, kind, row[j], lx);
+            row[j] = product(f, kind, linv, lx);
+        }
+    }
+    for (int64_t j = pivot; j < width; j++) {
+        element_logs(f, kind, row[j], lrow + n * j);
+    }
+    for (int64_t i = 0; i < rank; i++) {
+        uint32_t *restrict kept = red + i * 2 * k;
+        if (kept[pivot] == 0) {
+            continue;
+        }
+        int32_t lf[3];
+        factor_logs(f, kind, kept[pivot], lf);
+        for (int64_t j = pivot; j < width; j++) {
+            kept[j] ^= product(f, kind, lf, lrow + n * j);
+        }
+    }
+    return pivot;
+}
 
 /* One arrival of the progressive decoder on the rows [e | t] of s->red.
  * Rows [0, rank) are kept: e in reduced row echelon form, 1 at pivots[i]
@@ -358,59 +544,5 @@ struct gf_arrival {
  * visited. */
 int64_t repro_gf_arrival(const struct gf_arrival *s, int64_t rank)
 {
-    uint32_t *const red = s->red;
-    const intptr_t *restrict const pivots = s->pivots, *restrict const logz = s->logz;
-    const uint32_t *restrict const expz = s->expz;
-    int32_t *restrict const scratch = s->scratch;
-    const int64_t k = s->k, order = s->order;
-    const intptr_t zero = logz[0];
-    uint32_t *restrict const row = red + rank * 2 * k;
-    int64_t width = k + rank;
-
-    /* The factors are read off the arrival before it changes: the kept
-     * rows are zero at each other's pivots, so they would not move. */
-    for (int64_t i = 0; i < rank; i++) {
-        scratch[i] = (int32_t)logz[row[pivots[i]]];
-    }
-    for (int64_t i = 0; i < rank; i++) {
-        const int32_t lf = scratch[i];
-        if (lf == zero) {
-            continue;
-        }
-        const uint32_t *restrict kept = red + i * 2 * k;
-        for (int64_t j = 0; j < width; j++) {
-            row[j] ^= expz[lf + logz[kept[j]]];
-        }
-    }
-
-    int64_t pivot = 0;
-    while (pivot < k && row[pivot] == 0) {
-        pivot++;
-    }
-    if (pivot == k) {
-        return -1;
-    }
-    row[width++] = 1; /* the new raw row enters its own combination */
-    const uint32_t lead = row[pivot];
-    int32_t *restrict const lrow = scratch;
-    if (lead != 1) {
-        const int32_t linv = log_div(logz, 1, lead, order);
-        for (int64_t j = pivot; j < width; j++) {
-            row[j] = expz[linv + logz[row[j]]];
-        }
-    }
-    for (int64_t j = pivot; j < width; j++) {
-        lrow[j] = (int32_t)logz[row[j]];
-    }
-    for (int64_t i = 0; i < rank; i++) {
-        uint32_t *restrict kept = red + i * 2 * k;
-        if (kept[pivot] == 0) {
-            continue;
-        }
-        const int32_t lf = (int32_t)logz[kept[pivot]];
-        for (int64_t j = pivot; j < width; j++) {
-            kept[j] ^= expz[lf + lrow[j]];
-        }
-    }
-    return pivot;
+    return s->c == 0 ? arrival_body(TABLE, s, rank) : arrival_body(TOWER, s, rank);
 }

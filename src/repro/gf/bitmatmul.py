@@ -191,12 +191,18 @@ class _Arrival(ctypes.Structure):
         ("scratch", ctypes.c_void_p),
         ("k", ctypes.c_int64),
         ("order", ctypes.c_int64),
+        ("c", ctypes.c_int64),
     ]
 
 
 class GF2Kernel:
     """ctypes facade over ``_gfmul.c``: the GF(2) product, and the two
-    elimination steps :mod:`repro.gf.linalg` runs over a table field."""
+    elimination steps :mod:`repro.gf.linalg` runs over a table field or
+    the tower.
+
+    The steps take a ``TableField``'s ``_logz`` / ``_expz`` and ``c``:
+    0 for that field itself, or ``TowerField.c`` when the tables are the
+    tower's ``base``."""
 
     def __init__(self, lib: ctypes.CDLL):
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
@@ -205,7 +211,7 @@ class GF2Kernel:
         self._matmul.argtypes = [ptr] * 3 + [i64] * 4
         self._full_rank = lib.repro_gf_full_rank
         self._full_rank.restype = None
-        self._full_rank.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr]
+        self._full_rank.argtypes = [ptr, i64, i64, ptr, ptr, i64, i64, ptr, ptr]
         self._arrival = lib.repro_gf_arrival
         self._arrival.restype = i64
         self._arrival.argtypes = [ptr, i64]
@@ -234,8 +240,9 @@ class GF2Kernel:
             raise MemoryError("repro_gf2_matmul: no scratch memory")
 
     @staticmethod
-    def _order(logz: np.ndarray, expz: np.ndarray) -> int:
-        """``q - 1`` of the field whose ``TableField`` tables these are."""
+    def _logs(logz: np.ndarray, expz: np.ndarray, c: int) -> int:
+        """Int32 logs the C steps keep per element: 1 for the table field
+        of ``logz`` / ``expz``, 3 for the tower of ``c`` over it."""
         order = logz.shape[0] - 1
         if not (
             logz.dtype == np.intp and expz.dtype == np.uint32
@@ -243,31 +250,35 @@ class GF2Kernel:
             and logz.flags.c_contiguous and expz.flags.c_contiguous
         ):
             raise ValueError("logz / expz are not a table field's _logz / _expz")
-        return order
+        if c and not (order == 0xFFFF and 0 < c <= order):
+            raise ValueError(f"c={c} is not a non-zero element of GF(2^16)'s tables")
+        return 3 if c else 1
 
-    def full_rank(self, blocks: np.ndarray, logz: np.ndarray, expz: np.ndarray) -> np.ndarray:
+    def full_rank(self, blocks: np.ndarray, logz: np.ndarray, expz: np.ndarray,
+                  c: int = 0) -> np.ndarray:
         """Whether each ``(k, k)`` block of the ``(B, k, k)`` stack has
-        full rank over the field of ``logz`` / ``expz`` (a ``TableField``'s
-        ``_logz`` / ``_expz``).  ``blocks`` is C-contiguous uint32 of
-        valid elements and is reduced in place."""
-        order = self._order(logz, expz)
+        full rank over the field of ``logz`` / ``expz`` / ``c``.
+        ``blocks`` is C-contiguous uint32 of valid elements and is
+        reduced in place."""
+        logs = self._logs(logz, expz, c)
         count, k, width = blocks.shape
         if width != k or blocks.dtype != np.uint32 or not blocks.flags.c_contiguous:
             raise ValueError(f"not a C-contiguous uint32 (B, k, k) stack: {blocks.shape}")
         full = np.empty(count, dtype=np.bool_)
-        lrow = np.empty(k, dtype=np.int32)
+        lrow = np.empty(logs * k, dtype=np.int32)
         self._full_rank(blocks.ctypes.data, count, k, logz.ctypes.data, expz.ctypes.data,
-                        order, lrow.ctypes.data, full.ctypes.data)
+                        logz.shape[0] - 1, c, lrow.ctypes.data, full.ctypes.data)
         return full
 
     def arrival_step(self, logz: np.ndarray, expz: np.ndarray, reduced: np.ndarray,
-                     pivots: np.ndarray):
+                     pivots: np.ndarray, c: int = 0):
         """``step(rank) -> pivot or -1``: the decoder's arrival step
         (``repro.gf.linalg.eliminate_arrival``) in C, bound to one
         decoder's C-contiguous uint32 ``(k, 2k)`` matrix ``reduced`` and
-        ``(k,)`` intp ``pivots``, over the field of ``logz`` / ``expz``.
-        Everything but the rank is checked and passed to C once, here."""
-        order = self._order(logz, expz)
+        ``(k,)`` intp ``pivots``, over the field of ``logz`` / ``expz`` /
+        ``c``.  Everything but the rank is checked and passed to C once,
+        here."""
+        logs = self._logs(logz, expz, c)
         k = reduced.shape[0]
         if not (
             reduced.shape == (k, 2 * k) and reduced.dtype == np.uint32
@@ -275,9 +286,9 @@ class GF2Kernel:
             and pivots.dtype == np.intp and pivots.flags.c_contiguous
         ):
             raise ValueError(f"bad arrival state: {reduced.shape} rows, {pivots.shape} pivots")
-        scratch = np.empty(2 * k, dtype=np.int32)
+        scratch = np.empty(logs * 2 * k, dtype=np.int32)
         state = _Arrival(reduced.ctypes.data, pivots.ctypes.data, logz.ctypes.data,
-                         expz.ctypes.data, scratch.ctypes.data, k, order)
+                         expz.ctypes.data, scratch.ctypes.data, k, logz.shape[0] - 1, c)
         arrival, address = self._arrival, ctypes.addressof(state)
 
         def step(rank: int) -> int:

@@ -8,11 +8,12 @@ row updates so the inner loops stay in numpy.
 
 The two eliminations on the hot paths — the encoder's screening
 (:func:`is_invertible`) and the progressive decoder's arrival step
-(:func:`arrival_step`) — also run in ``_gfmul.c``, with the field's own
-log/antilog tables, whenever the field is a :class:`TableField`
-(``p <= 16``) and :func:`repro.gf.bitmatmul.load` has the library live.
-The numpy bodies below stay the fallback and the oracle the library's
-self-check fuzzes those steps against.
+(:func:`arrival_step`, which :func:`inv_matrix` also runs) — also run in
+``_gfmul.c`` whenever the field is a :class:`TableField` (``p <= 16``,
+with its own log/antilog tables) or the :class:`TowerField` (``p = 32``,
+with its base ``GF(2^16)``'s) and :func:`repro.gf.bitmatmul.load` has
+the library live.  The numpy bodies below stay the fallback and the
+oracle the library's self-check fuzzes those steps against.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from ..obs import REGISTRY as _OBS
 from . import bitmatmul
 from .field import _DEFAULT_RNG, DTYPE, GF, BinaryField, FieldError, TableField
+from .tower import TowerField
 
 __all__ = [
     "SingularMatrixError",
@@ -60,17 +62,25 @@ _ELIM_NATIVE = _OBS.counter(
 
 def _compiled(field: BinaryField) -> bitmatmul.GF2Kernel | None:
     """The compiled elimination kernels when they serve ``field``: a table
-    field, and the library live."""
-    return bitmatmul.load() if isinstance(field, TableField) else None
+    field or the tower, and the library live."""
+    return bitmatmul.load() if isinstance(field, (TableField, TowerField)) else None
+
+
+def _tables(field: TableField | TowerField) -> tuple[np.ndarray, np.ndarray, int]:
+    """What the compiled steps multiply with: a table field's ``_logz`` /
+    ``_expz`` and ``c``, 0 for that field or the tower's ``c`` over it."""
+    if isinstance(field, TowerField):
+        return field.base._logz, field.base._expz, int(field.c)
+    return field._logz, field._expz, 0
 
 
 @lru_cache(maxsize=64)
 def _identity(n: int) -> np.ndarray:
     """Shared read-only ``n x n`` identity (every field uses one dtype).
 
-    Cached because ``inv_matrix``/``solve`` rebuild it on every call in
-    the decode loop; callers must copy before mutating (``concatenate``
-    already does).
+    Cached because ``solve`` rebuilds it on every call in the decode
+    loop; callers must copy before mutating (``concatenate`` already
+    does).
     """
     eye = np.zeros((n, n), dtype=DTYPE)
     eye[np.arange(n), np.arange(n)] = 1
@@ -134,8 +144,9 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
 
     Only the verdict is wanted, so the stack is reduced by forward
     elimination alone — no back-substitution, no scaling of pivot rows.
-    A table field's stack is reduced in ``_gfmul.c`` when the library is
-    live, block by block; otherwise by :func:`_full_rank_numpy`.
+    A table field's or the tower's stack is reduced in ``_gfmul.c`` when
+    the library is live, block by block; otherwise by
+    :func:`_full_rank_numpy`.
     """
     A = field.asarray(matrix)  # a private copy: reduced in place below
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -148,7 +159,7 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
     else:
         if _OBS.enabled:
             _ELIM_NATIVE.inc()
-        full = kernel.full_rank(S, field._logz, field._expz)
+        full = kernel.full_rank(S, *_tables(field))
     return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
 
 
@@ -235,13 +246,14 @@ def arrival_step(
     """How a decoder over ``field`` eliminates its arrivals, chosen once:
     ``bind(reduced, pivots)`` returns ``step(rank)``, which is
     ``eliminate_arrival(field, reduced, pivots, rank)`` — run in
-    ``_gfmul.c`` for a table field when the library is live."""
+    ``_gfmul.c`` for a table field or the tower when the library is live."""
     kernel = _compiled(field)
     if kernel is None:
         return partial(partial, eliminate_arrival, field)
+    logz, expz, c = _tables(field)
 
     def bind(reduced: np.ndarray, pivots: np.ndarray) -> Callable[[int], int]:
-        compiled = kernel.arrival_step(field._logz, field._expz, reduced, pivots)
+        compiled = kernel.arrival_step(logz, expz, reduced, pivots, c)
 
         def step(rank: int) -> int:
             if _OBS.enabled:
@@ -255,33 +267,62 @@ def arrival_step(
 
 def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
     """Fuzz the compiled screening and arrival steps against
-    :func:`_full_rank_numpy` and :func:`eliminate_arrival` at p = 4, 8
-    and 16, demanding identical verdicts, pivots and rows.
+    :func:`_full_rank_numpy` and :func:`eliminate_arrival` at p = 4, 8,
+    16 and 32, demanding identical verdicts, pivots and rows.
 
     Screening stacks at k = 0, 1, 2 and 11 hold random blocks and blocks
     made singular by a repeated row (a zero at k = 1) and by a zero
     column.  Arrival streams run to rank k at k = 1, 2 and 7 and mix
     fresh rows with repeats, combinations of earlier rows and a zero row
-    — the states a decoder can reach — and one-row arrivals lead with
-    each non-zero element of GF(2^4).  A few ms: the tests sweep larger k.
+    — the states a decoder can reach.  One-row arrivals lead with each
+    non-zero element of GF(2^4), and with tower elements whose halves
+    are zero or equal (the norm map's edge cases), which also make up
+    three in eight of the tower's random elements.  About 15 ms, most of
+    it the tower's numpy bodies: the tests sweep larger k.
     """
     rng = np.random.default_rng(0xE11A)
-    # A private GF(2^16): the cached one would stay resident (2.3 MiB of
-    # tables) in every process that loads the library and never uses it.
-    for field in (GF(4), GF(8), TableField(16)):
-        logz, expz = field._logz, field._expz
+    # A private tower, whose base is the GF(2^16) of the p = 16 cells:
+    # the cached fields would stay resident (2.3 MiB of tables) in every
+    # process that loads the library and never uses them.
+    tower = TowerField()
+
+    def draw(field: BinaryField, shape) -> np.ndarray:
+        x = field.random(shape, rng)
+        if field is tower:
+            kind = rng.integers(8, size=x.shape)
+            x[kind == 0] &= DTYPE(0xFFFF)  # a1 = 0
+            x[kind == 1] &= DTYPE(0xFFFF0000)  # a0 = 0
+            x[kind == 2] = (x[kind == 2] >> DTYPE(16)) * DTYPE(0x10001)  # a0 = a1
+        return x
+
+    def leads_agree(field: BinaryField, leads) -> bool:
+        """A one-row arrival leading with each of ``leads``: normalising
+        must not depend on the value."""
+        reduced, mine = np.zeros((2, 1, 2), dtype=DTYPE)
+        pivots = np.zeros(1, dtype=np.intp)
+        logz, expz, c = _tables(field)
+        compiled = kernel.arrival_step(logz, expz, mine, pivots, c)
+        for lead in leads:
+            reduced[0], mine[0] = (lead, 0), (lead, 0)
+            want = eliminate_arrival(field, reduced, pivots, 0)
+            if compiled(0) != want or (mine != reduced).any():
+                return False
+        return True
+
+    for field in (GF(4), GF(8), tower.base, tower):
+        logz, expz, c = _tables(field)
         for count, k in ((1, 0), (3, 1), (4, 2), (4, 11)):
-            blocks = field.random((count, k, k), rng)
+            blocks = draw(field, (count, k, k))
             if k:
                 blocks[0, -1] = blocks[0, 0]  # a repeated row (a zero at k = 1)
                 blocks[1, :, k // 2] = 0  # a zero column
             want = _full_rank_numpy(field, blocks.copy())
-            if kernel.full_rank(blocks, logz, expz).tolist() != want.tolist():
+            if kernel.full_rank(blocks, logz, expz, c).tolist() != want.tolist():
                 return False
         for k in (1, 2, 7):
             reduced, mine = np.zeros((2, k, 2 * k), dtype=DTYPE)
             pivots = np.zeros(k, dtype=np.intp)
-            compiled = kernel.arrival_step(logz, expz, mine, pivots)
+            compiled = kernel.arrival_step(logz, expz, mine, pivots, c)
             rank, sent = 0, [field.zeros(k)]
             for turn in range(4 * k + 8):
                 if rank == k:
@@ -290,9 +331,9 @@ def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
                 if kind == 1:  # a repeat
                     coeffs = sent[int(rng.integers(len(sent)))]
                 elif kind == 2:  # in the span of what came before
-                    coeffs = field.combine(field.random(len(sent), rng), np.stack(sent))
+                    coeffs = field.combine(draw(field, len(sent)), np.stack(sent))
                 else:  # fresh, or the zero row once
-                    coeffs = field.random(k, rng) if turn != 3 else field.zeros(k)
+                    coeffs = draw(field, k) if turn != 3 else field.zeros(k)
                 sent.append(coeffs)
                 reduced[rank, :k], reduced[rank, k:] = coeffs, 0
                 mine[rank] = reduced[rank]
@@ -301,34 +342,35 @@ def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
                     return False
                 if want >= 0:
                     pivots[rank], rank = want, rank + 1
-    # A one-row arrival leading with each non-zero element of GF(2^4):
-    # normalising must not depend on the value.
-    field = GF(4)
-    reduced, mine = np.zeros((2, 1, 2), dtype=DTYPE)
-    pivots = np.zeros(1, dtype=np.intp)
-    compiled = kernel.arrival_step(field._logz, field._expz, mine, pivots)
-    for lead in range(1, field.q):
-        reduced[0], mine[0] = (lead, 0), (lead, 0)
-        if compiled(0) != eliminate_arrival(field, reduced, pivots, 0) or (mine != reduced).any():
-            return False
-    return True
+    halves = rng.integers(2, 1 << 16, size=2, dtype=DTYPE)
+    edges = [h * DTYPE(m) for h in (1, *halves) for m in (1, 1 << 16, 0x10001)]
+    return leads_agree(GF(4), range(1, 16)) and leads_agree(tower, edges)
 
 
 def inv_matrix(field: BinaryField, matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix via Gauss-Jordan on ``[A | I]``.
+    """Inverse of a square matrix: its rows arrive, one
+    :func:`arrival_step` each, as a progressive decoder's do.
 
-    Raises :class:`SingularMatrixError` when ``A`` is not invertible.
+    After ``n`` innovative arrivals of ``[A | 0]`` every kept ``e`` part
+    is the unit vector at its pivot, so the ``t`` parts are the rows of
+    ``A^-1`` in pivot order — what ``ProgressiveDecoder.result`` reads.
+    Raises :class:`SingularMatrixError` at the first dependent row.
     """
     A = field.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise FieldError(f"matrix must be square, got shape {A.shape}")
     n = A.shape[0]
-    identity = _identity(n)
-    augmented = np.concatenate([A, identity], axis=1)
-    reduced, r = row_reduce(field, augmented)
-    if r < n or np.any(reduced[:, :n] != identity):
-        raise SingularMatrixError(f"matrix of shape {A.shape} is singular")
-    return reduced[:, n:].copy()
+    reduced = np.zeros((n, 2 * n), dtype=DTYPE)
+    reduced[:, :n] = A
+    pivots = np.empty(n, dtype=np.intp)
+    step = arrival_step(field)(reduced, pivots)
+    for rank in range(n):
+        pivots[rank] = step(rank)
+        if pivots[rank] < 0:
+            raise SingularMatrixError(f"matrix of shape {A.shape} is singular")
+    inverse = np.empty((n, n), dtype=DTYPE)
+    inverse[pivots] = reduced[:, n:]
+    return inverse
 
 
 def solve(field: BinaryField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

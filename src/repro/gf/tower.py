@@ -38,20 +38,19 @@ def _trace(base: TableField, c: int) -> int:
 def _find_trace_one(base: TableField) -> int:
     """The smallest element of absolute trace 1.
 
-    The trace of a block of elements at once (``p`` vectorised
-    squarings, not one scalar walk per element); blocks, because the
-    first hit is early and whole-field temporaries would stay behind as
-    0.7 MiB of resident heap in every process that builds the field.
+    The trace is GF(2)-linear, so an element's trace is the XOR of the
+    traces of its bits, and the smallest element of trace 1 is the
+    lowest power of two that has it: ``p`` vectorised squarings of the
+    ``p`` powers of two, not a walk over the field.
     """
-    for lo in range(0, base.q, 4096):
-        x = np.arange(lo, min(lo + 4096, base.q), dtype=base.dtype)
-        acc = np.zeros_like(x)
-        for _ in range(base.p):
-            acc ^= x
-            x = base._mul(x, x)
-        hits = np.flatnonzero(acc & 1)
-        if hits.size:
-            return lo + int(hits[0])
+    x = np.uint32(1) << np.arange(base.p, dtype=base.dtype)
+    acc = np.zeros_like(x)
+    for _ in range(base.p):
+        acc ^= x
+        x = base._mul(x, x)
+    hits = np.flatnonzero(acc & 1)
+    if hits.size:
+        return 1 << int(hits[0])
     raise FieldError("no trace-1 element found (impossible for a real field)")
 
 

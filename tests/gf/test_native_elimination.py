@@ -1,7 +1,8 @@
 """The compiled elimination steps against their numpy bodies.
 
-A table field's screening (``is_invertible``) and the decoder's arrival
-step (``arrival_step``) run in ``_gfmul.c`` when the library is live.
+A table field's or the tower's screening (``is_invertible``) and the
+decoder's arrival step (``arrival_step``) run in ``_gfmul.c`` when the
+library is live.
 Here both backends see the same inputs and must agree verdict for
 verdict, pivot for pivot and bit for bit.  The decoder-level comparison
 (every offer of a stream, both backends) is
@@ -19,8 +20,20 @@ from repro.obs import observability
 
 KERNEL = bitmatmul.load()
 needs_native = pytest.mark.skipif(KERNEL is None, reason="native GF kernel not live")
-FIELDS = {p: GF(p) for p in (4, 8, 16)}
+FIELDS = {p: GF(p) for p in (4, 8, 16, 32)}
 SIZES = (1, 2, 16, 64, 130)
+
+
+def _random(field, shape, rng):
+    """Random elements; for the tower three in eight of them with a zero
+    or a repeated half, the edge cases of its product and norm map."""
+    x = field.random(shape, rng)
+    if field.p == 32:
+        kind = rng.integers(8, size=x.shape)
+        x[kind == 0] &= np.uint32(0xFFFF)
+        x[kind == 1] &= np.uint32(0xFFFF0000)
+        x[kind == 2] = (x[kind == 2] >> np.uint32(16)) * np.uint32(0x10001)
+    return x
 
 
 def _screen_stack(field, k, count, planted, seed):
@@ -28,7 +41,7 @@ def _screen_stack(field, k, count, planted, seed):
     singular by a repeated row, a zero column or a row in the span of
     the others, in turn (at k = 1, by a zero)."""
     rng = np.random.default_rng(seed)
-    stack = field.random((count, k, k), rng)
+    stack = _random(field, (count, k, k), rng)
     for n, pos in enumerate(sorted(planted) if count else ()):
         block = stack[pos % count]
         kind = n % 3 if k > 1 else 1
@@ -37,7 +50,7 @@ def _screen_stack(field, k, count, planted, seed):
         elif kind == 1:
             block[:, int(rng.integers(k))] = 0
         else:
-            block[-1] = field.combine(field.random(k - 1, rng), block[:-1])
+            block[-1] = field.combine(_random(field, k - 1, rng), block[:-1])
     return stack
 
 
@@ -81,11 +94,11 @@ def _arrivals(field, k, seed):
         if kind == 1 and sent:
             yield sent[int(rng.integers(len(sent)))]
         elif kind == 2 and sent:
-            yield field.combine(field.random(len(sent), rng), np.stack(sent))
+            yield field.combine(_random(field, len(sent), rng), np.stack(sent))
         elif kind == 3:
             yield field.zeros(k)
         else:
-            sent.append(field.random(k, rng))
+            sent.append(_random(field, k, rng))
             yield sent[-1]
 
 
@@ -133,30 +146,35 @@ def test_non_square_stacks_are_all_false(backend):
     assert is_invertible(field, field.ones(4)) is False
 
 
-def test_tower_and_clmul_fields_stay_in_numpy():
-    """Only a table field has the tables the C steps read."""
-    assert linalg._compiled(GF(32)) is None
-    assert linalg._compiled(GF(8, impl="clmul")) is None
-    step = linalg.arrival_step(GF(32))(GF(32).zeros((4, 8)), np.zeros(4, dtype=np.intp))
-    assert step.func is linalg.eliminate_arrival
+def test_clmul_stays_in_numpy_and_tower_is_compiled():
+    """The C steps read a table field's tables: the table fields' own, or
+    the tower's base's.  A clmul field has none."""
+    for p in (8, 32):
+        field = GF(p, impl="clmul")
+        assert linalg._compiled(field) is None
+        step = linalg.arrival_step(field)(field.zeros((4, 8)), np.zeros(4, dtype=np.intp))
+        assert step.func is linalg.eliminate_arrival
+    assert linalg._compiled(GF(32)) is KERNEL
+    logz, expz, c = linalg._tables(GF(32))
+    assert logz is GF(32).base._logz and expz is GF(32).base._expz and c == GF(32).c
 
 
 @needs_native
 class TestCompiledFacade:
     def test_counter_says_which_kernel_ran(self, monkeypatch):
-        field = FIELDS[16]
-        stack = field.random((2, 5, 5), np.random.default_rng(3))
-        with observability(reset=True) as obs:
-            with monkeypatch.context() as patch:
-                patch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
+        for field in (FIELDS[16], FIELDS[32]):
+            stack = field.random((2, 5, 5), np.random.default_rng(3))
+            with observability(reset=True) as obs:
+                with monkeypatch.context() as patch:
+                    patch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
+                    is_invertible(field, stack)
+                    linalg.arrival_step(field)(field.ones((2, 4)), np.zeros(2, dtype=np.intp))(0)
+                assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == 0
                 is_invertible(field, stack)
-                linalg.arrival_step(field)(field.ones((2, 4)), np.zeros(2, dtype=np.intp))(0)
-            assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == 0
-            is_invertible(field, stack)
-            mat, piv = field.zeros((2, 4)), np.zeros(2, dtype=np.intp)
-            mat[0, :2] = [3, 1]
-            assert linalg.arrival_step(field)(mat, piv)(0) == 0
-            assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == 2
+                mat, piv = field.zeros((2, 4)), np.zeros(2, dtype=np.intp)
+                mat[0, :2] = [3, 1]
+                assert linalg.arrival_step(field)(mat, piv)(0) == 0
+                assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == 2
 
     def test_facade_rejects_what_it_cannot_pass_to_c(self):
         field = FIELDS[8]
@@ -183,6 +201,16 @@ class TestCompiledFacade:
         for rank in (-1, 3):  # no work row there
             with pytest.raises(ValueError):
                 step(rank)
+        base = FIELDS[32].base
+        for tables, c in (
+            ((logz, expz), 3),  # a tower over GF(2^8)
+            ((base._logz, base._expz), 1 << 16),  # c outside GF(2^16)
+            ((base._logz, base._expz), -1),
+        ):
+            with pytest.raises(ValueError):
+                KERNEL.full_rank(blocks, *tables, c)
+            with pytest.raises(ValueError):
+                KERNEL.arrival_step(*tables, mat, piv, c)
 
 
 @needs_native
@@ -196,8 +224,8 @@ class TestOneBitOff:
 
     def test_one_flipped_verdict_is_refused(self, monkeypatch, unresolved):
         class OneVerdictOff(bitmatmul.GF2Kernel):
-            def full_rank(self, blocks, logz, expz):
-                full = super().full_rank(blocks, logz, expz)
+            def full_rank(self, blocks, logz, expz, c=0):
+                full = super().full_rank(blocks, logz, expz, c)
                 full[-1] ^= True
                 return full
 
@@ -209,8 +237,8 @@ class TestOneBitOff:
 
     def test_one_flipped_bit_in_an_arrival_is_refused(self, monkeypatch, unresolved):
         class OneBitOff(bitmatmul.GF2Kernel):
-            def arrival_step(self, logz, expz, reduced, pivots):
-                step = super().arrival_step(logz, expz, reduced, pivots)
+            def arrival_step(self, logz, expz, reduced, pivots, c=0):
+                step = super().arrival_step(logz, expz, reduced, pivots, c)
 
                 def off(rank):
                     pivot = step(rank)
@@ -223,4 +251,27 @@ class TestOneBitOff:
         assert bitmatmul.load() is None
         assert native.status()["gfmul"] == "self-check failed"
         step = linalg.arrival_step(FIELDS[8])(FIELDS[8].zeros((4, 8)), np.zeros(4, dtype=np.intp))
+        assert step.func is linalg.eliminate_arrival
+
+    def test_one_flipped_bit_in_a_tower_arrival_is_refused(self, monkeypatch, unresolved):
+        """Right at every table field, one high-half bit off at p = 32."""
+
+        class TowerBitOff(bitmatmul.GF2Kernel):
+            def arrival_step(self, logz, expz, reduced, pivots, c=0):
+                step = super().arrival_step(logz, expz, reduced, pivots, c)
+                if not c:
+                    return step
+
+                def off(rank):
+                    pivot = step(rank)
+                    reduced[rank, -1] ^= 1 << 16
+                    return pivot
+
+                return off
+
+        monkeypatch.setattr(bitmatmul, "GF2Kernel", TowerBitOff)
+        assert bitmatmul.load() is None
+        assert native.status()["gfmul"] == "self-check failed"
+        field = FIELDS[32]
+        step = linalg.arrival_step(field)(field.zeros((4, 8)), np.zeros(4, dtype=np.intp))
         assert step.func is linalg.eliminate_arrival

@@ -14,6 +14,7 @@ import pytest
 from repro import native
 from repro.gf import bitmatmul
 from repro.gf.field import TableField
+from repro.gf.tower import TowerField
 from repro.obs import observability
 from repro.rlnc import (
     ChunkedEncoder,
@@ -28,6 +29,7 @@ from repro.rlnc.symbols import bytes_to_symbols, symbols_to_bytes
 from repro.security import DigestStore
 
 PARAMS = CodingParams(p=8, m=32, file_bytes=64 * 32)  # k = 64
+TOWER_PARAMS = CodingParams(p=32, m=32, file_bytes=8 * 32 * 4)  # k = 8
 COUNTED = ("combine", "scale_rows", "addmul", "inv_scalar", "mul", "inv")
 
 
@@ -39,21 +41,30 @@ class CountingField(TableField):
         self.calls = dict.fromkeys(COUNTED, 0)
 
 
-def _counted(name):
+class CountingTower(TowerField):
+    """GF(2^32) that counts the calls made on its public surface."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = dict.fromkeys(COUNTED, 0)
+
+
+def _counted(cls, name):
     def method(self, *args, **kwargs):
         self.calls[name] += 1
-        return getattr(TableField, name)(self, *args, **kwargs)
+        return getattr(cls, name)(self, *args, **kwargs)
 
     return method
 
 
-for _name in COUNTED:
-    setattr(CountingField, _name, _counted(_name))
+for _cls, _base in ((CountingField, TableField), (CountingTower, TowerField)):
+    for _name in COUNTED:
+        setattr(_cls, _name, _counted(_base, _name))
 
 
-def _published(rng, extra=0):
-    data = rng.bytes(PARAMS.file_bytes)
-    encoder = FileEncoder(PARAMS, secret=b"owner", file_id=0xA1)
+def _published(rng, extra=0, params=PARAMS):
+    data = rng.bytes(params.file_bytes)
+    encoder = FileEncoder(params, secret=b"owner", file_id=0xA1)
     store = DigestStore()
     ids = list(encoder.independent_ids(1)[0]) + list(range(5000, 5000 + extra))
     messages = encoder.encode_ids(encoder.source_matrix(data), ids)
@@ -82,18 +93,18 @@ def test_an_arrival_is_at_most_one_call_of_each_kernel(rng, monkeypatch):
 
 @pytest.mark.skipif(bitmatmul.load() is None, reason="native GF kernel not live")
 def test_a_compiled_arrival_calls_no_numpy_kernel(rng):
-    """With the library live a table field's arrivals never fall back: no
-    ``combine`` / ``scale_rows`` / ``addmul`` (nor anything else counted),
-    one ``repro.gf.eliminate.native`` each."""
-    data, encoder, store, messages = _published(rng)
-    field = CountingField()
-    with observability(reset=True) as obs:
-        decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, store, field=field)
-        for msg in messages:
-            assert decoder.offer(msg) in (Offer.ACCEPTED, Offer.COMPLETE)
-        assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == len(messages)
-    assert field.calls == dict.fromkeys(COUNTED, 0)
-    assert decoder.result() == data
+    """With the library live the arrivals of a table field and of the
+    tower never fall back: no ``combine`` / ``scale_rows`` / ``addmul``
+    (nor anything else counted), one ``repro.gf.eliminate.native`` each."""
+    for params, field in ((PARAMS, CountingField()), (TOWER_PARAMS, CountingTower())):
+        data, encoder, store, messages = _published(rng, params=params)
+        with observability(reset=True) as obs:
+            decoder = ProgressiveDecoder(params, encoder.coefficients, store, field=field)
+            for msg in messages:
+                assert decoder.offer(msg) in (Offer.ACCEPTED, Offer.COMPLETE)
+            assert obs.snapshot()["repro.gf.eliminate.native"]["value"] == len(messages)
+        assert field.calls == dict.fromkeys(COUNTED, 0)
+        assert decoder.result() == data
 
 
 def test_the_matrices_are_allocated_once_and_written_in_place(rng):

@@ -2,7 +2,8 @@
 decoder on the numpy body, offer by offer.
 
 The decoder picks its elimination once, at construction: compiled for a
-table field when the ``gfmul`` library is live, numpy otherwise.  Two
+table field or the tower when the ``gfmul`` library is live, numpy
+otherwise.  Two
 decoders built either side of that choice see one stream — fresh
 messages, duplicates, repaired messages in the span of their helpers,
 forged payloads that only the residual check catches, and repair-range
@@ -66,7 +67,7 @@ def _decoder(params, coefficients, backend):
         return ProgressiveDecoder(params, coefficients)  # no digests: forgeries get in
 
 
-@pytest.mark.parametrize("p", [4, 8, 16])
+@pytest.mark.parametrize("p", [4, 8, 16, 32])
 @given(
     k=st.sampled_from([1, 2, 16, 64, 130]),
     picks=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 255)), max_size=20),
