@@ -56,6 +56,9 @@ _ENCODE_SAMPLES: dict[tuple[int, int], list[float]] = {}
 _PROGRESSIVE_SAMPLES: dict[tuple[int, int], list[float]] = {}
 _PUBLISH_SAMPLES: dict[tuple[int, int], list[float]] = {}
 
+#: Interleaved pairs of the row's two end cells that decide its shape.
+SHAPE_PAIRS = 9
+
 #: The publish point encodes the same 1 MB for this many peers
 #: (``encode_bundles``: screening, one stacked matmul, ``n * k`` messages),
 #: so ``publish / encode`` says what the peers beyond the first cost.
@@ -95,6 +98,43 @@ def decode_cell(p: int, m: int) -> float:
     _PROGRESSIVE_SAMPLES.setdefault((p, m), []).append(time.perf_counter() - start)
     assert out == _DATA
     return elapsed
+
+
+def timed_decode(p: int, m: int):
+    """A callable timing one block decode of 1 MB at ``(p, m)``; the
+    messages are encoded once, here, and nothing is recorded."""
+    params = CodingParams(p=p, m=m)
+    encoder = FileEncoder(params, secret=b"bench", file_id=p * 1000 + m)
+    messages = encoder.encode_ids(
+        encoder.source_matrix(_DATA), encoder.independent_ids(1)[0]
+    )
+
+    def run() -> float:
+        decoder = BlockDecoder(params, encoder.coefficients)
+        start = time.perf_counter()
+        out = decoder.decode(messages)
+        elapsed = time.perf_counter() - start
+        assert out == _DATA
+        return elapsed
+
+    return run
+
+
+def end_cell_ratio(p: int) -> float:
+    """Median over :data:`SHAPE_PAIRS` pairs of decode(smallest k) /
+    decode(largest k) in row ``p``.  The two cells run back to back,
+    alternating which goes first, so a host hiccup lands in one pair
+    instead of in one cell's median of three."""
+    small_k = timed_decode(p, TABLE1_MESSAGE_LENGTHS[-1])
+    large_k = timed_decode(p, TABLE1_MESSAGE_LENGTHS[0])
+    ratios = []
+    for pair in range(SHAPE_PAIRS):
+        if pair % 2 == 0:
+            small, large = small_k(), large_k()
+        else:
+            large, small = large_k(), small_k()
+        ratios.append(small / large)
+    return median(ratios)
 
 
 def publish_cell(p: int, m: int) -> None:
@@ -141,8 +181,13 @@ def test_table2_row(benchmark, p):
     print_table(columns, rows)
 
     # Shape within the row: the widest messages (smallest k) must beat
-    # the narrowest by a clear margin, as in the paper (~30x per row).
-    assert times[-1] < times[0], (
+    # the narrowest, as in the paper (~30x per row).  Decided on the two
+    # end cells' own interleaved re-timing, not on the recorded medians.
+    ratio = end_cell_ratio(p)
+    print(f"k={CodingParams(p=p, m=TABLE1_MESSAGE_LENGTHS[-1]).k} / "
+          f"k={CodingParams(p=p, m=TABLE1_MESSAGE_LENGTHS[0]).k} decode: "
+          f"median of {SHAPE_PAIRS} paired ratios {ratio:.3f}")
+    assert ratio < 1.0, (
         f"GF(2^{p}): decode with k={CodingParams(p=p, m=TABLE1_MESSAGE_LENGTHS[-1]).k} "
         f"should beat k={CodingParams(p=p, m=TABLE1_MESSAGE_LENGTHS[0]).k}"
     )

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .allocation import Allocator, PeerwiseProportionalAllocator
+from .baselines import IsolationAllocator
 
 __all__ = [
     "FreeRiderAllocator",
@@ -38,21 +39,20 @@ class FreeRiderAllocator(Allocator):
     def allocate(self, index, capacity, requesting, ledger, declared, t):
         return np.zeros(np.asarray(requesting).shape[0])
 
+    def allocate_rows(self, indices, capacities, requesting, ledgers, declared, t):
+        """Batched: a zero row for every listed peer."""
+        return np.zeros((np.asarray(indices).shape[0], np.asarray(requesting).shape[0]))
 
-class SelfHoarderAllocator(Allocator):
+
+class SelfHoarderAllocator(IsolationAllocator):
     """Uploads only to its own user; never shares with others.
 
     Slightly less antisocial than the free rider: it still uses its link
-    for itself (equivalent to isolation behaviour inside the network).
+    for itself.  The rule is isolation's, run inside the network, so the
+    class only renames :class:`~repro.core.baselines.IsolationAllocator`.
     """
 
     name = "self-hoarder"
-
-    def allocate(self, index, capacity, requesting, ledger, declared, t):
-        out = np.zeros(np.asarray(requesting).shape[0])
-        if requesting[index]:
-            out[index] = capacity
-        return out
 
 
 class ColluderAllocator(Allocator):

@@ -106,6 +106,24 @@ class IsolationAllocator(Allocator):
             out[index] = capacity
         return out
 
+    def allocate_rows(
+        self,
+        indices: np.ndarray,
+        capacities: np.ndarray,
+        requesting: np.ndarray,
+        ledgers: np.ndarray,
+        declared: np.ndarray,
+        t: int,
+    ) -> np.ndarray:
+        """Batched isolation: row ``r`` holds ``capacities[r]`` at column
+        ``indices[r]`` when that peer's own user requests, else nothing."""
+        req = np.asarray(requesting, dtype=bool)
+        idx = np.asarray(indices, dtype=np.intp)
+        out = np.zeros((idx.shape[0], req.shape[0]))
+        own = req[idx]
+        out[np.flatnonzero(own), idx[own]] = np.asarray(capacities, dtype=float)[own]
+        return out
+
 
 class EqualSplitAllocator(Allocator):
     """Uniform division among current requesters, ignoring history."""
@@ -126,4 +144,23 @@ class EqualSplitAllocator(Allocator):
         out = np.zeros(requesting.shape[0])
         if count:
             out[requesting] = capacity / count
+        return out
+
+    def allocate_rows(
+        self,
+        indices: np.ndarray,
+        capacities: np.ndarray,
+        requesting: np.ndarray,
+        ledgers: np.ndarray,
+        declared: np.ndarray,
+        t: int,
+    ) -> np.ndarray:
+        """Batched equal split: each row's ``capacity / count`` (the
+        scalar path's one division) in every requester's column."""
+        req = np.asarray(requesting, dtype=bool)
+        caps = np.asarray(capacities, dtype=float)
+        count = int(req.sum())
+        out = np.zeros((caps.shape[0], req.shape[0]))
+        if count:
+            out[:, req] = (caps / count)[:, None]
         return out

@@ -543,17 +543,38 @@ void repro_sparse_scatter(const int64_t *act, int64_t nact,
     }
 }
 
-/* led += alloc.T * w, 64x64 tiles so both matrices stream through the
- * cache; each element sees exactly one multiply and one add, matching
- * the reference `pending += alloc.T * weight` two-op rounding. */
-void repro_ledger_tadd(double *led, const double *alloc, int64_t n, double w)
+/* led += alloc.T * w over the requesters' ledger rows only.
+ *
+ * Precondition: every row of alloc has passed feasibility, so the
+ * column of a non-requester j is +0.0 in every row (scaled_row,
+ * enforce_feasibility_rows and enforce_feasibility all zero it), and
+ * every ledger entry is non-negative.  Then the reference's
+ * led[j][i] + (+0.0 * w) is led[j][i] bit for bit, for finite w > 0,
+ * and skipping row j changes nothing.  A requester's row sees exactly
+ * one multiply and one add per element, the reference's
+ * `pending += alloc.T * weight` two-op rounding.
+ *
+ * Tiles are TADD_ROWS alloc rows by TADD_COLS ledger rows: at a
+ * power-of-two n, 64 alloc rows one stride apart share a handful of L1
+ * sets, 16 of them fit. */
+#define TADD_ROWS 16
+#define TADD_COLS 128
+
+void repro_ledger_tadd(double *led, const double *alloc, const uint8_t *req,
+                       int64_t n, double w)
 {
-    const int64_t B = 64;
-    for (int64_t jb = 0; jb < n; jb += B) {
-        int64_t jend = jb + B < n ? jb + B : n;
-        for (int64_t ib = 0; ib < n; ib += B) {
-            int64_t iend = ib + B < n ? ib + B : n;
-            for (int64_t j = jb; j < jend; j++) {
+    int64_t js[TADD_COLS];
+    for (int64_t jb = 0; jb < n; jb += TADD_COLS) {
+        int64_t jend = jb + TADD_COLS < n ? jb + TADD_COLS : n;
+        int64_t m = 0;
+        for (int64_t j = jb; j < jend; j++) {
+            js[m] = j;
+            m += req[j] != 0;
+        }
+        for (int64_t ib = 0; ib < n; ib += TADD_ROWS) {
+            int64_t iend = ib + TADD_ROWS < n ? ib + TADD_ROWS : n;
+            for (int64_t k = 0; k < m; k++) {
+                int64_t j = js[k];
                 double *lrow = led + (uint64_t)j * n;
                 for (int64_t i = ib; i < iend; i++) {
                     lrow[i] += alloc[(uint64_t)i * n + j] * w;

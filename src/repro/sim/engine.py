@@ -17,13 +17,17 @@ Three slot implementations produce those slots:
 * ``batched`` — peers are partitioned at construction into a *fast set*
   (allocator classes implementing the
   :class:`~repro.core.allocation.BatchedAllocator` protocol, grouped by
-  class) and a *slow set* (stateful/custom/adversarial strategies, which
-  keep the per-peer path unchanged).  Fast groups compute whole blocks
+  class: every class-stateless built-in, free riders included) and a
+  *slow set* (strategies with per-instance state — coalitions, fractions,
+  private RNGs — and custom ones, which keep the per-peer path
+  unchanged).  Fast groups compute whole blocks
   of the n x n allocation matrix in one shot — through the runtime-
   compiled kernels of :mod:`repro.sim.fastpath` when available, else
   pure-numpy matrix expressions — demand and capacity are pre-sampled in
   time blocks for processes that declare themselves ``blockable``, and
-  ledger credit is a single (tiled) ``L += alloc.T * dt`` per flush.
+  ledger credit is a single (tiled) ``L += alloc.T * dt`` per flush,
+  which the kernel runs over the requesters' rows only (feasibility
+  leaves every other row of ``alloc.T`` at +0.0).
   O(n^2) memory (the dense credit matrix) and O(n^2) compute per slot.
 * the **shard kernel** (:class:`~repro.sim.shard.ShardKernel`) — the
   large-``n`` path.  Credit lives in
@@ -187,8 +191,13 @@ class Simulation:
     ):
         if not configs:
             raise ValueError("a simulation needs at least one peer")
-        if slot_seconds <= 0:
-            raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
+        if not 0 < slot_seconds < float("inf"):
+            # Finite: the batched fold skips non-requesters' ledger rows
+            # because they gain 0.0 * slot_seconds, which is +0.0 only
+            # for a finite weight.
+            raise ValueError(
+                f"slot_seconds must be positive and finite, got {slot_seconds}"
+            )
         if feedback_interval < 1:
             raise ValueError(
                 f"feedback_interval must be >= 1 slot, got {feedback_interval}"
@@ -572,11 +581,11 @@ class Simulation:
                 _TRACER.emit(SIM_FEEDBACK, t=t, credited=credited)
             else:
                 self._apply_forgetting()
-                self._tadd(self._credit_matrix, alloc, weight)
+                self._tadd(self._credit_matrix, alloc, req_u8, weight)
             if _OBS.enabled:
                 _SIM_FEEDBACK_FLUSHES.inc()
         else:
-            self._tadd(self._pending_feedback, alloc, weight)
+            self._tadd(self._pending_feedback, alloc, req_u8, weight)
             if (t + 1) % self.feedback_interval == 0:
                 if _TRACER.enabled:
                     _TRACER.emit(
@@ -711,10 +720,16 @@ class Simulation:
             # bitwise no-op, matching the reference's skipped decay.
             self._credit_matrix *= self._forgetting[:, None]
 
-    def _tadd(self, target: np.ndarray, alloc: np.ndarray, weight: float) -> None:
-        """``target += alloc.T * weight`` (the ledger-credit transpose)."""
+    def _tadd(
+        self, target: np.ndarray, alloc: np.ndarray, req_u8: np.ndarray, weight: float
+    ) -> None:
+        """``target += alloc.T * weight`` (the ledger-credit transpose).
+
+        Every row of ``alloc`` has passed feasibility, so a
+        non-requester's row of ``target`` would only gain +0.0: the
+        kernel skips those rows, the numpy strips add the zeros."""
         if self._kernels is not None:
-            self._kernels.ledger_tadd(target, alloc, weight)
+            self._kernels.ledger_tadd(target, alloc, req_u8, weight)
         else:
             # Strip-tiled so the transposed read stays cache-resident;
             # element-wise it is the identical multiply-then-add.

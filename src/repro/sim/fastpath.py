@@ -60,7 +60,7 @@ class FastAlloc:
             "repro_alloc_rows_shared": (
                 None, [_ptr, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr],
             ),
-            "repro_ledger_tadd": (None, [_ptr, _ptr, _i64, _f64]),
+            "repro_ledger_tadd": (None, [_ptr, _ptr, _ptr, _i64, _f64]),
             "repro_sparse_pairwise": (_i64, [_ptr, _ptr, _i64, _i64, _ptr]),
             "repro_sparse_rows_eq2": (
                 _i64,
@@ -99,10 +99,13 @@ class FastAlloc:
             rows.size, weights.size, out.ctypes.data,
         )
 
-    def ledger_tadd(self, ledger, alloc, weight: float) -> None:
-        """``ledger += alloc.T * weight`` (cache-tiled transpose add)."""
+    def ledger_tadd(self, ledger, alloc, req_u8, weight: float) -> None:
+        """``ledger += alloc.T * weight`` (cache-tiled transpose add) on
+        the requesters' rows.  ``alloc`` must have passed feasibility
+        for the mask ``req_u8`` (non-requester columns +0.0), so the
+        rows it skips would only have gained +0.0."""
         self._lib.repro_ledger_tadd(
-            ledger.ctypes.data, alloc.ctypes.data,
+            ledger.ctypes.data, alloc.ctypes.data, req_u8.ctypes.data,
             ledger.shape[0], float(weight),
         )
 
@@ -209,15 +212,39 @@ def _self_check(k: FastAlloc) -> bool:
         if not identical(want, got):
             return False
 
-        alloc = rng.random((n, n)) * 100.0
-        for w in (1.0, 0.3):
-            want_led = ledger.copy()
-            want_led += alloc.T * w
-            got_led = ledger.copy()
-            k.ledger_tadd(got_led, alloc, w)
-            if not identical(want_led, got_led):
-                return False
+
+    # The masked fold at every tile edge and at sim_dense's n.  The
+    # ledger is r[j] + c[i], rebuilt strip by strip for the reference,
+    # so n = 1024 holds two (n, n) arrays: the load-time check stays
+    # under the batched engine's own peak memory.
+    for n in TADD_SIZES:
+        r, c = rng.random(n) * 1e3, rng.random(n)
+        alloc = rng.random((n, n))
+        alloc *= 100.0
+        got = np.empty((n, n))  # repro: allow[sim-dense-alloc] self-check
+        for req in tadd_masks(rng, n):
+            alloc *= req  # +0.0 in non-requester columns, as feasibility leaves them
+            np.add.outer(r, c, out=got)
+            w = float(rng.choice([1.0, 0.3]))
+            k.ledger_tadd(got, alloc, req.view(np.uint8), w)
+            for lo in range(0, n, 128):
+                want = np.add.outer(r, c[lo:lo + 128]) + alloc[lo:lo + 128].T * w
+                if not np.array_equal(want.view(np.int64), got[:, lo:lo + 128].view(np.int64)):
+                    return False
     return _self_check_sparse(k)
+
+
+#: Sizes of the masked-fold check: one tile, either side of the 16-row
+#: and 128-row tile edges, and ``sim_dense``'s n.
+TADD_SIZES = (1, 7, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200, 1024)
+
+
+def tadd_masks(rng: np.random.Generator, n: int):
+    """Request masks for the masked fold: everyone, a random half,
+    nobody (each a subset of the one before)."""
+    yield np.ones(n, dtype=bool)
+    yield rng.random(n) < 0.5
+    yield np.zeros(n, dtype=bool)
 
 
 def pairwise_cases(rng: np.random.Generator):

@@ -1,12 +1,16 @@
-"""Unit tests for the baseline allocators (Eq. 3, isolation, equal split)."""
+"""Unit tests for the baseline allocators (Eq. 3, isolation, equal split),
+and the batched rows of every class-stateless built-in allocator."""
 
 import numpy as np
+import pytest
 
 from repro.core import (
     ContributionLedger,
     EqualSplitAllocator,
+    FreeRiderAllocator,
     GlobalProportionalAllocator,
     IsolationAllocator,
+    SelfHoarderAllocator,
 )
 
 
@@ -86,3 +90,34 @@ class TestAllocatorNames:
             EqualSplitAllocator().name,
         }
         assert len(names) == 3
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [FreeRiderAllocator, SelfHoarderAllocator, IsolationAllocator, EqualSplitAllocator],
+)
+class TestAllocateRows:
+    """``allocate_rows`` is the stack of ``allocate`` rows, bit for bit."""
+
+    CAPS = np.array([0.0, 5e-324, 1.0, 1234.5, 0.1, 7e300])
+    MASKS = (
+        [True, False, True, False, True, True],  # own user requesting or not
+        [False] * 6,  # nobody requesting
+        [True] * 6,
+    )
+
+    @pytest.mark.parametrize("indices", [range(6), [4, 0, 5], [1]])
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_rows_stack_allocate(self, cls, indices, mask):
+        alloc = cls()
+        req = np.array(mask)
+        idx = np.array(list(indices), dtype=np.int64)
+        caps = self.CAPS[idx]
+        declared = np.linspace(1.0, 6.0, 6)
+        want = np.vstack([
+            alloc.allocate(int(i), c, req, ContributionLedger(6), declared, 0)
+            for i, c in zip(idx, caps)
+        ])
+        got = alloc.allocate_rows(idx, caps, req, np.ones((idx.size, 6)), declared, 0)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FreeRiderAllocator, IsolationAllocator
+from repro.core import FreeRiderAllocator, IsolationAllocator, PeerwiseProportionalAllocator
 from repro.sim import AlwaysOn, BernoulliDemand, NeverRequests, PeerConfig, Simulation
 
 
@@ -116,6 +116,10 @@ class TestRun:
             saturated([1.0]).run(0)
         with pytest.raises(ValueError):
             Simulation([PeerConfig(capacity=1.0, demand=True)], slot_seconds=0)
+        # The batched fold relies on 0.0 * slot_seconds being +0.0.
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                Simulation([PeerConfig(capacity=1.0, demand=True)], slot_seconds=bad)
 
 
 class TestConservationInvariants:
@@ -150,6 +154,21 @@ class TestConservationInvariants:
         )
         result = sim.run(20)
         assert np.allclose(result.rates, [[100.0, 50.0]] * 20)
+
+
+def test_free_riders_run_batched():
+    """The benchmark's dense population (n = 1024, Equation (2), every
+    32nd peer a free rider) has no peer on the per-peer path."""
+    configs = [
+        PeerConfig(
+            capacity=100.0 + (i % 32) * 25.0,
+            demand=BernoulliDemand(0.5),
+            allocator=FreeRiderAllocator() if i % 32 == 31 else PeerwiseProportionalAllocator(),
+        )
+        for i in range(1024)
+    ]
+    sim = Simulation(configs, seed=1, engine="batched")
+    assert sim._slow_rows == []
 
 
 def test_labels_built_once_and_equal_across_runs_and_engines():

@@ -85,15 +85,20 @@ class TestKernelsBitIdentical:
             assert got.tobytes() == want.tobytes()
 
     def test_ledger_tadd_matches_numpy(self):
+        """The masked fold equals the full ``ledger + alloc.T * w`` when
+        ``alloc`` satisfies feasibility (non-requester columns +0.0),
+        and leaves non-requesters' ledger rows bitwise untouched."""
         rng = np.random.default_rng(4)
-        for n in (1, 7, 63, 64, 65, 200):
+        for n in fastpath.TADD_SIZES:
             ledger = rng.random((n, n))
-            alloc = rng.random((n, n)) * 100.0
-            for w in (1.0, 0.3, 10.0):
-                want = ledger + alloc.T * w
-                got = ledger.copy()
-                kernels.ledger_tadd(got, alloc, w)
-                assert got.tobytes() == want.tobytes()
+            for req in fastpath.tadd_masks(rng, n):
+                alloc = np.where(req, rng.random((n, n)) * 100.0, 0.0)
+                for w in (1.0, 0.3, 10.0):
+                    want = ledger + alloc.T * w
+                    got = ledger.copy()
+                    kernels.ledger_tadd(got, alloc, req.view(np.uint8), w)
+                    assert got.tobytes() == want.tobytes()
+                    assert got[~req].tobytes() == ledger[~req].tobytes()
 
     def test_partial_row_subsets(self):
         """Kernels fill only the rows they are given."""
