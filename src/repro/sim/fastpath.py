@@ -213,24 +213,32 @@ def _self_check(k: FastAlloc) -> bool:
             return False
 
 
-    # The masked fold at every tile edge and at sim_dense's n.  The
-    # ledger is r[j] + c[i], rebuilt strip by strip for the reference,
-    # so n = 1024 holds two (n, n) arrays: the load-time check stays
-    # under the batched engine's own peak memory.
+    # The masked fold at every tile edge and at sim_dense's n: three
+    # folds into one ledger (everyone, half, nobody requesting), then
+    # one comparison.  The ledger starts as r[j] + c[i] and each alloc
+    # is a[i] * b[j] with b zero at non-requesters (their columns +0.0,
+    # as feasibility leaves them), so the reference is rebuilt strip by
+    # strip in the ledger's own layout: at n = 1024 the check holds two
+    # (n, n) arrays and stays under the batched engine's peak memory.
     for n in TADD_SIZES:
         r, c = rng.random(n) * 1e3, rng.random(n)
-        alloc = rng.random((n, n))
-        alloc *= 100.0
-        got = np.empty((n, n))  # repro: allow[sim-dense-alloc] self-check
+        a = rng.random(n) * 100.0
+        alloc = np.empty((n, n))  # repro: allow[sim-dense-alloc] self-check
+        got = np.add.outer(r, c)
+        folds = []
         for req in tadd_masks(rng, n):
-            alloc *= req  # +0.0 in non-requester columns, as feasibility leaves them
-            np.add.outer(r, c, out=got)
+            b = rng.random(n) * req
             w = float(rng.choice([1.0, 0.3]))
+            np.multiply.outer(a, b, out=alloc)
             k.ledger_tadd(got, alloc, req.view(np.uint8), w)
-            for lo in range(0, n, 128):
-                want = np.add.outer(r, c[lo:lo + 128]) + alloc[lo:lo + 128].T * w
-                if not np.array_equal(want.view(np.int64), got[:, lo:lo + 128].view(np.int64)):
-                    return False
+            folds.append((b, w))
+        for lo in range(0, n, 128):
+            want = np.add.outer(r[lo:lo + 128], c)
+            for b, w in folds:
+                # alloc.T[j, i] = b[j] * a[i]: the product commutes bitwise.
+                want += np.multiply.outer(b[lo:lo + 128], a) * w
+            if not np.array_equal(want.view(np.int64), got[lo:lo + 128].view(np.int64)):
+                return False
     return _self_check_sparse(k)
 
 
