@@ -903,8 +903,8 @@ def gate_digest() -> int:
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_native_elimination, gate_batched, gate_credit_fold, gate_sparse,
-    gate_sparse_sample,
-    gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign, gate_peer_path, gate_arrival, gate_digest,
+    gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign,
+    gate_peer_path, gate_arrival, gate_digest,
 )
 
 

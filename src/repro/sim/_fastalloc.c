@@ -547,10 +547,10 @@ void repro_sparse_scatter(const int64_t *act, int64_t nact,
  *
  * Precondition: every row of alloc has passed feasibility, so the
  * column of a non-requester j is +0.0 in every row (scaled_row,
- * enforce_feasibility_rows and enforce_feasibility all zero it), and
- * every ledger entry is non-negative.  Then the reference's
- * led[j][i] + (+0.0 * w) is led[j][i] bit for bit, for finite w > 0,
- * and skipping row j changes nothing.  A requester's row sees exactly
+ * enforce_feasibility_rows and enforce_feasibility all zero it), every
+ * ledger entry is +0.0 or positive (never -0.0), and w is finite.  Then
+ * the reference's led[j][i] + (+0.0 * w) is led[j][i] bit for bit, and
+ * skipping row j changes nothing.  A requester's row sees exactly
  * one multiply and one add per element, the reference's
  * `pending += alloc.T * weight` two-op rounding.
  *
