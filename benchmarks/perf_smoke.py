@@ -1,4 +1,4 @@
-"""CI perf-smoke: eighteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: nineteen timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -752,6 +752,47 @@ def gate_sign() -> int:
     )
 
 
+def gate_modexp() -> int:
+    """``PrivateKey.sign`` on the compiled Montgomery kernel / the same
+    sign with the kernel forced off (both halves on builtin ``pow``).
+
+    512-bit key, the bench's: a sign is ~85 us against ~420 us, and the
+    gate reads 0.21-0.23x.  One half back on ``pow`` would read ~0.6x and
+    a revert 1.0x; the 0.45x budget sits between the reading and both.
+    ``gate_sign`` (sign / a full-width ``pow``) keeps its own budget.
+    Skipped, with the loader's reason, where the kernel is not live.
+    """
+    from unittest import mock
+
+    from repro import native
+    from repro.security import generate_keypair, modexp
+
+    if modexp.load() is None:
+        print(f"sign on the modexp kernel / on pow: kernel not live "
+              f"({native.status()['modexp']}); skipped")
+        return 0
+    key = generate_keypair(bits=512, seed=31).private
+    message = b"repro-auth|" + bytes(32)
+    pow_only = mock.patch.dict(native._LOADED, {"modexp": (None, "perf smoke A/B")})
+    rounds = range(200)
+
+    def compiled():
+        for _ in rounds:
+            signature = key.sign(message)
+        return signature
+
+    def fallback():
+        with pow_only:
+            return compiled()
+
+    assert compiled() == fallback()
+    return ratio_gate(
+        "sign on the modexp kernel / on pow, 512-bit key", compiled, fallback, 0.45,
+        "are the CRT halves back on builtin pow, or is the kernel's window "
+        "or Montgomery product doing more work per bit?",
+    )
+
+
 def gate_peer_path() -> int:
     """A peer's whole job / one unpack + one pack of the same records.
 
@@ -904,7 +945,7 @@ GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
     gate_native_matmul, gate_native_elimination, gate_batched, gate_credit_fold, gate_sparse,
     gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign,
-    gate_peer_path, gate_arrival, gate_digest,
+    gate_modexp, gate_peer_path, gate_arrival, gate_digest,
 )
 
 

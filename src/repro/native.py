@@ -1,18 +1,20 @@
 """Runtime-compiled native kernels: one compile / cache / verify loader.
 
-The package ships two C files (``sim/_fastalloc.c`` for the slot engines,
-``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table field's
-screening and arrival elimination) and no build step.
+The package ships three C files (``sim/_fastalloc.c`` for the slot
+engines, ``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table
+field's screening and arrival elimination, ``security/_modexp.c`` for the
+RSA private-key operation's modular exponentiation) and no build step.
 :func:`load` compiles one on first use with whatever C compiler the host
 has (``$CC``, ``cc``, ``gcc`` or ``clang`` — no build system, no
 packages), keeps the shared object in a digest-keyed cache, binds it
 through ctypes and accepts it only after the owning module's self-check
-has compared it **bit for bit** with the numpy code it replaces.
+has compared it **bit for bit** with the Python code it replaces (numpy,
+or builtin ``pow`` for the modexp kernel).
 
 Every kernel is optional.  A disabled loader, a missing compiler or
 source file, a failed compile or ``dlopen``, or a self-check mismatch
 all make :func:`load` return ``None``, silently, and the caller runs its
-numpy path: same results, smaller speed-up.  :func:`status` says which
+Python path: same results, smaller speed-up.  :func:`status` says which
 of those happened, per kernel.
 
 Environment (read here and nowhere else):
@@ -143,7 +145,7 @@ def load(
 
     ``bind`` wraps the ``ctypes.CDLL`` of ``source`` in the caller's
     facade (declaring ``argtypes``/``restype``); ``self_check`` must
-    return ``True`` only if the facade is bit-identical to the numpy
+    return ``True`` only if the facade is bit-identical to the Python
     code it stands in for.  The outcome, either way, is memoised for the
     life of the process.
     """

@@ -1,4 +1,4 @@
-"""Pure-Python RSA key material for the challenge-response handshake.
+"""RSA key material for the challenge-response handshake.
 
 Section III-B authenticates a downloading user to a serving peer "using
 a classic public-key challenge response system".  The paper does not fix
@@ -11,7 +11,11 @@ The private-key operation — nearly all the cost of a handshake at these
 key sizes — is the textbook Chinese-remainder exponentiation: two half-width
 powers modulo ``p`` and ``q`` joined by Garner's recombination, then
 checked against the public exponent before the value is released.  Its
-results are exactly those of ``x**d mod n``.
+results are exactly those of ``x**d mod n``.  The half-width powers and
+Miller-Rabin's witness power run on :func:`repro.security.modexp.power`,
+a compiled Montgomery kernel with builtin ``pow`` as its fallback; the
+public-exponent check and :meth:`PublicKey.verify` stay on ``pow``, so a
+compiled result is always checked by an independent implementation.
 
 This module is a *substrate for the reproduction*, not a hardened
 cryptographic library: it implements the textbook algorithms faithfully
@@ -27,6 +31,7 @@ import secrets
 import struct
 from dataclasses import dataclass
 
+from . import modexp
 from .prng import derive_key
 
 __all__ = [
@@ -57,9 +62,10 @@ def is_probable_prime(n: int, rounds: int = 40, rand=None) -> bool:
         d //= 2
         r += 1
     rand = rand if rand is not None else secrets.SystemRandom()
+    modulus = modexp.Modulus(n)
     for _ in range(rounds):
         a = rand.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = modexp.power(a, d, modulus)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -156,9 +162,11 @@ class PrivateKeyFault(ArithmeticError):
 class PrivateKey:
     """RSA private key ``(n, d)`` with its primes; signs and decrypts.
 
-    The CRT exponents ``d mod (p-1)``, ``d mod (q-1)`` and ``q**-1 mod p``
-    are derived once here and are not dataclass fields: they take no part
-    in ``==``, ``hash`` or ``repr``.
+    The CRT exponents ``d mod (p-1)``, ``d mod (q-1)`` and ``q**-1 mod p``,
+    and the Montgomery operands of ``p`` and ``q``
+    (:class:`repro.security.modexp.Modulus`), are derived once here and
+    are not dataclass fields: they take no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     n: int
@@ -173,6 +181,8 @@ class PrivateKey:
         object.__setattr__(self, "_dp", self.d % (self.p - 1))
         object.__setattr__(self, "_dq", self.d % (self.q - 1))
         object.__setattr__(self, "_qinv", pow(self.q, -1, self.p))
+        object.__setattr__(self, "_mod_p", modexp.Modulus(self.p))
+        object.__setattr__(self, "_mod_q", modexp.Modulus(self.q))
 
     def __repr__(self) -> str:
         # Key material stays out of logs, assertion diffs and tracebacks.
@@ -182,13 +192,13 @@ class PrivateKey:
     def _private_op(self, x: int) -> int:
         """``x**d mod n`` for ``0 <= x < n``, by the CRT.
 
-        The result is checked with the public exponent before it is
-        returned: one faulted half-width power would otherwise hand the
-        verifier ``gcd(s**e - x, n)``, a prime factor of ``n``
-        (Boneh-DeMillo-Lipton).
+        The result is checked with the public exponent, on builtin
+        ``pow``, before it is returned: one faulted half-width power would
+        otherwise hand the verifier ``gcd(s**e - x, n)``, a prime factor
+        of ``n`` (Boneh-DeMillo-Lipton).
         """
-        m1 = pow(x % self.p, self._dp, self.p)
-        m2 = pow(x % self.q, self._dq, self.q)
+        m1 = modexp.power(x % self.p, self._dp, self._mod_p)
+        m2 = modexp.power(x % self.q, self._dq, self._mod_q)
         result = m2 + self.q * ((self._qinv * (m1 - m2)) % self.p)
         if pow(result, self.e, self.n) != x:
             raise PrivateKeyFault("private-key result failed the public-exponent check")

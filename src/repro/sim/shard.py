@@ -433,6 +433,9 @@ class ShardKernel:
         self._uncredited: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
+        #: Storage of the slot's compact allocation block M (see alloc),
+        #: grown to the largest seen; scratch, so stats() does not count it.
+        self._m_store = np.empty(0)
         #: Deferred feedback (feedback_interval > 1): the credit since
         #: the last flush, in a store of its own with zero background
         #: and no forgetting, so it accumulates through the same merge.
@@ -561,7 +564,8 @@ class ShardKernel:
         M)`` with ``act`` the range's givers with nonzero rows this slot
         (global ids, sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
         ``R[a]`` — the nonzero block of the dense allocation matrix's
-        rows ``[lo, hi)``.
+        rows ``[lo, hi)``.  ``M`` is valid until the next call, which
+        reuses its storage.
         """
         A = R.size
         empty = np.empty(0, dtype=np.int64)
@@ -598,7 +602,14 @@ class ShardKernel:
         # over rows in ascending global order, so M is kept sorted.
         rowpos = np.empty(nact, dtype=np.int64)
         rowpos[order] = np.arange(nact, dtype=np.int64)
-        M = np.empty((nact, A))
+        # M lives in storage kept across slots: at n = 10^5 (16 givers x
+        # ~1562 requesters) it is ~195 KiB, past glibc's initial 128 KiB
+        # mmap threshold, so a fresh np.empty was mapped and faulted in
+        # anew each slot.  Valid until the next alloc: step(), the
+        # streaming run and the procs reply copy or reduce it in the slot.
+        if self._m_store.size < nact * A:
+            self._m_store = np.empty(nact * A)
+        M = self._m_store[: nact * A].reshape(nact, A)
         self._eq2_block(act2, rowpos[: act2.size], R, caps2, M)
         n23 = act2.size + act3.size
         if act3.size:

@@ -203,20 +203,28 @@ class TestFaultedHalfIsNotReleased:
 
     def test_faulted_power_raises_and_would_have_leaked_a_prime(self, monkeypatch):
         key = generate_keypair(bits=512, seed=31).private
-        calls = []
+        halves, calls = [], []
+        power = keys_module.modexp.power
 
-        def glitching_pow(base, exp, mod):
+        def glitching_power(base, exp, modulus):
+            halves.append(modulus.m)
+            value = power(base, exp, modulus)
+            return value ^ 1 if len(halves) == 1 else value  # first half-width power
+
+        def recording_pow(base, exp, mod):
             calls.append((base, exp, mod))
-            value = pow(base, exp, mod)
-            return value ^ 1 if len(calls) == 1 else value  # first half-width power
+            return pow(base, exp, mod)
 
-        monkeypatch.setattr(keys_module, "pow", glitching_pow, raising=False)
+        # The halves run on the kernel facade, the check on builtin pow.
+        monkeypatch.setattr(keys_module.modexp, "power", glitching_power)
+        monkeypatch.setattr(keys_module, "pow", recording_pow, raising=False)
         with pytest.raises(PrivateKeyFault) as excinfo:
             key.sign(self.MESSAGE)
         monkeypatch.undo()
 
         # The last call is the check itself: its base is the value the
         # unchecked recombination would have returned as the signature.
+        assert halves == [key.p, key.q]
         unchecked, exp, mod = calls[-1]
         assert (exp, mod) == (key.e, key.n)
         digest = _digest(self.MESSAGE, key.n)

@@ -14,7 +14,10 @@ it may contain, as raw bytes, hex or decimal:
 * a per-chunk key ``derive_key(secret, "chunk", i[, "version", v])``;
 * a coefficient-stream key ``derive_key(chunk_key, "rlnc-coefficients",
   chunk_id)``;
-* an RSA private exponent or prime (``d``, ``p``, ``q``).
+* an RSA private exponent or prime (``d``, ``p``, ``q``), a CRT secret
+  (``d mod (p-1)``, ``d mod (q-1)``, ``q**-1 mod p``) or a Montgomery
+  operand marshalled for the modexp kernel (each prime and its
+  ``R**2 mod p`` as limb bytes).
 
 This is the eavesdropper's view (Lima et al., arXiv 0809.1366): a
 passive observer of everything the system emits.  The repair
@@ -81,9 +84,18 @@ def _file_keys(secret: bytes, manifests) -> dict[str, bytes]:
     return keys
 
 
-def _rsa_keys(label: str, keypair) -> dict[str, int]:
+def _rsa_keys(label: str, keypair) -> dict[str, bytes | int]:
+    """The private exponent, the primes, the CRT secrets and the Montgomery
+    operands the modexp kernel is handed: each of them factors ``n``."""
     private = keypair.private
-    return {f"{label} d": private.d, f"{label} p": private.p, f"{label} q": private.q}
+    keys = {f"{label} {name}": getattr(private, name) for name in ("d", "p", "q")}
+    keys.update({f"{label} {name}": getattr(private, name) for name in ("_dp", "_dq", "_qinv")})
+    for name in ("_mod_p", "_mod_q"):
+        modulus = getattr(private, name)
+        assert modulus.limbs, "the key's primes are the kernel's operands"
+        keys[f"{label} {name}.m_bytes"] = modulus.m_bytes
+        keys[f"{label} {name}.r2_bytes"] = modulus.r2_bytes
+    return keys
 
 
 def _blob(obj) -> bytes:

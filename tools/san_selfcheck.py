@@ -1,17 +1,20 @@
 #!/usr/bin/env python
-"""Run both native kernels' bitwise self-checks under the current build
+"""Run every native kernel's bitwise self-check under the current build
 flags, through the shared loader.
 
 CI invokes this with ``REPRO_NATIVE_CFLAGS`` set to the ASan/UBSan flag
 set (and ``LD_PRELOAD`` pointing at libasan so the sanitizer runtime is
-present in the Python process): ``sim/_fastalloc.c`` and ``gf/_gfmul.c``
-are recompiled with sanitizers on (the flags are part of the cache
-digest, so this never reuses a normal build), then fuzzed against their
-numpy references demanding zero bit differences — any out-of-bounds
+present in the Python process): ``sim/_fastalloc.c``, ``gf/_gfmul.c``
+and ``security/_modexp.c`` are recompiled with sanitizers on (the flags
+are part of the cache digest, so this never reuses a normal build), then
+fuzzed against their numpy references, and the modexp kernel against
+builtin ``pow``, demanding zero bit differences — any out-of-bounds
 access, UB, or divergence fails the run.  The ``gfmul`` fuzz covers the
 elimination steps at p = 4, 8, 16 and 32: the tower's index sums into
 its base field's antilog table, zero and equal halves included, are
-read under ASan's redzones too.
+read under ASan's redzones too.  The ``modexp`` check runs every limb
+count from 1 to the cap, so the kernel's stack buffers are read and
+written at their full length.
 
 Exit codes: 0 pass, 1 compile/load/self-check failure, 2 no compiler.
 """
@@ -23,6 +26,7 @@ import sys
 
 from repro import native
 from repro.gf import bitmatmul
+from repro.security import modexp
 from repro.sim import fastpath
 
 
@@ -30,6 +34,7 @@ def main() -> int:
     print(f"extra cflags : {os.environ.get('REPRO_NATIVE_CFLAGS', '') or '(none)'}")
     fastpath.load()
     bitmatmul.load()
+    modexp.load()
     status = native.status()
     for name, why in status.items():
         print(f"{name:<13}: {why}")
@@ -39,7 +44,7 @@ def main() -> int:
     if any(why != "ok" for why in status.values()):
         print("FAIL: a kernel did not compile, load or pass its self-check")
         return 1
-    print("PASS: both self-check fuzzes ran clean (zero bit differences)")
+    print("PASS: every self-check fuzz ran clean (zero bit differences)")
     return 0
 
 
