@@ -419,10 +419,11 @@ def gate_credit_fold() -> int:
     """The batched slot's credit fold on a half-requesting slot / the same
     fold with every peer requesting, n = 1024 (``sim_dense``'s n).
 
-    Feasibility leaves every non-requester's column of ``alloc`` at +0.0,
-    so ``ledger_tadd`` folds the requesters' ledger rows only: half the
-    rows here.  Each side is the mean of 8 calls.  Skipped, with the
-    loader's reason, where the kernels are not live.
+    A non-requester's column of the grants is 0, so ``ledger_tadd``
+    folds the requesters' ledger rows only: half the rows here.  The
+    operands are the engine's int64 byte ledger and grants.  Each side
+    is the mean of 8 calls.  Skipped, with the loader's reason, where
+    the kernels are not live.
 
     Ten runs on a 2 vCPU host (2026-10-18) read 0.51, 0.555, 0.585,
     0.59, 0.592, 0.605, 0.633, 0.652, 0.664 and 0.681x; the same slot
@@ -441,10 +442,10 @@ def gate_credit_fold() -> int:
         return 0
     n = 1024
     rng = np.random.default_rng(0)
-    ledger = rng.random((n, n))
+    ledger = rng.integers(0, 1 << 40, (n, n))
 
     def fold(req):
-        alloc = np.where(req, rng.random((n, n)), 0.0)
+        alloc = np.where(req, rng.integers(0, 1 << 17, (n, n)), 0)
         req_u8 = req.view(np.uint8)
 
         def run() -> float:
@@ -557,8 +558,8 @@ def gate_sparse_slot() -> int:
     engine and the kernel each did) and masks every eq2 row's capacity.
     The first rotation's ``(R, act, M)`` are asserted equal.  Skipped,
     with the loader's reason, where the sparse kernels are not live: the
-    numpy Eq. (2) rows take ~0.35 s a slot here, which no selection cost
-    can show through.
+    numpy Eq. (2) rows took ~0.35 s a slot here when this gate was
+    written, which no selection cost could show through.
     """
     import numpy as np
 
@@ -580,7 +581,7 @@ def gate_sparse_slot() -> int:
     starts = {"subject": 0, "frozen": 0}
 
     def finish(kernel, t, R, act, M):
-        kernel.credit(t, act, R, M, column_sums(M), 1.0, True, False)
+        kernel.credit(t, act, R, M, column_sums(M), 1.0, True)
         return R, act, M
 
     def subject_slot(t):
@@ -596,7 +597,7 @@ def gate_sparse_slot() -> int:
         for _ in ("engine", "kernel"):  # each took its own flatnonzero
             R = np.flatnonzero(requesting).astype(np.int64, copy=False)
         act = eq2[capacities[eq2] > 0.0] if R.size else eq2[:0]
-        M = np.empty((act.size, R.size))
+        M = np.empty((act.size, R.size), dtype=np.int64)
         k._eq2_block(
             act, np.arange(act.size, dtype=np.int64), R,
             np.ascontiguousarray(capacities[act]), M,
@@ -627,23 +628,30 @@ def gate_sparse_slot() -> int:
 
 
 def gate_sparse_rows() -> int:
-    """One native Equation (2) call / the numpy ``_eq2_block`` rows on the
-    same input, at ``sim_sparse``'s shape: 16 givers, 1,563 requesters
-    at stride 64, n = 10^5.
+    """One native Equation (2) call / the numpy rows it replaced, at
+    ``sim_sparse``'s shape: 16 givers, 1,563 requesters at stride 64,
+    n = 10^5.
 
-    Two cells.  *Cold*: the givers' ledgers hold no entry at any
-    requester (every slot of ``sim_sparse``), so the kernel computes one
-    row per distinct (background, capacity) pair and copies the rest.
-    *Warm*: each giver holds an entry at every requester, so no row is
-    copied and the cell prices the pairwise plan itself.  Both sides
-    write the same ``M``, asserted equal first.  The kernel side is
-    the mean of 40 calls.  Skipped, with the loader's reason, where the
-    sparse kernels are not live.
+    The reference is spelled out here and frozen, as ``gate_screen``'s
+    is, so a faster fallback does not move it: the float rows of the
+    engine before its ledgers were whole bytes, each row's weights (the
+    counts over the 1e-6 background) totalled by a pure-Python replay
+    of numpy's pairwise summation over the dense extent, then scaled
+    and checked against the capacity by the same replay.  Two cells.
+    *Cold*: the givers' ledgers hold no entry at any requester (every
+    slot of ``sim_sparse``), so the kernel computes one row per distinct
+    capacity and copies the rest.  *Warm*: each giver holds an entry at
+    every requester, so no row is copied.  The kernel's ``M`` is first
+    asserted equal to today's numpy rows.  The kernel side is the mean
+    of 40 calls.  Skipped, with the loader's reason, where the sparse
+    kernels are not live.
     """
     import numpy as np
 
     from repro import native
+    from repro.core.apportion import rate_bytes
     from repro.sim import fastpath, sparse_population_sim
+    from repro.sim.shard import numpy_eq2_rows
 
     if fastpath.load() is None:
         print(f"sparse Eq. (2) rows: kernels not live "
@@ -655,11 +663,50 @@ def gate_sparse_rows() -> int:
     R = kernel.sample(0)
     (act, caps), _ = kernel.active_givers()
     rowpos = np.arange(act.size, dtype=np.int64)
-    M = np.empty((act.size, R.size))
+    M = np.empty((act.size, R.size), dtype=np.int64)
+    M_float = np.empty(M.shape)
+    n = kernel.n
 
-    def rows(native_rows: bool, calls: int):
+    def pairwise(pos, val, off, length) -> float:
+        if pos.size == 0:
+            return 0.0
+        if length < 8:
+            res = 0.0
+            for v in val.tolist():
+                res += v
+            return res
+        if length <= 128:
+            lim = length - length % 8
+            rel = pos - off
+            k = int(np.searchsorted(rel, lim))
+            r = [0.0] * 8
+            for q, v in zip(rel[:k].tolist(), val[:k].tolist()):
+                r[q & 7] += v
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in val[k:].tolist():
+                res += v
+            return res
+        half = length // 2
+        half -= half % 8
+        split = int(np.searchsorted(pos, off + half))
+        return pairwise(pos[:split], val[:split], off, half) + pairwise(
+            pos[split:], val[split:], off + half, length - half
+        )
+
+    def frozen() -> float:
+        start = time.perf_counter()
+        store = kernel.store
+        for i, cap, p in zip((act - kernel.lo).tolist(), caps.tolist(), rowpos.tolist()):
+            w = store.row_at(i, R) + 1e-6
+            row = cap * w / pairwise(R, w, 0, n)
+            total = pairwise(R, row, 0, n)
+            if total > cap:
+                row *= cap / total
+            M_float[p] = row
+        return time.perf_counter() - start
+
+    def rows(calls: int):
         def run() -> float:
-            kernel.native = native_rows
             start = time.perf_counter()
             for _ in range(calls):
                 kernel._eq2_block(act, rowpos, R, caps, M)
@@ -671,16 +718,18 @@ def gate_sparse_rows() -> int:
         if cell == "warm":
             rng = np.random.default_rng(0)
             for i in (act - kernel.lo).tolist():
-                kernel.store.add_compact(i, R, rng.random(R.size))
-        rows(False, 1)()
-        want = M.copy()
-        rows(True, 1)()
+                kernel.store.add_compact(i, R, rng.integers(1, 1 << 20, R.size))
+        want = np.empty_like(M)
+        numpy_eq2_rows(kernel.store, act - kernel.lo, rowpos, R, rate_bytes(caps), want)
+        rows(1)()
         assert M.tobytes() == want.tobytes()
         failures += ratio_gate(
-            f"native / numpy Eq. (2) rows, {cell}, 16 givers x {R.size} requesters, n=100000",
-            rows(True, 40), rows(False, 1), budget,
-            "is the pairwise recursion re-run per sum, a pthread started per "
-            "call, or (cold) a cold row computed more than once?", reps=5,
+            f"native / frozen numpy Eq. (2) rows, {cell}, 16 givers x {R.size} "
+            f"requesters, n=100000",
+            rows(40), frozen, budget,
+            "is a row gathered or apportioned per requester in python, a "
+            "pthread started per call, or (cold) a cold row computed more "
+            "than once?", reps=5,
         )
     return failures
 

@@ -7,8 +7,10 @@ matrix once demands are replaced by their expectations:
     E[mu_ij] = mu_i * gamma_j * C[j, i] / sum_l gamma_l C[l, i]   (approx.)
 
 For *saturated* demands (``gamma = 1``) the expectation is exact — the
-engine's dynamics are deterministic — so the mean-field trajectory must
-reproduce the simulator slot-for-slot, which the test suite verifies.
+engine's dynamics are deterministic — so the trajectory runs the
+engine's own whole-byte rule (:func:`~repro.core.apportion.eq2_grants`
+over byte ledgers) and reproduces the simulator slot-for-slot, which
+the test suite verifies.
 For Bernoulli demands it is the standard mean-field/ODE approximation
 (exact as the number of peers grows, by the §IV-B concentration
 argument), useful for predicting convergence times without simulating.
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.apportion import BYTES_PER_KBIT, credits_of, decay, eq2_grants, rate_bytes
 
 __all__ = ["MeanFieldTrajectory", "mean_field_trajectory", "predicted_convergence_slot"]
 
@@ -48,7 +52,8 @@ def mean_field_trajectory(
     peer ``i`` splits ``mu_i`` among users ``j`` with weight
     ``gamma_j * credits[i, j]`` (the expected indicator times the
     credit), and the resulting expected allocations are folded back into
-    the receivers' credit rows.
+    the receivers' credit rows.  With every ``gamma == 1`` the recursion
+    is the engine's exact one-second-slot dynamics in whole bytes.
     """
     mu = np.asarray(capacities, dtype=float)
     g = np.asarray(gammas, dtype=float)
@@ -59,6 +64,14 @@ def mean_field_trajectory(
         raise ValueError(f"slots must be positive, got {slots}")
     if not 0.0 < forgetting <= 1.0:
         raise ValueError(f"forgetting must be in (0, 1], got {forgetting}")
+    if (g == 1.0).all():
+        return _saturated(mu, slots, initial_credit, forgetting)
+    return _expected(mu, g, slots, initial_credit, forgetting)
+
+
+def _expected(mu, g, slots, initial_credit, forgetting) -> MeanFieldTrajectory:
+    """The expected-value recursion in float bandwidth units."""
+    n = mu.shape[0]
     credits = np.full((n, n), float(initial_credit))
     rates = np.zeros((slots, n))
     for t in range(slots):
@@ -72,6 +85,23 @@ def mean_field_trajectory(
             credits *= forgetting
         credits += alloc.T  # user j's ledger credits row j with alloc[:, j]
     return MeanFieldTrajectory(rates=rates, credits=credits)
+
+
+def _saturated(mu, slots, initial_credit, forgetting) -> MeanFieldTrajectory:
+    """Every user always requests: each slot every peer apportions its
+    capacity over its whole byte ledger row, as the engines do."""
+    caps = rate_bytes(mu)
+    counts = np.zeros((mu.size, mu.size), dtype=np.int64)
+    background = float(initial_credit)
+    rates = np.zeros((slots, mu.size))
+    for t in range(slots):
+        grants = eq2_grants(caps, counts)
+        rates[t] = grants.sum(axis=0) / BYTES_PER_KBIT
+        if forgetting < 1.0:
+            counts = decay(counts, forgetting)
+            background *= forgetting
+        counts += grants.T
+    return MeanFieldTrajectory(rates=rates, credits=credits_of(counts, background))
 
 
 def predicted_convergence_slot(
@@ -90,10 +120,8 @@ def predicted_convergence_slot(
     mu = np.asarray(capacities, dtype=float)
     g = np.asarray(gammas, dtype=float)
     n = mu.shape[0]
-    credits = np.full((n, n), float(initial_credit))
-    target = mu * 0 + np.nan
     # Estimate the fixed point by running far ahead first.
-    tail = mean_field_trajectory(mu, g, 5000, initial_credit=initial_credit)
+    tail = _expected(mu, g, 5000, initial_credit, 1.0)
     target = tail.rates[-1]
     credits = np.full((n, n), float(initial_credit))
     for t in range(max_slots):

@@ -3,6 +3,8 @@
 * :class:`~repro.core.allocation.PeerwiseProportionalAllocator` — the
   proposed rule (Equation 2), driven purely by each peer's local
   :class:`~repro.core.ledger.ContributionLedger`;
+* :mod:`~repro.core.apportion` — the whole-byte apportionment rule the
+  simulator's engines run Equations (2) and (3) through;
 * :mod:`~repro.core.baselines` — Equation (3) global proportional
   fairness, isolation, equal split;
 * :mod:`~repro.core.adversary` — the malicious strategies of the threat

@@ -10,8 +10,11 @@ the gameable Equation (3) baseline) — and returns the allocation row
 ``mu_i*(t)``.
 
 The engine treats the returned row as a *proposal*: it is clipped to be
-non-negative, zeroed for non-requesters, and scaled down if it exceeds
-the peer's physical capacity.  Nothing stops a malicious allocator from
+non-negative, zeroed for non-requesters, floored to whole bytes and
+apportioned down if it exceeds the peer's physical capacity
+(:func:`~repro.core.apportion.feasible_grants`; :func:`enforce_feasibility`
+is the same clamp in float kbps).  Equation (2) and (3) rows run in
+whole bytes from the start.  Nothing stops a malicious allocator from
 giving less, or from skewing shares — that is precisely the adversary
 model of Section IV-C, and Theorem 1's guarantee for honest users is
 verified against such peers in the benchmark suite.

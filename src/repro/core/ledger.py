@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ContributionLedger", "DEFAULT_INITIAL_CREDIT"]
+from .apportion import credits_of
+
+__all__ = ["ByteLedger", "ContributionLedger", "DEFAULT_INITIAL_CREDIT"]
 
 #: The "arbitrary small positive initial values" of Equation (2); also
 #: what the simulator uses ("we initially allocated a small and equal
@@ -39,13 +41,9 @@ class ContributionLedger:
     forgetting:
         Per-slot decay in ``(0, 1]``; ``1.0`` reproduces the paper's
         plain cumulative sum.
-    buffer:
-        Optional externally owned float64 vector of length ``n`` to hold
-        the credits (it is overwritten with ``initial``).  The batched
-        simulation engine hands each peer a row view of one shared
-        ``n x n`` credit matrix so Equation (2) can be evaluated for all
-        peers in a single matrix operation; the ledger semantics are
-        unchanged — all updates happen in place on the buffer.
+
+    The simulator's engines keep their ledgers as whole bytes instead
+    and hand each peer a read-only :class:`ByteLedger` over its row.
     """
 
     def __init__(
@@ -53,7 +51,6 @@ class ContributionLedger:
         n: int,
         initial: float = DEFAULT_INITIAL_CREDIT,
         forgetting: float = 1.0,
-        buffer: np.ndarray | None = None,
     ):
         if n < 1:
             raise ValueError(f"need at least one peer, got {n}")
@@ -66,16 +63,7 @@ class ContributionLedger:
             raise ValueError(f"forgetting factor must be in (0, 1], got {forgetting}")
         self.n = n
         self.forgetting = forgetting
-        if buffer is None:
-            self._credits = np.full(n, float(initial))
-        else:
-            if buffer.shape != (n,) or buffer.dtype != np.float64:
-                raise ValueError(
-                    f"credit buffer must be a float64 vector of length {n}, "
-                    f"got {buffer.dtype} {buffer.shape}"
-                )
-            buffer[:] = float(initial)
-            self._credits = buffer
+        self._credits = np.full(n, float(initial))
 
     @property
     def credits(self) -> np.ndarray:
@@ -120,3 +108,43 @@ class ContributionLedger:
 
     def reset(self, initial: float = DEFAULT_INITIAL_CREDIT) -> None:
         self._credits[:] = float(initial)
+
+
+class ByteLedger:
+    """Read-only :class:`ContributionLedger` facade over a slot engine's
+    ledger row: whole bytes received per partner (``counts``, owned and
+    updated by the engine) read as ``bytes / 125`` kbps x s over the
+    row's float background ``background[index]`` — the initial credit,
+    decayed with the row."""
+
+    __slots__ = ("_counts", "_background", "index", "forgetting")
+
+    def __init__(self, counts: np.ndarray, background: np.ndarray, index: int, forgetting: float):
+        self._counts = counts
+        self._background = background
+        self.index = int(index)
+        self.forgetting = float(forgetting)
+
+    def counts(self) -> np.ndarray:
+        """The row's whole-byte counts."""
+        return self._counts
+
+    @property
+    def n(self) -> int:
+        return int(self._counts.shape[0])
+
+    @property
+    def credits(self) -> np.ndarray:
+        row = credits_of(self.counts(), self._background[self.index])
+        row.flags.writeable = False
+        return row
+
+    def credit_of(self, peer: int) -> float:
+        return float(self.credits[peer])
+
+    def total(self) -> float:
+        return float(self.credits.sum())
+
+    def share_of(self, peer: int) -> float:
+        credits = self.credits
+        return float(credits[peer] / credits.sum())

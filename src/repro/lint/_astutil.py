@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["ImportMap", "dotted_name", "target_names"]
+__all__ = ["ImportMap", "dotted_name"]
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -58,30 +58,3 @@ class ImportMap:
         head, _, rest = dotted.partition(".")
         head = self.aliases.get(head, head)
         return f"{head}.{rest}" if rest else head
-
-
-def target_names(node: ast.stmt) -> list[str]:
-    """Names being assigned to by an Assign/AnnAssign/AugAssign node.
-
-    For attribute/subscript targets the innermost attribute name is
-    reported (``self._ledger[i]`` -> ``_ledger``), which is what the
-    name-based heuristics key on.
-    """
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    names: list[str] = []
-    for tgt in targets:
-        while isinstance(tgt, ast.Subscript):
-            tgt = tgt.value
-        if isinstance(tgt, ast.Name):
-            names.append(tgt.id)
-        elif isinstance(tgt, ast.Attribute):
-            names.append(tgt.attr)
-        elif isinstance(tgt, (ast.Tuple, ast.List)):
-            for elt in tgt.elts:
-                if isinstance(elt, ast.Name):
-                    names.append(elt.id)
-    return names

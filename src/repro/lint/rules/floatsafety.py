@@ -1,12 +1,12 @@
-"""Float-safety rules: the bit-identity contract pins operation order.
+"""Float-safety rules: a float share must stay finite.
 
-The batched engine (PR 4) promises bit-identical results to the
-reference slot loop, which makes floating-point *operation order* part
-of the API: proportional shares must multiply before dividing (dividing
-by a subnormal weight total first overflows to inf where the fused
-order stays finite — a real bug found by fuzzing), ledgers accumulate
-in float64, and hot-path reductions use numpy's pairwise summation
-rather than the builtin left-to-right ``sum``.
+Grants and ledgers are whole bytes (:mod:`repro.core.apportion`), so
+no engine's bits depend on a float operation order any more.  Float
+shares with a data-dependent divisor remain — the allocators'
+``allocate`` proposals and the core float API — and for those the
+order of a multiply and a divide decides whether the result is finite:
+dividing by a subnormal weight total first overflows to inf where the
+multiply-first order stays finite (a real bug found by fuzzing).
 """
 
 from __future__ import annotations
@@ -14,39 +14,14 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .._astutil import ImportMap, target_names
 from ..findings import Finding
 from ..registry import FLOAT_SCOPE, rule
-
-#: numpy constructors whose ``dtype=`` keyword the ledger rule inspects.
-_NP_CTORS = frozenset(
-    {
-        "numpy.zeros",
-        "numpy.ones",
-        "numpy.empty",
-        "numpy.full",
-        "numpy.array",
-        "numpy.asarray",
-        "numpy.zeros_like",
-        "numpy.ones_like",
-        "numpy.empty_like",
-        "numpy.full_like",
-    }
-)
-
-#: dtype spellings that keep a ledger in float64.
-_F64_NAMES = frozenset({"float", "float64", "double", "float_"})
-_F64_STRINGS = frozenset({"float64", "f8", "d", "double"})
-
-#: substrings of assignment targets treated as credit-ledger storage.
-_LEDGER_HINTS = ("ledger", "credit")
 
 
 @rule(
     "float-div-before-mul",
-    rationale="`a / b * c` overflows to inf when b is subnormal; the "
-    "allocation kernels' bit-identity contract requires the "
-    "multiply-before-divide order `a * c / b`",
+    rationale="`a / b * c` overflows to inf when b is subnormal; float "
+    "shares must use the multiply-before-divide order `a * c / b`",
     scope=FLOAT_SCOPE,
 )
 def check_div_before_mul(ctx) -> Iterator[Finding]:
@@ -70,86 +45,3 @@ def check_div_before_mul(ctx) -> Iterator[Finding]:
                 "overflow-safe `a * c / b` (or parenthesise a deliberate "
                 "ratio as `c * (a / b)`)",
             )
-
-
-@rule(
-    "float-ledger-dtype",
-    rationale="ledger/credit arrays are accumulated over millions of "
-    "slots; a narrower dtype drifts from the float64 reference path and "
-    "breaks bit-identity",
-    scope=FLOAT_SCOPE,
-)
-def check_ledger_dtype(ctx) -> Iterator[Finding]:
-    imap = ImportMap.from_tree(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            continue
-        names = [n.lower() for n in target_names(node)]
-        if not any(hint in name for hint in _LEDGER_HINTS for name in names):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Call):
-            continue
-        if imap.resolve(value.func) not in _NP_CTORS:
-            continue
-        for kw in value.keywords:
-            if kw.arg != "dtype":
-                continue
-            if not _is_float64(kw.value, imap):
-                yield ctx.finding(
-                    "float-ledger-dtype",
-                    kw.value,
-                    "ledger storage created with a non-float64 dtype; "
-                    "credit accumulation must stay in float64",
-                )
-
-
-def _is_float64(node: ast.expr, imap: ImportMap) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value in _F64_STRINGS
-    if isinstance(node, ast.Name):
-        if node.id in _F64_NAMES:
-            return True
-        resolved = imap.resolve(node)
-        return bool(resolved) and resolved.rsplit(".", 1)[-1] in _F64_NAMES
-    if isinstance(node, ast.Attribute):
-        resolved = imap.resolve(node)
-        if resolved is None:
-            return node.attr in _F64_NAMES
-        return resolved.rsplit(".", 1)[-1] in _F64_NAMES
-    # Anything dynamic (a variable, np.dtype(x)): assume the author
-    # threads a float64-compatible dtype; runtime tests cover it.
-    return True
-
-
-@rule(
-    "float-bare-sum",
-    rationale="builtin sum() reduces float arrays left-to-right — slower "
-    "and less accurate than numpy's pairwise reduction, and a different "
-    "rounding than the kernels' contract",
-    scope=FLOAT_SCOPE,
-)
-def check_bare_sum(ctx) -> Iterator[Finding]:
-    imap = ImportMap.from_tree(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
-            continue
-        if imap.resolve(node.func) != "sum":  # shadowed or imported name
-            continue
-        if not node.args:
-            continue
-        arg = node.args[0]
-        # Generator/comprehension arguments are explicit scalar Python
-        # loops (theory checks, report totals), not array reductions.
-        if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-            continue
-        if isinstance(arg, (ast.List, ast.Tuple)):
-            continue
-        yield ctx.finding(
-            "float-bare-sum",
-            node,
-            "builtin sum() over an array in allocation/simulation code; "
-            "use arr.sum()/np.sum (pairwise, matches the kernels)",
-        )

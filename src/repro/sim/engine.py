@@ -8,12 +8,19 @@ slot is one reallocation round; ``slot_seconds`` only scales ledger
 accumulation so coarser slots can be used for day-long scenarios without
 changing the fixed-point of Equation (2).
 
+Grants, capacities and ledgers are whole bytes
+(:mod:`repro.core.apportion`): a slot's grants are bytes per second,
+apportioned by one cumulative-floor rule, and a ledger gains
+``floor(grant * slot_seconds)`` bytes.  ``step()``'s matrix, the rates
+and the trace fields read them back in kbps (and kbps x s).
+
 Three slot implementations produce those slots:
 
-* ``reference`` — the original per-peer loop: one ``allocate()`` and one
-  ``enforce_feasibility()`` call per peer per slot.  Simple, obviously
-  correct, O(n) Python round-trips per slot; the oracle every other
-  path is tested against.
+* ``reference`` — the original per-peer loop: one row of the
+  apportionment rule per peer per slot (an Equation (2)/(3) row, or an
+  ``allocate()`` proposal made feasible).  Simple, obviously correct,
+  O(n) Python round-trips per slot; the oracle every other path is
+  tested against.
 * ``batched`` — peers are partitioned at construction into a *fast set*
   (allocator classes implementing the
   :class:`~repro.core.allocation.BatchedAllocator` protocol, grouped by
@@ -25,10 +32,10 @@ Three slot implementations produce those slots:
   compiled kernels of :mod:`repro.sim.fastpath` when available, else
   pure-numpy matrix expressions — demand and capacity are pre-sampled in
   time blocks for processes that declare themselves ``blockable``, and
-  ledger credit is a single (tiled) ``L += alloc.T * dt`` per flush,
-  which the kernel runs over the requesters' rows only (feasibility
-  leaves every other row of ``alloc.T`` at +0.0).
-  O(n^2) memory (the dense credit matrix) and O(n^2) compute per slot.
+  ledger credit is a single (tiled) ``L += grants.T`` per flush, which
+  the kernel runs over the requesters' rows only (every other row of
+  ``grants.T`` is 0).
+  O(n^2) memory (the dense ledger matrix) and O(n^2) compute per slot.
 * the **shard kernel** (:class:`~repro.sim.shard.ShardKernel`) — the
   large-``n`` path.  Credit lives in
   :class:`~repro.sim.sparse.SparseLedgers` and each slot touches only
@@ -52,13 +59,12 @@ emits a ``sim.engine_selected`` trace event recording the engine, the
 rule that chose it (``"requested"`` for an explicit engine) and the
 worker-process count (0 for the in-process engines).
 
-The engines are **bit-identical**: every batched/sparse expression was
-chosen to perform the same IEEE-754 operations in the same order as the
-reference loop (same pairwise reductions over the same element
-positions, multiply-by-1.0 no-ops for untouched rows, block RNG draws
-that consume the per-peer streams exactly like scalar draws; zeros
-outside the active set are exact no-ops in every reduction the engines
-perform).  ``tests/sim/test_engine_batched.py``,
+The engines are **bit-identical**: they apportion the same integers by
+the same rule, and integer sums are exact in any order, tile or shard
+split; block RNG draws consume the per-peer streams exactly like scalar
+draws; the only floats — float proposals of custom allocators, ledger
+credit over a fractional slot, forgetting — are the same elementwise
+double operations everywhere.  ``tests/sim/test_engine_batched.py``,
 ``tests/sim/test_engine_sparse.py``, ``tests/sim/test_engine_procs.py``
 and ``tests/sim/test_shard_kernel.py`` enforce this equivalence
 property-style across honest and adversarial mixes, delayed feedback,
@@ -74,15 +80,20 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core.allocation import (
-    Allocator,
-    PeerwiseProportionalAllocator,
-    enforce_feasibility,
-    enforce_feasibility_rows,
+from ..core.allocation import Allocator, PeerwiseProportionalAllocator
+from ..core.apportion import (
+    BYTES_PER_KBIT,
+    apportion,
+    credits_of,
+    decay,
+    eq2_grants,
+    feasible_grants,
+    rate_bytes,
+    slot_credit,
 )
 from ..core.baselines import GlobalProportionalAllocator
 from ..core.fairness import jain_index
-from ..core.ledger import DEFAULT_INITIAL_CREDIT
+from ..core.ledger import DEFAULT_INITIAL_CREDIT, ByteLedger
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
@@ -91,7 +102,6 @@ from . import fastpath
 from .metrics import SimulationResult, StreamingMetrics
 from .peer import PeerConfig, PeerState
 from .shard import FAST_ALLOCATORS, TIME_BLOCK, LocalShard, column_sums
-from .sparse import sparse_pairwise
 
 __all__ = ["Simulation"]
 
@@ -156,7 +166,10 @@ class Simulation:
         Base seed; each peer's demand process gets an independent
         deterministic stream derived from it.
     initial_credit:
-        The small positive ledger initialisation of Equation (2).
+        The small positive ledger initialisation of Equation (2), in
+        kbps x s: every ledger row's float background under its whole
+        bytes.  A row holding no byte from any requester splits equally,
+        which is what a common background gives.
     slot_seconds:
         Wall-clock seconds one slot represents (see module docstring).
     feedback_interval:
@@ -192,9 +205,7 @@ class Simulation:
         if not configs:
             raise ValueError("a simulation needs at least one peer")
         if not 0 < slot_seconds < float("inf"):
-            # Finite: the batched fold skips non-requesters' ledger rows
-            # because they gain 0.0 * slot_seconds, which is +0.0 only
-            # for a finite weight.
+            # Finite: a ledger credit is floor(grant * slot_seconds).
             raise ValueError(
                 f"slot_seconds must be positive and finite, got {slot_seconds}"
             )
@@ -245,6 +256,9 @@ class Simulation:
             workers=self._workers,
         )
         self._t = 0
+        #: Bytes credited since the last feedback flush, counted while
+        #: tracing (the ``sim.feedback`` event's total).
+        self._credited = 0
         self._kernels = None
         #: The shard kernel(s) behind ``sparse``/``procs`` — a
         #: :class:`LocalShard` or a ``ProcsCoordinator``; ``None`` for
@@ -271,15 +285,23 @@ class Simulation:
                 self._shards = LocalShard(self.configs, **kernel_args)
                 self._slot_counter = _SIM_SPARSE_SLOTS
             return
-        # All ledgers live as rows of one shared matrix so Equation (2)
-        # for the whole network is a masked matrix product; each peer's
-        # ContributionLedger is a view into its row (same semantics).
-        self._credit_matrix = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        # All ledgers live as rows of one shared byte matrix so Equation
+        # (2) for the whole network is one batched call; each peer's
+        # ledger is a ByteLedger over its row and the shared background.
+        self._credit_matrix = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
+        self._background = np.full(
+            self.n, initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT
+        )
+        self._forgetting = np.array([cfg.forgetting for cfg in self.configs])
+        self._forget_rows = np.flatnonzero(self._forgetting < 1.0)
         self.peers = [
-            PeerState(i, cfg, self.n, initial_credit, credit_buffer=self._credit_matrix[i])
+            PeerState(
+                i, cfg, self.n, initial_credit,
+                ledger=ByteLedger(self._credit_matrix[i], self._background, i, cfg.forgetting),
+            )
             for i, cfg in enumerate(self.configs)
         ]
-        self._pending_feedback = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        self._pending_feedback = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         self._demand_rngs = [
             np.random.default_rng((seed, i)) for i in range(self.n)
         ]
@@ -299,8 +321,8 @@ class Simulation:
     def _auto_engine(n: int) -> tuple[str, str]:
         """``engine="auto"``: ``batched`` or ``sparse``, by size and memory.
 
-        The dense engines carry three (n, n) float64 arrays (credit
-        matrix, pending feedback, per-slot allocation); ``batched`` runs
+        The dense engines carry three (n, n) int64 arrays (ledger
+        matrix, pending feedback, per-slot grants); ``batched`` runs
         while ``n`` is below the sparse threshold and 4x those arrays is
         available, ``sparse`` otherwise.  The second element names the
         arm taken and is the ``sim.engine_selected`` event's ``reason``.
@@ -337,9 +359,9 @@ class Simulation:
         self._groups: list[tuple[object, np.ndarray, str]] = []
         for cls, idxs in by_class.items():
             rows = np.asarray(idxs, dtype=np.int64)
-            if self._kernels is not None and cls is PeerwiseProportionalAllocator:
+            if cls is PeerwiseProportionalAllocator:
                 kind = "eq2"
-            elif self._kernels is not None and cls is GlobalProportionalAllocator:
+            elif cls is GlobalProportionalAllocator:
                 kind = "eq3"
             else:
                 kind = "proto"
@@ -351,8 +373,6 @@ class Simulation:
             for p in self.peers
             if type(p.config.allocator).on_slot_end is not Allocator.on_slot_end
         ]
-        self._forgetting = np.array([p.config.forgetting for p in self.peers])
-        self._any_forgetting = bool((self._forgetting < 1.0).any())
         overrides = [
             (i, float(p.config.declared_capacity))
             for i, p in enumerate(self.peers)
@@ -375,6 +395,11 @@ class Simulation:
         self._block_start = -TIME_BLOCK  # force a build on first step
         self._req_block = np.empty((TIME_BLOCK, self.n), dtype=bool)
         self._cap_block = np.empty((TIME_BLOCK, self.n))
+        #: The slot's grants, rewritten whole every slot and consumed
+        #: within it (step() hands out a converted copy): one buffer
+        #: kept across slots rather than 8 MiB faulted in afresh at
+        #: n = 1024.  Scratch, so memory_bytes() does not count it.
+        self._grants = np.empty((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
 
     @property
     def backend(self) -> str:
@@ -393,7 +418,9 @@ class Simulation:
         return self._t
 
     def credit_matrix(self) -> np.ndarray:
-        """Dense ``(n, n)`` credit snapshot, whichever engine runs.
+        """Dense ``(n, n)`` ledger bytes, whichever engine runs (the
+        float background is not included: ``peers[i].ledger.credits``
+        reads a row in kbps x s).
 
         The dense engines return their live matrix; the shard kernels
         materialise one (O(n^2) — inspection and tests, not hot loops).
@@ -416,7 +443,7 @@ class Simulation:
 
         Shard kernels: ledger store + class index + prefetch tables
         summed over :meth:`shard_stats` (the bytes-per-peer benchmark
-        metric).  Dense: credit matrix + pending feedback + prefetch
+        metric).  Dense: ledger matrix + pending feedback + prefetch
         buffers.
         """
         if self._shards is not None:
@@ -429,13 +456,14 @@ class Simulation:
     def step(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance one slot; returns ``(allocation_matrix, requesting, capacities)``.
 
-        ``allocation_matrix[i, j]`` is ``mu_ij(t)`` after feasibility
-        enforcement.  Under the sparse engines the dense matrix is
-        materialised from the compact active-set rows — use
+        ``allocation_matrix[i, j]`` is ``mu_ij(t)`` in kbps: the slot's
+        whole-byte grant over 125.  Under the sparse engines the dense
+        matrix is materialised from the compact active-set rows — use
         :meth:`run` with ``history="none"`` to keep large populations
         allocation-free.
         """
-        return self._in_step_span(self._step_dense)
+        grants, requesting, capacities = self._in_step_span(self._step_grants)
+        return grants / BYTES_PER_KBIT, requesting, capacities
 
     def _in_step_span(self, step):
         if _TRACER.enabled:
@@ -445,13 +473,15 @@ class Simulation:
                 return step()
         return step()
 
-    def _step_dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _step_grants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One slot: ``(grants, requesting, capacities)``, ``grants`` the
+        dense ``(n, n)`` whole bytes per second."""
         if self._shards is not None:
             act, R, M, _, (requesting, capacities) = self._step_compact(dense=True)
-            alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+            grants = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
             if act.size and R.size:
-                alloc[np.ix_(act, R)] = M
-            return alloc, requesting, capacities
+                grants[np.ix_(act, R)] = M
+            return grants, requesting, capacities
         if self._mode == "batched":
             return self._step_batched()
         return self._step_reference()
@@ -473,34 +503,43 @@ class Simulation:
             (peer.declared_at(t) for peer in self.peers), dtype=float, count=self.n
         )
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
-        alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        R = np.flatnonzero(requesting)
+        budgets = rate_bytes(capacities)
+        grants = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         for i, peer in enumerate(self.peers):
-            proposal = peer.config.allocator.allocate(
-                i, capacities[i], requesting, peer.ledger, declared, t
-            )
-            alloc[i] = enforce_feasibility(proposal, capacities[i], requesting)
+            cap = budgets[i : i + 1]
+            kind = type(peer.config.allocator)
+            if kind is PeerwiseProportionalAllocator:
+                row = eq2_grants(cap, self._credit_matrix[i, R][None])
+            elif kind is GlobalProportionalAllocator:
+                row = apportion(cap, rate_bytes(declared[R])[None])
+            else:
+                proposal = peer.config.allocator.allocate(
+                    i, capacities[i], requesting, peer.ledger, declared, t
+                )
+                row = feasible_grants(cap, proposal[R][None])
+            grants[i, R] = row[0]
         if alloc_start is not None:
             _SIM_ALLOC_NS.observe(time.perf_counter_ns() - alloc_start)
         # Credit every receiving peer's local ledger.  Credits accumulate
-        # bandwidth x time, so coarser slots weigh proportionally more.
-        # With delayed feedback, each user's measurements buffer locally
-        # and reach its home peer as a batch every feedback_interval
-        # slots (the paper's periodic informational update).
-        weight = self.slot_seconds
-        self._pending_feedback += alloc.T * weight  # row j = user j's view
+        # bytes, so coarser slots weigh proportionally more.  With
+        # delayed feedback, each user's measurements buffer locally and
+        # reach its home peer as a batch every feedback_interval slots
+        # (the paper's periodic informational update).
+        credit = slot_credit(grants.T, self.slot_seconds)  # row j = user j's view
+        if _TRACER.enabled:
+            self._count_credit(credit)
+        self._pending_feedback += credit
         if (t + 1) % self.feedback_interval == 0:
-            credited = float(self._pending_feedback.sum())
-            for j, peer in enumerate(self.peers):
-                peer.ledger.record_received(self._pending_feedback[j])
-            self._pending_feedback[:] = 0.0
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
-            _TRACER.emit(SIM_FEEDBACK, t=t, credited=credited)
+            self._apply_forgetting()
+            self._credit_matrix += self._pending_feedback
+            self._pending_feedback[:] = 0
+            self._flushed(t)
         for peer in self.peers:
             peer.config.allocator.on_slot_end(t)
-        self._emit_slot(alloc, requesting)
+        self._emit_slot(grants, requesting)
         self._t += 1
-        return alloc, requesting, capacities
+        return grants, requesting, capacities
 
     def _refresh_blocks(self, t: int) -> None:
         """Pre-sample the next time block for blockable demand/capacity."""
@@ -531,73 +570,68 @@ class Simulation:
         declared = capacities.copy()
         if self._declared_idx.size:
             declared[self._declared_idx] = self._declared_vals
+        R = np.flatnonzero(requesting)
         req_u8 = requesting.view(np.uint8)
+        budgets = rate_bytes(capacities)
 
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
         if sample_start is not None:
             _SIM_SAMPLE_NS.observe(alloc_start - sample_start)
-        alloc = np.empty((n, n))  # repro: allow[sim-dense-alloc]
+        grants = self._grants
         ledgers = self._credit_matrix
+        kernels = self._kernels
         for rep, rows, kind in self._groups:
-            caps_group = capacities[rows]
-            if kind == "eq2":
-                self._kernels.alloc_rows_eq2(
-                    ledgers, req_u8, caps_group, rows, alloc
-                )
-            elif kind == "eq3":
-                weights = np.where(requesting, declared, 0.0)
-                self._kernels.alloc_rows_shared(
-                    weights, weights.sum(), req_u8, caps_group, rows, alloc
-                )
-            else:
-                rows_ledger = ledgers if rows.size == n else ledgers[rows]
+            caps = budgets[rows]
+            if kind == "eq2" and kernels is not None:
+                kernels.alloc_rows_eq2(ledgers, req_u8, caps, rows, grants)
+                continue
+            if kind == "eq3" and kernels is not None:
+                weights = rate_bytes(np.where(requesting, declared, 0.0))
+                kernels.alloc_rows_shared(weights, req_u8, caps, rows, grants)
+                continue
+            if kind == "proto":
                 proposals = rep.allocate_rows(
-                    rows, caps_group, requesting, rows_ledger, declared, t
+                    rows, capacities[rows], requesting,
+                    credits_of(ledgers[rows], self._background[rows, None]), declared, t,
                 )
-                alloc[rows] = enforce_feasibility_rows(
-                    proposals, caps_group, requesting
-                )
+                grants[rows] = feasible_grants(caps, np.where(requesting, proposals, 0.0))
+                continue
+            if kind == "eq2":
+                block = eq2_grants(caps, ledgers[np.ix_(rows, R)])
+            else:
+                wR = rate_bytes(declared[R])
+                block = apportion(caps, np.broadcast_to(wR, (rows.size, wR.size)))
+            grants[rows] = 0
+            grants[np.ix_(rows, R)] = block
         for i in self._slow_rows:
             peer = self.peers[i]
             proposal = peer.config.allocator.allocate(
                 i, capacities[i], requesting, peer.ledger, declared, t
             )
-            alloc[i] = enforce_feasibility(proposal, capacities[i], requesting)
+            grants[i] = feasible_grants(
+                budgets[i : i + 1], np.where(requesting, proposal, 0.0)[None]
+            )[0]
         credit_start = None
         if alloc_start is not None:
             credit_start = time.perf_counter_ns()
             _SIM_ALLOC_NS.observe(credit_start - alloc_start)
 
         weight = self.slot_seconds
+        if _TRACER.enabled:
+            self._count_credit(slot_credit(grants, weight))
+        flush = (t + 1) % self.feedback_interval == 0
         if self.feedback_interval == 1:
-            # Instant feedback: skip materialising the pending buffer
-            # and fold alloc.T * dt straight into the credit matrix
-            # (same multiply-then-add rounding as the reference).
-            if _TRACER.enabled:
-                pending = alloc.T * weight
-                credited = float(pending.sum())
-                self._apply_forgetting()
-                self._credit_matrix += pending
-                _TRACER.emit(SIM_FEEDBACK, t=t, credited=credited)
-            else:
-                self._apply_forgetting()
-                self._tadd(self._credit_matrix, alloc, req_u8, weight)
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
+            # Instant feedback: fold straight into the ledger matrix.
+            self._apply_forgetting()
+            self._tadd(self._credit_matrix, grants, req_u8, weight)
         else:
-            self._tadd(self._pending_feedback, alloc, req_u8, weight)
-            if (t + 1) % self.feedback_interval == 0:
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        SIM_FEEDBACK,
-                        t=t,
-                        credited=float(self._pending_feedback.sum()),
-                    )
+            self._tadd(self._pending_feedback, grants, req_u8, weight)
+            if flush:
                 self._apply_forgetting()
                 self._credit_matrix += self._pending_feedback
-                self._pending_feedback[:] = 0.0
-                if _OBS.enabled:
-                    _SIM_FEEDBACK_FLUSHES.inc()
+                self._pending_feedback[:] = 0
+        if flush:
+            self._flushed(t)
         for hook in self._slot_end_hooks:
             hook(t)
         if credit_start is not None:
@@ -605,9 +639,9 @@ class Simulation:
         if _OBS.enabled:
             _SIM_BATCHED_SLOTS.inc()
             _SIM_FAST_PEERS.set(n - len(self._slow_rows))
-        self._emit_slot(alloc, requesting)
+        self._emit_slot(grants, requesting)
         self._t += 1
-        return alloc, requesting, capacities
+        return grants, requesting, capacities
 
     # -- shard-kernel engines (sparse, procs) --------------------------
 
@@ -615,16 +649,15 @@ class Simulation:
         """One slot over the active set, through the shard kernel(s).
 
         The shards sample, allocate and credit; this side owns what
-        spans them: the compact rates
-        (:func:`~repro.sim.shard.column_sums`, once over the whole
-        ``M`` so every consumer sees identical bits) and the trace
-        totals.  Returns ``(act, R, M, rates, vectors)``: ``R`` (sorted)
-        the requesters as the shards sampled them, ``act`` (sorted) the
-        givers with nonzero rows this slot, ``M[r, a]`` the allocation
-        from ``act[r]`` to ``R[a]`` — the nonzero block of the dense
-        allocation matrix — and ``rates`` its column sums.  ``vectors``
-        is the dense ``(requesting, capacities)`` pair when ``dense``
-        asks for it (built from the shards' class rows), else ``None``.
+        spans them: the compact rates (:func:`~repro.sim.shard.column_sums`,
+        once over the whole ``M``) and the trace totals.  Returns
+        ``(act, R, M, rates, vectors)``: ``R`` (sorted) the requesters
+        as the shards sampled them, ``act`` (sorted) the givers with
+        nonzero rows this slot, ``M[r, a]`` the grant from ``act[r]`` to
+        ``R[a]`` — the nonzero block of the dense grant matrix — and
+        ``rates`` its column sums in kbps.  ``vectors`` is the dense
+        ``(requesting, capacities)`` pair when ``dense`` asks for it
+        (built from the shards' class rows), else ``None``.
         """
         t = self._t
         shards = self._shards
@@ -641,118 +674,75 @@ class Simulation:
             _SIM_ALLOC_NS.observe(credit_start - alloc_start)
         rates = column_sums(M)
         weight = self.slot_seconds
-        instant = self.feedback_interval == 1
         flush = (t + 1) % self.feedback_interval == 0
-        credited = None
-        if _TRACER.enabled and instant:
-            credited = self._sparse_flat_total(R, act, M, weight, transpose=True)
-        pending = shards.credit(
-            t, act, R, M, rates, weight, flush, _TRACER.enabled and not instant
-        )
+        if _TRACER.enabled:
+            self._count_credit(slot_credit(M, weight))
+        shards.credit(t, act, R, M, rates, weight, flush)
         if timed:
             _SIM_CREDIT_NS.observe(time.perf_counter_ns() - credit_start)
         if flush:
-            if _TRACER.enabled:
-                if credited is None:
-                    credited = self._pending_total(pending)
-                _TRACER.emit(SIM_FEEDBACK, t=t, credited=credited)
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
+            self._flushed(t)
         if _OBS.enabled:
             self._slot_counter.inc()
             _SIM_FAST_PEERS.set(self.n - len(self._slow_rows))
-        self._emit_slot_sparse(act, R, M, rates)
+        if _OBS.enabled or _TRACER.enabled:
+            self._emit(R.size, M, jain_index(rates) if R.size else 1.0)
         self._t += 1
         return act, R, M, rates, vectors
 
-    def _pending_total(self, dumps) -> float:
-        """``float(pending.sum())`` of the dense deferred-feedback
-        buffer, replayed from the shards' pending dumps (``(receiver,
-        giver_idx, values)`` triples in global row order — contiguous
-        shards make the shard-order concatenation globally sorted)."""
-        if not dumps:
-            return 0.0
-        n = self.n
-        pos = np.concatenate([idx + j * n for j, idx, _ in dumps])
-        val = np.concatenate([v for _, _, v in dumps])
-        return float(sparse_pairwise(pos, val, n * n))
+    def _count_credit(self, credit: np.ndarray) -> None:
+        """Add a slot's ledger bytes to the running flush total."""
+        self._credited += int(credit.sum())
 
-    def _sparse_flat_total(
-        self, R: np.ndarray, act: np.ndarray, M: np.ndarray, weight: float,
-        transpose: bool,
-    ) -> float:
-        """Dense ``float(X.sum())`` where ``X`` is ``alloc`` (or
-        ``alloc.T * weight``) — the flat n*n pairwise reduction replayed
-        over the nonzero block only."""
-        n = self.n
-        if not act.size or not R.size:
-            return 0.0
-        if transpose:
-            pos = (R[:, None] * n + act[None, :]).ravel()
-            val = np.ascontiguousarray(M.T * weight).ravel()
-        else:
-            pos = (act[:, None] * n + R[None, :]).ravel()
-            val = np.ascontiguousarray(M).ravel()
-        return float(sparse_pairwise(pos, val, n * n))
-
-    def _emit_slot_sparse(
-        self, act: np.ndarray, R: np.ndarray, M: np.ndarray, rates: np.ndarray
-    ) -> None:
-        if _OBS.enabled or _TRACER.enabled:
-            jain = jain_index(rates) if R.size else 1.0
-            if _OBS.enabled:
-                _SIM_SLOTS.inc()
-                _SIM_JAIN.set(jain)
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    SIM_SLOT,
-                    t=self._t,
-                    requesting=int(R.size),
-                    allocated_kbps=self._sparse_flat_total(
-                        R, act, M, 1.0, transpose=False
-                    ),
-                    jain=jain,
-                )
+    def _flushed(self, t: int) -> None:
+        """A feedback flush closed slot ``t``: its event and counter."""
+        _TRACER.emit(SIM_FEEDBACK, t=t, credited=self._credited / BYTES_PER_KBIT)
+        self._credited = 0
+        if _OBS.enabled:
+            _SIM_FEEDBACK_FLUSHES.inc()
 
     def _apply_forgetting(self) -> None:
-        if self._any_forgetting:
-            # Rows with forgetting == 1.0 multiply by exactly 1.0 — a
-            # bitwise no-op, matching the reference's skipped decay.
-            self._credit_matrix *= self._forgetting[:, None]
+        if self._forget_rows.size:
+            rows = self._forget_rows
+            self._credit_matrix[rows] = decay(
+                self._credit_matrix[rows], self._forgetting[rows, None]
+            )
+            self._background[rows] *= self._forgetting[rows]
 
     def _tadd(
-        self, target: np.ndarray, alloc: np.ndarray, req_u8: np.ndarray, weight: float
+        self, target: np.ndarray, grants: np.ndarray, req_u8: np.ndarray, weight: float
     ) -> None:
-        """``target += alloc.T * weight`` (the ledger-credit transpose).
-
-        Every row of ``alloc`` has passed feasibility, so a
-        non-requester's row of ``target`` would only gain +0.0: the
-        kernel skips those rows, the numpy strips add the zeros."""
+        """``target += slot_credit(grants.T, weight)`` (the ledger-credit
+        transpose).  A non-requester's column of ``grants`` is 0, so its
+        row of ``target`` would gain nothing: the kernel skips those
+        rows, the numpy strips add the zeros."""
         if self._kernels is not None:
-            self._kernels.ledger_tadd(target, alloc, req_u8, weight)
+            self._kernels.ledger_tadd(target, grants, req_u8, weight)
         else:
-            # Strip-tiled so the transposed read stays cache-resident;
-            # element-wise it is the identical multiply-then-add.
+            # Strip-tiled so the transposed read stays cache-resident.
             for s in range(0, self.n, 128):
                 e = min(s + 128, self.n)
-                target[:, s:e] += alloc[s:e].T * weight
+                target[:, s:e] += slot_credit(grants[s:e].T, weight)
 
-    def _emit_slot(self, alloc: np.ndarray, requesting: np.ndarray) -> None:
+    def _emit_slot(self, grants: np.ndarray, requesting: np.ndarray) -> None:
         if _OBS.enabled or _TRACER.enabled:
-            rates = alloc.sum(axis=0)
-            jain = (
-                jain_index(rates[requesting]) if bool(requesting.any()) else 1.0
-            )
-            if _OBS.enabled:
-                _SIM_SLOTS.inc()
-                _SIM_JAIN.set(jain)
-            _TRACER.emit(
-                SIM_SLOT,
-                t=self._t,
-                requesting=int(requesting.sum()),
-                allocated_kbps=float(alloc.sum()),
-                jain=jain,
-            )
+            rates = column_sums(grants)
+            jain = jain_index(rates[requesting]) if bool(requesting.any()) else 1.0
+            self._emit(int(requesting.sum()), grants, jain)
+
+    def _emit(self, requesting: int, grants: np.ndarray, jain: float) -> None:
+        """A slot's metrics and ``sim.slot`` event from its grants (the
+        dense matrix or the compact block: the same integer total)."""
+        if _OBS.enabled:
+            _SIM_SLOTS.inc()
+            _SIM_JAIN.set(jain)
+        _TRACER.emit(
+            SIM_SLOT,
+            t=self._t,
+            requesting=requesting,
+            allocated_kbps=int(grants.sum()) / BYTES_PER_KBIT,
+            jain=jain,
+        )
 
     def close(self) -> None:
         """Shut down the worker processes (``procs`` engine; no-op for
@@ -815,25 +805,24 @@ class Simulation:
         rates = np.zeros((slots, self.n))
         requesting = np.zeros((slots, self.n), dtype=bool)
         capacities = np.zeros((slots, self.n))
-        mean_alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        total = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         alloc_history = None
         if record_allocations:
             alloc_history = np.zeros((slots, self.n, self.n))  # repro: allow[sim-dense-alloc]
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
-                alloc, req, caps = self.step()
-                rates[s] = alloc.sum(axis=0)
-                mean_alloc += alloc
+                grants, req, caps = self._in_step_span(self._step_grants)
+                rates[s] = column_sums(grants)
+                total += grants
                 if alloc_history is not None:
-                    alloc_history[s] = alloc
+                    np.divide(grants, BYTES_PER_KBIT, out=alloc_history[s])
                 requesting[s] = req
                 capacities[s] = caps
-        mean_alloc /= slots
         return SimulationResult(
             rates=rates,
             requesting=requesting,
             capacities=capacities,
-            mean_alloc=mean_alloc,
+            mean_alloc=total / (BYTES_PER_KBIT * slots),
             slot_seconds=self.slot_seconds,
             alloc_history=alloc_history,
             labels=self._labels,
@@ -855,8 +844,8 @@ class Simulation:
                     _, R, _, rates_c, _ = self._in_step_span(self._step_compact)
                     metrics.jain.append(jain_index(rates_c) if R.size else 1.0)
                 else:
-                    alloc, req, caps = self.step()
-                    metrics.update_dense(s, alloc.sum(axis=0), req, caps)
+                    grants, req, caps = self._in_step_span(self._step_grants)
+                    metrics.update_dense(s, column_sums(grants), req, caps)
         if compact:
             lo = 0
             for part in self._shards.end_metrics():

@@ -6,20 +6,19 @@ is the ctypes facade over ``_fastalloc.c``'s fused kernels and their
 self-check; compiling, caching, loading and the ``REPRO_NO_NATIVE``
 switch belong to :mod:`repro.native`.
 
-Correctness gate: the engine's contract is that every path is
-**bit-identical** to the reference slot loop, so the library is only
-accepted after :func:`_self_check` fuzzes its reductions and full row
-pipelines against the numpy implementations and sees *zero* bit
-differences.  Otherwise :func:`load` returns ``None`` and the engine
-silently falls back to the pure-numpy path (same results, smaller
-speedup).
+Correctness gate: every path must produce the reference slot loop's
+bits, so the library is only accepted after :func:`_self_check` fuzzes
+its rows, scatter and fold against the numpy implementations — up to
+the largest ledger totals the apportionment guard admits — and sees
+*zero* differences.  Otherwise :func:`load` returns ``None`` and the
+engine falls back to the pure-numpy path (same results, smaller
+speedup).  Grants and ledgers are whole bytes (int64), so agreement is
+exact arithmetic, not a shared summation order.
 
-The sparse engine's kernels are single-threaded.  A call plans numpy's
-pairwise recursion over its request set once and replays the plan for
-every sum, and ``sparse_rows_eq2`` computes each distinct *cold* row (no
-ledger entry at any requester: a function of background credit and
-capacity alone) once and copies it.  A failed plan raises
-:class:`MemoryError`.
+The sparse engine's kernels are single-threaded; ``sparse_rows_eq2``
+computes each distinct *cold* row (no byte from any requester: an equal
+split, a function of the capacity alone) once and copies it.  A row
+outside the apportionment guard raises :class:`OverflowError`.
 """
 
 from __future__ import annotations
@@ -47,29 +46,21 @@ class FastAlloc:
     """ctypes facade over the compiled kernels.
 
     All array arguments must be C-contiguous with the exact dtypes the
-    engine uses (float64 matrices/vectors, uint8 request mask, int64 row
-    indices); the engine owns every buffer it passes, so no conversions
-    happen here.
+    engine uses (int64 ledgers, grants, capacities and indices, float64
+    forgetting factors, uint8 request mask); the engine owns every
+    buffer it passes, so no conversions happen here.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
         signatures = {
-            "repro_pairwise_sum": (_f64, [_ptr, _i64]),
-            "repro_alloc_rows_eq2": (None, [_ptr] * 4 + [_i64, _i64, _ptr]),
-            "repro_alloc_rows_shared": (
-                None, [_ptr, _f64, _ptr, _ptr, _ptr, _i64, _i64, _ptr],
-            ),
+            "repro_alloc_rows_eq2": (_i64, [_ptr] * 4 + [_i64, _i64, _ptr]),
+            "repro_alloc_rows_shared": (_i64, [_ptr] * 4 + [_i64, _i64, _ptr]),
             "repro_ledger_tadd": (None, [_ptr, _ptr, _ptr, _i64, _f64]),
-            "repro_sparse_pairwise": (_i64, [_ptr, _ptr, _i64, _i64, _ptr]),
             "repro_sparse_rows_eq2": (
-                _i64,
-                [_ptr, _ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64]
-                + [_ptr] * 5,
+                _i64, [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 5,
             ),
-            "repro_sparse_rows_shared": (
-                _i64, [_ptr, _i64, _ptr, _i64, _i64, _ptr, _ptr, _ptr],
-            ),
+            "repro_sparse_rows_shared": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
             "repro_sparse_scatter": (
                 None,
                 [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64] + [_ptr] * 5,
@@ -80,63 +71,51 @@ class FastAlloc:
             fn.restype = restype
             fn.argtypes = argtypes
 
-    def pairwise_sum(self, a: np.ndarray) -> float:
-        return self._lib.repro_pairwise_sum(a.ctypes.data, a.size)
-
     def alloc_rows_eq2(self, ledger, req_u8, caps, rows, out) -> None:
-        """Equation (2) + feasibility for ``rows`` of ``out`` in place."""
-        self._lib.repro_alloc_rows_eq2(
+        """Equation (2) grants of ``rows`` (capacities ``caps``) over the
+        requesters ``req_u8`` into ``out``'s rows, in place."""
+        _checked(self._lib.repro_alloc_rows_eq2(
             ledger.ctypes.data, req_u8.ctypes.data,
             caps.ctypes.data, rows.ctypes.data,
             rows.size, ledger.shape[0], out.ctypes.data,
-        )
+        ))
 
-    def alloc_rows_shared(self, weights, total, req_u8, caps, rows, out) -> None:
-        """Equation (3) + feasibility (shared masked weight vector)."""
-        self._lib.repro_alloc_rows_shared(
-            weights.ctypes.data, float(total), req_u8.ctypes.data,
+    def alloc_rows_shared(self, weights, req_u8, caps, rows, out) -> None:
+        """Equation (3) grants: every row apportions over ``weights``
+        (the declared bytes, 0 at non-requesters)."""
+        _checked(self._lib.repro_alloc_rows_shared(
+            weights.ctypes.data, req_u8.ctypes.data,
             caps.ctypes.data, rows.ctypes.data,
             rows.size, weights.size, out.ctypes.data,
-        )
+        ))
 
     def ledger_tadd(self, ledger, alloc, req_u8, weight: float) -> None:
-        """``ledger += alloc.T * weight`` (cache-tiled transpose add) on
-        the requesters' rows.  ``alloc`` must have passed feasibility
-        for the mask ``req_u8`` (non-requester columns +0.0), so the
-        rows it skips would only have gained +0.0."""
+        """``ledger += slot_credit(alloc.T, weight)`` (cache-tiled
+        transpose add) on the requesters' rows: a non-requester's
+        column of ``alloc`` is 0."""
         self._lib.repro_ledger_tadd(
             ledger.ctypes.data, alloc.ctypes.data, req_u8.ctypes.data,
             ledger.shape[0], float(weight),
         )
 
-    def sparse_pairwise(self, pos, val, length: int) -> float:
-        """Dense ``float64[length].sum()`` from its materialised entries."""
-        out = ctypes.c_double()
-        _planned(self._lib.repro_sparse_pairwise(
-            pos.ctypes.data, val.ctypes.data, pos.size, int(length), ctypes.byref(out)
-        ))
-        return out.value
-
     def sparse_rows_eq2(self, store, act, rowpos, R, caps, M) -> int:
-        """Equation (2) + feasibility over the active set, from the
-        sparse ledger store (lazy decay caught up in-kernel); returns
-        how many (cold) rows were copied rather than computed."""
-        return _planned(self._lib.repro_sparse_rows_eq2(
+        """Equation (2) grants over the active set, from the sparse
+        ledger store (lazy decay caught up in-kernel); returns how many
+        (cold) rows were copied rather than computed."""
+        return _checked(self._lib.repro_sparse_rows_eq2(
             act.ctypes.data, rowpos.ctypes.data, act.size,
-            R.ctypes.data, R.size, store.n,
-            caps.ctypes.data, store.background.ctypes.data,
+            R.ctypes.data, R.size, caps.ctypes.data,
             store.forgetting.ctypes.data, store.epoch,
             store.stamps.ctypes.data, store.nnz.ctypes.data,
             store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
             M.ctypes.data,
         ))
 
-    def sparse_rows_shared(self, rowpos, R, wR, caps, M, n) -> None:
-        """Equation (3) + feasibility over the active set: one shared
-        weight vector ``wR`` at positions ``R``, totalled in-kernel
-        (rows are zero unless the total is positive)."""
-        _planned(self._lib.repro_sparse_rows_shared(
-            rowpos.ctypes.data, rowpos.size, R.ctypes.data, R.size, int(n),
+    def sparse_rows_shared(self, rowpos, wR, caps, M) -> None:
+        """Equation (3) grants over the active set: every row
+        apportions over the shared weights ``wR``."""
+        _checked(self._lib.repro_sparse_rows_shared(
+            rowpos.ctypes.data, rowpos.size, wR.size,
             wR.ctypes.data, caps.ctypes.data, M.ctypes.data,
         ))
 
@@ -154,92 +133,100 @@ class FastAlloc:
         )
 
 
-def _planned(status: int) -> int:
-    """A sparse kernel's result; negative: no plan, nothing written."""
+def _checked(status: int) -> int:
+    """A row kernel's result: -1 a row outside the apportionment guard,
+    -2 no scratch memory."""
+    if status == -1:
+        raise OverflowError("ledger total too large for exact apportionment")
     if status < 0:
-        raise MemoryError("sparse kernel could not allocate its pairwise plan")
+        raise MemoryError("allocation kernel could not allocate its scratch row")
     return status
 
 
 def _self_check(k: FastAlloc) -> bool:
-    """Fuzz the kernels against numpy, demanding zero bit differences."""
-    from ..core.allocation import (
-        PeerwiseProportionalAllocator,
-        enforce_feasibility_rows,
-    )
-    from ..core.baselines import GlobalProportionalAllocator
+    """Fuzz the kernels against numpy, demanding zero differences."""
+    from ..core.apportion import MAX_RATE, apportion, eq2_grants, slot_credit
 
     rng = np.random.default_rng(0xFA57A110C)
-    identical = lambda a, b: a.tobytes() == b.tobytes()  # noqa: E731
-
-    # Pairwise reductions: every length class numpy's recursion visits.
-    lengths = [0, 1, 5, 7, 8, 9, 16, 100, 127, 128, 129, 255, 256, 1000, 1024, 4099]
-    for n in lengths:
-        for scale in (1.0, 1e-12, 1e12):
-            a = (rng.random(n) - 0.3) * scale
-            if k.pairwise_sum(a) != a.sum() and n:
-                return False
-
-    eq2 = PeerwiseProportionalAllocator()
-    eq3 = GlobalProportionalAllocator()
     for _ in range(60):
         n = int(rng.integers(1, 50))
-        # Scales include subnormal ranges: dividing by a subnormal
-        # weight total is exactly where a factored cap/total form
-        # would overflow where the reference stays finite.
-        ledger = rng.random((n, n)) * rng.choice([1e-310, 1e-6, 1.0, 1e9])
-        ledger[rng.random((n, n)) < 0.2] = 0.0
+        ledger = rng.integers(0, 10 ** int(rng.integers(1, 11)), (n, n))
+        ledger[rng.random((n, n)) < 0.3] = 0
         req = rng.random(n) < 0.7
+        R = np.flatnonzero(req)
         req_u8 = req.view(np.uint8)
-        caps = rng.random(n) * rng.choice([0.0, 5e-324, 1e-300, 1.0, 2000.0])
-        declared = rng.random(n) * rng.choice([1e-311, 1.0, 1000.0])
+        caps = rng.integers(0, 10 ** int(rng.integers(1, 8)), n)
+        declared = rng.integers(0, 10 ** 6, n) * req
         rows = np.arange(n, dtype=np.int64)
-        idx = np.arange(n)
-
-        want = enforce_feasibility_rows(
-            eq2.allocate_rows(idx, caps, req, ledger, declared, 0), caps, req
-        )
-        got = np.empty((n, n))  # repro: allow[sim-dense-alloc] tiny self-check
-        k.alloc_rows_eq2(ledger, req_u8, caps, rows, got)
-        if not identical(want, got):
-            return False
-
-        weights = np.where(req, declared, 0.0)
-        want = enforce_feasibility_rows(
-            eq3.allocate_rows(idx, caps, req, ledger, declared, 0), caps, req
-        )
-        k.alloc_rows_shared(weights, weights.sum(), req_u8, caps, rows, got)
-        if not identical(want, got):
-            return False
-
+        for got_rows, want_rows in (
+            (lambda out: k.alloc_rows_eq2(ledger, req_u8, caps, rows, out),
+             lambda: eq2_grants(caps, ledger[:, R])),
+            (lambda out: k.alloc_rows_shared(declared, req_u8, caps, rows, out),
+             lambda: apportion(caps, np.broadcast_to(declared[R], (n, R.size)))),
+        ):
+            want = np.zeros((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] tiny self-check
+            want[:, R] = want_rows()
+            got = np.full((n, n), -1, dtype=np.int64)  # repro: allow[sim-dense-alloc] tiny self-check
+            got_rows(got)
+            if not np.array_equal(want, got):
+                return False
+    if not _self_check_guard(k, MAX_RATE):
+        return False
 
     # The masked fold at every tile edge and at sim_dense's n: three
     # folds into one ledger (everyone, half, nobody requesting), then
     # one comparison.  The ledger starts as r[j] + c[i] and each alloc
-    # is a[i] * b[j] with b zero at non-requesters (their columns +0.0,
-    # as feasibility leaves them), so the reference is rebuilt strip by
-    # strip in the ledger's own layout: at n = 1024 the check holds two
-    # (n, n) arrays and stays under the batched engine's peak memory.
+    # is a[i] * b[j] with b zero at non-requesters (their columns 0, as
+    # the rows leave them), so the reference is rebuilt strip by strip
+    # in the ledger's own layout: at n = 1024 the check holds two (n, n)
+    # arrays and stays under the batched engine's peak memory.
     for n in TADD_SIZES:
-        r, c = rng.random(n) * 1e3, rng.random(n)
-        a = rng.random(n) * 100.0
-        alloc = np.empty((n, n))  # repro: allow[sim-dense-alloc] self-check
+        r, c = rng.integers(0, 1 << 39, n), rng.integers(0, 1 << 39, n)
+        a = rng.integers(0, 1 << 20, n)
+        alloc = np.empty((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] self-check
         got = np.add.outer(r, c)
         folds = []
         for req in tadd_masks(rng, n):
-            b = rng.random(n) * req
-            w = float(rng.choice([1.0, 0.3]))
+            b = rng.integers(0, 1 << 20, n) * req
+            w = float(rng.choice([1.0, 7.5, 0.3]))
             np.multiply.outer(a, b, out=alloc)
             k.ledger_tadd(got, alloc, req.view(np.uint8), w)
             folds.append((b, w))
         for lo in range(0, n, 128):
             want = np.add.outer(r[lo:lo + 128], c)
             for b, w in folds:
-                # alloc.T[j, i] = b[j] * a[i]: the product commutes bitwise.
-                want += np.multiply.outer(b[lo:lo + 128], a) * w
-            if not np.array_equal(want.view(np.int64), got[lo:lo + 128].view(np.int64)):
+                want += slot_credit(np.multiply.outer(b[lo:lo + 128], a), w)
+            if not np.array_equal(want, got[lo:lo + 128]):
                 return False
     return _self_check_sparse(k)
+
+
+def _self_check_guard(k: FastAlloc, max_rate: int) -> bool:
+    """Rows at the largest totals the apportionment guard admits, and
+    one past it: equal grants at the edge, an ``OverflowError`` beyond
+    it on both sides (UBSan traps any signed overflow on the way)."""
+    from ..core.apportion import apportion
+
+    limit = np.iinfo(np.int64).max
+    for cap in (1, 32_000, 1 << 31, max_rate):
+        total = limit // (cap + 1)
+        w = np.array([total // 3, total // 3, total - 2 * (total // 3)], dtype=np.int64)
+        req_u8 = np.ones(3, dtype=np.uint8)
+        caps = np.array([cap], dtype=np.int64)
+        rows = np.zeros(1, dtype=np.int64)
+        got = np.empty((1, 3), dtype=np.int64)
+        k.alloc_rows_shared(w, req_u8, caps, rows, got)
+        if not np.array_equal(got, apportion(caps, w[None])) or got.sum() != cap:
+            return False
+        w[0] += 1
+        for side in (lambda: k.alloc_rows_shared(w, req_u8, caps, rows, got),
+                     lambda: apportion(caps, w[None])):
+            try:
+                side()
+                return False
+            except OverflowError:
+                pass
+    return True
 
 
 #: Sizes of the masked-fold check: one tile, either side of the 16-row
@@ -255,31 +242,10 @@ def tadd_masks(rng: np.random.Generator, n: int):
     yield np.zeros(n, dtype=bool)
 
 
-def pairwise_cases(rng: np.random.Generator):
-    """``(positions, length)`` for the plan check: none, one, extents
-    under 8, 128 and 129, random densities, strided and clustered runs,
-    and a run to the end (the last leaf's tail past a multiple of 8)."""
-    for length in (1, 5, 7, 8, 12, 100, 127, 128, 129, 255, 1001, 4099, 100_000):
-        yield np.empty(0, dtype=np.int64), length
-        yield rng.integers(0, length, 1), length
-        for density in (0.03, 0.4, 1.0):
-            yield np.flatnonzero(rng.random(length) < density), length
-        stride = int(rng.integers(1, 80))
-        yield np.arange(int(rng.integers(0, stride)), length, stride), length
-        runs = [np.arange(s, s + int(rng.integers(1, 40))) for s in rng.integers(0, length, 3)]
-        yield np.unique(np.concatenate(runs) % length), length
-        yield np.arange(max(0, length - int(rng.integers(3, 40))), length), length
-
-
-def pairwise_values(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Non-negative values over 22 decades: summation order shows."""
-    return rng.random(size) * 10.0 ** rng.integers(-12, 10, size)
-
-
 def eq2_mix(rng: np.random.Generator):
     """``(store, rows, rowpos, R, caps)`` of an Equation (2) call mixing
     warm rows (entries at requesters) and cold ones (entries elsewhere,
-    or none) whose ``(background, cap)`` pairs repeat or differ."""
+    zero-valued, or none) whose capacities repeat or differ."""
     from .sparse import SparseLedgers
 
     n = int(rng.integers(40, 600))
@@ -291,112 +257,76 @@ def eq2_mix(rng: np.random.Generator):
         cols = choices[rng.integers(3)]
         if cols.size:
             cols = np.unique(rng.choice(cols, 5))
-            store.add_compact(i, cols, rng.random(cols.size) * 10.0)
+            store.add_compact(i, cols, rng.integers(0, 3, cols.size) * rng.integers(1, 10 ** 6))
     store.advance_epoch()
-    store.background[rows] = rng.choice([0.0, 5e-324, 1e-6, 0.37, 1e3], rows.size)
-    caps = rng.choice([1e-300, 3.0, 700.0], rows.size)
+    caps = rng.choice([1, 3000, 700_000], rows.size)
     return store, rows, rng.permutation(rows.size), R, caps
 
 
 def _self_check_sparse(k: FastAlloc) -> bool:
-    """Fuzz the sparse-engine kernels — the pairwise plan against dense
-    sums, cold and warm Eq. (2) rows against the numpy rows, the eq2/eq3
-    pipelines with lazy decay against the dense reference, the fused
-    scatter — demanding zero bit differences."""
-    from ..core.allocation import enforce_feasibility
+    """Fuzz the sparse-engine kernels — cold and warm Eq. (2) rows
+    against the numpy rows, the eq2/eq3 rows with lazy decay against
+    the dense reference, the fused scatter — demanding zero
+    differences."""
+    from ..core.apportion import apportion, decay, eq2_grants, slot_credit
     from .shard import numpy_eq2_rows
     from .sparse import SparseLedgers
 
     rng = np.random.default_rng(0x5BA85E)
-    identical = lambda a, b: a.tobytes() == b.tobytes()  # noqa: E731
-
-    for pos, length in pairwise_cases(rng):
-        dense = np.zeros(length)
-        dense[pos] = pairwise_values(rng, pos.size)
-        if k.sparse_pairwise(pos.astype(np.int64), dense[pos], length) != dense.sum():
-            return False
-
     for _ in range(12):
         store, rows, rowpos, R, caps = eq2_mix(rng)
-        want = np.empty((rows.size, R.size))
+        want = np.empty((rows.size, R.size), dtype=np.int64)
         numpy_eq2_rows(store, rows, rowpos, R, caps, want)
         got = np.empty_like(want)
         k.sparse_rows_eq2(store, rows, rowpos, R, caps, got)
-        if not identical(want, got):
+        if not np.array_equal(want, got):
             return False
 
-    for trial in range(12):
-        # Build a store and its eagerly-decayed dense replica through a
+    for _ in range(12):
+        # Build a store and its eagerly decayed dense replica through a
         # few epochs of entry creation, so rows carry mixed decay lags.
         n = int(rng.integers(6, 48))
-        forgetting = np.where(
-            rng.random(n) < 0.5, 1.0, 0.5 + rng.random(n) * 0.5
-        )
+        forgetting = np.where(rng.random(n) < 0.5, 1.0, 0.5 + rng.random(n) * 0.5)
         store = SparseLedgers(n, 1e-6, forgetting)
-        dense = np.full((n, n), 1e-6)  # repro: allow[sim-dense-alloc] self-check oracle
+        dense = np.zeros((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] self-check oracle
         for _ in range(int(rng.integers(1, 4))):
             for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False):
                 cols = np.flatnonzero(rng.random(n) < 0.4).astype(np.int64)
-                if not cols.size:
-                    continue
-                vals = rng.random(cols.size) * 10.0
-                store.add_compact(int(i), cols, vals)
-                dense[i, cols] += vals
+                if cols.size:
+                    vals = rng.integers(0, 10 ** 7, cols.size)
+                    store.add_compact(int(i), cols, vals)
+                    dense[i, cols] += vals
             store.advance_epoch()
-            dense *= forgetting[:, None]
-
+            dense = decay(dense, forgetting[:, None])
         req = rng.random(n) < 0.6
-        if not req.any():
-            req[0] = True
+        req[0] = True
         R = np.flatnonzero(req).astype(np.int64)
-        A = R.size
-        caps = rng.random(n) * rng.choice([1e-300, 1.0, 2000.0])
-        act = np.flatnonzero(caps > 0.0).astype(np.int64)
-        if not act.size:
-            continue
-        caps_act = np.ascontiguousarray(caps[act])
+        caps = rng.integers(0, 10 ** 6, n)
+        act = np.flatnonzero(caps > 0).astype(np.int64)
         rowpos = np.arange(act.size, dtype=np.int64)
-
-        # Equation (2) rows vs the dense reference pipeline.
-        want = np.empty((act.size, A))
-        for p, i in enumerate(act.tolist()):
-            w = np.where(req, dense[i], 0.0)
-            tot = w.sum()
-            want[p] = enforce_feasibility(caps[i] * w / tot, caps[i], req)[R] if tot > 0.0 else 0.0
-        got = np.empty((act.size, A))
-        k.sparse_rows_eq2(store, act, rowpos, R, caps_act, got)
-        if not identical(want, got):
+        got = np.empty((act.size, R.size), dtype=np.int64)
+        k.sparse_rows_eq2(store, act, rowpos, R, caps[act], got)
+        if not np.array_equal(eq2_grants(caps[act], dense[np.ix_(act, R)]), got):
+            return False
+        declared = rng.integers(0, 10 ** 6, n)
+        k.sparse_rows_shared(rowpos, declared[R], caps[act], got)
+        want = apportion(caps[act], np.broadcast_to(declared[R], (act.size, R.size)))
+        if not np.array_equal(want, got):
             return False
 
-        # Equation (3) rows (negative declared values exercise the clip).
-        declared = rng.random(n) * 100.0 - 10.0
-        weights = np.where(req, declared, 0.0)
-        total = weights.sum()
-        for p, i in enumerate(act.tolist()):
-            want[p] = enforce_feasibility(
-                caps[i] * weights / total, caps[i], req
-            )[R] if total > 0.0 else 0.0
-        k.sparse_rows_shared(rowpos, R, np.ascontiguousarray(declared[R]), caps_act, got, n)
-        if not identical(want, got):
-            return False
-
-        # Fused scatter vs dense `pending += alloc.T * weight`, with the
-        # python merge covering the kernel's ok=0 receivers.
-        M = np.ascontiguousarray(rng.random((act.size, A)) * 500.0)
+        # Fused scatter vs the dense fold, with the python merge
+        # covering the kernel's ok=0 receivers.
+        M = rng.integers(0, 10 ** 6, (act.size, R.size))
         weight = float(rng.choice([1.0, 7.5]))
         store.advance_epoch()
-        dense *= forgetting[:, None]
-        ok = np.zeros(A, dtype=np.uint8)
+        dense = decay(dense, forgetting[:, None])
+        ok = np.zeros(R.size, dtype=np.uint8)
         k.sparse_scatter(store, act, R, M, weight, ok)
-        miss = np.flatnonzero(ok == 0)
-        if miss.size:
-            P = M[:, miss].T * weight
-            for m, a in enumerate(miss.tolist()):
-                store.add_compact(int(R[a]), act, P[m])
-        pend = np.zeros((n, n))  # repro: allow[sim-dense-alloc] self-check oracle
-        pend[np.ix_(act, R)] = M
-        dense += pend.T * weight
-        if not identical(store.materialize(), dense):
+        P = slot_credit(M, weight)
+        for a in np.flatnonzero(ok == 0).tolist():
+            store.add_compact(int(R[a]), act, np.ascontiguousarray(P[:, a]))
+        dense[np.ix_(R, act)] += P.T
+        if not np.array_equal(store.materialize(), dense):
             return False
     return True
 

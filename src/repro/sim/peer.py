@@ -50,13 +50,12 @@ class PeerConfig:
 class PeerState:
     """Runtime state the engine keeps per peer.
 
-    ``credit_buffer`` optionally backs the peer's ledger with an
-    engine-owned row of the shared credit matrix (see
-    :class:`~repro.core.ledger.ContributionLedger`); semantics are
-    identical either way.  The sparse engine instead passes a
-    pre-built ``ledger`` (a read-only view over its CSR store for
-    fast-path peers); ``__slots__`` keeps the per-peer footprint flat
-    at the 10^5-10^6 peer populations that engine targets.
+    The engines pass the peer's ``ledger`` — a read-only
+    :class:`~repro.core.ledger.ByteLedger` over their whole-byte ledger
+    row; without one the peer gets a float
+    :class:`~repro.core.ledger.ContributionLedger` of its own.
+    ``__slots__`` keeps the per-peer footprint flat at the 10^5-10^6
+    peer populations the sparse engine targets.
     """
 
     __slots__ = ("index", "config", "ledger")
@@ -67,7 +66,6 @@ class PeerState:
         config: PeerConfig,
         n: int,
         initial_credit: float,
-        credit_buffer=None,
         ledger=None,
     ):
         self.index = index
@@ -76,7 +74,6 @@ class PeerState:
             n,
             initial=initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT,
             forgetting=config.forgetting,
-            buffer=credit_buffer,
         )
 
     def capacity_at(self, t: int) -> float:

@@ -17,9 +17,8 @@ on a slot they carry the active set, never a per-peer vector:
   Equation (2) needs only a peer's own ledger and the request set —
   and each shard answers with its rows ``(act, M)``;
 * each shard's **credit** is its column block of ``M``, its takers and
-  its slice of the compact rates (the one cross-shard float reduction,
-  summed once by the caller so every shard's metrics fold sees
-  identical bits), held and sent ahead of the next command.
+  its slice of the compact rates (summed once by the caller over the
+  whole ``M``), held and sent ahead of the next command.
 
 A population with dense-island (slow-allocator) peers is the
 exception: their ``allocate()`` receives the population's dense
@@ -33,8 +32,7 @@ the engine is **bit-identical** to ``engine="sparse"`` and
 ``engine="reference"`` (``tests/sim/test_engine_procs.py``).
 
 So a steady-state slot is one round-trip: slot ``t``'s credit rides
-with slot ``t+1``'s alloc, whose reply carries the sample of ``t+2``
-(a traced flush that wants the pending dumps sends its credit alone).
+with slot ``t+1``'s alloc, whose reply carries the sample of ``t+2``.
 Sampling ahead is safe: sampling never reads a ledger, the kernel keeps
 the class rows of every slot it has yet to credit, and the engine only
 ever steps forward.
@@ -163,14 +161,13 @@ class ProcsCoordinator:
 
     # -- plumbing ------------------------------------------------------
 
-    def _call(self, *msg, each=None) -> list:
-        """Send ``msg`` (or ``each[w]`` to worker ``w``) to every worker
-        behind its held credit; their replies, in shard order."""
+    def _call(self, cmd, *args) -> list:
+        """Send ``cmd`` to every worker behind its held credit; their
+        replies, in shard order."""
         if self._closed:
             raise RuntimeError("simulation is closed")
         held, self._held = self._held or [None] * self.workers, None
         for w, conn in enumerate(self._conns):
-            cmd, *args = msg if each is None else each[w]
             conn.send((cmd, held[w], *args))
         return self._gather()
 
@@ -237,21 +234,15 @@ class ProcsCoordinator:
             np.vstack([M for _, M in blocks]),
         )
 
-    def credit(self, t, act, R, M, rates, weight, flush, want_pending):
+    def credit(self, t, act, R, M, rates, weight, flush) -> None:
         """Cut each shard its column block of ``M`` (and the same
-        columns of ``rates``) and hold it for the next command.  A
-        traced flush (``want_pending``) sends it now and returns the
-        shards' pending dumps in global row order; else ``None``."""
+        columns of ``rates``) and hold it for the next command."""
         held = []
         for w in range(self.workers):
             c0, c1 = np.searchsorted(R, self._bounds[w : w + 2]).tolist()
             amounts = np.ascontiguousarray(M[:, c0:c1])
-            held.append((t, act, R[c0:c1], amounts, rates[c0:c1], weight, flush, want_pending))
-        if want_pending and flush:
-            dumps = self._call(each=[("credit", *msg) for msg in held])
-            return [item for dump in dumps for item in dump]
+            held.append((t, act, R[c0:c1], amounts, rates[c0:c1], weight, flush))
         self._held = held
-        return None
 
     # -- streaming metrics ---------------------------------------------
 

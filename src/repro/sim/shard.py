@@ -12,10 +12,11 @@ runs a slot as three array-in/array-out phases over the *active set*:
    global ids), gathered from the members of the slot's requesting
    sampling classes;
 2. :meth:`~ShardKernel.alloc` — given the population's ``R``, the
-   range's rows of the compact allocation matrix ``M`` (active givers x
-   requesters): Equation (2)/(3) plus feasibility, through the native
-   kernels when available.  The active givers are the members of the
-   positive-capacity classes, their capacities the class rows';
+   range's rows of the compact grant matrix ``M`` (active givers x
+   requesters, whole bytes per second): Equation (2)/(3) by the
+   apportionment rule, through the native kernels when available.  The
+   active givers are the members of the positive-capacity classes,
+   their capacities the class rows';
 3. :meth:`~ShardKernel.credit` — given the range's column block of
    ``M``, the ledger credit (or its deferral), the allocators' slot-end
    hooks and the metrics fold.
@@ -29,11 +30,10 @@ Who moves the arrays between kernels is not the kernel's business:
 ``engine="sparse"`` is one kernel over ``[0, n)`` called in-process
 (:class:`LocalShard`), ``engine="procs"`` is W kernels in forked
 workers that exchange them as pipe messages (:mod:`repro.sim.procs`).
-Every floating-point reduction here is row-local or replayed from
-global positions (:func:`~repro.sim.sparse.sparse_pairwise`), so any
-contiguous split yields the same bits as the reference loop —
-``tests/sim/test_shard_kernel.py`` holds that property without a
-transport in the way.
+Grants and ledgers are whole bytes (:mod:`repro.core.apportion`), so
+every sum is exact in any order and any contiguous split yields the
+reference loop's bits — ``tests/sim/test_shard_kernel.py`` holds that
+property without a transport in the way.
 """
 
 from __future__ import annotations
@@ -42,13 +42,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.allocation import (
-    Allocator,
-    PeerwiseProportionalAllocator,
-    enforce_feasibility,
+from ..core.allocation import Allocator, PeerwiseProportionalAllocator
+from ..core.apportion import (
+    BYTES_PER_KBIT,
+    apportion,
+    eq2_grants,
+    feasible_grants,
+    rate_bytes,
+    slot_credit,
 )
 from ..core.baselines import GlobalProportionalAllocator
-from ..core.ledger import DEFAULT_INITIAL_CREDIT
+from ..core.ledger import DEFAULT_INITIAL_CREDIT, ByteLedger
 from ..obs import REGISTRY as _OBS
 from . import fastpath
 from .capacity import ConstantCapacity, StepCapacity
@@ -61,7 +65,7 @@ from .demand import (
 )
 from .metrics import StreamingMetrics
 from .peer import PeerConfig, PeerState
-from .sparse import SparseLedgers, SparseLedgerView, sparse_pairwise
+from .sparse import SparseLedgers, SparseLedgerView
 
 __all__ = [
     "ShardKernel", "LocalShard", "ClassFold", "FAST_ALLOCATORS", "needs_declared",
@@ -171,42 +175,18 @@ def has_islands(configs: Sequence[PeerConfig]) -> bool:
 
 
 def column_sums(M: np.ndarray) -> np.ndarray:
-    """The compact rates ``M.sum(axis=0)``, rounded as the dense engines
-    round theirs: rows added in ascending order.
-
-    numpy reduces a C-contiguous ``(k, A)`` block over axis 0 exactly
-    that way — unless ``A == 1``, where the reduction runs along
-    contiguous memory and switches to pairwise summation (other bits
-    from ``k >= 8`` rows on).  Summed once over the whole ``M``, never
-    per column block, for the same reason.
-    """
-    if M.shape[1] == 1 and M.shape[0]:
-        return np.add.accumulate(M[:, 0])[-1:]
-    return M.sum(axis=0)
-
-
-def _feasibility(row: np.ndarray, cap: float, R: np.ndarray, n: int) -> np.ndarray:
-    """:func:`enforce_feasibility` over the compact request set."""
-    total = sparse_pairwise(R, row, n)
-    if total > cap:  # cap > 0 guaranteed by the active-giver filter
-        row *= cap / total
-        if sparse_pairwise(R, row, n) > cap:
-            # Rare rounding overshoot: clamp the running sum (the
-            # dense cumsum never crosses cap at a zero cell, so the
-            # compact clamp produces the identical entries).
-            row = np.diff(np.minimum(np.cumsum(row), cap), prepend=0.0)
-    return row
+    """The compact rates in kbps: the column sums of the grant block
+    ``M`` (whole bytes per second, exact in any order) over 125."""
+    return M.sum(axis=0) / BYTES_PER_KBIT
 
 
 def numpy_eq2_rows(store: SparseLedgers, rows, rowpos, R, caps, M) -> None:
-    """Equation (2) + feasibility in numpy: ``M[rowpos[r]]`` is store
-    row ``rows[r]``'s allocation of capacity ``caps[r]`` over ``R`` —
-    the fallback of the native ``sparse_rows_eq2`` and its oracle."""
-    n = store.n
-    for i, cap, p in zip(rows.tolist(), caps.tolist(), rowpos.tolist()):
-        w = store.row_at(i, R)
-        total = sparse_pairwise(R, w, n)
-        M[p] = _feasibility(cap * w / total, cap, R, n) if total > 0.0 else 0.0
+    """Equation (2) in numpy: ``M[rowpos[r]]`` is store row ``rows[r]``'s
+    grants of ``caps[r]`` bytes per second over ``R`` — the fallback of
+    the native ``sparse_rows_eq2`` and its oracle."""
+    if len(rows):
+        counts = np.stack([store.row_at(i, R) for i in rows.tolist()])
+        M[rowpos] = eq2_grants(caps, counts)
 
 
 def _columns(size: int, groups: list[np.ndarray], solo: np.ndarray) -> np.ndarray:
@@ -353,10 +333,10 @@ class ShardKernel:
             elif cls is GlobalProportionalAllocator:
                 eq3.append(i)
             else:
-                island = self.store.dense_row(i)
-                self._slow_peers.append(
-                    PeerState(lo + i, cfg, n, initial_credit, credit_buffer=island)
+                ledger = ByteLedger(
+                    self.store.dense_row(i), self.store.background, i, cfg.forgetting
                 )
+                self._slow_peers.append(PeerState(lo + i, cfg, n, initial_credit, ledger=ledger))
             # on_slot_end is a no-op unless overridden; pre-bind the
             # hooks that actually do something.
             if cls.on_slot_end is not Allocator.on_slot_end:
@@ -433,12 +413,12 @@ class ShardKernel:
         self._uncredited: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
-        #: Storage of the slot's compact allocation block M (see alloc),
-        #: grown to the largest seen; scratch, so stats() does not count it.
-        self._m_store = np.empty(0)
+        #: Storage of the slot's compact grant block M (see alloc), grown
+        #: to the largest seen; scratch, so stats() does not count it.
+        self._m_store = np.empty(0, dtype=np.int64)
         #: Deferred feedback (feedback_interval > 1): the credit since
-        #: the last flush, in a store of its own with zero background
-        #: and no forgetting, so it accumulates through the same merge.
+        #: the last flush, in a store of its own with no forgetting, so
+        #: it accumulates through the same merge.
         self._buffer = (
             SparseLedgers(n, 0.0, np.ones(hi - lo), rows=hi - lo)
             if feedback_interval > 1
@@ -552,7 +532,7 @@ class ShardKernel:
         declared_R: np.ndarray | None = None,
         declared: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """This range's rows of the compact allocation matrix.
+        """This range's rows of the compact grant matrix.
 
         ``R`` is the *population's* requesters (sorted global ids),
         ``declared_R`` their declared capacities (read when an eq3 giver
@@ -562,10 +542,10 @@ class ShardKernel:
         reads both off its own class rows when they are omitted; under
         ``procs`` they arrive with the alloc message.  Returns ``(act,
         M)`` with ``act`` the range's givers with nonzero rows this slot
-        (global ids, sorted) and ``M[r, a]`` the allocation from ``act[r]`` to
-        ``R[a]`` — the nonzero block of the dense allocation matrix's
-        rows ``[lo, hi)``.  ``M`` is valid until the next call, which
-        reuses its storage.
+        (global ids, sorted) and ``M[r, a]`` the grant, in whole bytes
+        per second, from ``act[r]`` to ``R[a]`` — the nonzero block of
+        the dense grant matrix's rows ``[lo, hi)``.  ``M`` is valid
+        until the next call, which reuses its storage.
         """
         A = R.size
         empty = np.empty(0, dtype=np.int64)
@@ -588,18 +568,18 @@ class ShardKernel:
                 i, cap, requesting, peer.ledger, declared, t
             )
             if A:
-                row = enforce_feasibility(proposal, cap, requesting)
+                row = feasible_grants(rate_bytes([cap]), proposal[R][None])[0]
                 if row.any():
-                    slow_pairs.append((i, row[R]))
+                    slow_pairs.append((i, row))
         nact = act2.size + act3.size + len(slow_pairs)
         if not (A and nact):
-            return empty, np.empty((0, A))
+            return empty, np.empty((0, A), dtype=np.int64)
         slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
         cat = np.concatenate([act2, act3, slow_act])
         order = np.argsort(cat, kind="stable")
         act = np.ascontiguousarray(cat[order])
-        # Output row position of each source row: rates sum columns
-        # over rows in ascending global order, so M is kept sorted.
+        # Output row position of each source row: M is kept sorted by
+        # giver, as the dense matrix's rows are.
         rowpos = np.empty(nact, dtype=np.int64)
         rowpos[order] = np.arange(nact, dtype=np.int64)
         # M lives in storage kept across slots: at n = 10^5 (16 givers x
@@ -608,26 +588,25 @@ class ShardKernel:
         # anew each slot.  Valid until the next alloc: step(), the
         # streaming run and the procs reply copy or reduce it in the slot.
         if self._m_store.size < nact * A:
-            self._m_store = np.empty(nact * A)
+            self._m_store = np.empty(nact * A, dtype=np.int64)
         M = self._m_store[: nact * A].reshape(nact, A)
         self._eq2_block(act2, rowpos[: act2.size], R, caps2, M)
         n23 = act2.size + act3.size
         if act3.size:
             if declared_R is None:
                 declared_R = self.declared_of(R)
-            self._eq3_block(rowpos[act2.size : n23], R, declared_R, caps3, M)
+            self._eq3_block(rowpos[act2.size : n23], declared_R, caps3, M)
         for (_, row), p in zip(slow_pairs, rowpos[n23:]):
             M[p] = row
         return act, M
 
     def _eq2_block(self, act, rowpos, R, caps, M) -> None:
-        """Equation (2) + feasibility for the active eq2 givers ``act``
-        (capacities ``caps``) into ``M[rowpos[r]]``: bit-identical to
-        ``enforce_feasibility(allocate(...))`` on the dense vectors."""
+        """Equation (2) grants of the active eq2 givers ``act``
+        (capacities ``caps``, kbps) into ``M[rowpos[r]]``."""
         if not act.size:
             return
-        # Store rows are shard-local; R and store.n stay global.
-        local, copied = act - self.lo, 0
+        # Store rows are shard-local; R stays global.
+        local, copied, caps = act - self.lo, 0, rate_bytes(caps)
         if self.native:
             copied = self._kernels.sparse_rows_eq2(self.store, local, rowpos, R, caps, M)
         else:
@@ -636,25 +615,15 @@ class ShardKernel:
             _EQ2_ROWS.inc(act.size)
             _EQ2_ROWS_COPIED.inc(copied)
 
-    def _eq3_block(self, rowpos, R, wR, caps, M) -> None:
-        """Equation (3) + feasibility for the active eq3 givers (one
-        shared weight vector ``wR``, the declared capacities at ``R``,
-        and one total for the whole group)."""
-        n = self.n
+    def _eq3_block(self, rowpos, wR, caps, M) -> None:
+        """Equation (3) grants of the active eq3 givers: every row
+        apportions over one shared weight vector, the declared
+        capacities ``wR`` at ``R`` in bytes per second."""
+        wR, caps = rate_bytes(wR), rate_bytes(caps)
         if self.native:
-            self._kernels.sparse_rows_shared(rowpos, R, wR, caps, M, n)
-            return
-        total = sparse_pairwise(R, wR, n)
-        if total <= 0.0:
-            M[rowpos] = 0.0
-            return
-        for cap, p in zip(caps.tolist(), rowpos.tolist()):
-            row = cap * wR
-            row /= total
-            # Declared capacities may be negative (lies go both ways);
-            # enforce_feasibility clips before summing.
-            row[row < 0] = 0.0
-            M[p] = _feasibility(row, cap, R, n)
+            self._kernels.sparse_rows_shared(rowpos, wR, caps, M)
+        else:
+            M[rowpos] = apportion(caps, np.broadcast_to(wR, (caps.size, wR.size)))
 
     # -- phase 3: credit -----------------------------------------------
 
@@ -667,21 +636,16 @@ class ShardKernel:
         rates: np.ndarray,
         weight: float,
         flush: bool,
-        want_pending: bool,
-    ):
+    ) -> None:
         """Close slot ``t`` for this range's receivers.
 
         Ledger row ``takers[a]`` (global ids in ``[lo, hi)``, sorted)
-        gains ``amounts[r, a] * weight`` at column ``givers[r]`` —
-        ``amounts`` is this range's column block of the slot's ``M`` and
-        ``rates`` the same columns of its column sums (summed once over
-        the whole ``M`` by the caller, so every shard folds identical
-        bits).  With deferred feedback the credit buffers until a
-        ``flush`` slot.  Returns the pending buffer as ``(receiver,
-        giver ids, values)`` triples sorted by receiver when a flush is
-        traced (``want_pending``), else ``None``.
+        gains ``slot_credit(amounts[r, a], weight)`` bytes at column
+        ``givers[r]`` — ``amounts`` is this range's column block of the
+        slot's ``M`` and ``rates`` the same columns of its
+        :func:`column_sums`.  With deferred feedback the credit buffers
+        until a ``flush`` slot.
         """
-        dump = None
         store = self.store
         rows = takers - self.lo
         if self._buffer is None:
@@ -690,11 +654,8 @@ class ShardKernel:
         else:
             self._scatter(self._buffer, givers, rows, amounts, weight)
             if flush:
-                pending = self._buffer.drain()
-                if want_pending:
-                    dump = [(self.lo + i, idx, val) for i, idx, val in pending]
                 store.advance_epoch()
-                for i, idx, val in pending:
+                for i, idx, val in self._buffer.drain():
                     store.add_compact(i, idx, val)
         for hook in self._slot_end_hooks:
             hook(t)
@@ -702,7 +663,6 @@ class ShardKernel:
         if self._metrics is not None:
             self._metrics.fold(self._metrics_slot, rows, rates, req_row, cap_row)
             self._metrics_slot += 1
-        return dump
 
     def _scatter(
         self,
@@ -713,8 +673,8 @@ class ShardKernel:
         weight: float,
     ) -> None:
         """Fused feedback credit: ``store`` row ``rows[a]`` +=
-        ``M[:, a] * weight`` — the ledger store itself, or the
-        deferred-feedback buffer.
+        ``slot_credit(M[:, a], weight)`` — the ledger store itself, or
+        the deferred-feedback buffer.
 
         The native kernel handles receivers whose entry rows already
         contain every active giver (the steady state); cold receivers
@@ -733,7 +693,7 @@ class ShardKernel:
             miss = np.arange(rows.size)
         if not miss.size:
             return
-        P = M[:, miss].T * weight
+        P = slot_credit(M[:, miss].T, weight)
         rows = rows[miss]
         cold = store.nnz[rows] == 0
         store.bulk_insert(rows[cold], act, P[cold])
@@ -758,7 +718,7 @@ class ShardKernel:
     # -- inspection ----------------------------------------------------
 
     def materialize(self) -> np.ndarray:
-        """Dense ``(hi - lo, n)`` credit block (tests / small-n interop)."""
+        """Dense ``(hi - lo, n)`` ledger bytes (tests / small-n interop)."""
         return self.store.materialize()
 
     def stats(self) -> dict:

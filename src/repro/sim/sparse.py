@@ -1,47 +1,36 @@
 """Sparse per-peer credit ledgers for the large-``n`` slot engine.
 
-The batched engine owns a dense ``(n, n)`` credit matrix — 8 TB of
-float64 at ``n = 10^6``.  Real interaction graphs are sparse: a peer
+The batched engine owns a dense ``(n, n)`` ledger matrix — 8 TB of
+int64 at ``n = 10^6``.  Real interaction graphs are sparse: a peer
 accumulates credit only with the partners it has actually exchanged
-slots with, so :class:`SparseLedgers` stores row ``i`` as
-
-* a **background** scalar — the initial credit, decayed once per
-  feedback flush (``background *= forgetting`` is a single vectorised
-  multiply; rows with ``forgetting == 1.0`` multiply by exactly 1.0, a
-  bitwise no-op) — standing in for every partner the peer has *never*
-  interacted with, and
-* explicit ``(partner index, credit)`` arrays, sorted by partner, for
-  historical partners only.
+slots with, so :class:`SparseLedgers` stores row ``i`` as explicit
+``(partner index, bytes)`` arrays, sorted by partner, for historical
+partners only; every other partner's count is 0.  A float
+**background** per row (the initial credit, decayed once per feedback
+flush) is what the readers add to every count; Equation (2) never
+reads it (:func:`~repro.core.apportion.eq2_grants`).
 
 **Invariant** (the bit-identity contract with the dense engines): an
-explicit entry's value equals the dense matrix cell ``C[i][j]`` exactly,
-and every non-explicit cell equals ``background[i]`` exactly.
+explicit entry's value equals the dense matrix cell ``C[i][j]``, and
+every non-explicit cell is 0.
 
 Forgetting decay on explicit entries is applied **lazily** via per-row
 epoch stamps: the store counts feedback flushes in :attr:`epoch`, and a
-row touched after ``k`` missed flushes catches up by multiplying its
-values by ``forgetting`` ``k`` times in sequence — the same ``k``
-rounded multiplies the reference ledger performed eagerly, so the bits
-agree no matter when the catch-up happens.  Idle rows therefore cost
-nothing per slot.
-
-:func:`sparse_pairwise` reproduces numpy's ``pairwise_sum_DOUBLE``
-reduction over a dense vector given only its materialised entries.
-Zeros are exact no-ops inside numpy's recursion (every partial sum is a
-left-to-right chain over a positional subsequence, and ``x + 0.0 == x``
-bitwise for the non-negative values the engine sums), so the dense
-reduction is computable in ``O(entries)`` — but the *tree shape* depends
-on element positions, which is why entries carry their dense positions
-instead of being naively compacted.  Inputs must not contain ``-0.0``
-(``-0.0 + 0.0`` is ``+0.0``); engine credits and allocations are
-non-negative so this never arises in practice.
+row touched after ``k`` missed flushes catches up by flooring its
+values times ``forgetting`` ``k`` times in sequence — the same ``k``
+floors the reference ledger performed eagerly, so the bits agree no
+matter when the catch-up happens.  Idle rows therefore cost nothing per
+slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SparseLedgers", "SparseLedgerView", "sparse_pairwise"]
+from ..core.apportion import decay
+from ..core.ledger import ByteLedger
+
+__all__ = ["SparseLedgers", "SparseLedgerView"]
 
 
 class SparseLedgers:
@@ -52,7 +41,7 @@ class SparseLedgers:
     n:
         Number of peers (the column span of every row).
     initial:
-        Initial credit (the background value of every row).
+        Initial credit (every row's background, in kbps x s).
     forgetting:
         ``(rows,)`` per-row forgetting factors in ``(0, 1]``.
     rows:
@@ -86,7 +75,7 @@ class SparseLedgers:
         self.stamps = np.zeros(self.rows, dtype=np.int64)
         #: Explicit entries per row; -1 flags a dense island row.
         self.nnz = np.zeros(self.rows, dtype=np.int64)
-        #: Base addresses of each row's int64 index / float64 value
+        #: Base addresses of each row's int64 index / int64 value
         #: arrays (0 when the row has none) — the native kernels' view.
         self.idx_addr = np.zeros(self.rows, dtype=np.int64)
         self.val_addr = np.zeros(self.rows, dtype=np.int64)
@@ -100,13 +89,11 @@ class SparseLedgers:
     def dense_row(self, i: int) -> np.ndarray:
         """Allocate a dense island row for a slow-path peer.
 
-        The caller (a :class:`~repro.core.ledger.ContributionLedger`
-        constructor) overwrites it with the initial credit; from then on
-        the store decays it eagerly at every flush and scatters credit
+        The store decays it eagerly at every flush and scatters credit
         into it directly.
         """
         i = int(i)
-        row = np.zeros(self.n)
+        row = np.zeros(self.n, dtype=np.int64)
         self._dense[i] = row
         self.nnz[i] = -1
         return row
@@ -116,19 +103,17 @@ class SparseLedgers:
         stamp the clock so sparse rows catch up lazily."""
         self.epoch += 1
         if self._any_forgetting:
-            # forgetting == 1.0 rows multiply by exactly 1.0 — bitwise
-            # no-op.
             self.background *= self.forgetting
             for i, row in self._dense.items():
                 f = self.forgetting[i]
                 if f < 1.0:
-                    row *= f
+                    row[:] = decay(row, f)
 
     def catch_up(self, i: int) -> None:
         """Apply any missed flush decays to row ``i``'s explicit values.
 
-        One in-place multiply per missed flush — the exact rounded
-        operations the reference ledger performed at each flush.
+        One floor per missed flush — the operations the reference
+        ledger performed at each flush.
         """
         lag = self.epoch - self.stamps[i]
         if lag:
@@ -136,18 +121,18 @@ class SparseLedgers:
             if f < 1.0:
                 val = self._val[i]
                 for _ in range(lag):
-                    val *= f
+                    val[:] = decay(val, f)
             self.stamps[i] = self.epoch
 
     # -- reads ---------------------------------------------------------
 
     def row_at(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """Row ``i``'s credits at ``cols`` (sorted int64), dense-exact."""
+        """Row ``i``'s byte counts at ``cols`` (sorted int64)."""
         i = int(i)
         dense = self._dense.get(i)
         if dense is not None:
             return dense[cols]
-        out = np.full(cols.size, self.background[i])
+        out = np.zeros(cols.size, dtype=np.int64)
         idx = self._idx.get(i)
         if idx is not None:
             self.catch_up(i)
@@ -156,9 +141,8 @@ class SparseLedgers:
         return out
 
     def materialize(self) -> np.ndarray:
-        """Dense ``(rows, n)`` snapshot (tests / small-n interop only)."""
-        out = np.empty((self.rows, self.n))  # repro: allow[sim-dense-alloc]
-        out[:] = self.background[:, None]
+        """Dense ``(rows, n)`` byte counts (tests / small-n interop only)."""
+        out = np.zeros((self.rows, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         for i, idx in self._idx.items():
             self.catch_up(i)
             out[i, idx] = self._val[i]
@@ -178,10 +162,7 @@ class SparseLedgers:
     def add_compact(self, i: int, add_idx: np.ndarray, add_val: np.ndarray) -> None:
         """``row[i][add_idx] += add_val`` with entry creation.
 
-        ``add_idx`` must be sorted unique int64.  New entries start from
-        the *current* (post-decay) background — exactly the dense cell's
-        value at the moment of the add — so ``background + v`` is the
-        same single rounded add the dense engine performed.
+        ``add_idx`` must be sorted unique int64; new entries start at 0.
         """
         i = int(i)
         dense = self._dense.get(i)
@@ -191,7 +172,7 @@ class SparseLedgers:
         idx = self._idx.get(i)
         if idx is None:
             self.stamps[i] = self.epoch
-            self._publish(i, add_idx.copy(), self.background[i] + add_val)
+            self._publish(i, add_idx.copy(), np.array(add_val, dtype=np.int64))
             return
         self.catch_up(i)
         val = self._val[i]
@@ -202,7 +183,7 @@ class SparseLedgers:
         miss = ~hit
         val[pos[hit]] += add_val[hit]
         new_idx = np.concatenate([idx, add_idx[miss]])
-        new_val = np.concatenate([val, self.background[i] + add_val[miss]])
+        new_val = np.concatenate([val, add_val[miss]])
         order = np.argsort(new_idx, kind="stable")
         self._publish(i, np.ascontiguousarray(new_idx[order]),
                       np.ascontiguousarray(new_val[order]))
@@ -215,9 +196,8 @@ class SparseLedgers:
 
         The cold-start scatter (a fresh cohort of receivers meeting the
         active givers) dominates large-n slots when done row by row;
-        this path computes every row's entry values in one vectorised
-        ``background + add`` (element-wise the identical single rounded
-        add), publishes the kernel pointer tables with one arithmetic
+        this path copies every row's entry values in one vectorised
+        step, publishes the kernel pointer tables with one arithmetic
         sweep, and shares a single sorted index array across the batch
         (index arrays are never mutated in place, so sharing is safe —
         each row's *values* get their own slice of the 2D block).
@@ -229,7 +209,7 @@ class SparseLedgers:
         k = rows.size
         nact = add_idx.size
         idx = np.ascontiguousarray(add_idx, dtype=np.int64)
-        vals = self.background[rows][:, None] + add_val
+        vals = np.array(add_val, dtype=np.int64, order="C")
         self.stamps[rows] = self.epoch
         self.nnz[rows] = nact
         self.idx_addr[rows] = idx.ctypes.data
@@ -245,7 +225,7 @@ class SparseLedgers:
         """Remove every explicit row and return ``(row, idx, val)``
         triples in row order.
 
-        The deferred-feedback buffer (zero background, no forgetting)
+        The deferred-feedback buffer (no forgetting)
         hands its accumulated rows to the ledger store this way at each
         flush; values are returned as stored, with no catch-up.
         """
@@ -277,47 +257,29 @@ class SparseLedgers:
         return int(fixed + rows)
 
 
-class SparseLedgerView:
-    """Read-only :class:`~repro.core.ledger.ContributionLedger` facade
-    over one sparse row.
+class SparseLedgerView(ByteLedger):
+    """Read-only :class:`~repro.core.ledger.ByteLedger` over one sparse
+    row.
 
     Fast-path peers under the sparse engine never call their allocator's
     ``allocate`` (the engine evaluates Equation (2) directly from the
     store), but user code may still inspect ``sim.peers[i].ledger``;
-    this view answers those reads.  :attr:`credits` materialises the
-    full dense row — O(n), fine for inspection, not for hot loops.
+    this view answers those reads by materialising the full dense row —
+    O(n), fine for inspection, not for hot loops.
     """
 
-    __slots__ = ("_store", "index")
+    __slots__ = ("_store",)
 
     def __init__(self, store: SparseLedgers, index: int):
+        super().__init__(None, store.background, index, store.forgetting[index])
         self._store = store
-        self.index = int(index)
+
+    def counts(self) -> np.ndarray:
+        return self._store.row_at(self.index, np.arange(self._store.n, dtype=np.int64))
 
     @property
     def n(self) -> int:
         return self._store.n
-
-    @property
-    def forgetting(self) -> float:
-        return float(self._store.forgetting[self.index])
-
-    @property
-    def credits(self) -> np.ndarray:
-        cols = np.arange(self._store.n, dtype=np.int64)
-        row = self._store.row_at(self.index, cols)
-        row.flags.writeable = False
-        return row
-
-    def credit_of(self, peer: int) -> float:
-        cols = np.asarray([peer], dtype=np.int64)
-        return float(self._store.row_at(self.index, cols)[0])
-
-    def total(self) -> float:
-        return float(self.credits.sum())
-
-    def share_of(self, peer: int) -> float:
-        return float(self.credit_of(peer) / self.credits.sum())
 
 
 def _locate(idx: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,50 +287,3 @@ def _locate(idx: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry index ``idx``, and which keys are already entries."""
     pos = np.searchsorted(idx, keys)
     return pos, idx[np.minimum(pos, idx.size - 1)] == keys
-
-
-def sparse_pairwise(pos: np.ndarray, val: np.ndarray, length: int) -> float:
-    """Bit-exact ``numpy.sum`` of a dense float64 vector of ``length``
-    whose only (potentially) nonzero cells are ``val`` at sorted
-    positions ``pos`` — in ``O(len(pos))`` instead of ``O(length)``.
-
-    Mirrors numpy's ``pairwise_sum_DOUBLE`` recursion: blocks of at most
-    128 elements are summed with eight accumulator chains over the
-    position-residues mod 8 plus a sequential tail, larger ranges split
-    recursively at multiples of 8.  Listed zero values are permitted
-    (they add exactly like the dense zeros they are); ``-0.0`` inputs
-    are not (see module docstring).
-    """
-    pos = np.ascontiguousarray(pos, dtype=np.int64)
-    val = np.ascontiguousarray(val, dtype=np.float64)
-    return _spw(pos, val, 0, int(length))
-
-
-def _spw(pos: np.ndarray, val: np.ndarray, off: int, length: int) -> float:
-    cnt = pos.size
-    if cnt == 0:
-        # All-zero dense ranges reduce to +0.0 in every branch of
-        # numpy's recursion, so the whole subtree collapses.
-        return 0.0
-    if length < 8:
-        res = 0.0
-        for v in val.tolist():
-            res += v
-        return res
-    if length <= 128:
-        lim = length - length % 8
-        rel = pos - off
-        k = int(np.searchsorted(rel, lim))
-        r = [0.0] * 8
-        for p, v in zip(rel[:k].tolist(), val[:k].tolist()):
-            r[p & 7] += v
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in val[k:].tolist():
-            res += v
-        return res
-    half = length // 2
-    half -= half % 8
-    split = int(np.searchsorted(pos, off + half))
-    return _spw(pos[:split], val[:split], off, half) + _spw(
-        pos[split:], val[split:], off + half, length - half
-    )

@@ -8,18 +8,11 @@ def share(weights, total, capacity):
 
 
 def make_ledger(n):
-    ledger = np.zeros((n, n), dtype=np.float32)  # line 11: float-ledger-dtype
-    return ledger
+    return np.zeros((n, n))  # line 11: dense, but sim-dense-alloc is scoped to sim/
 
 
-def total_rate(rates):
-    return sum(rates)  # line 16: float-bare-sum
-
-
-def fine_forms(weights, total, capacity, rates):
+def fine_forms(weights, total, capacity):
     safe = weights * capacity / total
     ratio = capacity * (weights / total)
     unit = capacity / 8.0 * total
-    scalar = sum(r * r for r in rates)
-    ledger = np.zeros((4, 4))
-    return safe, ratio, unit, scalar, ledger
+    return safe, ratio, unit

@@ -12,9 +12,9 @@ def misspelled():
 
 
 def one_of_two(total, cap, ws):
-    # The allow silences only float-bare-sum; the divide-before-multiply
+    # The allow silences only det-unseeded-rng; the divide-before-multiply
     # on the same line must still be reported.
-    return sum(ws) / total * cap  # repro: allow[float-bare-sum]
+    return np.random.default_rng().random() / total * cap  # repro: allow[det-unseeded-rng]
 
 
 def not_a_comment():

@@ -70,8 +70,6 @@ class TestListRules:
             "det-urandom",
             "det-unseeded-rng",
             "float-div-before-mul",
-            "float-ledger-dtype",
-            "float-bare-sum",
             "trace-unknown-event",
             "trace-fields",
             "api-batched-scalar-pair",

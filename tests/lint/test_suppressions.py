@@ -35,9 +35,9 @@ class TestSuppressionSemantics:
 
     def test_allow_does_not_bleed_to_other_rules_on_same_line(self):
         got = [(f.line, f.rule) for f in report().findings]
-        # line 17 has two violations and one allow: the sum is
+        # line 17 has two violations and one allow: the unseeded rng is
         # silenced, the divide-before-multiply is not.
-        assert (17, "float-bare-sum") not in got
+        assert (17, "det-unseeded-rng") not in got
         assert (17, "float-div-before-mul") in got
 
     def test_allow_inside_string_literal_is_inert(self):

@@ -116,7 +116,7 @@ class TestRun:
             saturated([1.0]).run(0)
         with pytest.raises(ValueError):
             Simulation([PeerConfig(capacity=1.0, demand=True)], slot_seconds=0)
-        # The batched fold relies on 0.0 * slot_seconds being +0.0.
+        # A ledger credit is floor(grant * slot_seconds).
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 Simulation([PeerConfig(capacity=1.0, demand=True)], slot_seconds=bad)

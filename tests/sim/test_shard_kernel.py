@@ -130,7 +130,7 @@ def run_split(
         flush = (t + 1) % feedback_interval == 0
         for k in kernels:
             c0, c1 = np.searchsorted(R, (k.lo, k.hi))
-            dump = k.credit(
+            k.credit(
                 t,
                 act,
                 R[c0:c1],
@@ -138,9 +138,7 @@ def run_split(
                 rates_c[c0:c1],
                 slot_seconds,
                 flush,
-                False,
             )
-            assert dump is None
     for k in kernels:
         metrics.place(k.lo, k.end_metrics())
     credit = np.vstack([k.materialize() for k in kernels])

@@ -3,10 +3,10 @@
 ``SparseLedgers.add_compact`` (with ``bulk_insert`` for rows that have
 no entries yet) is the only place in the simulator that merges sorted
 giver columns into a row: the ledger store credits through it, and so
-does the deferred-feedback buffer (zero background, no forgetting)
-before ``drain`` hands its rows over at a flush.  These tests drive it
-directly with random batches and compare every cell, bit for bit, with
-a dense matrix updated the obvious way.
+does the deferred-feedback buffer (no forgetting) before ``drain``
+hands its rows over at a flush.  These tests drive it directly with
+random whole-byte batches and compare every cell with a dense matrix
+updated the obvious way.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from repro.sim.sparse import SparseLedgers
 N = 23
 
 
-#: Engine credits are non-negative; ``-0.0`` never arises (see the
-#: module docstring of :mod:`repro.sim.sparse`).
-_credit = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
+#: Engine credits are whole bytes.
+_credit = st.integers(min_value=0, max_value=10**9)
 
 
 def _values(draw, size):
-    return np.array(draw(st.lists(_credit, min_size=size, max_size=size)))
+    return np.array(draw(st.lists(_credit, min_size=size, max_size=size)), dtype=np.int64)
 
 
 def _columns(draw):
@@ -45,7 +44,7 @@ def test_add_compact_matches_dense_add_at(data):
     """Random adds (repeated rows and columns: hits, misses, partial
     overlaps), cold-row bulk inserts and interleaved flushes leave every
     cell equal to a dense matrix updated with ``np.add.at`` and an eager
-    per-flush decay."""
+    per-flush floor decay."""
     rows = data.draw(st.integers(1, 6))
     initial = data.draw(st.sampled_from([1e-3, 0.5, 7.0]))
     forgetting = np.array(
@@ -54,12 +53,12 @@ def test_add_compact_matches_dense_add_at(data):
         )
     )
     store = SparseLedgers(N, initial, forgetting, rows=rows)
-    dense = np.full((rows, N), initial)
+    dense = np.zeros((rows, N), dtype=np.int64)
     for _ in range(data.draw(st.integers(1, 30))):
         op = data.draw(st.sampled_from(["add", "add", "bulk", "epoch", "read"]))
         if op == "epoch":
             store.advance_epoch()
-            dense *= forgetting[:, None]
+            dense = (dense * forgetting[:, None]).astype(np.int64)
         elif op == "add":
             i = data.draw(st.integers(0, rows - 1))
             cols = _columns(data.draw)
@@ -84,13 +83,12 @@ def test_add_compact_matches_dense_add_at(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_buffer_drain_hands_over_exact_sums(data):
-    """The deferred-feedback shape: a zero-background, no-forgetting
-    store accumulates batches through the same merge, and ``drain``
+    """The deferred-feedback shape: a no-forgetting store accumulates batches through the same merge, and ``drain``
     returns each touched row's exact sums in row order and empties
     the store."""
     rows = data.draw(st.integers(1, 6))
     buffer = SparseLedgers(N, 0.0, np.ones(rows), rows=rows)
-    dense = np.zeros((rows, N))
+    dense = np.zeros((rows, N), dtype=np.int64)
     for _ in range(data.draw(st.integers(1, 4))):
         for _ in range(data.draw(st.integers(0, 12))):
             i = data.draw(st.integers(0, rows - 1))
@@ -101,10 +99,10 @@ def test_buffer_drain_hands_over_exact_sums(data):
         _assert_bitwise(buffer, dense)
         drained = buffer.drain()
         assert [i for i, _, _ in drained] == sorted({i for i, _, _ in drained})
-        got = np.zeros((rows, N))
+        got = np.zeros((rows, N), dtype=np.int64)
         for i, idx, val in drained:
             assert np.all(np.diff(idx) > 0)
             got[i, idx] = val
         assert got.tobytes() == dense.tobytes()
         assert buffer.entries == 0 and not buffer.nnz.any()
-        dense[:] = 0.0
+        dense[:] = 0

@@ -9,7 +9,10 @@ and ``security/_modexp.c`` are recompiled with sanitizers on (the flags
 are part of the cache digest, so this never reuses a normal build), then
 fuzzed against their numpy references, and the modexp kernel against
 builtin ``pow``, demanding zero bit differences — any out-of-bounds
-access, UB, or divergence fails the run.  The ``gfmul`` fuzz covers the
+access, UB, or divergence fails the run.  The ``fastalloc`` fuzz
+apportions rows at the largest ledger totals its overflow guard admits
+and one past it, so UBSan traps any signed overflow the guard lets
+through.  The ``gfmul`` fuzz covers the
 elimination steps at p = 4, 8, 16 and 32: the tower's index sums into
 its base field's antilog table, zero and equal halves included, are
 read under ASan's redzones too.  The ``modexp`` check runs every limb
