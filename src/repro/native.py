@@ -1,15 +1,16 @@
 """Runtime-compiled native kernels: one compile / cache / verify loader.
 
-The package ships three C files (``sim/_fastalloc.c`` for the slot
+The package ships four C files (``sim/_fastalloc.c`` for the slot
 engines, ``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table
 field's screening and arrival elimination, ``security/_modexp.c`` for the
-RSA private-key operation's modular exponentiation) and no build step.
+RSA private-key operation's modular exponentiation, ``security/_md5.c``
+for the owner's multi-buffer MD5 of a digest batch) and no build step.
 :func:`load` compiles one on first use with whatever C compiler the host
 has (``$CC``, ``cc``, ``gcc`` or ``clang`` — no build system, no
 packages), keeps the shared object in a digest-keyed cache, binds it
 through ctypes and accepts it only after the owning module's self-check
 has compared it **bit for bit** with the Python code it replaces (numpy,
-or builtin ``pow`` for the modexp kernel).
+builtin ``pow`` for the modexp kernel, ``hashlib`` for the MD5 one).
 
 Every kernel is optional.  A disabled loader, a missing compiler or
 source file, a failed compile or ``dlopen``, or a self-check mismatch
@@ -157,8 +158,7 @@ def load(
 def usable_cpus() -> int:
     """CPUs this process may run on: the scheduler affinity mask — a
     container pinned to 2 of 64 CPUs gets 2 — else the CPU count.  The
-    one CPU rule behind ``engine="procs"``'s default worker count and
-    the digest pool."""
+    one CPU rule behind ``engine="procs"``'s default worker count."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):

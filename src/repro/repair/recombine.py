@@ -36,7 +36,7 @@ import numpy as np
 
 from ..gf import GF, BinaryField, IncrementalRank
 from ..rlnc.coefficients import REPAIR_ID_BASE, UnknownCoefficientError
-from ..rlnc.message import EncodedMessage
+from ..rlnc.message import EncodedMessage, pack_rows
 from ..security.integrity import DigestStore
 from ..security.prng import KeyedStream, derive_key
 
@@ -280,14 +280,10 @@ def register_repair_digests(
     digest bytes — the *only* bytes the owner's uplink carries for this
     repair.
     """
-    from ..rlnc.symbols import symbols_to_bytes
-
     field = coefficients.field
     payloads = field.matmul(effective_rows(record, coefficients), source)
     digests = digest_store.record_many(
-        record.file_id,
-        record.message_ids,
-        [symbols_to_bytes(row, field.p) for row in payloads],
+        record.file_id, record.message_ids, pack_rows(payloads, field.p)
     )
     return sum(map(len, digests))
 

@@ -319,12 +319,7 @@ class ChunkedEncoder:
         encoder = self._encoder_for(chunk_index, version)
         source = encoder.source_matrix(chunk_data)
         ids = encoder.independent_ids(1, start_id=start_id)[0]
-        bundle = tuple(encoder.encode_ids(source, ids))
-        if digest_store is not None:
-            digest_store.record_many(
-                encoder.file_id, ids, [msg.payload_bytes() for msg in bundle]
-            )
-        return bundle
+        return tuple(encoder.encode_ids(source, ids, digest_store))
 
 
 class StreamingDecoder:

@@ -36,7 +36,7 @@ from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
 from ..security.integrity import DigestStore
 from .coefficients import CoefficientGenerator
-from .message import EncodedMessage
+from .message import EncodedMessage, pack_rows
 from .params import CodingParams
 from .symbols import reshape_file_matrix
 
@@ -116,7 +116,9 @@ class FileEncoder:
             p=self.params.p,
         )
 
-    def encode_ids(self, source: np.ndarray, message_ids) -> list[EncodedMessage]:
+    def encode_ids(
+        self, source: np.ndarray, message_ids, digest_store: DigestStore | None = None
+    ) -> list[EncodedMessage]:
         """Encode a batch of ids with one ``matmul`` over the whole batch.
 
         ``beta_rows @ X`` produces every payload of the batch — a batch
@@ -124,23 +126,26 @@ class FileEncoder:
         bit-identical to the per-message :meth:`encode_message` result
         (``dot`` computes the same sum of scaled source rows).  The
         product is packed once, as a whole, and each message is a slice
-        of that one buffer (:meth:`EncodedMessage.from_rows`): nothing
+        of that one buffer (:meth:`EncodedMessage.from_block`): nothing
         downstream of the owner — digest, ``.dat``, DATA frame — packs
-        or copies a row again.
+        or copies a row again.  With a ``digest_store`` the packed block
+        is recorded as one batch (:meth:`DigestStore.record_many`).
         """
         ids = list(message_ids)
+        p = self.params.p
         enc_span = None
         if _TRACER.enabled:
             enc_span = _spans.start_span("rlnc.encode", messages=len(ids))
         start = time.perf_counter_ns() if _OBS.enabled else None
         beta = self.coefficients.matrix(ids)
-        messages = EncodedMessage.from_rows(
-            self.file_id, ids, self.field.matmul(beta, source), self.params.p
-        )
+        block = pack_rows(self.field.matmul(beta, source), p)
+        messages = EncodedMessage.from_block(self.file_id, ids, block, p, self.params.m)
         if start is not None:
             _ENC_NS.observe(time.perf_counter_ns() - start)
             _ENC_MESSAGES.inc(len(ids))
         _spans.finish_span(enc_span)
+        if digest_store is not None:
+            digest_store.record_many(self.file_id, ids, block)
         return messages
 
     def independent_ids(self, count: int, start_id: int = 0) -> list[list[int]]:
@@ -209,11 +214,7 @@ class FileEncoder:
         source = self.source_matrix(data)
         plan = self.independent_ids(n_peers, start_id=start_id)
         ids = [mid for bundle in plan for mid in bundle]
-        messages = self.encode_ids(source, ids)
-        if digest_store is not None:
-            digest_store.record_many(
-                self.file_id, ids, [msg.payload_bytes() for msg in messages]
-            )
+        messages = self.encode_ids(source, ids, digest_store)
         return EncodedFile(
             file_id=self.file_id,
             params=self.params,

@@ -28,7 +28,7 @@ import numpy as np
 from .params import TABLE1_FIELD_BITS
 from .symbols import bytes_to_symbols, pack_symbols
 
-__all__ = ["EncodedMessage", "HEADER_BYTES", "MessageFormatError"]
+__all__ = ["EncodedMessage", "HEADER_BYTES", "MessageFormatError", "pack_rows"]
 
 HEADER_BYTES = 16
 _HEADER = struct.Struct(">QQ")
@@ -64,6 +64,19 @@ def _frozen(buf) -> memoryview:
 def _check_id(name: str, value: int) -> None:
     if not 0 <= value <= _MAX_ID:
         raise MessageFormatError(f"{name} {value} does not fit in 8 bytes")
+
+
+def pack_rows(rows, p: int) -> np.ndarray:
+    """An ``(r, m)`` symbol matrix range-checked and packed once, as a
+    frozen ``(r, record)`` uint8 block whose row ``i`` is message ``i``'s
+    payload bytes.  At ``p = 4`` with an odd ``m`` every record ends on
+    its own padding nibble."""
+    rows = _checked(rows, p)
+    m = rows.shape[1]
+    if p == 4 and m % 2:
+        rows = np.pad(rows, ((0, 0), (0, 1)))
+        m += 1
+    return np.frombuffer(pack_symbols(rows, p), np.uint8).reshape(len(rows), m * p // 8)
 
 
 def _checked(symbols, p: int) -> np.ndarray:
@@ -131,16 +144,20 @@ class EncodedMessage:
     def from_rows(cls, file_id: int, message_ids, rows, p: int) -> list["EncodedMessage"]:
         """One message per row of an ``(r, m)`` symbol matrix, packed once.
 
-        The whole matrix is range-checked and packed in one pass and
-        every message holds a slice of that one buffer — what an encoder
-        (or a repair) makes of a ``coefficients @ payloads`` product.
+        The whole matrix is range-checked and packed in one pass
+        (:func:`pack_rows`) and every message holds a slice of that one
+        buffer — what an encoder (or a repair) makes of a
+        ``coefficients @ payloads`` product.
         """
-        rows = _checked(rows, p)
-        m = rows.shape[1]
-        if p == 4 and m % 2:  # every record ends on its own padding nibble
-            rows = np.pad(rows, ((0, 0), (0, 1)))
-        packed = pack_symbols(rows, p)
-        size = (m * p + 7) // 8
+        return cls.from_block(file_id, message_ids, pack_rows(rows, p), p, np.shape(rows)[1])
+
+    @classmethod
+    def from_block(cls, file_id: int, message_ids, block, p: int, m: int) -> list["EncodedMessage"]:
+        """One message of ``m`` symbols per row of a :func:`pack_rows` block,
+        each a slice of it: the block stays whole for a caller that hands
+        it on (the owner's digest batch)."""
+        packed = memoryview(block.reshape(-1))
+        size = block.shape[1]
         _check_id("file_id", file_id)
         messages = []
         for i, mid in enumerate(message_ids):

@@ -12,22 +12,25 @@ model is casual injection, not collision-resistant commitments.  The
 store also supports SHA-256 for the "modern deployment" configuration.
 
 At the paper's point the owner hashes 8 MiB per 1 MB chunk published to
-eight peers, as much time as the coding itself takes.  hashlib releases the
-GIL while it hashes a large buffer, so :meth:`DigestStore.record_many`
-spreads a large batch over every usable CPU; the digests, and the order
-they are stored in, are those of a :meth:`DigestStore.record` loop.
+eight peers.  :meth:`DigestStore.record_many` hands an MD5 batch in one
+call to ``_md5.c``, a multi-buffer kernel running RFC 1321 on one message
+per vector lane; the digests, and their stored order, are a
+:meth:`DigestStore.record` loop's.  hashlib hashes where the kernel is
+not live (:mod:`repro.native`), for SHA-256, in ``record`` and ``verify``
+(a one-lane call buys nothing), and as :func:`_self_check`'s oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import hmac
-import os
-import threading
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from .. import native
-from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
 
@@ -35,58 +38,57 @@ __all__ = ["DigestStore", "IntegrityError", "DIGEST_ALGORITHMS"]
 
 DIGEST_ALGORITHMS = ("md5", "sha256")
 
-#: A batch is split over threads only when every payload has at least
-#: ``SPLIT_MIN_PAYLOAD`` bytes and the batch at least ``SPLIT_MIN_BATCH``.
-#: Below either, handing a share to a worker costs more than the hashing
-#: it moves: split, 512 x 4 KiB reads 1.25x and 128 x 4 KiB 1.53x of the
-#: serial loop, 16 x 8 KiB 1.08x; 64 x 8 KiB reads 0.66x and 64 x 128 KiB
-#: 0.53x on two CPUs (EXPERIMENTS.md, "The owner digests on every core").
-SPLIT_MIN_PAYLOAD = 8 << 10
-SPLIT_MIN_BATCH = 256 << 10
-
-_SPLIT_BATCHES = _OBS.counter(
-    "repro.security.digest.split_batches", "record_many batches hashed on several threads"
-)
-
-#: The one process-wide hashing pool, built by the first batch that splits.
-_POOL = None
-_POOL_LOCK = threading.Lock()
+_SOURCE = Path(__file__).with_name("_md5.c")
 
 
-def _pool():
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            # Imported here: ~6 ms that a process which never splits must not pay.
-            from concurrent.futures import ThreadPoolExecutor
+class _MD5Kernel:
+    """ctypes facade over ``repro_md5_many``; :attr:`lanes` messages are
+    hashed side by side (16 under AVX-512, 8 under AVX, else 4)."""
 
-            _POOL = ThreadPoolExecutor(
-                max_workers=max(1, native.usable_cpus() - 1),
-                thread_name_prefix="repro-digest",
-            )
-        return _POOL
+    def __init__(self, lib: ctypes.CDLL):
+        self.lanes = lib.repro_md5_lanes()
+        self._fn = fn = lib.repro_md5_many
+        fn.restype = None
+        fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64]  # out, addresses, lengths, n
+
+    def hash_at(self, addresses: np.ndarray, lengths: np.ndarray) -> list[bytes]:
+        """The MD5 of the ``lengths[i]`` bytes at ``addresses[i]``, two
+        ``int64`` arrays over memory the caller keeps alive."""
+        n = len(lengths)
+        out = np.empty(16 * n, np.uint8)
+        self._fn(out.ctypes.data, addresses.ctypes.data, lengths.ctypes.data, n)
+        raw = out.tobytes()
+        return [raw[i : i + 16] for i in range(0, 16 * n, 16)]
+
+    def digests(self, payloads, block: bool) -> list[bytes]:
+        """The MD5 of each payload.  A ``block``'s rows are addressed from
+        its base and record size; other payloads one buffer at a time."""
+        if block:
+            n, size = payloads.shape[0], payloads.itemsize * payloads.shape[1]
+            starts = payloads.ctypes.data + size * np.arange(n, dtype=np.int64)
+            return self.hash_at(starts, np.full(n, size, np.int64))
+        views = [np.frombuffer(payload, np.uint8) for payload in payloads]
+        starts = np.array([view.ctypes.data for view in views], np.int64)
+        return self.hash_at(starts, np.array([view.size for view in views], np.int64))
 
 
-def _drop_pool() -> None:
-    """A forked child has none of its parent's worker threads: a task
-    queued on the inherited pool would never run, and the lock may have
-    been held by a thread that does not exist here."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _shares(payloads: list) -> int:
-    """Threads to hash ``payloads`` on: one below the size rule, else one
-    per usable CPU (at most one per payload)."""
-    if not payloads or min(map(len, payloads)) < SPLIT_MIN_PAYLOAD:
-        return 1
-    if sum(map(len, payloads)) < SPLIT_MIN_BATCH:
-        return 1
-    return min(len(payloads), native.usable_cpus())
+def _self_check(kernel: _MD5Kernel) -> bool:
+    """``kernel`` agrees with ``hashlib.md5`` bit for bit on a batch of
+    every length from 0 to 130 bytes and 4 KiB +- one block, then on every
+    batch size from 1 to 2 x lanes + 1 (prefixes of one run of mixed
+    lengths: lanes refill, finish out of order and idle).  Messages start
+    at odd offsets of one buffer; the first batch's last ends at its end."""
+    first = [*range(131), *(4096 + d for d in (-64, -9, -8, -1, 0, 1, 56, 64, 57))]
+    mixed = [(37 * i + 11) % 200 for i in range(2 * kernel.lanes + 1)]
+    data = hashlib.shake_256(b"repro md5 self-check").digest(15 + 4096 + 57)
+    copy = np.frombuffer(data, np.uint8).copy()  # ends at its last byte; bytes has a NUL past it
+    for lengths, sizes in ((first, [len(first)]), (mixed, range(1, len(mixed) + 1))):
+        offsets = [(7 * i + len(lengths)) % 61 for i in range(len(lengths))]
+        expected = [hashlib.md5(data[o : o + n]).digest() for o, n in zip(offsets, lengths)]
+        starts, lens = copy.ctypes.data + np.array(offsets), np.array(lengths)
+        if any(kernel.hash_at(starts[:n], lens[:n]) != expected[:n] for n in sizes):
+            return False
+    return True
 
 
 class IntegrityError(Exception):
@@ -115,9 +117,6 @@ class DigestStore:
     def _digest(self, payload: bytes) -> bytes:
         return hashlib.new(self.algorithm, payload).digest()
 
-    def _digest_all(self, payloads) -> list[bytes]:
-        return [self._digest(payload) for payload in payloads]
-
     def record(self, file_id: int, message_id: int, payload: bytes) -> bytes:
         """Store and return the digest for a freshly encoded message."""
         digest = self._digest(payload)
@@ -127,42 +126,41 @@ class DigestStore:
     def record_many(self, file_id: int, message_ids, payloads) -> list[bytes]:
         """Store and return the digests of a batch of one file's messages.
 
+        ``payloads`` is a sequence of bytes-like objects, or one
+        C-contiguous 2-D array whose rows are the payloads: the packed
+        product an encoder holds (:func:`~repro.rlnc.message.pack_rows`),
+        which reaches the kernel as a base address and a record size.
         The result equals a :meth:`record` loop over the pairs, stored in
-        the same order.  A batch past the size rule (:data:`SPLIT_MIN_PAYLOAD`,
-        :data:`SPLIT_MIN_BATCH`) is hashed in contiguous shares: this
-        thread takes the first, the process-wide pool the rest, one share
-        per usable CPU.  Digests are stored here, after every share is in.
-        Mismatched lengths raise ``ValueError`` and store nothing.
+        the same order.  An MD5 batch is hashed in one kernel call where
+        the kernel is live, on hashlib otherwise; the ``backend`` of the
+        ``security.digest`` span says which.  Mismatched lengths raise
+        ``ValueError`` and store nothing.
         """
         message_ids = list(message_ids)
-        payloads = list(payloads)
+        block = (
+            isinstance(payloads, np.ndarray) and payloads.ndim == 2 and payloads.flags.c_contiguous
+        )
+        if not block:
+            payloads = list(payloads)
         if len(message_ids) != len(payloads):
             raise ValueError(
                 f"{len(message_ids)} message ids for {len(payloads)} payloads"
             )
-        shares = _shares(payloads)
+        kernel = None
+        if self.algorithm == "md5":
+            kernel = native.load("md5", _SOURCE, _MD5Kernel, _self_check)
         digest_span = None
         if _TRACER.enabled:
             digest_span = _spans.start_span(
                 "security.digest",
                 messages=len(payloads),
-                bytes=sum(map(len, payloads)),
-                workers=shares,
+                bytes=sum(memoryview(payload).nbytes for payload in payloads),
+                backend="hashlib" if kernel is None else "native",
             )
-        if shares == 1:
-            digests = self._digest_all(payloads)
+        if kernel is None:
+            digests = [self._digest(payload) for payload in payloads]
         else:
-            bounds = [len(payloads) * i // shares for i in range(shares + 1)]
-            pool = _pool()
-            rest = [
-                pool.submit(self._digest_all, payloads[lo:hi])
-                for lo, hi in zip(bounds[1:-1], bounds[2:])
-            ]
-            digests = self._digest_all(payloads[: bounds[1]])
-            for share in rest:
-                digests += share.result()
-            if _OBS.enabled:
-                _SPLIT_BATCHES.inc()
+            digests = kernel.digests(payloads, block)
         for message_id, digest in zip(message_ids, digests):
             self._digests[(file_id, message_id)] = digest
         _spans.finish_span(digest_span)

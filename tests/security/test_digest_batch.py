@@ -1,51 +1,63 @@
-"""``DigestStore.record_many``: a ``record`` loop's digests, split over CPUs.
+"""``DigestStore.record_many``: a ``record`` loop's digests, in one kernel call.
 
-A batch past the size rule (every payload >= 8 KiB, the batch >= 256 KiB)
-is hashed in contiguous shares on the process-wide pool; anything else
-runs the serial loop on the calling thread.  Either way the stored
-digests, their order and the returned list are those of a ``record``
-loop.  The CPU count is pinned per test, so the split path is exercised
-on any host.
+An MD5 batch is hashed by the compiled multi-buffer kernel (``_md5.c``)
+where it is live and on hashlib otherwise; SHA-256 always runs on
+hashlib.  Either way the stored digests, their order and the returned
+list are those of a ``record`` loop, for a list of bytes-like payloads and
+for the packed block an encoder hands over.
 """
 
+import copy
 import hashlib
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native
-from repro.obs import REGISTRY, TRACER, observability
+from repro.obs import TRACER, observability
 from repro.security import DigestStore, integrity
 
 KIB = 1 << 10
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture
-def own_pool(monkeypatch):
-    """The test starts with no pool and its own is shut down afterwards."""
-    monkeypatch.setattr(integrity, "_POOL", None)
-    yield
-    if integrity._POOL is not None:
-        integrity._POOL.shutdown()
+def load_kernel():
+    return native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
 
 
-@pytest.fixture
-def cpus(own_pool, monkeypatch):
-    """``cpus(n)`` pretends ``n`` CPUs are usable."""
-    return lambda n: monkeypatch.setattr(native, "usable_cpus", lambda: n)
+KERNEL = load_kernel()
+LANES = KERNEL.lanes if KERNEL is not None else 4
+needs_kernel = pytest.mark.skipif(
+    KERNEL is None, reason=f"md5 kernel not live: {native.status()['md5']}"
+)
+
+
+def on_hashlib():
+    """Every MD5 batch inside runs on hashlib."""
+    return mock.patch.dict(native._LOADED, {"md5": (None, "set by the test suite")})
 
 
 def payloads(sizes, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.bytes(size) for size in sizes]
+
+
+def block_of(batch):
+    """Equal-length payloads as the frozen ``(n, record)`` block an encoder holds."""
+    block = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
+    assert not block.flags.writeable
+    return block
 
 
 def record_loop(algorithm, file_id, ids, batch):
@@ -54,187 +66,251 @@ def record_loop(algorithm, file_id, ids, batch):
     return store, digests
 
 
-def record_counted(store, file_id, ids, batch):
-    """``record_many``'s digests and how many batches it split (0 or 1)."""
-    with observability(reset=True):
-        digests = store.record_many(file_id, ids, batch)
-        return digests, REGISTRY.snapshot()["repro.security.digest.split_batches"]["value"]
-
-
 SHAPES = {
-    # name: (payload sizes, splits on two or more CPUs)
-    "64 x 4 KiB": ([4 * KIB] * 64, False),
-    "16 x 8 KiB": ([8 * KIB] * 16, False),
-    "64 x 8 KiB": ([8 * KIB] * 64, True),
-    "4 x 128 KiB": ([128 * KIB] * 4, True),
-    "mixed 8-128 KiB": ([8 * KIB, 128 * KIB, 40 * KIB, 9 * KIB, 100 * KIB], True),
-    "mixed, one 4 KiB": ([128 * KIB, 4 * KIB, 128 * KIB, 128 * KIB], False),
-    "empty": ([], False),
-    "one 512 KiB": ([512 * KIB], False),
+    "64 x 4 KiB": [4 * KIB] * 64,
+    "16 x 8 KiB": [8 * KIB] * 16,
+    "64 x 8 KiB": [8 * KIB] * 64,
+    "4 x 128 KiB": [128 * KIB] * 4,
+    "mixed 8-128 KiB": [8 * KIB, 128 * KIB, 40 * KIB, 9 * KIB, 100 * KIB],
+    "mixed, one 4 KiB": [128 * KIB, 4 * KIB, 128 * KIB, 128 * KIB],
+    "empty": [],
+    "one 512 KiB": [512 * KIB],
 }
 
 
 @pytest.mark.parametrize("algorithm", ["md5", "sha256"])
-@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_equals_record_loop(shape, n_cpus, algorithm, cpus):
-    cpus(n_cpus)
-    sizes, splits = SHAPES[shape]
-    batch = payloads(sizes)
+def test_equals_record_loop(shape, seed, algorithm):
+    """As a list, and as a block where the lengths are equal."""
+    batch = payloads(SHAPES[shape], seed)
     ids = [7 * i + 3 for i in range(len(batch))]
     expected_store, expected = record_loop(algorithm, 0xF11E, ids, batch)
-    store = DigestStore(algorithm)
-    digests, split = record_counted(store, 0xF11E, ids, batch)
-    assert split == int(splits and n_cpus > 1)
-    assert digests == expected
-    assert store == expected_store
-    assert store.to_dict() == expected_store.to_dict()
+    forms = [batch] + ([block_of(batch)] if len(set(map(len, batch))) == 1 else [])
+    for form in forms:
+        store = DigestStore(algorithm)
+        assert store.record_many(0xF11E, ids, form) == expected
+        assert store == expected_store
+        assert store.to_dict() == expected_store.to_dict()
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2])
-def test_memoryview_payloads(n_cpus, cpus):
-    """The owner hands over read-only slices of one packed product."""
-    cpus(n_cpus)
+@pytest.mark.parametrize("stride", [1, 2])
+def test_memoryview_payloads(stride):
+    """Read-only slices of one packed product: the owner's tiles
+    (``stride`` 1) and every other tile (2)."""
     packed = memoryview(payloads([64 * 128 * KIB])[0])
-    views = [packed[i * 128 * KIB : (i + 1) * 128 * KIB] for i in range(64)]
-    _, expected = record_loop("md5", 1, range(64), views)
-    assert DigestStore().record_many(1, range(64), views) == expected
+    views = [packed[i * 128 * KIB : (i + 1) * 128 * KIB] for i in range(0, 64, stride)]
+    _, expected = record_loop("md5", 1, range(len(views)), views)
+    assert DigestStore().record_many(1, range(len(views)), views) == expected
+
+
+def test_payload_types():
+    """bytes, bytearray, read-only memoryview slices, frozen numpy arrays
+    (1-D, and 2-D hashed as their bytes) and the rows of a block, mixed
+    in one batch, hash as hashlib hashes them."""
+    raw = payloads([300])[0]
+    frozen = np.frombuffer(raw, np.uint8)
+    words = np.frombuffer(raw[:256], np.uint32).reshape(8, 8)
+    batch = [
+        raw, bytearray(raw[:77]), memoryview(raw)[5:200], memoryview(raw)[64:64],
+        frozen[1:130], words, words[2], block_of([raw[:100], raw[100:200]])[1], b"",
+    ]
+    expected = [hashlib.md5(payload).digest() for payload in batch]
+    assert DigestStore().record_many(1, range(len(batch)), batch) == expected
+    with on_hashlib():
+        assert DigestStore().record_many(1, range(len(batch)), batch) == expected
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 192), st.sampled_from([4 * KIB, 128 * KIB])),
+        min_size=1, max_size=2 * LANES + 1,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_hashlib(lengths, seed):
+    """Every batch size from 1 to 2 x lanes + 1, each length from 0 to 3
+    blocks and 4 KiB and 128 KiB, mixed in one batch."""
+    batch = payloads(lengths, seed)
+    assert DigestStore().record_many(1, range(len(batch)), batch) == [
+        hashlib.md5(payload).digest() for payload in batch
+    ]
 
 
 @pytest.mark.parametrize("n_ids,n_payloads", [(3, 4), (4, 3), (0, 1), (1, 0), (64, 63)])
-def test_mismatched_lengths_store_nothing(n_ids, n_payloads, cpus):
-    cpus(2)
+def test_mismatched_lengths_store_nothing(n_ids, n_payloads):
     store = DigestStore()
+    batch = payloads([128 * KIB] * n_payloads)
     with pytest.raises(ValueError):
-        store.record_many(1, range(n_ids), payloads([128 * KIB] * n_payloads))
+        store.record_many(1, range(n_ids), batch)
+    if batch:
+        with pytest.raises(ValueError):
+            store.record_many(1, range(n_ids), block_of(batch))
     assert len(store) == 0
 
 
-def test_re_recording_overwrites_in_first_recorded_order(cpus):
-    cpus(2)
+def test_re_recording_overwrites_in_first_recorded_order():
     store = DigestStore()
     first, second = payloads([64 * KIB] * 8, seed=1), payloads([64 * KIB] * 8, seed=2)
     store.record_many(9, [5, 4, 3, 2], first[:4])
     store.record_many(4, [0, 1, 2, 3], first[4:])
-    store.record_many(9, [2, 3, 4, 5], second[:4])
+    store.record_many(9, [2, 3, 4, 5], block_of(second[:4]))
     blob = store.to_dict()
     assert list(blob) == ["9", "4"] and list(blob["9"]) == ["5", "4", "3", "2"]
     assert all(store.verify(9, mid, p) for mid, p in zip([2, 3, 4, 5], second[:4]))
     assert not store.verify(9, 5, first[0])
 
 
-def test_below_the_rule_starts_no_thread(cpus):
-    cpus(4)
+def test_record_many_starts_no_thread():
     before = threading.active_count()
     store = DigestStore()
     store.record_many(1, range(512), payloads([4 * KIB] * 512))
-    store.record_many(2, range(16), payloads([8 * KIB] * 16))
-    assert integrity._POOL is None
+    store.record_many(2, range(16), block_of(payloads([128 * KIB] * 16)))
     assert threading.active_count() == before
 
 
-def test_pool_reads_the_affinity_mask_not_the_sim_variable(own_pool, monkeypatch):
-    """One CPU rule: the pool is sized by ``native.usable_cpus``, the
-    scheduler affinity mask."""
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    _, split = record_counted(DigestStore(), 1, range(8), payloads([128 * KIB] * 8))
-    assert split == 1
-    assert integrity._POOL._max_workers == 1  # one worker beside the caller
-
-
-def test_concurrent_callers_share_one_pool(cpus, monkeypatch):
-    """Eight threads on two pretend CPUs race to build the pool at a
-    shortened switch interval: one pool is built and every digest is
-    right."""
-    import concurrent.futures
-
-    built = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    cpus(2)
-    batch = payloads([64 * KIB] * 8)
-    _, expected = record_loop("md5", 1, range(8), batch)
-    start, results = threading.Barrier(8), []
-
-    def caller():
-        start.wait(timeout=30)
-        for _ in range(20):
-            results.append(DigestStore().record_many(1, range(8), batch))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(built) == 1 and integrity._POOL is built[0]
-    assert results == [expected] * 160
-
-
-def test_digest_span_says_which_path_ran(cpus):
-    cpus(2)
-    store = DigestStore()
-    with observability(tracing=True, reset=True):
-        store.record_many(1, range(4), payloads([128 * KIB] * 4))
-        store.record_many(2, range(3), payloads([4 * KIB] * 3))
-        attrs = [
-            ev.fields["attrs"]
-            for ev in TRACER.events()
-            if ev.name == "span.start" and ev.fields["op"] == "security.digest"
-        ]
-    assert attrs == [
-        {"messages": 4, "bytes": 512 * KIB, "workers": 2},
-        {"messages": 3, "bytes": 12 * KIB, "workers": 1},
+def digest_span_attrs():
+    return [
+        ev.fields["attrs"]
+        for ev in TRACER.events()
+        if ev.name == "span.start" and ev.fields["op"] == "security.digest"
     ]
 
 
-_FORK_CHILD = """
-import hashlib, os, signal, sys, time
-from repro import native
-native.usable_cpus = lambda: 2
-from repro.security import DigestStore, integrity
+@needs_kernel
+def test_digest_span_says_which_path_ran():
+    store = DigestStore()
+    with observability(tracing=True, reset=True):
+        store.record_many(1, range(4), block_of(payloads([128 * KIB] * 4)))
+        with on_hashlib():
+            store.record_many(2, range(3), payloads([4 * KIB] * 3))
+        DigestStore("sha256").record_many(3, range(2), payloads([KIB] * 2))
+        attrs = digest_span_attrs()
+    assert attrs == [
+        {"messages": 4, "bytes": 512 * KIB, "backend": "native"},
+        {"messages": 3, "bytes": 12 * KIB, "backend": "hashlib"},
+        {"messages": 2, "bytes": 2 * KIB, "backend": "hashlib"},
+    ]
 
-batch = [bytes([i]) * (128 << 10) for i in range(8)]
-expected = [hashlib.md5(p).digest() for p in batch]
-assert DigestStore().record_many(1, range(8), batch) == expected
-parent_pool = integrity._POOL
-assert parent_pool is not None
-pid = os.fork()
-if pid == 0:
-    ok = DigestStore().record_many(1, range(8), batch) == expected
-    os._exit(0 if ok and integrity._POOL not in (None, parent_pool) else 3)
-deadline = time.monotonic() + 30
-while time.monotonic() < deadline:
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        sys.exit(os.waitstatus_to_exitcode(status))
-    time.sleep(0.01)
-os.kill(pid, signal.SIGKILL)  # hung: leave no orphan behind
-os.waitpid(pid, 0)
-sys.exit("the forked child did not finish within 30 s")
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "off",
+    [
+        lambda i, lengths: True,
+        lambda i, lengths: lengths[i] == 0,
+        lambda i, lengths: lengths[i] % 64 >= 56,
+        lambda i, lengths: lengths[i] == 4096 + 64,
+        lambda i, lengths: i == len(lengths) - 1 == 2 * LANES,
+    ],
+    ids=["always", "empty", "two-tail-blocks", "4-KiB-plus-a-block", "last-of-2-lanes-plus-1"],
+)
+def test_one_flipped_bit_is_refused_and_the_batch_falls_back(off):
+    class OneBitOff(integrity._MD5Kernel):
+        def hash_at(self, addresses, lengths):
+            digests = super().hash_at(addresses, lengths)
+            return [
+                bytes([d[0] ^ 1]) + d[1:] if off(i, lengths) else d
+                for i, d in enumerate(digests)
+            ]
+
+    off_kernel = copy.copy(KERNEL)
+    off_kernel.__class__ = OneBitOff
+    assert integrity._self_check(KERNEL) and not integrity._self_check(off_kernel)
+    batch = payloads([4 * KIB] * 40 + [100, 0])
+    with mock.patch.dict(native._LOADED), mock.patch.object(integrity, "_MD5Kernel", OneBitOff):
+        del native._LOADED["md5"]
+        with observability(tracing=True, reset=True):
+            digests = DigestStore().record_many(1, range(len(batch)), batch)
+            attrs = digest_span_attrs()
+        assert native.status()["md5"] == "self-check failed"
+    assert attrs[0]["backend"] == "hashlib"
+    assert digests == [hashlib.md5(payload).digest() for payload in batch]
+
+
+_NO_NATIVE_CHILD = """
+import hashlib, sys
+from repro import native
+from repro.rlnc import ChunkedEncoder, CodingParams
+from repro.security import DigestStore
+
+store = DigestStore()
+ChunkedEncoder(CodingParams(p=8, m=4096), b"s", 7).encode_file(bytes(range(256)) * 300, 3, store)
+batch = [bytes([i]) * (i * 61) for i in range(40)]
+store.record_many(9, range(40), batch)
+assert native.status().get("md5") == sys.argv[1], native.status()
+print(store.to_dict())
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_hashes_on_a_pool_of_its_own():
-    """The ``procs`` engine forks.  A child inherits the parent's pool
-    object but none of its threads; without the at-fork reset its first
-    split batch would wait forever."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FORK_CHILD], env=env, timeout=60, capture_output=True
+def test_same_digests_without_native():
+    """A publish and a mixed batch store the same digests with the
+    kernel live and under ``REPRO_NO_NATIVE=1``."""
+    runs = {}
+    for no_native, why in (("", "ok"), ("1", "disabled by REPRO_NO_NATIVE")):
+        if why == "ok" and KERNEL is None:
+            continue
+        env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NO_NATIVE=no_native)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NATIVE_CHILD, why],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs[no_native] = proc.stdout
+    assert len(set(runs.values())) == 1
+
+
+_WIDTH_CHILD = """
+import hashlib, sys
+from repro import native
+from repro.security import DigestStore, integrity
+
+kernel = native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
+assert native.status()["md5"] == "ok", native.status()
+lanes = int(sys.argv[1])  # 0: the host's CPU flags are unknown
+assert kernel.lanes in ((lanes,) if lanes else (4, 8, 16)), kernel.lanes
+batch = [bytes([i]) * (i * 997 % 9000) for i in range(3 * kernel.lanes + 2)]
+assert DigestStore().record_many(1, range(len(batch)), batch) == [
+    hashlib.md5(payload).digest() for payload in batch
+]
+"""
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next(
+        (set(line.split(":", 1)[1].split()) for line in text.splitlines() if line.startswith("flags")),
+        set(),
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="the width flags are x86 ones"
+)
+@pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
+@pytest.mark.parametrize("cflags, widest", [("", 16), ("-mno-avx512f", 8), ("-mno-avx", 4)])
+def test_every_lane_count_builds_and_matches_hashlib(cflags, widest):
+    """The kernel is as many lanes wide as the flags and the host CPU
+    allow (16 under AVX-512F, 8 under AVX, 4 on SSE2), and each build
+    passes its self-check and hashes a mixed batch as hashlib does."""
+    flags = _cpu_flags()
+    lanes = next(
+        (n for n, feature in ((16, "avx512f"), (8, "avx"), (4, "sse2"))
+         if n <= widest and feature in flags),
+        0,
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NATIVE_CFLAGS=cflags)
+    env.pop("REPRO_NO_NATIVE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDTH_CHILD, str(lanes)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _golden_tool():
@@ -245,23 +321,22 @@ def _golden_tool():
     return module
 
 
-def test_golden_p32_cell_takes_the_split_path(cpus):
-    """The pinned p = 32 publish (16 x 128 KiB per chunk, 3 chunks) is
-    hashed split and still reproduces its digests; the p = 8 cell's
-    4 KiB messages stay serial."""
-    cpus(2)
+@needs_kernel
+def test_golden_cells_hash_on_the_kernel():
+    """The pinned p = 32 (16 x 128 KiB per chunk, 3 chunks) and p = 8
+    (4 KiB messages) publishes hash every chunk's batch on the kernel, as
+    one block, and still reproduce their digests."""
     golden = _golden_tool()
     fixture = json.loads(golden.FIXTURE.read_text())["publish"]
-    for (p, m, file_bytes, n_peers), splits in zip(golden.POINTS[:2], (3, 0)):
-        with observability(reset=True):
+    for p, m, file_bytes, n_peers in golden.POINTS[:2]:
+        with observability(tracing=True, reset=True):
             cell = golden.publish_point(p, m, file_bytes, n_peers)
-            split = REGISTRY.snapshot()["repro.security.digest.split_batches"]["value"]
-        assert split == splits
+            backends = {attrs["backend"] for attrs in digest_span_attrs()}
+        assert backends == {"native"}
         assert cell == fixture[f"p{p}-m{m}-f{file_bytes}-n{n_peers}"]
 
 
-def test_digest_is_hashlib_of_the_payload(cpus):
-    cpus(2)
+def test_digest_is_hashlib_of_the_payload():
     batch = payloads([128 * KIB] * 4)
     assert DigestStore().record_many(1, range(4), batch) == [
         hashlib.md5(p).digest() for p in batch

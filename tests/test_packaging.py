@@ -63,9 +63,10 @@ def test_no_accidental_circular_imports():
 
 
 def test_built_package_ships_kernel_sources_and_runs_without_them(tmp_path):
-    """``setup.py build`` copies the two ``.c`` files the native kernels
+    """``setup.py build`` copies the four ``.c`` files the native kernels
     are compiled from; a package that lost them anyway (an older build,
-    a stripped image) must fall back to numpy silently, not raise."""
+    a stripped image) must fall back to numpy, ``pow`` and hashlib
+    silently, not raise."""
     import os
     import subprocess
     import sys
@@ -79,19 +80,33 @@ def test_built_package_ships_kernel_sources_and_runs_without_them(tmp_path):
          "build", "--build-base", str(tmp_path / "base"), "--build-lib", str(lib)],
         cwd=root, check=True, capture_output=True,
     )
-    sources = [lib / "repro" / "sim" / "_fastalloc.c", lib / "repro" / "gf" / "_gfmul.c"]
+    sources = [
+        lib / "repro" / "sim" / "_fastalloc.c",
+        lib / "repro" / "gf" / "_gfmul.c",
+        lib / "repro" / "security" / "_modexp.c",
+        lib / "repro" / "security" / "_md5.c",
+    ]
     for source in sources:
         assert source.is_file(), f"{source.name} missing from the built package"
         source.unlink()
 
     code = """
+import hashlib
+
 import numpy as np
 from repro import native
 from repro.gf import GF, bitmatmul
+from repro.security import DigestStore, modexp
 from repro.sim import BernoulliDemand, PeerConfig, Simulation, fastpath
 
-assert fastpath.load() is None and bitmatmul.load() is None
-assert native.status() == {"fastalloc": "source missing", "gfmul": "source missing"}
+assert fastpath.load() is None and bitmatmul.load() is None and modexp.load() is None
+assert DigestStore().record_many(1, [0, 1], [b"a", b""]) == [
+    hashlib.md5(b"a").digest(), hashlib.md5(b"").digest()
+]
+assert native.status() == {
+    "fastalloc": "source missing", "gfmul": "source missing",
+    "modexp": "source missing", "md5": "source missing",
+}
 field = GF(8)
 rng = np.random.default_rng(0)
 A, B = field.random((16, 16), rng), field.random((16, 2048), rng)

@@ -4,11 +4,12 @@ flags, through the shared loader.
 
 CI invokes this with ``REPRO_NATIVE_CFLAGS`` set to the ASan/UBSan flag
 set (and ``LD_PRELOAD`` pointing at libasan so the sanitizer runtime is
-present in the Python process): ``sim/_fastalloc.c``, ``gf/_gfmul.c``
-and ``security/_modexp.c`` are recompiled with sanitizers on (the flags
-are part of the cache digest, so this never reuses a normal build), then
-fuzzed against their numpy references, and the modexp kernel against
-builtin ``pow``, demanding zero bit differences — any out-of-bounds
+present in the Python process): ``sim/_fastalloc.c``, ``gf/_gfmul.c``,
+``security/_modexp.c`` and ``security/_md5.c`` are recompiled with
+sanitizers on (the flags are part of the cache digest, so this never
+reuses a normal build), then fuzzed against their numpy references, the
+modexp kernel against builtin ``pow`` and the MD5 kernel against
+hashlib, demanding zero bit differences — any out-of-bounds
 access, UB, or divergence fails the run.  The ``fastalloc`` fuzz
 apportions rows at the largest ledger totals its overflow guard admits
 and one past it, so UBSan traps any signed overflow the guard lets
@@ -17,7 +18,9 @@ elimination steps at p = 4, 8, 16 and 32: the tower's index sums into
 its base field's antilog table, zero and equal halves included, are
 read under ASan's redzones too.  The ``modexp`` check runs every limb
 count from 1 to the cap, so the kernel's stack buffers are read and
-written at their full length.
+written at their full length.  The ``md5`` check hashes messages at
+odd offsets of one buffer that end exactly at its last byte, so a read
+past a message's end, or past a lane's tail buffer, lands in a redzone.
 
 Exit codes: 0 pass, 1 compile/load/self-check failure, 2 no compiler.
 """
@@ -29,7 +32,7 @@ import sys
 
 from repro import native
 from repro.gf import bitmatmul
-from repro.security import modexp
+from repro.security import integrity, modexp
 from repro.sim import fastpath
 
 
@@ -38,6 +41,7 @@ def main() -> int:
     fastpath.load()
     bitmatmul.load()
     modexp.load()
+    native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
     status = native.status()
     for name, why in status.items():
         print(f"{name:<13}: {why}")
