@@ -419,17 +419,16 @@ def gate_credit_fold() -> int:
     """The batched slot's credit fold on a half-requesting slot / the same
     fold with every peer requesting, n = 1024 (``sim_dense``'s n).
 
-    A non-requester's column of the grants is 0, so ``ledger_tadd``
-    folds the requesters' ledger rows only: half the rows here.  The
-    operands are the engine's int64 byte ledger and grants.  Each side
-    is the mean of 8 calls.  Skipped, with the loader's reason, where
-    the kernels are not live.
+    The fold takes the slot's compact grant block ``M`` (every giver x
+    the requesters ``R``) and credits the requesters' ledger rows only:
+    half the rows here, from a block half as wide.  The operands are
+    the engine's int64 byte ledger and grants.  Each side is the mean of
+    8 calls.  Skipped, with the loader's reason, where the kernels are
+    not live.
 
-    Ten runs on a 2 vCPU host (2026-10-18) read 0.51, 0.555, 0.585,
-    0.59, 0.592, 0.605, 0.633, 0.652, 0.664 and 0.681x; the same slot
-    with every row folded (the mask ignored) reads 0.95-1.06x.  The 0.8x
-    budget is 1.17x above the largest reading and 0.84 of the least a
-    regression read.
+    Three runs on a 2 vCPU host (2026-10-18) read 0.58, 0.68 and 0.73x,
+    as the masked whole-matrix fold it replaced did (0.51-0.68x); that
+    fold with every row folded read 0.95-1.06x.  The budget stays 0.8x.
     """
     import numpy as np
 
@@ -445,13 +444,14 @@ def gate_credit_fold() -> int:
     ledger = rng.integers(0, 1 << 40, (n, n))
 
     def fold(req):
-        alloc = np.where(req, rng.integers(0, 1 << 17, (n, n)), 0)
-        req_u8 = req.view(np.uint8)
+        R = np.flatnonzero(req)
+        M = rng.integers(0, 1 << 17, (n, R.size))
+        sums = np.empty(R.size, dtype=np.int64)
 
         def run() -> float:
             start = time.perf_counter()
             for _ in range(8):
-                kernels.ledger_tadd(ledger, alloc, req_u8, 1.0)
+                kernels.ledger_tadd(ledger, M, R, 1.0, sums)
             return (time.perf_counter() - start) / 8
         return run
 
@@ -462,20 +462,96 @@ def gate_credit_fold() -> int:
     )
 
 
-def gate_sparse() -> int:
-    """The sparse engine / the batched one on an n=2048 cohort population.
+def gate_dense_slot() -> int:
+    """A batched slot with half the peers requesting / the same slot with
+    every peer requesting, n = 1024 Equation (2) peers (``sim_dense``'s
+    shape without its free riders).
 
-    Per-slot work that follows the active cohort, not ``n x n``: the
-    population shape the sparse engine exists for.
+    The slot's grants are one compact block (every giver x ``R``), so
+    its rows, fold and rates cost about ``|R| / n`` of a full slot; a
+    kernel that writes or reads whole ``n``-wide rows again reads about
+    1x.  Each side is the mean of a 16-slot ``run(history="none")`` on
+    one simulation per side, warmed by one pass.
+
+    Three runs on a 2 vCPU host (2026-10-18) read 0.44, 0.47 and 0.48x
+    (0.50x on the numpy fallback); the masked whole-row kernels it
+    replaced read 0.88 and 0.90x.  The 0.7x budget is 1.46x above the
+    largest reading and 0.8 of the least a regression read.
     """
-    import bench_sim_scaling as scaling
+    from repro.core import PeerwiseProportionalAllocator
+    from repro.sim import BernoulliDemand, PeerConfig, Simulation
 
-    def slot_seconds(engine):
-        return lambda: scaling.sparse_slot_stats(2048, slots=24, reps=1, engine=engine)[0]
+    def slot(gamma):
+        sim = Simulation([
+            PeerConfig(capacity=100.0 + (i % 32) * 25.0, demand=BernoulliDemand(gamma),
+                       allocator=PeerwiseProportionalAllocator())
+            for i in range(1024)
+        ], seed=3, engine="batched")
+        sim.run(16, history="none")
+
+        def run() -> float:
+            start = time.perf_counter()
+            sim.run(16, history="none")
+            return (time.perf_counter() - start) / 16
+        return run
 
     return ratio_gate(
-        "sparse / batched slot, n=2048 in 64 cohorts",
-        slot_seconds("sparse"), slot_seconds("batched"), 0.1,
+        "batched slot, half / all peers requesting, n=1024",
+        slot(0.5), slot(1.0), 0.7,
+        "does the batched slot write or read whole n-wide grant rows again?",
+    )
+
+
+def gate_sparse() -> int:
+    """The sparse engine / a dense slot frozen here, per slot, on an
+    n = 2048 cohort population (16 givers, 64 request cohorts, so
+    |R| ~ 32).
+
+    Per-slot work that follows the active cohort, not ``n x n``: the
+    population shape the sparse engine exists for.  The reference is
+    spelled out here and frozen, as ``gate_screen``'s is, so a faster
+    batched engine does not move it: the batched slot as it was before
+    its grants became a compact block, on its numpy body — every row of
+    a reused ``(n, n)`` int64 grant matrix rewritten (Equation (2) at
+    the requesters, zero elsewhere), the whole matrix folded
+    transposed into the ledger in 128-row strips, and its column sums
+    taken.  Each side is the mean over 24 slots.
+
+    Three runs on a 2 vCPU host (2026-10-18) read 0.0068, 0.0090 and
+    0.0095x (0.013x on the numpy fallback), the frozen side ~34.5 ms a
+    slot; one ``demand.sample`` per peer planted in
+    ``ShardKernel.sample`` read 0.113 and 0.12x.  The 0.05x budget is
+    5.3x above the largest reading and 0.44 of the least the plant read.
+    """
+    import bench_sim_scaling as scaling
+    import numpy as np
+
+    from repro.core.apportion import BYTES_PER_KBIT, eq2_grants, rate_bytes
+
+    n, givers, cohorts, slots = 2048, 16, 64, 24
+    caps = np.zeros(n, dtype=np.int64)
+    caps[:givers] = rate_bytes(1024.0)
+    cohort = np.arange(n) % cohorts
+    ledger = np.zeros((n, n), dtype=np.int64)
+    grants = np.empty_like(ledger)
+    rates = np.empty(n)
+
+    def dense() -> float:
+        ledger[:] = 0
+        start = time.perf_counter()
+        for t in range(slots):
+            R = givers + np.flatnonzero(cohort[: n - givers] == t % cohorts)
+            grants[:] = 0
+            grants[:, R] = eq2_grants(caps, ledger[:, R])
+            for lo in range(0, n, 128):
+                ledger[:, lo:lo + 128] += grants[lo:lo + 128].T
+            np.divide(grants.sum(axis=0), BYTES_PER_KBIT, out=rates)
+        return (time.perf_counter() - start) / slots
+
+    return ratio_gate(
+        "sparse slot / frozen dense slot, n=2048 in 64 cohorts",
+        lambda: scaling.sparse_slot_stats(n, slots=slots, reps=1, engine="sparse")[0],
+        dense, 0.05,
         "is a dense ledger row or a per-peer python step back in the sparse slot?",
         reps=3,
     )
@@ -994,7 +1070,8 @@ def gate_digest() -> int:
 
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
-    gate_native_matmul, gate_native_elimination, gate_batched, gate_credit_fold, gate_sparse,
+    gate_native_matmul, gate_native_elimination, gate_batched, gate_credit_fold,
+    gate_dense_slot, gate_sparse,
     gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign,
     gate_modexp, gate_peer_path, gate_arrival, gate_digest,
 )

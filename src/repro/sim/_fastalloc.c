@@ -6,6 +6,12 @@
  * fastpath.py fuzzes that at load time and refuses the library on any
  * mismatch.
  *
+ * Both engines write a slot's grants as one compact block M (givers x
+ * the A requesters R, row-major): a grant to a non-requester is 0, so
+ * no kernel reads or writes those columns.  The batched engine's rows
+ * gather its dense ledger rows at R, the sparse engine's walk sorted
+ * ledger entries; Equation (3) rows are one kernel for both.
+ *
  * Grants, capacities and ledgers are whole bytes (int64), so equality
  * is a property of the arithmetic, not of an operation order: integer
  * sums are exact in any order.  Two rules keep it that way:
@@ -90,56 +96,51 @@ static inline int64_t credit(int64_t g, double w)
     return w == 1.0 ? g : (int64_t)((double)g * w);
 }
 
-/* Equation (2) and (3) rows of the dense engine, over whole rows: for
- * each listed row i, the weights are its ledger row's counts at the
- * requesters (ledger != NULL; a row holding no byte from any requester
- * splits equally) or the shared wq (0 at non-requesters), apportioned
- * in place in out[i].  A non-requester's prefix repeats its
- * predecessor's, so its grant comes out 0.  Returns 0, or -1 when a
- * row is outside the guard. */
-static int64_t dense_rows(const int64_t *ledger, const int64_t *wq,
-                          const uint8_t *req, const int64_t *caps,
-                          const int64_t *rows, int64_t nrows, int64_t n,
-                          int64_t *out)
+/* Equation (2) rows of the batched engine, into the compact block out
+ * (givers x requesters R, A = |R| columns): for each listed row i, the
+ * prefix sums of its dense ledger row's counts at R land in out[i] and
+ * caps[r] is apportioned over them in place.  A row holding no byte
+ * from any requester splits equally.  Returns 0, or -1 when a row is
+ * outside the guard. */
+int64_t repro_alloc_rows_eq2(const int64_t *ledger, const int64_t *R,
+                             int64_t A, const int64_t *caps,
+                             const int64_t *rows, int64_t nrows, int64_t n,
+                             int64_t *out)
 {
     for (int64_t r = 0; r < nrows; r++) {
-        int64_t *o = out + (uint64_t)rows[r] * n, P = 0;
-        if (ledger) {
-            const int64_t *cred = ledger + (uint64_t)rows[r] * n;
-            for (int64_t j = 0; j < n; j++) {
-                P += cred[j] & -(int64_t)(req[j] != 0);   /* no branch */
-                o[j] = P;
-            }
-            if (!P) {
-                for (int64_t j = 0; j < n; j++) {
-                    o[j] = req[j] != 0;
-                }
-                prefix(o, n);
+        const int64_t *cred = ledger + (uint64_t)rows[r] * n;
+        int64_t *o = out + (uint64_t)rows[r] * A, P = 0;
+        for (int64_t a = 0; a < A; a++) {
+            P += cred[R[a]];
+            o[a] = P;
+        }
+        if (!P) {
+            for (int64_t a = 0; a < A; a++) {
+                o[a] = a + 1;
             }
         }
-        else {
-            memcpy(o, wq, (size_t)n * sizeof *o);
-            prefix(o, n);
-        }
-        if (apportion(o, n, caps[r])) {
+        if (apportion(o, A, caps[r])) {
             return -1;
         }
     }
     return 0;
 }
 
-int64_t repro_alloc_rows_eq2(const int64_t *ledger, const uint8_t *req,
-                             const int64_t *caps, const int64_t *rows,
-                             int64_t nrows, int64_t n, int64_t *out)
+/* Equation (3) rows, in either engine: one shared weight vector wR at
+ * the requesters (the declared capacities in bytes), apportioned into
+ * the compact row M[rows[r]] for each listed row. */
+int64_t repro_rows_shared(const int64_t *rows, int64_t nrows, int64_t A,
+                          const int64_t *wR, const int64_t *caps, int64_t *M)
 {
-    return dense_rows(ledger, NULL, req, caps, rows, nrows, n, out);
-}
-
-int64_t repro_alloc_rows_shared(const int64_t *wq, const uint8_t *req,
-                                const int64_t *caps, const int64_t *rows,
-                                int64_t nrows, int64_t n, int64_t *out)
-{
-    return dense_rows(NULL, wq, req, caps, rows, nrows, n, out);
+    for (int64_t r = 0; r < nrows; r++) {
+        int64_t *o = M + rows[r] * A;
+        memcpy(o, wR, (size_t)A * sizeof *o);
+        prefix(o, A);
+        if (apportion(o, A, caps[r])) {
+            return -1;
+        }
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ *
@@ -238,23 +239,6 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
     return copied;
 }
 
-/* Equation (3) rows: one shared weight vector wR at R (the declared
- * capacities in bytes), apportioned per active giver. */
-int64_t repro_sparse_rows_shared(const int64_t *rowpos, int64_t nact,
-                                 int64_t A, const int64_t *wR,
-                                 const int64_t *caps, int64_t *M)
-{
-    for (int64_t r = 0; r < nact; r++) {
-        int64_t *o = M + rowpos[r] * A;
-        memcpy(o, wR, (size_t)A * sizeof *o);
-        prefix(o, A);
-        if (apportion(o, A, caps[r])) {
-            return -1;
-        }
-    }
-    return 0;
-}
-
 /* Fused feedback scatter: receiver R[a] gains credit(M[r][a], w) from
  * every active giver act[r].  Rows whose explicit entries already
  * contain every active giver take the in-place path (catch-up decay,
@@ -300,35 +284,32 @@ void repro_sparse_scatter(const int64_t *act, int64_t nact,
     }
 }
 
-/* led[j][i] += credit(alloc[i][j], w) over the requesters' ledger rows
- * only: a non-requester's column of alloc is 0 in every row, so its
- * ledger row would gain nothing.
+/* led[R[a]][i] += credit(M[i][a], w): the slot's compact grant block
+ * M (n givers x A requesters) folded into the requesters' ledger rows;
+ * no other row gains anything.  The same pass leaves M's column sums
+ * in sums[a], requester R[a]'s grant total: the slot's rates, without a
+ * second read of M.
  *
- * Tiles are TADD_ROWS alloc rows by TADD_COLS ledger rows: at a
- * power-of-two n, 64 alloc rows one stride apart share a handful of L1
- * sets, 16 of them fit. */
+ * Tiles are TADD_ROWS rows of M by TADD_COLS requesters. */
 #define TADD_ROWS 16
 #define TADD_COLS 128
 
-void repro_ledger_tadd(int64_t *led, const int64_t *alloc, const uint8_t *req,
-                       int64_t n, double w)
+void repro_ledger_tadd(int64_t *led, const int64_t *M, const int64_t *R,
+                       int64_t A, int64_t n, double w, int64_t *sums)
 {
-    int64_t js[TADD_COLS];
-    for (int64_t jb = 0; jb < n; jb += TADD_COLS) {
-        int64_t jend = jb + TADD_COLS < n ? jb + TADD_COLS : n;
-        int64_t m = 0;
-        for (int64_t j = jb; j < jend; j++) {
-            js[m] = j;
-            m += req[j] != 0;
-        }
+    memset(sums, 0, (size_t)A * sizeof *sums);
+    for (int64_t ab = 0; ab < A; ab += TADD_COLS) {
+        int64_t aend = ab + TADD_COLS < A ? ab + TADD_COLS : A;
         for (int64_t ib = 0; ib < n; ib += TADD_ROWS) {
             int64_t iend = ib + TADD_ROWS < n ? ib + TADD_ROWS : n;
-            for (int64_t k = 0; k < m; k++) {
-                int64_t j = js[k];
-                int64_t *lrow = led + (uint64_t)j * n;
+            for (int64_t a = ab; a < aend; a++) {
+                int64_t *lrow = led + (uint64_t)R[a] * n, s = 0;
                 for (int64_t i = ib; i < iend; i++) {
-                    lrow[i] += credit(alloc[(uint64_t)i * n + j], w);
+                    int64_t g = M[(uint64_t)i * A + a];
+                    lrow[i] += credit(g, w);
+                    s += g;
                 }
+                sums[a] += s;
             }
         }
     }

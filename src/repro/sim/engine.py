@@ -27,15 +27,15 @@ Three slot implementations produce those slots:
   class: every class-stateless built-in, free riders included) and a
   *slow set* (strategies with per-instance state — coalitions, fractions,
   private RNGs — and custom ones, which keep the per-peer path
-  unchanged).  Fast groups compute whole blocks
-  of the n x n allocation matrix in one shot — through the runtime-
-  compiled kernels of :mod:`repro.sim.fastpath` when available, else
-  pure-numpy matrix expressions — demand and capacity are pre-sampled in
-  time blocks for processes that declare themselves ``blockable``, and
-  ledger credit is a single (tiled) ``L += grants.T`` per flush, which
-  the kernel runs over the requesters' rows only (every other row of
-  ``grants.T`` is 0).
-  O(n^2) memory (the dense ledger matrix) and O(n^2) compute per slot.
+  unchanged).  A slot's grants are one compact block ``M`` (every giver
+  x the requesters ``R``; every grant to a non-requester is 0), and
+  fast groups compute whole row blocks of it in one shot — through the
+  runtime-compiled kernels of :mod:`repro.sim.fastpath` when available,
+  else pure-numpy matrix expressions — demand and capacity are
+  pre-sampled in time blocks for processes that declare themselves
+  ``blockable``, and ledger credit is a single (tiled) ``L[R] += M.T``
+  per slot, which also yields the rates (``M``'s column sums).
+  O(n^2) memory (the dense ledger matrix) and O(n |R|) compute per slot.
 * the **shard kernel** (:class:`~repro.sim.shard.ShardKernel`) — the
   large-``n`` path.  Credit lives in
   :class:`~repro.sim.sparse.SparseLedgers` and each slot touches only
@@ -153,6 +153,12 @@ def _available_memory_bytes() -> int | None:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError, AttributeError):
         return None
+
+
+def _at(rows: np.ndarray | None, R: np.ndarray) -> tuple:
+    """Where a compact block over givers ``rows`` (every peer when
+    ``None``) and requesters ``R`` sits in the dense ``(n, n)`` matrix."""
+    return (slice(None), R) if rows is None else np.ix_(rows, R)
 
 
 class Simulation:
@@ -322,7 +328,8 @@ class Simulation:
         """``engine="auto"``: ``batched`` or ``sparse``, by size and memory.
 
         The dense engines carry three (n, n) int64 arrays (ledger
-        matrix, pending feedback, per-slot grants); ``batched`` runs
+        matrix, pending feedback, per-slot grants: at most that under
+        ``batched``, whose grant block is n x |R|); ``batched`` runs
         while ``n`` is below the sparse threshold and 4x those arrays is
         available, ``sparse`` otherwise.  The second element names the
         arm taken and is the ``sim.engine_selected`` event's ``reason``.
@@ -395,11 +402,14 @@ class Simulation:
         self._block_start = -TIME_BLOCK  # force a build on first step
         self._req_block = np.empty((TIME_BLOCK, self.n), dtype=bool)
         self._cap_block = np.empty((TIME_BLOCK, self.n))
-        #: The slot's grants, rewritten whole every slot and consumed
-        #: within it (step() hands out a converted copy): one buffer
-        #: kept across slots rather than 8 MiB faulted in afresh at
-        #: n = 1024.  Scratch, so memory_bytes() does not count it.
-        self._grants = np.empty((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
+        #: Backing store of the slot's compact grant block ``M`` (n x
+        #: |R|, its first n |R| entries), rewritten every slot and
+        #: consumed within it; reserved once for |R| = n, so a slot never
+        #: allocates it (a fresh multi-MiB array faults its pages in
+        #: afresh) and only the pages the largest block has written are
+        #: ever resident.  Scratch, so memory_bytes() does not count it.
+        block = np.empty((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
+        self._block = block.reshape(-1)
 
     @property
     def backend(self) -> str:
@@ -457,13 +467,17 @@ class Simulation:
         """Advance one slot; returns ``(allocation_matrix, requesting, capacities)``.
 
         ``allocation_matrix[i, j]`` is ``mu_ij(t)`` in kbps: the slot's
-        whole-byte grant over 125.  Under the sparse engines the dense
-        matrix is materialised from the compact active-set rows — use
-        :meth:`run` with ``history="none"`` to keep large populations
+        whole-byte grant over 125.  Every engine but ``reference``
+        materialises it from the slot's compact block — use :meth:`run`
+        with ``history="none"`` to keep large populations
         allocation-free.
         """
-        grants, requesting, capacities = self._in_step_span(self._step_grants)
-        return grants / BYTES_PER_KBIT, requesting, capacities
+        rows, R, M, _, requesting, capacities = self._in_step_span(self._step_block)
+        if rows is None and R.size == self.n:
+            return M / BYTES_PER_KBIT, requesting, capacities  # M is the matrix
+        allocation = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
+        allocation[_at(rows, R)] = M / BYTES_PER_KBIT
+        return allocation, requesting, capacities
 
     def _in_step_span(self, step):
         if _TRACER.enabled:
@@ -473,18 +487,21 @@ class Simulation:
                 return step()
         return step()
 
-    def _step_grants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One slot: ``(grants, requesting, capacities)``, ``grants`` the
-        dense ``(n, n)`` whole bytes per second."""
+    def _step_block(self) -> tuple:
+        """One slot as ``(rows, R, M, rates, requesting, capacities)``:
+        ``M[r, a]`` is the grant from giver ``rows[r]`` (every peer when
+        ``rows`` is ``None``) to requester ``R[a]``, which holds every
+        nonzero grant of the slot, and ``rates`` its column sums in
+        kbps."""
         if self._shards is not None:
-            act, R, M, _, (requesting, capacities) = self._step_compact(dense=True)
-            grants = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
-            if act.size and R.size:
-                grants[np.ix_(act, R)] = M
-            return grants, requesting, capacities
+            act, R, M, rates, (requesting, capacities) = self._step_compact(dense=True)
+            return act, R, M, rates, requesting, capacities
         if self._mode == "batched":
-            return self._step_batched()
-        return self._step_reference()
+            return None, *self._step_batched()
+        grants, requesting, capacities = self._step_reference()
+        R = np.flatnonzero(requesting)
+        M = grants[:, R]
+        return None, R, M, column_sums(M), requesting, capacities
 
     def _step_reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = self._t
@@ -537,7 +554,9 @@ class Simulation:
             self._flushed(t)
         for peer in self.peers:
             peer.config.allocator.on_slot_end(t)
-        self._emit_slot(grants, requesting)
+        if _OBS.enabled or _TRACER.enabled:
+            rates = column_sums(grants)
+            self._emit(R.size, grants, jain_index(rates[R]) if R.size else 1.0)
         self._t += 1
         return grants, requesting, capacities
 
@@ -552,7 +571,11 @@ class Simulation:
         for i in self._block_capacity:
             self._cap_block[:, i] = peers[i].config.capacity.values(t, TIME_BLOCK)
 
-    def _step_batched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _step_batched(self) -> tuple[np.ndarray, ...]:
+        """One slot: ``(R, M, rates, requesting, capacities)``, ``M`` the
+        compact grant block (every giver x the requesters ``R``) in the
+        reused buffer, valid until the next slot, and ``rates`` its
+        column sums in kbps."""
         t = self._t
         n = self.n
         sample_start = time.perf_counter_ns() if _OBS.enabled else None
@@ -571,46 +594,39 @@ class Simulation:
         if self._declared_idx.size:
             declared[self._declared_idx] = self._declared_vals
         R = np.flatnonzero(requesting)
-        req_u8 = requesting.view(np.uint8)
         budgets = rate_bytes(capacities)
 
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
         if sample_start is not None:
             _SIM_SAMPLE_NS.observe(alloc_start - sample_start)
-        grants = self._grants
+        M = self._block[: n * R.size].reshape(n, R.size)
         ledgers = self._credit_matrix
         kernels = self._kernels
         for rep, rows, kind in self._groups:
             caps = budgets[rows]
-            if kind == "eq2" and kernels is not None:
-                kernels.alloc_rows_eq2(ledgers, req_u8, caps, rows, grants)
-                continue
-            if kind == "eq3" and kernels is not None:
-                weights = rate_bytes(np.where(requesting, declared, 0.0))
-                kernels.alloc_rows_shared(weights, req_u8, caps, rows, grants)
-                continue
-            if kind == "proto":
+            if kind == "eq2":
+                if kernels is not None:
+                    kernels.alloc_rows_eq2(ledgers, R, caps, rows, M)
+                else:
+                    M[rows] = eq2_grants(caps, ledgers[np.ix_(rows, R)])
+            elif kind == "eq3":
+                wR = rate_bytes(declared[R])
+                if kernels is not None:
+                    kernels.rows_shared(rows, wR, caps, M)
+                else:
+                    M[rows] = apportion(caps, np.broadcast_to(wR, (rows.size, wR.size)))
+            else:
                 proposals = rep.allocate_rows(
                     rows, capacities[rows], requesting,
                     credits_of(ledgers[rows], self._background[rows, None]), declared, t,
                 )
-                grants[rows] = feasible_grants(caps, np.where(requesting, proposals, 0.0))
-                continue
-            if kind == "eq2":
-                block = eq2_grants(caps, ledgers[np.ix_(rows, R)])
-            else:
-                wR = rate_bytes(declared[R])
-                block = apportion(caps, np.broadcast_to(wR, (rows.size, wR.size)))
-            grants[rows] = 0
-            grants[np.ix_(rows, R)] = block
+                M[rows] = feasible_grants(caps, proposals[:, R])
         for i in self._slow_rows:
             peer = self.peers[i]
             proposal = peer.config.allocator.allocate(
                 i, capacities[i], requesting, peer.ledger, declared, t
             )
-            grants[i] = feasible_grants(
-                budgets[i : i + 1], np.where(requesting, proposal, 0.0)[None]
-            )[0]
+            M[i] = feasible_grants(budgets[i : i + 1], proposal[R][None])[0]
         credit_start = None
         if alloc_start is not None:
             credit_start = time.perf_counter_ns()
@@ -618,14 +634,14 @@ class Simulation:
 
         weight = self.slot_seconds
         if _TRACER.enabled:
-            self._count_credit(slot_credit(grants, weight))
+            self._count_credit(slot_credit(M, weight))
         flush = (t + 1) % self.feedback_interval == 0
         if self.feedback_interval == 1:
             # Instant feedback: fold straight into the ledger matrix.
             self._apply_forgetting()
-            self._tadd(self._credit_matrix, grants, req_u8, weight)
+            rates = self._tadd(self._credit_matrix, M, R, weight)
         else:
-            self._tadd(self._pending_feedback, grants, req_u8, weight)
+            rates = self._tadd(self._pending_feedback, M, R, weight)
             if flush:
                 self._apply_forgetting()
                 self._credit_matrix += self._pending_feedback
@@ -639,9 +655,10 @@ class Simulation:
         if _OBS.enabled:
             _SIM_BATCHED_SLOTS.inc()
             _SIM_FAST_PEERS.set(n - len(self._slow_rows))
-        self._emit_slot(grants, requesting)
+        if _OBS.enabled or _TRACER.enabled:
+            self._emit(R.size, M, jain_index(rates) if R.size else 1.0)
         self._t += 1
-        return grants, requesting, capacities
+        return R, M, rates, requesting, capacities
 
     # -- shard-kernel engines (sparse, procs) --------------------------
 
@@ -709,26 +726,19 @@ class Simulation:
             )
             self._background[rows] *= self._forgetting[rows]
 
-    def _tadd(
-        self, target: np.ndarray, grants: np.ndarray, req_u8: np.ndarray, weight: float
-    ) -> None:
-        """``target += slot_credit(grants.T, weight)`` (the ledger-credit
-        transpose).  A non-requester's column of ``grants`` is 0, so its
-        row of ``target`` would gain nothing: the kernel skips those
-        rows, the numpy strips add the zeros."""
-        if self._kernels is not None:
-            self._kernels.ledger_tadd(target, grants, req_u8, weight)
-        else:
+    def _tadd(self, target: np.ndarray, M: np.ndarray, R: np.ndarray, weight: float) -> np.ndarray:
+        """``target[R] += slot_credit(M.T, weight)`` (the ledger-credit
+        transpose of the compact block: only the requesters' rows of
+        ``target`` gain anything); returns the rates, ``M``'s column
+        sums in kbps, which the kernel takes in the same pass."""
+        if self._kernels is None:
             # Strip-tiled so the transposed read stays cache-resident.
-            for s in range(0, self.n, 128):
-                e = min(s + 128, self.n)
-                target[:, s:e] += slot_credit(grants[s:e].T, weight)
-
-    def _emit_slot(self, grants: np.ndarray, requesting: np.ndarray) -> None:
-        if _OBS.enabled or _TRACER.enabled:
-            rates = column_sums(grants)
-            jain = jain_index(rates[requesting]) if bool(requesting.any()) else 1.0
-            self._emit(int(requesting.sum()), grants, jain)
+            for s in range(0, R.size, 128):
+                target[R[s : s + 128]] += slot_credit(M[:, s : s + 128].T, weight)
+            return column_sums(M)
+        sums = np.empty(R.size, dtype=np.int64)
+        self._kernels.ledger_tadd(target, M, R, weight, sums)
+        return sums / BYTES_PER_KBIT
 
     def _emit(self, requesting: int, grants: np.ndarray, jain: float) -> None:
         """A slot's metrics and ``sim.slot`` event from its grants (the
@@ -805,24 +815,28 @@ class Simulation:
         rates = np.zeros((slots, self.n))
         requesting = np.zeros((slots, self.n), dtype=bool)
         capacities = np.zeros((slots, self.n))
-        total = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
+        # Transposed, so a slot adds its block's requesters as whole rows.
+        total_T = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         alloc_history = None
         if record_allocations:
             alloc_history = np.zeros((slots, self.n, self.n))  # repro: allow[sim-dense-alloc]
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
-                grants, req, caps = self._in_step_span(self._step_grants)
-                rates[s] = column_sums(grants)
-                total += grants
+                rows, R, M, rates_c, req, caps = self._in_step_span(self._step_block)
+                rates[s, R] = rates_c
+                if rows is None:
+                    total_T[R] += M.T
+                else:
+                    total_T[np.ix_(R, rows)] += M.T
                 if alloc_history is not None:
-                    np.divide(grants, BYTES_PER_KBIT, out=alloc_history[s])
+                    alloc_history[s][_at(rows, R)] = M / BYTES_PER_KBIT
                 requesting[s] = req
                 capacities[s] = caps
         return SimulationResult(
             rates=rates,
             requesting=requesting,
             capacities=capacities,
-            mean_alloc=total / (BYTES_PER_KBIT * slots),
+            mean_alloc=np.ascontiguousarray(total_T.T) / (BYTES_PER_KBIT * slots),
             slot_seconds=self.slot_seconds,
             alloc_history=alloc_history,
             labels=self._labels,
@@ -844,8 +858,10 @@ class Simulation:
                     _, R, _, rates_c, _ = self._in_step_span(self._step_compact)
                     metrics.jain.append(jain_index(rates_c) if R.size else 1.0)
                 else:
-                    grants, req, caps = self._in_step_span(self._step_grants)
-                    metrics.update_dense(s, column_sums(grants), req, caps)
+                    _, R, _, rates_c, req, caps = self._in_step_span(self._step_block)
+                    rates = np.zeros(self.n)
+                    rates[R] = rates_c
+                    metrics.update_dense(s, rates, req, caps)
         if compact:
             lo = 0
             for part in self._shards.end_metrics():

@@ -1,10 +1,15 @@
 """Native kernels for the batched and sparse allocation engines.
 
-The batched engine's hot loop at large ``n`` is memory-bandwidth bound;
-numpy alone pays one full matrix pass per sub-expression.  This module
-is the ctypes facade over ``_fastalloc.c``'s fused kernels and their
-self-check; compiling, caching, loading and the ``REPRO_NO_NATIVE``
-switch belong to :mod:`repro.native`.
+Both engines write a slot's grants as one compact block ``M`` (givers x
+the requesters ``R``): every grant to a non-requester is 0, so no
+kernel touches those columns.  The batched engine's hot loop at large
+``n`` is memory-bandwidth bound — its rows gather the dense ledger rows
+at ``R``, and its fold credits ``M`` into the requesters' ledger rows
+while summing ``M``'s columns — and numpy alone pays one full pass per
+sub-expression.  This module is the ctypes facade over
+``_fastalloc.c``'s fused kernels and their self-check; compiling,
+caching, loading and the ``REPRO_NO_NATIVE`` switch belong to
+:mod:`repro.native`.
 
 Correctness gate: every path must produce the reference slot loop's
 bits, so the library is only accepted after :func:`_self_check` fuzzes
@@ -47,20 +52,21 @@ class FastAlloc:
 
     All array arguments must be C-contiguous with the exact dtypes the
     engine uses (int64 ledgers, grants, capacities and indices, float64
-    forgetting factors, uint8 request mask); the engine owns every
-    buffer it passes, so no conversions happen here.
+    forgetting factors); the engine owns every buffer it passes, so no
+    conversions happen here.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
         signatures = {
-            "repro_alloc_rows_eq2": (_i64, [_ptr] * 4 + [_i64, _i64, _ptr]),
-            "repro_alloc_rows_shared": (_i64, [_ptr] * 4 + [_i64, _i64, _ptr]),
-            "repro_ledger_tadd": (None, [_ptr, _ptr, _ptr, _i64, _f64]),
+            "repro_alloc_rows_eq2": (
+                _i64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr],
+            ),
+            "repro_rows_shared": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
+            "repro_ledger_tadd": (None, [_ptr, _ptr, _ptr, _i64, _i64, _f64, _ptr]),
             "repro_sparse_rows_eq2": (
                 _i64, [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 5,
             ),
-            "repro_sparse_rows_shared": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
             "repro_sparse_scatter": (
                 None,
                 [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64] + [_ptr] * 5,
@@ -71,31 +77,33 @@ class FastAlloc:
             fn.restype = restype
             fn.argtypes = argtypes
 
-    def alloc_rows_eq2(self, ledger, req_u8, caps, rows, out) -> None:
+    def alloc_rows_eq2(self, ledger, R, caps, rows, M) -> None:
         """Equation (2) grants of ``rows`` (capacities ``caps``) over the
-        requesters ``req_u8`` into ``out``'s rows, in place."""
+        requesters ``R``, read from the dense ``ledger`` rows at ``R``,
+        into the compact rows ``M[rows]`` (``M`` is ``(*, R.size)``)."""
         _checked(self._lib.repro_alloc_rows_eq2(
-            ledger.ctypes.data, req_u8.ctypes.data,
+            ledger.ctypes.data, R.ctypes.data, R.size,
             caps.ctypes.data, rows.ctypes.data,
-            rows.size, ledger.shape[0], out.ctypes.data,
+            rows.size, ledger.shape[1], M.ctypes.data,
         ))
 
-    def alloc_rows_shared(self, weights, req_u8, caps, rows, out) -> None:
-        """Equation (3) grants: every row apportions over ``weights``
-        (the declared bytes, 0 at non-requesters)."""
-        _checked(self._lib.repro_alloc_rows_shared(
-            weights.ctypes.data, req_u8.ctypes.data,
-            caps.ctypes.data, rows.ctypes.data,
-            rows.size, weights.size, out.ctypes.data,
+    def rows_shared(self, rows, wR, caps, M) -> None:
+        """Equation (3) grants: every row ``M[rows[r]]`` apportions
+        ``caps[r]`` over the shared weights ``wR`` (the declared bytes
+        at the requesters)."""
+        _checked(self._lib.repro_rows_shared(
+            rows.ctypes.data, rows.size, wR.size,
+            wR.ctypes.data, caps.ctypes.data, M.ctypes.data,
         ))
 
-    def ledger_tadd(self, ledger, alloc, req_u8, weight: float) -> None:
-        """``ledger += slot_credit(alloc.T, weight)`` (cache-tiled
-        transpose add) on the requesters' rows: a non-requester's
-        column of ``alloc`` is 0."""
+    def ledger_tadd(self, ledger, M, R, weight: float, sums) -> None:
+        """``ledger[R] += slot_credit(M.T, weight)`` (cache-tiled
+        transpose add): the compact grant block ``M`` (every giver x
+        ``R``) credited to the requesters' ledger rows; ``sums`` (int64,
+        ``R.size``) receives ``M``'s column sums from the same pass."""
         self._lib.repro_ledger_tadd(
-            ledger.ctypes.data, alloc.ctypes.data, req_u8.ctypes.data,
-            ledger.shape[0], float(weight),
+            ledger.ctypes.data, M.ctypes.data, R.ctypes.data,
+            R.size, ledger.shape[0], float(weight), sums.ctypes.data,
         )
 
     def sparse_rows_eq2(self, store, act, rowpos, R, caps, M) -> int:
@@ -109,14 +117,6 @@ class FastAlloc:
             store.stamps.ctypes.data, store.nnz.ctypes.data,
             store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
             M.ctypes.data,
-        ))
-
-    def sparse_rows_shared(self, rowpos, wR, caps, M) -> None:
-        """Equation (3) grants over the active set: every row
-        apportions over the shared weights ``wR``."""
-        _checked(self._lib.repro_sparse_rows_shared(
-            rowpos.ctypes.data, rowpos.size, wR.size,
-            wR.ctypes.data, caps.ctypes.data, M.ctypes.data,
         ))
 
     def sparse_scatter(self, store, act, R, M, weight, ok) -> None:
@@ -150,47 +150,48 @@ def _self_check(k: FastAlloc) -> bool:
     rng = np.random.default_rng(0xFA57A110C)
     for _ in range(60):
         n = int(rng.integers(1, 50))
-        ledger = rng.integers(0, 10 ** int(rng.integers(1, 11)), (n, n))
-        ledger[rng.random((n, n)) < 0.3] = 0
-        req = rng.random(n) < 0.7
-        R = np.flatnonzero(req)
-        req_u8 = req.view(np.uint8)
-        caps = rng.integers(0, 10 ** int(rng.integers(1, 8)), n)
-        declared = rng.integers(0, 10 ** 6, n) * req
-        rows = np.arange(n, dtype=np.int64)
-        for got_rows, want_rows in (
-            (lambda out: k.alloc_rows_eq2(ledger, req_u8, caps, rows, out),
-             lambda: eq2_grants(caps, ledger[:, R])),
-            (lambda out: k.alloc_rows_shared(declared, req_u8, caps, rows, out),
-             lambda: apportion(caps, np.broadcast_to(declared[R], (n, R.size)))),
+        ledger, R, caps, wR = compact_case(rng, n)
+        rows = rng.permutation(n)
+        for got_rows, want in (
+            (lambda M: k.alloc_rows_eq2(ledger, R, caps, rows, M),
+             eq2_grants(caps, ledger[np.ix_(rows, R)])),
+            (lambda M: k.rows_shared(rows, wR, caps, M),
+             apportion(caps, np.broadcast_to(wR, (n, R.size)))),
         ):
-            want = np.zeros((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] tiny self-check
-            want[:, R] = want_rows()
-            got = np.full((n, n), -1, dtype=np.int64)  # repro: allow[sim-dense-alloc] tiny self-check
+            got = np.full((n, R.size), -1, dtype=np.int64)
             got_rows(got)
-            if not np.array_equal(want, got):
+            if not np.array_equal(want, got[rows]):
                 return False
     if not _self_check_guard(k, MAX_RATE):
         return False
 
-    # The masked fold at every tile edge and at sim_dense's n: three
-    # folds into one ledger (everyone, half, nobody requesting), then
-    # one comparison.  The ledger starts as r[j] + c[i] and each alloc
-    # is a[i] * b[j] with b zero at non-requesters (their columns 0, as
-    # the rows leave them), so the reference is rebuilt strip by strip
-    # in the ledger's own layout: at n = 1024 the check holds two (n, n)
-    # arrays and stays under the batched engine's peak memory.
+    # The compact fold at every tile edge and at sim_dense's n: one fold
+    # per request mask into one ledger, then one comparison.  The ledger
+    # starts as r[j] + c[i] and each grant is a[i] * b[j] (b zero at
+    # non-requesters), so the reference is rebuilt strip by strip in the
+    # ledger's own layout.  A call takes at most `span` requesters —
+    # every one up to n = 129, past the 128-requester tile edge — so at
+    # n = 1024 the check holds the ledger and one (n, n/2) block, what
+    # the batched engine holds on sim_dense's half-requesting slots.
     for n in TADD_SIZES:
         r, c = rng.integers(0, 1 << 39, n), rng.integers(0, 1 << 39, n)
         a = rng.integers(0, 1 << 20, n)
-        alloc = np.empty((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] self-check
+        span = max(129, (n + 1) // 2)
+        block = np.empty(n * min(n, span), dtype=np.int64)
         got = np.add.outer(r, c)
         folds = []
         for req in tadd_masks(rng, n):
+            R = np.flatnonzero(req)
             b = rng.integers(0, 1 << 20, n) * req
             w = float(rng.choice([1.0, 7.5, 0.3]))
-            np.multiply.outer(a, b, out=alloc)
-            k.ledger_tadd(got, alloc, req.view(np.uint8), w)
+            for lo in range(0, R.size or 1, span):
+                part = R[lo:lo + span]
+                M = block[: n * part.size].reshape(n, part.size)
+                np.multiply.outer(a, b[part], out=M)
+                sums = np.empty(part.size, dtype=np.int64)
+                k.ledger_tadd(got, M, part, w, sums)
+                if not np.array_equal(sums, M.sum(axis=0)):
+                    return False
             folds.append((b, w))
         for lo in range(0, n, 128):
             want = np.add.outer(r[lo:lo + 128], c)
@@ -203,24 +204,27 @@ def _self_check(k: FastAlloc) -> bool:
 
 def _self_check_guard(k: FastAlloc, max_rate: int) -> bool:
     """Rows at the largest totals the apportionment guard admits, and
-    one past it: equal grants at the edge, an ``OverflowError`` beyond
-    it on both sides (UBSan traps any signed overflow on the way)."""
+    one past it, through both compact row kernels: equal grants at the
+    edge, an ``OverflowError`` beyond it on both sides (UBSan traps any
+    signed overflow on the way)."""
     from ..core.apportion import apportion
 
     limit = np.iinfo(np.int64).max
+    R = np.arange(3, dtype=np.int64)
+    rows = np.zeros(1, dtype=np.int64)
+    got = np.empty((1, 3), dtype=np.int64)
     for cap in (1, 32_000, 1 << 31, max_rate):
         total = limit // (cap + 1)
         w = np.array([total // 3, total // 3, total - 2 * (total // 3)], dtype=np.int64)
-        req_u8 = np.ones(3, dtype=np.uint8)
         caps = np.array([cap], dtype=np.int64)
-        rows = np.zeros(1, dtype=np.int64)
-        got = np.empty((1, 3), dtype=np.int64)
-        k.alloc_rows_shared(w, req_u8, caps, rows, got)
-        if not np.array_equal(got, apportion(caps, w[None])) or got.sum() != cap:
-            return False
+        kernels = (lambda: k.rows_shared(rows, w, caps, got),
+                   lambda: k.alloc_rows_eq2(w[None], R, caps, rows, got))
+        for side in kernels:
+            side()
+            if not np.array_equal(got, apportion(caps, w[None])) or got.sum() != cap:
+                return False
         w[0] += 1
-        for side in (lambda: k.alloc_rows_shared(w, req_u8, caps, rows, got),
-                     lambda: apportion(caps, w[None])):
+        for side in (*kernels, lambda: apportion(caps, w[None])):
             try:
                 side()
                 return False
@@ -229,17 +233,31 @@ def _self_check_guard(k: FastAlloc, max_rate: int) -> bool:
     return True
 
 
-#: Sizes of the masked-fold check: one tile, either side of the 16-row
-#: and 128-row tile edges, and ``sim_dense``'s n.
+#: Sizes of the compact-fold check: one tile, either side of the 16-row
+#: and 128-requester tile edges, and ``sim_dense``'s n.
 TADD_SIZES = (1, 7, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200, 1024)
 
 
 def tadd_masks(rng: np.random.Generator, n: int):
-    """Request masks for the masked fold: everyone, a random half,
-    nobody (each a subset of the one before)."""
+    """Request masks for the compact fold: everyone, a random half, one
+    peer, nobody."""
     yield np.ones(n, dtype=bool)
     yield rng.random(n) < 0.5
+    yield np.arange(n) == rng.integers(n)
     yield np.zeros(n, dtype=bool)
+
+
+def compact_case(rng: np.random.Generator, n: int):
+    """``(ledger, R, caps, wR)`` of a compact-rows call on n peers:
+    ``|R|`` is 0, 1, n or drawn, and some ledger rows hold no byte at
+    ``R`` (an equal split)."""
+    size = int(rng.choice([0, 1, n, rng.integers(0, n + 1)]))
+    R = np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
+    ledger = rng.integers(0, 10 ** int(rng.integers(1, 11)), (n, n))
+    ledger[rng.random((n, n)) < 0.3] = 0
+    ledger[np.ix_(rng.random(n) < 0.3, R)] = 0
+    caps = rng.integers(0, 10 ** int(rng.integers(1, 8)), n)
+    return ledger, R, caps, rng.integers(0, 10 ** 6, R.size)
 
 
 def eq2_mix(rng: np.random.Generator):
@@ -309,7 +327,7 @@ def _self_check_sparse(k: FastAlloc) -> bool:
         if not np.array_equal(eq2_grants(caps[act], dense[np.ix_(act, R)]), got):
             return False
         declared = rng.integers(0, 10 ** 6, n)
-        k.sparse_rows_shared(rowpos, declared[R], caps[act], got)
+        k.rows_shared(rowpos, declared[R], caps[act], got)
         want = apportion(caps[act], np.broadcast_to(declared[R], (act.size, R.size)))
         if not np.array_equal(want, got):
             return False

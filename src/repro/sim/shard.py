@@ -621,7 +621,7 @@ class ShardKernel:
         capacities ``wR`` at ``R`` in bytes per second."""
         wR, caps = rate_bytes(wR), rate_bytes(caps)
         if self.native:
-            self._kernels.sparse_rows_shared(rowpos, wR, caps, M)
+            self._kernels.rows_shared(rowpos, wR, caps, M)
         else:
             M[rowpos] = apportion(caps, np.broadcast_to(wR, (caps.size, wR.size)))
 

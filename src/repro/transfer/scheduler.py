@@ -15,8 +15,10 @@ serving sessions through **one** slot loop, ``step`` (``run`` is ``begin``,
 5. per peer: wait out the handshake, or — after completion — keep
    transmitting *wasted* bytes until the stop arrives, or serve; served
    messages go in flight for the peer's delivery delay;
-6. zero-delay messages are delivered in the slot they were served, and
-   if that completed the decode step 2 runs now.
+6. zero-delay messages are delivered in the slot they were served — all
+   peers' in one decoder call after step 5 without a policy, each peer's
+   right after it serves with one — and if that completed the decode
+   step 2 runs now.
 
 Policy and latency are state this loop consults, not separate paths.  A
 :class:`RobustPolicy` adds the paper's threat model — every message is
@@ -514,6 +516,11 @@ class ParallelDownloader:
 
         stopping = self._complete_slot is not None
         quiet = stopping  # no peer in handshake, none still transmitting
+        # Trusting path: the slot's zero-delay arrivals reach the decoder
+        # in one call after the peer loop, in peer order.  The robust
+        # path offers per peer: its verdicts and fault events interleave
+        # with the offers.
+        batch = [] if robust is None else None
         # Peers transmit concurrently within the slot: every active
         # session's budget flows even if an earlier one's messages just
         # completed the decode; the surplus is simply not offered.
@@ -550,8 +557,12 @@ class ParallelDownloader:
             arrivals = [(t + self._delivery[i], i, d.message) for d in served]
             if self._delivery[i]:
                 self._inflight += arrivals
+            elif batch is not None:
+                batch += arrivals
             else:
                 self._offer(arrivals, t)
+        if batch:
+            self._offer(batch, t)
         self._on_complete(t)
         self._done = self._complete_slot is not None and (
             (quiet and not self._inflight)

@@ -13,12 +13,15 @@ Tier-1 budget: 5 s (it reads ~3 s on a 2 vCPU host: 25 examples, each
 forking up to three ``procs`` workers).
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     EqualSplitAllocator,
+    FreeRiderAllocator,
     GlobalProportionalAllocator,
     IsolationAllocator,
     PeerwiseProportionalAllocator,
@@ -27,7 +30,7 @@ from repro.core import (
 )
 from repro.core.apportion import BYTES_PER_KBIT, rate_bytes
 from repro.core.ledger import DEFAULT_INITIAL_CREDIT
-from repro.sim import BernoulliDemand, PeerConfig, Simulation
+from repro.sim import BernoulliDemand, PeerConfig, Simulation, fastpath
 from repro.sim.shard import ShardKernel, column_sums, has_islands, needs_declared
 
 FACTORIES = [
@@ -133,3 +136,57 @@ def test_any_order_split_or_engine_gives_equal_bits_and_exact_bytes(data):
     assert np.array_equal(sent[live][:, eq2], budgets[live][:, eq2])
     if all(f == 1.0 for f in forgetting):
         assert ref_credit.sum() == grants.sum()
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_batched_compact_block_native_and_numpy_equal_reference(data):
+    """The batched engine's compact grant block, on the compiled kernels
+    and on the numpy body, gives the reference loop's bits: Equation (2)
+    and (3) rows, free riders and the other batched allocators, slow
+    rows, delayed feedback, fractional or long slots and forgetting;
+    through ``run`` at both histories and through ``step()``'s dense
+    matrix."""
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    chosen = data.draw(st.lists(st.sampled_from([*FACTORIES, FreeRiderAllocator]),
+                                min_size=n, max_size=n))
+    caps = data.draw(st.lists(st.floats(0.0, 2000.0), min_size=n, max_size=n))
+    gammas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    forgetting = data.draw(st.lists(st.sampled_from([1.0, 0.9]), min_size=n, max_size=n))
+    feedback = data.draw(st.sampled_from([1, 3]))
+    slot_seconds = data.draw(st.sampled_from([1.0, 0.3, 7.5]))
+    seed = data.draw(st.integers(0, 10_000))
+
+    def make_sim(engine):
+        configs = [
+            PeerConfig(capacity=caps[i], demand=BernoulliDemand(gammas[i]),
+                       allocator=chosen[i](), forgetting=forgetting[i])
+            for i in range(n)
+        ]
+        return Simulation(configs, seed=seed, feedback_interval=feedback,
+                          slot_seconds=slot_seconds, engine=engine)
+
+    def run(engine, native=True):
+        with patch.object(fastpath, "load", fastpath.load if native else lambda: None):
+            full, streaming = make_sim(engine), make_sim(engine)
+        result = full.run(SLOTS, record_allocations=True)
+        steps = [full.step() for _ in range(3)]
+        summary = streaming.run(SLOTS + 3, history="none").summary
+        return full.backend, result, steps, summary, full.credit_matrix()
+
+    _, ref, ref_steps, ref_summary, ref_credit = run("reference")
+    for native in (True, False):
+        backend, got, steps, summary, credit = run("batched", native)
+        assert backend == ("batched+native" if native and fastpath.load() else "batched")
+        for field in ("rates", "alloc_history", "mean_alloc", "requesting", "capacities"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+        for (m, req, cap), (m_ref, req_ref, cap_ref) in zip(steps, ref_steps):
+            assert m.tobytes() == m_ref.tobytes()
+            assert req.tobytes() == req_ref.tobytes() and cap.tobytes() == cap_ref.tobytes()
+        for key, value in ref_summary.items():
+            assert np.asarray(summary[key]).tobytes() == np.asarray(value).tobytes(), key
+        assert credit.tobytes() == ref_credit.tobytes()

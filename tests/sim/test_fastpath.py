@@ -28,55 +28,52 @@ needs_native = pytest.mark.skipif(
 
 @needs_native
 class TestKernelsBitIdentical:
-    def _random_case(self, rng):
-        n = int(rng.integers(1, 40))
-        ledger = rng.integers(0, rng.choice([2, 10**3, 10**9]), (n, n))
-        ledger[rng.random((n, n)) < 0.2] = 0
-        req = rng.random(n) < 0.7
-        caps = rng.integers(0, rng.choice([1, 7, 10**5]), n)
-        declared = rng.integers(0, 10**6, n) * req
-        return n, ledger, req, caps, declared
+    """The batched engine's compact kernels: rows written into the
+    ``(givers, |R|)`` block and the fold of that block into the
+    requesters' ledger rows."""
+
+    def _cases(self, seed):
+        """Compact-rows calls in a shuffled row order: ``|R|`` of 0, 1, n
+        or drawn, with rows holding no byte at R (equal splits)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            yield (n, *fastpath.compact_case(rng, n), rng.permutation(n))
 
     def test_eq2_rows_match_numpy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            n, ledger, req, caps, _ = self._random_case(rng)
-            want = np.zeros((n, n), dtype=np.int64)
-            want[:, req] = eq2_grants(caps, ledger[:, req])
-            got = np.empty((n, n), dtype=np.int64)
-            kernels.alloc_rows_eq2(
-                ledger, req.view(np.uint8), caps, np.arange(n, dtype=np.int64), got
-            )
-            assert np.array_equal(got, want)
-            if req.any():
-                assert np.array_equal(got.sum(axis=1), caps)
+        """Equation (2) rows over the dense ledger gathered at R; a row
+        with requesters grants exactly its budget."""
+        for n, ledger, R, caps, _, rows in self._cases(2):
+            got = np.full((n, R.size), -1, dtype=np.int64)
+            kernels.alloc_rows_eq2(ledger, R, caps, rows, got)
+            assert np.array_equal(got[rows], eq2_grants(caps, ledger[np.ix_(rows, R)]))
+            if R.size:
+                assert np.array_equal(got[rows].sum(axis=1), caps)
 
     def test_eq3_rows_match_numpy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            n, _, req, caps, declared = self._random_case(rng)
-            want = np.zeros((n, n), dtype=np.int64)
-            want[:, req] = apportion(caps, np.broadcast_to(declared[req], (n, req.sum())))
-            got = np.empty((n, n), dtype=np.int64)
-            kernels.alloc_rows_shared(
-                declared, req.view(np.uint8), caps, np.arange(n, dtype=np.int64), got
-            )
-            assert np.array_equal(got, want)
+        """Equation (3) rows over the shared weights at R."""
+        for n, _, R, caps, wR, rows in self._cases(3):
+            got = np.full((n, R.size), -1, dtype=np.int64)
+            kernels.rows_shared(rows, wR, caps, got)
+            assert np.array_equal(got[rows], apportion(caps, np.broadcast_to(wR, (n, R.size))))
 
     def test_ledger_tadd_matches_numpy(self):
-        """The masked fold equals the full ``ledger + slot_credit(alloc.T,
-        w)`` when non-requester columns of ``alloc`` are 0, and leaves
-        non-requesters' ledger rows untouched."""
+        """The compact fold equals ``ledger[R] += slot_credit(M.T, w)`` at
+        every tile edge, leaves non-requesters' ledger rows untouched and
+        returns ``M``'s column sums."""
         rng = np.random.default_rng(4)
         for n in fastpath.TADD_SIZES:
             ledger = rng.integers(0, 1 << 40, (n, n))
             for req in fastpath.tadd_masks(rng, n):
-                alloc = rng.integers(0, 1 << 20, (n, n)) * req
+                R = np.flatnonzero(req)
+                M = rng.integers(0, 1 << 20, (n, R.size))
                 for w in (1.0, 0.3, 10.0):
-                    want = ledger + slot_credit(alloc.T, w)
-                    got = ledger.copy()
-                    kernels.ledger_tadd(got, alloc, req.view(np.uint8), w)
+                    want = ledger.copy()
+                    want[R] += slot_credit(M.T, w)
+                    got, sums = ledger.copy(), np.full(R.size, -1, dtype=np.int64)
+                    kernels.ledger_tadd(got, M, R, w, sums)
                     assert np.array_equal(got, want)
+                    assert np.array_equal(sums, M.sum(axis=0))
                     assert np.array_equal(got[~req], ledger[~req])
 
     def test_partial_row_subsets(self):
@@ -86,8 +83,9 @@ class TestKernelsBitIdentical:
         ledger = rng.integers(0, 1000, (n, n))
         caps = rng.integers(1, 10**5, n)
         rows = np.array([2, 5, 11], dtype=np.int64)
-        out = np.full((n, n), -1, dtype=np.int64)
-        kernels.alloc_rows_eq2(ledger, np.ones(n, dtype=np.uint8), caps[rows], rows, out)
+        R = np.array([0, 3, 5, 6, 10], dtype=np.int64)
+        out = np.full((n, R.size), -1, dtype=np.int64)
+        kernels.alloc_rows_eq2(ledger, R, caps[rows], rows, out)
         untouched = np.setdiff1d(np.arange(n), rows)
         assert np.all(out[untouched] == -1)
         assert np.all(out[rows] >= 0)
@@ -149,7 +147,7 @@ class TestSparseRows:
         for rows in (
             lambda: kernels.sparse_rows_eq2(store, one, one, R, cap, M),
             lambda: eq2_grants(cap, store.row_at(0, R)[None]),
-            lambda: kernels.sparse_rows_shared(one, store.row_at(0, R), cap, M),
+            lambda: kernels.rows_shared(one, store.row_at(0, R), cap, M),
         ):
             with pytest.raises(OverflowError):
                 rows()
