@@ -1,4 +1,4 @@
-"""CI perf-smoke: nineteen timing gates, each a ratio measured in this run.
+"""CI perf-smoke: twenty-one timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -307,6 +307,46 @@ def gate_native_matmul() -> int:
             "(store forwarding), or the gather back to one group per pass?",
         )
     return failures
+
+
+def gate_packed_product() -> int:
+    """``record_matmul`` on records / ``pack_rows(field.matmul(C, X))``.
+
+    At ``publish_rows``' product (p=8, 512 messages of a k=64 chunk), the
+    packed entry multiplies the source records straight into message
+    records on the compiled kernel at the storage width; the reference
+    multiplies the ``uint32`` symbols and packs the product, as the
+    encoder did before.  It reads 0.52-0.57x on a 2 vCPU AVX-512 box.
+    Skipped, with the loader's reason, where the kernel is not live.
+    """
+    import numpy as np
+
+    from repro import native
+    from repro.gf import GF, bitmatmul
+    from repro.rlnc.message import pack_rows
+
+    if bitmatmul.load() is None:
+        print(f"packed / uint32 product: kernel not live "
+              f"({native.status()['gfmul']}); skipped")
+        return 0
+    p, r, k, m = 8, 512, 64, 1 << 12
+    field = GF(p)
+    rng = np.random.default_rng(0)
+    coeffs, source = field.random((r, k), rng), field.random((k, m), rng)
+    records = pack_rows(source, p)
+
+    def packed():
+        return bitmatmul.record_matmul(field, coeffs, records)
+
+    def widened():
+        return pack_rows(field.matmul(coeffs, source), p)
+
+    assert packed().tobytes() == widened().tobytes()  # and warm both
+    return ratio_gate(
+        f"packed / uint32 product, p={p} ({r},{k})@({k},{m})",
+        packed, widened, 0.75,
+        "does the product widen its symbols to uint32 (or byte-swap them) again?",
+    )
 
 
 def gate_native_elimination() -> int:
@@ -1070,7 +1110,8 @@ def gate_digest() -> int:
 
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
-    gate_native_matmul, gate_native_elimination, gate_batched, gate_credit_fold,
+    gate_native_matmul, gate_packed_product, gate_native_elimination, gate_batched,
+    gate_credit_fold,
     gate_dense_slot, gate_sparse,
     gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_recombine, gate_sign,
     gate_modexp, gate_peer_path, gate_arrival, gate_digest,

@@ -7,10 +7,18 @@
  * every entry point against the numpy code it stands in for; any
  * difference refuses the whole library.
  *
- * The product's contract is over GF(2): with
- * G[(i,rr), (j,b)] = bit rr of prods[i][j][b], the bit-planes of out are
- * G times the bit-planes of src.  bitmatmul.py fills prods with
- * C_ij * y^b, which makes that the field product C @ src.
+ * The product out = C @ src multiplies an (r, n) coefficient matrix by
+ * n rows of m symbols stored w bits apiece, w in {4, 8, 16, 32}, into r
+ * rows stored the same way: a row is (m w + 7) / 8 bytes, which makes it
+ * a message record (w = p) or a uint32 array (w = 32).  Over GF(2) it
+ * is G times the bit-planes of src, with G[(i,rr), (j,b)] = bit rr of
+ * C_ij * y^b.  The kernel builds G itself from the field's tables (the
+ * same logz / expz / c the elimination kernels take), one row of
+ * products at a time, straight into the packed generator.  Records at
+ * w >= 16 are big-endian: a symbol's value bit b sits at native bit
+ * b XOR (w - 8) of its field, a fixed permutation that the generator
+ * takes on both its column (input) and row (output) bit indices, so no
+ * symbol is ever byte-swapped.
  *
  * Same plan as the numpy body of bit_matmul (packed generator, column
  * blocks, four-Russians tables by doubling, gather + XOR, unpack), laid
@@ -23,10 +31,11 @@
  *    256 output bit-rows: each accumulator line is loaded and stored
  *    once per four table rows, and groups past the last one read the
  *    zero line, so there is one gather loop and no remainder;
- *  - symbols <-> bit-planes is a 32x32 bit-matrix transpose on 64-bit
- *    words that each hold two adjacent symbols, 8 words abreast.  That
- *    permutes the columns inside a block, which a column-wise map cannot
- *    see, and packing and unpacking are the same involution;
+ *  - symbols <-> bit-planes: the block's 512 w-bit symbols are w lines,
+ *    and the last log2 w rounds of a 32x32 bit-matrix transpose network
+ *    transpose the w x w bit matrix in every w-bit field of every word.
+ *    That permutes the columns inside a block, which a column-wise map
+ *    cannot see, and packing and unpacking are the same involution;
  *  - more than 512 inner bit-rows are taken in chunks of 64 groups (1 MiB
  *    of tables) whose partial products XOR into out, so scratch does not
  *    grow with n;
@@ -34,7 +43,9 @@
  *    wide as the target has, never through a local copy: a line stored
  *    at one width and reloaded at another stalls store forwarding (gcc
  *    12's -march=sapphirerapids copies 64 bytes at 512 bits but
- *    vectorises loops at 256, which made that build the slowest one).
+ *    vectorises loops at 256, which made that build the slowest one);
+ *  - reads and writes of src and out stop at a row's last byte: the
+ *    tail block copies, and XORs into out, (cols w + 7) / 8 bytes.
  *
  * The elimination kernels (repro_gf_full_rank, repro_gf_arrival) multiply
  * with a table field's own tables, as TableField does: a product is
@@ -65,9 +76,24 @@
 
 typedef uint64_t vec_t __attribute__((vector_size(VEC_BYTES)));
 typedef vec_t line_t[VECS];
-typedef uint32_t sym_t __attribute__((may_alias));
 
 static const uint8_t zero_idx[ROW_BLOCK];
+
+/* Every kernel that multiplies is one body per field kind: a table field
+ * or the tower GF(2^32) = GF(2^16)[y] / (y^2 + y + c) over a table
+ * field's GF(2^16).  The kind is a constant in each copy, so no loop
+ * branches on it. */
+enum field_kind { TABLE, TOWER };
+
+#define BODY static inline __attribute__((always_inline))
+
+/* A table field's tables; for the tower, its base field's and c's log. */
+struct tables {
+    const intptr_t *restrict logz;
+    const uint32_t *restrict expz;
+    int64_t order; /* q - 1 of the table field */
+    int32_t lc;
+};
 
 /* The vector width this build works lines at, in bytes. */
 int repro_gf2_vector_bytes(void)
@@ -85,11 +111,11 @@ static inline void copy_lines(line_t *dst, const line_t *src, int64_t n)
     }
 }
 
-/* One round of the transpose network: swap the off-diagonal j x j
- * blocks of every 2j x 2j block (LSB-first). */
-static inline void swap_round(line_t *x, const int j, const uint64_t mask)
+/* One round of the transpose network over lines x[0, w): swap the
+ * off-diagonal j x j blocks of every 2j x 2j block (LSB-first). */
+BODY void swap_round(line_t *x, const int w, const int j, const uint64_t mask)
 {
-    for (int k0 = 0; k0 < 32; k0 += 2 * j) {
+    for (int k0 = 0; k0 < w; k0 += 2 * j) {
         for (int k = k0; k < k0 + j; k++) {
             for (int v = 0; v < VECS; v++) {
                 const vec_t t = ((x[k][v] >> j) ^ x[k + j][v]) & mask;
@@ -100,16 +126,40 @@ static inline void swap_round(line_t *x, const int j, const uint64_t mask)
     }
 }
 
-/* Transpose, in every 32-bit half of every lane, the 32x32 bit matrix
+/* The last log2 w rounds of the 32x32 network, over w lines. */
+BODY void transpose_at(line_t *x, const int w)
+{
+    if (w >= 32) {
+        swap_round(x, w, 16, 0x0000FFFF0000FFFFULL);
+    }
+    if (w >= 16) {
+        swap_round(x, w, 8, 0x00FF00FF00FF00FFULL);
+    }
+    if (w >= 8) {
+        swap_round(x, w, 4, 0x0F0F0F0F0F0F0F0FULL);
+    }
+    swap_round(x, w, 2, 0x3333333333333333ULL);
+    swap_round(x, w, 1, 0x5555555555555555ULL);
+}
+
+/* Transpose, in every w-bit field of every lane, the w x w bit matrix
  * whose row s is x[s]: afterwards bit s of x[b] is what bit b of x[s]
  * was. */
-static void transpose32(line_t *x)
+static void transpose(line_t *x, const int64_t w)
 {
-    swap_round(x, 16, 0x0000FFFF0000FFFFULL);
-    swap_round(x, 8, 0x00FF00FF00FF00FFULL);
-    swap_round(x, 4, 0x0F0F0F0F0F0F0F0FULL);
-    swap_round(x, 2, 0x3333333333333333ULL);
-    swap_round(x, 1, 0x5555555555555555ULL);
+    switch (w) {
+    case 4:
+        transpose_at(x, 4);
+        break;
+    case 8:
+        transpose_at(x, 8);
+        break;
+    case 16:
+        transpose_at(x, 16);
+        break;
+    default:
+        transpose_at(x, 32);
+    }
 }
 
 /* 8x8 bit-matrix transpose: bit u of byte c becomes bit c of byte u. */
@@ -125,18 +175,61 @@ static uint64_t transpose8(uint64_t x)
     return x;
 }
 
-/* gen[g][(i,rr)] = the byte whose bit u is bit rr of prods[i][8g + u]:
- * the table index of output bit-row (i,rr) in group g. */
-static void build_generator(const uint32_t *prods, int64_t r, int64_t inner,
-                            int64_t p, int64_t ngroups, uint8_t *gen)
+/* v with bit rr moved to rr XOR e, for e in {0, 8, 24}: the symbol's
+ * value bits in its record's native bit order. */
+static inline uint32_t native_order(uint32_t v, const int e)
 {
+    return e == 24 ? __builtin_bswap32(v) : e == 8 ? __builtin_bswap16((uint16_t)v) : v;
+}
+
+/* gen[g][(i,rr)] = the byte whose bit u is G[(i,rr), 8g + u], the table
+ * index of output bit-row (i,rr) in group g, with
+ * G[(i,rr), (j,s)] = bit rr XOR e of C_ij * y^(s XOR e).  The products
+ * of one row of C are made in prow (n p entries) from the field's
+ * tables: y^b is the element 1 << b, log b in a table field; in the
+ * tower it is 2^b or 2^(b-16) y, and (a1 y + a0) 2^b y =
+ * (a0 + a1) 2^b y + a1 c 2^b by y^2 = y + c. */
+BODY void generator_body(const int kind, const struct tables f, const uint32_t *coef,
+                         int64_t r, int64_t n, int64_t p, const int e,
+                         uint32_t *restrict prow, uint8_t *restrict gen)
+{
+    const intptr_t *restrict logz = f.logz;
+    const uint32_t *restrict expz = f.expz;
+    const int64_t inner = n * p;
+    const int64_t ngroups = (inner + 7) / 8;
+    intptr_t lcb[16]; /* logs of c 2^b in the base field */
+    if (kind == TOWER) {
+        for (int b = 0; b < 16; b++) {
+            lcb[b] = logz[expz[f.lc + b]];
+        }
+    }
     for (int64_t i = 0; i < r; i++) {
-        const uint32_t *row = prods + i * inner;
+        for (int64_t j = 0; j < n; j++) {
+            const uint32_t a = coef[i * n + j];
+            uint32_t *dst = prow + j * p;
+            if (kind == TOWER) {
+                const intptr_t l0 = logz[a & 0xFFFF], l1 = logz[a >> 16];
+                const intptr_t l01 = logz[(a & 0xFFFF) ^ (a >> 16)];
+                for (int s = 0; s < 32; s++) {
+                    const int b = s ^ e;
+                    const uint32_t v = b < 16
+                        ? expz[l1 + b] << 16 | expz[l0 + b]
+                        : expz[l01 + b - 16] << 16 | expz[l1 + lcb[b - 16]];
+                    dst[s] = native_order(v, e);
+                }
+            }
+            else {
+                const intptr_t la = logz[a];
+                for (int s = 0; s < p; s++) {
+                    dst[s] = native_order(expz[la + (s ^ e)], e);
+                }
+            }
+        }
         for (int64_t g = 0; g < ngroups; g++) {
             uint32_t v[8] = {0};
             uint8_t *dst = gen + (g * r + i) * p;
             for (int64_t u = 0; u < 8 && 8 * g + u < inner; u++) {
-                v[u] = row[8 * g + u];
+                v[u] = prow[8 * g + u];
             }
             for (int64_t first = 0; first < p; first += 8) {
                 uint64_t x = 0;
@@ -157,35 +250,53 @@ static size_t round64(size_t bytes)
     return (bytes + 63) & ~(size_t)63;
 }
 
-/* out (r, m) = G @ src (n, m) over GF(2) bit-planes, G from prods
- * (r, n, p); all uint32, C-contiguous, symbols < 2^p.  Returns nonzero
- * only when scratch cannot be allocated. */
-int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
-                     int64_t r, int64_t n, int64_t m, int64_t p)
+/* out = C @ src over the field of logz / expz / c (c = 0: that table
+ * field, of 2^p elements; else the tower, p = 32, over it).  coef is
+ * (r, n) uint32 coefficients, src and out are (n, m) and (r, m) symbols
+ * stored w bits apiece (w >= p; big-endian at w >= 16 when big_endian
+ * is nonzero, and then w = p), C-contiguous, every symbol < 2^p and
+ * m w a multiple of 8.  Returns nonzero only when scratch cannot be
+ * allocated. */
+int repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
+                     int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
+                     int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
+                     int64_t c)
 {
+    const int e = big_endian && w >= 16 ? (int)w - 8 : 0;
+    const int64_t row_bytes = m * w / 8;
     const int64_t inner = n * p;
     const int64_t ngroups = (inner + 7) / 8;
     const int64_t chunk = ngroups < GROUP_CHUNK ? ngroups : GROUP_CHUNK;
     const int64_t block_rows = ROW_BLOCK / p;  /* whole symbol rows */
 
     const size_t gen_bytes = round64((size_t)(ngroups * r * p));
+    const size_t prow_bytes = round64((size_t)inner * sizeof(uint32_t));
     const size_t tab_bytes = (size_t)chunk * 256 * sizeof(line_t);
     const size_t bits_bytes = (size_t)chunk * 8 * sizeof(line_t);
     const size_t acc_bytes = ROW_BLOCK * sizeof(line_t);
-    const size_t x_bytes = 32 * sizeof(line_t);
-    char *raw = malloc(gen_bytes + tab_bytes + bits_bytes + acc_bytes + x_bytes + 63);
+    const size_t x_bytes = (size_t)w * sizeof(line_t);
+    char *raw = malloc(gen_bytes + prow_bytes + tab_bytes + bits_bytes + acc_bytes
+                       + x_bytes + 63);
     if (raw == NULL) {
         return 1;
     }
     /* Table rows are cache lines only if the scratch is line-aligned. */
     char *base = raw + (-(uintptr_t)raw & 63);
     uint8_t *gen = (uint8_t *)base;
-    line_t *tables = (line_t *)(base + gen_bytes);
-    line_t *bits = (line_t *)(base + gen_bytes + tab_bytes);
-    line_t *acc = (line_t *)(base + gen_bytes + tab_bytes + bits_bytes);
-    line_t *x = (line_t *)(base + gen_bytes + tab_bytes + bits_bytes + acc_bytes);
+    uint32_t *prow = (uint32_t *)(base + gen_bytes);
+    line_t *tables = (line_t *)(base + gen_bytes + prow_bytes);
+    line_t *bits = tables + chunk * 256;
+    line_t *acc = bits + chunk * 8;
+    line_t *x = acc + ROW_BLOCK;
 
-    build_generator(prods, r, inner, p, ngroups, gen);
+    if (c == 0) {
+        const struct tables f = {logz, expz, 0, 0};
+        generator_body(TABLE, f, coef, r, n, p, e, prow, gen);
+    }
+    else {
+        const struct tables f = {logz, expz, 0, (int32_t)logz[c]};
+        generator_body(TOWER, f, coef, r, n, p, e, prow, gen);
+    }
 
     for (int64_t g0 = 0; g0 < ngroups; g0 += chunk) {
         const int64_t gn = ngroups - g0 < chunk ? ngroups - g0 : chunk;
@@ -194,15 +305,16 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
 
         for (int64_t c0 = 0; c0 < m; c0 += BLOCK_COLS) {
             const int64_t cols = m - c0 < BLOCK_COLS ? m - c0 : BLOCK_COLS;
-            const size_t col_bytes = (size_t)cols * sizeof(uint32_t);
+            const size_t col_bytes = (size_t)(cols * w + 7) / 8;
+            const int64_t offset = c0 * w / 8;
 
             /* Pack: inner bit-rows t0..t1 of this column block, the last
              * group zero-padded to eight. */
             copy_lines(bits + (t1 - t0), NULL, 8 * gn - (t1 - t0));
             for (int64_t j = t0 / p; j * p < t1; j++) {
-                memcpy(x, src + j * m + c0, col_bytes);
+                memcpy(x, src + j * row_bytes + offset, col_bytes);
                 memset((char *)x + col_bytes, 0, x_bytes - col_bytes);
-                transpose32(x);
+                transpose(x, w);
                 for (int64_t b = 0; b < p; b++) {
                     const int64_t t = j * p + b;
                     if (t >= t0 && t < t1) {
@@ -217,9 +329,9 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                 line_t *tab = tables + g * 256;
                 copy_lines(tab, NULL, 1);
                 for (int b = 0; b < 8; b++) {
-                    for (int e = 0; e < (1 << b); e++) {
+                    for (int k = 0; k < (1 << b); k++) {
                         for (int v = 0; v < VECS; v++) {
-                            tab[(1 << b) + e][v] = tab[e][v] ^ bits[8 * g + b][v];
+                            tab[(1 << b) + k][v] = tab[k][v] ^ bits[8 * g + b][v];
                         }
                     }
                 }
@@ -242,9 +354,9 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                     }
                     for (int64_t row = 0; row < nrows; row++) {
                         const vec_t *a = tab[0][idx[0][row]], *b = tab[1][idx[1][row]];
-                        const vec_t *c = tab[2][idx[2][row]], *d = tab[3][idx[3][row]];
+                        const vec_t *cc = tab[2][idx[2][row]], *d = tab[3][idx[3][row]];
                         for (int v = 0; v < VECS; v++) {
-                            acc[row][v] ^= (a[v] ^ b[v]) ^ (c[v] ^ d[v]);
+                            acc[row][v] ^= (a[v] ^ b[v]) ^ (cc[v] ^ d[v]);
                         }
                     }
                 }
@@ -252,17 +364,17 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
                 /* Unpack each symbol row's p bit-rows into out; later
                  * chunks of inner bits add to what the first one wrote. */
                 for (int64_t i = 0; i < in; i++) {
-                    uint32_t *dst = out + (i0 + i) * m + c0;
+                    uint8_t *restrict dst = out + (i0 + i) * row_bytes + offset;
                     copy_lines(x, acc + i * p, p);
-                    copy_lines(x + p, NULL, 32 - p);
-                    transpose32(x);
+                    copy_lines(x + p, NULL, w - p);
+                    transpose(x, w);
                     if (g0 == 0) {
                         memcpy(dst, x, col_bytes);
                     }
                     else {
-                        const sym_t *sym = (const sym_t *)x;
-                        for (int64_t c = 0; c < cols; c++) {
-                            dst[c] ^= sym[c];
+                        const uint8_t *restrict sym = (const uint8_t *)x;
+                        for (size_t k = 0; k < col_bytes; k++) {
+                            dst[k] ^= sym[k];
                         }
                     }
                 }
@@ -273,11 +385,8 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
     return 0;
 }
 
-
 /* Every elimination step below is one body written once and instantiated
- * twice, for a table field and for the tower GF(2^32) = GF(2^16)[y] /
- * (y^2 + y + c) over a table field's GF(2^16); the kind is a constant in
- * each copy, so no loop branches on it.  Either way the inner loop is
+ * for each field kind.  Either way the inner loop is
  * row[j] ^= a * x[j] with a's logs fixed for the loop and x[j]'s read
  * from scratch (or taken through logz on the fly).
  *
@@ -294,20 +403,8 @@ int repro_gf2_matmul(const uint32_t *prods, const uint32_t *src, uint32_t *out,
  * logs kept in scratch are int32, so a vector gathers twice the indices
  * it would as intptr. */
 
-enum field_kind { TABLE, TOWER };
-
 /* Int32 logs one element, or one factor, keeps in scratch. */
 #define NLOGS(kind) ((kind) == TOWER ? 3 : 1)
-
-#define BODY static inline __attribute__((always_inline))
-
-/* A table field's tables; for the tower, its base field's and c's log. */
-struct tables {
-    const intptr_t *restrict logz;
-    const uint32_t *restrict expz;
-    int64_t order; /* q - 1 of the table field */
-    int32_t lc;
-};
 
 /* The log of a / b in a table field, a and b nonzero: in [0, order),
  * never the sentinel. */

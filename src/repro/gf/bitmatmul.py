@@ -28,8 +28,20 @@ backends work unchanged).
 The same plan exists twice: the numpy body of :func:`bit_matmul`, and
 ``_gfmul.c``, which walks it over cache-resident blocks several times
 faster.  :func:`load` hands out the compiled kernel when
-:mod:`repro.native` can build it and its GF(2) self-check passes;
-otherwise ``bit_matmul`` runs the numpy body — same bytes, old speed.
+:mod:`repro.native` can build it and its self-check passes; otherwise
+``bit_matmul`` runs the numpy body — same bytes, old speed.
+
+The compiled kernel takes its symbols at a storage width ``w`` of 4, 8,
+16 or 32 bits and builds the generator itself from a table field's (or
+the tower's) tables.  ``bit_matmul`` is its ``w = 32`` case on native
+``uint32`` symbols; :func:`record_matmul` is its ``w = p`` case on the
+packed records messages are made of (big-endian at ``p >= 16``, two
+symbols to a byte at ``p = 4``), so the coding layer multiplies file
+bytes into message records, and records back into file bytes, without
+widening a symbol.  The kernel serves :class:`~repro.gf.TableField` and
+:class:`~repro.gf.TowerField`; any other field, and every field when the
+kernel is not live, runs the numpy body, on records through an unpack
+and a pack around it.
 """
 
 from __future__ import annotations
@@ -41,8 +53,10 @@ import numpy as np
 
 from .. import native
 from ..obs import REGISTRY as _OBS
+from .field import _MUL_CALLS, BinaryField, TableField
+from .tower import TowerField
 
-__all__ = ["bit_matmul", "use_bit_engine", "load", "GF2Kernel"]
+__all__ = ["bit_matmul", "record_matmul", "use_bit_engine", "load", "GF2Kernel"]
 
 _BITMM_CALLS = _OBS.counter(
     "repro.gf.matmul.bitpacked", "matmul calls routed through the bit-packed engine"
@@ -86,12 +100,14 @@ _TABLE_BYTES = 1 << 22
 _MIN_WORK = 1 << 18
 
 
-def use_bit_engine(r: int, n: int, m: int, p: int) -> bool:
+def use_bit_engine(r: int, n: int, m: int, p: int, native: bool | None = None) -> bool:
     """Whether the packed engine beats the gather kernels for this shape.
 
-    The compiled kernel does for every product at least one 64-symbol
-    word wide.  The numpy body needs ``_MIN_WORK`` products to amortise
-    a call and additionally loses on one-row products and, with fewer
+    ``native`` says whether the compiled kernel would run the product
+    (default: whether it is live).  It does for every product at least
+    one 64-symbol word wide.  The numpy body needs ``_MIN_WORK``
+    products to amortise a call and additionally loses on one-row
+    products and, with fewer
     than eight inner rows, on square ones — but not on tall ones (a
     chunk's bundles stacked): the gather kernels' ``(r, m)`` temporaries
     leave the cache while the engine's set-up stays proportional to
@@ -99,7 +115,7 @@ def use_bit_engine(r: int, n: int, m: int, p: int) -> bool:
     """
     if p > 32 or m < 64 or r * n == 0:
         return False
-    if load() is not None:
+    if load() is not None if native is None else native:
         return True
     return r * n * m >= _MIN_WORK and not (r < 2 or (n < 8 and r < 16))
 
@@ -141,6 +157,20 @@ def _unpack_bit_rows(planes: np.ndarray, nbits: int) -> np.ndarray:
 def _byte_groups(p: int) -> list[tuple[int, int]]:
     """Split ``p`` bits into byte-lane groups ``(first_bit, nbits)``."""
     return [(c, min(8, p - c)) for c in range(0, p, 8)]
+
+
+def compiled(field: BinaryField) -> GF2Kernel | None:
+    """The compiled kernel when it serves ``field``: a table field or the
+    tower, and the library live."""
+    return load() if isinstance(field, (TableField, TowerField)) else None
+
+
+def tables(field: TableField | TowerField) -> tuple[np.ndarray, np.ndarray, int]:
+    """What the compiled kernels multiply with: a table field's ``_logz`` /
+    ``_expz`` and ``c``, 0 for that field or the tower's ``c`` over it."""
+    if isinstance(field, TowerField):
+        return field.base._logz, field.base._expz, int(field.c)
+    return field._logz, field._expz, 0
 
 
 def _basis_products(field, C: np.ndarray) -> np.ndarray:
@@ -196,19 +226,19 @@ class _Arrival(ctypes.Structure):
 
 
 class GF2Kernel:
-    """ctypes facade over ``_gfmul.c``: the GF(2) product, and the two
+    """ctypes facade over ``_gfmul.c``: the field product, and the two
     elimination steps :mod:`repro.gf.linalg` runs over a table field or
     the tower.
 
-    The steps take a ``TableField``'s ``_logz`` / ``_expz`` and ``c``:
-    0 for that field itself, or ``TowerField.c`` when the tables are the
-    tower's ``base``."""
+    Every entry takes a ``TableField``'s ``_logz`` / ``_expz`` and ``c``
+    (:func:`tables`): 0 for that field itself, or ``TowerField.c`` when
+    the tables are the tower's ``base``."""
 
     def __init__(self, lib: ctypes.CDLL):
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self._matmul = lib.repro_gf2_matmul
         self._matmul.restype = ctypes.c_int
-        self._matmul.argtypes = [ptr] * 3 + [i64] * 4
+        self._matmul.argtypes = [ptr] * 3 + [i64] * 6 + [ptr] * 2 + [i64]
         self._full_rank = lib.repro_gf_full_rank
         self._full_rank.restype = None
         self._full_rank.argtypes = [ptr, i64, i64, ptr, ptr, i64, i64, ptr, ptr]
@@ -220,23 +250,34 @@ class GF2Kernel:
         #: Bytes per vector the build works each line at: 64, 32 or 16.
         self.vector_bytes = width()
 
-    def matmul(self, prods: np.ndarray, P: np.ndarray, p: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the ``(r, m)`` symbols whose bit-planes are
-        ``G @ bits(P)`` over GF(2), ``G[(i,rr), (j,b)] = bit rr of prods[i, j, b]``.
+    def matmul(self, C: np.ndarray, src: np.ndarray, out: np.ndarray, logz: np.ndarray,
+               expz: np.ndarray, c: int, w: int, big_endian: bool = False) -> None:
+        """Fill ``out`` with ``C @ src`` over the field of ``logz`` /
+        ``expz`` / ``c``, of ``2^p`` elements.
 
-        ``prods`` is ``(r, n, p)`` and ``P`` ``(n, m)``, symbols below
-        ``2^p``, ``1 <= p <= 32``; both are only read.  ``out`` must be a
-        C-contiguous uint32 array.
+        ``C`` is ``(r, n)`` uint32 elements, ``n >= 1``; ``src`` and
+        ``out`` are ``(n, B)`` and ``(r, B)`` uint8, rows of ``8B / w``
+        symbols stored ``w`` bits apiece, ``w >= p`` one of 4, 8, 16,
+        32; ``big_endian`` (only with ``w = p``) stores a symbol's bytes
+        most significant first.  ``C`` and ``src`` are only read; all
+        three must be C-contiguous, every symbol of ``src`` below
+        ``2^p``.
         """
-        r, n, width = prods.shape
-        m = P.shape[1]
-        if not (1 <= p <= 32 and width == p and n >= 1 and P.shape[0] == n):
-            raise ValueError(f"bad shapes for p={p}: {prods.shape} x {P.shape}")
-        if out.shape != (r, m) or out.dtype != np.uint32 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be C-contiguous uint32 {(r, m)}")
-        prods = np.ascontiguousarray(prods, dtype=np.uint32)
-        P = np.ascontiguousarray(P, dtype=np.uint32)
-        if self._matmul(prods.ctypes.data, P.ctypes.data, out.ctypes.data, r, n, m, p):
+        logs = self._logs(logz, expz, c)
+        p = 32 if logs == 3 else logz.shape[0].bit_length() - 1
+        r, n = C.shape
+        size = src.shape[1]
+        if not (
+            w in (4, 8, 16, 32) and p <= w and (p == w or not big_endian) and n >= 1
+            and src.shape == (n, size) and out.shape == (r, size) and size * 8 % w == 0
+            and C.dtype == np.uint32 and src.dtype == out.dtype == np.uint8
+            and C.flags.c_contiguous and src.flags.c_contiguous and out.flags.c_contiguous
+        ):
+            raise ValueError(f"bad product for p={p}, w={w}: {C.shape} x {src.shape} -> {out.shape}")
+        if p < 32 and C.size and int(C.max()) >> p:
+            raise ValueError(f"coefficients outside GF(2^{p})")
+        if self._matmul(C.ctypes.data, src.ctypes.data, out.ctypes.data, r, n, size * 8 // w,
+                        p, w, big_endian, logz.ctypes.data, expz.ctypes.data, c):
             raise MemoryError("repro_gf2_matmul: no scratch memory")
 
     @staticmethod
@@ -300,49 +341,61 @@ class GF2Kernel:
         return step
 
 
-def _bits(a: np.ndarray, p: int) -> np.ndarray:
-    """uint32 array -> its low ``p`` bits on a new trailing axis, LSB first."""
-    return np.unpackbits(a[..., None].view(np.uint8), axis=-1, bitorder="little")[..., :p]
-
-
 def _self_check(kernel: GF2Kernel) -> bool:
     """The library's load-time check: the product here, the elimination
-    steps in :func:`repro.gf.linalg._elimination_agrees`."""
+    steps in :func:`repro.gf.linalg._elimination_agrees`, over one
+    private tower."""
     from .linalg import _elimination_agrees
 
-    return _product_agrees(kernel) and _elimination_agrees(kernel)
+    tower = TowerField()
+    return _product_agrees(kernel, tower) and _elimination_agrees(kernel, tower)
 
 
-def _product_agrees(kernel: GF2Kernel) -> bool:
-    """Fuzz the kernel's GF(2) contract against ``np.unpackbits`` and an
-    integer matrix product, demanding zero bit differences.
+def _product_agrees(kernel: GF2Kernel, tower: TowerField | None = None) -> bool:
+    """Fuzz the product against a sum of per-element products
+    (``field._mul``), demanding identical bytes.
 
-    No field is involved: generator bits and symbols are random.  The
-    shapes cover what the C code branches on — ``m`` ragged against a
-    64-symbol word and the 512-symbol column block, ``n * p`` not a
-    multiple of eight and beyond one 64-group chunk, one row, one bit,
-    more than one 256-bit-row block, and a zero row.
+    Records (``w = p``, big-endian at 16 and 32) are checked at p = 4,
+    8, 16 and 32, native ``uint32`` (``w = 32``) at p = 4, 13 and 32.
+    The shapes cover what the C code branches on: ``m`` ragged against
+    the 512-symbol column block, an odd ``m`` at ``w = 4`` (its padding
+    nibble must come out zero), ``n * p`` not a multiple of eight and
+    beyond one 64-group chunk (the XOR into ``out``), one row, more
+    than one 256-bit-row block, and a zero row of coefficients.  Every
+    ``src`` and ``out`` is an array of its own, so each buffer ends
+    with its last row's last byte: an over-read or over-write of a
+    row's tail lands in a sanitizer's redzone.
     """
     rng = np.random.default_rng(0x6F2B17)
-    for p, r, n, m in [
-        (1, 1, 1, 1),
-        (1, 300, 11, 65),
-        (4, 2, 3, 577),
-        (8, 35, 2, 64),
-        (8, 1, 67, 70),
-        (13, 21, 5, 70),
-        (16, 2, 4, 513),
-        (32, 9, 2, 66),
+    # Private fields: the cached ones would keep their tables resident in
+    # every process that loads the library and never uses them.
+    tower = tower or TowerField()
+    fields = {4: TableField(4), 8: TableField(8), 13: TableField(13), 16: tower.base, 32: tower}
+    # (p, r, n, m, records): records at w = p, or native uint32 at w = 32
+    for p, r, n, m, records in [
+        (4, 3, 5, 577, True),
+        (4, 2, 130, 63, True),
+        (8, 35, 2, 64, True),
+        (8, 1, 67, 70, True),
+        (16, 17, 5, 70, True),
+        (16, 2, 33, 513, True),
+        (32, 9, 2, 66, True),
+        (32, 1, 17, 600, True),
+        (4, 2, 3, 577, False),
+        (13, 21, 5, 70, False),
+        (32, 9, 2, 66, False),
     ]:
-        prods = rng.integers(0, 1 << p, size=(r, n, p), dtype=np.uint64).astype(np.uint32)
-        prods[rng.integers(0, r)] = 0
-        P = rng.integers(0, 1 << p, size=(n, m), dtype=np.uint64).astype(np.uint32)
-        G = _bits(prods, p).transpose(0, 3, 1, 2).reshape(r * p, n * p)
-        planes = _bits(P, p).transpose(0, 2, 1).reshape(n * p, m)
-        X = ((G.astype(np.uint32) @ planes) & 1).reshape(r, p, m)
-        want = (X << np.arange(p, dtype=np.uint32)[:, None]).sum(axis=1, dtype=np.uint32)
-        got = np.empty((r, m), dtype=np.uint32)
-        kernel.matmul(prods, P, p, got)
+        field = fields[p]
+        C = field.random((r, n), rng)
+        C[rng.integers(0, r)] = 0
+        P = field.random((n, m), rng)
+        want = np.bitwise_xor.reduce(field._mul(C[:, :, None], P[None]), axis=1)
+        if records:
+            src, want = _pack_records(P, p), _pack_records(want, p)
+        else:
+            src, want = P.view(np.uint8), want.view(np.uint8)
+        got = np.empty_like(want)
+        kernel.matmul(C, src, got, *tables(field), w=p if records else 32, big_endian=records)
         if got.tobytes() != want.tobytes():
             return False
     return True
@@ -351,6 +404,80 @@ def _product_agrees(kernel: GF2Kernel) -> bool:
 def load() -> GF2Kernel | None:
     """The compiled kernel, or ``None`` when ``bit_matmul`` runs in numpy."""
     return native.load("gfmul", _SOURCE, GF2Kernel, _self_check)
+
+
+def _compiled_product(kernel: GF2Kernel, field, C: np.ndarray, src: np.ndarray,
+                      out: np.ndarray, records: bool) -> None:
+    """``out = C @ src`` on the compiled kernel, of records or of native
+    ``uint32`` symbols, in row blocks whose packed generator stays
+    within the table budget."""
+    p, n = field.p, C.shape[1]
+    rows = max(1, _TABLE_BYTES // (-(-n * p // 8) * p))
+    logz, expz, c = tables(field)
+    C = np.ascontiguousarray(C, dtype=np.uint32)
+    for r0 in range(0, C.shape[0], rows):
+        kernel.matmul(C[r0 : r0 + rows], src, out[r0 : r0 + rows], logz, expz, c,
+                      w=p if records else 32, big_endian=records)
+
+
+#: numpy dtypes of a record's symbols, by width (``p = 4`` packs two a byte).
+_RECORD_DTYPE = {8: ">u1", 16: ">u2", 32: ">u4"}
+
+
+def _unpack_records(block: np.ndarray, p: int) -> np.ndarray:
+    """``(n, B)`` uint8 records -> their ``(n, 8B / p)`` uint32 symbols."""
+    if p == 4:
+        symbols = np.empty((block.shape[0], 2 * block.shape[1]), dtype=np.uint32)
+        symbols[:, 0::2] = block >> 4
+        symbols[:, 1::2] = block & 0x0F
+        return symbols
+    return block.view(_RECORD_DTYPE[p]).astype(np.uint32)
+
+
+def _pack_records(symbols: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of :func:`_unpack_records`; an odd count at ``p = 4`` ends
+    on a zero nibble."""
+    if p == 4:
+        if symbols.shape[1] % 2:
+            symbols = np.pad(symbols, ((0, 0), (0, 1)))
+        return ((symbols[:, 0::2] << 4) | symbols[:, 1::2]).astype(np.uint8)
+    return symbols.astype(_RECORD_DTYPE[p]).view(np.uint8)
+
+
+def record_matmul(field, C: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``C @ block`` over the field, on packed records.
+
+    ``C`` is an ``(r, n)`` matrix of canonical elements and ``block`` an
+    ``(n, B)`` uint8 array whose rows hold ``p``-bit symbols packed as a
+    message's payload is (big-endian at ``p >= 16``, high nibble first
+    at ``p = 4``).  Returns a fresh, read-only ``(r, B)`` uint8 block of
+    the product's rows packed the same way.  Every column of a row is
+    multiplied, so at ``p = 4`` with an odd count the padding nibble is
+    a column too: zero in every row of ``block``, it is zero in every
+    row of the result.  ``p`` must be 4, 8, 16 or 32.
+    """
+    p = field.p
+    if p not in (4, 8, 16, 32):
+        raise ValueError(f"records hold symbols of 4, 8, 16 or 32 bits, not {p}")
+    C = np.asarray(C, dtype=np.uint32)
+    block = np.ascontiguousarray(block, dtype=np.uint8)
+    r, n = C.shape
+    if block.ndim != 2 or block.shape[0] != n:
+        raise ValueError(f"shape mismatch for record_matmul: {C.shape} x {block.shape}")
+    kernel = compiled(field)
+    if kernel is not None and n and block.shape[1]:
+        if _OBS.enabled:  # as field.matmul -> bit_matmul counts the numpy body
+            _MUL_CALLS.inc()
+            _BITMM_CALLS.inc()
+            _NATIVE_CALLS.inc()
+        out = np.empty((r, block.shape[1]), dtype=np.uint8)
+        _compiled_product(kernel, field, C, block, out, records=True)
+    elif n:
+        out = _pack_records(field.matmul(C, _unpack_records(block, p)), p)
+    else:
+        out = np.zeros((r, block.shape[1]), dtype=np.uint8)
+    out.flags.writeable = False
+    return out
 
 
 def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -364,16 +491,13 @@ def bit_matmul(field, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     p = field.p
     r, n = C.shape
     m = P.shape[1]
-    kernel = load()
+    kernel = compiled(field)
     if kernel is not None:
         if _OBS.enabled:
             _NATIVE_CALLS.inc()
-        P = np.ascontiguousarray(P)
         out = np.empty((r, m), dtype=np.uint32)
-        # Row blocks keep the (rows, n, p) products within the budget.
-        rows = max(1, _TABLE_BYTES // (4 * n * p))
-        for r0 in range(0, r, rows):
-            kernel.matmul(_basis_products(field, C[r0 : r0 + rows]), P, p, out[r0 : r0 + rows])
+        _compiled_product(kernel, field, C, np.ascontiguousarray(P).view(np.uint8),
+                          out.view(np.uint8), records=False)
         return out
     inner = n * p
     lanes = _byte_groups(p)

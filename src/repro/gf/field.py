@@ -263,11 +263,11 @@ class BinaryField:
             raise FieldError(f"shape mismatch for matmul: {A.shape} x {B.shape}")
         if _OBS.enabled:
             _MUL_CALLS.inc()
-        from .bitmatmul import bit_matmul, use_bit_engine
+        from .bitmatmul import bit_matmul, compiled, use_bit_engine
 
         r, n = A.shape
         m = B.shape[1]
-        if use_bit_engine(r, n, m, self.p):
+        if use_bit_engine(r, n, m, self.p, compiled(self) is not None):
             return bit_matmul(self, A, B)
         out = self.zeros((r, m))
         for j in range(n):

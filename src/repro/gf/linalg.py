@@ -27,7 +27,7 @@ import numpy as np
 
 from ..obs import REGISTRY as _OBS
 from . import bitmatmul
-from .field import _DEFAULT_RNG, DTYPE, GF, BinaryField, FieldError, TableField
+from .field import _DEFAULT_RNG, DTYPE, GF, BinaryField, FieldError
 from .tower import TowerField
 
 __all__ = [
@@ -60,18 +60,8 @@ _ELIM_NATIVE = _OBS.counter(
 )
 
 
-def _compiled(field: BinaryField) -> bitmatmul.GF2Kernel | None:
-    """The compiled elimination kernels when they serve ``field``: a table
-    field or the tower, and the library live."""
-    return bitmatmul.load() if isinstance(field, (TableField, TowerField)) else None
-
-
-def _tables(field: TableField | TowerField) -> tuple[np.ndarray, np.ndarray, int]:
-    """What the compiled steps multiply with: a table field's ``_logz`` /
-    ``_expz`` and ``c``, 0 for that field or the tower's ``c`` over it."""
-    if isinstance(field, TowerField):
-        return field.base._logz, field.base._expz, int(field.c)
-    return field._logz, field._expz, 0
+#: The compiled kernel when it serves a field, and that field's tables.
+_compiled, _tables = bitmatmul.compiled, bitmatmul.tables
 
 
 @lru_cache(maxsize=64)
@@ -265,7 +255,7 @@ def arrival_step(
     return bind
 
 
-def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
+def _elimination_agrees(kernel: bitmatmul.GF2Kernel, tower: TowerField | None = None) -> bool:
     """Fuzz the compiled screening and arrival steps against
     :func:`_full_rank_numpy` and :func:`eliminate_arrival` at p = 4, 8,
     16 and 32, demanding identical verdicts, pivots and rows.
@@ -284,7 +274,7 @@ def _elimination_agrees(kernel: bitmatmul.GF2Kernel) -> bool:
     # A private tower, whose base is the GF(2^16) of the p = 16 cells:
     # the cached fields would stay resident (2.3 MiB of tables) in every
     # process that loads the library and never uses them.
-    tower = TowerField()
+    tower = tower or TowerField()
 
     def draw(field: BinaryField, shape) -> np.ndarray:
         x = field.random(shape, rng)

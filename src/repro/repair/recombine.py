@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gf import GF, BinaryField, IncrementalRank
+from ..gf.bitmatmul import record_matmul
 from ..rlnc.coefficients import REPAIR_ID_BASE, UnknownCoefficientError
-from ..rlnc.message import EncodedMessage, pack_rows
+from ..rlnc.message import EncodedMessage
 from ..security.integrity import DigestStore
 from ..security.prng import KeyedStream, derive_key
 
@@ -224,7 +225,8 @@ def recombine(
     ``helper_messages`` must align one-to-one, in order, with
     ``record.helper_ids`` — the order is part of the replayable
     derivation.  Requires no secret material: the arithmetic is one
-    vectorised ``R @ payloads`` matmul over stored ciphertext rows.
+    ``R @ payloads`` product over the stored records as they are
+    (:func:`~repro.gf.bitmatmul.record_matmul`).
     """
     msgs = list(helper_messages)
     if len(msgs) != len(record.helper_ids):
@@ -248,9 +250,10 @@ def recombine(
         raise RepairError("helper messages disagree on symbol width or length")
     if field is None:
         field = GF(p)
-    payloads = np.stack([m.payload for m in msgs])
-    fresh = field.matmul(recombination_matrix(record, field), payloads)
-    return EncodedMessage.from_rows(record.file_id, record.message_ids, fresh, p)
+    payloads = np.frombuffer(b"".join(m.payload_bytes() for m in msgs), dtype=np.uint8)
+    fresh = record_matmul(field, recombination_matrix(record, field),
+                          payloads.reshape(len(msgs), -1))
+    return EncodedMessage.from_block(record.file_id, record.message_ids, fresh, p, msgs[0].m)
 
 
 def effective_rows(record: RepairRecord, coefficients) -> np.ndarray:
@@ -275,16 +278,15 @@ def register_repair_digests(
     """Owner-side digest registration for one repair epoch.
 
     The owner never sees (or ships) the repaired payloads: it recomputes
-    them locally from its plaintext source matrix and the record's
+    them locally from its plaintext source records
+    (:meth:`~repro.rlnc.encoder.FileEncoder.source_matrix`) and the record's
     effective rows, records each digest, and returns the number of
     digest bytes — the *only* bytes the owner's uplink carries for this
     repair.
     """
     field = coefficients.field
-    payloads = field.matmul(effective_rows(record, coefficients), source)
-    digests = digest_store.record_many(
-        record.file_id, record.message_ids, pack_rows(payloads, field.p)
-    )
+    payloads = record_matmul(field, effective_rows(record, coefficients), source)
+    digests = digest_store.record_many(record.file_id, record.message_ids, payloads)
     return sum(map(len, digests))
 
 

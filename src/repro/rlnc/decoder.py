@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from ..gf import GF, BinaryField, SingularMatrixError, solve
+from ..gf import GF, BinaryField, SingularMatrixError, inv_matrix
+from ..gf.bitmatmul import record_matmul
 from ..gf.linalg import arrival_step
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
@@ -32,7 +33,7 @@ from ..security.integrity import DigestStore
 from .coefficients import CoefficientGenerator, UnknownCoefficientError
 from .message import EncodedMessage
 from .params import CodingParams
-from .symbols import symbols_to_bytes
+from .symbols import records_to_bytes
 
 __all__ = ["BlockDecoder", "ProgressiveDecoder", "Offer", "DecodeError"]
 
@@ -83,16 +84,17 @@ def _source_bytes(
     """The decode step of Section III-B: ``beta^-1 @ payloads`` as bytes.
 
     ``beta`` holds the ``k`` coefficient rows of the messages as
-    received and ``payloads`` their payloads, row for row.  The bytes
-    cover the whole padded symbol grid; :func:`_trim` cuts them.
+    received and ``payloads`` their ``(k, message_bytes)`` records, row
+    for row.  The bytes cover the whole padded symbol grid;
+    :func:`_trim` cuts them.
     """
     try:
-        source = solve(field, beta, payloads)
+        inverse = inv_matrix(field, beta)
     except SingularMatrixError as exc:
         raise DecodeError(
             "coefficient sub-matrix is singular; supply a different message"
         ) from exc
-    return symbols_to_bytes(source.reshape(-1), params.p)
+    return records_to_bytes(record_matmul(field, inverse, payloads), params.p, params.m)
 
 
 def _trim(data: bytes, params: CodingParams, length: int | None) -> bytes:
@@ -136,8 +138,12 @@ class BlockDecoder:
                 f"need {k} distinct messages to decode, got {len(unique)}"
             )
         chosen = list(unique.values())
+        if any(m.m != self.params.m or m.p != self.params.p for m in chosen):
+            raise DecodeError(f"messages do not all hold m={self.params.m} symbols "
+                              f"of p={self.params.p} bits")
         beta = self.coefficients.matrix(m.message_id for m in chosen)
-        payloads = np.stack([m.payload for m in chosen])
+        payloads = np.frombuffer(b"".join(m.payload_bytes() for m in chosen), dtype=np.uint8)
+        payloads = payloads.reshape(k, self.params.message_bytes)
         data = _source_bytes(self.field, self.params, beta, payloads)
         if start is not None:
             _DEC_BLOCK_NS.observe(time.perf_counter_ns() - start)
@@ -148,7 +154,7 @@ class ProgressiveDecoder:
     """Streaming decoder with authentication and dependence detection.
 
     Works in *coefficient space*.  Per accepted message it stores the
-    payload exactly as received (``_payloads``, arrival order) and one
+    payload record as received (``_payloads``, arrival order) and one
     ``2k``-wide row ``[e | t]`` with ``e = t @ B``, ``B`` being the
     coefficient rows of the accepted messages in the same order: the
     ``e`` parts are kept in reduced row echelon form (1 at the row's
@@ -157,12 +163,13 @@ class ProgressiveDecoder:
     against those rows only — ``O(k^2)`` field operations whatever the
     message length.  At rank ``k`` every ``e`` is a unit vector, so the
     ``t`` rows are the rows of ``B^-1`` in pivot order and
-    :meth:`result` is one product with the raw payloads: the block
-    decode without its inversion.
+    :meth:`result` is one product with the raw records, straight into
+    file bytes: the block decode without its inversion.
 
     An arrival whose coefficient part reduces to zero has accumulated
     the ``t`` with ``beta = t @ B``, so an authentic payload equals
-    ``t @ _payloads``.  That residual is computed only then: the message
+    ``t @ _payloads``, a one-row product compared with the record as
+    received.  That residual is computed only then: the message
     is *dependent* if it vanishes and *corrupt* (it contradicts the span
     of authentic rows) otherwise — the latter can only happen when
     authentication is disabled or defeated, and is still caught and
@@ -190,7 +197,7 @@ class ProgressiveDecoder:
         # chunks of a streaming download hold nothing) and dropped once
         # result() has the bytes; row i of each belongs to the i-th
         # accepted message, row ``rank`` is the arrival's work row.
-        self._payloads: np.ndarray | None = None  # (k, m) raw payloads
+        self._payloads: np.ndarray | None = None  # (k, message_bytes) records
         self._reduced: np.ndarray | None = None  # (k, 2k) rows [e | t]
         self._pivots = np.empty(self._k, dtype=np.intp)  # [:rank]: pivot columns
         self._rank = 0
@@ -295,7 +302,7 @@ class ProgressiveDecoder:
                 self.rejected += 1
                 return Offer.REJECTED
             if self._reduced is None:
-                self._payloads = np.empty((k, self.params.m), dtype=field.dtype)
+                self._payloads = np.empty((k, self.params.message_bytes), dtype=np.uint8)
                 self._reduced = np.empty((k, 2 * k), dtype=field.dtype)
                 self._step = self._bind_step(self._reduced, self._pivots)
             # The arrival is reduced where it will be kept: the next free
@@ -305,13 +312,13 @@ class ProgressiveDecoder:
             row, payload = self._reduced[rank], self._payloads[rank]
             row[:k] = coeff_row
             row[k:] = 0
-            message.payload_into(payload)
+            payload[:] = np.frombuffer(message.payload_bytes(), dtype=np.uint8)
             pivot = self._step(rank)
             if pivot < 0:
                 if _OBS.enabled:
                     _DEC_RESIDUAL_CHECKS.inc()
-                expected = field.combine(row[k : k + rank], self._payloads[:rank])
-                if not np.array_equal(expected, payload):
+                expected = record_matmul(field, row[None, k : k + rank], self._payloads[:rank])
+                if not np.array_equal(expected[0], payload):
                     # Authentic rows can never contradict the span; this
                     # message was forged in a way the digests did not catch.
                     # The decoder survives: the row is dropped, state is
@@ -344,9 +351,9 @@ class ProgressiveDecoder:
             # ``t @ B`` has the unit vector at ``_pivots[i]`` in row i.
             inverse = np.empty((k, k), dtype=self.field.dtype)
             inverse[self._pivots] = self._reduced[:, k:]
-            source = self.field.matmul(inverse, self._payloads)
-            self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
-            # The bytes are the result; the matrices (4x the chunk at
-            # p = 8) would otherwise live as long as the decoder does.
+            source = record_matmul(self.field, inverse, self._payloads)
+            self._decoded = records_to_bytes(source, self.params.p, self.params.m)
+            # The bytes are the result; the records (the chunk's size)
+            # would otherwise live as long as the decoder does.
             self._payloads = self._reduced = self._step = None
         return _trim(self._decoded, self.params, length)

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gf import GF, BinaryField, IncrementalRank, is_invertible
-from ..gf.bitmatmul import _TABLE_BYTES
+from ..gf.bitmatmul import _TABLE_BYTES, record_matmul
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
 from ..security.integrity import DigestStore
 from .coefficients import CoefficientGenerator
-from .message import EncodedMessage, pack_rows
+from .message import EncodedMessage
 from .params import CodingParams
-from .symbols import reshape_file_matrix
+from .symbols import file_records
 
 __all__ = ["FileEncoder", "EncodedFile"]
 
@@ -89,47 +89,36 @@ class FileEncoder:
         )
 
     def source_matrix(self, data: bytes) -> np.ndarray:
-        """The ``k x m`` matrix ``X`` for ``data`` (zero-padded)."""
+        """The ``k x m`` matrix ``X`` for ``data`` (zero-padded), as the
+        ``(k, message_bytes)`` uint8 block of its rows packed as message
+        payloads are (:func:`~repro.rlnc.symbols.file_records`)."""
         if len(data) > self.params.file_bytes:
             raise ValueError(
                 f"data of {len(data)} bytes exceeds configured file size "
                 f"{self.params.file_bytes}"
             )
-        return reshape_file_matrix(data, self.params.p, self.params.k, self.params.m)
+        return file_records(data, self.params.p, self.params.k, self.params.m)
 
     def encode_message(self, source: np.ndarray, message_id: int) -> EncodedMessage:
-        """Produce ``Y_i`` for one message id from the source matrix."""
-        enc_span = None
-        if _TRACER.enabled:
-            enc_span = _spans.start_span("rlnc.encode", messages=1)
-        start = time.perf_counter_ns() if _OBS.enabled else None
-        beta = self.coefficients.row(message_id)
-        payload = self.field.dot(beta, source)
-        if start is not None:
-            _ENC_NS.observe(time.perf_counter_ns() - start)
-            _ENC_MESSAGES.inc()
-        _spans.finish_span(enc_span)
-        return EncodedMessage(
-            file_id=self.file_id,
-            message_id=message_id,
-            payload=payload,
-            p=self.params.p,
-        )
+        """Produce ``Y_i`` for one message id from the source matrix: a
+        batch of one (:meth:`encode_ids`)."""
+        (message,) = self.encode_ids(source, [message_id])
+        return message
 
     def encode_ids(
         self, source: np.ndarray, message_ids, digest_store: DigestStore | None = None
     ) -> list[EncodedMessage]:
-        """Encode a batch of ids with one ``matmul`` over the whole batch.
+        """Encode a batch of ids with one product over the whole batch.
 
         ``beta_rows @ X`` produces every payload of the batch — a batch
-        of one included — in a single kernel call; each payload row is
-        bit-identical to the per-message :meth:`encode_message` result
-        (``dot`` computes the same sum of scaled source rows).  The
-        product is packed once, as a whole, and each message is a slice
-        of that one buffer (:meth:`EncodedMessage.from_block`): nothing
-        downstream of the owner — digest, ``.dat``, DATA frame — packs
-        or copies a row again.  With a ``digest_store`` the packed block
-        is recorded as one batch (:meth:`DigestStore.record_many`).
+        of one included — in a single kernel call that multiplies the
+        source records (:meth:`source_matrix`) straight into message
+        records (:func:`~repro.gf.bitmatmul.record_matmul`): no symbol
+        is widened or packed.  Each message is a slice of that one block
+        (:meth:`EncodedMessage.from_block`): nothing downstream of the
+        owner — digest, ``.dat``, DATA frame — packs or copies a row
+        again.  With a ``digest_store`` the block is recorded as one
+        batch (:meth:`DigestStore.record_many`).
         """
         ids = list(message_ids)
         p = self.params.p
@@ -138,7 +127,7 @@ class FileEncoder:
             enc_span = _spans.start_span("rlnc.encode", messages=len(ids))
         start = time.perf_counter_ns() if _OBS.enabled else None
         beta = self.coefficients.matrix(ids)
-        block = pack_rows(self.field.matmul(beta, source), p)
+        block = record_matmul(self.field, beta, source)
         messages = EncodedMessage.from_block(self.file_id, ids, block, p, self.params.m)
         if start is not None:
             _ENC_NS.observe(time.perf_counter_ns() - start)

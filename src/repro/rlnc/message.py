@@ -11,12 +11,16 @@ secret coefficient row; the payload alone reveals nothing without the
 key (Section III-A).
 
 A message *is* this record.  :class:`EncodedMessage` holds the packed
-payload exactly as it is stored and transmitted; the owner packs it once
-(:meth:`FileEncoder.encode_ids <repro.rlnc.encoder.FileEncoder.encode_ids>`),
-peers store, reload, serve and frame it without ever looking at a symbol
-— they could not use one: the coefficients are the key — and only the
-user's decoder (and repair's recombination) unpacks it, through
-:attr:`EncodedMessage.payload`, where the arithmetic happens.
+payload exactly as it is stored and transmitted.  The owner's product
+writes it (:meth:`FileEncoder.encode_ids
+<repro.rlnc.encoder.FileEncoder.encode_ids>` multiplies the file's
+records into message records); peers store, reload, serve and frame it
+without ever looking at a symbol — they could not use one: the
+coefficients are the key — and the user's decoder and repair's
+recombination multiply the records as they are
+(:func:`~repro.gf.bitmatmul.record_matmul`).  No hot path unpacks a
+payload: :attr:`EncodedMessage.payload` unpacks on demand, for tests
+and fault injection.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ def pack_rows(rows, p: int) -> np.ndarray:
     """An ``(r, m)`` symbol matrix range-checked and packed once, as a
     frozen ``(r, record)`` uint8 block whose row ``i`` is message ``i``'s
     payload bytes.  At ``p = 4`` with an odd ``m`` every record ends on
-    its own padding nibble."""
+    its own padding nibble.  The symbol-domain definition of a block of
+    records, which the products on records are checked against."""
     rows = _checked(rows, p)
     m = rows.shape[1]
     if p == 4 and m % 2:
@@ -106,9 +111,9 @@ class EncodedMessage:
     ``EncodedMessage(file_id, message_id, payload, p)`` builds a message
     from an ``m``-vector of ``p``-bit symbols: the symbols are
     range-checked and packed once, and no alias of the caller's array is
-    kept.  :meth:`from_bytes` and :meth:`from_records` build messages
-    from packed bytes, and :meth:`from_rows` packs a whole batch once;
-    none of them unpacks anything.  Instances are immutable:
+    kept.  :meth:`from_bytes`, :meth:`from_records` and
+    :meth:`from_block` build messages from packed bytes; none of them
+    unpacks anything.  Instances are immutable:
     attributes cannot be set, the packed bytes are a read-only buffer,
     and :attr:`payload` is a read-only array derived from them.
     """
@@ -141,21 +146,12 @@ class EncodedMessage:
     __delattr__ = __setattr__
 
     @classmethod
-    def from_rows(cls, file_id: int, message_ids, rows, p: int) -> list["EncodedMessage"]:
-        """One message per row of an ``(r, m)`` symbol matrix, packed once.
-
-        The whole matrix is range-checked and packed in one pass
-        (:func:`pack_rows`) and every message holds a slice of that one
-        buffer — what an encoder (or a repair) makes of a
-        ``coefficients @ payloads`` product.
-        """
-        return cls.from_block(file_id, message_ids, pack_rows(rows, p), p, np.shape(rows)[1])
-
-    @classmethod
     def from_block(cls, file_id: int, message_ids, block, p: int, m: int) -> list["EncodedMessage"]:
-        """One message of ``m`` symbols per row of a :func:`pack_rows` block,
-        each a slice of it: the block stays whole for a caller that hands
-        it on (the owner's digest batch)."""
+        """One message of ``m`` symbols per row of a frozen ``(r, record)``
+        uint8 block of records (what an encoder or a repair makes of a
+        ``coefficients @ records`` product), each a slice of it: the
+        block stays whole for a caller that hands it on (the owner's
+        digest batch)."""
         packed = memoryview(block.reshape(-1))
         size = block.shape[1]
         _check_id("file_id", file_id)
@@ -171,15 +167,10 @@ class EncodedMessage:
         symbols = self._symbols
         if symbols is None:
             symbols = np.empty(self.m, dtype=np.uint32)
-            self.payload_into(symbols)
+            bytes_to_symbols(self._packed, self.p, out=symbols)
             symbols.flags.writeable = False
             object.__setattr__(self, "_symbols", symbols)
         return symbols
-
-    def payload_into(self, out: np.ndarray) -> None:
-        """Unpack the ``m`` symbols into ``out`` (a ``uint32`` row of a
-        decoder's matrix), caching nothing on the message."""
-        bytes_to_symbols(self._packed, self.p, out=out)
 
     def payload_bytes(self):
         """Packed payload (read-only bytes-like), the unit the digest store hashes."""

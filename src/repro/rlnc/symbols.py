@@ -5,13 +5,36 @@ its inverse.  Symbols are big-endian within bytes so the mapping is
 endian-independent and round-trips exactly; the trailing partial symbol
 of a non-aligned file is zero-padded, with the true byte length carried
 out-of-band (in the manifest).
+
+The coding layer never widens a file's symbols: :func:`file_records`
+lays the file bytes out as the ``k`` rows of the source matrix ``X``,
+each packed as a message payload is, and :func:`records_to_bytes` turns
+decoded rows back into file bytes; the products between them run on
+those records (:func:`repro.gf.bitmatmul.record_matmul`).  Both are a
+reshape of the bytes, except at ``p = 4`` with an odd ``m``, where a
+row ends on a padding nibble that the file does not have.
+
+The symbol helpers remain for what does look at symbols:
+:func:`bytes_to_symbols` unpacks a message's
+:attr:`~repro.rlnc.message.EncodedMessage.payload` (tests, fault
+injection) and :func:`pack_symbols` packs a message built from symbols;
+:func:`symbols_to_bytes` and :func:`reshape_file_matrix` are the
+symbol-domain definitions that tests and benchmarks check the records
+against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bytes_to_symbols", "pack_symbols", "symbols_to_bytes", "reshape_file_matrix"]
+__all__ = [
+    "bytes_to_symbols",
+    "pack_symbols",
+    "symbols_to_bytes",
+    "reshape_file_matrix",
+    "file_records",
+    "records_to_bytes",
+]
 
 _WIDTH_DTYPE = {8: ">u1", 16: ">u2", 32: ">u4"}
 
@@ -23,7 +46,7 @@ def bytes_to_symbols(data, p: int, count: int | None = None, out=None) -> np.nda
     ``count``, when given, fixes the output length (must be at least the
     number of symbols ``data`` fills).  ``out``, instead of ``count``, is
     a 1-D ``uint32`` array to fill and return in place of a fresh one (a
-    row of a decoder's matrix): ``data`` must hold exactly ``out.size``
+    message's payload array): ``data`` must hold exactly ``out.size``
     symbols, up to the padding nibble of an odd length at ``p = 4``.
     """
     if out is not None and count is not None:
@@ -92,3 +115,34 @@ def reshape_file_matrix(data: bytes, p: int, k: int, m: int) -> np.ndarray:
     total = k * m
     flat = bytes_to_symbols(data, p, count=total)
     return flat.reshape(k, m)
+
+
+def file_records(data, p: int, k: int, m: int) -> np.ndarray:
+    """The ``k x m`` source matrix ``X`` of Equation (1) as ``k`` records:
+    a fresh ``(k, ceil(m p / 8))`` uint8 block whose row ``j`` is chunk
+    ``X_j`` packed as a message payload is, the tail zero-padded.
+
+    Row for row the records of :func:`reshape_file_matrix`: the file's
+    bytes reshaped, except at ``p = 4`` with an odd ``m``, where the
+    file's nibbles run on across rows and every record ends on a zero
+    padding nibble.
+    """
+    size = -(-m * p // 8)
+    if p == 4 and m % 2:
+        X = np.pad(reshape_file_matrix(data, p, k, m), ((0, 0), (0, 1)))
+        return ((X[:, 0::2] << 4) | X[:, 1::2]).astype(np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size > k * size:
+        raise ValueError(f"data fills {raw.size} bytes but only {k * size} requested")
+    out = np.zeros(k * size, dtype=np.uint8)
+    out[: raw.size] = raw
+    return out.reshape(k, size)
+
+
+def records_to_bytes(block: np.ndarray, p: int, m: int) -> bytes:
+    """Inverse of :func:`file_records`: the bytes of the ``k`` rows of
+    ``m`` symbols, run on in order (zero-padded to a whole byte)."""
+    if p == 4 and m % 2:
+        symbols = bytes_to_symbols(np.ascontiguousarray(block).reshape(-1), p)
+        return symbols_to_bytes(symbols.reshape(len(block), m + 1)[:, :m], p)
+    return np.ascontiguousarray(block).tobytes()

@@ -127,8 +127,9 @@ class DigestStore:
         """Store and return the digests of a batch of one file's messages.
 
         ``payloads`` is a sequence of bytes-like objects, or one
-        C-contiguous 2-D array whose rows are the payloads: the packed
-        product an encoder holds (:func:`~repro.rlnc.message.pack_rows`),
+        C-contiguous 2-D array whose rows are the payloads: the block of
+        records an encoder's product is
+        (:func:`~repro.gf.bitmatmul.record_matmul`),
         which reaches the kernel as a base address and a record size.
         The result equals a :meth:`record` loop over the pairs, stored in
         the same order.  An MD5 batch is hashed in one kernel call where

@@ -29,7 +29,7 @@ from ..rlnc.chunking import (
     split_chunks,
 )
 from ..rlnc.params import CodingParams
-from ..rlnc.symbols import reshape_file_matrix
+from ..rlnc.symbols import file_records
 from ..rlnc.update import UpdateResult
 from ..security.integrity import DigestStore
 from ..security.keys import KeyPair, generate_keypair
@@ -359,9 +359,7 @@ class FileSharingNetwork:
             digest_bytes += register_repair_digests(
                 outcome.record,
                 source.coefficient_generator(index, manifest.chunk_versions[index]),
-                reshape_file_matrix(
-                    chunks[index], self.params.p, self.params.k, self.params.m
-                ),
+                file_records(chunks[index], self.params.p, self.params.k, self.params.m),
                 self.digest_stores[handle.owner],
             )
             self.stores[target].add_messages(outcome.messages)

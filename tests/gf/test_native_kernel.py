@@ -77,8 +77,8 @@ class TestGating:
         the product still comes out right (from numpy)."""
 
         class OneBitOff(bitmatmul.GF2Kernel):
-            def matmul(self, prods, P, p, out):
-                super().matmul(prods, P, p, out)
+            def matmul(self, C, src, out, *args, **kwargs):
+                super().matmul(C, src, out, *args, **kwargs)
                 out[-1, -1] ^= 1
 
         field, C, P, want = product
@@ -89,16 +89,25 @@ class TestGating:
 
     @needs_native
     def test_facade_rejects_what_it_cannot_pass_to_c(self):
-        prods = np.zeros((2, 3, 8), dtype=np.uint32)
-        P = np.zeros((3, 70), dtype=np.uint32)
-        with pytest.raises(ValueError):  # p does not match the products
-            kernel.matmul(prods, P, 16, np.empty((2, 70), dtype=np.uint32))
+        C = np.zeros((2, 3), dtype=np.uint32)
+        src = np.zeros((3, 70), dtype=np.uint8)
+        out = np.empty((2, 70), dtype=np.uint8)
+        tables = bitmatmul.tables(GF(8))
+        kernel.matmul(C, src, out, *tables, w=8)
         with pytest.raises(ValueError):  # inner dimensions disagree
-            kernel.matmul(prods, P[:2], 8, np.empty((2, 70), dtype=np.uint32))
+            kernel.matmul(C, src[:2], out, *tables, w=8)
         with pytest.raises(ValueError):  # out is a strided view
-            kernel.matmul(prods, P, 8, np.empty((2, 140), dtype=np.uint32)[:, ::2])
+            kernel.matmul(C, src, np.empty((2, 140), dtype=np.uint8)[:, ::2], *tables, w=8)
         with pytest.raises(ValueError):  # out has the wrong dtype
-            kernel.matmul(prods, P, 8, np.empty((2, 70), dtype=np.uint64))
+            kernel.matmul(C, src, np.empty((2, 70), dtype=np.uint32), *tables, w=8)
+        with pytest.raises(ValueError):  # symbols wider than their storage
+            kernel.matmul(C, src, out, *bitmatmul.tables(GF(16)), w=8)
+        with pytest.raises(ValueError):  # big-endian only where w = p
+            kernel.matmul(C, src, out, *tables, w=32, big_endian=True)
+        with pytest.raises(ValueError):  # a row is not whole symbols
+            kernel.matmul(C, src[:, :69], out[:, :69], *bitmatmul.tables(GF(16)), w=16)
+        with pytest.raises(ValueError):  # a coefficient outside GF(2^8)
+            kernel.matmul(C + 256, src, out, *tables, w=8)
 
 
 class TestCounters:

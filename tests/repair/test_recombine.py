@@ -24,10 +24,16 @@ from repro.rlnc import (
     FileEncoder,
     ProgressiveDecoder,
     UnknownCoefficientError,
+    bytes_to_symbols,
 )
 from repro.security import DigestStore
 
 PARAMS = CodingParams(p=16, m=32, file_bytes=512)  # k = 8
+
+
+def source_symbols(source):
+    """The symbols of the encoder's source records."""
+    return bytes_to_symbols(source.tobytes(), PARAMS.p).reshape(PARAMS.k, PARAMS.m)
 FILE_ID = 0xF00D
 
 
@@ -175,7 +181,7 @@ class TestRecombine:
         )
         fresh = recombine(record, helpers[:8])
         rows = effective_rows(record, encoder.coefficients)
-        expected = encoder.field.matmul(rows, source)
+        expected = encoder.field.matmul(rows, source_symbols(source))
         for i, message in enumerate(fresh):
             assert np.array_equal(message.payload, expected[i])
 
@@ -276,7 +282,9 @@ class TestRepairableCoefficients:
         )
         nested = recombine(second, fresh[:3] + [helpers[6]])
         wrapped = RepairableCoefficients(encoder.coefficients, [first, second])
-        expected = encoder.field.matmul(wrapped.matrix(second.message_ids), source)
+        expected = encoder.field.matmul(
+            wrapped.matrix(second.message_ids), source_symbols(source)
+        )
         for i, message in enumerate(nested):
             assert np.array_equal(message.payload, expected[i])
 

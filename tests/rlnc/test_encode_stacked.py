@@ -2,7 +2,7 @@
 
 The reference is what the encoder did before bundles were stacked: ids
 screened row by row with :class:`IncrementalRank` only, and one
-``encode_message`` (``field.dot``) per id.
+``field.dot`` per id over the file's symbols (``reshape_file_matrix``).
 """
 
 import numpy as np
@@ -10,7 +10,15 @@ import pytest
 
 from repro.gf import IncrementalRank
 from repro.obs import REGISTRY, TRACER, observability
-from repro.rlnc import CodingParams, FileEncoder
+from repro.rlnc import (
+    BlockDecoder,
+    CodingParams,
+    EncodedMessage,
+    FileEncoder,
+    ProgressiveDecoder,
+    reshape_file_matrix,
+)
+from repro.rlnc.message import pack_rows
 from repro.security import DigestStore
 
 K = 8
@@ -36,6 +44,14 @@ def make_encoder(p, file_id=0x5EED):
     return FileEncoder(params, b"owner", file_id)
 
 
+def reference_message(encoder, data, mid):
+    """``Y_i = beta_i @ X`` by ``field.dot`` over the file's symbols."""
+    params = encoder.params
+    X = reshape_file_matrix(data, params.p, params.k, params.m)
+    payload = encoder.field.dot(encoder.coefficients.row(mid), X)
+    return EncodedMessage(encoder.file_id, mid, payload, params.p)
+
+
 @pytest.mark.parametrize("n_peers", [1, 3, 8])
 @pytest.mark.parametrize("p", [4, 8, 16, 32])
 def test_stacked_equals_per_bundle_reference(p, n_peers, rng):
@@ -46,12 +62,11 @@ def test_stacked_equals_per_bundle_reference(p, n_peers, rng):
 
     encoded = encoder.encode_bundles(data, n_peers, digests, start_id=5)
 
-    source = reference.source_matrix(data)
     ref_plan = reference_ids(reference, n_peers, start_id=5)
     assert [[m.message_id for m in b] for b in encoded.bundles] == ref_plan
     for bundle, ids in zip(encoded.bundles, ref_plan):
         for msg, mid in zip(bundle, ids):
-            ref = reference.encode_message(source, mid)
+            ref = reference_message(reference, data, mid)
             assert np.array_equal(msg.payload, ref.payload)
             assert msg.payload.dtype == ref.payload.dtype
             assert not msg.payload.flags.writeable
@@ -102,10 +117,11 @@ def test_fallback_mid_plan_keeps_later_bundles_aligned():
 @pytest.mark.parametrize("p", [4, 8, 16, 32])
 def test_one_id_batch_takes_the_batch_route(p, rng, monkeypatch):
     """``encode_ids`` has no single-id fork: one id is a one-row
-    ``matmul``, equal to the ``encode_message`` oracle."""
+    product, equal to the ``field.dot`` oracle."""
     encoder = make_encoder(p)
-    source = encoder.source_matrix(rng.bytes(encoder.params.file_bytes))
-    oracle = encoder.encode_message(source, 7)
+    data = rng.bytes(encoder.params.file_bytes)
+    source = encoder.source_matrix(data)
+    oracle = reference_message(encoder, data, 7)
     monkeypatch.setattr(encoder, "encode_message", None)  # not consulted
     (msg,) = encoder.encode_ids(source, [7])
     assert msg.to_bytes() == oracle.to_bytes()
@@ -192,3 +208,26 @@ def test_look_ahead_is_capped_by_bytes(stacks):
     plan = FileEncoder(params, b"owner", 1).independent_ids(40)
     assert [len(ids) for ids in plan] == [64] * 40
     assert stacks[0] == max(stacks) == 16 and sum(stacks) >= 40
+
+
+@pytest.mark.parametrize("m", [1, 33, 577])
+def test_odd_m_at_p4_keeps_the_files_nibble_layout(m, rng):
+    """At ``p = 4`` with an odd ``m`` the file's nibbles run on across
+    source rows while every record starts on a byte: the records the
+    encoder multiplies must be ``X`` of Equation (1) all the same, so
+    the messages equal the symbol-domain product packed, and both
+    decoders give the file back."""
+    params = CodingParams(p=4, m=m, file_bytes=K * m // 2)
+    encoder = FileEncoder(params, b"owner", 0x0DD)
+    data = rng.bytes(params.file_bytes)
+    ids = [i for bundle in encoder.independent_ids(2) for i in bundle]
+    messages = encoder.encode_ids(encoder.source_matrix(data), ids)
+    beta = encoder.coefficients.matrix(ids)
+    want = pack_rows(encoder.field.matmul(beta, reshape_file_matrix(data, 4, params.k, m)), 4)
+    assert b"".join(bytes(x.payload_bytes()) for x in messages) == want.tobytes()
+    assert all(x.m == m and x.payload_bytes()[-1] & 0x0F == 0 for x in messages)
+    decoder = ProgressiveDecoder(params, encoder.coefficients)
+    decoder.offer_many(messages[K:])
+    assert decoder.result(len(data)) == data
+    block = BlockDecoder(params, encoder.coefficients)
+    assert block.decode(messages[:K], length=len(data)) == data

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gf import GF, rank
-from repro.rlnc import CodingParams, FileEncoder
+from repro.rlnc import CodingParams, FileEncoder, reshape_file_matrix
+from repro.rlnc.message import pack_rows
 from repro.security import DigestStore
 
 PARAMS = CodingParams(p=16, m=64, file_bytes=1024)  # k = 8
@@ -23,7 +24,8 @@ def data(rng):
 class TestSourceMatrix:
     def test_shape(self, encoder, data):
         X = encoder.source_matrix(data)
-        assert X.shape == (PARAMS.k, PARAMS.m)
+        assert X.shape == (PARAMS.k, PARAMS.message_bytes)
+        assert X.tobytes() == pack_rows(reshape_file_matrix(data, 16, 8, 64), 16).tobytes()
 
     def test_too_large_rejected(self, encoder):
         with pytest.raises(ValueError):
@@ -37,10 +39,10 @@ class TestSourceMatrix:
 class TestEncodeMessage:
     def test_equation_1(self, encoder, data):
         """Y_i must equal sum_j beta_ij X_j exactly (Equation (1))."""
-        X = encoder.source_matrix(data)
+        X = reshape_file_matrix(data, PARAMS.p, PARAMS.k, PARAMS.m)
         F = encoder.field
         for mid in (0, 3, 17):
-            msg = encoder.encode_message(X, mid)
+            msg = encoder.encode_message(encoder.source_matrix(data), mid)
             beta = encoder.coefficients.row(mid)
             expected = F.zeros(PARAMS.m)
             for j in range(PARAMS.k):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rlnc import HEADER_BYTES, EncodedMessage, MessageFormatError
+from repro.rlnc.message import pack_rows
 
 
 def make_message(p=16, m=8, file_id=0xCAFE, message_id=42, rng=None):
@@ -74,7 +75,7 @@ class TestConstruction:
         with pytest.raises(MessageFormatError, match="outside GF"):
             make_message(p=p).with_payload(np.array([top + 1], dtype=np.uint64))
         with pytest.raises(MessageFormatError, match="outside GF"):
-            EncodedMessage.from_rows(1, [2, 3], np.array([[0, 1], [top + 1, 0]]), p)
+            pack_rows(np.array([[0, 1], [top + 1, 0]]), p)
 
     def test_the_issues_example_is_rejected(self):
         with pytest.raises(MessageFormatError):
@@ -199,14 +200,14 @@ class TestFromBytes:
             EncodedMessage.from_records(blob, p=4, m=3)
         assert len(EncodedMessage.from_records(blob, p=4, m=4)) == 3  # a symbol there
 
-    def test_from_rows_slices_one_buffer(self):
+    def test_from_block_slices_one_buffer(self):
         rows = np.arange(12, dtype=np.uint32).reshape(3, 4)
-        msgs = EncodedMessage.from_rows(9, [5, 6, 7], rows, p=16)
+        msgs = EncodedMessage.from_block(9, [5, 6, 7], pack_rows(rows, 16), 16, 4)
         assert [m.message_id for m in msgs] == [5, 6, 7]
         assert len({id(m.payload_bytes().obj) for m in msgs}) == 1
         for row, msg in zip(rows, msgs):
             assert msg == EncodedMessage(9, msg.message_id, row, 16)
-        odd = EncodedMessage.from_rows(9, [1, 2], [[1, 2, 3], [4, 5, 6]], p=4)
+        odd = EncodedMessage.from_block(9, [1, 2], pack_rows([[1, 2, 3], [4, 5, 6]], 4), 4, 3)
         assert [bytes(m.payload_bytes()) for m in odd] == [b"\x12\x30", b"\x45\x60"]
         assert [m.m for m in odd] == [3, 3]
 

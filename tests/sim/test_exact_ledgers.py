@@ -16,6 +16,7 @@ forking up to three ``procs`` workers).
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +191,34 @@ def test_batched_compact_block_native_and_numpy_equal_reference(data):
         for key, value in ref_summary.items():
             assert np.asarray(summary[key]).tobytes() == np.asarray(value).tobytes(), key
         assert credit.tobytes() == ref_credit.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["batched", "sparse"])
+@pytest.mark.parametrize("native", [True, False])
+def test_step_with_part_of_the_peers_requesting_equals_reference(engine, native):
+    """``step()``'s dense matrix when only some peers request — the slot
+    every ``download_concurrently`` runs — is the reference loop's, bit
+    for bit: zero columns for the idle peers (and, sharded, zero rows
+    for the givers outside the active set), the grants elsewhere."""
+    n = 12
+
+    def make_sim(name):
+        configs = [
+            PeerConfig(capacity=300.0 + 50 * i, allocator=FACTORIES[i % 3](),
+                       demand=BernoulliDemand((1.0, 0.0, 0.5)[i % 3]))
+            for i in range(n)
+        ]
+        return Simulation(configs, seed=11, feedback_interval=2, engine=name)
+
+    with patch.object(fastpath, "load", fastpath.load if native else lambda: None):
+        got_sim = make_sim(engine)
+    ref_sim = make_sim("reference")
+    partial = 0
+    for _ in range(SLOTS):
+        (got, req, cap), (want, req_ref, cap_ref) = got_sim.step(), ref_sim.step()
+        assert got.shape == (n, n) and got.tobytes() == want.tobytes()
+        assert req.tobytes() == req_ref.tobytes() and cap.tobytes() == cap_ref.tobytes()
+        partial += 0 < req.sum() < n
+    assert partial == SLOTS
+    got_sim.close()
+    ref_sim.close()

@@ -13,10 +13,16 @@ hashlib, demanding zero bit differences — any out-of-bounds
 access, UB, or divergence fails the run.  The ``fastalloc`` fuzz
 apportions rows at the largest ledger totals its overflow guard admits
 and one past it, so UBSan traps any signed overflow the guard lets
-through.  The ``gfmul`` fuzz covers the
-elimination steps at p = 4, 8, 16 and 32: the tower's index sums into
-its base field's antilog table, zero and equal halves included, are
-read under ASan's redzones too.  The ``modexp`` check runs every limb
+through.  The ``gfmul`` fuzz runs the product at every storage
+width — records at w = p = 4, 8, 16 and 32 (an odd m at w = 4, more
+than 64 groups, ragged column blocks) and native uint32 at w = 32 —
+with every source and product an array of its own, so a row's last
+byte is its buffer's last byte and a tail over-read or over-write lands
+in a redzone; the generator it builds from the field's tables reads
+them under the redzones too.  It covers the elimination steps at p = 4,
+8, 16 and 32: the tower's index sums into its base field's antilog
+table, zero and equal halves included, are read under ASan's redzones
+too.  The ``modexp`` check runs every limb
 count from 1 to the cap, so the kernel's stack buffers are read and
 written at their full length.  The ``md5`` check hashes messages at
 odd offsets of one buffer that end exactly at its last byte, so a read
