@@ -20,7 +20,7 @@ setup(
     package_data={
         "repro.sim": ["_fastalloc.c"],
         "repro.gf": ["_gfmul.c"],
-        "repro.security": ["_modexp.c", "_md5.c"],
+        "repro.security": ["_modexp.c", "_md5.c", "_sha256.c"],
     },
     python_requires=">=3.10",
     install_requires=["numpy>=1.23"],

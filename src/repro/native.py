@@ -1,16 +1,18 @@
 """Runtime-compiled native kernels: one compile / cache / verify loader.
 
-The package ships four C files (``sim/_fastalloc.c`` for the slot
+The package ships five C files (``sim/_fastalloc.c`` for the slot
 engines, ``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table
 field's screening and arrival elimination, ``security/_modexp.c`` for the
 RSA private-key operation's modular exponentiation, ``security/_md5.c``
-for the owner's multi-buffer MD5 of a digest batch) and no build step.
+for the owner's multi-buffer MD5 of a digest batch, ``security/_sha256.c``
+for the keyed coefficient stream of a batch of rows) and no build step.
 :func:`load` compiles one on first use with whatever C compiler the host
 has (``$CC``, ``cc``, ``gcc`` or ``clang`` — no build system, no
 packages), keeps the shared object in a digest-keyed cache, binds it
 through ctypes and accepts it only after the owning module's self-check
 has compared it **bit for bit** with the Python code it replaces (numpy,
-builtin ``pow`` for the modexp kernel, ``hashlib`` for the MD5 one).
+builtin ``pow`` for the modexp kernel, ``hashlib`` for the MD5 and
+keyed-stream ones).
 
 Every kernel is optional.  A disabled loader, a missing compiler or
 source file, a failed compile or ``dlopen``, or a self-check mismatch

@@ -376,6 +376,10 @@ class RepairableCoefficients:
             )
         return self._epoch_rows(epoch)[index]
 
+    def warm(self, message_ids) -> None:
+        """Cache the base rows of the ordinary ids among ``message_ids``."""
+        self.base.warm(message_ids)
+
     def matrix(self, message_ids) -> np.ndarray:
         ids = list(message_ids)
         out = np.empty((len(ids), self.k), dtype=self.field.dtype)

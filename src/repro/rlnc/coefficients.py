@@ -54,7 +54,9 @@ class CoefficientGenerator:
 
     :meth:`matrix` is the validated entry point: it range-checks the block
     it generates, once per publish.  :meth:`row`, which a decoder calls per
-    arrival, takes the keyed stream's ``uint32`` symbols as they come.
+    arrival, and :meth:`warm`, which generates a batch of arrivals' rows
+    ahead of those calls, take the keyed stream's ``uint32`` symbols as
+    they come.
     """
 
     def __init__(self, field: BinaryField, k: int, secret: bytes, file_id: int):
@@ -74,16 +76,28 @@ class CoefficientGenerator:
         """
         cached = self._cache.get(message_id)
         if cached is None:
-            if message_id >= REPAIR_ID_BASE:
-                raise UnknownCoefficientError(
-                    f"id {message_id:#x} is in the reserved repair range; "
-                    "its row needs a registered repair record"
-                )
+            self._refuse_repair_ids((message_id,))
             # p-bit fields of a keyed hash cannot exceed q: no range scan
             cached = self._stream.symbols(message_id, self.k, self.field.p)
             cached.flags.writeable = False
             self._cache[message_id] = cached
         return cached
+
+    def warm(self, message_ids) -> None:
+        """Cache the rows of ``message_ids`` in one batch.
+
+        A decoder calls this with a batch of arrivals before it takes
+        their rows one :meth:`row` at a time.  Like :meth:`row` it trusts
+        the stream's range.  Repair-range ids are skipped (:meth:`row`
+        refuses them), and a lone missing row is left to :meth:`row`:
+        one row costs less on hashlib than a kernel call does.
+        """
+        missing = [
+            mid for mid in dict.fromkeys(message_ids)
+            if mid not in self._cache and mid < REPAIR_ID_BASE
+        ]
+        if len(missing) > 1:
+            self._keep(missing, self._stream.symbols_many(missing, self.k, self.field.p))
 
     def matrix(self, message_ids) -> np.ndarray:
         """Stack rows for a sequence of ids into a ``len(ids) x k`` matrix.
@@ -91,23 +105,34 @@ class CoefficientGenerator:
         Cache-missing ids are generated through one batched
         :meth:`~repro.security.prng.KeyedStream.symbols_many` call,
         range-checked and frozen as one block; the cache holds row views
-        of it, identical to what :meth:`row` would have cached.
+        of it, identical to what :meth:`row` would have cached.  When
+        every id is distinct and was missing, that read-only block is
+        the result; otherwise the rows are gathered into a fresh
+        writable matrix in one join.
         """
         ids = list(message_ids)
         missing = [mid for mid in dict.fromkeys(ids) if mid not in self._cache]
-        for mid in missing:
+        if missing:
+            self._refuse_repair_ids(missing)
+            symbols = self._stream.symbols_many(missing, self.k, self.field.p)
+            block = self._keep(missing, self.field.asarray(symbols))
+            if len(missing) == len(ids):
+                return block
+        rows = bytearray().join(map(self._cache.__getitem__, ids))
+        return np.frombuffer(rows, dtype=self.field.dtype).reshape(len(ids), self.k)
+
+    def _keep(self, missing: list[int], block: np.ndarray) -> np.ndarray:
+        """Freeze ``block``, the rows of ``missing`` (distinct ids none of
+        which is cached), and cache row views of it."""
+        block.flags.writeable = False
+        self._cache.update(zip(missing, block))
+        return block
+
+    @staticmethod
+    def _refuse_repair_ids(ids) -> None:
+        for mid in ids:
             if mid >= REPAIR_ID_BASE:
                 raise UnknownCoefficientError(
                     f"id {mid:#x} is in the reserved repair range; "
                     "its row needs a registered repair record"
                 )
-        if missing:
-            block = self.field.asarray(
-                self._stream.symbols_many(missing, self.k, self.field.p)
-            )
-            block.flags.writeable = False
-            self._cache.update(zip(missing, block))
-        out = np.empty((len(ids), self.k), dtype=self.field.dtype)
-        for r, mid in enumerate(ids):
-            out[r] = self._cache[mid]
-        return out

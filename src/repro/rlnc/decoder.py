@@ -187,6 +187,10 @@ class ProgressiveDecoder:
         self.field = field if field is not None else GF(params.p)
         self.coefficients = coefficients
         self.digest_store = digest_store
+        # A batch of arrivals has its rows generated in one call up front
+        # (CoefficientGenerator.warm, which leaves a lone row to row());
+        # a stand-in without it is asked row by row only.
+        self._warm = getattr(coefficients, "warm", None)
         self._k = params.k  # the property divides; arrivals read it often
         # The elimination itself, chosen here: compiled for a table field
         # when the library is live, numpy otherwise (repro.gf.linalg).
@@ -234,13 +238,21 @@ class ProgressiveDecoder:
         one :class:`Offer` per *consumed* message (so the list may be
         shorter than the input, and is empty when the decoder is already
         complete).  Outcomes, counters, traces, and the decoded bytes
-        are those of calling :meth:`offer` in a loop.
+        are those of calling :meth:`offer` in a loop; the coefficient rows
+        of the batch's own ids (this file's, not seen yet) are generated
+        first, in one batch (``CoefficientGenerator.warm``).
         """
         msgs = list(messages)
         batch_span = None
         if _TRACER.enabled:
             batch_span = _spans.start_span("rlnc.offer_many", count=len(msgs))
         try:
+            if self._warm is not None and len(msgs) > 1 and not self.is_complete:
+                file_id, seen = self.coefficients.file_id, self._seen_ids
+                self._warm([
+                    msg.message_id for msg in msgs
+                    if msg.file_id == file_id and msg.message_id not in seen
+                ])
             outcomes: list[Offer] = []
             for msg in msgs:
                 if self.is_complete:

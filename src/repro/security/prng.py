@@ -9,22 +9,103 @@ hidden from everyone else — the coefficients double as the decryption
 key and are never transmitted.
 
 The construction here is SHA-256 in counter mode: block ``t`` of the
-stream for ``label`` is ``SHA256(key || label || t)``.  The paper used
-NTL's generator [36]; any keyed PRF-style stream preserves the contract.
+stream for ``label`` is ``SHA256(seed || u64be(t))`` with ``seed =
+derive_key(key, label)``, one HMAC-SHA256.  The paper used NTL's
+generator [36]; any keyed PRF-style stream preserves the contract.
+
+A batch of rows (:meth:`KeyedStream.symbols_many`) is drawn in one call
+to ``_sha256.c``, a multi-buffer kernel that runs one SHA-256 per vector
+lane: first every label's seed, then the flat list of every label's
+blocks.  It takes integer labels in ``[0, 2^64)`` — every message id,
+repair ids included — and keys of at most 64 bytes, which every
+:func:`derive_key` output is.  hmac/hashlib draws everything else:
+other labels and longer keys, single rows (:meth:`~KeyedStream.symbols`,
+:meth:`~KeyedStream.bytes_for`: one ctypes call costs more than one
+row), batches where the kernel is not live (:mod:`repro.native`), and
+:func:`_self_check`'s oracle.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import hmac
 import struct
+from pathlib import Path
 
 import numpy as np
+
+from .. import native
 
 __all__ = ["KeyedStream", "derive_key", "SUPPORTED_SYMBOL_BITS"]
 
 #: Symbol widths the byte-packing supports (all the paper's fields).
 SUPPORTED_SYMBOL_BITS = (4, 8, 16, 32)
+
+_SOURCE = Path(__file__).with_name("_sha256.c")
+
+#: The longest key the kernel takes: HMAC hashes a longer one first.
+_KERNEL_KEY_BYTES = 64
+#: Labels per pass of the kernel (``CHUNK`` in ``_sha256.c``).
+_KERNEL_CHUNK = 64
+
+
+class _StreamKernel:
+    """ctypes facade over ``repro_keyed_stream``; :attr:`lanes` hashes run
+    side by side (16 under AVX-512, 8 under AVX, else 4).  It holds no
+    key: the key crosses on every call."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self.lanes = lib.repro_keyed_lanes()
+        self._fn = fn = lib.repro_keyed_stream
+        fn.restype = ctypes.c_int
+        # out, key, key bytes, labels, labels, bytes per label
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+
+    def stream(self, key: bytes, labels: np.ndarray, per: int) -> np.ndarray:
+        """``(len(labels), per)`` bytes: row ``i`` is the first ``per``
+        bytes of the stream of ``labels[i]`` (a ``uint64`` array) under
+        ``key`` (1 to 64 bytes)."""
+        out = np.empty((len(labels), per), np.uint8)
+        if self._fn(out.ctypes.data, key, len(key), labels.ctypes.data, len(labels), per):
+            raise ValueError(f"kernel refused a {len(key)}-byte key or {per} bytes a row")
+        return out
+
+
+def _self_check(kernel: _StreamKernel) -> bool:
+    """``kernel`` agrees with :meth:`KeyedStream.bytes_for` bit for bit:
+    keys of 1, 33 and 64 bytes on one batch of labels from both ends of
+    ``[0, 2^64)``; every batch size from 1 to 2 x lanes + 1 (prefixes of
+    that batch: partial lane groups); one label's 2 x lanes + 1 blocks and
+    a partial one (the blocks of one stream spread over the lanes); and
+    one byte of ``_KERNEL_CHUNK + lanes + 1`` labels, across the kernel's
+    label chunks.  The labels and each result are arrays of their own, so
+    the last label and its last output byte end their buffers."""
+    span = 2 * kernel.lanes + 1
+    labels = [0, (1 << 64) - 1, 1 << 63, (1 << 63) - 1, 1 << 32]
+    labels += [(i * 0x9E3779B97F4A7C15) % (1 << 64) for i in range(span - len(labels))]
+    cases = [  # key bytes, labels, bytes per label, prefix sizes
+        (1, labels, 33, [span]),
+        (33, labels, 1, [span]),
+        (64, labels, 64, [span]),
+        (32, labels[:1], 32 * span + 5, [1]),
+        (32, list(range(_KERNEL_CHUNK + kernel.lanes + 1)), 1, [_KERNEL_CHUNK + kernel.lanes + 1]),
+        (32, labels, 32, range(1, span)),
+    ]
+    for key_bytes, batch, per, sizes in cases:
+        key = hashlib.shake_256(b"repro keyed-stream self-check").digest(key_bytes)
+        stream = KeyedStream(key)
+        expected = b"".join(stream.bytes_for(label, per) for label in batch)
+        for n in sizes:
+            got = kernel.stream(key, np.array(batch[:n], np.uint64), per)
+            if got.tobytes() != expected[: n * per]:
+                return False
+    return True
+
+
+def _load() -> _StreamKernel | None:
+    return native.load("sha256", _SOURCE, _StreamKernel, _self_check)
 
 
 def _absorb(mac, parts) -> bytes:
@@ -110,8 +191,9 @@ class KeyedStream:
         """One row of ``count`` symbols per label, as a 2-D ``uint32`` array.
 
         Bit-identical to stacking per-label :meth:`symbols` calls (each
-        label keys an independent stream either way), but unpacks all
-        the raw bytes in one vectorised pass — the fast path for bulk
+        label keys an independent stream either way), but draws the raw
+        bytes in one kernel call (see the module docstring) and unpacks
+        them in one vectorised pass — the fast path for bulk
         coefficient-matrix generation.
         """
         if bits not in SUPPORTED_SYMBOL_BITS:
@@ -124,22 +206,36 @@ class KeyedStream:
             return np.empty((0, count), dtype=np.uint32)
         if bits == 4:
             per = (count + 1) // 2
-            raw = np.frombuffer(
-                b"".join(self.bytes_for(label, per) for label in labels),
-                dtype=np.uint8,
-            ).reshape(len(labels), per)
+            raw = np.frombuffer(self._raw_many(labels, per), dtype=np.uint8)
+            raw = raw.reshape(len(labels), per)
             out = np.empty((len(labels), per * 2), dtype=np.uint32)
             out[:, 0::2] = raw >> 4
             out[:, 1::2] = raw & 0x0F
             return out[:, :count].copy()
         width = bits // 8
-        raw = b"".join(self.bytes_for(label, count * width) for label in labels)
+        raw = self._raw_many(labels, count * width)
         dtype = {1: ">u1", 2: ">u2", 4: ">u4"}[width]
         return (
             np.frombuffer(raw, dtype=dtype)
             .astype(np.uint32)
             .reshape(len(labels), count)
         )
+
+    def _raw_many(self, labels: list, per: int):
+        """The first ``per`` bytes of each label's stream, back to back: one
+        kernel call where it takes the key and every label, else one
+        :meth:`bytes_for` per label."""
+        kernel = None
+        if len(self.key) <= _KERNEL_KEY_BYTES and all(type(label) is int for label in labels):
+            try:
+                ids = np.array(labels, dtype=np.uint64)
+            except OverflowError:  # negative or >= 2^64: hashlib says which
+                pass
+            else:
+                kernel = _load()
+        if kernel is None:
+            return b"".join(self.bytes_for(label, per) for label in labels)
+        return kernel.stream(self.key, ids, per)
 
     def floats(self, label: bytes | int | str, count: int) -> np.ndarray:
         """``count`` floats uniform in ``[0, 1)`` (for seeded simulations)."""

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,17 @@ def field(request):
 def field_fast(request):
     """A cheaper field sweep for expensive tests."""
     return GF(request.param)
+
+
+@pytest.fixture(scope="session")
+def cpu_flags() -> set[str]:
+    """The host CPU's feature flags (``/proc/cpuinfo``; empty where it
+    cannot be read), for tests that build a kernel at each vector width."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next(
+        (set(line.split(":", 1)[1].split()) for line in text.splitlines() if line.startswith("flags")),
+        set(),
+    )

@@ -137,3 +137,77 @@ class TestMatrixBatching:
 
     def test_empty_ids(self, gen):
         assert gen.matrix([]).shape == (0, 8)
+
+
+class Counted:
+    """Counts the keyed stream's batched and single-row calls."""
+
+    def __init__(self, gen, monkeypatch):
+        self.many = self.single = 0
+        stream = gen._stream
+        many, single = stream.symbols_many, stream.symbols
+
+        def symbols_many(labels, count, bits):
+            self.many += 1
+            return many(labels, count, bits)
+
+        def symbols(label, count, bits):
+            self.single += 1
+            return single(label, count, bits)
+
+        monkeypatch.setattr(stream, "symbols_many", symbols_many)
+        monkeypatch.setattr(stream, "symbols", symbols)
+
+
+class TestMatrixBlock:
+    def test_fresh_distinct_ids_return_the_cached_block_whole(self):
+        gen = CoefficientGenerator(GF(8), k=6, secret=b"s", file_id=4)
+        M = gen.matrix(range(10))
+        assert not M.flags.writeable
+        assert all(gen.row(i).base is M for i in range(10))
+        fresh = CoefficientGenerator(GF(8), k=6, secret=b"s", file_id=4)
+        assert M.tobytes() == np.stack([fresh.row(i) for i in range(10)]).tobytes()
+
+    @pytest.mark.parametrize("ids", [[0, 1, 0], [3, 1, 2], [2, 9, 2, 7]])
+    def test_gathered_rows_are_a_writable_copy(self, ids):
+        gen = CoefficientGenerator(GF(16), k=5, secret=b"s", file_id=4)
+        gen.matrix([1, 2, 3])
+        M = gen.matrix(ids)
+        assert M.flags.writeable and M.dtype == GF(16).dtype and M.shape == (len(ids), 5)
+        assert M.tobytes() == np.stack([gen.row(i) for i in ids]).tobytes()
+        M[:] = 0
+        assert gen.row(ids[0]).any()
+
+
+class TestWarm:
+    def test_missing_rows_are_one_batch(self, monkeypatch):
+        gen = CoefficientGenerator(GF(32), k=8, secret=b"s", file_id=5)
+        gen.row(2)
+        calls = Counted(gen, monkeypatch)
+        gen.warm([1, 2, 3, 1, 4])
+        assert (calls.many, calls.single) == (1, 0)
+        rows = [gen.row(i) for i in (1, 2, 3, 4)]
+        assert (calls.many, calls.single) == (1, 0)
+        fresh = CoefficientGenerator(GF(32), k=8, secret=b"s", file_id=5)
+        for i, row in zip((1, 2, 3, 4), rows):
+            assert np.array_equal(row, fresh.row(i)) and not row.flags.writeable
+
+    def test_a_lone_missing_row_is_left_to_row(self, monkeypatch):
+        gen = CoefficientGenerator(GF(8), k=8, secret=b"s", file_id=5)
+        gen.row(1)
+        calls = Counted(gen, monkeypatch)
+        gen.warm([1, 6])
+        gen.warm([])
+        assert calls.many == 0
+        gen.row(6)
+        assert calls.single == 1
+
+    def test_repair_ids_are_skipped(self, monkeypatch):
+        from repro.rlnc import UnknownCoefficientError
+        from repro.rlnc.coefficients import REPAIR_ID_BASE
+
+        gen = CoefficientGenerator(GF(8), k=4, secret=b"s", file_id=5)
+        gen.warm([REPAIR_ID_BASE + 1, 7, 8, REPAIR_ID_BASE])
+        assert set(gen._cache) == {7, 8}
+        with pytest.raises(UnknownCoefficientError):
+            gen.row(REPAIR_ID_BASE + 1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gf import GF
-from repro.obs import REGISTRY, observability
+from repro.obs import REGISTRY, TRACER, observability
+from repro.obs.events import RLNC_OFFER
 from repro.rlnc import (
     BlockDecoder,
     CodingParams,
@@ -318,3 +319,63 @@ class TestSeenIdsRegression:
         # payload residual; the four innovative ones never did.
         assert snap["repro.rlnc.decode.residual_checks"]["value"] == 3
         assert snap["repro.rlnc.decode.inconsistent"]["value"] == 2
+
+
+class TestOfferManyWarmsRows:
+    """``offer_many`` generates the batch's rows in one call first; the
+    offers themselves are unchanged."""
+
+    class RowsOnly:
+        """The owner's generator without ``warm``: rows one at a time."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.file_id = inner.file_id
+
+        def row(self, message_id):
+            return self.inner.row(message_id)
+
+    def _arrivals(self, encoded):
+        forged = encoded.bundles[1][0].with_payload(encoded.bundles[1][0].payload ^ 1)
+        stranger = FileEncoder(PARAMS, secret=b"owner", file_id=0xBEEF).encode_bundles(
+            bytes(100), n_peers=1
+        ).bundles[0][0]
+        batch = [*encoded.bundles[0][:5], forged, stranger, encoded.bundles[0][2]]
+        return [batch, [*encoded.bundles[1][1:4], *encoded.bundles[2]]]
+
+    def _run(self, coefficients, store, batches):
+        decoder = ProgressiveDecoder(PARAMS, coefficients, digest_store=store)
+        with observability(tracing=True, reset=True):
+            outcomes = [decoder.offer_many(batch) for batch in batches]
+            events = [ev.fields for ev in TRACER.events() if ev.name == RLNC_OFFER]
+            counters = {
+                name: REGISTRY.snapshot().get(name)
+                for name in ("repro.rlnc.decode.innovative", "repro.rlnc.decode.dependent",
+                             "repro.rlnc.decode.rejected")
+            }
+        counts = (decoder.accepted, decoder.dependent, decoder.rejected, decoder.inconsistent)
+        return outcomes, events, counters, counts, decoder.result()
+
+    def test_same_offers_as_row_by_row(self, setup, monkeypatch):
+        data, _, encoded, store = setup
+        batches = self._arrivals(encoded)
+        fresh = FileEncoder(PARAMS, secret=b"owner", file_id=0xF00D).coefficients
+        calls = {"many": 0, "single": 0}
+        stream = fresh._stream
+        many, single = stream.symbols_many, stream.symbols
+
+        def symbols_many(*args):
+            calls["many"] += 1
+            return many(*args)
+
+        def symbols(*args):
+            calls["single"] += 1
+            return single(*args)
+
+        monkeypatch.setattr(stream, "symbols_many", symbols_many)
+        monkeypatch.setattr(stream, "symbols", symbols)
+        warmed = self._run(fresh, store, batches)
+        assert calls == {"many": 2, "single": 0}
+        reference = FileEncoder(PARAMS, secret=b"owner", file_id=0xF00D).coefficients
+        assert warmed == self._run(self.RowsOnly(reference), store, batches)
+        assert warmed[-1][: len(data)] == data

@@ -278,30 +278,18 @@ assert DigestStore().record_many(1, range(len(batch)), batch) == [
 """
 
 
-def _cpu_flags() -> set[str]:
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    return next(
-        (set(line.split(":", 1)[1].split()) for line in text.splitlines() if line.startswith("flags")),
-        set(),
-    )
-
-
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"), reason="the width flags are x86 ones"
 )
 @pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 @pytest.mark.parametrize("cflags, widest", [("", 16), ("-mno-avx512f", 8), ("-mno-avx", 4)])
-def test_every_lane_count_builds_and_matches_hashlib(cflags, widest):
+def test_every_lane_count_builds_and_matches_hashlib(cflags, widest, cpu_flags):
     """The kernel is as many lanes wide as the flags and the host CPU
     allow (16 under AVX-512F, 8 under AVX, 4 on SSE2), and each build
     passes its self-check and hashes a mixed batch as hashlib does."""
-    flags = _cpu_flags()
     lanes = next(
         (n for n, feature in ((16, "avx512f"), (8, "avx"), (4, "sse2"))
-         if n <= widest and feature in flags),
+         if n <= widest and feature in cpu_flags),
         0,
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NATIVE_CFLAGS=cflags)

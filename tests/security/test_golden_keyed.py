@@ -12,8 +12,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from repro import native
+from repro.security import prng
 
 ROOT = Path(__file__).resolve().parents[2]
 _TOOL = ROOT / "tools" / "gen_golden_keyed.py"
@@ -47,6 +51,27 @@ def test_matrix(fixture, results):
 
 def test_whole_file(results):
     assert golden.render(results) == golden.FIXTURE.read_text()
+
+
+def test_replay_draws_its_batches_on_the_kernel(fixture):
+    """Where the kernel is live, the replay's batches of integer labels
+    went through it (the mixed and long-key batches did not)."""
+    kernel = prng._load()
+    if kernel is None:
+        pytest.skip(f"keyed-stream kernel not live: {native.status()['sha256']}")
+    calls = []
+
+    class Counting:
+        lanes = kernel.lanes
+
+        def stream(self, key, labels, per):
+            calls.append(len(labels))
+            return kernel.stream(key, labels, per)
+
+    with mock.patch.dict(native._LOADED, {"sha256": (Counting(), "ok")}):
+        results = golden.run()
+    assert json.loads(golden.render(results)) == fixture
+    assert len(calls) > 100 and max(calls) == 512
 
 
 def test_whole_file_without_native_kernels():

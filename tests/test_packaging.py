@@ -63,10 +63,10 @@ def test_no_accidental_circular_imports():
 
 
 def test_built_package_ships_kernel_sources_and_runs_without_them(tmp_path):
-    """``setup.py build`` copies the four ``.c`` files the native kernels
+    """``setup.py build`` copies the five ``.c`` files the native kernels
     are compiled from; a package that lost them anyway (an older build,
     a stripped image) must fall back to numpy, ``pow`` and hashlib
-    silently, not raise."""
+    silently, not raise, and draw the same coefficient rows."""
     import os
     import subprocess
     import sys
@@ -85,6 +85,7 @@ def test_built_package_ships_kernel_sources_and_runs_without_them(tmp_path):
         lib / "repro" / "gf" / "_gfmul.c",
         lib / "repro" / "security" / "_modexp.c",
         lib / "repro" / "security" / "_md5.c",
+        lib / "repro" / "security" / "_sha256.c",
     ]
     for source in sources:
         assert source.is_file(), f"{source.name} missing from the built package"
@@ -96,16 +97,22 @@ import hashlib
 import numpy as np
 from repro import native
 from repro.gf import GF, bitmatmul
-from repro.security import DigestStore, modexp
+from repro.security import DigestStore, KeyedStream, modexp, prng
 from repro.sim import BernoulliDemand, PeerConfig, Simulation, fastpath
 
 assert fastpath.load() is None and bitmatmul.load() is None and modexp.load() is None
 assert DigestStore().record_many(1, [0, 1], [b"a", b""]) == [
     hashlib.md5(b"a").digest(), hashlib.md5(b"").digest()
 ]
+stream = KeyedStream(b"k" * 32)
+labels = [0, 1, (1 << 64) - 1, 1 << 63, *range(2, 40)]
+rows = stream.symbols_many(labels, 33, 4)
+assert prng._load() is None
+assert np.array_equal(rows, np.stack([stream.symbols(label, 33, 4) for label in labels]))
+assert hashlib.sha256(rows.tobytes()).hexdigest() == ROWS_SHA256, "rows differ from the kernel's"
 assert native.status() == {
     "fastalloc": "source missing", "gfmul": "source missing",
-    "modexp": "source missing", "md5": "source missing",
+    "modexp": "source missing", "md5": "source missing", "sha256": "source missing",
 }
 field = GF(8)
 rng = np.random.default_rng(0)
@@ -119,6 +126,14 @@ sim = Simulation([PeerConfig(100.0, BernoulliDemand(0.5)) for _ in range(4)], en
 assert sim.backend == "batched"
 sim.run(5)
 """
+    import hashlib
+
+    from repro.security import KeyedStream
+
+    # The rows drawn here, on the keyed-stream kernel where it is live.
+    labels = [0, 1, (1 << 64) - 1, 1 << 63, *range(2, 40)]
+    rows = KeyedStream(b"k" * 32).symbols_many(labels, 33, 4)
+    code = code.replace("ROWS_SHA256", repr(hashlib.sha256(rows.tobytes()).hexdigest()))
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(lib)
     env["REPRO_NATIVE_CACHE"] = str(tmp_path / "cache")

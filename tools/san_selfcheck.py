@@ -5,11 +5,12 @@ flags, through the shared loader.
 CI invokes this with ``REPRO_NATIVE_CFLAGS`` set to the ASan/UBSan flag
 set (and ``LD_PRELOAD`` pointing at libasan so the sanitizer runtime is
 present in the Python process): ``sim/_fastalloc.c``, ``gf/_gfmul.c``,
-``security/_modexp.c`` and ``security/_md5.c`` are recompiled with
-sanitizers on (the flags are part of the cache digest, so this never
-reuses a normal build), then fuzzed against their numpy references, the
-modexp kernel against builtin ``pow`` and the MD5 kernel against
-hashlib, demanding zero bit differences — any out-of-bounds
+``security/_modexp.c``, ``security/_md5.c`` and ``security/_sha256.c``
+are recompiled with sanitizers on (the flags are part of the cache
+digest, so this never reuses a normal build), then fuzzed against their
+numpy references, the modexp kernel against builtin ``pow`` and the MD5
+and keyed-stream kernels against hmac/hashlib, demanding zero bit
+differences — any out-of-bounds
 access, UB, or divergence fails the run.  The ``fastalloc`` fuzz
 apportions rows at the largest ledger totals its overflow guard admits
 and one past it, so UBSan traps any signed overflow the guard lets
@@ -27,6 +28,10 @@ count from 1 to the cap, so the kernel's stack buffers are read and
 written at their full length.  The ``md5`` check hashes messages at
 odd offsets of one buffer that end exactly at its last byte, so a read
 past a message's end, or past a lane's tail buffer, lands in a redzone.
+The ``sha256`` check passes every batch's labels as an array of their
+own and takes every result in an array of its own, so the last label
+ends its buffer and the last label's last output byte ends its buffer:
+a read past the labels or a write past a row lands in a redzone.
 
 Exit codes: 0 pass, 1 compile/load/self-check failure, 2 no compiler.
 """
@@ -38,7 +43,7 @@ import sys
 
 from repro import native
 from repro.gf import bitmatmul
-from repro.security import integrity, modexp
+from repro.security import integrity, modexp, prng
 from repro.sim import fastpath
 
 
@@ -48,6 +53,7 @@ def main() -> int:
     bitmatmul.load()
     modexp.load()
     native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
+    prng._load()
     status = native.status()
     for name, why in status.items():
         print(f"{name:<13}: {why}")
