@@ -1084,7 +1084,7 @@ def gate_digest() -> int:
     from repro import native
     from repro.security import DigestStore, integrity
 
-    if native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check) is None:
+    if integrity.load() is None:
         print(f"record_many on the md5 kernel / record loop: kernel not live "
               f"({native.status()['md5']}); skipped")
         return 0
@@ -1125,7 +1125,7 @@ def gate_keyed_rows() -> int:
     from repro import native
     from repro.security import KeyedStream, derive_key, prng
 
-    if prng._load() is None:
+    if prng.load() is None:
         print(f"symbols_many on the keyed-stream kernel / on hashlib: kernel not live "
               f"({native.status()['sha256']}); skipped")
         return 0

@@ -255,12 +255,12 @@ static size_t round64(size_t bytes)
  * (r, n) uint32 coefficients, src and out are (n, m) and (r, m) symbols
  * stored w bits apiece (w >= p; big-endian at w >= 16 when big_endian
  * is nonzero, and then w = p), C-contiguous, every symbol < 2^p and
- * m w a multiple of 8.  Returns nonzero only when scratch cannot be
- * allocated. */
-int repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
-                     int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
-                     int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
-                     int64_t c)
+ * m w a multiple of 8.  Returns 0, or -2 when scratch cannot be
+ * allocated (repro.native's status rule). */
+int64_t repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
+                         int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
+                         int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
+                         int64_t c)
 {
     const int e = big_endian && w >= 16 ? (int)w - 8 : 0;
     const int64_t row_bytes = m * w / 8;
@@ -278,7 +278,7 @@ int repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
     char *raw = malloc(gen_bytes + prow_bytes + tab_bytes + bits_bytes + acc_bytes
                        + x_bytes + 63);
     if (raw == NULL) {
-        return 1;
+        return -2;
     }
     /* Table rows are cache lines only if the scratch is line-aligned. */
     char *base = raw + (-(uintptr_t)raw & 63);

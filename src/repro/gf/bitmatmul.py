@@ -26,10 +26,9 @@ matrix ``G`` is built from ``field._mul`` itself, so tower and clmul
 backends work unchanged).
 
 The same plan exists twice: the numpy body of :func:`bit_matmul`, and
-``_gfmul.c``, which walks it over cache-resident blocks several times
-faster.  :func:`load` hands out the compiled kernel when
-:mod:`repro.native` can build it and its self-check passes; otherwise
-``bit_matmul`` runs the numpy body — same bytes, old speed.
+``_gfmul.c`` (:func:`load`), which walks it over cache-resident blocks
+several times faster; where it is not live, ``bit_matmul`` runs the
+numpy body — same bytes, old speed.
 
 The compiled kernel takes its symbols at a storage width ``w`` of 4, 8,
 16 or 32 bits and builds the generator itself from a table field's (or
@@ -52,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import native
+from ..native import I64, PTR, STATUS, address
 from ..obs import REGISTRY as _OBS
 from .field import _MUL_CALLS, BinaryField, TableField
 from .tower import TowerField
@@ -210,22 +210,13 @@ def _build_generator(field, C: np.ndarray) -> np.ndarray:
     return packed
 
 
-class _Arrival(ctypes.Structure):
-    """``struct gf_arrival`` of ``_gfmul.c``."""
-
-    _fields_ = [
-        ("red", ctypes.c_void_p),
-        ("pivots", ctypes.c_void_p),
-        ("logz", ctypes.c_void_p),
-        ("expz", ctypes.c_void_p),
-        ("scratch", ctypes.c_void_p),
-        ("k", ctypes.c_int64),
-        ("order", ctypes.c_int64),
-        ("c", ctypes.c_int64),
-    ]
+#: ``struct gf_arrival`` of ``_gfmul.c``.
+_Arrival = native.struct(
+    "_Arrival", ("red", "pivots", "logz", "expz", "scratch"), ("k", "order", "c")
+)
 
 
-class GF2Kernel:
+class GF2Kernel(native.Kernel):
     """ctypes facade over ``_gfmul.c``: the field product, and the two
     elimination steps :mod:`repro.gf.linalg` runs over a table field or
     the tower.
@@ -234,21 +225,15 @@ class GF2Kernel:
     (:func:`tables`): 0 for that field itself, or ``TowerField.c`` when
     the tables are the tower's ``base``."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        self._matmul = lib.repro_gf2_matmul
-        self._matmul.restype = ctypes.c_int
-        self._matmul.argtypes = [ptr] * 3 + [i64] * 6 + [ptr] * 2 + [i64]
-        self._full_rank = lib.repro_gf_full_rank
-        self._full_rank.restype = None
-        self._full_rank.argtypes = [ptr, i64, i64, ptr, ptr, i64, i64, ptr, ptr]
-        self._arrival = lib.repro_gf_arrival
-        self._arrival.restype = i64
-        self._arrival.argtypes = [ptr, i64]
-        width = lib.repro_gf2_vector_bytes
-        width.restype = ctypes.c_int
-        #: Bytes per vector the build works each line at: 64, 32 or 16.
-        self.vector_bytes = width()
+    SIGNATURES = {
+        "repro_gf2_matmul": (STATUS, [PTR] * 3 + [I64] * 6 + [PTR] * 2 + [I64]),
+        "repro_gf_full_rank": (None, [PTR, I64, I64, PTR, PTR, I64, I64, PTR, PTR]),
+        "repro_gf_arrival": (I64, [PTR, I64]),
+        "repro_gf2_vector_bytes": (ctypes.c_int, []),
+    }
+    ERRORS = {-2: "repro_gf2_matmul: no scratch memory"}
+    #: Bytes per vector the build works each line at: 64, 32 or 16.
+    vector_bytes = property(lambda self: self.repro_gf2_vector_bytes())
 
     def matmul(self, C: np.ndarray, src: np.ndarray, out: np.ndarray, logz: np.ndarray,
                expz: np.ndarray, c: int, w: int, big_endian: bool = False) -> None:
@@ -276,9 +261,8 @@ class GF2Kernel:
             raise ValueError(f"bad product for p={p}, w={w}: {C.shape} x {src.shape} -> {out.shape}")
         if p < 32 and C.size and int(C.max()) >> p:
             raise ValueError(f"coefficients outside GF(2^{p})")
-        if self._matmul(C.ctypes.data, src.ctypes.data, out.ctypes.data, r, n, size * 8 // w,
-                        p, w, big_endian, logz.ctypes.data, expz.ctypes.data, c):
-            raise MemoryError("repro_gf2_matmul: no scratch memory")
+        self.repro_gf2_matmul(address(C), address(src), address(out), r, n, size * 8 // w,
+                              p, w, big_endian, address(logz), address(expz), c)
 
     @staticmethod
     def _logs(logz: np.ndarray, expz: np.ndarray, c: int) -> int:
@@ -307,8 +291,8 @@ class GF2Kernel:
             raise ValueError(f"not a C-contiguous uint32 (B, k, k) stack: {blocks.shape}")
         full = np.empty(count, dtype=np.bool_)
         lrow = np.empty(logs * k, dtype=np.int32)
-        self._full_rank(blocks.ctypes.data, count, k, logz.ctypes.data, expz.ctypes.data,
-                        logz.shape[0] - 1, c, lrow.ctypes.data, full.ctypes.data)
+        self.repro_gf_full_rank(address(blocks), count, k, address(logz), address(expz),
+                                logz.shape[0] - 1, c, address(lrow), address(full))
         return full
 
     def arrival_step(self, logz: np.ndarray, expz: np.ndarray, reduced: np.ndarray,
@@ -328,14 +312,14 @@ class GF2Kernel:
         ):
             raise ValueError(f"bad arrival state: {reduced.shape} rows, {pivots.shape} pivots")
         scratch = np.empty(logs * 2 * k, dtype=np.int32)
-        state = _Arrival(reduced.ctypes.data, pivots.ctypes.data, logz.ctypes.data,
-                         expz.ctypes.data, scratch.ctypes.data, k, logz.shape[0] - 1, c)
-        arrival, address = self._arrival, ctypes.addressof(state)
+        state = _Arrival(address(reduced), address(pivots), address(logz),
+                         address(expz), address(scratch), k, logz.shape[0] - 1, c)
+        arrival, bound = self.repro_gf_arrival, ctypes.addressof(state)
 
         def step(rank: int) -> int:
             if not 0 <= rank < k:
                 raise ValueError(f"rank {rank} has no work row among {k}")
-            return arrival(address, rank)
+            return arrival(bound, rank)
 
         step.pinned = (state, reduced, pivots, logz, expz, scratch)  # what ``state`` points into
         return step

@@ -1,11 +1,8 @@
 """Runtime-compiled native kernels: one compile / cache / verify loader.
 
-The package ships five C files (``sim/_fastalloc.c`` for the slot
-engines, ``gf/_gfmul.c`` for the ``GF(2^p)`` matrix product and a table
-field's screening and arrival elimination, ``security/_modexp.c`` for the
-RSA private-key operation's modular exponentiation, ``security/_md5.c``
-for the owner's multi-buffer MD5 of a digest batch, ``security/_sha256.c``
-for the keyed coefficient stream of a batch of rows) and no build step.
+The package ships each kernel as one C file, ``_<name>.c`` beside the
+module it serves (``sim/_fastalloc.c``, ``gf/_gfmul.c`` and
+``security/_modexp.c``, ``_md5.c``, ``_sha256.c``), and no build step.
 :func:`load` compiles one on first use with whatever C compiler the host
 has (``$CC``, ``cc``, ``gcc`` or ``clang`` — no build system, no
 packages), keeps the shared object in a digest-keyed cache, binds it
@@ -19,6 +16,12 @@ source file, a failed compile or ``dlopen``, or a self-check mismatch
 all make :func:`load` return ``None``, silently, and the caller runs its
 Python path: same results, smaller speed-up.  :func:`status` says which
 of those happened, per kernel.
+
+Every facade is a :class:`Kernel`: its entries declared once, as a
+table; one status rule; and an array that outlives the calls it is
+passed to crosses the ctypes boundary once (a :class:`Bound` value or a
+:func:`struct`), where one made for the call costs a conversion
+(:func:`address`; ``ndarray.ctypes.data`` takes ~2 us).
 
 Environment (read here and nowhere else):
 
@@ -41,9 +44,62 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
 
-__all__ = ["load", "status", "usable_cpus"]
+__all__ = ["Bound", "Kernel", "address", "load", "status", "struct", "usable_cpus"]
 
 K = TypeVar("K")
+
+PTR, I64, F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+#: The ``restype`` of an entry that can fail (see :class:`Kernel`).
+STATUS = "status"
+STATUS_ERRORS = {-1: OverflowError, -2: MemoryError, -3: ValueError}
+
+
+class Bound:
+    """An array that outlives the calls it is passed to, its address taken
+    once; ``shape`` and ``size`` are the array's.  The owner binds anew
+    whatever it reallocates."""
+
+    __slots__ = ("array", "address", "shape", "size")
+
+    def __init__(self, array):
+        self.array, self.address = array, array.ctypes.data
+        self.shape, self.size = array.shape, array.size
+
+
+def address(array) -> int:
+    """The address of ``array``'s data: bound once, or taken now."""
+    return array.address if type(array) is Bound else array.ctypes.data
+
+
+def struct(name: str, pointers, ints) -> type[ctypes.Structure]:
+    """The ctypes mirror of a C struct of ``pointers`` then ``int64``s."""
+    fields = [(f, PTR) for f in pointers] + [(f, I64) for f in ints]
+    return type(name, (ctypes.Structure,), {"_fields_": fields})
+
+
+class Kernel:
+    """Base of every kernel facade: binds each entry of ``SIGNATURES``
+    (C name -> ``(restype, argtypes)``) as an attribute of that name.  A
+    :data:`STATUS` entry returns an ``int64``: its result, or a negative
+    code that raises the exception of ``STATUS_ERRORS`` with the message
+    of ``ERRORS``, formatted with the call's arguments."""
+
+    SIGNATURES: dict[str, tuple[object, list]] = {}
+    ERRORS: dict[int, str] = {}
+
+    def __init__(self, lib: ctypes.CDLL):
+        for name, (restype, argtypes) in self.SIGNATURES.items():
+            fn = getattr(lib, name)
+            if restype is STATUS:
+                restype, fn.errcheck = I64, self.checked
+            fn.restype, fn.argtypes = restype, argtypes
+            setattr(self, name, fn)
+
+    def checked(self, status: int, fn, args) -> int:
+        if status < 0:
+            raise STATUS_ERRORS[status](self.ERRORS[status].format(*args))
+        return status
+
 
 #: Tried in order; the plain -O2 set is the portable fallback.  The
 #: host-tuned build is not faster by itself: it halves the GF kernel's

@@ -116,14 +116,14 @@ int repro_keyed_lanes(void)
 }
 
 /* Row i < n of out (per bytes) = the first per bytes of the stream of
- * labels[i] under the key_len bytes at key.  Returns 0, or -1 (and writes
- * nothing) unless 0 < key_len <= 64, n >= 0 and per >= 0. */
-int repro_keyed_stream(unsigned char *out, const unsigned char *key,
-                       int64_t key_len, const uint64_t *labels, int64_t n,
-                       int64_t per)
+ * labels[i] under the key_len bytes at key.  Returns 0, or -3 (refused;
+ * writes nothing) unless 0 < key_len <= 64, n >= 0 and per >= 0. */
+int64_t repro_keyed_stream(unsigned char *out, const unsigned char *key,
+                           int64_t key_len, const uint64_t *labels, int64_t n,
+                           int64_t per)
 {
     if (key_len < 1 || key_len > 64 || n < 0 || per < 0)
-        return -1;
+        return -3;
     /* Lane 0: the ipad block, lane 1: the opad block, hashed from IV. */
     unsigned char padded[64] = {0};
     memcpy(padded, key, (size_t)key_len);

@@ -31,32 +31,34 @@ from pathlib import Path
 import numpy as np
 
 from .. import native
+from ..native import I64, PTR, address
 from ..obs import TRACER as _TRACER
 from ..obs import spans as _spans
 
-__all__ = ["DigestStore", "IntegrityError", "DIGEST_ALGORITHMS"]
+__all__ = ["DigestStore", "IntegrityError", "DIGEST_ALGORITHMS", "load"]
 
 DIGEST_ALGORITHMS = ("md5", "sha256")
 
 _SOURCE = Path(__file__).with_name("_md5.c")
 
 
-class _MD5Kernel:
+class _MD5Kernel(native.Kernel):
     """ctypes facade over ``repro_md5_many``; :attr:`lanes` messages are
     hashed side by side (16 under AVX-512, 8 under AVX, else 4)."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        self.lanes = lib.repro_md5_lanes()
-        self._fn = fn = lib.repro_md5_many
-        fn.restype = None
-        fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64]  # out, addresses, lengths, n
+    SIGNATURES = {
+        "repro_md5_lanes": (ctypes.c_int, []),
+        "repro_md5_many": (None, [PTR] * 3 + [I64]),  # out, addresses, lengths, n
+    }
+
+    lanes = property(lambda self: self.repro_md5_lanes())
 
     def hash_at(self, addresses: np.ndarray, lengths: np.ndarray) -> list[bytes]:
         """The MD5 of the ``lengths[i]`` bytes at ``addresses[i]``, two
         ``int64`` arrays over memory the caller keeps alive."""
         n = len(lengths)
         out = np.empty(16 * n, np.uint8)
-        self._fn(out.ctypes.data, addresses.ctypes.data, lengths.ctypes.data, n)
+        self.repro_md5_many(address(out), address(addresses), address(lengths), n)
         raw = out.tobytes()
         return [raw[i : i + 16] for i in range(0, 16 * n, 16)]
 
@@ -65,10 +67,10 @@ class _MD5Kernel:
         its base and record size; other payloads one buffer at a time."""
         if block:
             n, size = payloads.shape[0], payloads.itemsize * payloads.shape[1]
-            starts = payloads.ctypes.data + size * np.arange(n, dtype=np.int64)
+            starts = address(payloads) + size * np.arange(n, dtype=np.int64)
             return self.hash_at(starts, np.full(n, size, np.int64))
         views = [np.frombuffer(payload, np.uint8) for payload in payloads]
-        starts = np.array([view.ctypes.data for view in views], np.int64)
+        starts = np.array([address(view) for view in views], np.int64)
         return self.hash_at(starts, np.array([view.size for view in views], np.int64))
 
 
@@ -85,10 +87,15 @@ def _self_check(kernel: _MD5Kernel) -> bool:
     for lengths, sizes in ((first, [len(first)]), (mixed, range(1, len(mixed) + 1))):
         offsets = [(7 * i + len(lengths)) % 61 for i in range(len(lengths))]
         expected = [hashlib.md5(data[o : o + n]).digest() for o, n in zip(offsets, lengths)]
-        starts, lens = copy.ctypes.data + np.array(offsets), np.array(lengths)
+        starts, lens = address(copy) + np.array(offsets), np.array(lengths)
         if any(kernel.hash_at(starts[:n], lens[:n]) != expected[:n] for n in sizes):
             return False
     return True
+
+
+def load() -> _MD5Kernel | None:
+    """The compiled MD5 kernel, or ``None`` when every batch runs on hashlib."""
+    return native.load("md5", _SOURCE, _MD5Kernel, _self_check)
 
 
 class IntegrityError(Exception):
@@ -147,9 +154,7 @@ class DigestStore:
             raise ValueError(
                 f"{len(message_ids)} message ids for {len(payloads)} payloads"
             )
-        kernel = None
-        if self.algorithm == "md5":
-            kernel = native.load("md5", _SOURCE, _MD5Kernel, _self_check)
+        kernel = load() if self.algorithm == "md5" else None
         digest_span = None
         if _TRACER.enabled:
             digest_span = _spans.start_span(

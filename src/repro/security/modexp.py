@@ -6,8 +6,7 @@ kernel when the modulus is odd, longer than :data:`MIN_BITS` and at most
 :data:`LIMB_CAP` 64-bit limbs, and the kernel is live; otherwise, and for
 a negative exponent, it calls ``pow``.  :class:`Modulus` marshals a
 modulus and ``R**2 mod m`` once, so a key pays for that at construction
-and Miller-Rabin once per candidate.  Compiling, caching, loading and
-the ``REPRO_NO_NATIVE`` switch belong to :mod:`repro.native`.
+and Miller-Rabin once per candidate.
 
 Correctness gate: :func:`_self_check` compares the kernel with ``pow``
 over every limb count up to the cap, edge bases and exponents included,
@@ -26,10 +25,12 @@ import itertools
 from pathlib import Path
 
 from .. import native
+from ..native import I64
 
 __all__ = ["LIMB_CAP", "MIN_BITS", "Modulus", "ModExpKernel", "load", "power"]
 
 _SOURCE = Path(__file__).with_name("_modexp.c")
+_BYTES = ctypes.c_char_p
 
 #: ``MAX_LIMBS`` in ``_modexp.c``: moduli up to 1024 bits, the halves and
 #: primes of a 2048-bit key.
@@ -63,17 +64,11 @@ class Modulus:
             self.r2_bytes = ((1 << 16 * size) % m).to_bytes(size, "little")
 
 
-class ModExpKernel:
+class ModExpKernel(native.Kernel):
     """ctypes facade over ``repro_modexp``."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        fn = lib.repro_modexp
-        fn.restype = None
-        # out, base, exp, exp_bytes, m, R**2 mod m, limbs
-        fn.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_int64] + [ctypes.c_char_p] * 2 + [
-            ctypes.c_int64
-        ]
-        self._fn = fn
+    # out, base, exp, exp_bytes, m, R**2 mod m, limbs
+    SIGNATURES = {"repro_modexp": (None, [_BYTES] * 3 + [I64] + [_BYTES] * 2 + [I64])}
 
     def power(self, base: int, exp: int, modulus: Modulus) -> int:
         """``base**exp mod m`` for ``0 <= base < m``, ``exp >= 0`` and a
@@ -84,7 +79,7 @@ class ModExpKernel:
         size = 8 * modulus.limbs
         out = ctypes.create_string_buffer(size)
         exp_bytes = exp.to_bytes((exp.bit_length() + 7) // 8, "little")
-        self._fn(
+        self.repro_modexp(
             out, base.to_bytes(size, "little"), exp_bytes, len(exp_bytes),
             modulus.m_bytes, modulus.r2_bytes, modulus.limbs,
         )

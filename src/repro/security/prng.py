@@ -36,8 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import native
+from ..native import I64, PTR, STATUS, address
 
-__all__ = ["KeyedStream", "derive_key", "SUPPORTED_SYMBOL_BITS"]
+__all__ = ["KeyedStream", "derive_key", "SUPPORTED_SYMBOL_BITS", "load"]
 
 #: Symbol widths the byte-packing supports (all the paper's fields).
 SUPPORTED_SYMBOL_BITS = (4, 8, 16, 32)
@@ -50,26 +51,26 @@ _KERNEL_KEY_BYTES = 64
 _KERNEL_CHUNK = 64
 
 
-class _StreamKernel:
+class _StreamKernel(native.Kernel):
     """ctypes facade over ``repro_keyed_stream``; :attr:`lanes` hashes run
     side by side (16 under AVX-512, 8 under AVX, else 4).  It holds no
     key: the key crosses on every call."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        self.lanes = lib.repro_keyed_lanes()
-        self._fn = fn = lib.repro_keyed_stream
-        fn.restype = ctypes.c_int
+    SIGNATURES = {
+        "repro_keyed_lanes": (ctypes.c_int, []),
         # out, key, key bytes, labels, labels, bytes per label
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+        "repro_keyed_stream": (STATUS, [PTR, PTR, I64, PTR, I64, I64]),
+    }
+    ERRORS = {-3: "kernel refused a {2}-byte key or {5} bytes a row"}
+
+    lanes = property(lambda self: self.repro_keyed_lanes())
 
     def stream(self, key: bytes, labels: np.ndarray, per: int) -> np.ndarray:
         """``(len(labels), per)`` bytes: row ``i`` is the first ``per``
         bytes of the stream of ``labels[i]`` (a ``uint64`` array) under
         ``key`` (1 to 64 bytes)."""
         out = np.empty((len(labels), per), np.uint8)
-        if self._fn(out.ctypes.data, key, len(key), labels.ctypes.data, len(labels), per):
-            raise ValueError(f"kernel refused a {len(key)}-byte key or {per} bytes a row")
+        self.repro_keyed_stream(address(out), key, len(key), address(labels), len(labels), per)
         return out
 
 
@@ -104,7 +105,9 @@ def _self_check(kernel: _StreamKernel) -> bool:
     return True
 
 
-def _load() -> _StreamKernel | None:
+def load() -> _StreamKernel | None:
+    """The compiled keyed-stream kernel, or ``None`` when every row is
+    drawn on hmac/hashlib."""
     return native.load("sha256", _SOURCE, _StreamKernel, _self_check)
 
 
@@ -127,6 +130,30 @@ def derive_key(secret: bytes, *parts: bytes | int | str) -> bytes:
     the parts, so ``derive_key(s, b"ab", b"c") != derive_key(s, b"a", b"bc")``.
     """
     return _absorb(hmac.new(secret, digestmod=hashlib.sha256), parts)
+
+
+def _stream_bytes(count: int, bits: int) -> int:
+    """Stream bytes behind ``count`` symbols ``bits`` wide; ``ValueError``
+    for a width outside :data:`SUPPORTED_SYMBOL_BITS`."""
+    if bits not in SUPPORTED_SYMBOL_BITS:
+        raise ValueError(
+            f"symbol width {bits} unsupported; expected one of {SUPPORTED_SYMBOL_BITS}"
+        )
+    return (count + 1) // 2 if bits == 4 else count * (bits // 8)
+
+
+def _unpack(raw, shape: tuple[int, ...], bits: int) -> np.ndarray:
+    """A fresh ``uint32`` array of ``shape`` whose rows are symbols of
+    streams' bytes, back to back (high nibble first at ``bits = 4``,
+    big-endian above)."""
+    *rows, count = shape
+    if bits == 4:
+        raw = np.frombuffer(raw, dtype=np.uint8).reshape(*rows, (count + 1) // 2)
+        out = np.empty((*rows, 2 * raw.shape[-1]), dtype=np.uint32)
+        out[..., 0::2] = raw >> 4
+        out[..., 1::2] = raw & 0x0F
+        return out[..., :count].copy()
+    return np.frombuffer(raw, dtype=f">u{bits // 8}").reshape(shape).astype(np.uint32)
 
 
 class KeyedStream:
@@ -169,23 +196,7 @@ class KeyedStream:
         width is a power of two, raw stream bits map to field elements
         with no rejection step.
         """
-        if bits not in SUPPORTED_SYMBOL_BITS:
-            raise ValueError(
-                f"symbol width {bits} unsupported; expected one of "
-                f"{SUPPORTED_SYMBOL_BITS}"
-            )
-        if bits == 4:
-            raw = np.frombuffer(
-                self.bytes_for(label, (count + 1) // 2), dtype=np.uint8
-            )
-            out = np.empty(raw.size * 2, dtype=np.uint32)
-            out[0::2] = raw >> 4
-            out[1::2] = raw & 0x0F
-            return out[:count].copy()
-        width = bits // 8
-        raw = self.bytes_for(label, count * width)
-        dtype = {1: ">u1", 2: ">u2", 4: ">u4"}[width]
-        return np.frombuffer(raw, dtype=dtype).astype(np.uint32)
+        return _unpack(self.bytes_for(label, _stream_bytes(count, bits)), (count,), bits)
 
     def symbols_many(self, labels, count: int, bits: int) -> np.ndarray:
         """One row of ``count`` symbols per label, as a 2-D ``uint32`` array.
@@ -196,30 +207,11 @@ class KeyedStream:
         them in one vectorised pass — the fast path for bulk
         coefficient-matrix generation.
         """
-        if bits not in SUPPORTED_SYMBOL_BITS:
-            raise ValueError(
-                f"symbol width {bits} unsupported; expected one of "
-                f"{SUPPORTED_SYMBOL_BITS}"
-            )
+        per = _stream_bytes(count, bits)
         labels = list(labels)
         if not labels:
             return np.empty((0, count), dtype=np.uint32)
-        if bits == 4:
-            per = (count + 1) // 2
-            raw = np.frombuffer(self._raw_many(labels, per), dtype=np.uint8)
-            raw = raw.reshape(len(labels), per)
-            out = np.empty((len(labels), per * 2), dtype=np.uint32)
-            out[:, 0::2] = raw >> 4
-            out[:, 1::2] = raw & 0x0F
-            return out[:, :count].copy()
-        width = bits // 8
-        raw = self._raw_many(labels, count * width)
-        dtype = {1: ">u1", 2: ">u2", 4: ">u4"}[width]
-        return (
-            np.frombuffer(raw, dtype=dtype)
-            .astype(np.uint32)
-            .reshape(len(labels), count)
-        )
+        return _unpack(self._raw_many(labels, per), (len(labels), count), bits)
 
     def _raw_many(self, labels: list, per: int):
         """The first ``per`` bytes of each label's stream, back to back: one
@@ -232,7 +224,7 @@ class KeyedStream:
             except OverflowError:  # negative or >= 2^64: hashlib says which
                 pass
             else:
-                kernel = _load()
+                kernel = load()
         if kernel is None:
             return b"".join(self.bytes_for(label, per) for label in labels)
         return kernel.stream(self.key, ids, per)

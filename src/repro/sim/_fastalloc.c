@@ -147,19 +147,30 @@ int64_t repro_rows_shared(const int64_t *rows, int64_t nrows, int64_t A,
  * Sparse active-set kernels (the "sparse" engine).
  *
  * Rows of the compact block M (active givers x requesters R) are
- * written directly.  Ledger rows are reached through address tables
- * (idx_addr/val_addr) published by repro.sim.sparse.SparseLedgers, and
+ * written directly.  Ledger rows are reached through a store's tables,
+ * bound once per store by repro.sim.sparse.SparseLedgers, and
  * forgetting decay is caught up lazily inside the kernels: one floor
  * per missed feedback flush, the eager reference's operations.
  * ------------------------------------------------------------------ */
 
-static void catch_up_row(int64_t i, int64_t *val, int64_t cnt,
-                         const double *forgetting, int64_t epoch,
-                         int64_t *stamps)
+/* A sparse store's per-row tables (forgetting factor, epoch decayed to,
+ * entries or -1 for a dense island, index and value array addresses)
+ * and its epoch, the feedback flushes so far. */
+struct ledger_rows {
+    const double *forgetting;
+    int64_t *stamps;
+    const int64_t *nnz;
+    const int64_t *idx_addr;
+    const int64_t *val_addr;
+    int64_t epoch;
+};
+
+static void catch_up_row(const struct ledger_rows *s, int64_t i, int64_t *val,
+                         int64_t cnt)
 {
-    int64_t lag = epoch - stamps[i];
+    int64_t lag = s->epoch - s->stamps[i];
     if (lag > 0) {
-        double f = forgetting[i];
+        double f = s->forgetting[i];
         if (f < 1.0) {
             for (int64_t t = 0; t < lag; t++) {
                 for (int64_t j = 0; j < cnt; j++) {
@@ -167,7 +178,7 @@ static void catch_up_row(int64_t i, int64_t *val, int64_t cnt,
                 }
             }
         }
-        stamps[i] = epoch;
+        s->stamps[i] = s->epoch;
     }
 }
 
@@ -177,13 +188,11 @@ static void catch_up_row(int64_t i, int64_t *val, int64_t cnt,
  * A cold row (no byte from any requester) splits equally, so it is a
  * function of its capacity alone: the first cold row of each capacity
  * is computed and the others copy it (an open-addressing table of row
- * numbers).  Returns the number of copied rows, or -1 when a row is
- * outside the guard. */
+ * numbers).  Returns the number of copied rows, -1 when a row is
+ * outside the guard, or -2 when the table cannot be allocated. */
 int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
                               int64_t nact, const int64_t *R, int64_t A,
-                              const int64_t *caps, const double *forgetting,
-                              int64_t epoch, int64_t *stamps, int64_t *nnz,
-                              const int64_t *idx_addr, const int64_t *val_addr,
+                              const int64_t *caps, const struct ledger_rows *s,
                               int64_t *M)
 {
     int64_t size = 16, copied = 0, *memo;
@@ -196,13 +205,13 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
     }
     memset(memo, 0xff, (size_t)size * sizeof *memo);  /* all -1: empty */
     for (int64_t r = 0; r < nact; r++) {
-        int64_t i = act[r], cnt = nnz[i], W = 0, cap = caps[r];
+        int64_t i = act[r], cnt = s->nnz[i], W = 0, cap = caps[r];
         int64_t *o = M + rowpos[r] * A;
         if (cnt > 0) {
-            const int64_t *idx = (const int64_t *)idx_addr[i];
-            int64_t *vals = (int64_t *)val_addr[i];
+            const int64_t *idx = (const int64_t *)s->idx_addr[i];
+            int64_t *vals = (int64_t *)s->val_addr[i];
             int64_t p = 0;
-            catch_up_row(i, vals, cnt, forgetting, epoch, stamps);
+            catch_up_row(s, i, vals, cnt);
             for (int64_t a = 0; a < A; a++) {
                 int64_t col = R[a];
                 while (p < cnt && idx[p] < col) {
@@ -246,14 +255,11 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
  * rows, dense islands — reports ok=0 and is merged by the python store. */
 void repro_sparse_scatter(const int64_t *act, int64_t nact,
                           const int64_t *R, int64_t A, const int64_t *M,
-                          double w, const double *forgetting,
-                          int64_t epoch, int64_t *stamps, int64_t *nnz,
-                          const int64_t *idx_addr, const int64_t *val_addr,
-                          uint8_t *ok)
+                          double w, const struct ledger_rows *s, uint8_t *ok)
 {
     for (int64_t a = 0; a < A; a++) {
         int64_t j = R[a];
-        int64_t cnt = nnz[j];
+        int64_t cnt = s->nnz[j];
         const int64_t *idx;
         int64_t *vals;
         int64_t p = 0, contained = 1;
@@ -261,8 +267,8 @@ void repro_sparse_scatter(const int64_t *act, int64_t nact,
         if (cnt < nact) {   /* covers empty (0) and dense island (-1) */
             continue;
         }
-        idx = (const int64_t *)idx_addr[j];
-        vals = (int64_t *)val_addr[j];
+        idx = (const int64_t *)s->idx_addr[j];
+        vals = (int64_t *)s->val_addr[j];
         for (int64_t r = 0; r < nact && contained; r++) {
             while (p < cnt && idx[p] < act[r]) {
                 p++;
@@ -272,7 +278,7 @@ void repro_sparse_scatter(const int64_t *act, int64_t nact,
         if (!contained) {
             continue;
         }
-        catch_up_row(j, vals, cnt, forgetting, epoch, stamps);
+        catch_up_row(s, j, vals, cnt);
         p = 0;
         for (int64_t r = 0; r < nact; r++) {
             while (idx[p] < act[r]) {

@@ -80,6 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .. import native
 from ..core.allocation import Allocator, PeerwiseProportionalAllocator
 from ..core.apportion import (
     BYTES_PER_KBIT,
@@ -315,7 +316,12 @@ class Simulation:
             )
             for i, cfg in enumerate(self.configs)
         ]
-        self._pending_feedback = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
+        # Credit awaiting a feedback flush: only a deferred flush has
+        # any (the batched engine folds instant feedback straight into
+        # the ledgers).
+        self._pending_feedback = None
+        if mode == "reference" or self.feedback_interval > 1:
+            self._pending_feedback = np.zeros((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
         self._demand_rngs = [
             np.random.default_rng((seed, i)) for i in range(self.n)
         ]
@@ -370,10 +376,12 @@ class Simulation:
         self._slow_rows = slow
         # (representative instance, row indices, dispatch kind); batched
         # classes are class-stateless by protocol contract, so one
-        # representative computes the whole group.
-        self._groups: list[tuple[object, np.ndarray, str]] = []
+        # representative computes the whole group.  The kernels' state
+        # outlives every slot, so it crosses into C bound once: each
+        # group's rows here, the ledgers and M's storage below.
+        self._groups: list[tuple[object, native.Bound, str]] = []
         for cls, idxs in by_class.items():
-            rows = np.asarray(idxs, dtype=np.int64)
+            rows = native.Bound(np.asarray(idxs, dtype=np.int64))
             if cls is PeerwiseProportionalAllocator:
                 kind = "eq2"
             elif cls is GlobalProportionalAllocator:
@@ -417,7 +425,10 @@ class Simulation:
         #: afresh) and only the pages the largest block has written are
         #: ever resident.  Scratch, so memory_bytes() does not count it.
         block = np.empty((self.n, self.n), dtype=np.int64)  # repro: allow[sim-dense-alloc]
-        self._block = block.reshape(-1)
+        self._block = native.Bound(block.reshape(-1))
+        self._ledgers = native.Bound(self._credit_matrix)
+        if self._pending_feedback is not None:
+            self._pending = native.Bound(self._pending_feedback)
 
     @property
     def backend(self) -> str:
@@ -461,12 +472,15 @@ class Simulation:
 
         Shard kernels: ledger store + class index + prefetch tables
         summed over :meth:`shard_stats` (the bytes-per-peer benchmark
-        metric).  Dense: ledger matrix + pending feedback + prefetch
+        metric).  Dense: ledger matrix + pending feedback (held when a
+        flush is deferred, and always by ``reference``) + prefetch
         buffers.
         """
         if self._shards is not None:
             return sum(s["memory_bytes"] for s in self._shards.shard_stats())
-        total = self._credit_matrix.nbytes + self._pending_feedback.nbytes
+        total = self._credit_matrix.nbytes
+        if self._pending_feedback is not None:
+            total += self._pending_feedback.nbytes
         if self._mode == "batched":
             total += self._req_block.nbytes + self._cap_block.nbytes
         return int(total)
@@ -614,20 +628,21 @@ class Simulation:
         alloc_start = time.perf_counter_ns() if _OBS.enabled else None
         if sample_start is not None:
             _SIM_SAMPLE_NS.observe(alloc_start - sample_start)
-        M = self._block[: n * R.size].reshape(n, R.size)
+        M = self._block.array[: n * R.size].reshape(n, R.size)
         ledgers = self._credit_matrix
         kernels = self._kernels
-        for rep, rows, kind in self._groups:
+        for rep, bound_rows, kind in self._groups:
+            rows = bound_rows.array
             caps = budgets[rows]
             if kind == "eq2":
                 if kernels is not None:
-                    kernels.alloc_rows_eq2(ledgers, R, caps, rows, M)
+                    kernels.alloc_rows_eq2(self._ledgers, R, caps, bound_rows, self._block)
                 else:
                     M[rows] = eq2_grants(caps, ledgers[np.ix_(rows, R)])
             elif kind == "eq3":
                 wR = rate_bytes(declared[R])
                 if kernels is not None:
-                    kernels.rows_shared(rows, wR, caps, M)
+                    kernels.rows_shared(bound_rows, wR, caps, self._block)
                 else:
                     M[rows] = apportion(caps, np.broadcast_to(wR, (rows.size, wR.size)))
             else:
@@ -654,9 +669,9 @@ class Simulation:
         if self.feedback_interval == 1:
             # Instant feedback: fold straight into the ledger matrix.
             self._apply_forgetting()
-            rates = self._tadd(self._credit_matrix, M, R, weight)
+            rates = self._tadd(self._ledgers, M, R, weight)
         else:
-            rates = self._tadd(self._pending_feedback, M, R, weight)
+            rates = self._tadd(self._pending, M, R, weight)
             if flush:
                 self._apply_forgetting()
                 self._credit_matrix += self._pending_feedback
@@ -741,18 +756,19 @@ class Simulation:
             )
             self._background[rows] *= self._forgetting[rows]
 
-    def _tadd(self, target: np.ndarray, M: np.ndarray, R: np.ndarray, weight: float) -> np.ndarray:
+    def _tadd(self, target: native.Bound, M: np.ndarray, R: np.ndarray, weight: float) -> np.ndarray:
         """``target[R] += slot_credit(M.T, weight)`` (the ledger-credit
-        transpose of the compact block: only the requesters' rows of
-        ``target`` gain anything); returns the rates, ``M``'s column
-        sums in kbps, which the kernel takes in the same pass."""
+        transpose of the compact block ``M``, a view of ``_block``: only
+        the requesters' rows of ``target`` gain anything); returns the
+        rates, ``M``'s column sums in kbps, which the kernel takes in
+        the same pass."""
         if self._kernels is None:
             # Strip-tiled so the transposed read stays cache-resident.
             for s in range(0, R.size, 128):
-                target[R[s : s + 128]] += slot_credit(M[:, s : s + 128].T, weight)
+                target.array[R[s : s + 128]] += slot_credit(M[:, s : s + 128].T, weight)
             return column_sums(M)
         sums = np.empty(R.size, dtype=np.int64)
-        self._kernels.ledger_tadd(target, M, R, weight, sums)
+        self._kernels.ledger_tadd(target, self._block, R, weight, sums)
         return sums / BYTES_PER_KBIT
 
     def _emit(self, requesting: int, grants: np.ndarray, jain: float) -> None:

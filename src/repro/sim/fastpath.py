@@ -6,19 +6,16 @@ kernel touches those columns.  The batched engine's hot loop at large
 ``n`` is memory-bandwidth bound — its rows gather the dense ledger rows
 at ``R``, and its fold credits ``M`` into the requesters' ledger rows
 while summing ``M``'s columns — and numpy alone pays one full pass per
-sub-expression.  This module is the ctypes facade over
-``_fastalloc.c``'s fused kernels and their self-check; compiling,
-caching, loading and the ``REPRO_NO_NATIVE`` switch belong to
-:mod:`repro.native`.
+sub-expression.  This module is the facade over ``_fastalloc.c``'s
+fused kernels (loaded by :mod:`repro.native`) and their self-check.
 
 Correctness gate: every path must produce the reference slot loop's
 bits, so the library is only accepted after :func:`_self_check` fuzzes
 its rows, scatter and fold against the numpy implementations — up to
 the largest ledger totals the apportionment guard admits — and sees
-*zero* differences.  Otherwise :func:`load` returns ``None`` and the
-engine falls back to the pure-numpy path (same results, smaller
-speedup).  Grants and ledgers are whole bytes (int64), so agreement is
-exact arithmetic, not a shared summation order.
+*zero* differences; else the engines run numpy.  Grants and ledgers
+are whole bytes (int64), so agreement is exact arithmetic, not a
+shared summation order.
 
 The sparse engine's kernels are single-threaded; ``sparse_rows_eq2``
 computes each distinct *cold* row (no byte from any requester: an equal
@@ -28,119 +25,81 @@ outside the apportionment guard raises :class:`OverflowError`.
 
 from __future__ import annotations
 
-import ctypes
 from pathlib import Path
 
 import numpy as np
 
 from .. import native
+from ..native import F64, I64, PTR, STATUS, address
 
 __all__ = ["load", "FastAlloc"]
 
 _SOURCE = Path(__file__).with_name("_fastalloc.c")
 
-#: Arrays cross as ``arr.ctypes.data`` addresses through ``c_void_p``
-#: argtypes, as in :class:`repro.gf.bitmatmul.GF2Kernel`: a slot makes
-#: ~20 conversions, and ``data_as`` builds a typed pointer object each.
-_ptr = ctypes.c_void_p
-_i64 = ctypes.c_int64
-_f64 = ctypes.c_double
 
+class FastAlloc(native.Kernel):
+    """ctypes facade over the compiled kernels.  Array arguments are
+    C-contiguous in the engines' exact dtypes (int64 ledgers, grants,
+    capacities and indices); a long-lived one may come
+    :class:`~repro.native.Bound`, and a sparse store crosses as the
+    address of its bound tables."""
 
-class FastAlloc:
-    """ctypes facade over the compiled kernels.
-
-    All array arguments must be C-contiguous with the exact dtypes the
-    engine uses (int64 ledgers, grants, capacities and indices, float64
-    forgetting factors); the engine owns every buffer it passes, so no
-    conversions happen here.
-    """
-
-    def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib
-        signatures = {
-            "repro_alloc_rows_eq2": (
-                _i64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr],
-            ),
-            "repro_rows_shared": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
-            "repro_ledger_tadd": (None, [_ptr, _ptr, _ptr, _i64, _i64, _f64, _ptr]),
-            "repro_sparse_rows_eq2": (
-                _i64, [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 5,
-            ),
-            "repro_sparse_scatter": (
-                None,
-                [_ptr, _i64, _ptr, _i64, _ptr, _f64, _ptr, _i64] + [_ptr] * 5,
-            ),
-        }
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = argtypes
+    SIGNATURES = {
+        "repro_alloc_rows_eq2": (STATUS, [PTR, PTR, I64, PTR, PTR, I64, I64, PTR]),
+        "repro_rows_shared": (STATUS, [PTR, I64, I64, PTR, PTR, PTR]),
+        "repro_ledger_tadd": (None, [PTR, PTR, PTR, I64, I64, F64, PTR]),
+        "repro_sparse_rows_eq2": (STATUS, [PTR, PTR, I64, PTR, I64, PTR, PTR, PTR]),
+        "repro_sparse_scatter": (None, [PTR, I64, PTR, I64, PTR, F64, PTR, PTR]),
+    }
+    ERRORS = {
+        -1: "ledger total too large for exact apportionment",
+        -2: "allocation kernel could not allocate its scratch row",
+    }
 
     def alloc_rows_eq2(self, ledger, R, caps, rows, M) -> None:
         """Equation (2) grants of ``rows`` (capacities ``caps``) over the
         requesters ``R``, read from the dense ``ledger`` rows at ``R``,
         into the compact rows ``M[rows]`` (``M`` is ``(*, R.size)``)."""
-        _checked(self._lib.repro_alloc_rows_eq2(
-            ledger.ctypes.data, R.ctypes.data, R.size,
-            caps.ctypes.data, rows.ctypes.data,
-            rows.size, ledger.shape[1], M.ctypes.data,
-        ))
+        self.repro_alloc_rows_eq2(
+            address(ledger), address(R), R.size, address(caps),
+            address(rows), rows.size, ledger.shape[1], address(M),
+        )
 
     def rows_shared(self, rows, wR, caps, M) -> None:
         """Equation (3) grants: every row ``M[rows[r]]`` apportions
         ``caps[r]`` over the shared weights ``wR`` (the declared bytes
         at the requesters)."""
-        _checked(self._lib.repro_rows_shared(
-            rows.ctypes.data, rows.size, wR.size,
-            wR.ctypes.data, caps.ctypes.data, M.ctypes.data,
-        ))
+        self.repro_rows_shared(
+            address(rows), rows.size, wR.size, address(wR), address(caps), address(M),
+        )
 
     def ledger_tadd(self, ledger, M, R, weight: float, sums) -> None:
         """``ledger[R] += slot_credit(M.T, weight)`` (cache-tiled
         transpose add): the compact grant block ``M`` (every giver x
         ``R``) credited to the requesters' ledger rows; ``sums`` (int64,
         ``R.size``) receives ``M``'s column sums from the same pass."""
-        self._lib.repro_ledger_tadd(
-            ledger.ctypes.data, M.ctypes.data, R.ctypes.data,
-            R.size, ledger.shape[0], float(weight), sums.ctypes.data,
+        self.repro_ledger_tadd(
+            address(ledger), address(M), address(R),
+            R.size, ledger.shape[0], weight, address(sums),
         )
 
     def sparse_rows_eq2(self, store, act, rowpos, R, caps, M) -> int:
         """Equation (2) grants over the active set, from the sparse
         ledger store (lazy decay caught up in-kernel); returns how many
         (cold) rows were copied rather than computed."""
-        return _checked(self._lib.repro_sparse_rows_eq2(
-            act.ctypes.data, rowpos.ctypes.data, act.size,
-            R.ctypes.data, R.size, caps.ctypes.data,
-            store.forgetting.ctypes.data, store.epoch,
-            store.stamps.ctypes.data, store.nnz.ctypes.data,
-            store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
-            M.ctypes.data,
-        ))
+        return self.repro_sparse_rows_eq2(
+            address(act), address(rowpos), act.size, address(R), R.size,
+            address(caps), store.address, address(M),
+        )
 
     def sparse_scatter(self, store, act, R, M, weight, ok) -> None:
         """Fused feedback credit into the sparse store; ``ok[a] = 0``
         marks receivers the python merge must handle (new entries,
         dense islands)."""
-        self._lib.repro_sparse_scatter(
-            act.ctypes.data, act.size, R.ctypes.data, R.size,
-            M.ctypes.data, float(weight),
-            store.forgetting.ctypes.data, store.epoch,
-            store.stamps.ctypes.data, store.nnz.ctypes.data,
-            store.idx_addr.ctypes.data, store.val_addr.ctypes.data,
-            ok.ctypes.data,
+        self.repro_sparse_scatter(
+            address(act), act.size, address(R), R.size,
+            address(M), weight, store.address, address(ok),
         )
-
-
-def _checked(status: int) -> int:
-    """A row kernel's result: -1 a row outside the apportionment guard,
-    -2 no scratch memory."""
-    if status == -1:
-        raise OverflowError("ledger total too large for exact apportionment")
-    if status < 0:
-        raise MemoryError("allocation kernel could not allocate its scratch row")
-    return status
 
 
 def _self_check(k: FastAlloc) -> bool:

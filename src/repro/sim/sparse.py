@@ -25,12 +25,19 @@ slot.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from .. import native
 from ..core.apportion import decay
 from ..core.ledger import ByteLedger
 
 __all__ = ["SparseLedgers", "SparseLedgerView"]
+
+#: ``struct ledger_rows`` of ``_fastalloc.c``.
+_TABLES = ("forgetting", "stamps", "nnz", "idx_addr", "val_addr")
+_Tables = native.struct("_Tables", _TABLES, ("epoch",))
 
 
 class SparseLedgers:
@@ -83,6 +90,10 @@ class SparseLedgers:
         self._val: dict[int, np.ndarray] = {}
         self._dense: dict[int, np.ndarray] = {}
         self._any_forgetting = bool((self.forgetting < 1.0).any())
+        self._tables = _Tables(*(native.address(getattr(self, name)) for name in _TABLES))
+        #: What a kernel call passes for the store: the tables never move,
+        #: and :meth:`advance_epoch` updates the epoch there too.
+        self.address = ctypes.addressof(self._tables)
 
     # -- row lifecycle -------------------------------------------------
 
@@ -102,6 +113,7 @@ class SparseLedgers:
         """One feedback flush: decay backgrounds and dense islands now,
         stamp the clock so sparse rows catch up lazily."""
         self.epoch += 1
+        self._tables.epoch = self.epoch
         if self._any_forgetting:
             self.background *= self.forgetting
             for i, row in self._dense.items():
@@ -246,11 +258,7 @@ class SparseLedgers:
     @property
     def nbytes(self) -> int:
         """Resident bytes of the ledger state (the bytes-per-peer metric)."""
-        fixed = (
-            self.background.nbytes + self.forgetting.nbytes
-            + self.stamps.nbytes + self.nnz.nbytes
-            + self.idx_addr.nbytes + self.val_addr.nbytes
-        )
+        fixed = self.background.nbytes + sum(getattr(self, name).nbytes for name in _TABLES)
         rows = sum(a.nbytes for a in self._idx.values())
         rows += sum(a.nbytes for a in self._val.values())
         rows += sum(a.nbytes for a in self._dense.values())

@@ -30,13 +30,7 @@ from repro.security import DigestStore, integrity
 
 KIB = 1 << 10
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def load_kernel():
-    return native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
-
-
-KERNEL = load_kernel()
+KERNEL = integrity.load()
 LANES = KERNEL.lanes if KERNEL is not None else 4
 needs_kernel = pytest.mark.skipif(
     KERNEL is None, reason=f"md5 kernel not live: {native.status()['md5']}"
@@ -267,7 +261,7 @@ import hashlib, sys
 from repro import native
 from repro.security import DigestStore, integrity
 
-kernel = native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
+kernel = integrity.load()
 assert native.status()["md5"] == "ok", native.status()
 lanes = int(sys.argv[1])  # 0: the host's CPU flags are unknown
 assert kernel.lanes in ((lanes,) if lanes else (4, 8, 16)), kernel.lanes

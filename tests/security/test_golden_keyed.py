@@ -56,7 +56,7 @@ def test_whole_file(results):
 def test_replay_draws_its_batches_on_the_kernel(fixture):
     """Where the kernel is live, the replay's batches of integer labels
     went through it (the mixed and long-key batches did not)."""
-    kernel = prng._load()
+    kernel = prng.load()
     if kernel is None:
         pytest.skip(f"keyed-stream kernel not live: {native.status()['sha256']}")
     calls = []

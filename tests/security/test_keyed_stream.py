@@ -28,7 +28,7 @@ from repro import native
 from repro.security import SUPPORTED_SYMBOL_BITS, KeyedStream, derive_key, prng
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-KERNEL = prng._load()
+KERNEL = prng.load()
 LANES = KERNEL.lanes if KERNEL is not None else 4
 needs_kernel = pytest.mark.skipif(
     KERNEL is None, reason=f"keyed-stream kernel not live: {native.status()['sha256']}"
@@ -203,7 +203,7 @@ def _holds(obj, needles, depth=3) -> bool:
 @needs_kernel
 def test_facade_and_status_hold_no_key_material():
     """The key crosses into C on every call: the facade keeps only its
-    lane count and function pointer, the loader's memo only its verdict,
+    lane count and function pointers, the loader's memo only its verdict,
     and neither references the key, its HMAC pad blocks, a label's seed
     or a stream block."""
     key = hashlib.sha256(b"a coefficient key").digest()
@@ -212,7 +212,7 @@ def test_facade_and_status_hold_no_key_material():
     padded = key.ljust(64, b"\0")
     pads = [bytes(b ^ pad for b in padded) for pad in (0x36, 0x5C)]
     needles = [key, *pads, derive_key(key, 0), stream.bytes_for(0, 32)]
-    assert set(vars(KERNEL)) == {"lanes", "_fn"}
+    assert set(vars(KERNEL)) == set(prng._StreamKernel.SIGNATURES)
     assert not _holds(KERNEL, needles)
     assert not _holds(native.status(), needles)
     assert not _holds(native._LOADED["sha256"], needles)
@@ -264,7 +264,7 @@ import numpy as np
 from repro import native
 from repro.security import KeyedStream, prng
 
-kernel = prng._load()
+kernel = prng.load()
 assert native.status()["sha256"] == "ok", native.status()
 lanes = int(sys.argv[1])  # 0: the host's CPU flags are unknown
 assert kernel.lanes in ((lanes,) if lanes else (4, 8, 16)), kernel.lanes

@@ -7,11 +7,16 @@ only check that they go through it.
 """
 
 import ctypes
+import importlib.util
 import subprocess
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro import native
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SOURCE = "int repro_answer(void) { return 42; }\n"
 
@@ -138,3 +143,19 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert native.usable_cpus() == 3
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert native.usable_cpus() == 1
+
+
+def test_the_sanitizer_check_loads_every_kernel():
+    """``tools/san_selfcheck.py`` (CI's ASan/UBSan job) loads one kernel
+    per C file under ``src/repro``: a new kernel it forgot would never
+    run its self-check under the sanitizers.  Loading from an empty memo,
+    ``native.status()`` then names each file's kernel (``_md5.c`` is
+    ``md5``), whether or not it went live."""
+    spec = importlib.util.spec_from_file_location("san_selfcheck", ROOT / "tools/san_selfcheck.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sources = {path.stem[1:] for path in (ROOT / "src/repro").glob("*/_*.c")}
+    with mock.patch.dict(native._LOADED, clear=True):
+        for module in tool.KERNELS:
+            module.load()
+        assert set(native.status()) == sources

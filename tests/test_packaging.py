@@ -107,7 +107,7 @@ assert DigestStore().record_many(1, [0, 1], [b"a", b""]) == [
 stream = KeyedStream(b"k" * 32)
 labels = [0, 1, (1 << 64) - 1, 1 << 63, *range(2, 40)]
 rows = stream.symbols_many(labels, 33, 4)
-assert prng._load() is None
+assert prng.load() is None
 assert np.array_equal(rows, np.stack([stream.symbols(label, 33, 4) for label in labels]))
 assert hashlib.sha256(rows.tobytes()).hexdigest() == ROWS_SHA256, "rows differ from the kernel's"
 assert native.status() == {

@@ -46,14 +46,14 @@ from repro.gf import bitmatmul
 from repro.security import integrity, modexp, prng
 from repro.sim import fastpath
 
+#: The module of every kernel: each has a public ``load()``.
+KERNELS = (fastpath, bitmatmul, modexp, integrity, prng)
+
 
 def main() -> int:
     print(f"extra cflags : {os.environ.get('REPRO_NATIVE_CFLAGS', '') or '(none)'}")
-    fastpath.load()
-    bitmatmul.load()
-    modexp.load()
-    native.load("md5", integrity._SOURCE, integrity._MD5Kernel, integrity._self_check)
-    prng._load()
+    for module in KERNELS:
+        module.load()
     status = native.status()
     for name, why in status.items():
         print(f"{name:<13}: {why}")
