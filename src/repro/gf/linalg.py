@@ -436,24 +436,48 @@ class IncrementalRank:
     consumer knows to fetch another message — this is how the downloader
     detects that it has ``k`` *useful* messages (Section III-B) without
     waiting for the transfer to end.
+
+    Where :func:`arrival_step` runs compiled (a table field or the tower,
+    the library live), an offer is one arrival on a ``(width, 2 width)``
+    matrix whose kept rows are fully reduced (its ``t`` half goes
+    unread); elsewhere the kept rows stay in echelon form in numpy.
+    Rank is a property of the span, so the verdicts are the same.
     """
 
     def __init__(self, field: BinaryField, width: int):
         self.field = field
         self.width = width
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
+        #: Rows kept so far.
+        self.rank = 0
+        self._step = None
+        if _compiled(field) is not None:
+            # Zeroed pages stay untouched until a row is kept there.
+            self._reduced = np.zeros((width, 2 * width), dtype=DTYPE)
+            self._pivots = np.zeros(width, dtype=np.intp)
+            self._step = arrival_step(field)(self._reduced, self._pivots)
+        else:
+            self._rows: list[np.ndarray] = []
+            self._pivots: list[int] = []
 
     def offer(self, row: np.ndarray) -> bool:
         """Try to add ``row``; return ``True`` iff it increased the rank."""
         field = self.field
-        r = field.asarray(row).copy()
+        r = field.asarray(row)
         if r.shape != (self.width,):
             raise FieldError(f"expected a row of width {self.width}, got {r.shape}")
+        rank = self.rank
+        if rank == self.width:
+            return False
+        if self._step is not None:
+            work = self._reduced[rank]
+            work[: self.width], work[self.width :] = r, 0
+            pivot = self._step(rank)
+            if pivot < 0:
+                return False
+            self._pivots[rank] = pivot
+            self.rank += 1
+            return True
+        r = r.copy()
         # Kept rows are in echelon form only (never back-substituted), so
         # they must be applied in insertion order: row i is zero at the
         # pivots of rows 0..i-1 and cannot bring back a cleared pivot.
@@ -472,4 +496,5 @@ class IncrementalRank:
             field.scale_rows(r[pivot:], field.inv_scalar(lead))
         self._rows.append(r)
         self._pivots.append(pivot)
+        self.rank += 1
         return True

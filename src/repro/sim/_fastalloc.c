@@ -27,7 +27,14 @@
  *  - Floats appear only where the numpy side spells the same double
  *    operation: a ledger credit is (int64_t)((double)grant * w) and a
  *    forgetting decay (int64_t)((double)count * f), truncations of
- *    non-negative values, i.e. floors.
+ *    non-negative values, i.e. floors; the history="none" rate sums
+ *    add each requester's rate (and rate less capacity) as numpy's
+ *    scatter-add does, one IEEE addition per element.
+ *
+ * The sparse engine's credit phase is two calls: the scatter, one walk
+ * of each requester's sorted entries (a row holding exactly the active
+ * givers, the steady state, is compared and added straight through),
+ * and the rate fold, one pass over the requesters.
  */
 
 #include <stdint.h>
@@ -147,38 +154,45 @@ int64_t repro_rows_shared(const int64_t *rows, int64_t nrows, int64_t A,
  * Sparse active-set kernels (the "sparse" engine).
  *
  * Rows of the compact block M (active givers x requesters R) are
- * written directly.  Ledger rows are reached through a store's tables,
- * bound once per store by repro.sim.sparse.SparseLedgers, and
+ * written directly.  Ledger rows are reached through a store's row
+ * records, bound once per store by repro.sim.sparse.SparseLedgers, and
  * forgetting decay is caught up lazily inside the kernels: one floor
  * per missed feedback flush, the eager reference's operations.
  * ------------------------------------------------------------------ */
 
-/* A sparse store's per-row tables (forgetting factor, epoch decayed to,
- * entries or -1 for a dense island, index and value array addresses)
- * and its epoch, the feedback flushes so far. */
+/* One row of a sparse store: its entries (-1 for a dense island), its
+ * sorted index and value arrays, the epoch its values were decayed to
+ * and its forgetting factor — one record, so a kernel visiting a row
+ * reads one or two cache lines of it. */
+struct ledger_row {
+    int64_t nnz;
+    const int64_t *idx;
+    int64_t *vals;
+    int64_t stamp;
+    double forgetting;
+};
+
+/* A sparse store's row records and its epoch, the feedback flushes so
+ * far. */
 struct ledger_rows {
-    const double *forgetting;
-    int64_t *stamps;
-    const int64_t *nnz;
-    const int64_t *idx_addr;
-    const int64_t *val_addr;
+    struct ledger_row *row;
     int64_t epoch;
 };
 
-static void catch_up_row(const struct ledger_rows *s, int64_t i, int64_t *val,
-                         int64_t cnt)
+static void catch_up_row(const struct ledger_rows *s, struct ledger_row *row)
 {
-    int64_t lag = s->epoch - s->stamps[i];
+    int64_t lag = s->epoch - row->stamp;
     if (lag > 0) {
-        double f = s->forgetting[i];
+        double f = row->forgetting;
+        int64_t *vals = row->vals, cnt = row->nnz;
         if (f < 1.0) {
             for (int64_t t = 0; t < lag; t++) {
                 for (int64_t j = 0; j < cnt; j++) {
-                    val[j] = (int64_t)((double)val[j] * f);
+                    vals[j] = (int64_t)((double)vals[j] * f);
                 }
             }
         }
-        s->stamps[i] = s->epoch;
+        row->stamp = s->epoch;
     }
 }
 
@@ -205,13 +219,13 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
     }
     memset(memo, 0xff, (size_t)size * sizeof *memo);  /* all -1: empty */
     for (int64_t r = 0; r < nact; r++) {
-        int64_t i = act[r], cnt = s->nnz[i], W = 0, cap = caps[r];
+        struct ledger_row *row = &s->row[act[r]];
+        int64_t cnt = row->nnz, W = 0, cap = caps[r];
         int64_t *o = M + rowpos[r] * A;
         if (cnt > 0) {
-            const int64_t *idx = (const int64_t *)s->idx_addr[i];
-            int64_t *vals = (int64_t *)s->val_addr[i];
+            const int64_t *idx = row->idx, *vals = row->vals;
             int64_t p = 0;
-            catch_up_row(s, i, vals, cnt);
+            catch_up_row(s, row);
             for (int64_t a = 0; a < A; a++) {
                 int64_t col = R[a];
                 while (p < cnt && idx[p] < col) {
@@ -249,44 +263,82 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
 }
 
 /* Fused feedback scatter: receiver R[a] gains credit(M[r][a], w) from
- * every active giver act[r].  Rows whose explicit entries already
- * contain every active giver take the in-place path (catch-up decay,
- * then the adds); anything else — first contact (new entries), empty
- * rows, dense islands — reports ok=0 and is merged by the python store. */
-void repro_sparse_scatter(const int64_t *act, int64_t nact,
-                          const int64_t *R, int64_t A, const int64_t *M,
-                          double w, const struct ledger_rows *s, uint8_t *ok)
+ * every active giver act[r], in one walk of its sorted entries.  A row
+ * holding exactly the active givers (the steady state: nnz == nact and
+ * the indices equal act) adds straight through; any other row is merged
+ * once, recording each giver's position, and added through those.  Rows
+ * whose entries miss a giver — first contact (new entries), empty rows,
+ * dense islands — report ok=0 and are merged by the python store.  A
+ * row's lazy decay is caught up before its adds and only on the
+ * in-place path.  Returns 0, or -2 when the position scratch cannot be
+ * allocated. */
+int64_t repro_sparse_scatter(const int64_t *act, int64_t nact,
+                             const int64_t *R, int64_t A, const int64_t *M,
+                             double w, const struct ledger_rows *s, uint8_t *ok)
 {
+    int64_t *pos = malloc((size_t)(nact ? nact : 1) * sizeof *pos);
+    if (!pos) {
+        return -2;
+    }
     for (int64_t a = 0; a < A; a++) {
-        int64_t j = R[a];
-        int64_t cnt = s->nnz[j];
-        const int64_t *idx;
-        int64_t *vals;
-        int64_t p = 0, contained = 1;
+        struct ledger_row *row = &s->row[R[a]];
+        int64_t cnt = row->nnz;
+        const int64_t *idx = row->idx;
+        int64_t *vals = row->vals;
+        int64_t p = 0, r = 0;
         ok[a] = 0;
         if (cnt < nact) {   /* covers empty (0) and dense island (-1) */
             continue;
         }
-        idx = (const int64_t *)s->idx_addr[j];
-        vals = (int64_t *)s->val_addr[j];
-        for (int64_t r = 0; r < nact && contained; r++) {
+        if (cnt == nact && (!nact || !memcmp(idx, act, (size_t)nact * sizeof *idx))) {
+            catch_up_row(s, row);
+            for (r = 0; r < nact; r++) {
+                vals[r] += credit(M[r * A + a], w);
+            }
+            ok[a] = 1;
+            continue;
+        }
+        for (; r < nact; r++) {
             while (p < cnt && idx[p] < act[r]) {
                 p++;
             }
-            contained = p < cnt && idx[p++] == act[r];
+            if (p == cnt || idx[p] != act[r]) {
+                break;
+            }
+            pos[r] = p++;
         }
-        if (!contained) {
+        if (r < nact) {
             continue;
         }
-        catch_up_row(s, j, vals, cnt);
-        p = 0;
-        for (int64_t r = 0; r < nact; r++) {
-            while (idx[p] < act[r]) {
-                p++;
-            }
-            vals[p++] += credit(M[r * A + a], w);
+        catch_up_row(s, row);
+        for (r = 0; r < nact; r++) {
+            vals[pos[r]] += credit(M[r * A + a], w);
         }
         ok[a] = 1;
+    }
+    free(pos);
+    return 0;
+}
+
+/* The per-peer rate sums of a history="none" run
+ * (repro.sim.shard.ClassFold), over the slot's requesters R (local rows,
+ * sorted, unique) with their rates: rate_sum and, inside the report
+ * window, window_rate_sum gain the rate; gain_sum gains the rate less
+ * the capacity of the requester's class, cap_c[class_of[j]].  Each
+ * element is numpy's own operation, so the sums stay bit-identical. */
+void repro_rate_fold(const int64_t *class_of, double *rate_sum,
+                     double *gain_sum, double *window_rate_sum,
+                     const int64_t *R, int64_t A, const double *rates,
+                     const double *cap_c, int64_t window)
+{
+    for (int64_t a = 0; a < A; a++) {
+        int64_t j = R[a];
+        double rate = rates[a];
+        rate_sum[j] += rate;
+        gain_sum[j] += rate - cap_c[class_of[j]];
+        if (window) {
+            window_rate_sum[j] += rate;
+        }
     }
 }
 

@@ -42,14 +42,15 @@ class FastAlloc(native.Kernel):
     C-contiguous in the engines' exact dtypes (int64 ledgers, grants,
     capacities and indices); a long-lived one may come
     :class:`~repro.native.Bound`, and a sparse store crosses as the
-    address of its bound tables."""
+    address of its bound row records."""
 
     SIGNATURES = {
         "repro_alloc_rows_eq2": (STATUS, [PTR, PTR, I64, PTR, PTR, I64, I64, PTR]),
         "repro_rows_shared": (STATUS, [PTR, I64, I64, PTR, PTR, PTR]),
         "repro_ledger_tadd": (None, [PTR, PTR, PTR, I64, I64, F64, PTR]),
         "repro_sparse_rows_eq2": (STATUS, [PTR, PTR, I64, PTR, I64, PTR, PTR, PTR]),
-        "repro_sparse_scatter": (None, [PTR, I64, PTR, I64, PTR, F64, PTR, PTR]),
+        "repro_sparse_scatter": (STATUS, [PTR, I64, PTR, I64, PTR, F64, PTR, PTR]),
+        "repro_rate_fold": (None, [PTR, PTR, PTR, PTR, PTR, I64, PTR, PTR, I64]),
     }
     ERRORS = {
         -1: "ledger total too large for exact apportionment",
@@ -95,10 +96,23 @@ class FastAlloc(native.Kernel):
     def sparse_scatter(self, store, act, R, M, weight, ok) -> None:
         """Fused feedback credit into the sparse store; ``ok[a] = 0``
         marks receivers the python merge must handle (new entries,
-        dense islands)."""
+        dense islands).  ``ok`` (uint8) holds at least ``R.size``
+        entries; the kernel writes every one of the first ``R.size``."""
         self.repro_sparse_scatter(
             address(act), act.size, address(R), R.size,
             address(M), weight, store.address, address(ok),
+        )
+
+    def rate_fold(self, class_of, rate_sum, gain_sum, window_rate_sum,
+                  R, rates, cap_c, window: bool) -> None:
+        """``ClassFold``'s per-peer rate sums of one slot: at the rows
+        ``R``, ``rate_sum`` and (``window``) ``window_rate_sum`` gain
+        ``rates``, ``gain_sum`` gains ``rates - cap_c[class_of[R]]``.
+        The four per-run arrays are passed :class:`~repro.native.Bound`."""
+        self.repro_rate_fold(
+            address(class_of), address(rate_sum), address(gain_sum),
+            address(window_rate_sum), address(R), R.size, address(rates),
+            address(cap_c), window,
         )
 
 
@@ -240,10 +254,104 @@ def eq2_mix(rng: np.random.Generator):
     return store, rows, rng.permutation(rows.size), R, caps
 
 
+#: Receiver rows the sparse scatter meets: entries equal to the active
+#: givers (written by ``add_compact``, or sharing one index array as
+#: ``bulk_insert`` writes them), a strict superset of them, all but one
+#: of them with one other peer in its place (as many entries as givers)
+#: or with two (more), no entries, or a dense island.  The first three
+#: take the kernel's in-place path.
+SCATTER_SHAPES = ("exact", "shared", "superset", "swapped", "missing", "empty", "island")
+IN_PLACE = ("exact", "shared", "superset")
+
+
+def scatter_case(rng: np.random.Generator, lag: int = 2, n: int = 40):
+    """``(store, dense, act, R, shapes)``: a sparse store whose receivers
+    ``R`` (sorted) hold every shape of :data:`SCATTER_SHAPES` against
+    the active givers ``act`` twice, once written ``lag`` feedback
+    flushes ago and once since; ``dense`` is its eagerly decayed oracle
+    and ``shapes[a]`` receiver ``R[a]``'s shape."""
+    from ..core.apportion import decay
+    from .sparse import SparseLedgers
+
+    forgetting = np.where(rng.random(n) < 0.5, 1.0, 0.5 + rng.random(n) * 0.5)
+    store = SparseLedgers(n, 1e-6, forgetting)
+    dense = np.zeros((n, n), dtype=np.int64)  # repro: allow[sim-dense-alloc] self-check oracle
+    peers, nact = rng.permutation(n), int(rng.integers(2, 8))
+    act = np.sort(peers[:nact])
+    extra = peers[nact:nact + 2]
+    held = np.delete(act, rng.integers(nact))
+    columns = {
+        "exact": act,
+        "superset": np.sort(np.concatenate([act, extra])),
+        "swapped": np.sort(np.concatenate([held, extra[:1]])),
+        "missing": np.sort(np.concatenate([held, extra])),
+    }
+    kinds = len(SCATTER_SHAPES)
+    R = np.sort(rng.permutation(n)[:2 * kinds])
+    order = rng.permutation(R.size)
+    shapes = np.tile(np.array(SCATTER_SHAPES), 2)[order]
+    for behind in (True, False):
+        group = (order < kinds) == behind
+        shared = R[group & (shapes == "shared")]
+        vals = rng.integers(0, 10 ** 7, (shared.size, act.size))
+        store.bulk_insert(shared, act, vals)
+        dense[np.ix_(shared, act)] = vals
+        for j, shape in zip(R[group].tolist(), shapes[group].tolist()):
+            if shape == "island":
+                dense[j] = store.dense_row(j)[:] = rng.integers(0, 10 ** 7, n)
+            elif shape in columns:
+                cols = columns[shape]
+                dense[j, cols] = vals = rng.integers(0, 10 ** 7, cols.size)
+                store.add_compact(j, cols, vals)
+        for _ in range(lag if behind else 0):
+            store.advance_epoch()
+            dense = decay(dense, forgetting[:, None])
+    return store, dense, act, R, shapes
+
+
+def scatter_matches(k: FastAlloc, rng: np.random.Generator, weight: float, **case) -> bool:
+    """One :func:`scatter_case` through the native scatter, its ``ok=0``
+    receivers through ``add_compact``: the in-place shapes and no others
+    report ok, and the store equals the dense fold bit for bit."""
+    from ..core.apportion import slot_credit
+
+    store, dense, act, R, shapes = scatter_case(rng, **case)
+    M = rng.integers(0, 10 ** 6, (act.size, R.size))
+    ok = np.full(R.size, 2, dtype=np.uint8)
+    k.sparse_scatter(store, act, R, M, weight, ok)
+    if ok.tolist() != [shape in IN_PLACE for shape in shapes.tolist()]:
+        return False
+    P = slot_credit(M, weight)
+    for a in np.flatnonzero(ok == 0).tolist():
+        store.add_compact(int(R[a]), act, np.ascontiguousarray(P[:, a]))
+    dense[np.ix_(R, act)] += P.T
+    return np.array_equal(store.materialize(), dense)
+
+
+def fold_matches(k: FastAlloc, rng: np.random.Generator, slots: int = 4) -> bool:
+    """A native and a numpy :class:`~repro.sim.shard.ClassFold` fed the
+    same slots, across the report window's start, end bit-identical."""
+    from .shard import ClassFold
+
+    n, classes = 50, 6
+    class_of = rng.integers(0, classes, n).astype(np.intp)
+    folds = [ClassFold(class_of, classes, slots, kernels) for kernels in (k, None)]
+    requesting = rng.random((slots, n)) < 0.4
+    rates = rng.random((slots, n)) * 1e3
+    req, cap = rng.random((slots, classes)) < 0.5, rng.random((slots, classes)) * 1e3
+    for s in range(slots):
+        R = np.flatnonzero(requesting[s])
+        for fold in folds:
+            fold.fold(s, R, rates[s, R], req[s], cap[s])
+    got, want = (vars(fold.expand()) for fold in folds)
+    return all(np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes() for key in want)
+
+
 def _self_check_sparse(k: FastAlloc) -> bool:
     """Fuzz the sparse-engine kernels — cold and warm Eq. (2) rows
     against the numpy rows, the eq2/eq3 rows with lazy decay against
-    the dense reference, the fused scatter — demanding zero
+    the dense reference, the fused scatter over random stores and over
+    every receiver shape, the rate fold — demanding zero
     differences."""
     from ..core.apportion import apportion, decay, eq2_grants, slot_credit
     from .shard import numpy_eq2_rows
@@ -305,7 +413,13 @@ def _self_check_sparse(k: FastAlloc) -> bool:
         dense[np.ix_(R, act)] += P.T
         if not np.array_equal(store.materialize(), dense):
             return False
-    return True
+
+    # Every receiver shape at lag 0 and 2, whole and fractional slots;
+    # then the rate fold.
+    for weight in (1.0, 7.5):
+        if not scatter_matches(k, rng, weight):
+            return False
+    return fold_matches(k, rng)
 
 
 def load() -> FastAlloc | None:

@@ -42,6 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .. import native
 from ..core.allocation import Allocator, PeerwiseProportionalAllocator
 from ..core.apportion import (
     BYTES_PER_KBIT,
@@ -209,15 +210,23 @@ class ClassFold:
     per slot, in O(classes), and expanded through ``class_of`` at the
     end.  Every member of a class receives the sequence of IEEE
     additions it would have received alone, so the expansion is exact.
-    The rate sums are per peer and touch only the slot's requesters.
+    The rate sums are per peer and touch only the slot's requesters: one
+    pass of the native ``rate_fold`` over ``R`` when ``kernels`` are
+    live (the per-run arrays bound once), else three numpy scatter-adds.
     """
 
-    def __init__(self, class_of: np.ndarray, classes: int, slots: int):
+    def __init__(self, class_of: np.ndarray, classes: int, slots: int, kernels=None):
         self.class_of = class_of
-        self.sums = StreamingMetrics(class_of.size, slots)
+        self.sums = sums = StreamingMetrics(class_of.size, slots)
         self.request_count = np.zeros(classes, dtype=np.int64)
         self.capacity_sum = np.zeros(classes)
         self.isolation_sum = np.zeros(classes)
+        self._kernels = kernels
+        if kernels is not None:
+            self._bound = [
+                native.Bound(a)
+                for a in (class_of, sums.rate_sum, sums.gain_sum, sums.window_rate_sum)
+            ]
 
     def fold(
         self,
@@ -232,7 +241,11 @@ class ClassFold:
         slot's request indicator and capacity per class.  Zero cells
         outside ``R`` are exact no-ops in every rate sum."""
         sums = self.sums
-        if R.size:
+        if R.size and self._kernels is not None:
+            self._kernels.rate_fold(
+                *self._bound, R, rates_c, cap_c, s >= sums.window_start
+            )
+        elif R.size:
             sums.rate_sum[R] += rates_c
             sums.gain_sum[R] += rates_c - cap_c[self.class_of[R]]
             if s >= sums.window_start:
@@ -416,6 +429,9 @@ class ShardKernel:
         #: Storage of the slot's compact grant block M (see alloc), grown
         #: to the largest seen; scratch, so stats() does not count it.
         self._m_store = np.empty(0, dtype=np.int64)
+        #: The native scatter's per-requester verdicts (a slot's
+        #: requesters are rows of this range), bound once.
+        self._ok = native.Bound(np.empty(hi - lo, dtype=np.uint8))
         #: Deferred feedback (feedback_interval > 1): the credit since
         #: the last flush, in a store of its own with no forgetting, so
         #: it accumulates through the same merge.
@@ -686,9 +702,8 @@ class ShardKernel:
         if not act.size or not rows.size:
             return
         if self.native:
-            ok = np.zeros(rows.size, dtype=np.uint8)
-            self._kernels.sparse_scatter(store, act, rows, M, weight, ok)
-            miss = np.flatnonzero(ok == 0)
+            self._kernels.sparse_scatter(store, act, rows, M, weight, self._ok)
+            miss = np.flatnonzero(self._ok.array[: rows.size] == 0)
         else:
             miss = np.arange(rows.size)
         if not miss.size:
@@ -705,7 +720,7 @@ class ShardKernel:
     def begin_metrics(self, slots: int) -> None:
         """Arm a :class:`ClassFold` for a ``slots``-slot run; every
         :meth:`credit` folds its slot until :meth:`end_metrics`."""
-        self._metrics = ClassFold(self._class_of, self.classes, slots)
+        self._metrics = ClassFold(self._class_of, self.classes, slots, self._kernels)
         self._metrics_slot = 0
 
     def end_metrics(self) -> StreamingMetrics:

@@ -35,9 +35,9 @@ from ..core.ledger import ByteLedger
 
 __all__ = ["SparseLedgers", "SparseLedgerView"]
 
-#: ``struct ledger_rows`` of ``_fastalloc.c``.
-_TABLES = ("forgetting", "stamps", "nnz", "idx_addr", "val_addr")
-_Tables = native.struct("_Tables", _TABLES, ("epoch",))
+#: ``struct ledger_rows`` of ``_fastalloc.c``: a store's row records and
+#: its epoch.
+_Rows = native.struct("_Rows", ("records",), ("epoch",))
 
 
 class SparseLedgers:
@@ -57,12 +57,13 @@ class SparseLedgers:
         slice while its columns still span the whole population, so
         row indices are *local* and column/partner indices *global*.
 
-    Alongside the Python-dict row storage, the store maintains flat
-    metadata arrays (:attr:`nnz`, :attr:`idx_addr`, :attr:`val_addr`,
-    :attr:`stamps`) so the native kernels can reach any row's entry
-    arrays from a single pointer-table lookup without per-row Python
-    marshalling.  ``nnz[i] == -1`` marks a *dense island* row (slow-path
-    peers keep a real dense ledger vector, eagerly decayed).
+    Alongside the Python-dict row storage, the store keeps one record
+    per row — :attr:`nnz`, :attr:`idx_addr`, :attr:`val_addr`,
+    :attr:`stamps` and :attr:`forgetting`, columns of one ``(rows, 5)``
+    table — so the native kernels reach any row's entry arrays and decay
+    state from one record (one or two cache lines) without per-row
+    Python marshalling.  ``nnz[i] == -1`` marks a *dense island* row
+    (slow-path peers keep a real dense ledger vector, eagerly decayed).
     """
 
     def __init__(
@@ -75,25 +76,30 @@ class SparseLedgers:
         self.n = int(n)
         self.rows = self.n if rows is None else int(rows)
         self.background = np.full(self.rows, float(initial))
-        self.forgetting = np.ascontiguousarray(forgetting, dtype=np.float64)
         #: Feedback flushes seen so far (the decay clock).
         self.epoch = 0
-        #: Last epoch each sparse row's explicit values were decayed to.
-        self.stamps = np.zeros(self.rows, dtype=np.int64)
+        #: One ``struct ledger_row`` of ``_fastalloc.c`` a row; the
+        #: attributes below are its columns.
+        self._records = np.zeros((self.rows, 5), dtype=np.int64)
         #: Explicit entries per row; -1 flags a dense island row.
-        self.nnz = np.zeros(self.rows, dtype=np.int64)
+        self.nnz = self._records[:, 0]
         #: Base addresses of each row's int64 index / int64 value
         #: arrays (0 when the row has none) — the native kernels' view.
-        self.idx_addr = np.zeros(self.rows, dtype=np.int64)
-        self.val_addr = np.zeros(self.rows, dtype=np.int64)
+        self.idx_addr = self._records[:, 1]
+        self.val_addr = self._records[:, 2]
+        #: Last epoch each sparse row's explicit values were decayed to.
+        self.stamps = self._records[:, 3]
+        #: Per-row forgetting factors.
+        self.forgetting = self._records.view(np.float64)[:, 4]
+        self.forgetting[:] = forgetting
         self._idx: dict[int, np.ndarray] = {}
         self._val: dict[int, np.ndarray] = {}
         self._dense: dict[int, np.ndarray] = {}
         self._any_forgetting = bool((self.forgetting < 1.0).any())
-        self._tables = _Tables(*(native.address(getattr(self, name)) for name in _TABLES))
-        #: What a kernel call passes for the store: the tables never move,
-        #: and :meth:`advance_epoch` updates the epoch there too.
-        self.address = ctypes.addressof(self._tables)
+        self._bound = _Rows(native.address(self._records), 0)
+        #: What a kernel call passes for the store: the records never
+        #: move, and :meth:`advance_epoch` updates the epoch there too.
+        self.address = ctypes.addressof(self._bound)
 
     # -- row lifecycle -------------------------------------------------
 
@@ -113,7 +119,7 @@ class SparseLedgers:
         """One feedback flush: decay backgrounds and dense islands now,
         stamp the clock so sparse rows catch up lazily."""
         self.epoch += 1
-        self._tables.epoch = self.epoch
+        self._bound.epoch = self.epoch
         if self._any_forgetting:
             self.background *= self.forgetting
             for i, row in self._dense.items():
@@ -209,7 +215,7 @@ class SparseLedgers:
         The cold-start scatter (a fresh cohort of receivers meeting the
         active givers) dominates large-n slots when done row by row;
         this path copies every row's entry values in one vectorised
-        step, publishes the kernel pointer tables with one arithmetic
+        step, publishes the rows' kernel records with one arithmetic
         sweep, and shares a single sorted index array across the batch
         (index arrays are never mutated in place, so sharing is safe —
         each row's *values* get their own slice of the 2D block).
@@ -258,7 +264,7 @@ class SparseLedgers:
     @property
     def nbytes(self) -> int:
         """Resident bytes of the ledger state (the bytes-per-peer metric)."""
-        fixed = self.background.nbytes + sum(getattr(self, name).nbytes for name in _TABLES)
+        fixed = self.background.nbytes + self._records.nbytes
         rows = sum(a.nbytes for a in self._idx.values())
         rows += sum(a.nbytes for a in self._val.values())
         rows += sum(a.nbytes for a in self._dense.values())

@@ -118,6 +118,26 @@ class TestIndependentIds:
         expected = [taken[b * k : (b + 1) * k] for b in range(8)]
         assert enc.independent_ids(8) == expected
 
+    def test_walk_verdicts_equal_on_both_backends(self, monkeypatch):
+        """At ``fetch_rows``' shape (p=8, k=64) this file's first block
+        is deficient, so its ids come from the row-by-row walk: the same
+        ids with the arrival kernel live and with numpy forced, the walk
+        running on the kernel where it is live."""
+        from repro import native
+        from repro.gf import bitmatmul
+        from repro.obs import observability
+
+        params = CodingParams(p=8, m=4096, file_bytes=256 * 1024)
+        taken = [i for i in range(4 * 64 + 1) if i != 63]
+        expected = [taken[b * 64 : (b + 1) * 64] for b in range(4)]
+        with observability(reset=True) as obs:
+            assert FileEncoder(params, b"walk", 19).independent_ids(4) == expected
+            ran = obs.snapshot().get("repro.gf.eliminate.native", {}).get("value", 0)
+        # One screening call per stack, and 65 arrivals for the walk.
+        assert ran == (2 + 65 if bitmatmul.load() is not None else 0)
+        monkeypatch.setitem(native._LOADED, "gfmul", (None, "numpy forced by the test suite"))
+        assert FileEncoder(params, b"walk", 19).independent_ids(4) == expected
+
     def test_start_id_respected(self, encoder):
         bundles = encoder.independent_ids(1, start_id=1000)
         assert min(bundles[0]) >= 1000

@@ -1,8 +1,8 @@
 """State the native kernels hold bound across calls stays valid.
 
 Long-lived arrays cross into C once (a :class:`repro.native.Bound`
-value, or a sparse store's bound tables), so a buffer reallocated
-without being bound anew, or one store's tables standing in for
+value, or a sparse store's bound row records), so a buffer reallocated
+without being bound anew, or one store's records standing in for
 another's, would leave a kernel reading or writing through a stale
 pointer; the sparse engine's grant storage, reallocated as it grows,
 crosses per call.  Each case runs one scenario on the compiled kernels and on
@@ -55,7 +55,7 @@ def run(engine, feedback_interval, native):
 def test_sparse_grant_storage_follows_its_growth(feedback_interval):
     """``ShardKernel._m_store`` is reallocated when the active block
     grows; the kernels must write where ``M`` lives now, with or without
-    the deferred-feedback buffer (a store with tables of its own)."""
+    the deferred-feedback buffer (a store with records of its own)."""
     want = run("sparse", feedback_interval, native=False)
     got = run("sparse", feedback_interval, native=True)
     assert got[0] == want[0]

@@ -153,6 +153,52 @@ class TestSparseRows:
                 rows()
 
 
+@needs_native
+class TestSparseCredit:
+    """The credit phase's kernels: the scatter over every receiver row
+    shape (its in-place path, the exact-row shortcut among them, and the
+    python merge's hand-off), and the rate fold against numpy."""
+
+    @pytest.mark.parametrize("weight", [1.0, 7.5])
+    @pytest.mark.parametrize("lag", [2, 5])
+    @pytest.mark.parametrize("n", [16, 40, 300])
+    def test_scatter_every_shape_matches_dense_fold(self, n, lag, weight):
+        """Rows equal to the givers, sharing one index array, a strict
+        superset, one giver swapped for another peer, one giver missing,
+        empty and dense islands, half at lag 0 and half at ``lag``:
+        exactly the first three are credited in place, and with
+        ``add_compact`` merging the rest the store equals the eagerly
+        decayed dense fold."""
+        rng = np.random.default_rng([n, lag, int(weight * 2)])
+        for _ in range(8):
+            assert fastpath.scatter_matches(kernels, rng, weight, lag=lag, n=n)
+
+    def test_exact_rows_catch_up_once(self):
+        """An exact row credited over two slots decays by the flushes it
+        missed, once each, then gains the credit."""
+        store = SparseLedgers(10, 1e-6, np.full(10, 0.5))
+        act = np.array([1, 4, 7], dtype=np.int64)
+        store.add_compact(3, act, np.array([100, 7, 1], dtype=np.int64))
+        for _ in range(2):
+            store.advance_epoch()
+        R = np.array([3], dtype=np.int64)
+        M = np.array([[10], [20], [30]], dtype=np.int64)
+        ok = np.zeros(1, dtype=np.uint8)
+        for want in ([35, 21, 30], [27, 30, 45]):
+            kernels.sparse_scatter(store, act, R, M, 1.0, ok)
+            assert ok[0] == 1
+            assert store.row_at(3, act).tolist() == want
+            store.advance_epoch()
+
+    @pytest.mark.parametrize("slots", [1, 4, 10, 31])
+    def test_rate_fold_matches_numpy(self, slots):
+        """The compiled per-peer rate sums equal ``ClassFold``'s numpy
+        scatter-adds bit for bit, inside and outside the report window."""
+        rng = np.random.default_rng(slots)
+        for _ in range(4):
+            assert fastpath.fold_matches(kernels, rng, slots)
+
+
 class TestGating:
     """The loader itself (env, compiler, cache, memo) is shared with the
     GF kernel and tested once, in ``tests/test_native.py``."""
