@@ -278,19 +278,23 @@ def test_churn_ledger_growth(benchmark):
     one entry per giver it ever received from, departed ones included."""
     from repro.sim import sparse_population_churn
 
+    walls = []
+
     def run():
         sim = sparse_population_churn(**CHURN_KW)
         slots = CHURN_KW["phases"] * CHURN_KW["phase_slots"]
         start = time.perf_counter()
         sim.run(slots, history="none")
+        walls.append((time.perf_counter() - start) / slots)
         (ledger,) = sim.shard_stats()
         return {
-            "seconds_per_slot": (time.perf_counter() - start) / slots,
+            "seconds_per_slot": median(walls),
             "bytes_per_peer": sim.memory_bytes() / CHURN_KW["n"],
             "entries": ledger["entries"],
         }
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    # One fresh run a round; under --benchmark-disable only one runs.
+    out = benchmark.pedantic(run, rounds=SPARSE_REPS, iterations=1)
     print_header("Giver churn: cumulative ledger growth")
     print_table(
         ["per slot", "state B/peer", "entries"],
@@ -307,7 +311,7 @@ def test_churn_ledger_growth(benchmark):
                 "op": "sim_churn",
                 "ns_per_op": int(out["seconds_per_slot"] * 1e9),
                 "bytes_per_peer": round(out["bytes_per_peer"], 1),
-                "samples": 1,
+                "samples": len(walls),
             }
         },
     )
@@ -322,13 +326,17 @@ def test_churn_ledger_growth(benchmark):
 def test_million_peer_smoke(benchmark):
     from repro.sim import million_peer_smoke
 
+    walls = []
+
     def run():
         start = time.perf_counter()
         result = million_peer_smoke()
-        result["wall_seconds"] = time.perf_counter() - start
+        walls.append(time.perf_counter() - start)
+        result["wall_seconds"] = median(walls)
         return result
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    # One smoke a round; under --benchmark-disable only one runs.
+    out = benchmark.pedantic(run, rounds=SPARSE_REPS, iterations=1)
     print_header("Million-peer smoke (sparse engine)")
     print_table(
         ["n", "slots", "backend", "state B/peer", "peak rss", "cap"],
@@ -349,7 +357,7 @@ def test_million_peer_smoke(benchmark):
             "ns_per_op": int(out["wall_seconds"] * 1e9),
             "bytes_per_peer": round(out["bytes_per_peer"], 1),
             "peak_rss_bytes": out["peak_rss_bytes"],
-            "samples": 1,
+            "samples": len(walls),
         }
     }
     write_bench_json(benchmark, "BENCH_sim.json", results)

@@ -868,13 +868,14 @@ def gate_sparse_credit() -> int:
     sums).  15 pairs a cell.  Skipped, with the loader's reason, where
     the kernels are not live.
 
-    On a 2 vCPU host (2026-10-19) the scatter cell read 1.38-1.50x over
-    three runs and the fold cell 0.61-0.78x over seven.  With the
-    exact-row shortcut planted out (every row through the merge) the
-    scatter cell read 2.35-2.49x; with the rate sums back on numpy the
-    fold cell read 0.91-0.95x.  The budgets, 1.9x and 0.85x, are 1.27x
-    and 1.10x above the largest readings and 0.81 and 0.94 of the least
-    a plant read.
+    On a 2 vCPU host (2026-10-19) the scatter cell read 1.46-2.06x over
+    thirteen runs (the kernel is bound by cache misses, so a busy host
+    moves it more than the numpy side) and the fold cell 0.61-0.78x over
+    fifteen.  With the exact-row shortcut planted out (every row through
+    the two-walk merge) the scatter cell read 3.77-4.73x over seven; with
+    the rate sums back on numpy the fold cell read 0.91-0.95x.  The
+    budgets, 2.7x and 0.85x, are 1.31x and 1.09x above the largest
+    readings and 0.72 and 0.94 of the least a plant read.
     """
     import numpy as np
 
@@ -933,7 +934,7 @@ def gate_sparse_credit() -> int:
 
     failures = 0
     for cell, subject, frozen, budget, hint in (
-        ("scatter", scatter_slot, frozen_slot, 1.9,
+        ("scatter", scatter_slot, frozen_slot, 2.7,
          "do rows holding exactly the active givers go through the merge again?"),
         ("fold", fold_rotation, frozen_rotation, 0.85,
          "are the per-peer rate sums folded by numpy scatter-adds again?"),

@@ -437,11 +437,10 @@ class IncrementalRank:
     detects that it has ``k`` *useful* messages (Section III-B) without
     waiting for the transfer to end.
 
-    Where :func:`arrival_step` runs compiled (a table field or the tower,
-    the library live), an offer is one arrival on a ``(width, 2 width)``
-    matrix whose kept rows are fully reduced (its ``t`` half goes
-    unread); elsewhere the kept rows stay in echelon form in numpy.
-    Rank is a property of the span, so the verdicts are the same.
+    An offer is one :func:`arrival_step` on a ``(width, 2 width)``
+    matrix whose kept rows stay fully reduced (its ``t`` half goes
+    unread): compiled for a table field or the tower when the library is
+    live, :func:`eliminate_arrival` in numpy otherwise.
     """
 
     def __init__(self, field: BinaryField, width: int):
@@ -449,52 +448,24 @@ class IncrementalRank:
         self.width = width
         #: Rows kept so far.
         self.rank = 0
-        self._step = None
-        if _compiled(field) is not None:
-            # Zeroed pages stay untouched until a row is kept there.
-            self._reduced = np.zeros((width, 2 * width), dtype=DTYPE)
-            self._pivots = np.zeros(width, dtype=np.intp)
-            self._step = arrival_step(field)(self._reduced, self._pivots)
-        else:
-            self._rows: list[np.ndarray] = []
-            self._pivots: list[int] = []
+        # Zeroed pages stay untouched until a row is kept there.
+        self._reduced = np.zeros((width, 2 * width), dtype=DTYPE)
+        self._pivots = np.zeros(width, dtype=np.intp)
+        self._step = arrival_step(field)(self._reduced, self._pivots)
 
     def offer(self, row: np.ndarray) -> bool:
         """Try to add ``row``; return ``True`` iff it increased the rank."""
-        field = self.field
-        r = field.asarray(row)
+        r = self.field.asarray(row)
         if r.shape != (self.width,):
             raise FieldError(f"expected a row of width {self.width}, got {r.shape}")
         rank = self.rank
         if rank == self.width:
             return False
-        if self._step is not None:
-            work = self._reduced[rank]
-            work[: self.width], work[self.width :] = r, 0
-            pivot = self._step(rank)
-            if pivot < 0:
-                return False
-            self._pivots[rank] = pivot
-            self.rank += 1
-            return True
-        r = r.copy()
-        # Kept rows are in echelon form only (never back-substituted), so
-        # they must be applied in insertion order: row i is zero at the
-        # pivots of rows 0..i-1 and cannot bring back a cleared pivot.
-        for kept, pivot in zip(self._rows, self._pivots):
-            v = r[pivot]
-            if v:
-                # Kept rows lead with their pivot, so only the trailing
-                # slice can change; fused kernel, no temporaries.
-                field.addmul(r[pivot:], v, kept[pivot:])
-        nonzero = np.nonzero(r)[0]
-        if nonzero.size == 0:
+        work = self._reduced[rank]
+        work[: self.width], work[self.width :] = r, 0
+        pivot = self._step(rank)
+        if pivot < 0:
             return False
-        pivot = int(nonzero[0])
-        lead = int(r[pivot])
-        if lead != 1:
-            field.scale_rows(r[pivot:], field.inv_scalar(lead))
-        self._rows.append(r)
-        self._pivots.append(pivot)
+        self._pivots[rank] = pivot
         self.rank += 1
         return True

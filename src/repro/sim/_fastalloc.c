@@ -31,10 +31,10 @@
  *    add each requester's rate (and rate less capacity) as numpy's
  *    scatter-add does, one IEEE addition per element.
  *
- * The sparse engine's credit phase is two calls: the scatter, one walk
- * of each requester's sorted entries (a row holding exactly the active
- * givers, the steady state, is compared and added straight through),
- * and the rate fold, one pass over the requesters.
+ * The sparse engine's credit phase is two calls: the scatter over the
+ * requesters' sorted entries (a row holding exactly the active givers,
+ * the steady state, is compared and added straight through) and the
+ * rate fold, one pass over the requesters.
  */
 
 #include <stdint.h>
@@ -263,61 +263,54 @@ int64_t repro_sparse_rows_eq2(const int64_t *act, const int64_t *rowpos,
 }
 
 /* Fused feedback scatter: receiver R[a] gains credit(M[r][a], w) from
- * every active giver act[r], in one walk of its sorted entries.  A row
- * holding exactly the active givers (the steady state: nnz == nact and
- * the indices equal act) adds straight through; any other row is merged
- * once, recording each giver's position, and added through those.  Rows
- * whose entries miss a giver — first contact (new entries), empty rows,
- * dense islands — report ok=0 and are merged by the python store.  A
- * row's lazy decay is caught up before its adds and only on the
- * in-place path.  Returns 0, or -2 when the position scratch cannot be
- * allocated. */
-int64_t repro_sparse_scatter(const int64_t *act, int64_t nact,
-                             const int64_t *R, int64_t A, const int64_t *M,
-                             double w, const struct ledger_rows *s, uint8_t *ok)
+ * every active giver act[r].  A row holding exactly the active givers
+ * (the steady state: nnz == nact and the indices equal act) adds
+ * straight through; any other row whose explicit entries contain every
+ * active giver takes the in-place path in two walks (the contain check,
+ * then the adds).  Either way the row's lazy decay is caught up before
+ * its adds.  Anything else — first contact (new entries), empty rows,
+ * dense islands — reports ok=0 and is merged by the python store. */
+void repro_sparse_scatter(const int64_t *act, int64_t nact,
+                          const int64_t *R, int64_t A, const int64_t *M,
+                          double w, const struct ledger_rows *s, uint8_t *ok)
 {
-    int64_t *pos = malloc((size_t)(nact ? nact : 1) * sizeof *pos);
-    if (!pos) {
-        return -2;
-    }
     for (int64_t a = 0; a < A; a++) {
         struct ledger_row *row = &s->row[R[a]];
         int64_t cnt = row->nnz;
         const int64_t *idx = row->idx;
         int64_t *vals = row->vals;
-        int64_t p = 0, r = 0;
+        int64_t p = 0, contained = 1;
         ok[a] = 0;
         if (cnt < nact) {   /* covers empty (0) and dense island (-1) */
             continue;
         }
         if (cnt == nact && (!nact || !memcmp(idx, act, (size_t)nact * sizeof *idx))) {
             catch_up_row(s, row);
-            for (r = 0; r < nact; r++) {
+            for (int64_t r = 0; r < nact; r++) {
                 vals[r] += credit(M[r * A + a], w);
             }
             ok[a] = 1;
             continue;
         }
-        for (; r < nact; r++) {
+        for (int64_t r = 0; r < nact && contained; r++) {
             while (p < cnt && idx[p] < act[r]) {
                 p++;
             }
-            if (p == cnt || idx[p] != act[r]) {
-                break;
-            }
-            pos[r] = p++;
+            contained = p < cnt && idx[p++] == act[r];
         }
-        if (r < nact) {
+        if (!contained) {
             continue;
         }
         catch_up_row(s, row);
-        for (r = 0; r < nact; r++) {
-            vals[pos[r]] += credit(M[r * A + a], w);
+        p = 0;
+        for (int64_t r = 0; r < nact; r++) {
+            while (idx[p] < act[r]) {
+                p++;
+            }
+            vals[p++] += credit(M[r * A + a], w);
         }
         ok[a] = 1;
     }
-    free(pos);
-    return 0;
 }
 
 /* The per-peer rate sums of a history="none" run

@@ -49,7 +49,7 @@ class FastAlloc(native.Kernel):
         "repro_rows_shared": (STATUS, [PTR, I64, I64, PTR, PTR, PTR]),
         "repro_ledger_tadd": (None, [PTR, PTR, PTR, I64, I64, F64, PTR]),
         "repro_sparse_rows_eq2": (STATUS, [PTR, PTR, I64, PTR, I64, PTR, PTR, PTR]),
-        "repro_sparse_scatter": (STATUS, [PTR, I64, PTR, I64, PTR, F64, PTR, PTR]),
+        "repro_sparse_scatter": (None, [PTR, I64, PTR, I64, PTR, F64, PTR, PTR]),
         "repro_rate_fold": (None, [PTR, PTR, PTR, PTR, PTR, I64, PTR, PTR, I64]),
     }
     ERRORS = {

@@ -100,7 +100,7 @@ class TestCombine:
 
 class TestAddmul:
     def test_row_slice_and_scalar_factor(self, field, rng):
-        """``IncrementalRank``: ``addmul(r[pivot:], v, kept[pivot:])``."""
+        """A row slice and a scalar factor: ``addmul(r[pivot:], v, kept[pivot:])``."""
         r, kept = field.random(12, rng), field.random(12, rng)
         v = int(field.random_nonzero((), rng))
         expected = r.copy()
