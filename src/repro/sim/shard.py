@@ -64,7 +64,7 @@ from .demand import (
     RandomHoursDemand,
     ScheduleDemand,
 )
-from .metrics import StreamingMetrics
+from .metrics import _PEER_SUMS, StreamingMetrics
 from .peer import PeerConfig, PeerState
 from .sparse import SparseLedgers, SparseLedgerView
 
@@ -215,8 +215,11 @@ class ClassFold:
     live (the per-run arrays bound once), else three numpy scatter-adds.
     """
 
-    def __init__(self, class_of: np.ndarray, classes: int, slots: int, kernels=None):
+    def __init__(
+        self, class_of: np.ndarray, classes: int, slots: int, kernels=None, members=None
+    ):
         self.class_of = class_of
+        self.members = members
         self.sums = sums = StreamingMetrics(class_of.size, slots)
         self.request_count = np.zeros(classes, dtype=np.int64)
         self.capacity_sum = np.zeros(classes)
@@ -236,8 +239,8 @@ class ClassFold:
         req_c: np.ndarray,
         cap_c: np.ndarray,
     ) -> None:
-        """Fold slot ``s``: ``R`` the requesters' rows (sorted, local to
-        the shard), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
+        """Fold slot ``s``: ``R`` the requesters' rows (unique, in the
+        order of their ids), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
         slot's request indicator and capacity per class.  Zero cells
         outside ``R`` are exact no-ops in every rate sum."""
         sums = self.sums
@@ -255,10 +258,16 @@ class ClassFold:
         self.isolation_sum += np.where(req_c, cap_c, 0.0)
 
     def expand(self) -> StreamingMetrics:
-        """The per-peer :class:`StreamingMetrics` of the folded slots."""
+        """The per-peer :class:`StreamingMetrics` of the folded slots,
+        in id order: row ``p``'s sums are peer ``members[p]``'s (rows
+        are peers when ``members`` is ``None``)."""
         sums = self.sums
         for name in ("request_count", "capacity_sum", "isolation_sum"):
             getattr(self, name).take(self.class_of, out=getattr(sums, name))
+        if self.members is not None:
+            for name in _PEER_SUMS:
+                by_row = getattr(sums, name)
+                by_row[self.members] = by_row.copy()
         return sums
 
 
@@ -310,12 +319,6 @@ class ShardKernel:
         #: Whether the compiled sparse-row kernels drive the hot loops.
         self.native = self._kernels is not None
         self._initial_credit = initial_credit
-        self.store = SparseLedgers(
-            n,
-            initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT,
-            np.array([c.forgetting for c in configs]),
-            rows=hi - lo,
-        )
         # Fast rows: exactly the two closed-form rules the kernel can
         # evaluate straight from the store.  Everything else — custom,
         # stateful, adversarial, and even other BatchedAllocator
@@ -329,7 +332,7 @@ class ShardKernel:
         # profiles by key, the rest slot by slot.
         eq2: list[int] = []
         eq3: list[int] = []
-        self._slow_peers: list[PeerState] = []
+        slow: list[int] = []
         self._slot_end_hooks = []
         overrides: list[tuple[int, float]] = []
         det_groups: dict[tuple, list[int]] = {}
@@ -346,10 +349,7 @@ class ShardKernel:
             elif cls is GlobalProportionalAllocator:
                 eq3.append(i)
             else:
-                ledger = ByteLedger(
-                    self.store.dense_row(i), self.store.background, i, cfg.forgetting
-                )
-                self._slow_peers.append(PeerState(lo + i, cfg, n, initial_credit, ledger=ledger))
+                slow.append(i)
             # on_slot_end is a no-op unless overridden; pre-bind the
             # hooks that actually do something.
             if cls.on_slot_end is not Allocator.on_slot_end:
@@ -368,8 +368,6 @@ class ShardKernel:
                 _group_rows(cap_groups, cap_by_id, c, _capacity_group_key).append(i)
             else:
                 self._slot_capacity.append(i)
-        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
-        self._declared_vals = np.array([v for _, v in overrides])
         # Sampling classes: a peer's demand column is its group's, or
         # one of its own when its demand draws from its rng or is
         # sampled slot by slot; its capacity column likewise.  A class
@@ -382,8 +380,7 @@ class ShardKernel:
         _, class_of = np.unique(
             dcol * (ccol.max(initial=0) + 1) + ccol, return_inverse=True
         )
-        #: Shard-local row -> sampling class.
-        self._class_of = class_of.astype(np.intp, copy=False)
+        class_of = class_of.astype(np.intp, copy=False)
         self.classes = int(class_of.max(initial=-1)) + 1
         # Each group writes the columns of its classes; each solo peer
         # is a class of its own: (local row, class) pairs.
@@ -397,18 +394,42 @@ class ShardKernel:
             list(zip(rows, class_of[rows].tolist()))
             for rows in (self._rng_demand, self._slot_demand, self._slot_capacity)
         )
-        # Member table: rows sorted by cell = class * _KINDS + kind
+        # Member table: local ids sorted by cell = class * _KINDS + kind
         # (stable, so ascending within a cell); cell c's members are
-        # _members[_cells[c] : _cells[c + 1]], as int32 local rows.
+        # _members[_cells[c] : _cells[c + 1]], as int32 local ids.  A
+        # member's position in the table is its row in every per-peer
+        # array below, so a cell's members are one run of rows.
         kind = np.full(hi - lo, _SLOW, dtype=np.intp)
         kind[eq2] = _EQ2
         kind[eq3] = _EQ3
-        cell = self._class_of * _KINDS + kind
+        cell = class_of * _KINDS + kind
         self._members = np.argsort(cell, kind="stable").astype(np.int32)
         self._cells = np.zeros(self.classes * _KINDS + 1, dtype=np.intp)
         np.cumsum(
             np.bincount(cell, minlength=self.classes * _KINDS), out=self._cells[1:]
         )
+        row_of = self._row_of()
+        #: Row -> sampling class (nondecreasing).
+        self._class_of = class_of[self._members]
+        self.store = SparseLedgers(
+            n,
+            initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT,
+            np.array([c.forgetting for c in configs])[self._members],
+            rows=hi - lo,
+        )
+        #: Dense-island peers, by id, and their sampling classes.
+        self._slow_peers: list[PeerState] = []
+        for i in slow:
+            row = int(row_of[i])
+            ledger = ByteLedger(
+                self.store.dense_row(row), self.store.background, row, configs[i].forgetting
+            )
+            self._slow_peers.append(PeerState(lo + i, configs[i], n, initial_credit, ledger=ledger))
+        self._slow_classes = class_of[slow].tolist()
+        #: Declared-capacity overrides by row (sorted) and their values.
+        declared = sorted((int(row_of[i]), v) for i, v in overrides)
+        self._declared_rows = np.array([r for r, _ in declared], dtype=np.intp)
+        self._declared_vals = np.array([v for _, v in declared])
         self._rngs = _LazyRngs(seed)
         # Prefetch window.  The tables hold one bool and one float64 per
         # class per slot, but the length rule is still the one sized for
@@ -422,8 +443,12 @@ class ShardKernel:
         #: The per-class request/capacity rows of the slot last sampled
         #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
-        #: Those rows of every slot sampled and not yet credited.
-        self._uncredited: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: The requesters' rows of the slot last sampled, in the order of
+        #: the ids :meth:`sample` returned.
+        self._rows = np.empty(0, dtype=np.int64)
+        #: The class rows and requester rows of every slot sampled and
+        #: not yet credited.
+        self._uncredited: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
         #: Storage of the slot's compact grant block M (see alloc), grown
@@ -477,65 +502,82 @@ class ShardKernel:
         for i, c in self._slot_capacity:
             cap_row[c] = self.configs[i].capacity.value(t)
         self._req_row, self._cap_row = req_row, cap_row
-        self._uncredited[t] = req_row, cap_row
         self._dense = None
         classes = np.flatnonzero(req_row)
-        return self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
+        R, self._rows = self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
+        self._uncredited[t] = req_row, cap_row, self._rows
+        return R
 
-    def _gather(self, cells: np.ndarray) -> np.ndarray:
-        """The members of ``cells`` (ascending cell ids) as sorted
-        global ids: a slice when one cell is nonempty, else a gather of
-        the cells' ranges and one sort of the result."""
+    def _gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The members of ``cells`` (ascending cell ids): their sorted
+        global ids and their rows in the same order.  One nonempty cell
+        is one run of rows; several are gathered and put in id order by
+        one sort."""
         starts = self._cells[cells]
         lens = self._cells[cells + 1] - starts
         full = np.flatnonzero(lens)
         if full.size <= 1:
             start = int(starts[full[0]]) if full.size else 0
             stop = start + (int(lens[full[0]]) if full.size else 0)
-            rows = self._members[start:stop]
+            rows = np.arange(start, stop, dtype=np.int64)
+            ids = self._members[start:stop]
         else:
             starts, lens = starts[full], lens[full]
             ends = np.cumsum(lens)
-            rows = self._members[np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])]
-            rows.sort()
-        return np.add(rows, self.lo, dtype=np.int64)
+            rows = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+            ids = self._members[rows]
+            order = ids.argsort(kind="stable")
+            ids, rows = ids[order], rows[order]
+        return np.add(ids, self.lo, dtype=np.int64), rows
+
+    def _givers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``[(act2, rows2, caps2), (act3, rows3, caps3)]`` of the slot
+        last sampled: the eq2 and eq3 members of its positive-capacity
+        classes (sorted global ids), their rows and their capacities,
+        read from the class row."""
+        classes = np.flatnonzero(self._cap_row > 0.0) * _KINDS
+        out = []
+        for kind in (_EQ2, _EQ3):
+            act, rows = self._gather(classes + kind)
+            out.append((act, rows, self._cap_row[self._class_of[rows]]))
+        return out
 
     def active_givers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``((act2, caps2), (act3, caps3))`` of the slot last sampled:
         the eq2 and eq3 members of its positive-capacity classes (sorted
         global ids) and their capacities, read from the class row."""
-        classes = np.flatnonzero(self._cap_row > 0.0) * _KINDS
-        out = []
-        for kind in (_EQ2, _EQ3):
-            act = self._gather(classes + kind)
-            out.append((act, self._cap_row[self._class_of[act - self.lo]]))
-        return tuple(out)
+        return tuple((act, caps) for act, _, caps in self._givers())
 
     def declared_of(self, R: np.ndarray) -> np.ndarray:
-        """Declared capacities of the slot last sampled at global ids
-        ``R`` (sorted, within the range): the class row's capacities
-        with the per-peer overrides applied."""
-        local = R - self.lo
-        declared = self._cap_row[self._class_of[local]]
-        idx = self._declared_idx
-        if idx.size and local.size:
-            pos = np.minimum(np.searchsorted(idx, local), idx.size - 1)
-            hit = idx[pos] == local
+        """Declared capacities of the slot last sampled at ``R``, the
+        global ids :meth:`sample` returned for it: the class row's
+        capacities with the per-peer overrides applied (read at the
+        rows the sample kept)."""
+        rows = self._rows
+        if R.size != rows.size:
+            raise ValueError(f"expected the {rows.size} requesters last sampled, got {R.size}")
+        declared = self._cap_row[self._class_of[rows]]
+        idx = self._declared_rows
+        if idx.size and rows.size:
+            pos = np.minimum(np.searchsorted(idx, rows), idx.size - 1)
+            hit = idx[pos] == rows
             declared[hit] = self._declared_vals[pos[hit]]
         return declared
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """This range's dense ``(requesting, capacities, declared)`` of
-        the slot last sampled, spread from the class rows on first call
-        (``declared`` is ``None`` unless the population needs it)."""
+        the slot last sampled, in id order, spread from the class rows
+        on first call (``declared`` is ``None`` unless the population
+        needs it)."""
         if self._dense is None:
-            requesting = self._req_row.take(self._class_of)
-            capacities = self._cap_row.take(self._class_of)
+            class_of = self._by_id(self._class_of)
+            requesting = self._req_row.take(class_of)
+            capacities = self._cap_row.take(class_of)
             declared = None
             if self.needs_declared:
                 declared = capacities.copy()
-                if self._declared_idx.size:
-                    declared[self._declared_idx] = self._declared_vals
+                if self._declared_rows.size:
+                    declared[self._members[self._declared_rows]] = self._declared_vals
             self._dense = requesting, capacities, declared
         return self._dense
 
@@ -566,7 +608,7 @@ class ShardKernel:
         A = R.size
         empty = np.empty(0, dtype=np.int64)
         if A:
-            (act2, caps2), (act3, caps3) = self.active_givers()
+            (act2, rows2, caps2), (act3, _, caps3) = self._givers()
         else:
             act2 = act3 = empty
         # Slow rows run the untouched per-peer path every slot (their
@@ -577,9 +619,9 @@ class ShardKernel:
             requesting[R] = True
             if declared is None:
                 declared = self.vectors()[2]
-        for peer in self._slow_peers:
+        for peer, c in zip(self._slow_peers, self._slow_classes):
             i = peer.index
-            cap = self._cap_row[self._class_of[i - self.lo]]
+            cap = self._cap_row[c]
             proposal = peer.config.allocator.allocate(
                 i, cap, requesting, peer.ledger, declared, t
             )
@@ -606,7 +648,8 @@ class ShardKernel:
         if self._m_store.size < nact * A:
             self._m_store = np.empty(nact * A, dtype=np.int64)
         M = self._m_store[: nact * A].reshape(nact, A)
-        self._eq2_block(act2, rowpos[: act2.size], R, caps2, M)
+        if act2.size:
+            self._eq2_block(rows2, rowpos[: act2.size], R, caps2, M)
         n23 = act2.size + act3.size
         if act3.size:
             if declared_R is None:
@@ -616,19 +659,17 @@ class ShardKernel:
             M[p] = row
         return act, M
 
-    def _eq2_block(self, act, rowpos, R, caps, M) -> None:
-        """Equation (2) grants of the active eq2 givers ``act``
-        (capacities ``caps``, kbps) into ``M[rowpos[r]]``."""
-        if not act.size:
-            return
-        # Store rows are shard-local; R stays global.
-        local, copied, caps = act - self.lo, 0, rate_bytes(caps)
+    def _eq2_block(self, rows, rowpos, R, caps, M) -> None:
+        """Equation (2) grants of the active eq2 givers at store
+        ``rows`` (capacities ``caps``, kbps) over the global ids ``R``
+        into ``M[rowpos[r]]``."""
+        copied, caps = 0, rate_bytes(caps)
         if self.native:
-            copied = self._kernels.sparse_rows_eq2(self.store, local, rowpos, R, caps, M)
+            copied = self._kernels.sparse_rows_eq2(self.store, rows, rowpos, R, caps, M)
         else:
-            numpy_eq2_rows(self.store, local, rowpos, R, caps, M)
+            numpy_eq2_rows(self.store, rows, rowpos, R, caps, M)
         if _OBS.enabled:
-            _EQ2_ROWS.inc(act.size)
+            _EQ2_ROWS.inc(rows.size)
             _EQ2_ROWS_COPIED.inc(copied)
 
     def _eq3_block(self, rowpos, wR, caps, M) -> None:
@@ -655,15 +696,18 @@ class ShardKernel:
     ) -> None:
         """Close slot ``t`` for this range's receivers.
 
-        Ledger row ``takers[a]`` (global ids in ``[lo, hi)``, sorted)
+        The ledger of ``takers[a]`` — the global ids :meth:`sample`
+        returned for slot ``t``, credited at the rows that sample kept —
         gains ``slot_credit(amounts[r, a], weight)`` bytes at column
-        ``givers[r]`` — ``amounts`` is this range's column block of the
+        ``givers[r]``; ``amounts`` is this range's column block of the
         slot's ``M`` and ``rates`` the same columns of its
         :func:`column_sums`.  With deferred feedback the credit buffers
         until a ``flush`` slot.
         """
         store = self.store
-        rows = takers - self.lo
+        req_row, cap_row, rows = self._uncredited.pop(t)
+        if takers.size != rows.size:
+            raise ValueError(f"slot {t} sampled {rows.size} requesters here, got {takers.size}")
         if self._buffer is None:
             store.advance_epoch()
             self._scatter(store, givers, rows, amounts, weight)
@@ -675,7 +719,6 @@ class ShardKernel:
                     store.add_compact(i, idx, val)
         for hook in self._slot_end_hooks:
             hook(t)
-        req_row, cap_row = self._uncredited.pop(t)
         if self._metrics is not None:
             self._metrics.fold(self._metrics_slot, rows, rates, req_row, cap_row)
             self._metrics_slot += 1
@@ -720,7 +763,9 @@ class ShardKernel:
     def begin_metrics(self, slots: int) -> None:
         """Arm a :class:`ClassFold` for a ``slots``-slot run; every
         :meth:`credit` folds its slot until :meth:`end_metrics`."""
-        self._metrics = ClassFold(self._class_of, self.classes, slots, self._kernels)
+        self._metrics = ClassFold(
+            self._class_of, self.classes, slots, self._kernels, self._members
+        )
         self._metrics_slot = 0
 
     def end_metrics(self) -> StreamingMetrics:
@@ -732,9 +777,21 @@ class ShardKernel:
 
     # -- inspection ----------------------------------------------------
 
+    def _by_id(self, a: np.ndarray) -> np.ndarray:
+        """``a``, indexed by row along its first axis, in id order."""
+        out = np.empty_like(a)
+        out[self._members] = a
+        return out
+
+    def _row_of(self) -> np.ndarray:
+        """Local id -> row: the member table inverted (built on demand,
+        for inspection; the slot phases never map ids to rows)."""
+        return self._by_id(np.arange(self._members.size, dtype=np.intp))
+
     def materialize(self) -> np.ndarray:
-        """Dense ``(hi - lo, n)`` ledger bytes (tests / small-n interop)."""
-        return self.store.materialize()
+        """Dense ``(hi - lo, n)`` ledger bytes in id order (tests /
+        small-n interop)."""
+        return self._by_id(self.store.materialize())
 
     def stats(self) -> dict:
         """Bounds, resident bytes (ledger store, ``class_of``, the member
@@ -765,9 +822,9 @@ class ShardKernel:
                 cfg,
                 self.n,
                 self._initial_credit,
-                ledger=SparseLedgerView(self.store, i),
+                ledger=SparseLedgerView(self.store, row),
             )
-            for i, cfg in enumerate(self.configs)
+            for i, (cfg, row) in enumerate(zip(self.configs, self._row_of().tolist()))
         ]
 
 
