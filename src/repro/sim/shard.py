@@ -64,7 +64,7 @@ from .demand import (
     RandomHoursDemand,
     ScheduleDemand,
 )
-from .metrics import _PEER_SUMS, StreamingMetrics
+from .metrics import StreamingMetrics
 from .peer import PeerConfig, PeerState
 from .sparse import SparseLedgers, SparseLedgerView
 
@@ -215,11 +215,8 @@ class ClassFold:
     live (the per-run arrays bound once), else three numpy scatter-adds.
     """
 
-    def __init__(
-        self, class_of: np.ndarray, classes: int, slots: int, kernels=None, members=None
-    ):
+    def __init__(self, class_of: np.ndarray, classes: int, slots: int, kernels=None):
         self.class_of = class_of
-        self.members = members
         self.sums = sums = StreamingMetrics(class_of.size, slots)
         self.request_count = np.zeros(classes, dtype=np.int64)
         self.capacity_sum = np.zeros(classes)
@@ -239,8 +236,8 @@ class ClassFold:
         req_c: np.ndarray,
         cap_c: np.ndarray,
     ) -> None:
-        """Fold slot ``s``: ``R`` the requesters' rows (unique, in the
-        order of their ids), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
+        """Fold slot ``s``: ``R`` the requesters' rows (sorted, local to
+        the shard), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
         slot's request indicator and capacity per class.  Zero cells
         outside ``R`` are exact no-ops in every rate sum."""
         sums = self.sums
@@ -258,16 +255,10 @@ class ClassFold:
         self.isolation_sum += np.where(req_c, cap_c, 0.0)
 
     def expand(self) -> StreamingMetrics:
-        """The per-peer :class:`StreamingMetrics` of the folded slots,
-        in id order: row ``p``'s sums are peer ``members[p]``'s (rows
-        are peers when ``members`` is ``None``)."""
+        """The per-peer :class:`StreamingMetrics` of the folded slots."""
         sums = self.sums
         for name in ("request_count", "capacity_sum", "isolation_sum"):
             getattr(self, name).take(self.class_of, out=getattr(sums, name))
-        if self.members is not None:
-            for name in _PEER_SUMS:
-                by_row = getattr(sums, name)
-                by_row[self.members] = by_row.copy()
         return sums
 
 
@@ -380,7 +371,8 @@ class ShardKernel:
         _, class_of = np.unique(
             dcol * (ccol.max(initial=0) + 1) + ccol, return_inverse=True
         )
-        class_of = class_of.astype(np.intp, copy=False)
+        #: Shard-local id -> sampling class.
+        self._class_of = class_of = class_of.astype(np.intp, copy=False)
         self.classes = int(class_of.max(initial=-1)) + 1
         # Each group writes the columns of its classes; each solo peer
         # is a class of its own: (local row, class) pairs.
@@ -409,8 +401,6 @@ class ShardKernel:
             np.bincount(cell, minlength=self.classes * _KINDS), out=self._cells[1:]
         )
         row_of = self._row_of()
-        #: Row -> sampling class (nondecreasing).
-        self._class_of = class_of[self._members]
         self.store = SparseLedgers(
             n,
             initial_credit if initial_credit > 0 else DEFAULT_INITIAL_CREDIT,
@@ -425,11 +415,8 @@ class ShardKernel:
                 self.store.dense_row(row), self.store.background, row, configs[i].forgetting
             )
             self._slow_peers.append(PeerState(lo + i, configs[i], n, initial_credit, ledger=ledger))
-        self._slow_classes = class_of[slow].tolist()
-        #: Declared-capacity overrides by row (sorted) and their values.
-        declared = sorted((int(row_of[i]), v) for i, v in overrides)
-        self._declared_rows = np.array([r for r, _ in declared], dtype=np.intp)
-        self._declared_vals = np.array([v for _, v in declared])
+        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
+        self._declared_vals = np.array([v for _, v in overrides])
         self._rngs = _LazyRngs(seed)
         # Prefetch window.  The tables hold one bool and one float64 per
         # class per slot, but the length rule is still the one sized for
@@ -443,9 +430,6 @@ class ShardKernel:
         #: The per-class request/capacity rows of the slot last sampled
         #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
-        #: The requesters' rows of the slot last sampled, in the order of
-        #: the ids :meth:`sample` returned.
-        self._rows = np.empty(0, dtype=np.int64)
         #: The class rows and requester rows of every slot sampled and
         #: not yet credited.
         self._uncredited: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -504,8 +488,8 @@ class ShardKernel:
         self._req_row, self._cap_row = req_row, cap_row
         self._dense = None
         classes = np.flatnonzero(req_row)
-        R, self._rows = self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
-        self._uncredited[t] = req_row, cap_row, self._rows
+        R, rows = self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
+        self._uncredited[t] = req_row, cap_row, rows
         return R
 
     def _gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,7 +523,7 @@ class ShardKernel:
         out = []
         for kind in (_EQ2, _EQ3):
             act, rows = self._gather(classes + kind)
-            out.append((act, rows, self._cap_row[self._class_of[rows]]))
+            out.append((act, rows, self._cap_row[self._class_of[act - self.lo]]))
         return out
 
     def active_givers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -549,35 +533,30 @@ class ShardKernel:
         return tuple((act, caps) for act, _, caps in self._givers())
 
     def declared_of(self, R: np.ndarray) -> np.ndarray:
-        """Declared capacities of the slot last sampled at ``R``, the
-        global ids :meth:`sample` returned for it: the class row's
-        capacities with the per-peer overrides applied (read at the
-        rows the sample kept)."""
-        rows = self._rows
-        if R.size != rows.size:
-            raise ValueError(f"expected the {rows.size} requesters last sampled, got {R.size}")
-        declared = self._cap_row[self._class_of[rows]]
-        idx = self._declared_rows
-        if idx.size and rows.size:
-            pos = np.minimum(np.searchsorted(idx, rows), idx.size - 1)
-            hit = idx[pos] == rows
+        """Declared capacities of the slot last sampled at global ids
+        ``R`` (sorted, within the range): the class row's capacities
+        with the per-peer overrides applied."""
+        local = R - self.lo
+        declared = self._cap_row[self._class_of[local]]
+        idx = self._declared_idx
+        if idx.size and local.size:
+            pos = np.minimum(np.searchsorted(idx, local), idx.size - 1)
+            hit = idx[pos] == local
             declared[hit] = self._declared_vals[pos[hit]]
         return declared
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """This range's dense ``(requesting, capacities, declared)`` of
-        the slot last sampled, in id order, spread from the class rows
-        on first call (``declared`` is ``None`` unless the population
-        needs it)."""
+        the slot last sampled, spread from the class rows on first call
+        (``declared`` is ``None`` unless the population needs it)."""
         if self._dense is None:
-            class_of = self._by_id(self._class_of)
-            requesting = self._req_row.take(class_of)
-            capacities = self._cap_row.take(class_of)
+            requesting = self._req_row.take(self._class_of)
+            capacities = self._cap_row.take(self._class_of)
             declared = None
             if self.needs_declared:
                 declared = capacities.copy()
-                if self._declared_rows.size:
-                    declared[self._members[self._declared_rows]] = self._declared_vals
+                if self._declared_idx.size:
+                    declared[self._declared_idx] = self._declared_vals
             self._dense = requesting, capacities, declared
         return self._dense
 
@@ -619,9 +598,9 @@ class ShardKernel:
             requesting[R] = True
             if declared is None:
                 declared = self.vectors()[2]
-        for peer, c in zip(self._slow_peers, self._slow_classes):
+        for peer in self._slow_peers:
             i = peer.index
-            cap = self._cap_row[c]
+            cap = self._cap_row[self._class_of[i - self.lo]]
             proposal = peer.config.allocator.allocate(
                 i, cap, requesting, peer.ledger, declared, t
             )
@@ -720,7 +699,7 @@ class ShardKernel:
         for hook in self._slot_end_hooks:
             hook(t)
         if self._metrics is not None:
-            self._metrics.fold(self._metrics_slot, rows, rates, req_row, cap_row)
+            self._metrics.fold(self._metrics_slot, takers - self.lo, rates, req_row, cap_row)
             self._metrics_slot += 1
 
     def _scatter(
@@ -763,9 +742,7 @@ class ShardKernel:
     def begin_metrics(self, slots: int) -> None:
         """Arm a :class:`ClassFold` for a ``slots``-slot run; every
         :meth:`credit` folds its slot until :meth:`end_metrics`."""
-        self._metrics = ClassFold(
-            self._class_of, self.classes, slots, self._kernels, self._members
-        )
+        self._metrics = ClassFold(self._class_of, self.classes, slots, self._kernels)
         self._metrics_slot = 0
 
     def end_metrics(self) -> StreamingMetrics:

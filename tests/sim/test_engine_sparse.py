@@ -359,12 +359,11 @@ def test_shared_and_equal_valued_processes_share_groups():
         ]
 
     def rows(kernel, plan):
-        """Each group's peers: the ids whose sampling class is one of
-        the group's class columns (``_class_of`` is by row, so it is
-        read in id order)."""
+        """Each group's peer rows: the peers whose sampling class is
+        one of the group's class columns."""
         classes = np.arange(kernel.classes)
         return [
-            np.flatnonzero(np.isin(kernel._by_id(kernel._class_of), classes[cols])).tolist()
+            np.flatnonzero(np.isin(kernel._class_of, classes[cols])).tolist()
             for _, cols in plan
         ]
 

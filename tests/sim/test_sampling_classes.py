@@ -128,7 +128,7 @@ def test_procs_step_matches_batched(block, batched, workers):
 def test_classes_share_demand_and_capacity_groups():
     kernel = Simulation(mixed_configs(), engine="sparse")._shards.kernel
     configs = mixed_configs()
-    class_of = kernel._by_id(kernel._class_of)  # stored by row; read by id
+    class_of = kernel._class_of
     assert kernel._req_block.shape == kernel._cap_block.shape == (kernel._block, kernel.classes)
     # Solo peers (rng-drawn or slot-sampled demand or capacity) are
     # classes of their own; everyone else shares with a group mate.
