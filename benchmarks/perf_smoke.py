@@ -1,4 +1,4 @@
-"""CI perf-smoke: twenty-three timing gates, each a ratio measured in this run.
+"""CI perf-smoke: twenty-four timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -694,6 +694,7 @@ def gate_sparse_slot() -> int:
 
     subject_kernel, frozen_kernel = twin(), twin()
     eq2 = np.arange(frozen_kernel.n, dtype=np.int64)  # every peer is an eq2 row
+    row_of = frozen_kernel._row_of()  # store rows are in member-table order
     starts = {"subject": 0, "frozen": 0}
 
     def finish(kernel, t, R, act, M):
@@ -715,7 +716,7 @@ def gate_sparse_slot() -> int:
         act = eq2[capacities[eq2] > 0.0] if R.size else eq2[:0]
         M = np.empty((act.size, R.size), dtype=np.int64)
         k._eq2_block(
-            act, np.arange(act.size, dtype=np.int64), R,
+            row_of[act], np.arange(act.size, dtype=np.int64), R,
             np.ascontiguousarray(capacities[act]), M,
         )
         return finish(k, t, R, act, M)
@@ -760,7 +761,11 @@ def gate_sparse_rows() -> int:
     every requester, so no row is copied.  The kernel's ``M`` is first
     asserted equal to today's numpy rows.  The kernel side is the mean
     of 40 calls.  Skipped, with the loader's reason, where the sparse
-    kernels are not live.
+    kernels are not live.  The givers' store rows are the kernel's own
+    (member-table positions, not ids).
+
+    On a 2 vCPU host (2026-10-19) the cells read 0.000087-0.000098x and
+    0.00031-0.00036x over four runs.
     """
     import numpy as np
 
@@ -777,7 +782,7 @@ def gate_sparse_rows() -> int:
         n=100_000, cohorts=64, givers=16, slots=8192, engine="sparse"
     )._shards.kernel
     R = kernel.sample(0)
-    (act, caps), _ = kernel.active_givers()
+    (act, rows_act, caps), _ = kernel._givers()
     rowpos = np.arange(act.size, dtype=np.int64)
     M = np.empty((act.size, R.size), dtype=np.int64)
     M_float = np.empty(M.shape)
@@ -812,7 +817,7 @@ def gate_sparse_rows() -> int:
     def frozen() -> float:
         start = time.perf_counter()
         store = kernel.store
-        for i, cap, p in zip((act - kernel.lo).tolist(), caps.tolist(), rowpos.tolist()):
+        for i, cap, p in zip(rows_act.tolist(), caps.tolist(), rowpos.tolist()):
             w = store.row_at(i, R) + 1e-6
             row = cap * w / pairwise(R, w, 0, n)
             total = pairwise(R, row, 0, n)
@@ -825,7 +830,7 @@ def gate_sparse_rows() -> int:
         def run() -> float:
             start = time.perf_counter()
             for _ in range(calls):
-                kernel._eq2_block(act, rowpos, R, caps, M)
+                kernel._eq2_block(rows_act, rowpos, R, caps, M)
             return (time.perf_counter() - start) / calls
         return run
 
@@ -833,10 +838,10 @@ def gate_sparse_rows() -> int:
     for cell, budget in (("cold", 0.0008), ("warm", 0.0014)):
         if cell == "warm":
             rng = np.random.default_rng(0)
-            for i in (act - kernel.lo).tolist():
+            for i in rows_act.tolist():
                 kernel.store.add_compact(i, R, rng.integers(1, 1 << 20, R.size))
         want = np.empty_like(M)
-        numpy_eq2_rows(kernel.store, act - kernel.lo, rowpos, R, rate_bytes(caps), want)
+        numpy_eq2_rows(kernel.store, rows_act, rowpos, R, rate_bytes(caps), want)
         rows(1)()
         assert M.tobytes() == want.tobytes()
         failures += ratio_gate(
@@ -860,22 +865,25 @@ def gate_sparse_credit() -> int:
     path.  The reference is spelled out here and frozen, as
     ``gate_sparse``'s is: the same credit in numpy.  Two cells.
     *Scatter*: ``ShardKernel._scatter`` of one captured slot's ``M`` into
-    the store, 40 calls, against the requesters' rows of a value table
-    gaining ``M.T``.  *Fold*: ``ClassFold.fold`` over a rotation of 64
+    the store rows its sample kept, 40 calls, against the requesters'
+    rows of a value table gaining ``M.T``.  *Fold*: ``ClassFold.fold`` over a rotation of 64
     captured slots, each peer's sums visited once a rotation as in a
     run, against the fold's numpy body as it stood before the rate sums
     were compiled (rate and gain sums by fancy index, the class-sized
     sums).  15 pairs a cell.  Skipped, with the loader's reason, where
     the kernels are not live.
 
-    On a 2 vCPU host (2026-10-19) the scatter cell read 1.46-2.06x over
-    thirteen runs (the kernel is bound by cache misses, so a busy host
-    moves it more than the numpy side) and the fold cell 0.61-0.78x over
-    fifteen.  With the exact-row shortcut planted out (every row through
-    the two-walk merge) the scatter cell read 3.77-4.73x over seven; with
-    the rate sums back on numpy the fold cell read 0.91-0.95x.  The
-    budgets, 2.7x and 0.85x, are 1.31x and 1.09x above the largest
-    readings and 0.72 and 0.94 of the least a plant read.
+    On a 2 vCPU host (2026-10-19), with the store in member-table order
+    (a slot's requesters one run of rows), the scatter cell read
+    1.41-1.74x and the fold cell 0.62-0.75x over four runs; with the
+    store in id order they read 1.46-2.06x over thirteen (the kernel is
+    bound by cache misses, so a busy host moves it more than the numpy
+    side) and 0.61-0.78x over fifteen.  With the exact-row shortcut
+    planted out (every row through the two-walk merge) the scatter cell
+    read 3.77-4.73x over seven; with the rate sums back on numpy the
+    fold cell read 0.91-0.95x.  The budgets, 2.7x and 0.85x, are 1.31x
+    and 1.09x above the largest readings and 0.72 and 0.94 of the least
+    a plant read.
     """
     import numpy as np
 
@@ -893,10 +901,11 @@ def gate_sparse_credit() -> int:
     for t in range(128, 192):
         R = kernel.sample(t)
         act, M = kernel.alloc(t, R)
-        slots.append((t, R - kernel.lo, act, M, column_sums(M), kernel._uncredited.pop(t)))
+        req_row, cap_row, rows = kernel._uncredited.pop(t)
+        slots.append((t, R - kernel.lo, rows, act, M, column_sums(M), (req_row, cap_row)))
     kernel.begin_metrics(1 << 20)
     fold = kernel._metrics
-    _, rows, act, M, _, _ = slots[0]
+    _, _, rows, act, M, _, _ = slots[0]
     table = np.zeros((rows.size, act.size), dtype=np.int64)
     rate_sum, gain_sum = np.zeros((2, kernel.hi - kernel.lo))
     requests = np.zeros(kernel.classes, dtype=np.int64)
@@ -918,13 +927,13 @@ def gate_sparse_credit() -> int:
 
     def fold_rotation() -> float:
         start = time.perf_counter()
-        for t, local, _, _, rates, (req_row, cap_row) in slots:
+        for t, local, _, _, _, rates, (req_row, cap_row) in slots:
             fold.fold(t, local, rates, req_row, cap_row)
         return time.perf_counter() - start
 
     def frozen_rotation() -> float:
         start = time.perf_counter()
-        for _, local, _, _, rates, (req_row, cap_row) in slots:
+        for _, local, _, _, _, rates, (req_row, cap_row) in slots:
             rate_sum[local] += rates
             gain_sum[local] += rates - cap_row[class_of[local]]
             requests[:] += req_row
@@ -944,6 +953,59 @@ def gate_sparse_credit() -> int:
             f"n=100000 in 64 cohorts", subject, frozen, budget, hint, reps=15,
         )
     return failures
+
+
+def gate_sparse_layout() -> int:
+    """One 64-slot rotation of ``sim_sparse``'s population (cohort
+    ``i mod 64``, so a cohort's members are 64 ids apart) / the same
+    rotation of the same population listed cohort by cohort, n = 10^5,
+    16 givers.
+
+    The two populations do the same work: equal cohort sizes, equal
+    schedules, one giver class; only the id order differs.  The shard
+    kernel keeps its ledger store in member-table order, so a slot's
+    requesters are one run of store rows in both, and only the
+    per-peer sums the metrics fold reads by id stay strided.  Each side
+    is a ``history="none"`` run of one rotation after two warm
+    rotations, so every requester's row already holds the 16 givers.
+    15 pairs.  Skipped, with the loader's reason, where the kernels are
+    not live.
+
+    On a 2 vCPU host (2026-10-19) the gate read 1.085-1.169x over seven
+    runs; what is left is the fold's strided sums.  With the store
+    indexed by id (a slot's requesters 64 rows apart) it read
+    1.257-1.322x over four.  The 1.22x budget is 1.04x above the largest
+    reading and 0.97 of the least the id-indexed store read.
+    """
+    from repro import native
+    from repro.sim import Simulation, fastpath, sparse_population_sim
+
+    if fastpath.load() is None:
+        print(f"sparse layout: kernels not live ({native.status()['fastalloc']}); skipped")
+        return 0
+    n, cohorts, givers, slots = 100_000, 64, 16, 8192
+    strided = sparse_population_sim(n=n, cohorts=cohorts, givers=givers, slots=slots, engine="sparse")
+    configs = strided.configs
+    # A cohort's schedule starts at its index; the sort is stable, so
+    # each cohort keeps its members' order.
+    by_cohort = sorted(configs[givers:], key=lambda c: c.demand.intervals[0][0])
+    listed = Simulation(configs[:givers] + by_cohort, engine="sparse")
+    for sim in (strided, listed):
+        sim.run(2 * cohorts, history="none")
+
+    def rotation(sim):
+        def run() -> float:
+            start = time.perf_counter()
+            sim.run(cohorts, history="none")
+            return time.perf_counter() - start
+        return run
+
+    return ratio_gate(
+        f"sparse rotation, cohorts 64 ids apart / listed cohort by cohort, n={n}",
+        rotation(strided), rotation(listed), 1.22,
+        "are a slot's requesters strided store rows again (the ledger store "
+        "indexed by id, not by member-table position)?", reps=15,
+    )
 
 
 def gate_recombine() -> int:
@@ -1252,6 +1314,7 @@ GATES = (
     gate_credit_fold,
     gate_dense_slot, gate_sparse,
     gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_sparse_credit,
+    gate_sparse_layout,
     gate_recombine, gate_sign,
     gate_modexp, gate_peer_path, gate_arrival, gate_digest, gate_keyed_rows,
 )

@@ -22,7 +22,19 @@ runs a slot as three array-in/array-out phases over the *active set*:
    hooks and the metrics fold.
 
 None of the three touches a per-peer vector: a slot costs O(classes +
-|R| + givers x |R|).  The dense request / capacity / declared vectors
+|R| + givers x |R|).
+
+The ledger store (and the deferred-feedback buffer) keeps its rows in
+member-table order — sampling class, then allocator kind, then id — not
+in id order, so a slot's requesters are one run of rows per requesting
+class however their ids interleave (``sim_sparse``'s cohort ``i mod
+64`` has its members 64 ids apart).  :meth:`~ShardKernel.sample` hands
+the rows to :meth:`~ShardKernel.credit` with the slot; ids cross the
+API, and :meth:`~ShardKernel.materialize` and
+:meth:`~ShardKernel.peer_states` map rows back to ids for inspection.
+``class_of`` and the ``history="none"`` sums stay in id order: mapping
+the sums to id order at the end of a run would cost more than their
+contiguous fold saves.  The dense request / capacity / declared vectors
 are built from the class rows only on demand (:meth:`~ShardKernel.vectors`)
 — for dense-island peers, ``Simulation.step()`` and recorded histories.
 
@@ -281,9 +293,12 @@ class ShardKernel:
     whose cells are ``(class, kind)`` pairs.  A slot's requesters are
     the members of its requesting classes and its active givers the
     eq2 / eq3 members of its positive-capacity classes, so sampling and
-    selection read class rows, never a per-peer vector.  Row indices
-    into the store, ``class_of`` and the member table are shard-local;
-    every giver/taker/column index crossing the API is global, and
+    selection read class rows, never a per-peer vector.  A peer's
+    position in the member table is its **row** in the ledger store and
+    the deferred-feedback buffer, so a cell's members are one run of
+    rows; ``class_of``, the declared overrides and the metrics fold are
+    indexed by shard-local id.  Every giver/taker/column index crossing
+    the API is global (ledger columns are global ids), and
     per-peer RNG streams are seeded by global index, so the split never
     changes a draw.  ``needs_declared`` is the population-wide
     :func:`needs_declared` answer.
@@ -359,6 +374,8 @@ class ShardKernel:
                 _group_rows(cap_groups, cap_by_id, c, _capacity_group_key).append(i)
             else:
                 self._slot_capacity.append(i)
+        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
+        self._declared_vals = np.array([v for _, v in overrides])
         # Sampling classes: a peer's demand column is its group's, or
         # one of its own when its demand draws from its rng or is
         # sampled slot by slot; its capacity column likewise.  A class
@@ -375,7 +392,7 @@ class ShardKernel:
         self._class_of = class_of = class_of.astype(np.intp, copy=False)
         self.classes = int(class_of.max(initial=-1)) + 1
         # Each group writes the columns of its classes; each solo peer
-        # is a class of its own: (local row, class) pairs.
+        # is a class of its own: (local id, class) pairs.
         self._det_demand_groups = [
             (configs[rows[0]].demand, np.unique(class_of[rows])) for rows in det
         ]
@@ -389,8 +406,8 @@ class ShardKernel:
         # Member table: local ids sorted by cell = class * _KINDS + kind
         # (stable, so ascending within a cell); cell c's members are
         # _members[_cells[c] : _cells[c + 1]], as int32 local ids.  A
-        # member's position in the table is its row in every per-peer
-        # array below, so a cell's members are one run of rows.
+        # member's position in the table is its row in the ledger store
+        # and the feedback buffer, so a cell's members are one run of rows.
         kind = np.full(hi - lo, _SLOW, dtype=np.intp)
         kind[eq2] = _EQ2
         kind[eq3] = _EQ3
@@ -407,7 +424,7 @@ class ShardKernel:
             np.array([c.forgetting for c in configs])[self._members],
             rows=hi - lo,
         )
-        #: Dense-island peers, by id, and their sampling classes.
+        #: Dense-island peers, by id; their ledgers are dense store rows.
         self._slow_peers: list[PeerState] = []
         for i in slow:
             row = int(row_of[i])
@@ -415,8 +432,6 @@ class ShardKernel:
                 self.store.dense_row(row), self.store.background, row, configs[i].forgetting
             )
             self._slow_peers.append(PeerState(lo + i, configs[i], n, initial_credit, ledger=ledger))
-        self._declared_idx = np.array([i for i, _ in overrides], dtype=np.intp)
-        self._declared_vals = np.array([v for _, v in overrides])
         self._rngs = _LazyRngs(seed)
         # Prefetch window.  The tables hold one bool and one float64 per
         # class per slot, but the length rule is still the one sized for
@@ -627,8 +642,7 @@ class ShardKernel:
         if self._m_store.size < nact * A:
             self._m_store = np.empty(nact * A, dtype=np.int64)
         M = self._m_store[: nact * A].reshape(nact, A)
-        if act2.size:
-            self._eq2_block(rows2, rowpos[: act2.size], R, caps2, M)
+        self._eq2_block(rows2, rowpos[: act2.size], R, caps2, M)
         n23 = act2.size + act3.size
         if act3.size:
             if declared_R is None:
@@ -642,6 +656,8 @@ class ShardKernel:
         """Equation (2) grants of the active eq2 givers at store
         ``rows`` (capacities ``caps``, kbps) over the global ids ``R``
         into ``M[rowpos[r]]``."""
+        if not rows.size:
+            return
         copied, caps = 0, rate_bytes(caps)
         if self.native:
             copied = self._kernels.sparse_rows_eq2(self.store, rows, rowpos, R, caps, M)

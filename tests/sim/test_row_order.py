@@ -13,6 +13,7 @@ ledger view.  They must pass on the numpy fallback too
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,14 @@ def test_sparse_population_requesters_are_one_ascending_run():
         assert rows.tolist() == list(range(rows[0], rows[0] + rows.size)), t
         assert (kernel._members[rows] + kernel.lo).tolist() == R.tolist(), t
         assert (np.diff(R) > 0).all()
+
+
+def test_credit_takes_the_requesters_its_slot_sampled():
+    """``credit`` scatters into the rows ``sample`` kept for the slot, so
+    takers of another size than that slot's requesters are refused."""
+    sim = sparse_population_sim(n=200, cohorts=4, givers=4, slots=8, engine="sparse")
+    kernel = sim._shards.kernel
+    R = kernel.sample(0)
+    act, M = kernel.alloc(0, R)
+    with pytest.raises(ValueError, match="sampled"):
+        kernel.credit(0, act, R[1:], M[:, 1:], M.sum(axis=0)[1:] / 125, 1.0, True)
