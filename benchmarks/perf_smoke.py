@@ -1,4 +1,4 @@
-"""CI perf-smoke: twenty-four timing gates, each a ratio measured in this run.
+"""CI perf-smoke: twenty-five timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -676,10 +676,18 @@ def gate_sparse_slot() -> int:
     with the loader's reason, where the sparse kernels are not live: the
     numpy Eq. (2) rows took ~0.35 s a slot here when this gate was
     written, which no selection cost could show through.
+
+    On a 2 vCPU host (2026-10-20), with the givers read from the giver
+    plan, the gate read 0.169-0.176x over three runs; the parent tree,
+    which selected its givers every slot, read 0.27-0.30x over three
+    (0.54-0.70x when the gate was written, before the member table
+    and the compiled credit).  The frozen side takes its capacities to
+    bytes itself, as ``_eq2_block`` did before it took bytes.
     """
     import numpy as np
 
     from repro import native
+    from repro.core.apportion import rate_bytes
     from repro.sim import fastpath, sparse_population_sim
     from repro.sim.shard import column_sums
 
@@ -717,7 +725,7 @@ def gate_sparse_slot() -> int:
         M = np.empty((act.size, R.size), dtype=np.int64)
         k._eq2_block(
             row_of[act], np.arange(act.size, dtype=np.int64), R,
-            np.ascontiguousarray(capacities[act]), M,
+            rate_bytes(np.ascontiguousarray(capacities[act])), M,
         )
         return finish(k, t, R, act, M)
 
@@ -741,6 +749,118 @@ def gate_sparse_slot() -> int:
         rotation("subject", subject_slot), rotation("frozen", frozen_slot), 0.8,
         "is a per-peer vector built per slot again (a take through class_of, "
         "a flatnonzero over n, a capacity mask over every eq2 row)?", reps=15,
+    )
+
+
+def gate_sparse_run() -> int:
+    """One 64-slot ``history="none"`` run of ``sim_sparse``'s population
+    (n = 10^5 in 64 cohorts, 16 givers) / the same run with the giver
+    selection and run sums the kernel had before its giver plan, spelled
+    out here and frozen.
+
+    Both sides drive the same kernel phases on twin simulations after
+    two warm rotations.  The subject is ``Simulation.run``: givers from
+    the plan built once for the constant class capacity row, kernel
+    arguments bound, and the kernel's own sums returned.  The reference
+    selects the givers every slot as the kernel did: for each of the
+    eq2 and eq3 kinds, the members of the positive-capacity classes'
+    cells (an ``arange`` of rows, ids offset by ``lo``) and their
+    capacities through ``class_of``; then one concatenate, a stable
+    argsort, the rows' positions in ``M``, ``M`` in storage kept across
+    slots, the capacities converted to bytes and the Equation (2) call
+    with every array converted.  It then credits through the kernel and
+    allocates a second set of n-sized sums into which the kernel's are
+    placed.  The first pair's summaries are asserted equal bit for bit.
+    15 pairs.  Skipped, with the loader's reason, where the kernels are
+    not live.
+
+    On a 2 vCPU host (2026-10-20) the gate read 0.72-0.75x over three
+    runs (0.70-0.74x over four while a schedule's time block still
+    clipped every interval); on the parent tree, where the subject
+    still selected its givers every slot and the engine placed the
+    sums, the same gate read 1.00-1.07x over five.  The 0.85x budget is
+    1.13x above the largest reading and 0.85 of the least the parent
+    read.
+    """
+    import numpy as np
+
+    from repro import native
+    from repro.core.apportion import rate_bytes
+    from repro.core.fairness import jain_index
+    from repro.sim import StreamingMetrics, fastpath, sparse_population_sim
+    from repro.sim.shard import column_sums
+
+    kernels = fastpath.load()
+    if kernels is None:
+        print(f"sparse run: kernels not live ({native.status()['fastalloc']}); skipped")
+        return 0
+    n, cohorts, slots = 100_000, 64, 64
+
+    def twin():
+        sim = sparse_population_sim(n=n, cohorts=cohorts, givers=16, slots=8192, engine="sparse")
+        sim.run(2 * cohorts, history="none")
+        return sim
+
+    subject_sim, frozen_sim = twin(), twin()
+    k = frozen_sim._shards.kernel
+    storage = [np.empty(0, dtype=np.int64)]
+
+    def gather(cells):
+        starts = k._cells[cells]
+        lens = k._cells[cells + 1] - starts
+        full = np.flatnonzero(lens)
+        assert full.size <= 1  # sim_sparse's givers are one class
+        start = int(starts[full[0]]) if full.size else 0
+        stop = start + (int(lens[full[0]]) if full.size else 0)
+        rows = np.arange(start, stop, dtype=np.int64)
+        return np.add(k._members[start:stop], k.lo, dtype=np.int64), rows
+
+    def frozen_alloc(R):
+        classes = np.flatnonzero(k._cap_row > 0.0) * 3  # three allocator kinds
+        givers = []
+        for kind in (0, 1):  # eq2, eq3
+            act, rows = gather(classes + kind)
+            givers.append((act, rows, k._cap_row[k._class_of[act - k.lo]]))
+        (act2, rows2, caps2), (act3, _, _) = givers
+        cat = np.concatenate([act2, act3, np.asarray([], dtype=np.int64)])
+        order = np.argsort(cat, kind="stable")
+        act = np.ascontiguousarray(cat[order])
+        rowpos = np.empty(cat.size, dtype=np.int64)
+        rowpos[order] = np.arange(cat.size, dtype=np.int64)
+        size = cat.size * R.size
+        if storage[0].size < size:
+            storage[0] = np.empty(size, dtype=np.int64)
+        M = storage[0][:size].reshape(cat.size, R.size)
+        kernels.sparse_rows_eq2(k.store, rows2, rowpos[: act2.size], R, rate_bytes(caps2), M)
+        assert not act3.size  # no Equation (3) givers
+        return act, M
+
+    def frozen_run() -> dict:
+        k.begin_metrics(slots)
+        jain = []
+        for _ in range(slots):
+            t = frozen_sim._t
+            R = k.sample(t)
+            act, M = frozen_alloc(R)
+            rates = column_sums(M)
+            k.credit(t, act, R, M, rates, 1.0, True)
+            jain.append(jain_index(rates) if R.size else 1.0)
+            frozen_sim._t += 1
+        metrics = StreamingMetrics(n, slots)
+        metrics.place(0, k.end_metrics())
+        metrics.jain = jain
+        return metrics.summary()
+
+    def digest(summary) -> bytes:
+        return b"".join(np.asarray(v).tobytes() for v in summary.values())
+
+    assert digest(subject_sim.run(slots, history="none").summary) == digest(frozen_run())
+    return ratio_gate(
+        f"sparse run, giver plan / frozen per-slot selection, {slots} slots, "
+        f"n={n} in {cohorts} cohorts",
+        lambda: subject_sim.run(slots, history="none"), frozen_run, 0.85,
+        "are the givers selected every slot again, the kernels' arguments "
+        "converted per call, or the run's sums copied into a second set?", reps=15,
     )
 
 
@@ -782,7 +902,9 @@ def gate_sparse_rows() -> int:
         n=100_000, cohorts=64, givers=16, slots=8192, engine="sparse"
     )._shards.kernel
     R = kernel.sample(0)
-    (act, rows_act, caps), _ = kernel._givers()
+    plan = kernel._giver_plan()
+    act, rows_act, caps = plan.act2, plan.rows2.array, plan.kbps2
+    caps_bytes = rate_bytes(caps)
     rowpos = np.arange(act.size, dtype=np.int64)
     M = np.empty((act.size, R.size), dtype=np.int64)
     M_float = np.empty(M.shape)
@@ -830,7 +952,7 @@ def gate_sparse_rows() -> int:
         def run() -> float:
             start = time.perf_counter()
             for _ in range(calls):
-                kernel._eq2_block(rows_act, rowpos, R, caps, M)
+                kernel._eq2_block(rows_act, rowpos, R, caps_bytes, M)
             return (time.perf_counter() - start) / calls
         return run
 
@@ -841,7 +963,7 @@ def gate_sparse_rows() -> int:
             for i in rows_act.tolist():
                 kernel.store.add_compact(i, R, rng.integers(1, 1 << 20, R.size))
         want = np.empty_like(M)
-        numpy_eq2_rows(kernel.store, rows_act, rowpos, R, rate_bytes(caps), want)
+        numpy_eq2_rows(kernel.store, rows_act, rowpos, R, caps_bytes, want)
         rows(1)()
         assert M.tobytes() == want.tobytes()
         failures += ratio_gate(
@@ -901,7 +1023,7 @@ def gate_sparse_credit() -> int:
     for t in range(128, 192):
         R = kernel.sample(t)
         act, M = kernel.alloc(t, R)
-        req_row, cap_row, rows = kernel._uncredited.pop(t)
+        req_row, cap_row, rows, _, _ = kernel._uncredited.pop(t)
         slots.append((t, R - kernel.lo, rows, act, M, column_sums(M), (req_row, cap_row)))
     kernel.begin_metrics(1 << 20)
     fold = kernel._metrics
@@ -1313,8 +1435,8 @@ GATES = (
     gate_native_matmul, gate_packed_product, gate_native_elimination, gate_batched,
     gate_credit_fold,
     gate_dense_slot, gate_sparse,
-    gate_sparse_sample, gate_sparse_slot, gate_sparse_rows, gate_sparse_credit,
-    gate_sparse_layout,
+    gate_sparse_sample, gate_sparse_slot, gate_sparse_run, gate_sparse_rows,
+    gate_sparse_credit, gate_sparse_layout,
     gate_recombine, gate_sign,
     gate_modexp, gate_peer_path, gate_arrival, gate_digest, gate_keyed_rows,
 )

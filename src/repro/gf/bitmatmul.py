@@ -173,6 +173,17 @@ def tables(field: TableField | TowerField) -> tuple[np.ndarray, np.ndarray, int]
     return field._logz, field._expz, 0
 
 
+def bound_tables(field: TableField | TowerField) -> tuple[native.Bound, native.Bound, int]:
+    """:func:`tables` with the two tables bound once per field: kept on
+    the table field that owns them, so they live exactly as long."""
+    logz, expz, c = tables(field)
+    base = field.base if isinstance(field, TowerField) else field
+    bound = getattr(base, "_bound_tables", None)
+    if bound is None:
+        bound = base._bound_tables = (native.Bound(logz), native.Bound(expz))
+    return (*bound, c)
+
+
 def _basis_products(field, C: np.ndarray) -> np.ndarray:
     """``(r, n, p)``: ``C_ij * y^b``, whose bits are the generator."""
     basis = (np.uint64(1) << np.arange(field.p, dtype=np.uint64)).astype(C.dtype)
@@ -221,9 +232,10 @@ class GF2Kernel(native.Kernel):
     elimination steps :mod:`repro.gf.linalg` runs over a table field or
     the tower.
 
-    Every entry takes a ``TableField``'s ``_logz`` / ``_expz`` and ``c``
-    (:func:`tables`): 0 for that field itself, or ``TowerField.c`` when
-    the tables are the tower's ``base``."""
+    Every entry takes a ``TableField``'s ``_logz`` / ``_expz`` (as
+    :func:`tables` binds them, or plain) and ``c``: 0 for that field
+    itself, or ``TowerField.c`` when the tables are the tower's
+    ``base``."""
 
     SIGNATURES = {
         "repro_gf2_matmul": (STATUS, [PTR] * 3 + [I64] * 6 + [PTR] * 2 + [I64]),
@@ -267,7 +279,9 @@ class GF2Kernel(native.Kernel):
     @staticmethod
     def _logs(logz: np.ndarray, expz: np.ndarray, c: int) -> int:
         """Int32 logs the C steps keep per element: 1 for the table field
-        of ``logz`` / ``expz``, 3 for the tower of ``c`` over it."""
+        of ``logz`` / ``expz`` (bound or not), 3 for the tower of ``c``
+        over it."""
+        logz, expz = native.array_of(logz), native.array_of(expz)
         order = logz.shape[0] - 1
         if not (
             logz.dtype == np.intp and expz.dtype == np.uint32
@@ -397,7 +411,7 @@ def _compiled_product(kernel: GF2Kernel, field, C: np.ndarray, src: np.ndarray,
     within the table budget."""
     p, n = field.p, C.shape[1]
     rows = max(1, _TABLE_BYTES // (-(-n * p // 8) * p))
-    logz, expz, c = tables(field)
+    logz, expz, c = bound_tables(field)
     C = np.ascontiguousarray(C, dtype=np.uint32)
     for r0 in range(0, C.shape[0], rows):
         kernel.matmul(C[r0 : r0 + rows], src, out[r0 : r0 + rows], logz, expz, c,

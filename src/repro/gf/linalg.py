@@ -149,7 +149,7 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool | np.ndarray:
     else:
         if _OBS.enabled:
             _ELIM_NATIVE.inc()
-        full = kernel.full_rank(S, *_tables(field))
+        full = kernel.full_rank(S, *bitmatmul.bound_tables(field))
     return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
 
 
@@ -240,7 +240,7 @@ def arrival_step(
     kernel = _compiled(field)
     if kernel is None:
         return partial(partial, eliminate_arrival, field)
-    logz, expz, c = _tables(field)
+    logz, expz, c = bitmatmul.bound_tables(field)
 
     def bind(reduced: np.ndarray, pivots: np.ndarray) -> Callable[[int], int]:
         compiled = kernel.arrival_step(logz, expz, reduced, pivots, c)

@@ -44,7 +44,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
 
-__all__ = ["Bound", "Kernel", "address", "load", "status", "struct", "usable_cpus"]
+__all__ = ["Bound", "Kernel", "address", "array_of", "load", "status", "struct", "usable_cpus"]
 
 K = TypeVar("K")
 
@@ -57,18 +57,34 @@ STATUS_ERRORS = {-1: OverflowError, -2: MemoryError, -3: ValueError}
 class Bound:
     """An array that outlives the calls it is passed to, its address taken
     once; ``shape`` and ``size`` are the array's.  The owner binds anew
-    whatever it reallocates."""
+    whatever it reallocates.  ``address``, when given, is the array's own
+    (a view of storage bound before), so binding it converts nothing."""
 
     __slots__ = ("array", "address", "shape", "size")
 
-    def __init__(self, array):
-        self.array, self.address = array, array.ctypes.data
+    def __init__(self, array, address: int | None = None):
+        self.array = array
+        self.address = array.ctypes.data if address is None else address
         self.shape, self.size = array.shape, array.size
+
+    def __reduce__(self):
+        # An address holds for one array in one process: a copy or an
+        # unpickled value binds its own array anew.
+        return Bound, (self.array,)
+
+    def view(self, start: int, stop: int) -> "Bound":
+        """Rows ``[start, stop)`` of the array, bound at their offset."""
+        return Bound(self.array[start:stop], self.address + start * self.array.strides[0])
 
 
 def address(array) -> int:
     """The address of ``array``'s data: bound once, or taken now."""
     return array.address if type(array) is Bound else array.ctypes.data
+
+
+def array_of(array):
+    """The array itself, bound or not (for the Python side of a call)."""
+    return array.array if type(array) is Bound else array
 
 
 def struct(name: str, pointers, ints) -> type[ctypes.Structure]:

@@ -156,7 +156,15 @@ class ScheduleDemand(DemandProcess):
         for a, b in self.intervals:
             if b < a:
                 raise ValueError(f"interval ({a}, {b}) has negative length")
-        bounds = np.array(self.intervals, dtype=np.int64).reshape(-1, 2)
+        # The covered slots as sorted, disjoint runs: the union of the
+        # non-empty intervals, overlapping or touching ones merged.
+        runs: list[list[int]] = []
+        for a, b in sorted(iv for iv in self.intervals if iv[0] < iv[1]):
+            if runs and a <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], b)
+            else:
+                runs.append([a, b])
+        bounds = np.array(runs, dtype=np.int64).reshape(-1, 2)
         self._starts, self._ends = bounds[:, 0], bounds[:, 1]
 
     def sample(self, t: int, rng: np.random.Generator) -> bool:
@@ -165,16 +173,16 @@ class ScheduleDemand(DemandProcess):
     def sample_block(
         self, t0: int, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        # Clip every interval to the window; the ones that miss it come
-        # out empty and count nowhere.  What is left is a +1/-1 edge
-        # count whose running sum is positive exactly on covered slots,
-        # so unsorted and overlapping intervals need no special case.
-        lo = np.clip(self._starts - t0, 0, count)
-        hi = np.clip(self._ends - t0, 0, count)
-        meets = lo < hi
-        edges = np.bincount(lo[meets], minlength=count + 1)
-        edges -= np.bincount(hi[meets], minlength=count + 1)
-        return np.cumsum(edges[:count]) > 0
+        # The runs that meet the window are those ending after t0 and
+        # starting before its end: one contiguous slice of the sorted
+        # runs, typically one or two of them for a window of a time
+        # block, each written as one slice.
+        out = np.zeros(count, dtype=bool)
+        first = int(np.searchsorted(self._ends, t0, side="right"))
+        stop = int(np.searchsorted(self._starts, t0 + count))
+        for a, b in zip(self._starts[first:stop].tolist(), self._ends[first:stop].tolist()):
+            out[max(a - t0, 0) : b - t0] = True
+        return out
 
 
 class DutyCycleDemand(DemandProcess):

@@ -875,29 +875,38 @@ class Simulation:
 
     def _run_streaming(self, slots: int) -> SimulationResult:
         """``history="none"``: O(n) streaming aggregates only.  Each shard
-        kernel folds its own rows' sums as it credits the slot (placed
-        into disjoint slices afterwards — exact, not approximate); only
-        the per-slot Jain record, which needs the global compact rate
-        vector, is appended on this side."""
-        metrics = StreamingMetrics(self.n, slots)
+        kernel folds its own rows' sums as it credits the slot; one
+        kernel spanning the population hands over the run's sums as they
+        are, several are placed into disjoint slices (exact, not
+        approximate).  Only the per-slot Jain record, which needs the
+        global compact rate vector, is appended on this side."""
         compact = self._shards is not None
         if compact:
             self._shards.begin_metrics(slots)
+            jain: list[float] = []
+        else:
+            metrics = StreamingMetrics(self.n, slots)
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
                 if compact:
                     _, R, _, rates_c, _ = self._in_step_span(self._step_compact)
-                    metrics.jain.append(jain_index(rates_c) if R.size else 1.0)
+                    jain.append(jain_index(rates_c) if R.size else 1.0)
                 else:
                     _, R, _, rates_c, req, caps = self._in_step_span(self._step_block)
                     rates = np.zeros(self.n)
                     rates[R] = rates_c
                     metrics.update_dense(s, rates, req, caps)
         if compact:
-            lo = 0
-            for part in self._shards.end_metrics():
-                metrics.place(lo, part)
-                lo += part.n
+            parts = self._shards.end_metrics()
+            if len(parts) == 1:
+                (metrics,) = parts
+            else:
+                metrics = StreamingMetrics(self.n, slots)
+                lo = 0
+                for part in parts:
+                    metrics.place(lo, part)
+                    lo += part.n
+            metrics.jain = jain
         return SimulationResult(
             rates=None,
             requesting=None,

@@ -46,22 +46,22 @@ class StreamingMetrics:
     sum mirrors :func:`~repro.core.fairness.cooperation_gain`, and the
     report's final rate window (``max(1, slots // 10)`` trailing slots)
     is pre-registered at run start.  The sparse engines fold one per
-    shard kernel (:class:`~repro.sim.shard.ClassFold`), which the run
-    merges by :meth:`place`; only the Jain record needs the global rate
-    vector and is appended on the simulation side.
+    shard kernel (:class:`~repro.sim.shard.ClassFold`); a run spanned by
+    one kernel returns that kernel's sums as they are, and several
+    kernels' are merged by :meth:`place`.  Only the Jain record needs
+    the global rate vector and is appended on the simulation side.
     """
 
-    def __init__(self, n: int, slots: int):
+    def __init__(self, n: int, slots: int, blank: tuple[str, ...] = ()):
+        """``blank`` names sums left unzeroed, for a caller that writes
+        them whole before they are read."""
         self.n = int(n)
         self.slots = int(slots)
         self.window_slots = max(1, self.slots // 10)
         self.window_start = self.slots - self.window_slots
-        self.rate_sum = np.zeros(self.n)
-        self.request_count = np.zeros(self.n, dtype=np.int64)
-        self.capacity_sum = np.zeros(self.n)
-        self.isolation_sum = np.zeros(self.n)
-        self.gain_sum = np.zeros(self.n)
-        self.window_rate_sum = np.zeros(self.n)
+        for name in _PEER_SUMS:
+            dtype = np.int64 if name == "request_count" else np.float64
+            setattr(self, name, (np.empty if name in blank else np.zeros)(self.n, dtype))
         self.jain: list[float] = []
 
     def update_dense(

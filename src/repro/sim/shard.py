@@ -16,13 +16,21 @@ runs a slot as three array-in/array-out phases over the *active set*:
    requesters, whole bytes per second): Equation (2)/(3) by the
    apportionment rule, through the native kernels when available.  The
    active givers are the members of the positive-capacity classes,
-   their capacities the class rows';
+   their capacities the class rows': a function of the class capacity
+   row alone, so a **giver plan** (ids, store rows, places in ``M``,
+   capacities in bytes) is built when that row changes and reused while
+   it does not;
 3. :meth:`~ShardKernel.credit` — given the range's column block of
    ``M``, the ledger credit (or its deferral), the allocators' slot-end
    hooks and the metrics fold.
 
 None of the three touches a per-peer vector: a slot costs O(classes +
-|R| + givers x |R|).
+|R| + givers x |R|).  Nor, on ``sim_sparse``'s slots, does it build an
+index array or convert one for the kernels: the member arrays, the
+plan's arrays and ``M``'s storage are bound once (``native.Bound``), a
+one-cell slot's requesters are views of the member arrays at an offset,
+and ``alloc`` / ``credit`` recognise the ``R``, ``act`` and ``M`` they
+handed out and pass them bound.
 
 The ledger store (and the deferred-feedback buffer) keeps its rows in
 member-table order — sampling class, then allocator kind, then id — not
@@ -34,7 +42,10 @@ API, and :meth:`~ShardKernel.materialize` and
 :meth:`~ShardKernel.peer_states` map rows back to ids for inspection.
 ``class_of`` and the ``history="none"`` sums stay in id order: mapping
 the sums to id order at the end of a run would cost more than their
-contiguous fold saves.  The dense request / capacity / declared vectors
+contiguous fold saves.  Those sums are the run's own: each
+``begin_metrics`` arms a :class:`ClassFold` over fresh arrays, and a
+simulation spanned by one kernel returns them as they are.  The dense
+request / capacity / declared vectors
 are built from the class rows only on demand (:meth:`~ShardKernel.vectors`)
 — for dense-island peers, ``Simulation.step()`` and recorded histories.
 
@@ -213,6 +224,62 @@ def _columns(size: int, groups: list[np.ndarray], solo: np.ndarray) -> np.ndarra
     return col
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: kept across slots, and handed to the
+    engine, which must not write it."""
+    array.flags.writeable = False
+    return array
+
+
+def _bound(array: np.ndarray) -> native.Bound:
+    """``array`` made read-only and bound."""
+    return native.Bound(_frozen(array))
+
+
+class _GiverPlan:
+    """The active eq2 / eq3 givers of one class capacity row: the
+    members of its positive-capacity classes, in the shape
+    :meth:`ShardKernel.alloc` passes them to the kernels.
+
+    ``act2`` / ``act3`` are the eq2 / eq3 givers' sorted global ids and
+    ``kbps2`` / ``kbps3`` their capacities (the class row's); ``rows2``
+    are the eq2 givers' store rows, ``act`` both sets merged in id
+    order, ``rowpos2`` / ``rowpos3`` each giver's row of ``M`` (its
+    place in ``act``) and ``caps2`` / ``caps3`` the capacities in whole
+    bytes per second.  Every array is read-only; the ones the kernels
+    read are bound.  ``key`` is the capacity row's bytes.
+    """
+
+    __slots__ = (
+        "key", "act2", "act3", "kbps2", "kbps3", "rows2", "act", "rowpos2",
+        "rowpos3", "caps2", "caps3",
+    )
+
+    def __init__(self, kernel: "ShardKernel", key: bytes):
+        cap_row = kernel._cap_row
+        classes = np.flatnonzero(cap_row > 0.0) * _KINDS
+        (act2, self.rows2, local2), (act3, _, local3) = (
+            kernel._gather(classes + kind) for kind in (_EQ2, _EQ3)
+        )
+        self.key = key
+        self.act2, self.act3 = act2.array, act3.array
+        self.kbps2, self.kbps3 = (
+            _frozen(cap_row[kernel._class_of[local.array]]) for local in (local2, local3)
+        )
+        cat = np.concatenate([self.act2, self.act3])
+        order = np.argsort(cat, kind="stable")
+        rowpos = np.empty(cat.size, dtype=np.int64)
+        rowpos[order] = np.arange(cat.size, dtype=np.int64)
+        self.act = _bound(cat[order])
+        self.rowpos2 = _bound(rowpos[: self.act2.size])
+        self.rowpos3 = _bound(rowpos[self.act2.size :])
+        self.caps2, self.caps3 = _bound(rate_bytes(self.kbps2)), _bound(rate_bytes(self.kbps3))
+
+
+#: The per-peer sums :class:`ClassFold` folds per class and expands whole.
+_CLASS_SUMS = ("request_count", "capacity_sum", "isolation_sum")
+
+
 class ClassFold:
     """One shard's ``history="none"`` sums, folded per sampling class.
 
@@ -220,16 +287,19 @@ class ClassFold:
     a peer's request indicator and capacity, which are equal across a
     sampling class by construction; so they are summed once per class
     per slot, in O(classes), and expanded through ``class_of`` at the
-    end.  Every member of a class receives the sequence of IEEE
-    additions it would have received alone, so the expansion is exact.
-    The rate sums are per peer and touch only the slot's requesters: one
-    pass of the native ``rate_fold`` over ``R`` when ``kernels`` are
-    live (the per-run arrays bound once), else three numpy scatter-adds.
+    end, over per-peer arrays allocated and never zeroed (the expansion
+    writes them whole).  Every member of a class receives the sequence
+    of IEEE additions it would have received alone, so the expansion is
+    exact.  The rate sums are per peer and touch only the slot's
+    requesters: one pass of the native ``rate_fold`` over ``R`` when
+    ``kernels`` are live (the per-run arrays bound once), else three
+    numpy scatter-adds.  Each fold owns fresh arrays: the
+    :class:`StreamingMetrics` it hands over is its run's to keep.
     """
 
     def __init__(self, class_of: np.ndarray, classes: int, slots: int, kernels=None):
         self.class_of = class_of
-        self.sums = sums = StreamingMetrics(class_of.size, slots)
+        self.sums = sums = StreamingMetrics(class_of.size, slots, blank=_CLASS_SUMS)
         self.request_count = np.zeros(classes, dtype=np.int64)
         self.capacity_sum = np.zeros(classes)
         self.isolation_sum = np.zeros(classes)
@@ -248,8 +318,8 @@ class ClassFold:
         req_c: np.ndarray,
         cap_c: np.ndarray,
     ) -> None:
-        """Fold slot ``s``: ``R`` the requesters' rows (sorted, local to
-        the shard), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
+        """Fold slot ``s``: ``R`` the requesters' shard-local ids (sorted;
+        bound or not), ``rates_c`` their rates, ``req_c`` / ``cap_c`` the
         slot's request indicator and capacity per class.  Zero cells
         outside ``R`` are exact no-ops in every rate sum."""
         sums = self.sums
@@ -258,6 +328,7 @@ class ClassFold:
                 *self._bound, R, rates_c, cap_c, s >= sums.window_start
             )
         elif R.size:
+            R = native.array_of(R)
             sums.rate_sum[R] += rates_c
             sums.gain_sum[R] += rates_c - cap_c[self.class_of[R]]
             if s >= sums.window_start:
@@ -269,8 +340,10 @@ class ClassFold:
     def expand(self) -> StreamingMetrics:
         """The per-peer :class:`StreamingMetrics` of the folded slots."""
         sums = self.sums
-        for name in ("request_count", "capacity_sum", "isolation_sum"):
-            getattr(self, name).take(self.class_of, out=getattr(sums, name))
+        for name in _CLASS_SUMS:
+            # class_of is in range, so "clip" clips nothing; it spares
+            # the copy numpy makes of `out` under the default "raise".
+            getattr(self, name).take(self.class_of, out=getattr(sums, name), mode="clip")
         return sums
 
 
@@ -292,7 +365,8 @@ class ShardKernel:
     kind (eq2, eq3, slow), ascending within each group — one CSR table
     whose cells are ``(class, kind)`` pairs.  A slot's requesters are
     the members of its requesting classes and its active givers the
-    eq2 / eq3 members of its positive-capacity classes, so sampling and
+    eq2 / eq3 members of its positive-capacity classes (kept as a giver
+    plan while the class capacity row stays the same), so sampling and
     selection read class rows, never a per-peer vector.  A peer's
     position in the member table is its **row** in the ledger store and
     the deferred-feedback buffer, so a cell's members are one run of
@@ -405,18 +479,25 @@ class ShardKernel:
         )
         # Member table: local ids sorted by cell = class * _KINDS + kind
         # (stable, so ascending within a cell); cell c's members are
-        # _members[_cells[c] : _cells[c + 1]], as int32 local ids.  A
+        # _members[_cells[c] : _cells[c + 1]], as int64 local ids.  A
         # member's position in the table is its row in the ledger store
         # and the feedback buffer, so a cell's members are one run of rows.
         kind = np.full(hi - lo, _SLOW, dtype=np.intp)
         kind[eq2] = _EQ2
         kind[eq3] = _EQ3
         cell = class_of * _KINDS + kind
-        self._members = np.argsort(cell, kind="stable").astype(np.int32)
+        self._members = np.argsort(cell, kind="stable").astype(np.int64, copy=False)
         self._cells = np.zeros(self.classes * _KINDS + 1, dtype=np.intp)
         np.cumsum(
             np.bincount(cell, minlength=self.classes * _KINDS), out=self._cells[1:]
         )
+        # The members' local ids, global ids and rows, read-only and bound
+        # once: a one-cell slot's requesters (and a one-class giver set)
+        # are views of them at an offset, so no slot builds an index array
+        # or converts one.
+        self._local = _bound(self._members)
+        self._ids = self._local if lo == 0 else _bound(self._members + lo)
+        self._rows = _bound(np.arange(hi - lo, dtype=np.int64))
         row_of = self._row_of()
         self.store = SparseLedgers(
             n,
@@ -445,14 +526,20 @@ class ShardKernel:
         #: The per-class request/capacity rows of the slot last sampled
         #: (views into the prefetch tables; the metrics fold reads them).
         self._req_row = self._cap_row = None
-        #: The class rows and requester rows of every slot sampled and
-        #: not yet credited.
-        self._uncredited: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: Every slot sampled and not yet credited: its class rows, its
+        #: requesters' rows and the same rows and local ids as bound.
+        self._uncredited: dict[int, tuple] = {}
+        #: The requesters the last sample returned, as bound.
+        self._sampled: native.Bound | None = None
         #: That slot's dense vectors, once :meth:`vectors` built them.
         self._dense = None
+        #: The giver plan of the last class capacity row alloc met.
+        self._plan: _GiverPlan | None = None
         #: Storage of the slot's compact grant block M (see alloc), grown
         #: to the largest seen; scratch, so stats() does not count it.
-        self._m_store = np.empty(0, dtype=np.int64)
+        self._m_store = native.Bound(np.empty(0, dtype=np.int64))
+        #: What the last alloc returned, ``(act, M)``, as bound.
+        self._granted: tuple[native.Bound, native.Bound] | None = None
         #: The native scatter's per-requester verdicts (a slot's
         #: requesters are rows of this range), bound once.
         self._ok = native.Bound(np.empty(hi - lo, dtype=np.uint8))
@@ -503,49 +590,53 @@ class ShardKernel:
         self._req_row, self._cap_row = req_row, cap_row
         self._dense = None
         classes = np.flatnonzero(req_row)
-        R, rows = self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
-        self._uncredited[t] = req_row, cap_row, rows
-        return R
+        R, rows, local = self._gather((classes[:, None] * _KINDS + np.arange(_KINDS)).ravel())
+        self._uncredited[t] = req_row, cap_row, rows.array, rows, local
+        self._sampled = R
+        return R.array
 
-    def _gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The members of ``cells`` (ascending cell ids): their sorted
-        global ids and their rows in the same order.  One nonempty cell
-        is one run of rows; several are gathered and put in id order by
-        one sort."""
+    def _gather(self, cells: np.ndarray) -> tuple[native.Bound, native.Bound, native.Bound]:
+        """The members of ``cells`` (ascending cell ids), bound: their
+        sorted global ids, their rows and their local ids in the same
+        order.  One nonempty cell is one run of rows, views of the bound
+        member arrays; several are gathered and put in id order by one
+        sort, and bound here."""
         starts = self._cells[cells]
         lens = self._cells[cells + 1] - starts
         full = np.flatnonzero(lens)
         if full.size <= 1:
             start = int(starts[full[0]]) if full.size else 0
             stop = start + (int(lens[full[0]]) if full.size else 0)
-            rows = np.arange(start, stop, dtype=np.int64)
-            ids = self._members[start:stop]
-        else:
-            starts, lens = starts[full], lens[full]
-            ends = np.cumsum(lens)
-            rows = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-            ids = self._members[rows]
-            order = ids.argsort(kind="stable")
-            ids, rows = ids[order], rows[order]
-        return np.add(ids, self.lo, dtype=np.int64), rows
+            return (
+                self._ids.view(start, stop),
+                self._rows.view(start, stop),
+                self._local.view(start, stop),
+            )
+        starts, lens = starts[full], lens[full]
+        ends = np.cumsum(lens)
+        rows = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+        local = self._members[rows]
+        order = local.argsort(kind="stable")
+        local, rows = _bound(local[order]), _bound(rows[order])
+        return _bound(local.array + self.lo) if self.lo else local, rows, local
 
-    def _givers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``[(act2, rows2, caps2), (act3, rows3, caps3)]`` of the slot
-        last sampled: the eq2 and eq3 members of its positive-capacity
-        classes (sorted global ids), their rows and their capacities,
-        read from the class row."""
-        classes = np.flatnonzero(self._cap_row > 0.0) * _KINDS
-        out = []
-        for kind in (_EQ2, _EQ3):
-            act, rows = self._gather(classes + kind)
-            out.append((act, rows, self._cap_row[self._class_of[act - self.lo]]))
-        return out
+    def _giver_plan(self) -> _GiverPlan:
+        """The giver plan of the slot last sampled.  The active givers
+        and their capacities are a function of the class capacity row
+        alone, so the plan last built serves while the row is the one it
+        was built from: one comparison of ``classes`` entries a slot."""
+        key = self._cap_row.tobytes()
+        if self._plan is None or self._plan.key != key:
+            self._plan = _GiverPlan(self, key)
+        return self._plan
 
     def active_givers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``((act2, caps2), (act3, caps3))`` of the slot last sampled:
         the eq2 and eq3 members of its positive-capacity classes (sorted
-        global ids) and their capacities, read from the class row."""
-        return tuple((act, caps) for act, _, caps in self._givers())
+        global ids) and their capacities, read from the class row (the
+        giver plan's arrays, read-only)."""
+        plan = self._giver_plan()
+        return (plan.act2, plan.kbps2), (plan.act3, plan.kbps3)
 
     def declared_of(self, R: np.ndarray) -> np.ndarray:
         """Declared capacities of the slot last sampled at global ids
@@ -598,13 +689,17 @@ class ShardKernel:
         per second, from ``act[r]`` to ``R[a]`` — the nonzero block of
         the dense grant matrix's rows ``[lo, hi)``.  ``M`` is valid
         until the next call, which reuses its storage.
+
+        The eq2 / eq3 givers come from the giver plan (built when the
+        class capacity row changes); dense-island givers allocate every
+        slot and are merged into the plan's order.  ``R`` as
+        :meth:`sample` returned it, and the plan's arrays, cross to the
+        kernels bound.
         """
         A = R.size
         empty = np.empty(0, dtype=np.int64)
-        if A:
-            (act2, rows2, caps2), (act3, _, caps3) = self._givers()
-        else:
-            act2 = act3 = empty
+        sampled = self._sampled
+        Rb = sampled if sampled is not None and R is sampled.array else R
         # Slow rows run the untouched per-peer path every slot (their
         # allocators may be stateful), compacted onto the active set.
         slow_pairs: list[tuple[int, np.ndarray]] = []
@@ -623,59 +718,73 @@ class ShardKernel:
                 row = feasible_grants(rate_bytes([cap]), proposal[R][None])[0]
                 if row.any():
                     slow_pairs.append((i, row))
-        nact = act2.size + act3.size + len(slow_pairs)
-        if not (A and nact):
+        if not A:
+            return empty, np.empty((0, 0), dtype=np.int64)
+        plan = self._giver_plan()
+        act, rowpos2, rowpos3 = plan.act, plan.rowpos2, plan.rowpos3
+        nact = act.size + len(slow_pairs)
+        if not nact:
             return empty, np.empty((0, A), dtype=np.int64)
-        slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
-        cat = np.concatenate([act2, act3, slow_act])
-        order = np.argsort(cat, kind="stable")
-        act = np.ascontiguousarray(cat[order])
-        # Output row position of each source row: M is kept sorted by
-        # giver, as the dense matrix's rows are.
-        rowpos = np.empty(nact, dtype=np.int64)
-        rowpos[order] = np.arange(nact, dtype=np.int64)
         # M lives in storage kept across slots: at n = 10^5 (16 givers x
         # ~1562 requesters) it is ~195 KiB, past glibc's initial 128 KiB
         # mmap threshold, so a fresh np.empty was mapped and faulted in
         # anew each slot.  Valid until the next alloc: step(), the
         # streaming run and the procs reply copy or reduce it in the slot.
         if self._m_store.size < nact * A:
-            self._m_store = np.empty(nact * A, dtype=np.int64)
-        M = self._m_store[: nact * A].reshape(nact, A)
-        self._eq2_block(rows2, rowpos[: act2.size], R, caps2, M)
-        n23 = act2.size + act3.size
-        if act3.size:
+            self._m_store = native.Bound(np.empty(nact * A, dtype=np.int64))
+        M = native.Bound(
+            self._m_store.array[: nact * A].reshape(nact, A), self._m_store.address
+        )
+        if slow_pairs:
+            # M is kept sorted by giver, as the dense matrix's rows are:
+            # each plan row moves down past the slow givers before it.
+            slow_act = np.asarray([i for i, _ in slow_pairs], dtype=np.int64)
+            pos = np.searchsorted(slow_act, act.array) + np.arange(act.size)
+            slow_pos = np.searchsorted(act.array, slow_act) + np.arange(slow_act.size)
+            merged = np.empty(nact, dtype=np.int64)
+            merged[pos] = act.array
+            merged[slow_pos] = slow_act
+            act = native.Bound(merged)
+            rowpos2, rowpos3 = pos[rowpos2.array], pos[rowpos3.array]
+            for (_, row), p in zip(slow_pairs, slow_pos.tolist()):
+                M.array[p] = row
+        self._eq2_block(plan.rows2, rowpos2, Rb, plan.caps2, M)
+        if plan.act3.size:
             if declared_R is None:
                 declared_R = self.declared_of(R)
-            self._eq3_block(rowpos[act2.size : n23], declared_R, caps3, M)
-        for (_, row), p in zip(slow_pairs, rowpos[n23:]):
-            M[p] = row
-        return act, M
+            self._eq3_block(rowpos3, declared_R, plan.caps3, M)
+        self._granted = act, M
+        return act.array, M.array
 
     def _eq2_block(self, rows, rowpos, R, caps, M) -> None:
         """Equation (2) grants of the active eq2 givers at store
-        ``rows`` (capacities ``caps``, kbps) over the global ids ``R``
-        into ``M[rowpos[r]]``."""
+        ``rows`` (capacities ``caps``, whole bytes per second) over the
+        global ids ``R`` into ``M[rowpos[r]]``; any argument may come
+        bound."""
         if not rows.size:
             return
-        copied, caps = 0, rate_bytes(caps)
+        copied = 0
         if self.native:
             copied = self._kernels.sparse_rows_eq2(self.store, rows, rowpos, R, caps, M)
         else:
-            numpy_eq2_rows(self.store, rows, rowpos, R, caps, M)
+            numpy_eq2_rows(self.store, *map(native.array_of, (rows, rowpos, R, caps, M)))
         if _OBS.enabled:
             _EQ2_ROWS.inc(rows.size)
             _EQ2_ROWS_COPIED.inc(copied)
 
-    def _eq3_block(self, rowpos, wR, caps, M) -> None:
-        """Equation (3) grants of the active eq3 givers: every row
-        apportions over one shared weight vector, the declared
-        capacities ``wR`` at ``R`` in bytes per second."""
-        wR, caps = rate_bytes(wR), rate_bytes(caps)
+    def _eq3_block(self, rowpos, declared_R, caps, M) -> None:
+        """Equation (3) grants of the active eq3 givers (capacities
+        ``caps``, whole bytes per second): every row apportions over one
+        shared weight vector, the declared capacities ``declared_R``
+        (kbps) at ``R``."""
+        wR = rate_bytes(declared_R)
         if self.native:
             self._kernels.rows_shared(rowpos, wR, caps, M)
         else:
-            M[rowpos] = apportion(caps, np.broadcast_to(wR, (caps.size, wR.size)))
+            caps = native.array_of(caps)
+            M.array[native.array_of(rowpos)] = apportion(
+                caps, np.broadcast_to(wR, (caps.size, wR.size))
+            )
 
     # -- phase 3: credit -----------------------------------------------
 
@@ -697,12 +806,17 @@ class ShardKernel:
         ``givers[r]``; ``amounts`` is this range's column block of the
         slot's ``M`` and ``rates`` the same columns of its
         :func:`column_sums`.  With deferred feedback the credit buffers
-        until a ``flush`` slot.
+        until a ``flush`` slot.  ``givers`` and ``amounts`` as the last
+        :meth:`alloc` returned them cross to the kernels bound.
         """
         store = self.store
-        req_row, cap_row, rows = self._uncredited.pop(t)
+        req_row, cap_row, _, rows, local = self._uncredited.pop(t)
         if takers.size != rows.size:
             raise ValueError(f"slot {t} sampled {rows.size} requesters here, got {takers.size}")
+        if self._granted is not None:
+            act, M = self._granted
+            givers = act if givers is act.array else givers
+            amounts = M if amounts is M.array else amounts
         if self._buffer is None:
             store.advance_epoch()
             self._scatter(store, givers, rows, amounts, weight)
@@ -715,7 +829,7 @@ class ShardKernel:
         for hook in self._slot_end_hooks:
             hook(t)
         if self._metrics is not None:
-            self._metrics.fold(self._metrics_slot, takers - self.lo, rates, req_row, cap_row)
+            self._metrics.fold(self._metrics_slot, local, rates, req_row, cap_row)
             self._metrics_slot += 1
 
     def _scatter(
@@ -728,7 +842,8 @@ class ShardKernel:
     ) -> None:
         """Fused feedback credit: ``store`` row ``rows[a]`` +=
         ``slot_credit(M[:, a], weight)`` — the ledger store itself, or
-        the deferred-feedback buffer.
+        the deferred-feedback buffer.  ``act``, ``rows`` and ``M`` may
+        come bound.
 
         The native kernel handles receivers whose entry rows already
         contain every active giver (the steady state); cold receivers
@@ -746,6 +861,7 @@ class ShardKernel:
             miss = np.arange(rows.size)
         if not miss.size:
             return
+        act, rows, M = map(native.array_of, (act, rows, M))
         P = slot_credit(M[:, miss].T, weight)
         rows = rows[miss]
         cold = store.nnz[rows] == 0
@@ -788,7 +904,8 @@ class ShardKernel:
 
     def stats(self) -> dict:
         """Bounds, resident bytes (ledger store, ``class_of``, the member
-        table and the prefetch tables) and ledger entry accounting."""
+        table with its rows and global ids, and the prefetch tables) and
+        ledger entry accounting."""
         return {
             "lo": self.lo,
             "hi": self.hi,
@@ -796,6 +913,8 @@ class ShardKernel:
                 self.store.nbytes
                 + self._class_of.nbytes
                 + self._members.nbytes
+                + self._rows.array.nbytes
+                + (self._ids.array.nbytes if self.lo else 0)
                 + self._cells.nbytes
                 + self._req_block.nbytes
                 + self._cap_block.nbytes

@@ -109,6 +109,30 @@ class TestGating:
         with pytest.raises(ValueError):  # a coefficient outside GF(2^8)
             kernel.matmul(C + 256, src, out, *tables, w=8)
 
+    @needs_native
+    def test_field_tables_are_bound_once_per_field(self, monkeypatch):
+        """``bound_tables`` binds a table field's ``_logz`` / ``_expz`` on
+        first use and hands the same two values out after (the tower's
+        are its base's), so a product or a screening call converts only
+        its own arrays: three, not five."""
+        for field in (GF(8), GF(16), GF(32)):
+            logz, expz, c = bitmatmul.bound_tables(field)
+            assert bitmatmul.bound_tables(field)[:2] == (logz, expz)
+            assert [t.array for t in (logz, expz)] == list(bitmatmul.tables(field)[:2])
+            assert c == bitmatmul.tables(field)[2]
+        assert bitmatmul.bound_tables(GF(32))[0] is GF(32).base._bound_tables[0]
+        converted = []
+        monkeypatch.setattr(bitmatmul, "address", lambda a: converted.append(a) or native.address(a))
+        field = GF(8)
+        C = field.random((4, 4), np.random.default_rng(5))
+        bitmatmul.record_matmul(field, C, np.zeros((4, 64), dtype=np.uint8))
+        assert sum(type(a) is not native.Bound for a in converted) == 3
+        converted.clear()
+        from repro.gf.linalg import is_invertible
+
+        is_invertible(field, C[None])
+        assert sum(type(a) is not native.Bound for a in converted) == 3
+
 
 class TestCounters:
     """``repro.gf.matmul.native`` says which backend served a product."""

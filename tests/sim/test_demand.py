@@ -83,6 +83,8 @@ class TestSchedule:
     @example(intervals=[(10, 20)], t0=5, count=30)
     @example(intervals=[(10, 20), (20, 25)], t0=19, count=2)
     @example(intervals=[], t0=0, count=3)
+    # a cohort's schedule: one slot in 64, a window meeting two of them
+    @example(intervals=[(t, t + 1) for t in range(3, 300, 64)], t0=60, count=74)
     def test_sample_block_matches_per_slot(self, intervals, t0, count):
         d = ScheduleDemand(intervals)
         block = d.sample_block(t0, count, None)

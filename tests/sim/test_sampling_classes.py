@@ -157,7 +157,10 @@ def test_prefetch_tables_do_not_grow_with_n():
         sim = sparse_population_sim(n=n, cohorts=64, givers=16, slots=256, engine="sparse")
         kernel = sim._shards.kernel
         (stats,) = sim.shard_stats()
-        index = kernel._class_of.nbytes + kernel._members.nbytes + kernel._cells.nbytes
+        index = (
+            kernel._class_of.nbytes + kernel._members.nbytes
+            + kernel._rows.array.nbytes + kernel._cells.nbytes
+        )
         prefetch = stats["memory_bytes"] - kernel.store.nbytes - index
         assert kernel.classes == 65
         assert kernel._req_block.shape == (kernel._block, 65)

@@ -159,3 +159,24 @@ def test_the_sanitizer_check_loads_every_kernel():
         for module in tool.KERNELS:
             module.load()
         assert set(native.status()) == sources
+
+
+def test_a_bound_view_is_bound_at_its_offset():
+    """``Bound.view`` gives a slice its own address without converting
+    it; copies and pickles bind their own array anew, never an address
+    taken for another."""
+    import copy
+    import pickle
+
+    import numpy as np
+
+    bound = native.Bound(np.arange(10, dtype=np.int64))
+    view = bound.view(3, 7)
+    assert view.array.tolist() == [3, 4, 5, 6]
+    assert view.address == view.array.ctypes.data == bound.address + 24
+    assert (view.shape, view.size) == ((4,), 4)
+    assert native.address(view) == view.address and native.array_of(view) is view.array
+    for clone in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert clone.array.tolist() == [3, 4, 5, 6]
+        assert clone.address == clone.array.ctypes.data
+    assert copy.deepcopy(view).address != view.address
