@@ -1350,14 +1350,22 @@ def gate_arrival() -> int:
 
 def gate_digest() -> int:
     """``DigestStore.record_many`` on the compiled MD5 kernel / a ``record``
-    loop on hashlib, over the same batch.
+    loop on hashlib, over the same batch; then ``verify_many`` / a
+    ``verify`` loop the same way.
 
-    The batch is handed over as the owner holds it, one frozen
+    The owner's batch is handed over as the owner holds it, one frozen
     ``(count, size)`` block.  At 64 x 128 KiB, ``publish_bulk``'s batch,
     a 16-lane build (AVX-512) reads ~0.13x, an 8-lane one (AVX) ~0.27x
     and a 4-lane one ~0.42x; at 512 x 4 KiB, ``publish_rows``' batch,
-    ~0.15x, ~0.27x and ~0.39x.  A batch back on hashlib reads ~1.0x.
-    Skipped, with the loader's reason, where the kernel is not live.
+    ~0.15x, ~0.27x and ~0.39x.  The user's batch is a decoder's rows at
+    rank ``k``, a slice of its records: at 8 x 128 KiB (``fetch_bulk``)
+    ~0.19x, ~0.24x and ~0.42x; at 64 x 4 KiB (``fetch_rows``) ~0.14x,
+    ~0.26x and ~0.42x.  A batch back on hashlib reads ~1.0x.  A lone row
+    (a dependent arrival, a settle before a repair check) stays on
+    hashlib: eight one-row ``verify_many`` calls at 128 KiB / eight
+    ``verify`` calls read ~1.03x, and ~1.45x with the row on one lane of
+    the kernel.  Skipped, with the loader's reason, where the kernel is
+    not live.
     """
     import numpy as np
 
@@ -1385,6 +1393,39 @@ def gate_digest() -> int:
         failures += ratio_gate(
             name, batched, looped, budget, "is the batch back on hashlib?", reps=15,
         )
+    for count, size, budget in ((8, 128 << 10, 0.6), (64, 4 << 10, 0.6)):
+        name = f"verify_many / verify loop, {count} x {size >> 10} KiB"
+        records = np.frombuffer(os.urandom((count + 1) * size), np.uint8)
+        records = records.copy().reshape(count + 1, size)  # + the decoder's work row
+        ids = range(count)
+        store = DigestStore()
+        store.record_many(1, ids, records[:count])
+
+        def batched():
+            return store.verify_many(1, ids, records[:count])
+
+        def looped():
+            return [store.verify(1, mid, payload) for mid, payload in zip(ids, records)]
+
+        assert batched() == looped() == [True] * count
+        failures += ratio_gate(
+            name, batched, looped, budget, "is the decoder's batch back on hashlib?", reps=15,
+        )
+    rows = np.frombuffer(os.urandom(8 << 17), np.uint8).reshape(8, 128 << 10)
+    store = DigestStore()
+    store.record_many(1, range(8), rows)
+
+    def lone():
+        return [store.verify_many(1, [i], rows[i : i + 1]) for i in range(8)]
+
+    def single():
+        return [[store.verify(1, i, rows[i])] for i in range(8)]
+
+    assert lone() == single() == [[True]] * 8
+    failures += ratio_gate(
+        "verify_many / verify, 8 lone rows of 128 KiB", lone, single, 1.25,
+        "is a batch of one on the kernel's single lane?", reps=15,
+    )
     return failures
 
 

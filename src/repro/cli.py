@@ -356,11 +356,12 @@ def _repair_chunk(coordinator, chunk_id, stores, target, digest_store, count):
             continue
         messages = store.messages(chunk_id)
         if digest_store is not None:
-            messages = [
-                m
-                for m in messages
-                if digest_store.verify(chunk_id, m.message_id, m.payload_bytes())
-            ]
+            verdicts = digest_store.verify_many(
+                chunk_id,
+                [m.message_id for m in messages],
+                [m.payload_bytes() for m in messages],
+            )
+            messages = [m for m, ok in zip(messages, verdicts) if ok]
         if messages:
             supplies[pi] = messages
     live = sum(map(len, supplies.values()))
@@ -413,6 +414,10 @@ def _decode(args: argparse.Namespace) -> int:
             offered += 1
             if outcome.name == "REJECTED":
                 rejected += 1
+    # Rows reported accepted and dropped later, when their digests were
+    # checked, count as rejected.
+    decoder.settle()
+    rejected += decoder.revoked
 
     if not decoder.is_complete:
         missing = [

@@ -7,6 +7,7 @@ one place to read the vocabulary and lets tests assert exhaustively.
 | event               | emitted by                       | fields |
 |---------------------|----------------------------------|--------|
 | ``rlnc.offer``      | ``ProgressiveDecoder.offer``     | ``file_id``, ``message_id``, ``outcome``, ``rank`` |
+| ``rlnc.revoke``     | ``ProgressiveDecoder`` (per row dropped at authentication) | ``file_id``, ``message_id``, ``rank`` |
 | ``transfer.start``  | ``ParallelDownloader.run``       | ``peers``, ``file_id`` |
 | ``transfer.message``| ``ParallelDownloader`` (per msg) | ``slot``, ``peer``, ``outcome`` |
 | ``transfer.complete``| ``ParallelDownloader``          | ``slot``, ``delivered``, ``dependent``, ``rejected`` |
@@ -37,6 +38,7 @@ from __future__ import annotations
 __all__ = [
     "EVENT_FIELDS",
     "RLNC_OFFER",
+    "RLNC_REVOKE",
     "TRANSFER_START",
     "TRANSFER_MESSAGE",
     "TRANSFER_COMPLETE",
@@ -58,6 +60,7 @@ __all__ = [
 ]
 
 RLNC_OFFER = "rlnc.offer"
+RLNC_REVOKE = "rlnc.revoke"
 TRANSFER_START = "transfer.start"
 TRANSFER_MESSAGE = "transfer.message"
 TRANSFER_COMPLETE = "transfer.complete"
@@ -86,6 +89,7 @@ SPAN_OPS = (
     "rlnc.offer_many",
     "rlnc.encode",
     "security.digest",
+    "security.verify",
     "sim.run",
     "sim.step",
     "repair.run",
@@ -95,6 +99,7 @@ SPAN_OPS = (
 #: Every event name the stack can emit, for exhaustive assertions.
 ALL_EVENTS = (
     RLNC_OFFER,
+    RLNC_REVOKE,
     TRANSFER_START,
     TRANSFER_MESSAGE,
     TRANSFER_COMPLETE,
@@ -121,6 +126,7 @@ ALL_EVENTS = (
 #: dict from the AST without importing the module.
 EVENT_FIELDS = {
     "rlnc.offer": ("file_id", "message_id", "outcome", "rank"),
+    "rlnc.revoke": ("file_id", "message_id", "rank"),
     "transfer.start": ("peers", "file_id"),
     "transfer.message": ("slot", "peer", "outcome"),
     "transfer.complete": ("slot", "delivered", "dependent", "rejected"),

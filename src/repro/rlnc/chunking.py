@@ -395,6 +395,17 @@ class StreamingDecoder:
     def needed_for_chunk(self, index: int) -> int:
         return self._decoders[self.manifest.chunk_ids[index]].needed
 
+    @property
+    def revoked(self) -> int:
+        """Rows reported accepted and dropped later at authentication,
+        over every chunk (``ProgressiveDecoder.revoked``)."""
+        return sum(d.revoked for d in self._decoders.values())
+
+    def settle(self) -> int:
+        """Authenticate every chunk's pending rows; returns how many were
+        revoked."""
+        return sum(d.settle() for d in self._decoders.values())
+
     def chunk(self, index: int) -> "_ChunkDecoder":
         """Chunk ``index`` as a decoder of its own (a download target)."""
         return _ChunkDecoder(self, self._decoders[self.manifest.chunk_ids[index]])
@@ -420,6 +431,13 @@ class _ChunkDecoder:
     def needed(self) -> int:
         """Useful messages still missing — read by the repair trigger."""
         return self._decoder.needed
+
+    @property
+    def revoked(self) -> int:
+        return self._decoder.revoked
+
+    def settle(self) -> int:
+        return self._decoder.settle()
 
     def offer(self, message: EncodedMessage) -> Offer:
         return self._streaming.offer(message)

@@ -15,9 +15,12 @@ At the paper's point the owner hashes 8 MiB per 1 MB chunk published to
 eight peers.  :meth:`DigestStore.record_many` hands an MD5 batch in one
 call to ``_md5.c``, a multi-buffer kernel running RFC 1321 on one message
 per vector lane; the digests, and their stored order, are a
-:meth:`DigestStore.record` loop's.  hashlib hashes where the kernel is
-not live (:mod:`repro.native`), for SHA-256, in ``record`` and ``verify``
-(a one-lane call buys nothing), and as :func:`_self_check`'s oracle.
+:meth:`DigestStore.record` loop's.  The user checks a batch the same way:
+:meth:`DigestStore.verify_many`, one call for the rows a decoder holds
+when they complete the rank.  hashlib hashes where the kernel is not live
+(:mod:`repro.native`), for SHA-256, a lone message (``record``,
+``verify`` and a batch of one: one lane is slower than hashlib), and as
+:func:`_self_check`'s oracle.
 """
 
 from __future__ import annotations
@@ -98,6 +101,21 @@ def load() -> _MD5Kernel | None:
     return native.load("md5", _SOURCE, _MD5Kernel, _self_check)
 
 
+def _batch(message_ids, payloads) -> tuple[list, object, bool]:
+    """A batch's ids as a list, its payloads as given when they are one
+    C-contiguous 2-D block (the flag returned) and as a list otherwise;
+    mismatched lengths raise ``ValueError``."""
+    message_ids = list(message_ids)
+    block = (
+        isinstance(payloads, np.ndarray) and payloads.ndim == 2 and payloads.flags.c_contiguous
+    )
+    if not block:
+        payloads = list(payloads)
+    if len(message_ids) != len(payloads):
+        raise ValueError(f"{len(message_ids)} message ids for {len(payloads)} payloads")
+    return message_ids, payloads, block
+
+
 class IntegrityError(Exception):
     """Raised when a message fails digest verification in strict mode."""
 
@@ -107,8 +125,10 @@ class DigestStore:
     """Owner-side table of message digests, keyed by (file id, message id).
 
     The owner populates it at encode time; a downloader carries (or
-    fetches) the relevant slice and calls :meth:`verify` on every
-    received message before feeding it to the decoder.
+    fetches) the relevant slice and checks every received message
+    before its row is used: :meth:`verify` one at a time, or
+    :meth:`verify_many` for the rows a decoder holds when they complete
+    the rank.
     """
 
     algorithm: str = "md5"
@@ -123,6 +143,29 @@ class DigestStore:
 
     def _digest(self, payload: bytes) -> bytes:
         return hashlib.new(self.algorithm, payload).digest()
+
+    def _digest_many(self, op: str, payloads, block: bool) -> list[bytes]:
+        """The digest of each payload, under one ``op`` span: an MD5 batch
+        of two or more in one kernel call where the kernel is live,
+        hashlib otherwise (the span's ``backend`` says which).  A lone
+        message is cheaper on hashlib: 9 us against 24 us at 4 KiB and
+        250 us against 365 us at 128 KiB on a 16-lane avx512 host, where
+        two 128 KiB messages take the kernel 350 us."""
+        kernel = load() if self.algorithm == "md5" and len(payloads) > 1 else None
+        span = None
+        if _TRACER.enabled:
+            span = _spans.start_span(
+                op,
+                messages=len(payloads),
+                bytes=sum(memoryview(payload).nbytes for payload in payloads),
+                backend="hashlib" if kernel is None else "native",
+            )
+        try:
+            if kernel is None:
+                return [self._digest(payload) for payload in payloads]
+            return kernel.digests(payloads, block)
+        finally:
+            _spans.finish_span(span)
 
     def record(self, file_id: int, message_id: int, payload: bytes) -> bytes:
         """Store and return the digest for a freshly encoded message."""
@@ -144,33 +187,16 @@ class DigestStore:
         ``security.digest`` span says which.  Mismatched lengths raise
         ``ValueError`` and store nothing.
         """
-        message_ids = list(message_ids)
-        block = (
-            isinstance(payloads, np.ndarray) and payloads.ndim == 2 and payloads.flags.c_contiguous
-        )
-        if not block:
-            payloads = list(payloads)
-        if len(message_ids) != len(payloads):
-            raise ValueError(
-                f"{len(message_ids)} message ids for {len(payloads)} payloads"
-            )
-        kernel = load() if self.algorithm == "md5" else None
-        digest_span = None
-        if _TRACER.enabled:
-            digest_span = _spans.start_span(
-                "security.digest",
-                messages=len(payloads),
-                bytes=sum(memoryview(payload).nbytes for payload in payloads),
-                backend="hashlib" if kernel is None else "native",
-            )
-        if kernel is None:
-            digests = [self._digest(payload) for payload in payloads]
-        else:
-            digests = kernel.digests(payloads, block)
+        message_ids, payloads, block = _batch(message_ids, payloads)
+        digests = self._digest_many("security.digest", payloads, block)
         for message_id, digest in zip(message_ids, digests):
             self._digests[(file_id, message_id)] = digest
-        _spans.finish_span(digest_span)
         return digests
+
+    def holds(self, file_id: int, message_id: int) -> bool:
+        """Whether a digest is recorded for the pair: a message without
+        one can never verify."""
+        return (file_id, message_id) in self._digests
 
     def verify(self, file_id: int, message_id: int, payload: bytes) -> bool:
         """``True`` iff the payload matches the recorded digest.
@@ -191,6 +217,23 @@ class DigestStore:
         return expected is not None and hmac.compare_digest(
             self._digest(payload), expected
         )
+
+    def verify_many(self, file_id: int, message_ids, payloads) -> list[bool]:
+        """:meth:`verify` of each ``(message_id, payload)`` pair, hashed as
+        :meth:`record_many` hashes: ``payloads`` is a sequence of
+        bytes-like objects or one C-contiguous 2-D array (a decoder's
+        rows, read in place), an MD5 batch is one kernel call where the
+        kernel is live, and the batch is one ``security.verify`` span.
+        Every payload is hashed once, unknown ids included (they verify
+        as ``False``); mismatched lengths raise ``ValueError``.
+        """
+        message_ids, payloads, block = _batch(message_ids, payloads)
+        digests = self._digest_many("security.verify", payloads, block)
+        verdicts = []
+        for message_id, digest in zip(message_ids, digests):
+            expected = self._digests.get((file_id, message_id))
+            verdicts.append(expected is not None and hmac.compare_digest(digest, expected))
+        return verdicts
 
     def require(self, file_id: int, message_id: int, payload: bytes) -> None:
         if not self.verify(file_id, message_id, payload):

@@ -479,6 +479,7 @@ class ParallelDownloader:
         self._per_peer = [0.0] * n
         self._bytes = self._wasted = 0.0
         self._delivered = self._dependent = self._rejected = 0
+        self._revoked = getattr(self.decoder, "revoked", 0)
         self._slots = 0
         self._first_data_slot: int | None = None
         self._complete_slot: int | None = None
@@ -571,7 +572,10 @@ class ParallelDownloader:
         return not self._done
 
     def finish(self, status: str = "ok") -> DownloadReport:
-        """Close the per-peer spans (failure kind, else ``status``); report."""
+        """Settle the decoder's pending rows if the decode is incomplete,
+        close the per-peer spans (failure kind, else ``status``); report."""
+        if not self.decoder.is_complete:
+            self._settle()
         failures = self._robust.failures() if self._robust is not None else ()
         if self._peer_spans is not None:
             kind_of = {f.peer: f.kind for f in failures}
@@ -610,17 +614,37 @@ class ParallelDownloader:
             outcomes = self.decoder.offer_many([entry[2] for entry in arrivals])
             for (_, peer, _), outcome in zip(arrivals, outcomes):
                 self._tally(peer, outcome, t)
-            return len(outcomes)
-        # Per message: each verification outcome feeds a quarantine
-        # decision and its events interleave with the offers in order.
-        consumed = 0
-        for _, peer, message in arrivals:
-            if self.decoder.is_complete:
-                break
-            consumed += 1
-            if self._robust.verify(peer, message, t):  # else discarded unseen
-                self._tally(peer, self.decoder.offer(message), t)
+            consumed = len(outcomes)
+        else:
+            # Per message: each verification outcome feeds a quarantine
+            # decision and its events interleave with the offers in order.
+            consumed = 0
+            for _, peer, message in arrivals:
+                if self.decoder.is_complete:
+                    break
+                consumed += 1
+                if self._robust.verify(peer, message, t):  # else discarded unseen
+                    self._tally(peer, self.decoder.offer(message), t)
+        self._reconcile()
         return consumed
+
+    def _reconcile(self) -> None:
+        """Move the rows the decoder revoked since the last call (reported
+        accepted, dropped when their digests were checked; a decoder that
+        checks every row before use revokes none) from delivered to
+        rejected, so the report counts each message by its final outcome."""
+        revoked = getattr(self.decoder, "revoked", 0)
+        moved, self._revoked = revoked - self._revoked, revoked
+        self._delivered -= moved
+        self._rejected += moved
+
+    def _settle(self) -> None:
+        """Have the decoder authenticate its pending rows now (a decoder
+        without ``settle`` checks every row before use) and reconcile."""
+        settle = getattr(self.decoder, "settle", None)
+        if settle is not None:
+            settle()
+            self._reconcile()
 
     def _tally(self, peer: int, outcome, t: int) -> None:
         name = getattr(outcome, "name", str(outcome))
@@ -657,9 +681,13 @@ class ParallelDownloader:
         ``supply`` counts messages in flight plus those undelivered at
         live sessions; duplicates and dependent rows make it optimistic,
         the right bias — repair is a fallback, not a first resort.
+        The decoder's pending rows are authenticated first: a forged one
+        still pending would count against ``needed``, and the trigger
+        fires only once.
         """
         if self.repair is None or self.decoder.is_complete:
             return
+        self._settle()
         needed = getattr(self.decoder, "needed", None)
         if needed is None:
             return

@@ -59,10 +59,14 @@ class TestCorruption:
         data, encoder, encoded, digests = encode(rng)
         decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, digests)
         msg = encoded.bundles[0][0]
-        for position in (0, PARAMS.m // 2, PARAMS.m - 1):
+        for n, position in enumerate((0, PARAMS.m // 2, PARAMS.m - 1), 1):
             tampered_payload = np.asarray(msg.payload).copy()
             tampered_payload[position] ^= 1
-            assert decoder.offer(msg.with_payload(tampered_payload)) == Offer.REJECTED
+            # Admitted pending; dropped when the pending rows are checked.
+            assert decoder.offer(msg.with_payload(tampered_payload)) == Offer.ACCEPTED
+            assert decoder.settle() == 1
+            assert (decoder.rank, decoder.rejected) == (0, n)
+        assert decoder.offer(msg) == Offer.ACCEPTED  # the id is free
 
     def test_header_swap_detected(self, rng):
         """Replaying a valid payload under a different message id fails
@@ -73,7 +77,11 @@ class TestCorruption:
         swapped = type(a)(
             file_id=a.file_id, message_id=b.message_id, payload=a.payload, p=a.p
         )
-        assert decoder.offer(swapped) == Offer.REJECTED
+        # Admitted pending; dropped when the pending rows are checked.
+        assert decoder.offer(swapped) == Offer.ACCEPTED
+        assert decoder.settle() == 1
+        assert (decoder.rank, decoder.rejected) == (0, 1)
+        assert decoder.offer(b) == Offer.ACCEPTED  # the id is free
 
 
 class TestChurn:

@@ -127,8 +127,11 @@ def test_no_arrival_leaves_symbols_cached_on_the_message(rng):
     forged = EncodedMessage.from_bytes(wire[:-1] + bytes([wire[-1] ^ 0xFF]), 8)
     decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, store)
     stream = [forged, messages[-1], *messages[:40], messages[3], *messages[40:]]
-    outcomes = {decoder.offer(msg) for msg in stream}
-    assert outcomes == set(Offer) and decoder.result() == data
+    outcomes = [decoder.offer(msg) for msg in stream]
+    # The forged row is admitted pending, then revoked when messages[5]
+    # repeats its id: rejected once, never on an offer of its own.
+    assert outcomes[0] is Offer.ACCEPTED and decoder.revoked == decoder.rejected == 1
+    assert set(outcomes) == set(Offer) - {Offer.REJECTED} and decoder.result() == data
     assert all(msg._symbols is None for msg in stream)
 
 

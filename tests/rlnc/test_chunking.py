@@ -254,7 +254,11 @@ class TestChunkView:
         outcomes = view.offer_many(iter(batch))
         assert outcomes == expected
         assert len(outcomes) == 3 + len(own)  # stopped at completion, midway
-        assert Offer.REJECTED in outcomes and Offer.COMPLETE in outcomes
+        # The forged row is admitted pending and revoked when own[1]
+        # repeats its id.
+        assert outcomes[3] is Offer.ACCEPTED and Offer.REJECTED not in outcomes
+        assert view.revoked == 1 == batched._decoders[manifest.chunk_ids[1]].rejected
+        assert Offer.COMPLETE in outcomes
         assert view.is_complete and view.needed == 0
         assert view.offer_many(batch) == []
         assert self.counters(batched, manifest) == self.counters(one_by_one, manifest)

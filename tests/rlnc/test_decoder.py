@@ -113,10 +113,17 @@ class TestProgressiveDecoder:
         dec = ProgressiveDecoder(PARAMS, encoder.coefficients, store)
         msg = encoded.bundles[0][0]
         forged = msg.with_payload(np.asarray(msg.payload) ^ 1)
-        assert dec.offer(forged) == Offer.REJECTED
-        assert dec.rejected == 1
-        # The genuine message still works afterwards.
+        # An innovative row is admitted pending, its digest unchecked...
+        assert dec.offer(forged) == Offer.ACCEPTED
+        assert (dec.rank, dec.accepted, dec.rejected) == (1, 1, 0)
+        # ...until an arrival repeats its id: the check drops it, the
+        # genuine message takes its place.
         assert dec.offer(msg) == Offer.ACCEPTED
+        assert (dec.rank, dec.accepted, dec.rejected, dec.revoked) == (1, 1, 1, 1)
+        for other in encoded.bundles[0][1:]:
+            dec.offer(other)
+        assert dec.result(len(data)) == data
+        assert dec.rejected == 1
 
     def test_forgery_without_digests_caught_by_consistency(self, rng):
         """Even with no digest store, a dependent-coefficient message
@@ -265,20 +272,24 @@ class TestSeenIdsRegression:
     """
 
     def test_forged_then_authentic_same_id_accepted(self, setup):
-        # Digest-store path: the forged copy is rejected by the digest
-        # check, the authentic copy with the SAME id must still be
-        # accepted, and the decode must finish with the true bytes.
+        # Digest-store path: the forged copy is admitted pending and
+        # dropped by the digest check the authentic copy with the SAME id
+        # triggers; that copy must still be accepted, and the decode
+        # must finish with the true bytes.  The forged copy that would
+        # complete the rank is checked on its own offer and rejected.
         data, encoder, encoded, store = setup
         dec = ProgressiveDecoder(PARAMS, encoder.coefficients, store)
-        for msg in encoded.bundles[0]:
+        for i, msg in enumerate(encoded.bundles[0]):
             forged = msg.with_payload(np.asarray(msg.payload) ^ 1)
-            assert dec.offer(forged) == Offer.REJECTED
-            assert msg.message_id not in dec._seen_ids
+            last = i == PARAMS.k - 1
+            assert dec.offer(forged) == (Offer.REJECTED if last else Offer.ACCEPTED)
+            assert dec.rejected == i + last
             outcome = dec.offer(msg)
-            assert outcome in (Offer.ACCEPTED, Offer.COMPLETE)
+            assert outcome == (Offer.COMPLETE if last else Offer.ACCEPTED)
+            assert dec.rejected == i + 1  # the forged copy, once
         assert dec.is_complete
         assert dec.result(len(data)) == data
-        assert dec.rejected == PARAMS.k
+        assert (dec.rejected, dec.revoked) == (PARAMS.k, PARAMS.k - 1)
 
     def test_inconsistent_rejection_leaves_id_unseen(self, rng):
         # No digest store: the forged row on a dependent id is caught by

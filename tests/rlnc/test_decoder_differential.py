@@ -4,11 +4,12 @@
 payload when a coefficient row cancels.  The oracle here does it the
 expensive, obvious way — ``row_reduce`` on the full ``[beta | payload]``
 matrix of everything kept plus the arrival — and applies the same check
-order.  Both see random interleavings of every message class the
-decoder distinguishes; outcome sequence, the four counters, the seen-id
-set after every step and the decoded bytes must agree, whether the
-stream goes through ``offer``, ``offer_many`` or a
-``StreamingDecoder`` chunk.
+order, the same times at which pending rows are authenticated included.
+Both see random interleavings of every message class the decoder
+distinguishes; outcome sequence, the five counters, the seen-id set and
+the count of authenticated rows after every step and the decoded bytes
+must agree, whether the stream goes through ``offer``, ``offer_many`` or
+a ``StreamingDecoder`` chunk.
 """
 
 from functools import lru_cache
@@ -48,19 +49,54 @@ KINDS = (
 
 
 class DenseOracle:
-    """``ProgressiveDecoder``'s contract, decided on full-width rows."""
+    """``ProgressiveDecoder``'s contract, decided on full-width rows.
+
+    With a digest store an innovative row is admitted unchecked
+    (*pending*); the pending rows' digests are checked when an arrival
+    is dependent or would complete the rank (the arrival with them) and
+    when an arrival repeats a pending id.  A pending row that fails is
+    dropped: its id is unseen again and it moves from accepted to
+    rejected.  A forged arrival checked on its own offer is rejected.
+    """
 
     def __init__(self, params, coefficients, store):
         self.params, self.coefficients, self.store = params, coefficients, store
         self.field = coefficients.field
-        self.kept = np.empty((0, params.k + params.m), dtype=self.field.dtype)
+        self.kept: list = []  # messages, in admission order
+        self.checked = 0  # kept[:checked] have passed their digests
+        self.known = set(store.slice_for_file(coefficients.file_id)) if store else None
         self.seen: set[int] = set()
         self.accepted = self.dependent = self.rejected = self.inconsistent = 0
-        self.wrong_file = 0
+        self.revoked = self.wrong_file = 0
 
     @property
     def is_complete(self):
         return len(self.kept) == self.params.k
+
+    def _rows(self, msgs):
+        width = self.params.k + self.params.m
+        rows = [np.concatenate([self.coefficients.row(m.message_id), m.payload]) for m in msgs]
+        return np.array(rows, dtype=self.field.dtype).reshape(-1, width)
+
+    def _authentic(self, msg):
+        return self.store.verify(msg.file_id, msg.message_id, msg.payload_bytes())
+
+    def _flush(self):
+        for msg in self.kept[self.checked :]:
+            if not self._authentic(msg):
+                self.kept.remove(msg)
+                self.seen.discard(msg.message_id)
+                self.accepted -= 1
+                self.rejected += 1
+                self.revoked += 1
+        self.checked = len(self.kept)
+
+    def _innovative(self, msg):
+        stacked = self._rows(self.kept + [msg])
+        reduced, _ = row_reduce(self.field, stacked)
+        # Columns are swept left to right, so the pivots that land in
+        # the first k columns number the rank of the coefficient part.
+        return int(np.count_nonzero(reduced[:, : self.params.k].any(axis=1))) == len(stacked)
 
     def offer(self, msg):
         k = self.params.k
@@ -74,28 +110,36 @@ class DenseOracle:
             self.rejected += 1
             return Offer.REJECTED
         if msg.message_id in self.seen:
-            self.dependent += 1
-            return Offer.DEPENDENT
-        if self.store is not None and not self.store.verify(
-            msg.file_id, msg.message_id, msg.payload_bytes()
-        ):
+            if any(m.message_id == msg.message_id for m in self.kept[self.checked :]):
+                self._flush()
+            if msg.message_id in self.seen:
+                self.dependent += 1
+                return Offer.DEPENDENT
+        if self.store is not None and msg.message_id not in self.known:
             self.rejected += 1
             return Offer.REJECTED
         try:
-            beta = self.coefficients.row(msg.message_id)
+            self.coefficients.row(msg.message_id)
         except UnknownCoefficientError:
             self.rejected += 1
             return Offer.REJECTED
-        stacked = np.vstack([self.kept, np.concatenate([beta, msg.payload])])
-        reduced, full_rank = row_reduce(self.field, stacked)
-        # Columns are swept left to right, so the pivots that land in
-        # the first k columns number the rank of the coefficient part.
-        coeff_rank = int(np.count_nonzero(reduced[:, :k].any(axis=1)))
-        if coeff_rank == len(stacked):
-            self.kept = stacked
+        innovative = self._innovative(msg)
+        checked = self.store is None or not innovative or len(self.kept) + 1 == k
+        if self.store is not None and checked:
+            authentic = self._authentic(msg)
+            self._flush()
+            if not authentic:
+                self.rejected += 1
+                return Offer.REJECTED
+            innovative = self._innovative(msg)
+        if innovative:
+            self.kept.append(msg)
             self.seen.add(msg.message_id)
             self.accepted += 1
+            if checked:
+                self.checked = len(self.kept)
             return Offer.COMPLETE if self.is_complete else Offer.ACCEPTED
+        _, full_rank = row_reduce(self.field, self._rows(self.kept + [msg]))
         if full_rank == len(self.kept):
             self.seen.add(msg.message_id)
             self.dependent += 1
@@ -106,7 +150,7 @@ class DenseOracle:
 
     def result(self):
         k = self.params.k
-        reduced, _ = row_reduce(self.field, self.kept)
+        reduced, _ = row_reduce(self.field, self._rows(self.kept))
         data = symbols_to_bytes(reduced[:, k:].reshape(-1), self.params.p)
         return data[: self.params.file_bytes]
 
@@ -189,7 +233,9 @@ def _assert_same_state(decoder, oracle, rejected_elsewhere=0):
     assert decoder.dependent == oracle.dependent
     assert decoder.inconsistent == oracle.inconsistent
     assert decoder.rejected == oracle.rejected - rejected_elsewhere
+    assert decoder.revoked == oracle.revoked
     assert decoder.rank == len(oracle.kept)
+    assert decoder._verified == oracle.checked
 
 
 def _kept_rows(decoder):
@@ -227,11 +273,11 @@ def test_offer_matches_dense_oracle(p, k, picks, with_store, seed, helpers_first
     params, pools, store, coefficients, oracle = _cell(p, k, with_store)
     decoder = ProgressiveDecoder(params, coefficients, store)
     for msg in _stream(pools, picks, seed, helpers_first):
-        kept = _kept_rows(decoder)
+        kept, revoked = _kept_rows(decoder), decoder.revoked
         outcome = decoder.offer(msg)
         assert outcome == oracle.offer(msg)
         _assert_same_state(decoder, oracle)
-        if outcome in (Offer.DEPENDENT, Offer.REJECTED):
+        if outcome in (Offer.DEPENDENT, Offer.REJECTED) and decoder.revoked == revoked:
             assert _kept_rows(decoder) == kept
     assert decoder.is_complete == oracle.is_complete
     if oracle.is_complete:

@@ -58,7 +58,7 @@ def assert_equivalent(encoder, store, msgs, data, batch_sizes):
         batch_outcomes.extend(batched.offer_many(chunk))
 
     assert batch_outcomes == seq_outcomes
-    for attr in ("accepted", "dependent", "rejected", "inconsistent", "rank"):
+    for attr in ("accepted", "dependent", "rejected", "inconsistent", "revoked", "rank"):
         assert getattr(batched, attr) == getattr(sequential, attr), attr
     assert batched.is_complete == sequential.is_complete
     if batched.is_complete:
@@ -113,11 +113,14 @@ class TestOfferManyEquivalence:
     def test_equivalent_with_observability_on(self, rng):
         data, encoder, store, msgs = make_stream(rng, forged=2, duplicates=2)
         with observability(reset=True):
-            assert_equivalent(encoder, store, msgs, data, [6, 6, 6])
+            dec = assert_equivalent(encoder, store, msgs, data, [6, 6, 6])
             snap = REGISTRY.snapshot()
         # Both decoders count into the same registry, so totals are even.
+        # A forged row admitted pending counts innovative, then revoked.
         innovative = snap["repro.rlnc.decode.innovative"]["value"]
-        assert innovative == 2 * PARAMS.k
+        revoked = snap["repro.rlnc.decode.revoked"]["value"]
+        assert revoked == 2 * dec.revoked
+        assert innovative - revoked == 2 * PARAMS.k
 
     def test_empty_batch(self, rng):
         _, encoder, store, _ = make_stream(rng)

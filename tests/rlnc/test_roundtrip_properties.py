@@ -122,7 +122,14 @@ def test_tampering_never_decodes_silently(data):
     tampered = msgs[0].with_payload(np.asarray(msgs[0].payload) ^ 1)
 
     guarded = ProgressiveDecoder(params, encoder.coefficients, store)
-    assert guarded.offer(tampered).name == "REJECTED"
+    # Checked on its own offer when it would complete the rank; admitted
+    # pending otherwise, and dropped when the rank is complete.
+    assert guarded.offer(tampered).name == ("REJECTED" if params.k == 1 else "ACCEPTED")
+    for msg in msgs[1:]:
+        guarded.offer(msg)
+    assert not guarded.is_complete and guarded.rejected == 1
+    assert guarded.offer(msgs[0]).name == "COMPLETE"
+    assert guarded.result(len(data)) == data
 
     unguarded = ProgressiveDecoder(params, encoder.coefficients)
     unguarded.offer(tampered)

@@ -154,12 +154,15 @@ class TestOneDownloadLoop:
         assert names.count("transfer.complete") == 6
         assert names.count("transfer.stop") == 6 * net.n
         # ... and one closed transfer.download span per chunk, parenting
-        # that chunk's peer spans, as ParallelDownloader.run gives one.
+        # that chunk's peer spans, as ParallelDownloader.run gives one,
+        # and the decoder's one digest batch at rank k.
         downloads = [r for r in forest if r.op == "transfer.download"]
         assert len(downloads) == 6
         for root in downloads:
             assert root.status == "ok" and root.attrs["peers"] == net.n
-            assert [c.op for c in root.children] == ["transfer.peer"] * net.n
+            assert [c.op for c in root.children] == ["transfer.peer"] * net.n + [
+                "security.verify"
+            ]
 
     def test_interleaved_transfers_keep_their_own_spans(self, blobs):
         net = self.fresh(blobs)
@@ -173,5 +176,7 @@ class TestOneDownloadLoop:
             net.registry["a"].manifest.chunk_ids + net.registry["b"].manifest.chunk_ids
         )
         for root in downloads:
-            assert [c.op for c in root.children] == ["transfer.peer"] * net.n
+            assert [c.op for c in root.children] == ["transfer.peer"] * net.n + [
+                "security.verify"
+            ]
             assert all(node.end_ns is not None for node in root.walk())
