@@ -1,4 +1,4 @@
-"""CI perf-smoke: twenty-five timing gates, each a ratio measured in this run.
+"""CI perf-smoke: twenty-six timing gates, each a ratio measured in this run.
 
 Standalone (numpy only, no pytest).  Every gate times a *subject* and a
 *reference* interleaved in this process, alternating which goes first so
@@ -10,7 +10,8 @@ absolute time get worse" is what ``bench/run.py --compare`` answers, on
 one box, parent against change.  docs/ARCHITECTURE.md tabulates the
 gates with the ratios measured on the development box.
 
-Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
+Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py [gate_name ...]``
+(no names: every gate).
 """
 
 from __future__ import annotations
@@ -158,8 +159,18 @@ def gate_publish() -> int:
 
     ``encode_bundles`` packs the source, builds the four-Russians tables
     and screens ids once per chunk; paying that once per peer measures
-    ~1.0x.
+    ~1.0x.  The GFNI product body builds no tables, so a GFNI build
+    reads 0.66-0.79x here, next to the budget, with less of what the
+    gate guards left to see: on such a build the A/B runs in a child
+    whose ``_gfmul.c`` is built with ``-mno-gfni``, where it reads
+    0.42-0.48x.
     """
+    from repro.gf import bitmatmul
+
+    kernel = bitmatmul.load()
+    if kernel is not None and kernel.body == "gfni":
+        return _four_russians_child("gate_publish")
+
     from repro.rlnc import CodingParams, FileEncoder
 
     peers = 8
@@ -346,6 +357,83 @@ def gate_packed_product() -> int:
         f"packed / uint32 product, p={p} ({r},{k})@({k},{m})",
         packed, widened, 0.75,
         "does the product widen its symbols to uint32 (or byte-swap them) again?",
+    )
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU's flags from /proc/cpuinfo; empty where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def gate_gfni_product() -> int:
+    """The GFNI product body / the four-Russians one, at ``fetch_bulk``'s
+    decode (``record_matmul``, p=32, (8,8)@(8, 128 KiB)).
+
+    The reference is ``_gfmul.c`` built again with ``-mno-gfni`` and
+    loaded beside the live library, so both bodies run in this process
+    on the same records.  It reads 0.19-0.21x on a 2 vCPU AVX-512 box;
+    ~1.0x means the product is back on four-Russians tables.  A host
+    whose CPU has GFNI and AVX-512BW but whose build runs the
+    four-Russians body fails outright.  Skipped, with the reason, where
+    the kernel is not live or the body is not built.
+    """
+    import ctypes
+
+    import numpy as np
+
+    from repro import native
+    from repro.gf import GF, bitmatmul
+
+    kernel = bitmatmul.load()
+    if kernel is None:
+        print(f"gfni / four-russians product: kernel not live "
+              f"({native.status()['gfmul']}); skipped")
+        return 0
+    if kernel.body != "gfni":
+        if {"gfni", "avx512bw"} <= _cpu_flags():
+            print(f"FAIL: the CPU has GFNI and AVX-512BW but the product runs the "
+                  f"{kernel.body} body; do the target macros still pick the GFNI body?")
+            return 1
+        print(f"gfni / four-russians product: {kernel.body} body built (no GFNI "
+              f"and AVX-512BW target); skipped")
+        return 0
+    extra = os.environ.get("REPRO_NATIVE_CFLAGS", "")
+    os.environ["REPRO_NATIVE_CFLAGS"] = _without_gfni()
+    try:
+        source = bitmatmul._SOURCE
+        built = native._compile(native._compiler(), "gfmul", source, source.read_bytes())
+    finally:
+        os.environ["REPRO_NATIVE_CFLAGS"] = extra
+    if built is None:
+        print("FAIL: _gfmul.c does not compile with -mno-gfni")
+        return 1
+    four_russians = bitmatmul.GF2Kernel(ctypes.CDLL(str(built)))
+    assert four_russians.body == "four-russians"
+    field = GF(32)
+    rng = np.random.default_rng(0)
+    coeffs = field.random((8, 8), rng)
+    records = rng.integers(0, 256, (8, 128 << 10), dtype=np.uint8)
+    out = np.empty_like(records)
+
+    def product(which):
+        return lambda: bitmatmul._compiled_product(which, field, coeffs, records, out, True)
+
+    product(four_russians)()
+    want = out.copy()
+    product(kernel)()
+    assert out.tobytes() == want.tobytes()  # and warm both
+    return ratio_gate(
+        "gfni / four-russians product, p=32 (8,8)@(8,128 KiB)",
+        product(kernel), product(four_russians), 0.5,
+        "is the product back on four-Russians tables, or has the GFNI body lost "
+        "its speed to them?",
     )
 
 
@@ -1473,7 +1561,8 @@ def gate_keyed_rows() -> int:
 
 GATES = (
     gate_procs, gate_obs, gate_streaming, gate_publish, gate_screen,
-    gate_native_matmul, gate_packed_product, gate_native_elimination, gate_batched,
+    gate_native_matmul, gate_packed_product, gate_gfni_product,
+    gate_native_elimination, gate_batched,
     gate_credit_fold,
     gate_dense_slot, gate_sparse,
     gate_sparse_sample, gate_sparse_slot, gate_sparse_run, gate_sparse_rows,
@@ -1483,7 +1572,27 @@ GATES = (
 )
 
 
-def main() -> int:
+def _without_gfni() -> str:
+    """``REPRO_NATIVE_CFLAGS`` with ``-mno-gfni`` appended: a build of
+    ``_gfmul.c`` on the four-Russians body, cached apart."""
+    return f"{os.environ.get('REPRO_NATIVE_CFLAGS', '')} -mno-gfni"
+
+
+def _four_russians_child(gate: str) -> int:
+    """Run ``gate`` alone in a child whose ``_gfmul.c`` is built with
+    :func:`_without_gfni`'s flags."""
+    import subprocess
+
+    env = dict(os.environ, REPRO_NATIVE_CFLAGS=_without_gfni())
+    print(f"{gate}: in a child built with -mno-gfni", flush=True)
+    return subprocess.run([sys.executable, __file__, gate], env=env).returncode
+
+
+def main(names: list[str]) -> int:
+    """Every gate, ending on "OK" when all pass; or only the gates
+    named, with the verdict in the exit status alone."""
+    if names:
+        return 1 if sum(globals()[name]() for name in names) else 0
     if sum(gate() for gate in GATES):
         return 1
     print("OK")
@@ -1491,4 +1600,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

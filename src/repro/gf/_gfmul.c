@@ -14,15 +14,45 @@
  * is G times the bit-planes of src, with G[(i,rr), (j,b)] = bit rr of
  * C_ij * y^b.  The kernel builds G itself from the field's tables (the
  * same logz / expz / c the elimination kernels take), one row of
- * products at a time, straight into the packed generator.  Records at
- * w >= 16 are big-endian: a symbol's value bit b sits at native bit
- * b XOR (w - 8) of its field, a fixed permutation that the generator
- * takes on both its column (input) and row (output) bit indices, so no
- * symbol is ever byte-swapped.
+ * products at a time (row_products).  Records at w >= 16 are
+ * big-endian: a symbol's value bit b sits at native bit b XOR (w - 8) of
+ * its field, a fixed permutation that the generator takes on both its
+ * column (input) and row (output) bit indices, so no symbol is ever
+ * byte-swapped.
  *
- * Same plan as the numpy body of bit_matmul (packed generator, column
- * blocks, four-Russians tables by doubling, gather + XOR, unpack), laid
- * out for the cache instead of for numpy calls:
+ * The product has two bodies behind the one entry point, and a build
+ * has exactly one of them, picked by the target macros as the vector
+ * width is (repro_gf2_body() names it):
+ *
+ * GFNI (__GFNI__ and __AVX512BW__).  G cut into 8x8 blocks is the map
+ * from each input byte of a symbol to each output byte, one
+ * vgf2p8affineqb matrix (affine_matrices: row_products' products
+ * transposed, byte order reversed, as the instruction reads them).  A
+ * row's bytes split into byte planes: a symbol is W = w / 8 bytes (one
+ * byte holds two symbols at w = 4, which the w = 4 matrix treats as one
+ * block-diagonal byte), so W consecutive 64-byte vectors hold 64 symbols
+ * and a byte shuffle per 128-bit lane plus a 2x2 (qword) or 4x4 (dword)
+ * transpose across the W vectors turns them into W vectors of one
+ * symbol byte each.  That permutes the symbols inside the 64, which a
+ * column-wise map cannot see; merge_planes is its inverse.  Only the
+ * K = ceil(p / 8) planes that hold value bits are kept (K <= W: at
+ * w = 32, p <= 16 leaves the high planes zero in and out), and every
+ * product of a column tile is out_plane[ob] ^= affine(M[i,j,kb,ob],
+ * src_plane[j][kb]) in registers over all n inner rows, so each output
+ * byte is written once.  A tile is two groups of W vectors per row
+ * (its planes stay in L1 up to n K = 256; four groups lost at n = 256
+ * and gained nothing below); the rest of a row goes one group at a
+ * time, and a group that ends past the row's last byte is staged
+ * through a zeroed copy, so reads and writes of src and out stop at the
+ * row's last byte.  The matrices take 8 K^2 bytes per coefficient,
+ * built for row blocks of at most MAT_BYTES; a field of at most 256
+ * elements with more coefficients than elements builds each element's
+ * matrix once and looks the coefficients up.
+ *
+ * Four-Russians (every other target), the plan of the numpy body of
+ * bit_matmul (packed generator, column blocks, four-Russians tables by
+ * doubling, gather + XOR, unpack), laid out for the cache instead of
+ * for numpy calls:
  *
  *  - a column block is 512 symbols, so a bit-row of the block is 8 words:
  *    one cache line, and the 256-entry table of one group of eight inner
@@ -60,6 +90,13 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__GFNI__) && defined(__AVX512BW__)
+#include <immintrin.h>
+#define AFFINE_BODY 1
+#else
+#define AFFINE_BODY 0
+#endif
+
 #if defined(__AVX512F__)
 #define VEC_BYTES 64
 #elif defined(__AVX__)
@@ -67,17 +104,6 @@
 #else
 #define VEC_BYTES 16
 #endif
-
-#define LANES 8                  /* 64-bit words per bit-row of a column block */
-#define VECS (8 * LANES / VEC_BYTES)
-#define BLOCK_COLS (32 * 2 * LANES)
-#define ROW_BLOCK 256            /* output bit-rows gathered per pass */
-#define GROUP_CHUNK 64           /* groups of eight inner bit-rows tabulated at once */
-
-typedef uint64_t vec_t __attribute__((vector_size(VEC_BYTES)));
-typedef vec_t line_t[VECS];
-
-static const uint8_t zero_idx[ROW_BLOCK];
 
 /* Every kernel that multiplies is one body per field kind: a table field
  * or the tower GF(2^32) = GF(2^16)[y] / (y^2 + y + c) over a table
@@ -100,6 +126,413 @@ int repro_gf2_vector_bytes(void)
 {
     return VEC_BYTES;
 }
+
+/* The product's body in this build: "gfni" or "four-russians". */
+const char *repro_gf2_body(void)
+{
+    return AFFINE_BODY ? "gfni" : "four-russians";
+}
+
+/* 8x8 bit-matrix transpose: bit u of byte c becomes bit c of byte u. */
+static uint64_t transpose8(uint64_t x)
+{
+    uint64_t t;
+    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+    x ^= t ^ (t << 28);
+    return x;
+}
+
+/* v with bit rr moved to rr XOR e, for e in {0, 8, 24}: the symbol's
+ * value bits in its record's native bit order. */
+static inline uint32_t native_order(uint32_t v, const int e)
+{
+    return e == 24 ? __builtin_bswap32(v) : e == 8 ? __builtin_bswap16((uint16_t)v) : v;
+}
+
+/* lcb[b] = the log of c 2^b in the tower's base field, b < 16. */
+static void tower_logs(const struct tables f, intptr_t *lcb)
+{
+    for (int b = 0; b < 16; b++) {
+        lcb[b] = f.logz[f.expz[f.lc + b]];
+    }
+}
+
+/* prow[j p + s] = C_ij * y^(s XOR e) in native bit order, for one row of
+ * C (n coefficients), made from the field's tables: y^b is the element
+ * 1 << b, log b in a table field; in the tower it is 2^b or 2^(b-16) y,
+ * and (a1 y + a0) 2^b y = (a0 + a1) 2^b y + a1 c 2^b by y^2 = y + c,
+ * with lcb from tower_logs. */
+BODY void row_products(const int kind, const struct tables f, const intptr_t *lcb,
+                       const uint32_t *coef, int64_t n, int64_t p, const int e,
+                       uint32_t *restrict prow)
+{
+    const intptr_t *restrict logz = f.logz;
+    const uint32_t *restrict expz = f.expz;
+    for (int64_t j = 0; j < n; j++) {
+        const uint32_t a = coef[j];
+        uint32_t *dst = prow + j * p;
+        if (kind == TOWER) {
+            const intptr_t l0 = logz[a & 0xFFFF], l1 = logz[a >> 16];
+            const intptr_t l01 = logz[(a & 0xFFFF) ^ (a >> 16)];
+            for (int s = 0; s < 32; s++) {
+                const int b = s ^ e;
+                const uint32_t v = b < 16
+                    ? expz[l1 + b] << 16 | expz[l0 + b]
+                    : expz[l01 + b - 16] << 16 | expz[l1 + lcb[b - 16]];
+                dst[s] = native_order(v, e);
+            }
+        }
+        else {
+            const intptr_t la = logz[a];
+            for (int s = 0; s < p; s++) {
+                dst[s] = native_order(expz[la + (s ^ e)], e);
+            }
+        }
+    }
+}
+
+static size_t round64(size_t bytes)
+{
+    return (bytes + 63) & ~(size_t)63;
+}
+
+/* out = C @ src over the field of logz / expz / c (c = 0: that table
+ * field, of 2^p elements; else the tower, p = 32, over it).  coef is
+ * (r, n) uint32 coefficients, src and out are (n, m) and (r, m) symbols
+ * stored w bits apiece (w >= p; big-endian at w >= 16 when big_endian
+ * is nonzero, and then w = p), C-contiguous, every symbol < 2^p and
+ * m w a multiple of 8.  Returns 0, or -2 when scratch cannot be
+ * allocated (repro.native's status rule). */
+int64_t repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
+                         int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
+                         int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
+                         int64_t c);
+
+#if AFFINE_BODY
+
+#define TILE 2                   /* groups of W vectors per row of a column tile */
+#define ACCS 8                   /* accumulators a pass keeps in registers */
+#define MAT_BYTES (1 << 20)      /* affine matrices of one row block */
+
+/* mats[((i n + j) K + kb) K + ob] = the vgf2p8affineqb matrix of the map
+ * from byte kb of src symbol j to byte ob of out symbol i, for rows
+ * rows of C from coef: bit u of byte 7 - t is bit 8 ob + t of the
+ * product of input bit u (byte kb's bit u of the symbol; at w = 4 the
+ * byte's two nibbles are two symbols, so the matrix is the same 4 x 4
+ * block twice). */
+BODY void affine_matrices(const int kind, const struct tables f, const intptr_t *lcb,
+                          const uint32_t *coef, int64_t rows, int64_t n, int64_t p,
+                          int64_t w, const int e, const int K,
+                          uint32_t *restrict prow, uint64_t *restrict mats)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        row_products(kind, f, lcb, coef + i * n, n, p, e, prow);
+        for (int64_t j = 0; j < n; j++) {
+            for (int kb = 0; kb < K; kb++) {
+                uint32_t v[8];
+                for (int u = 0; u < 8; u++) {
+                    const int64_t s = w == 4 ? u & 3 : 8 * kb + u;
+                    v[u] = s < p ? prow[j * p + s] << (w == 4 ? u & 4 : 0) : 0;
+                }
+                for (int ob = 0; ob < K; ob++) {
+                    uint64_t x = 0;
+                    for (int u = 0; u < 8; u++) {
+                        x |= (uint64_t)((v[u] >> (8 * ob)) & 0xFF) << (8 * u);
+                    }
+                    mats[((i * n + j) * K + kb) * K + ob] = __builtin_bswap64(transpose8(x));
+                }
+            }
+        }
+    }
+}
+
+/* The same 16-byte shuffle in every 128-bit lane. */
+static inline __m512i lane_shuffle(__m512i v, const char *idx)
+{
+    return _mm512_shuffle_epi8(v, _mm512_broadcast_i32x4(_mm_loadu_si128((const __m128i *)idx)));
+}
+
+/* The 4 x 4 dword transpose of v[0, 4) in every 128-bit lane: an
+ * involution. */
+BODY void transpose_dwords(__m512i *v)
+{
+    const __m512i ab0 = _mm512_unpacklo_epi32(v[0], v[1]), ab1 = _mm512_unpackhi_epi32(v[0], v[1]);
+    const __m512i cd0 = _mm512_unpacklo_epi32(v[2], v[3]), cd1 = _mm512_unpackhi_epi32(v[2], v[3]);
+    v[0] = _mm512_unpacklo_epi64(ab0, cd0);
+    v[1] = _mm512_unpackhi_epi64(ab0, cd0);
+    v[2] = _mm512_unpacklo_epi64(ab1, cd1);
+    v[3] = _mm512_unpackhi_epi64(ab1, cd1);
+}
+
+/* Byte k of a lane's symbols, four of four bytes: a 4 x 4 byte
+ * transpose, an involution. */
+static const char by4[16] = {0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15};
+
+/* W vectors of 64 symbols -> W byte planes: afterwards v[k] holds byte k
+ * of every symbol (in an order merge_planes undoes).  A lane's shuffle
+ * groups its symbols' bytes by plane, then the planes are transposed
+ * across the W vectors, lane by lane. */
+BODY void split_planes(const int W, __m512i *v)
+{
+    static const char by2[16] = {0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15};
+    if (W == 2) {
+        const __m512i a = lane_shuffle(v[0], by2), b = lane_shuffle(v[1], by2);
+        v[0] = _mm512_unpacklo_epi64(a, b);
+        v[1] = _mm512_unpackhi_epi64(a, b);
+    }
+    else if (W == 4) {
+        for (int k = 0; k < 4; k++) {
+            v[k] = lane_shuffle(v[k], by4);
+        }
+        transpose_dwords(v);
+    }
+}
+
+/* Inverse of split_planes: the transpose across vectors (its own
+ * inverse), then each lane's shuffle undone. */
+BODY void merge_planes(const int W, __m512i *v)
+{
+    static const char from2[16] = {0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15};
+    if (W == 2) {
+        const __m512i a = _mm512_unpacklo_epi64(v[0], v[1]);
+        const __m512i b = _mm512_unpackhi_epi64(v[0], v[1]);
+        v[0] = lane_shuffle(a, from2);
+        v[1] = lane_shuffle(b, from2);
+    }
+    else if (W == 4) {
+        transpose_dwords(v);
+        for (int k = 0; k < 4; k++) {
+            v[k] = lane_shuffle(v[k], by4);
+        }
+    }
+}
+
+/* Rows [i, i + R) of out over one column tile: T groups of W vectors at
+ * byte off of each row, bytes of them inside the row.  planes holds the
+ * tile's K byte planes of every src row, T vectors apiece; R K T
+ * accumulators stay in registers over all n inner rows. */
+BODY void affine_pass(const int K, const int W, const int T, const int R,
+                      const uint64_t *restrict mats, const __m512i *restrict planes,
+                      uint8_t *restrict out, int64_t i, int64_t n, int64_t row_bytes,
+                      int64_t off, int64_t bytes, __m512i *restrict stage)
+{
+    __m512i acc[ACCS];
+#pragma GCC unroll 16
+    for (int a = 0; a < R * K * T; a++) {
+        acc[a] = _mm512_setzero_si512();
+    }
+    for (int64_t j = 0; j < n; j++) {
+#pragma GCC unroll 4
+        for (int kb = 0; kb < K; kb++) {
+            __m512i x[TILE];
+#pragma GCC unroll 4
+            for (int t = 0; t < T; t++) {
+                x[t] = planes[(j * K + kb) * T + t];
+            }
+#pragma GCC unroll 16
+            for (int rb = 0; rb < R; rb++) {
+                const uint64_t *m = mats + (((i + rb) * n + j) * K + kb) * K;
+#pragma GCC unroll 4
+                for (int ob = 0; ob < K; ob++) {
+                    const __m512i a = _mm512_set1_epi64((long long)m[ob]);
+#pragma GCC unroll 4
+                    for (int t = 0; t < T; t++) {
+                        __m512i *y = acc + (rb * K + ob) * T + t;
+                        *y = _mm512_xor_si512(*y, _mm512_gf2p8affine_epi64_epi8(x[t], a, 0));
+                    }
+                }
+            }
+        }
+    }
+    const int64_t span = (int64_t)64 * W * T;
+#pragma GCC unroll 16
+    for (int rb = 0; rb < R; rb++) {
+        uint8_t *dst = out + (i + rb) * row_bytes + off;
+        uint8_t *to = bytes < span ? (uint8_t *)stage : dst;
+#pragma GCC unroll 4
+        for (int t = 0; t < T; t++) {
+            __m512i v[4];
+#pragma GCC unroll 4
+            for (int ob = 0; ob < W; ob++) {
+                v[ob] = ob < K ? acc[(rb * K + ob) * T + t] : _mm512_setzero_si512();
+            }
+            merge_planes(W, v);
+#pragma GCC unroll 4
+            for (int k = 0; k < W; k++) {
+                _mm512_storeu_si512(to + 64 * (W * t + k), v[k]);
+            }
+        }
+        if (bytes < span) {
+            memcpy(dst, stage, (size_t)bytes);
+        }
+    }
+}
+
+/* out = C @ src over the column tile of T groups at byte off, bytes of
+ * them inside each row: the tile's src planes once, then every row of
+ * out, R at a time (the most whose accumulators fit ACCS), the rest one
+ * by one. */
+BODY void affine_tile(const int K, const int W, const int T,
+                      const uint64_t *restrict mats, const uint8_t *restrict src,
+                      uint8_t *restrict out, int64_t r, int64_t n, int64_t row_bytes,
+                      int64_t off, int64_t bytes, __m512i *restrict planes,
+                      __m512i *restrict stage)
+{
+    const int64_t span = (int64_t)64 * W * T;
+    const int R = ACCS / (K * T);
+    for (int64_t j = 0; j < n; j++) {
+        const uint8_t *from = src + j * row_bytes + off;
+        if (bytes < span) {
+            memset(stage, 0, (size_t)span);
+            memcpy(stage, from, (size_t)bytes);
+            from = (const uint8_t *)stage;
+        }
+#pragma GCC unroll 4
+        for (int t = 0; t < T; t++) {
+            __m512i v[4];
+#pragma GCC unroll 4
+            for (int k = 0; k < W; k++) {
+                v[k] = _mm512_loadu_si512(from + 64 * (W * t + k));
+            }
+            split_planes(W, v);
+#pragma GCC unroll 4
+            for (int kb = 0; kb < K; kb++) {
+                planes[(j * K + kb) * T + t] = v[kb];
+            }
+        }
+    }
+    int64_t i = 0;
+    for (; i + R <= r; i += R) {
+        affine_pass(K, W, T, R, mats, planes, out, i, n, row_bytes, off, bytes, stage);
+    }
+    for (; i < r; i++) {
+        affine_pass(K, W, T, 1, mats, planes, out, i, n, row_bytes, off, bytes, stage);
+    }
+}
+
+/* out = C @ src for r rows of out, K value planes of W per symbol:
+ * whole tiles, then the rest of each row a group at a time. */
+BODY void affine_walk(const int K, const int W, const uint64_t *restrict mats,
+                      const uint8_t *restrict src, uint8_t *restrict out, int64_t r,
+                      int64_t n, int64_t row_bytes, __m512i *restrict planes,
+                      __m512i *restrict stage)
+{
+    const int64_t group = (int64_t)64 * W, tile = TILE * group;
+    int64_t off = 0;
+    for (; off + tile <= row_bytes; off += tile) {
+        affine_tile(K, W, TILE, mats, src, out, r, n, row_bytes, off, tile, planes, stage);
+    }
+    for (; off < row_bytes; off += group) {
+        const int64_t bytes = row_bytes - off < group ? row_bytes - off : group;
+        affine_tile(K, W, 1, mats, src, out, r, n, row_bytes, off, bytes, planes, stage);
+    }
+}
+
+/* affine_walk with K and W constants: every (K, W) a width takes. */
+static void affine_product(const int K, const int W, const uint64_t *mats,
+                           const uint8_t *src, uint8_t *out, int64_t r, int64_t n,
+                           int64_t row_bytes, __m512i *planes, __m512i *stage)
+{
+    switch (K * 8 + W) {
+    case 1 * 8 + 1:
+        affine_walk(1, 1, mats, src, out, r, n, row_bytes, planes, stage);
+        break;
+    case 1 * 8 + 2:
+        affine_walk(1, 2, mats, src, out, r, n, row_bytes, planes, stage);
+        break;
+    case 2 * 8 + 2:
+        affine_walk(2, 2, mats, src, out, r, n, row_bytes, planes, stage);
+        break;
+    case 1 * 8 + 4:
+        affine_walk(1, 4, mats, src, out, r, n, row_bytes, planes, stage);
+        break;
+    case 2 * 8 + 4:
+        affine_walk(2, 4, mats, src, out, r, n, row_bytes, planes, stage);
+        break;
+    default:
+        affine_walk(4, 4, mats, src, out, r, n, row_bytes, planes, stage);
+    }
+}
+
+int64_t repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
+                         int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
+                         int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
+                         int64_t c)
+{
+    const int e = big_endian && w >= 16 ? (int)w - 8 : 0;
+    const int64_t row_bytes = m * w / 8;
+    const int K = w == 4 ? 1 : (int)(p + 7) / 8;
+    const int W = w <= 8 ? 1 : (int)w / 8;
+    const int64_t row_mats = n * K * K * (int64_t)sizeof(uint64_t);
+    const int64_t block = MAT_BYTES / row_mats < 1 ? 1 : MAT_BYTES / row_mats;
+    const int64_t rows = r < block ? r : block;
+
+    const size_t mats_bytes = round64((size_t)(rows * row_mats));
+    /* A field of at most 256 elements (K = 1) with more coefficients
+     * than elements: every element's matrix once, then one lookup each. */
+    const int lookup = K == 1 && ((int64_t)1 << p) < rows * n;
+    const int64_t q = lookup ? (int64_t)1 << p : 0;
+    const size_t prow_bytes = round64((size_t)((lookup && n < q ? q : n) * p) * sizeof(uint32_t));
+    const size_t planes_bytes = (size_t)n * K * TILE * sizeof(__m512i);
+    const size_t stage_bytes = 4 * sizeof(__m512i); /* one group, W <= 4 vectors */
+    char *raw = malloc(mats_bytes + prow_bytes + planes_bytes + stage_bytes + 63);
+    if (raw == NULL) {
+        return -2;
+    }
+    char *base = raw + (-(uintptr_t)raw & 63);
+    uint64_t *mats = (uint64_t *)base;
+    uint32_t *prow = (uint32_t *)(base + mats_bytes);
+    __m512i *planes = (__m512i *)(base + mats_bytes + prow_bytes);
+    __m512i *stage = planes + n * K * TILE;
+
+    const struct tables f = {logz, expz, 0, c == 0 ? 0 : (int32_t)logz[c]};
+    intptr_t lcb[16] = {0};
+    if (c != 0) {
+        tower_logs(f, lcb);
+    }
+    uint64_t byelem[256];
+    if (lookup) {
+        uint32_t elements[256];
+        for (int64_t x = 0; x < q; x++) {
+            elements[x] = (uint32_t)x;
+        }
+        affine_matrices(TABLE, f, lcb, elements, 1, q, p, w, e, 1, prow, byelem);
+    }
+    for (int64_t i0 = 0; i0 < r; i0 += rows) {
+        const int64_t in = r - i0 < rows ? r - i0 : rows;
+        if (lookup) {
+            for (int64_t k = 0; k < in * n; k++) {
+                mats[k] = byelem[coef[i0 * n + k]];
+            }
+        }
+        else if (c == 0) {
+            affine_matrices(TABLE, f, lcb, coef + i0 * n, in, n, p, w, e, K, prow, mats);
+        }
+        else {
+            affine_matrices(TOWER, f, lcb, coef + i0 * n, in, n, p, w, e, K, prow, mats);
+        }
+        affine_product(K, W, mats, src, out + i0 * row_bytes, in, n, row_bytes, planes, stage);
+    }
+    free(raw);
+    return 0;
+}
+
+#else /* four-Russians */
+
+#define LANES 8                  /* 64-bit words per bit-row of a column block */
+#define VECS (8 * LANES / VEC_BYTES)
+#define BLOCK_COLS (32 * 2 * LANES)
+#define ROW_BLOCK 256            /* output bit-rows gathered per pass */
+#define GROUP_CHUNK 64           /* groups of eight inner bit-rows tabulated at once */
+
+typedef uint64_t vec_t __attribute__((vector_size(VEC_BYTES)));
+typedef vec_t line_t[VECS];
+
+static const uint8_t zero_idx[ROW_BLOCK];
 
 /* n lines from src, or zero lines when src is NULL. */
 static inline void copy_lines(line_t *dst, const line_t *src, int64_t n)
@@ -162,69 +595,22 @@ static void transpose(line_t *x, const int64_t w)
     }
 }
 
-/* 8x8 bit-matrix transpose: bit u of byte c becomes bit c of byte u. */
-static uint64_t transpose8(uint64_t x)
-{
-    uint64_t t;
-    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
-    x ^= t ^ (t << 28);
-    return x;
-}
-
-/* v with bit rr moved to rr XOR e, for e in {0, 8, 24}: the symbol's
- * value bits in its record's native bit order. */
-static inline uint32_t native_order(uint32_t v, const int e)
-{
-    return e == 24 ? __builtin_bswap32(v) : e == 8 ? __builtin_bswap16((uint16_t)v) : v;
-}
-
 /* gen[g][(i,rr)] = the byte whose bit u is G[(i,rr), 8g + u], the table
  * index of output bit-row (i,rr) in group g, with
- * G[(i,rr), (j,s)] = bit rr XOR e of C_ij * y^(s XOR e).  The products
- * of one row of C are made in prow (n p entries) from the field's
- * tables: y^b is the element 1 << b, log b in a table field; in the
- * tower it is 2^b or 2^(b-16) y, and (a1 y + a0) 2^b y =
- * (a0 + a1) 2^b y + a1 c 2^b by y^2 = y + c. */
+ * G[(i,rr), (j,s)] = bit rr XOR e of C_ij * y^(s XOR e): row_products'
+ * prow (n p entries) cut in groups of eight and transposed. */
 BODY void generator_body(const int kind, const struct tables f, const uint32_t *coef,
                          int64_t r, int64_t n, int64_t p, const int e,
                          uint32_t *restrict prow, uint8_t *restrict gen)
 {
-    const intptr_t *restrict logz = f.logz;
-    const uint32_t *restrict expz = f.expz;
     const int64_t inner = n * p;
     const int64_t ngroups = (inner + 7) / 8;
-    intptr_t lcb[16]; /* logs of c 2^b in the base field */
+    intptr_t lcb[16] = {0};
     if (kind == TOWER) {
-        for (int b = 0; b < 16; b++) {
-            lcb[b] = logz[expz[f.lc + b]];
-        }
+        tower_logs(f, lcb);
     }
     for (int64_t i = 0; i < r; i++) {
-        for (int64_t j = 0; j < n; j++) {
-            const uint32_t a = coef[i * n + j];
-            uint32_t *dst = prow + j * p;
-            if (kind == TOWER) {
-                const intptr_t l0 = logz[a & 0xFFFF], l1 = logz[a >> 16];
-                const intptr_t l01 = logz[(a & 0xFFFF) ^ (a >> 16)];
-                for (int s = 0; s < 32; s++) {
-                    const int b = s ^ e;
-                    const uint32_t v = b < 16
-                        ? expz[l1 + b] << 16 | expz[l0 + b]
-                        : expz[l01 + b - 16] << 16 | expz[l1 + lcb[b - 16]];
-                    dst[s] = native_order(v, e);
-                }
-            }
-            else {
-                const intptr_t la = logz[a];
-                for (int s = 0; s < p; s++) {
-                    dst[s] = native_order(expz[la + (s ^ e)], e);
-                }
-            }
-        }
+        row_products(kind, f, lcb, coef + i * n, n, p, e, prow);
         for (int64_t g = 0; g < ngroups; g++) {
             uint32_t v[8] = {0};
             uint8_t *dst = gen + (g * r + i) * p;
@@ -245,18 +631,6 @@ BODY void generator_body(const int kind, const struct tables f, const uint32_t *
     }
 }
 
-static size_t round64(size_t bytes)
-{
-    return (bytes + 63) & ~(size_t)63;
-}
-
-/* out = C @ src over the field of logz / expz / c (c = 0: that table
- * field, of 2^p elements; else the tower, p = 32, over it).  coef is
- * (r, n) uint32 coefficients, src and out are (n, m) and (r, m) symbols
- * stored w bits apiece (w >= p; big-endian at w >= 16 when big_endian
- * is nonzero, and then w = p), C-contiguous, every symbol < 2^p and
- * m w a multiple of 8.  Returns 0, or -2 when scratch cannot be
- * allocated (repro.native's status rule). */
 int64_t repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
                          int64_t r, int64_t n, int64_t m, int64_t p, int64_t w,
                          int64_t big_endian, const intptr_t *logz, const uint32_t *expz,
@@ -384,6 +758,8 @@ int64_t repro_gf2_matmul(const uint32_t *coef, const uint8_t *src, uint8_t *out,
     free(raw);
     return 0;
 }
+
+#endif
 
 /* Every elimination step below is one body written once and instantiated
  * for each field kind.  Either way the inner loop is
