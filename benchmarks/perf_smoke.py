@@ -10,8 +10,7 @@ absolute time get worse" is what ``bench/run.py --compare`` answers, on
 one box, parent against change.  docs/ARCHITECTURE.md tabulates the
 gates with the ratios measured on the development box.
 
-Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py [gate_name ...]``
-(no names: every gate).
+Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
 from __future__ import annotations
@@ -159,18 +158,16 @@ def gate_publish() -> int:
 
     ``encode_bundles`` packs the source, builds the four-Russians tables
     and screens ids once per chunk; paying that once per peer measures
-    ~1.0x.  The GFNI product body builds no tables, so a GFNI build
-    reads 0.66-0.79x here, next to the budget, with less of what the
-    gate guards left to see: on such a build the A/B runs in a child
-    whose ``_gfmul.c`` is built with ``-mno-gfni``, where it reads
-    0.42-0.48x.
+    ~1.0x.  The GFNI product body builds no tables, so less of that
+    cost is left to share: on a GFNI build the gate read 0.69-1.11x as
+    the only gate of a process, over the budget in 10 of 18 runs, and
+    0.66-0.68x in whole runs.  There both sides run on
+    :func:`_four_russians_kernel` instead, where it reads 0.42-0.48x.
     """
+    from unittest import mock
+
+    from repro import native
     from repro.gf import bitmatmul
-
-    kernel = bitmatmul.load()
-    if kernel is not None and kernel.body == "gfni":
-        return _four_russians_child("gate_publish")
-
     from repro.rlnc import CodingParams, FileEncoder
 
     peers = 8
@@ -194,12 +191,20 @@ def gate_publish() -> int:
     def wire(bundles):
         return [msg.to_bytes() for bundle in bundles for msg in bundle]
 
-    assert wire(stacked()) == wire(per_peer())  # and warm the kernels
-    return ratio_gate(
-        f"one {peers}-peer / {peers} x 1-peer publish, p=32 k={params.k}",
-        stacked, per_peer, 0.8,
-        "is the source packed (or the tables built) once per bundle again?",
-    )
+    kernel = bitmatmul.load()
+    if kernel is not None and kernel.body == "gfni":
+        kernel = _four_russians_kernel()
+        if kernel is None:
+            print("FAIL: _gfmul.c does not build or self-check with -mno-gfni")
+            return 1
+    with mock.patch.dict(native._LOADED, {"gfmul": (kernel, "perf smoke A/B")}):
+        assert wire(stacked()) == wire(per_peer())  # and warm the kernels
+        return ratio_gate(
+            f"one {peers}-peer / {peers} x 1-peer publish, p=32 k={params.k} "
+            f"({'numpy' if kernel is None else kernel.body} body)",
+            stacked, per_peer, 0.8,
+            "is the source packed (or the tables built) once per bundle again?",
+        )
 
 
 def gate_screen() -> int:
@@ -360,32 +365,35 @@ def gate_packed_product() -> int:
     )
 
 
-def _cpu_flags() -> set[str]:
-    """The CPU's flags from /proc/cpuinfo; empty where it cannot be read."""
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("flags"):
-                    return set(line.split(":", 1)[1].split())
-    except OSError:
-        pass
-    return set()
+def _four_russians_kernel():
+    """``_gfmul.c`` built again with ``-mno-gfni`` (the four-Russians
+    body) and loaded beside the live library, self-checked as any load
+    is; ``None`` when that build fails or its check refuses it."""
+    from unittest import mock
+
+    from repro import native
+    from repro.gf import bitmatmul
+
+    flags = f"{os.environ.get('REPRO_NATIVE_CFLAGS', '')} -mno-gfni"
+    with mock.patch.dict(os.environ, {"REPRO_NATIVE_CFLAGS": flags}), \
+            mock.patch.dict(native._LOADED):
+        native._LOADED.pop("gfmul", None)
+        kernel = bitmatmul.load()
+    assert kernel is None or kernel.body == "four-russians"
+    return kernel
 
 
 def gate_gfni_product() -> int:
     """The GFNI product body / the four-Russians one, at ``fetch_bulk``'s
     decode (``record_matmul``, p=32, (8,8)@(8, 128 KiB)).
 
-    The reference is ``_gfmul.c`` built again with ``-mno-gfni`` and
-    loaded beside the live library, so both bodies run in this process
-    on the same records.  It reads 0.19-0.21x on a 2 vCPU AVX-512 box;
-    ~1.0x means the product is back on four-Russians tables.  A host
-    whose CPU has GFNI and AVX-512BW but whose build runs the
-    four-Russians body fails outright.  Skipped, with the reason, where
-    the kernel is not live or the body is not built.
+    The reference is :func:`_four_russians_kernel`, so both bodies run in
+    this process on the same records.  It reads 0.19-0.21x on a 2 vCPU AVX-512 box;
+    ~1.0x means the GFNI body has lost its speed to the tables.  Skipped,
+    with the reason, where the kernel is not live or the body is not
+    built (tests/gf/test_vector_widths.py checks which body a host's
+    flags should build).
     """
-    import ctypes
-
     import numpy as np
 
     from repro import native
@@ -397,25 +405,13 @@ def gate_gfni_product() -> int:
               f"({native.status()['gfmul']}); skipped")
         return 0
     if kernel.body != "gfni":
-        if {"gfni", "avx512bw"} <= _cpu_flags():
-            print(f"FAIL: the CPU has GFNI and AVX-512BW but the product runs the "
-                  f"{kernel.body} body; do the target macros still pick the GFNI body?")
-            return 1
         print(f"gfni / four-russians product: {kernel.body} body built (no GFNI "
               f"and AVX-512BW target); skipped")
         return 0
-    extra = os.environ.get("REPRO_NATIVE_CFLAGS", "")
-    os.environ["REPRO_NATIVE_CFLAGS"] = _without_gfni()
-    try:
-        source = bitmatmul._SOURCE
-        built = native._compile(native._compiler(), "gfmul", source, source.read_bytes())
-    finally:
-        os.environ["REPRO_NATIVE_CFLAGS"] = extra
-    if built is None:
-        print("FAIL: _gfmul.c does not compile with -mno-gfni")
+    four_russians = _four_russians_kernel()
+    if four_russians is None:
+        print("FAIL: _gfmul.c does not build or self-check with -mno-gfni")
         return 1
-    four_russians = bitmatmul.GF2Kernel(ctypes.CDLL(str(built)))
-    assert four_russians.body == "four-russians"
     field = GF(32)
     rng = np.random.default_rng(0)
     coeffs = field.random((8, 8), rng)
@@ -432,8 +428,7 @@ def gate_gfni_product() -> int:
     return ratio_gate(
         "gfni / four-russians product, p=32 (8,8)@(8,128 KiB)",
         product(kernel), product(four_russians), 0.5,
-        "is the product back on four-Russians tables, or has the GFNI body lost "
-        "its speed to them?",
+        "has the GFNI body lost its speed to the four-Russians tables?",
     )
 
 
@@ -1572,27 +1567,7 @@ GATES = (
 )
 
 
-def _without_gfni() -> str:
-    """``REPRO_NATIVE_CFLAGS`` with ``-mno-gfni`` appended: a build of
-    ``_gfmul.c`` on the four-Russians body, cached apart."""
-    return f"{os.environ.get('REPRO_NATIVE_CFLAGS', '')} -mno-gfni"
-
-
-def _four_russians_child(gate: str) -> int:
-    """Run ``gate`` alone in a child whose ``_gfmul.c`` is built with
-    :func:`_without_gfni`'s flags."""
-    import subprocess
-
-    env = dict(os.environ, REPRO_NATIVE_CFLAGS=_without_gfni())
-    print(f"{gate}: in a child built with -mno-gfni", flush=True)
-    return subprocess.run([sys.executable, __file__, gate], env=env).returncode
-
-
-def main(names: list[str]) -> int:
-    """Every gate, ending on "OK" when all pass; or only the gates
-    named, with the verdict in the exit status alone."""
-    if names:
-        return 1 if sum(globals()[name]() for name in names) else 0
+def main() -> int:
     if sum(gate() for gate in GATES):
         return 1
     print("OK")
@@ -1600,4 +1575,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
